@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
+from repro.core.contracts import Contract
 from repro.core.server import SciBorqServer
 
 N_SESSIONS = 4
@@ -56,7 +57,7 @@ def test_concurrent_sessions_isolated_and_faster(benchmark, medium_context):
 
     with SciBorqServer(engine, max_workers=N_SESSIONS) as server:
         sessions = {
-            user: server.open_session(user, max_relative_error=0.0)
+            user: server.open_session(user, contract=Contract.within_error(0.0))
             for user in workload
         }
         jobs = [

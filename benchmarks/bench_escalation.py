@@ -27,7 +27,7 @@ import numpy as np
 from repro.bench.report import write_bench_report
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
-from repro.core.bounded import QualityContract
+from repro.core.contracts import Contract
 
 TARGETS = (0.5, 0.2, 0.1, 0.05, 0.02, 0.0)
 
@@ -45,7 +45,7 @@ def test_escalation_ladder(benchmark, medium_context):
         rows = []
         for target in TARGETS:
             outcome = processor.execute(
-                query, QualityContract(max_relative_error=target)
+                query, Contract(max_relative_error=target)
             )
             rows.append(
                 (
@@ -153,7 +153,7 @@ def _assert_identical(delta_outcome, scratch_outcome) -> None:
 def run_delta_claim(catalog, base, hierarchy, rng, n_queries: int):
     """Claim (a): ≥2x fewer tuples charged on ≥2-rung climbs."""
     delta, scratch = _processors(catalog, hierarchy)
-    contract = QualityContract(max_relative_error=0.0)
+    contract = Contract(max_relative_error=0.0)
     radius = 2.0
     queries = []
     for _ in range(n_queries):
@@ -219,7 +219,7 @@ def run_budget_claim(catalog, base, hierarchy, rng):
         aggregates=[AggregateSpec("avg", "flux")],
     )
     budget = 1.15 * base.num_rows
-    contract = QualityContract(max_relative_error=0.0, time_budget=budget)
+    contract = Contract(max_relative_error=0.0, time_budget=budget)
     delta_outcome = delta.execute(query, contract)
     scratch_outcome = scratch.execute(query, contract)
     print(f"== E5b: zero-error contract under budget {budget:g} ==")

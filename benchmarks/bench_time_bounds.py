@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
-from repro.core.bounded import QualityContract
+from repro.core.contracts import Contract
 
 BUDGETS = (300, 3_000, 30_000, 300_000, None)
 
@@ -30,7 +30,7 @@ def test_quality_vs_time_budget(benchmark, medium_context):
         for budget in BUDGETS:
             outcome = processor.execute(
                 query,
-                QualityContract(max_relative_error=0.0, time_budget=budget),
+                Contract(max_relative_error=0.0, time_budget=budget),
             )
             rows.append(
                 (

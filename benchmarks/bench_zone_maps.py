@@ -31,7 +31,8 @@ from repro.columnstore.plan import estimate_cost
 from repro.columnstore.query import AggregateSpec, Query
 from repro.columnstore.table import Table
 from repro.bench.report import write_bench_report
-from repro.core.bounded import BoundedQueryProcessor, QualityContract
+from repro.core.bounded import BoundedQueryProcessor
+from repro.core.contracts import Contract
 from repro.core.maintenance import rebuild_from_base
 from repro.core.policy import UniformPolicy, build_hierarchy
 
@@ -157,7 +158,7 @@ def run_budget_claim(pruned_catalog, flat_catalog, rng, layer_sizes):
         )
         outcomes[label] = processor.execute(
             query,
-            QualityContract(max_relative_error=0.0, time_budget=budget),
+            Contract(max_relative_error=0.0, time_budget=budget),
         )
     pruned, flat = outcomes["pruned"], outcomes["flat"]
     print(f"== E14b: zero-error contract under budget {budget:g} ==")

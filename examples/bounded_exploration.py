@@ -12,7 +12,7 @@ Demonstrates both halves of "Bounds On Runtime and Quality":
 * strict mode: contracts that raise instead of degrading.
 """
 
-from repro import AggregateSpec, Query, QualityContract, RadialPredicate, SciBorq
+from repro import AggregateSpec, Contract, Query, RadialPredicate, SciBorq
 from repro.errors import QualityBoundError
 from repro.skyserver import build_skyserver, create_skyserver_catalog
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE
@@ -41,9 +41,7 @@ def main() -> None:
     print("=== quality-bounded: error target sweep ===")
     rows = []
     for target in (0.5, 0.1, 0.05, 0.01, 0.0):
-        outcome = processor.execute(
-            query, QualityContract(max_relative_error=target)
-        )
+        outcome = processor.execute(query, Contract.within_error(target))
         rows.append(
             [
                 target,
@@ -66,7 +64,7 @@ def main() -> None:
     for budget in (500, 5_000, 50_000, 500_000, 2_000_000):
         outcome = processor.execute(
             query,
-            QualityContract(max_relative_error=0.0, time_budget=budget),
+            Contract.within_error(0.0) & Contract.within_budget(budget),
         )
         rows.append(
             [
@@ -84,9 +82,9 @@ def main() -> None:
     try:
         processor.execute(
             query,
-            QualityContract(
-                max_relative_error=0.001, time_budget=2_000, strict=True
-            ),
+            (
+                Contract.within_error(0.001) & Contract.within_budget(2_000)
+            ).strictly(),
         )
     except QualityBoundError as error:
         print(f"  refused as promised: {error}")

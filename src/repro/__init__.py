@@ -73,7 +73,6 @@ from repro.core import (
     ImpressionHierarchy,
     LastSeenPolicy,
     ProgressUpdate,
-    QualityContract,
     QueryHandle,
     RejectedQuery,
     SciBorq,
@@ -124,7 +123,6 @@ __all__ = [
     "ImpressionHierarchy",
     "LastSeenPolicy",
     "ProgressUpdate",
-    "QualityContract",
     "QueryHandle",
     "RejectedQuery",
     "SciBorq",

@@ -108,6 +108,14 @@ class QueryResult:
 class Executor:
     """Executes queries against a catalog, charging per-execution contexts.
 
+    **Ownership.**  An engine (:class:`~repro.core.engine.SciBorq`)
+    builds exactly one executor and hands it by reference to every
+    bounded processor and impression estimator it creates, so a
+    scheduler or shard pool assigned here is seen by the exact path and
+    every ladder rung at their next scan; built stand-alone, processors
+    and estimators create a private one.  Which scans may use the
+    :attr:`recycler` is decided in :meth:`select_indices` alone.
+
     Parameters
     ----------
     catalog:
@@ -117,7 +125,7 @@ class Executor:
         this executor forwards its charges here.  Defaults to a
         private :class:`CostClock`.
     recycler:
-        Optional intermediate-result cache consulted for selections.
+        Optional intermediate-result cache (exact base scans only).
     scan_pool:
         Worker pool for morsel-parallel selections.  Defaults to the
         process-wide shared pool; pass ``None`` explicitly via
@@ -125,27 +133,17 @@ class Executor:
     parallel_scans:
         Whether selections may fan out across the scan pool.
     scheduler:
-        Optional shared-scan batch scheduler
-        (:class:`~repro.core.scheduler.SharedScanScheduler`).  When
-        set, non-recycled selections enrol in its convoys so
-        concurrent queries scanning the same table share one pass;
-        per-query indices, stats, and charges stay byte-identical to
-        solo scans.  A convoy pass runs on the *scheduler's* morsel
-        pool (it serves many executors at once, so no single
-        executor's ``scan_pool`` can apply); an executor-specific pool
-        governs solo scans only, and serial-forced executors
-        (``parallel_scans=False``) never enrol.  Installed engine-wide by
-        :meth:`repro.core.engine.SciBorq.set_scan_scheduler` (the
-        server layer does so on construction); contexts opened for
-        sessions that opted out carry ``shared_scans=False`` and
-        bypass it.
+        Optional :class:`~repro.core.scheduler.SharedScanScheduler`:
+        selections enrol in its convoys so concurrent queries scanning
+        the same table share one pass, with per-query indices, stats,
+        and charges byte-identical to solo scans.  A convoy pass runs
+        on the *scheduler's* morsel pool; ``scan_pool`` governs solo
+        scans only.  Installed by
+        :meth:`repro.core.engine.SciBorq.set_scan_scheduler`.
     shard_pool:
-        Optional process-shard pool
-        (:class:`~repro.core.shards.ShardPool`).  When set, eligible
+        Optional :class:`~repro.core.shards.ShardPool`: eligible
         base-table selections scatter across shard worker processes
-        and gather byte-identical indices and charges; anything the
-        pool declines (small tables, intermediates, a degraded pool)
-        falls through to the paths below.  Installed engine-wide by
+        and gather byte-identical indices and charges.  Installed by
         :meth:`repro.core.engine.SciBorq.set_shard_pool`.
     """
 
@@ -182,8 +180,11 @@ class Executor:
     ) -> QueryResult:
         """Run ``query``; ``fact_table`` overrides catalog resolution.
 
-        The override is how impressions are queried: the query still
-        *names* the base table, but the rows come from the sample.
+        The override is how ladder rungs are queried: the query still
+        *names* the base table, but the rows come from the given table
+        (an impression, or the base itself as a ladder's last rung).
+        Only an execution without an override — the exact base-table
+        path — may use the recycler (see :meth:`select_indices`).
         ``context`` carries this execution's cost meter; when absent a
         fresh unbounded context is opened (its charges still aggregate
         to :attr:`clock`).
@@ -195,11 +196,12 @@ class Executor:
         stats = ExecutionStats(source=source.name, source_rows=source.num_rows)
         spent_before = context.spent
 
-        working = self._apply_selection(query, source, stats, context)
+        recycle = fact_table is None  # an override marks a rung scan
+        working = self._apply_selection(query, source, stats, context, recycle)
         working = self._apply_joins(query, working, stats, context)
 
         if query.is_aggregate:
-            result = self._finish_aggregate(query, working, stats, context)
+            result = self.finish_aggregate(query, working, stats, context)
         else:
             result = self._finish_rows(query, working, stats, context)
         stats.charged = context.spent - spent_before
@@ -211,63 +213,57 @@ class Executor:
         source: Table,
         predicate,
         context: ExecutionContext,
-        recycle: bool = True,
+        recycle: bool = False,
     ) -> tuple[np.ndarray, OperatorStats, bool]:
-        """Selection indices over ``source`` with recycling + charging.
+        """Selection indices over ``source``: the one scan path.
 
-        The shared scan primitive of both execution paths: the plain
-        query path materialises the result, while the bounded
-        processor's delta-escalation path feeds it rung deltas and
-        keeps the (small) index vectors.  Returns ``(indices, stats,
-        recycled)``; only non-recycled scans charge the context.
+        Every selection — exact base scans and all rung scans of the
+        bounded ladder — runs through here in one fixed order:
+        recycler lookup, then the first back-end that serves (shard
+        scatter, shared-scan scheduler, solo
+        :func:`~repro.columnstore.operators.select`), one charge, one
+        store-back.  Returns ``(indices, stats, recycled)``; a recycled
+        answer charges nothing, and every back-end returns the solo
+        scan's indices and stats and charges its cost.
 
-        Pass ``recycle=False`` for ephemeral tables whose names and
-        versions repeat across generations (impression deltas and
-        complements): the recycler's ``(name, version, fingerprint)``
-        key cannot tell such generations apart, so caching them would
-        serve stale index vectors after sampler churn.
+        **The recycler rule lives here.**  ``recycle=True`` states
+        that this is the exact base-table path (:meth:`execute` says so
+        when given no ``fact_table`` override); only then is the
+        :attr:`recycler` consulted and filled.  No rung scan recycles:
+        impression deltas and complements reuse names and versions
+        across sampler generations, so the recycler's ``(name, version,
+        fingerprint)`` key would serve stale index vectors.
 
-        With a :attr:`shard_pool` installed, eligible base-table scans
-        scatter across shard worker processes first — the gather
-        returns the same indices, stats, and charge a solo scan would
-        produce, and a declined scatter (small table, intermediate,
-        degraded pool) falls through to the paths below.
-
-        With a :attr:`scheduler` installed (and the context not opted
-        out), the scan enrols in the scheduler's convoy for ``source``
-        instead of running alone — same indices, same stats, same
-        charge, shared wall-clock.  Serial-forced executors
-        (``parallel_scans=False``) never enrol: their contract is that
-        scans run serially in the calling thread, and a convoy pass
-        would fan them over the scheduler's pool.
+        The :attr:`shard_pool` may decline (small table, intermediate,
+        degraded pool).  Contexts that opted out (``shared_scans=
+        False``) and serial-forced executors (``parallel_scans=False``,
+        scans run in the calling thread) skip the :attr:`scheduler`.
         """
-        if recycle and self.recycler is not None:
-            cached = self.recycler.lookup(source, predicate)
+        recycler = self.recycler if recycle else None
+        if recycler is not None:
+            cached = recycler.lookup(source, predicate)
             if cached is not None:
-                return (
-                    cached,
-                    OperatorStats("select(recycled)", 0, cached.shape[0]),
-                    True,
-                )
+                op = OperatorStats("select(recycled)", 0, cached.shape[0])
+                return cached, op, True
+        served = None
         if self.shard_pool is not None:
             served = self.shard_pool.scatter_scan(source, predicate)
-            if served is not None:
-                indices, op = served
-                context.charge(op.cost)
-                if recycle and self.recycler is not None:
-                    self.recycler.store(source, predicate, indices)
-                return indices, op, False
         if (
-            self.scheduler is not None
+            served is None
+            and self.scheduler is not None
             and context.shared_scans
             and self.scan_pool is not None
         ):
+            # the scheduler charges the context itself: it also notes
+            # which of the charged units another query's scan performed
             indices, op = self.scheduler.scan(source, predicate, context)
         else:
-            indices, op = operators.select(source, predicate, pool=self.scan_pool)
+            if served is None:
+                served = operators.select(source, predicate, pool=self.scan_pool)
+            indices, op = served
             context.charge(op.cost)
-        if recycle and self.recycler is not None:
-            self.recycler.store(source, predicate, indices)
+        if recycler is not None:
+            recycler.store(source, predicate, indices)
         return indices, op, False
 
     def _apply_selection(
@@ -276,9 +272,10 @@ class Executor:
         source: Table,
         stats: ExecutionStats,
         context: ExecutionContext,
+        recycle: bool,
     ) -> Table:
         indices, op, recycled = self.select_indices(
-            source, query.predicate, context
+            source, query.predicate, context, recycle=recycle
         )
         stats.recycled = stats.recycled or recycled
         stats.add(op)
@@ -308,13 +305,15 @@ class Executor:
             )
         return working
 
-    def _finish_aggregate(
+    def finish_aggregate(
         self,
         query: Query,
         working: Table,
         stats: ExecutionStats,
         context: ExecutionContext,
     ) -> QueryResult:
+        """Aggregate (then sort and limit groups of) a selected working
+        set; the delta-escalation ladder finishes its base rung here."""
         if query.group_by:
             result, op = operators.group_aggregate(
                 working, query.group_by, query.aggregates

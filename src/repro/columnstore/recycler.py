@@ -10,6 +10,13 @@ The reproduction caches *selection index vectors* keyed by
 ``(table name, table version, predicate fingerprint)``.  Keying on the
 version makes invalidation free: an append bumps the version, and stale
 entries simply stop matching (and age out by LRU).
+
+Tiering does *not* bump the version, so each entry also remembers
+whether its predicate was evaluated over quantised (warm) blocks
+(:func:`reads_lossy_values`).  Such an entry keeps serving scans that
+would read lossy values themselves, and is refused once the predicate's
+columns are exact again — an exact answer never reuses a lossy
+evaluation.
 """
 
 from __future__ import annotations
@@ -25,6 +32,17 @@ from repro.columnstore.expressions import Expression
 from repro.columnstore.table import Table
 
 _Key = Tuple[str, int, str]
+
+
+def reads_lossy_values(table: Table, predicate: Expression) -> bool:
+    """Whether evaluating ``predicate`` over ``table`` right now would
+    read dequantised values (any of its columns holds a warm block or
+    inherited a value-error bound from a lossy source)."""
+    return any(
+        table.column(name).max_value_error() > 0.0
+        for name in predicate.columns()
+        if table.has_column(name)
+    )
 
 
 @dataclass
@@ -60,7 +78,8 @@ class Recycler:
                 f"capacity_bytes must be positive, got {capacity_bytes}"
             )
         self.capacity_bytes = capacity_bytes
-        self._entries: "OrderedDict[_Key, np.ndarray]" = OrderedDict()
+        #: key -> (indices, evaluated over lossy values?)
+        self._entries: "OrderedDict[_Key, Tuple[np.ndarray, bool]]" = OrderedDict()
         self._bytes = 0
         self.stats = RecyclerStats()
         # One recycler is shared by every session of a server; lookups
@@ -74,17 +93,21 @@ class Recycler:
     def lookup(self, table: Table, predicate: Expression) -> Optional[np.ndarray]:
         """Return cached selection indices, or None on a miss.
 
-        A hit refreshes the entry's LRU position.
+        A hit refreshes the entry's LRU position.  An entry evaluated
+        over lossy values is a miss once the predicate's columns are
+        exact again (the store-back after the rescan replaces it).
         """
         key = self._key(table, predicate)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or (
+                entry[1] and not reads_lossy_values(table, predicate)
+            ):
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return entry
+            return entry[0]
 
     def peek(self, table: Table, predicate: Expression) -> Optional[np.ndarray]:
         """Read a cached entry without touching stats or LRU order.
@@ -94,7 +117,8 @@ class Recycler:
         real query traffic.
         """
         with self._lock:
-            return self._entries.get(self._key(table, predicate))
+            entry = self._entries.get(self._key(table, predicate))
+            return None if entry is None else entry[0]
 
     def store(self, table: Table, predicate: Expression, indices: np.ndarray) -> None:
         """Cache selection indices, evicting LRU entries to fit."""
@@ -108,18 +132,18 @@ class Recycler:
                 self.stats.rejected += 1
             return
         key = self._key(table, predicate)
+        lossy = reads_lossy_values(table, predicate)
         with self._lock:
             if key in self._entries:
-                self._bytes -= self._entries[key].nbytes
-                del self._entries[key]
+                self._bytes -= self._entries.pop(key)[0].nbytes
             while (
                 self._bytes + indices.nbytes > self.capacity_bytes
                 and self._entries
             ):
-                _, evicted = self._entries.popitem(last=False)
+                _, (evicted, _) = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
                 self.stats.evictions += 1
-            self._entries[key] = indices
+            self._entries[key] = (indices, lossy)
             self._bytes += indices.nbytes
             self.stats.stored += 1
 

@@ -61,7 +61,6 @@ from repro.core.quality import EstimatedResult, ImpressionEstimator
 from repro.core.contracts import Contract
 from repro.core.handle import ProgressUpdate, QueryHandle
 from repro.core.bounded import (
-    QualityContract,
     BoundedResult,
     ExecutionAttempt,
     BoundedQueryProcessor,
@@ -118,7 +117,6 @@ __all__ = [
     "Contract",
     "ProgressUpdate",
     "QueryHandle",
-    "QualityContract",
     "BoundedResult",
     "ExecutionAttempt",
     "BoundedQueryProcessor",

@@ -44,9 +44,8 @@ already computed, so streaming charges nothing — and returns the
 final :class:`BoundedResult`.  :meth:`~BoundedQueryProcessor.execute`
 is a thin drain loop over it; ``engine.submit`` wraps it in a
 :class:`~repro.core.handle.QueryHandle` (iterable, cancellable
-between rungs).  Contracts are first-class values now
-(:mod:`repro.core.contracts`); ``QualityContract`` remains as an
-alias.
+between rungs).  Contracts are first-class values
+(:mod:`repro.core.contracts`).
 """
 
 from __future__ import annotations
@@ -57,11 +56,10 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.columnstore import operators
 from repro.columnstore.aggstate import FoldState
 from repro.columnstore.catalog import Catalog
 from repro.columnstore.column import Column
-from repro.columnstore.executor import ExecutionStats, Executor
+from repro.columnstore.executor import ExecutionStats, Executor, QueryResult
 from repro.columnstore.operators import OperatorStats
 from repro.columnstore.plan import estimate_cost
 from repro.columnstore.query import Query
@@ -79,11 +77,6 @@ from repro.errors import (
     QueryError,
 )
 from repro.util.clock import CostClock, ExecutionContext, WallClock
-
-#: Backwards-compatible name.  Contracts are first-class values in
-#: :mod:`repro.core.contracts` now; ``QualityContract(...)`` keeps
-#: working because the field order and semantics are unchanged.
-QualityContract = Contract
 
 
 @dataclass(frozen=True)
@@ -190,15 +183,16 @@ class BoundedQueryProcessor:
         over the previous one.  On by default; the from-scratch ladder
         remains available for comparison (the escalation benchmark
         pins the two paths' answers against each other).
-    scheduler:
-        Optional shared-scan batch scheduler
-        (:class:`~repro.core.scheduler.SharedScanScheduler`): rung
-        scans — impression, delta, complement, and base — become
-        schedulable work items that convoy with other in-flight
-        queries scanning the same table.  Per-query answers and
-        charges are unchanged; see :meth:`use_scan_scheduler` for
-        installing one after construction (the engine does this when
-        a server attaches).
+    executor:
+        The :class:`~repro.columnstore.executor.Executor` every rung
+        scan — impression, delta, complement, and base — runs through,
+        shared with this processor's :attr:`estimator`.  The engine
+        passes its single executor, so the scheduler and shard pool it
+        installs there serve rung scans at once (and its exact path
+        scans through the same object); stand-alone, a private
+        executor is created.  Rung scans never use the recycler: the
+        rule lives in :meth:`Executor.select_indices
+        <repro.columnstore.executor.Executor.select_indices>`.
     """
 
     def __init__(
@@ -207,16 +201,18 @@ class BoundedQueryProcessor:
         hierarchy: ImpressionHierarchy,
         clock: Optional[CostClock | WallClock] = None,
         delta_escalation: bool = True,
-        scheduler=None,
+        executor: Optional[Executor] = None,
     ) -> None:
         self.catalog = catalog
         self.hierarchy = hierarchy
         self.delta_escalation = delta_escalation
         self.clock = clock if clock is not None else CostClock()
-        self.estimator = ImpressionEstimator(
-            catalog, clock=self.clock, scheduler=scheduler
+        self.executor = (
+            executor if executor is not None else Executor(catalog, clock=self.clock)
         )
-        self._base_executor = Executor(catalog, clock=self.clock, scheduler=scheduler)
+        self.estimator = ImpressionEstimator(
+            catalog, clock=self.clock, executor=self.executor
+        )
         # wall-clock mode: tuples-per-second throughput, calibrated
         # from observed rung executions (None until the first rung);
         # concurrent sessions share one processor, so the blend is
@@ -230,30 +226,6 @@ class BoundedQueryProcessor:
     def new_context(self, limit: Optional[float] = None) -> ExecutionContext:
         """Open a per-query context observed by this processor's clock."""
         return ExecutionContext(clock=self.clock, limit=limit)
-
-    def use_scan_scheduler(self, scheduler) -> None:
-        """Route every rung scan through a shared-scan scheduler.
-
-        Applies to both scan paths — the delta-escalation fold scans
-        (:meth:`_scan_foldable` via the base executor) and the
-        from-scratch estimator scans.  Pass ``None`` to detach.
-        """
-        self._base_executor.scheduler = scheduler
-        self.estimator.use_scan_scheduler(scheduler)
-
-    def use_shard_pool(self, pool) -> None:
-        """Route eligible base-table rung scans through a shard pool.
-
-        Applies to both scan paths — the delta-escalation fold scans
-        and the from-scratch estimator scans.  The pool only serves
-        registered base tables of sufficient size; impression deltas
-        and other intermediates keep running in-process.  The gather
-        is byte-identical to a solo scan (indices, stats, charge), so
-        estimates, CIs, and Horvitz–Thompson reweighting are
-        unchanged.  Pass ``None`` to detach.
-        """
-        self._base_executor.shard_pool = pool
-        self.estimator.use_shard_pool(pool)
 
     def use_rung_advisor(self, advisor) -> None:
         """Install (or remove, with ``None``) an initial-rung advisor.
@@ -379,17 +351,8 @@ class BoundedQueryProcessor:
 
         if contract.is_exact:
             # an exact contract goes straight to the base columns —
-            # no impression rung is ever considered.  Any demoted
-            # block a scan could touch is force-promoted first: the
-            # spill holds the raw bytes, so the promoted scan is
-            # byte-identical to one over a never-demoted table.  A row
-            # query without an explicit select returns every column.
-            if query.is_aggregate or query.select:
-                for name in query.columns_read():
-                    if base.has_column(name):
-                        base.column(name).promote_all()
-            else:
-                base.promote_all()
+            # no impression rung is ever considered
+            promote_for_exact(base, query)
             ladder: List[Optional[Impression]] = [None]
         else:
             ladder = list(self.hierarchy.candidates_for(query, base))
@@ -485,7 +448,7 @@ class BoundedQueryProcessor:
                         delta_rows=scanned,
                     )
                 )
-                yield self._snapshot(
+                yield progress_snapshot(
                     contract, context, entry_spent, attempts,
                     None, best, best_error,
                 )
@@ -517,7 +480,7 @@ class BoundedQueryProcessor:
             )
             if attempt_error < best_error or best is None:
                 best, best_error = result, attempt_error
-            yield self._snapshot(
+            yield progress_snapshot(
                 contract, context, entry_spent, attempts,
                 result, best, best_error,
             )
@@ -555,7 +518,7 @@ class BoundedQueryProcessor:
                     delta_rows=scanned,
                 )
             )
-            yield self._snapshot(
+            yield progress_snapshot(
                 contract, context, entry_spent, attempts,
                 best, best, best_error,
             )
@@ -577,55 +540,6 @@ class BoundedQueryProcessor:
             met_quality=met_quality,
             met_budget=met_budget,
             total_cost=call_spent,
-            contract=contract,
-        )
-
-    def _snapshot(
-        self,
-        contract: Contract,
-        context: ExecutionContext,
-        entry_spent: float,
-        attempts: List[ExecutionAttempt],
-        result: Optional[EstimatedResult],
-        best: Optional[EstimatedResult],
-        best_error: float,
-    ) -> ProgressUpdate:
-        """Finalise one rung into a progress update — charging nothing.
-
-        Everything here is arithmetic over answers already computed
-        for the escalation decision; ``partial`` (the stop-right-now
-        outcome) copies the attempts list so later rungs cannot
-        mutate an update a consumer already holds.
-        """
-        attempt = attempts[-1]
-        spent = context.spent - entry_spent
-        partial: Optional[BoundedResult] = None
-        if best is not None:
-            partial = BoundedResult(
-                result=best,
-                attempts=list(attempts),
-                met_quality=contract.max_relative_error is None
-                or best_error <= contract.max_relative_error,
-                met_budget=contract.time_budget is None
-                or spent <= contract.time_budget,
-                total_cost=spent,
-                contract=contract,
-            )
-        return ProgressUpdate(
-            rung=len(attempts) - 1,
-            source=attempt.source,
-            result=result,
-            achieved_error=attempt.relative_error,
-            best_error=best_error if best is not None else float("inf"),
-            satisfied=attempt.satisfied,
-            spent=spent,
-            remaining=(
-                None
-                if contract.time_budget is None
-                else max(0.0, contract.time_budget - spent)
-            ),
-            attempt=attempt,
-            partial=partial,
             contract=contract,
         )
 
@@ -751,10 +665,8 @@ class BoundedQueryProcessor:
                 scan_table = rung.materialise(base)
             next_consumed = rung
             source, source_rows = rung.name, rung.size
-        # the ephemeral delta/complement tables reuse names across
-        # sampler generations, so they must never enter a recycler
-        indices, op, _ = self._base_executor.select_indices(
-            scan_table, query.predicate, context, recycle=rung is None and ids is None
+        indices, op, _ = self.executor.select_indices(
+            scan_table, query.predicate, context
         )
         stats = ExecutionStats(source=source, source_rows=source_rows)
         stats.add(op)
@@ -832,9 +744,9 @@ class BoundedQueryProcessor:
     ) -> EstimatedResult:
         """The exact base answer from the fold (aggregates only).
 
-        Mirrors the executor's aggregate finishing exactly — same
-        operators over the same rows in the same (base) order — while
-        having charged only the complement scan.  "Exact" holds only
+        Finished by the executor's own aggregate step — same operators
+        over the same rows in the same (base) order — while having
+        charged only the complement scan.  "Exact" holds only
         when every scanned block was hot or cold (raw bytes); a fold
         that read dequantised warm blocks carries a non-zero
         ``value_error``, and the answer degrades honestly to a
@@ -855,22 +767,9 @@ class BoundedQueryProcessor:
         )
         working = Table(f"{base.name}#fold", columns)
         exact = fold.value_error == 0.0
+        finished = self.executor.finish_aggregate(query, working, stats, context)
         if query.group_by:
-            result, op = operators.group_aggregate(
-                working, query.group_by, query.aggregates
-            )
-            context.charge(op.cost)
-            stats.add(op)
-            if query.order_by:
-                result, op = operators.sort(
-                    result, query.order_by, query.descending
-                )
-                context.charge(op.cost)
-                stats.add(op)
-            if query.limit is not None:
-                result, op = operators.limit(result, query.limit)
-                context.charge(op.cost)
-                stats.add(op)
+            result = finished.rows
             group_estimates = None
             if not exact:
                 # per-group deterministic bounds (se = 0): conservative
@@ -901,9 +800,7 @@ class BoundedQueryProcessor:
                 group_estimates=group_estimates,
                 exact=exact,
             )
-        scalars, op = operators.aggregate(working, query.aggregates)
-        context.charge(op.cost)
-        stats.add(op)
+        scalars = finished.scalars
         bounds = {
             spec.output_name: propagated_value_error(
                 spec.fn,
@@ -954,12 +851,105 @@ class BoundedQueryProcessor:
     ) -> EstimatedResult:
         if rung is not None:
             return self.estimator.estimate(query, rung, confidence, context)
-        exact = self._base_executor.execute(query, context=context)
+        # the override marks a rung scan: the ladder's base rung never
+        # uses the recycler (only the engine's exact path does)
+        exact = self.executor.execute(query, fact_table=base, context=context)
         return exact_estimated_result(query, exact, base, confidence)
 
 
+def progress_snapshot(
+    contract: Contract,
+    context: ExecutionContext,
+    entry_spent: float,
+    attempts: List[ExecutionAttempt],
+    result: Optional[EstimatedResult],
+    best: Optional[EstimatedResult],
+    best_error: float,
+) -> ProgressUpdate:
+    """Finalise one rung into a progress update — charging nothing.
+
+    Everything here is arithmetic over answers already computed
+    for the escalation decision; ``partial`` (the stop-right-now
+    outcome) copies the attempts list so later rungs cannot
+    mutate an update a consumer already holds.
+    """
+    attempt = attempts[-1]
+    spent = context.spent - entry_spent
+    partial: Optional[BoundedResult] = None
+    if best is not None:
+        partial = BoundedResult(
+            result=best,
+            attempts=list(attempts),
+            met_quality=contract.max_relative_error is None
+            or best_error <= contract.max_relative_error,
+            met_budget=contract.time_budget is None
+            or spent <= contract.time_budget,
+            total_cost=spent,
+            contract=contract,
+        )
+    return ProgressUpdate(
+        rung=len(attempts) - 1,
+        source=attempt.source,
+        result=result,
+        achieved_error=attempt.relative_error,
+        best_error=best_error if best is not None else float("inf"),
+        satisfied=attempt.satisfied,
+        spent=spent,
+        remaining=(
+            None
+            if contract.time_budget is None
+            else max(0.0, contract.time_budget - spent)
+        ),
+        attempt=attempt,
+        partial=partial,
+        contract=contract,
+    )
+
+
+def _touched_columns(base: Table, query: Query) -> List[Column]:
+    """The columns an exact scan of ``query`` reads (a row query
+    without an explicit select returns every column)."""
+    if query.is_aggregate or query.select:
+        names = [n for n in query.columns_read() if base.has_column(n)]
+    else:
+        names = base.column_names
+    return [base.column(name) for name in names]
+
+
+def promote_for_exact(base: Table, query: Query) -> None:
+    """Restore every block an exact scan of ``query`` could touch to hot.
+
+    Exact means byte-exact: warm blocks hold lossy codes, and the spill
+    holds the raw bytes, so the promoted scan is byte-identical to one
+    over a never-demoted table.
+    """
+    if not base.is_fully_hot:
+        for column in _touched_columns(base, query):
+            column.promote_all()
+
+
+def raw_query_result(outcome: BoundedResult) -> QueryResult:
+    """An exact outcome in the raw executor shape.
+
+    The inverse of :func:`exact_estimated_result`, for the
+    ``execute_exact`` spellings: same stats object, same rows or
+    groups table, scalars equal to the executor's own.
+    """
+    result = outcome.result
+    return QueryResult(
+        query=result.query,
+        stats=result.stats,
+        rows=result.rows if result.rows is not None else result.groups,
+        scalars=(
+            None
+            if result.estimates is None
+            else {name: est.value for name, est in result.estimates.items()}
+        ),
+    )
+
+
 def exact_estimated_result(
-    query: Query, exact, base, confidence: float
+    query: Query, exact: QueryResult, base: Table, confidence: float
 ) -> EstimatedResult:
     """Wrap a raw base-executor result into the bounded answer shape.
 
@@ -973,17 +963,9 @@ def exact_estimated_result(
     """
     from repro.stats.estimators import propagated_value_error
 
-    if query.is_aggregate or query.select:
-        value_error = max(
-            (
-                base.column(name).max_value_error()
-                for name in query.columns_read()
-                if base.has_column(name)
-            ),
-            default=0.0,
-        )
-    else:
-        value_error = base.max_value_error()
+    value_error = max(
+        (c.max_value_error() for c in _touched_columns(base, query)), default=0.0
+    )
     is_exact = value_error == 0.0
     if query.is_aggregate and not query.group_by:
         by_name = {spec.output_name: spec.fn for spec in query.aggregates}

@@ -22,14 +22,10 @@ declared once means the same thing everywhere.  The ``&`` combinator
 builds hybrid bounds and rejects contradictions (the same bound
 specified twice, conflicting confidences).  Modifier methods return
 new values; a contract never mutates.
-
-:class:`~repro.core.bounded.QualityContract` is now an alias of this
-class, kept so existing call sites keep working unchanged.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -290,41 +286,3 @@ _TIER_PRESETS = {
     "gold": lambda cls: cls.gold(),
 }
 
-
-def legacy_contract(
-    max_relative_error: Optional[float] = None,
-    time_budget: Optional[float] = None,
-    confidence: Optional[float] = None,
-    strict: bool = False,
-    *,
-    owner: str,
-) -> Optional[Contract]:
-    """Build a :class:`Contract` from the deprecated per-field kwargs.
-
-    Returns ``None`` when no legacy field was used, so callers can
-    fall back to an explicit ``contract=`` argument or their default.
-    Emits one :class:`DeprecationWarning` per use site — the old
-    four-kwarg sprawl keeps working, but new code should pass a
-    contract value.
-    """
-    if (
-        max_relative_error is None
-        and time_budget is None
-        and confidence is None
-        and not strict
-    ):
-        return None
-    warnings.warn(
-        f"{owner}: the max_relative_error/time_budget/confidence/strict "
-        f"keyword arguments are deprecated; pass contract="
-        f"Contract.within_error(...), Contract.within_budget(...), or a "
-        f"combination via '&'",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return Contract(
-        max_relative_error=max_relative_error,
-        time_budget=time_budget,
-        confidence=confidence if confidence is not None else DEFAULT_CONFIDENCE,
-        strict=strict,
-    )

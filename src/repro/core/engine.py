@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columnstore.catalog import Catalog
-from repro.columnstore.executor import Executor, expand_view
+from repro.columnstore.executor import Executor, QueryResult, expand_view
 from repro.columnstore.expressions import TruePredicate
 from repro.columnstore.loader import Loader
 from repro.columnstore.query import Query
@@ -45,8 +45,11 @@ from repro.core.bounded import (
     BoundedResult,
     ExecutionAttempt,
     exact_estimated_result,
+    progress_snapshot,
+    promote_for_exact,
+    raw_query_result,
 )
-from repro.core.contracts import Contract, legacy_contract
+from repro.core.contracts import Contract
 from repro.core.handle import ProgressUpdate, QueryHandle
 from repro.core.builder import ImpressionBuilder
 from repro.core.hierarchy import ImpressionHierarchy
@@ -193,17 +196,14 @@ class SciBorq:
         self._default_hierarchy: Dict[str, str] = {}
         self._extrema: Dict[Tuple[str, str], ExtremaReservoir] = {}
         self._self_tuning: Dict[str, SelfTuningReservoir] = {}
-        self._base_executor = Executor(
+        #: The one executor: the exact path scans through it, and every
+        #: processor and estimator this engine creates holds it by
+        #: reference — so the scheduler and shard pool installed on it
+        #: (by the server layer) serve every rung scan, of hierarchies
+        #: created before or after the install alike.
+        self.executor = Executor(
             catalog, clock=self.clock, recycler=self.recycler
         )
-        # shared-scan batch scheduler (installed by the server layer):
-        # applied to every processor, existing and future, so rung
-        # scans of concurrent queries can convoy (see core/scheduler).
-        self._scan_scheduler = None
-        # process-shard pool (installed by the server layer): eligible
-        # base-table scans scatter across worker processes with
-        # byte-identical gathers (see core/shards).
-        self._shard_pool = None
         # memory governor (installed by the server layer or directly):
         # demotes least-recently-scanned blocks hot→warm→cold to keep
         # the engine-wide footprint inside a byte budget (core/governor).
@@ -264,13 +264,8 @@ class SciBorq:
                 self.builder.detach(impression)
         table_hierarchies[hierarchy_name] = hierarchy
         processor = BoundedQueryProcessor(
-            self.catalog,
-            hierarchy,
-            clock=self.clock,
-            scheduler=self._scan_scheduler,
+            self.catalog, hierarchy, clock=self.clock, executor=self.executor
         )
-        if self._shard_pool is not None:
-            processor.use_shard_pool(self._shard_pool)
         if self._intelligence is not None:
             processor.use_rung_advisor(self._intelligence.initial_rung)
         self._processors.setdefault(table, {})[hierarchy_name] = processor
@@ -400,44 +395,34 @@ class SciBorq:
         Routes every selection — rung scans of all bounded processors
         plus base-data scans — through the scheduler's convoys so
         concurrent queries over the same table share one block scan
-        (:mod:`repro.core.scheduler`).  Applied retroactively to
-        existing processors and automatically to hierarchies created
-        later.  The server layer calls this on construction; results
-        and per-query charges are unaffected either way.
+        (:mod:`repro.core.scheduler`).  One assignment on the shared
+        :attr:`executor`.  The server layer calls this on construction;
+        results and per-query charges are unaffected either way.
         """
-        self._scan_scheduler = scheduler
-        self._base_executor.scheduler = scheduler
-        for named in self._processors.values():
-            for processor in named.values():
-                processor.use_scan_scheduler(scheduler)
+        self.executor.scheduler = scheduler
 
     @property
     def scan_scheduler(self):
         """The installed shared-scan scheduler, or ``None``."""
-        return self._scan_scheduler
+        return self.executor.scheduler
 
     def set_shard_pool(self, pool) -> None:
         """Install (or remove, with ``None``) a process-shard pool.
 
         Routes eligible base-table selections — rung scans of all
         bounded processors plus base-data scans — through
-        :meth:`~repro.core.shards.ShardPool.scatter_scan`.  Applied
-        retroactively to existing processors and automatically to
-        hierarchies created later.  Results and per-query charges are
-        byte-identical either way; the pool only changes wall-clock.
-        The server layer installs one when constructed with
-        ``shard_pool=``.
+        :meth:`~repro.core.shards.ShardPool.scatter_scan`.  One
+        assignment on the shared :attr:`executor`.  Results and
+        per-query charges are byte-identical either way; the pool only
+        changes wall-clock.  The server layer installs one when
+        constructed with ``shard_pool=``.
         """
-        self._shard_pool = pool
-        self._base_executor.shard_pool = pool
-        for named in self._processors.values():
-            for processor in named.values():
-                processor.use_shard_pool(pool)
+        self.executor.shard_pool = pool
 
     @property
     def shard_pool(self):
         """The installed process-shard pool, or ``None``."""
-        return self._shard_pool
+        return self.executor.shard_pool
 
     def set_memory_governor(self, governor) -> None:
         """Install (or remove, with ``None``) a memory governor.
@@ -637,7 +622,7 @@ class SciBorq:
         Submission feeds the workload machinery up front (query log,
         predicate sets, drift detectors) — the workload model sees
         intent, not completion.  An exact contract routes straight to
-        the base executor (works on tables with no hierarchy at all,
+        the executor's base path (works on tables with no hierarchy at all,
         preserves the ICICLES recycling side effect); any other
         contract requires a hierarchy.  ``hierarchy`` overrides the
         contract's own selection.  ``context`` carries a caller-owned
@@ -652,37 +637,31 @@ class SciBorq:
             entry = self.query_log.record(query)
             self.collector.observe(query)
         submitted = time.perf_counter()
+
+        def open_context() -> ExecutionContext:
+            # called by the stream at its first step, not here
+            if context is not None:
+                return context
+            if context_factory is not None:
+                return context_factory()
+            return ExecutionContext(clock=self.clock, limit=contract.time_budget)
+
         if contract.is_exact:
-            handle = QueryHandle(
-                query,
-                contract,
-                self._run_exact(query, contract, context, context_factory),
-            )
-            # the settle hook wants the handle's own queue/run split,
-            # so the finalize callback is attached after construction
-            handle._finalize = lambda outcome: self._settle_entry(
-                entry, outcome, submitted, session_id, contract, handle
-            )
-            return handle
-        if query.table not in self._processors or not self._processors[query.table]:
+            stream = self._run_exact(query, contract, open_context)
+        elif not self._processors.get(query.table):
             raise QueryError(
                 f"no hierarchy for table {query.table!r}; create one or "
-                f"use Contract.exact() (engine.execute_exact is the "
-                f"legacy spelling)"
+                f"use Contract.exact()"
             )
-        processor = self.processor(query.table, hierarchy)
-        handle = QueryHandle(
-            query,
-            contract,
-            self._run_bounded(processor, query, contract, context, context_factory),
-        )
-        handle._finalize = lambda outcome: self._settle_entry(
-            entry,
-            self._finalize_outcome(query, outcome),
-            submitted,
-            session_id,
-            contract,
-            handle,
+        else:
+            stream = self._run_bounded(
+                self.processor(query.table, hierarchy), query, contract, open_context
+            )
+        handle = QueryHandle(query, contract, stream)
+        # the settle hook wants the handle's own queue/run split, so
+        # the finalize callback is attached after construction
+        handle._finalize = lambda outcome: self._settle(
+            handle, entry, outcome, submitted, session_id
         )
         return handle
 
@@ -690,42 +669,20 @@ class SciBorq:
         self,
         query: Query,
         contract: Optional[Contract] = None,
-        max_relative_error: Optional[float] = None,
-        time_budget: Optional[float] = None,
-        confidence: Optional[float] = None,
-        strict: bool = False,
         hierarchy: Optional[str] = None,
         context: Optional[ExecutionContext] = None,
     ) -> BoundedResult:
         """Answer a query under a contract, blocking until done.
 
-        The blocking spelling of :meth:`submit` — equivalent to
+        The blocking drain of :meth:`submit` — exactly
         ``submit(query, contract).result()``, discarding the per-rung
-        progress stream.  ``contract`` is the one way to state bounds;
-        the old ``max_relative_error``/``time_budget``/``confidence``/
-        ``strict`` keywords still work as deprecation shims that build
-        the same :class:`Contract` (they cannot be combined with an
-        explicit contract).
+        progress stream.
         """
         if contract is not None and not isinstance(contract, Contract):
             raise QueryError(
                 f"expected a Contract as second argument, got "
-                f"{contract!r}; use Contract.within_error(...) or the "
-                f"max_relative_error= keyword"
+                f"{contract!r}; use Contract.within_error(...)"
             )
-        legacy = legacy_contract(
-            max_relative_error,
-            time_budget,
-            confidence,
-            strict,
-            owner="SciBorq.execute",
-        )
-        if contract is not None and legacy is not None:
-            raise QueryError(
-                "pass either contract= or the deprecated per-field "
-                "kwargs, not both"
-            )
-        contract = contract if contract is not None else legacy
         return self.submit(
             query, contract, hierarchy=hierarchy, context=context
         ).result()
@@ -735,67 +692,21 @@ class SciBorq:
         query: Query,
         context: Optional[ExecutionContext] = None,
         session_id: Optional[int] = None,
-    ):
+    ) -> QueryResult:
         """Run a query on the base data, bypassing impressions.
 
-        Legacy spelling retained for callers that want the raw
-        executor result; ``execute(query, Contract.exact())`` is the
-        contract-first equivalent and returns the uniform
-        :class:`BoundedResult` shape instead.  If result recycling is
-        enabled for the table, the rows this query touched are
-        re-offered to the self-tuning sample (the ICICLES
-        side-effect, paper §5).
+        The exact drain of :meth:`submit` in the raw executor shape:
+        ``submit(query, Contract.exact()).result()`` converted back to
+        a :class:`~repro.columnstore.executor.QueryResult`
+        (``execute(query, Contract.exact())`` returns the uniform
+        :class:`BoundedResult` instead).  Logging, monitoring, the
+        charge, and the ICICLES side effect are the core's own.
         """
-        query = expand_view(self.catalog, query)
-        self._promote_for_exact(query)
-        with self._workload_lock:
-            entry = self.query_log.record(query)
-            self.collector.observe(query)
-        started = time.perf_counter()
-        charge_base = context.spent if context is not None else self.clock.now
-        result = self._base_executor.execute(query, context=context)
-        charged = (
-            context.spent if context is not None else self.clock.now
-        ) - charge_base
-        self._offer_recycled_rows(query)
-        wall_seconds = time.perf_counter() - started
-        self.query_log.settle(
-            entry.sequence,
-            QueryOutcome(
-                tuples_charged=float(charged),
-                rungs_climbed=1,
-                achieved_error=0.0,
-                wall_seconds=wall_seconds,
-                session_id=session_id,
-                degraded=False,
-            ),
+        return raw_query_result(
+            self.submit(
+                query, Contract.exact(), context=context, session_id=session_id
+            ).result()
         )
-        if self._monitor is not None:
-            self._monitor.observe_exact(
-                query,
-                spent=float(charged),
-                session_id=session_id,
-                wall_seconds=wall_seconds,
-            )
-        return result
-
-    def _promote_for_exact(self, query: Query) -> None:
-        """Restore every block an exact scan could touch to hot.
-
-        Exact means byte-exact: warm blocks hold lossy codes, so the
-        spill's raw bytes come back first.  A row query without an
-        explicit select returns every column, so it promotes the
-        whole table.
-        """
-        base = self.catalog.table(query.table)
-        if base.is_fully_hot:
-            return
-        if query.is_aggregate or query.select:
-            for name in query.columns_read():
-                if base.has_column(name):
-                    base.column(name).promote_all()
-        else:
-            base.promote_all()
 
     # ------------------------------------------------------------------
     # execution streams behind submit()
@@ -805,82 +716,49 @@ class SciBorq:
         processor: BoundedQueryProcessor,
         query: Query,
         contract: Contract,
-        context: Optional[ExecutionContext],
-        context_factory: Optional[Callable[[], ExecutionContext]],
+        open_context: Callable[[], ExecutionContext],
     ) -> Iterator[ProgressUpdate]:
-        """Ladder stream: defer context creation to the first rung."""
-        if context is None and context_factory is not None:
-            context = context_factory()
-        result = yield from processor.run(query, contract, context)
+        """Ladder stream: the context opens at the first rung."""
+        result = yield from processor.run(query, contract, open_context())
         return result
 
     def _run_exact(
         self,
         query: Query,
         contract: Contract,
-        context: Optional[ExecutionContext],
-        context_factory: Optional[Callable[[], ExecutionContext]],
+        open_context: Callable[[], ExecutionContext],
     ) -> Iterator[ProgressUpdate]:
         """Exact stream: one base-data attempt, no ladder.
 
         Produces the same :class:`BoundedResult` shape as a bounded
         execution (one exact, satisfied attempt) so callers handle
         one result type — and keeps the base path's side effects
-        (recycler capture feeding the ICICLES reservoir).  Works on
-        tables with no hierarchy: the base executor is all it needs.
+        (recycler capture feeding the ICICLES reservoir, paper §5).
+        Works on tables with no hierarchy: the executor is all it
+        needs.  Demoted blocks are promoted before the context opens,
+        so a wall-mode budget bills the scan alone.
         """
         base = self.catalog.table(query.table)
-        self._promote_for_exact(query)
-        if context is None:
-            context = (
-                context_factory()
-                if context_factory is not None
-                else ExecutionContext(
-                    clock=self.clock, limit=contract.time_budget
-                )
-            )
+        promote_for_exact(base, query)
+        context = open_context()
         entry_spent = context.spent
-        raw = self._base_executor.execute(query, context=context)
+        raw = self.executor.execute(query, context=context)
         self._offer_recycled_rows(query)
         result = exact_estimated_result(query, raw, base, contract.confidence)
-        spent = context.spent - entry_spent
         attempt = ExecutionAttempt(
             source=base.name,
             rows=base.num_rows,
-            cost=spent,
+            cost=context.spent - entry_spent,
             relative_error=0.0,
             satisfied=True,
         )
-        met_budget = (
-            contract.time_budget is None or spent <= contract.time_budget
+        update = progress_snapshot(
+            contract, context, entry_spent, [attempt], result, result, 0.0
         )
-        outcome = BoundedResult(
-            result=result,
-            attempts=[attempt],
-            met_quality=True,
-            met_budget=met_budget,
-            total_cost=spent,
-            contract=contract,
-        )
-        yield ProgressUpdate(
-            rung=0,
-            source=base.name,
-            result=result,
-            achieved_error=0.0,
-            best_error=0.0,
-            satisfied=True,
-            spent=spent,
-            remaining=(
-                None
-                if contract.time_budget is None
-                else max(0.0, contract.time_budget - spent)
-            ),
-            attempt=attempt,
-            partial=outcome,
-            contract=contract,
-        )
-        if contract.strict and not met_budget:
-            raise BudgetExceededError(contract.time_budget, spent)
+        yield update
+        outcome = update.partial
+        if contract.strict and not outcome.met_budget:
+            raise BudgetExceededError(contract.time_budget, outcome.total_cost)
         return outcome
 
     def _offer_recycled_rows(self, query: Query) -> None:
@@ -892,21 +770,16 @@ class SciBorq:
             if touched is not None:
                 reservoir.offer_results(touched)
 
-    def _finalize_outcome(self, query: Query, outcome: BoundedResult) -> BoundedResult:
-        """Post-process a finished (or cancelled) bounded outcome."""
-        self._apply_extrema(query, outcome)
-        return outcome
-
-    def _settle_entry(
+    def _settle(
         self,
+        handle: QueryHandle,
         entry: QueryLogEntry,
         outcome: BoundedResult,
         submitted: float,
         session_id: Optional[int],
-        contract: Optional[Contract] = None,
-        handle: Optional[QueryHandle] = None,
     ) -> BoundedResult:
-        """Stamp a finished outcome back onto its query-log entry.
+        """The one finalize of every finished (or cancelled) outcome:
+        stamp it back onto its query-log entry.
 
         This is what turns the log from a list of predicates into the
         fleet-wide asset the workload miner feeds on: every settled
@@ -917,6 +790,7 @@ class SciBorq:
         its :class:`~repro.core.monitor.ContractVerdict` — reading
         the outcome, never touching it.
         """
+        self._apply_extrema(handle.query, outcome)
         wall_seconds = time.perf_counter() - submitted
         self.query_log.settle(
             entry.sequence,
@@ -933,14 +807,12 @@ class SciBorq:
         if monitor is not None:
             monitor.observe(
                 entry.query,
-                contract if contract is not None else Contract(),
+                handle.contract,
                 outcome,
                 session_id=session_id,
                 wall_seconds=wall_seconds,
-                queue_seconds=(
-                    None if handle is None else handle.queue_seconds
-                ),
-                run_seconds=None if handle is None else handle.run_seconds,
+                queue_seconds=handle.queue_seconds,
+                run_seconds=handle.run_seconds,
             )
         return outcome
 

@@ -131,10 +131,16 @@ class ImpressionEstimator:
         to :meth:`estimate`.
     confidence:
         Default confidence level for all intervals.
-    scheduler:
-        Optional shared-scan batch scheduler, forwarded to the
-        internal executor so impression scans of concurrent queries
-        can share one pass (see :mod:`repro.core.scheduler`).
+    executor:
+        The :class:`~repro.columnstore.executor.Executor` impression
+        scans run through.  The estimator never owns a shared one: an
+        engine passes its single executor (via the bounded processor),
+        so a scheduler or shard pool installed there serves impression
+        scans too; stand-alone, a private executor is created.
+        Impression scans always override the fact table, so they never
+        touch the recycler (the rule lives in
+        :meth:`Executor.select_indices
+        <repro.columnstore.executor.Executor.select_indices>`).
     """
 
     def __init__(
@@ -142,25 +148,14 @@ class ImpressionEstimator:
         catalog: Catalog,
         clock: Optional[CostClock | WallClock] = None,
         confidence: float = 0.95,
-        scheduler=None,
+        executor: Optional[Executor] = None,
     ) -> None:
         self.catalog = catalog
         self.clock = clock if clock is not None else CostClock()
         self.confidence = confidence
-        self._executor = Executor(catalog, clock=self.clock, scheduler=scheduler)
-
-    def use_scan_scheduler(self, scheduler) -> None:
-        """(Re)target impression scans at a shared-scan scheduler."""
-        self._executor.scheduler = scheduler
-
-    def use_shard_pool(self, pool) -> None:
-        """(Re)target eligible base-table scans at a shard pool.
-
-        Impression scans themselves are small (the pool declines
-        them), but the estimator's executor also serves exact
-        base-table rungs, which do scatter.  Pass ``None`` to detach.
-        """
-        self._executor.shard_pool = pool
+        self.executor = (
+            executor if executor is not None else Executor(catalog, clock=self.clock)
+        )
 
     # ------------------------------------------------------------------
     def estimate(
@@ -183,7 +178,7 @@ class ImpressionEstimator:
             predicate=query.predicate,
             joins=query.joins,
         )
-        worked = self._executor.execute(
+        worked = self.executor.execute(
             working_query, fact_table=imp_table, context=context
         )
         working = worked.rows

@@ -43,7 +43,12 @@ live object (not name/version, the recycler's key) is what makes this
 safe for the ephemeral delta/complement tables that recycling must
 skip: a new sampler generation is a new object, so stale reuse is
 structurally impossible, and ingest bumps the version, which the memo
-checks.  Contexts are charged their full solo cost on memo hits too.
+checks.  Tiering changes neither, so each memo entry also remembers
+whether it was evaluated over quantised blocks and is refused by a
+scan whose predicate columns are exact again — an exact answer never
+reuses a lossy evaluation, while bounded scans over still-warm blocks
+keep their hits.  Contexts are charged their full solo cost on memo
+hits too.
 
 Accounting stays honest
 -----------------------
@@ -70,6 +75,7 @@ import numpy as np
 from repro.columnstore import operators
 from repro.columnstore.expressions import Expression
 from repro.columnstore.operators import OperatorStats
+from repro.columnstore.recycler import reads_lossy_values
 from repro.columnstore.table import Table
 from repro.util.clock import ExecutionContext
 from repro.util.concurrency import Combiner, MorselPool, shared_scan_pool
@@ -123,11 +129,19 @@ class SchedulerStats:
 class _Request:
     """One query's enrolment in a convoy: predicate + result slot."""
 
-    __slots__ = ("predicate", "fingerprint", "shared")
+    __slots__ = ("predicate", "fingerprint", "lossy", "key", "shared")
 
-    def __init__(self, predicate: Expression) -> None:
+    def __init__(self, table: Table, predicate: Expression) -> None:
         self.predicate = predicate
         self.fingerprint = predicate.fingerprint()
+        #: Whether this scan reads quantised values.  Taken at
+        #: enrolment, *before* any evaluation: blocks are only ever
+        #: promoted while readers run, so an entry remembered under
+        #: this flag is never lossier than the flag says.
+        self.lossy = reads_lossy_values(table, predicate)
+        #: Convoy group: a request whose columns are exact never rides
+        #: a twin's lossy memo hit.
+        self.key = (self.fingerprint, self.lossy)
         #: Set by the leader: True when another request's evaluation
         #: served this one (equal fingerprint, same convoy).
         self.shared = False
@@ -137,8 +151,10 @@ class _TableLane:
     """Per-table-object scheduling state: convoy queue + scan memo.
 
     The memo maps predicate fingerprints to ``(version, indices,
-    stats)`` of an already-executed scan of *this* table object; the
-    version guard invalidates on ingest.  Bounded FIFO by entry count
+    stats, lossy)`` of an already-executed scan of *this* table object;
+    the version guard invalidates on ingest, and a ``lossy`` entry
+    (evaluated over quantised blocks) only serves requests that are
+    lossy themselves.  Bounded FIFO by entry count
     *and* by pinned index-vector bytes — a table generation sees a
     modest set of distinct predicates, but one broad predicate can
     leave a large vector behind.
@@ -149,26 +165,27 @@ class _TableLane:
     def __init__(self, table: Table, window: float) -> None:
         self.ref = weakref.ref(table)
         self.combiner: Combiner = Combiner(window)
-        self.memo: Dict[str, Tuple[int, np.ndarray, OperatorStats]] = {}
+        self.memo: Dict[str, Tuple[int, np.ndarray, OperatorStats, bool]] = {}
         self.memo_lock = threading.Lock()
         self.memo_bytes = 0
 
     def lookup(
-        self, fingerprint: str, version: int
+        self, request: _Request, version: int
     ) -> Optional[Tuple[np.ndarray, OperatorStats]]:
         with self.memo_lock:
-            hit = self.memo.get(fingerprint)
-            if hit is None or hit[0] != version:
+            hit = self.memo.get(request.fingerprint)
+            if hit is None or hit[0] != version or (hit[3] and not request.lossy):
                 return None
             return hit[1], hit[2]
 
     def remember(
         self,
-        fingerprint: str,
+        request: _Request,
         version: int,
         indices: np.ndarray,
         stats: OperatorStats,
     ) -> None:
+        fingerprint = request.fingerprint
         if indices.nbytes > _MEMO_BYTES:
             return  # never pin a vector bigger than the whole budget
         with self.memo_lock:
@@ -179,9 +196,9 @@ class _TableLane:
                 len(self.memo) >= _MEMO_CAPACITY
                 or self.memo_bytes + indices.nbytes > _MEMO_BYTES
             ):
-                _, evicted, _ = self.memo.pop(next(iter(self.memo)))
+                evicted = self.memo.pop(next(iter(self.memo)))[1]
                 self.memo_bytes -= evicted.nbytes
-            self.memo[fingerprint] = (version, indices, stats)
+            self.memo[fingerprint] = (version, indices, stats, request.lossy)
             self.memo_bytes += indices.nbytes
 
 
@@ -240,8 +257,8 @@ class SharedScanScheduler:
         would have raised, without failing the rest of the convoy.
         """
         lane = self._lane_for(table)
-        request = _Request(predicate)
-        hit = lane.lookup(request.fingerprint, table.version)
+        request = _Request(table, predicate)
+        hit = lane.lookup(request, table.version)
         if hit is not None:
             indices, stats = hit
             context.charge(stats.cost)
@@ -332,34 +349,34 @@ class SharedScanScheduler:
         order.
         """
         version = table.version
-        group_of: Dict[str, int] = {}
-        outcomes: Dict[str, Tuple[np.ndarray, OperatorStats] | Exception] = {}
-        unique: List[Expression] = []
-        fingerprints: List[str] = []
+        outcomes: Dict[
+            Tuple[str, bool], Tuple[np.ndarray, OperatorStats] | Exception
+        ] = {}
+        leaders: Dict[Tuple[str, bool], _Request] = {}
         for request in batch:
-            if request.fingerprint in group_of or request.fingerprint in outcomes:
+            key = request.key
+            if key in leaders or key in outcomes:
                 request.shared = True
                 continue
-            hit = lane.lookup(request.fingerprint, version)
+            hit = lane.lookup(request, version)
             if hit is not None:
-                outcomes[request.fingerprint] = hit
+                outcomes[key] = hit
                 request.shared = True
                 continue
-            group_of[request.fingerprint] = len(unique)
-            unique.append(request.predicate)
-            fingerprints.append(request.fingerprint)
+            leaders[key] = request
+        unique = [leader.predicate for leader in leaders.values()]
         if unique:
             per_group = operators.select_shared(table, unique, pool=self._pool)
-            for fingerprint, outcome in zip(fingerprints, per_group):
-                outcomes[fingerprint] = outcome
+            for (key, leader), outcome in zip(leaders.items(), per_group):
+                outcomes[key] = outcome
                 if not isinstance(outcome, Exception):
-                    lane.remember(fingerprint, version, outcome[0], outcome[1])
+                    lane.remember(leader, version, outcome[0], outcome[1])
         with self._stats_lock:
             self._scans += len(batch)
             if unique:
                 self._batches += 1
                 self._convoy_scans += len(batch)
-        return [outcomes[request.fingerprint] for request in batch]
+        return [outcomes[request.key] for request in batch]
 
     # ------------------------------------------------------------------
     def lane_activity(self) -> Dict[str, int]:

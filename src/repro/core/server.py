@@ -72,7 +72,8 @@ from repro.core.admission import (
     RejectedQuery,
     admission_from_env,
 )
-from repro.core.bounded import BoundedResult
+from repro.columnstore.executor import QueryResult
+from repro.core.bounded import BoundedResult, raw_query_result
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.governor import GovernorStats, MemoryGovernor, governor_from_env
@@ -87,8 +88,9 @@ from repro.errors import OverloadedError, SessionError
 from repro.util.clock import ExecutionContext
 from repro.util.concurrency import ReadWriteLock
 
-#: A unit of pool work: (session, query, contract, hierarchy name).
-_Job = Tuple[Session, Query, Contract, Optional[str]]
+#: A unit of pool work: (session, query, contract or None for the
+#: session default, hierarchy name).
+_Job = Tuple[Session, Query, Optional[Contract], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -284,7 +286,7 @@ class SciBorqServer:
         (default: none — sessions open unconstrained as before).  A
         tier name string (``"bronze"``/``"silver"``/``"gold"``)
         resolves through :meth:`Contract.preset`.  A session's own
-        ``contract=`` (or deprecated per-field kwargs) always wins.
+        ``contract=`` always wins.
     """
 
     def __init__(
@@ -424,10 +426,6 @@ class SciBorqServer:
         self,
         name: Optional[str] = None,
         contract: Union[Contract, str, None] = None,
-        max_relative_error: Optional[float] = None,
-        time_budget: Optional[float] = None,
-        confidence: Optional[float] = None,
-        strict: bool = False,
         shared_scans: bool = True,
         weight: float = 1.0,
     ) -> Session:
@@ -435,11 +433,9 @@ class SciBorqServer:
 
         ``contract`` is the session's default :class:`Contract` — a
         value, or a tier name string (``"bronze"``/``"silver"``/
-        ``"gold"``) resolved through :meth:`Contract.preset`; the
-        per-field keywords are the deprecated spelling (the
-        :class:`Session` constructor resolves and warns).  When the
-        caller specifies nothing at all, the server's own
-        ``contract=`` default (if any) applies.
+        ``"gold"``) resolved through :meth:`Contract.preset`.  When
+        the caller gives none, the server's own ``contract=`` default
+        (if any) applies.
         ``shared_scans=False`` keeps this user's scans out of the
         server's shared-scan convoys (answers and charges are
         identical either way; opting out only forgoes the wall-clock
@@ -447,14 +443,7 @@ class SciBorqServer:
         weight under overload (ignored without admission control).
         """
         self._require_open()
-        if (
-            contract is None
-            and self.default_contract is not None
-            and max_relative_error is None
-            and time_budget is None
-            and confidence is None
-            and not strict
-        ):
+        if contract is None:
             contract = self.default_contract
         with self._admin_lock:
             session_id = self._next_session_id
@@ -464,10 +453,6 @@ class SciBorqServer:
                 session_id,
                 name=name,
                 contract=contract,
-                max_relative_error=max_relative_error,
-                time_budget=time_budget,
-                confidence=confidence,
-                strict=strict,
                 shared_scans=shared_scans,
                 weight=weight,
             )
@@ -493,22 +478,28 @@ class SciBorqServer:
     # ------------------------------------------------------------------
     # query path (readers)
     # ------------------------------------------------------------------
-    def execute(
+    def _open(
         self,
         session: Session,
         query: Query,
-        contract: Optional[Contract] = None,
-        hierarchy: Optional[str] = None,
-    ) -> BoundedResult:
-        """Run one query for ``session`` under the shared read lock.
+        contract: Optional[Contract],
+        hierarchy: Optional[str],
+        kind: str,
+    ) -> Tuple[QueryHandle, Optional[AdmissionTicket]]:
+        """The one prologue of every query: admit, log, submit.
 
-        The execution context is opened here — engine clock plus the
-        session clock as observers — so the outcome's ``total_cost``
-        is exactly this query's own spending.  With admission control
-        the call first takes a blocking-kind ticket: it waits inline
-        in the same aged queue as pool submissions, may run under a
-        coarsened contract (``outcome.degraded``), and raises
-        :class:`~repro.errors.OverloadedError` when shed.
+        Takes an admission ticket of ``kind`` (a ``"blocking"`` ticket
+        waits inline for its slot, in the same aged queue as pool
+        submissions; a shed raises
+        :class:`~repro.errors.OverloadedError` before anything is
+        logged), records the query in the session log, and submits it
+        to the engine.  The execution context — engine clock plus the
+        session clock as observers, so the outcome's ``total_cost`` is
+        exactly this query's own spending — opens at the first rung,
+        inside the read lock the drain holds: wall-mode budgets bill
+        execution time only.  A degraded ticket marks the handle
+        before any drain, so the engine settles the flag with the
+        outcome.
         """
         self._require_open()
         session._require_open()
@@ -517,56 +508,104 @@ class SciBorqServer:
         if self.admission is not None:
             try:
                 ticket, contract = self.admission.admit(
-                    session, query, contract, kind="blocking"
+                    session, query, contract, kind=kind
                 )
             except OverloadedError as exc:
                 self._observe_rejection(exc.rejection)
                 raise
-            if not self.admission.wait(ticket):
-                # the controller closed while we queued: structured
-                # shutdown rejection, never a silent hang
-                self.admission.release(ticket)
+            if kind == "blocking" and not self.admission.wait(ticket):
+                # the controller closed while we queued (and evicted
+                # the ticket): structured shutdown rejection, never a
+                # silent hang
                 rejection = self._shutdown_rejection(session, query)
                 self._observe_rejection(rejection, contract)
                 raise OverloadedError(rejection)
         session.query_log.record(query)
-        failed = True
         try:
-            with self._rwlock.read_locked():
-                # opened inside the read lock so wall-mode budgets bill
-                # execution time only, not time queued behind a writer
-                context = ExecutionContext(
+            handle = self.engine.submit(
+                query,
+                contract,
+                hierarchy=hierarchy,
+                context_factory=lambda: ExecutionContext(
                     clock=self.engine.clock,
                     limit=contract.time_budget,
                     observers=(session.clock,),
                     shared_scans=session.shared_scans,
-                )
-                handle = self.engine.submit(
-                    query,
-                    contract,
-                    hierarchy=hierarchy,
-                    context=context,
-                    session_id=session.session_id,
-                )
-                if ticket is not None and ticket.degraded:
-                    # marked before the drain so the degraded flag is
-                    # on the outcome when the engine settles its
-                    # query-log entry, not patched on after
-                    handle.mark_degraded()
-                outcome = handle.result()
-            failed = False
+                ),
+                session_id=session.session_id,
+            )
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             self._note_failure(session, query, exc)
-            raise
-        finally:
             if ticket is not None:
-                self.admission.release(ticket, failed=failed)
-        session._record(query, outcome)
-        with self._admin_lock:
-            self._queries_served += 1
-        self._govern_memory()
-        self._mine_intelligence()
-        return outcome
+                self.admission.release(ticket, failed=True)
+            raise
+        if ticket is not None and ticket.degraded:
+            handle.mark_degraded()
+        return handle, ticket
+
+    def _finish(
+        self,
+        session: Session,
+        query: Query,
+        handle: QueryHandle,
+        ticket: Optional[AdmissionTicket],
+    ) -> None:
+        """The one epilogue of every drained query.
+
+        A failure (strict bound miss, bad predicate) stays on the
+        handle for ``result()`` to re-raise — but it is *counted*
+        here, per server and per session, so a background failure is
+        observable without anyone ever calling ``result()``.  Returns
+        the admission slot, then lets the governor and the miner run.
+        """
+        try:
+            outcome = handle.result(timeout=0)
+        except BaseException as exc:  # noqa: BLE001 - stays on the handle
+            self._note_failure(session, query, exc)
+            failed = True
+        else:
+            session._record(query, outcome)
+            with self._admin_lock:
+                self._queries_served += 1
+            failed = False
+        if ticket is not None:
+            self.admission.release(ticket, failed=failed)
+        if not failed:
+            self._govern_memory()
+            self._mine_intelligence()
+
+    def execute(
+        self,
+        session: Session,
+        query: Query,
+        contract: Optional[Contract] = None,
+        hierarchy: Optional[str] = None,
+    ) -> BoundedResult:
+        """Run one query for ``session``, blocking until done.
+
+        The blocking drain: the calling thread runs the ladder under
+        the shared read lock.  With admission control it first waits
+        inline for its slot, may run under a coarsened contract
+        (``outcome.degraded``), and raises
+        :class:`~repro.errors.OverloadedError` when shed.
+        """
+        handle, ticket = self._open(session, query, contract, hierarchy, "blocking")
+        try:
+            with self._rwlock.read_locked():
+                return handle.result()
+        finally:
+            self._finish(session, query, handle, ticket)
+
+    def execute_exact(self, session: Session, query: Query) -> QueryResult:
+        """Run a base-data query for ``session``: :meth:`execute` under
+        ``Contract.exact()``, in the raw executor shape.
+
+        Runs as a reader like every query: the shared state it touches
+        beyond the catalog — the recycler and the ICICLES self-tuning
+        reservoir — is internally locked, so a full base scan must not
+        serialise every other session behind the write lock.
+        """
+        return raw_query_result(self.execute(session, query, Contract.exact()))
 
     def _shutdown_rejection(
         self, session: Session, query: Query
@@ -609,11 +648,8 @@ class SciBorqServer:
         Returns the :class:`~repro.core.handle.QueryHandle`
         immediately; a pool worker drains the ladder under the shared
         read lock, delivering ``on_progress`` callbacks from the
-        worker thread.  The execution context — engine clock plus the
-        session clock as observers — is created lazily at the first
-        rung, inside the read lock, so wall-mode budgets bill
-        execution time only.  ``cancel()`` on the returned handle
-        stops the worker between rungs.
+        worker thread.  ``cancel()`` on the returned handle stops the
+        worker between rungs.
 
         With admission control the submission first passes the intake
         ladder: it may be queued (the handle's ``queue_seconds`` and
@@ -622,39 +658,13 @@ class SciBorqServer:
         — :class:`~repro.errors.OverloadedError` raised here, before
         any handle exists.
         """
-        self._require_open()
-        session._require_open()
-        contract = contract if contract is not None else session.defaults
-        ticket: Optional[AdmissionTicket] = None
-        if self.admission is not None:
-            try:
-                ticket, contract = self.admission.admit(
-                    session, query, contract, kind="pool"
-                )
-            except OverloadedError as exc:
-                self._observe_rejection(exc.rejection)
-                raise
-        session.query_log.record(query)
-        handle = self.engine.submit(
-            query,
-            contract,
-            hierarchy=hierarchy,
-            context_factory=lambda: ExecutionContext(
-                clock=self.engine.clock,
-                limit=contract.time_budget,
-                observers=(session.clock,),
-                shared_scans=session.shared_scans,
-            ),
-            session_id=session.session_id,
-        )
-        if ticket is not None and ticket.degraded:
-            handle.mark_degraded()
+        handle, ticket = self._open(session, query, contract, hierarchy, "pool")
         handle.mark_driven()
         handle.mark_queued()
         with self._admin_lock:
             self._active_handles.add(handle)
         if ticket is None:
-            submission = (self._drive_handle, handle, session, query)
+            submission = (self._drive_handle, handle, session, query, None)
         else:
             # a worker claims the *globally best* ticket, not this one:
             # priority order happens here, on a plain FIFO pool
@@ -728,24 +738,21 @@ class SciBorqServer:
         if ticket is None:
             # controller closed: evicted handles are failed by shutdown
             return
-        handle, session, query = ticket.payload
-        failed = False
         try:
-            failed = self._drive_handle(handle, session, query)
+            self._drive_handle(*ticket.payload, ticket)
         finally:
-            self.admission.release(ticket, failed=failed)
+            # idempotent: only matters when the drive itself blew up
+            self.admission.release(ticket, failed=True)
 
     def _drive_handle(
-        self, handle: QueryHandle, session: Session, query: Query
-    ) -> bool:
+        self,
+        handle: QueryHandle,
+        session: Session,
+        query: Query,
+        ticket: Optional[AdmissionTicket],
+    ) -> None:
         """Pool worker core: drain one handle under the shared read
-        lock.  Returns whether the drain failed.
-
-        A failure (strict bound miss, bad predicate) stays on the
-        handle for ``result()`` to re-raise — but it is *counted*
-        here, per server and per session, so a background failure is
-        observable without anyone ever calling ``result()``.
-        """
+        lock, then run the epilogue."""
         try:
             try:
                 with self._rwlock.read_locked():
@@ -756,17 +763,7 @@ class SciBorqServer:
                 # mid-drain.  Settle the handle (first-settle-wins) so
                 # its caller never blocks on a drain nobody finishes.
                 handle._fail(exc)
-            try:
-                outcome = handle.result(timeout=0)
-            except BaseException as exc:  # noqa: BLE001 - stays on the handle
-                self._note_failure(session, query, exc)
-                return True
-            session._record(query, outcome)
-            with self._admin_lock:
-                self._queries_served += 1
-            self._govern_memory()
-            self._mine_intelligence()
-            return False
+            self._finish(session, query, handle, ticket)
         finally:
             with self._admin_lock:
                 self._active_handles.discard(handle)
@@ -798,11 +795,10 @@ class SciBorqServer:
         batch — this is the server's multi-user entry point (one batch
         may interleave many users' queries).
         """
-        prepared: List[_Job] = [
-            (session, query, session.defaults, hierarchy)
-            for session, query in jobs
-        ]
-        return self.execute_jobs(prepared, return_exceptions=return_exceptions)
+        return self.execute_jobs(
+            [(session, query, None, hierarchy) for session, query in jobs],
+            return_exceptions=return_exceptions,
+        )
 
     def execute_jobs(
         self, jobs: Sequence[_Job], return_exceptions: bool = False
@@ -884,34 +880,6 @@ class SciBorqServer:
         self._require_open()
         with self._rwlock.write_locked():
             return self.engine.rebuild(table, hierarchy)
-
-    def execute_exact(self, session: Session, query: Query):
-        """Run a base-data query for ``session``.
-
-        Runs as a reader: the shared state it touches beyond the
-        catalog — the recycler and the ICICLES self-tuning reservoir —
-        is internally locked, so a full base scan must not serialise
-        every other session behind the write lock.
-        """
-        self._require_open()
-        session._require_open()
-        # recorded at submission time, like every other query path, so
-        # the per-session log is a uniform submission record
-        session.query_log.record(query)
-        with self._rwlock.read_locked():
-            context = ExecutionContext(
-                clock=self.engine.clock,
-                observers=(session.clock,),
-                shared_scans=session.shared_scans,
-            )
-            result = self.engine.execute_exact(
-                query, context=context, session_id=session.session_id
-            )
-        with self._admin_lock:
-            self._queries_served += 1
-        self._govern_memory()
-        self._mine_intelligence()
-        return result
 
     def _govern_memory(self) -> None:
         """Post-query governor pass, exclusive so scans never race it.

@@ -24,13 +24,12 @@ readers-writer lock.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.columnstore.query import Query
 from repro.core.bounded import BoundedResult
-from repro.core.contracts import Contract, legacy_contract
+from repro.core.contracts import Contract
 from repro.core.handle import QueryHandle
 from repro.errors import OverloadedError, SessionError
 from repro.util.clock import CostClock
@@ -80,9 +79,6 @@ class Session:
         query not overriding it.  A tier name string (``"bronze"`` /
         ``"silver"`` / ``"gold"``) resolves through
         :meth:`Contract.preset`.
-    max_relative_error / time_budget / confidence / strict:
-        Deprecated per-field spelling of ``contract``; cannot be
-        combined with it.
     shared_scans:
         Whether this user's scans may join the server's shared-scan
         convoys (:mod:`repro.core.scheduler`).  On by default —
@@ -103,10 +99,6 @@ class Session:
         session_id: int,
         name: Optional[str] = None,
         contract: Union[Contract, str, None] = None,
-        max_relative_error: Optional[float] = None,
-        time_budget: Optional[float] = None,
-        confidence: Optional[float] = None,
-        strict: bool = False,
         shared_scans: bool = True,
         weight: float = 1.0,
     ) -> None:
@@ -122,23 +114,7 @@ class Session:
         self.shared_scans = shared_scans
         #: Admission-priority weight of this tenant's queued queries.
         self.weight = weight
-        legacy = legacy_contract(
-            max_relative_error,
-            time_budget,
-            confidence,
-            strict,
-            owner="Session",
-        )
-        if contract is not None and legacy is not None:
-            raise SessionError(
-                "pass either contract= or the deprecated per-field "
-                "kwargs, not both"
-            )
-        self.defaults = (
-            contract
-            if contract is not None
-            else (legacy if legacy is not None else Contract())
-        )
+        self.defaults = contract if contract is not None else Contract()
         #: Aggregate observer: sums the cost of this session's queries.
         self.clock = CostClock()
         #: This user's queries only.
@@ -200,33 +176,19 @@ class Session:
         self,
         query: Query,
         contract: Optional[Contract] = None,
-        max_relative_error=INHERIT,
-        time_budget=INHERIT,
-        confidence=INHERIT,
-        strict=INHERIT,
         hierarchy: Optional[str] = None,
     ) -> BoundedResult:
-        """Run one query under this session's (overridable) contract.
-
-        ``contract`` replaces the session default wholesale for this
-        query; the per-field keywords override individual defaults
-        (the pre-contract spelling, kept working).  The two spellings
-        cannot be combined — mixing them would silently drop one.
+        """Run one query, blocking; the session default contract
+        applies unless ``contract`` replaces it for this query
+        (:meth:`contract` builds per-field overrides of the default).
         """
         self._require_open()
-        resolved = self._resolve(
-            contract, max_relative_error, time_budget, confidence, strict
-        )
-        return self._server.execute(self, query, resolved, hierarchy=hierarchy)
+        return self._server.execute(self, query, contract, hierarchy=hierarchy)
 
     def execute_many(
         self,
         queries: Sequence[Query],
         contract: Optional[Contract] = None,
-        max_relative_error=INHERIT,
-        time_budget=INHERIT,
-        confidence=INHERIT,
-        strict=INHERIT,
         hierarchy: Optional[str] = None,
         return_exceptions: bool = False,
     ) -> List[BoundedResult]:
@@ -239,35 +201,10 @@ class Session:
         re-raising the first after the gather.
         """
         self._require_open()
-        resolved = self._resolve(
-            contract, max_relative_error, time_budget, confidence, strict
-        )
-        jobs = [(self, query, resolved, hierarchy) for query in queries]
+        jobs = [(self, query, contract, hierarchy) for query in queries]
         return self._server.execute_jobs(
             jobs, return_exceptions=return_exceptions
         )
-
-    def _resolve(
-        self, contract, max_relative_error, time_budget, confidence, strict
-    ) -> Contract:
-        """One contract per call: explicit value, or defaults+overrides.
-
-        Mixing ``contract=`` with per-field overrides raises (the
-        engine rejects the same combination) — otherwise the override
-        would be silently discarded.
-        """
-        overridden = any(
-            value is not INHERIT
-            for value in (max_relative_error, time_budget, confidence, strict)
-        )
-        if contract is not None:
-            if overridden:
-                raise SessionError(
-                    "pass either contract= or the per-field override "
-                    "kwargs, not both"
-                )
-            return contract
-        return self.contract(max_relative_error, time_budget, confidence, strict)
 
     # ------------------------------------------------------------------
     # progressive execution
@@ -288,8 +225,7 @@ class Session:
         to stop between rungs and keep the best answer so far.
         """
         self._require_open()
-        resolved = contract if contract is not None else self.defaults
-        return self._server.submit(self, query, resolved, hierarchy=hierarchy)
+        return self._server.submit(self, query, contract, hierarchy=hierarchy)
 
     def submit_many(
         self,
@@ -309,13 +245,12 @@ class Session:
         handle, as always.
         """
         self._require_open()
-        resolved = contract if contract is not None else self.defaults
         results: List[object] = []
         for query in queries:
             try:
                 results.append(
                     self._server.submit(
-                        self, query, resolved, hierarchy=hierarchy
+                        self, query, contract, hierarchy=hierarchy
                     )
                 )
             except OverloadedError as exc:
@@ -400,17 +335,6 @@ class Session:
             budget_misses=sum(1 for r in history if not r.met_budget),
             failures=failures,
         )
-
-    def stats(self) -> SessionStats:
-        """Deprecated spelling of :meth:`report` (same value)."""
-        warnings.warn(
-            "Session.stats() is deprecated; use Session.report() — "
-            "same SessionStats, aligned with server.report() / "
-            "engine.report()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.report()
 
     def close(self) -> None:
         """Detach from the server; further execution raises."""

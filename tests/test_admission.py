@@ -556,9 +556,11 @@ class TestFailureAccounting:
         with SciBorqServer(make_engine(), max_workers=1) as server:
             session = server.open_session(
                 "strict",
-                strict=True,
-                max_relative_error=1e-12,
-                time_budget=600,  # only the smallest layer fits
+                contract=Contract(
+                    max_relative_error=1e-12,
+                    time_budget=600,  # only the smallest layer fits
+                    strict=True,
+                ),
             )
             handle = session.submit(cone(150.0, 5.0))
             # wait for the background drain — via the handle's done
@@ -578,12 +580,13 @@ class TestFailureAccounting:
         from repro.errors import QualityBoundError
 
         with SciBorqServer(make_engine()) as server:
-            session = server.open_session("strict", strict=True)
+            session = server.open_session(
+                "strict", contract=Contract().strictly()
+            )
             with pytest.raises(QualityBoundError):
                 session.execute(
                     cone(150.0, 5.0),
-                    max_relative_error=1e-12,
-                    time_budget=600,
+                    session.contract(max_relative_error=1e-12, time_budget=600),
                 )
             assert server.queries_failed == 1
             assert session.report().failures == 1
@@ -595,9 +598,9 @@ class TestFailureAccounting:
         ) as server:
             session = server.open_session(
                 "strict",
-                strict=True,
-                max_relative_error=1e-12,
-                time_budget=600,
+                contract=Contract(
+                    max_relative_error=1e-12, time_budget=600, strict=True
+                ),
             )
             handle = session.submit(cone(150.0, 5.0))
             assert handle._done.wait(10.0)
@@ -608,6 +611,79 @@ class TestFailureAccounting:
             ):
                 time.sleep(0.01)
             assert server.admission.stats.failed == 1
+
+    def test_execute_exact_is_admitted_and_shed_like_execute(self):
+        """``server.execute_exact`` used to take no ticket at all."""
+        ctrl = AdmissionController(
+            max_inflight=1, queue_depth=0, degrade_threshold=None
+        )
+        with SciBorqServer(
+            make_engine(), max_workers=1, admission=ctrl
+        ) as server:
+            session = server.open_session("exact")
+            holder, _ = ctrl.admit(
+                session, cone(150.0, 5.0), Contract.exact(), kind="blocking"
+            )
+            assert ctrl.wait(holder, timeout=5.0)  # the one slot is taken
+            for run in (server.execute, server.execute_exact):
+                with pytest.raises(OverloadedError) as shed:
+                    run(session, cone(170.0, 3.0))
+                assert shed.value.rejection.reason == "queue_full"
+            assert len(session.query_log) == 0  # shed before anything logs
+            ctrl.release(holder)
+            raw = server.execute_exact(session, cone(170.0, 3.0))
+            assert raw.scalar("count(*)") >= 0
+            assert ctrl.stats.completed == 2  # the holder and the exact query
+            assert [o.result.exact for o in session.history] == [True]
+
+    def test_blocking_execute_queued_at_shutdown_is_shed_structurally(self):
+        """The evicted ticket used to be released a second time, turning
+        the structured rejection into a bare ``ValueError``."""
+        ctrl = AdmissionController(
+            max_inflight=1, queue_depth=4, degrade_threshold=None
+        )
+        server = SciBorqServer(make_engine(), max_workers=1, admission=ctrl)
+        session = server.open_session("late")
+        holder, _ = ctrl.admit(
+            session, cone(150.0, 5.0), Contract(), kind="blocking"
+        )
+        assert ctrl.wait(holder, timeout=5.0)  # the one slot is taken
+        caught = []
+
+        def ask():
+            try:
+                server.execute(session, cone(170.0, 3.0))
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                caught.append(exc)
+
+        thread = threading.Thread(target=ask)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while ctrl.stats.queued == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        server.shutdown(wait=False)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert len(caught) == 1 and isinstance(caught[0], OverloadedError)
+        assert caught[0].rejection.reason == "shutdown"
+
+    def test_execute_exact_failures_are_counted(self):
+        """A failing exact query used to be invisible in both counters."""
+        from repro.columnstore.expressions import Comparison
+        from repro.errors import UnknownColumnError
+
+        bad = Query(
+            table="PhotoObjAll",
+            predicate=Comparison("missing", ">", 0.0),
+            aggregates=[AggregateSpec("count")],
+        )
+        with SciBorqServer(make_engine(), max_workers=1) as server:
+            session = server.open_session("oops")
+            with pytest.raises(UnknownColumnError):
+                server.execute_exact(session, bad)
+            assert server.queries_failed == 1
+            assert session.report().failures == 1
+            assert session.history == []
 
 
 # ----------------------------------------------------------------------

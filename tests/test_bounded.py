@@ -5,7 +5,8 @@ import pytest
 
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
-from repro.core.bounded import BoundedQueryProcessor, QualityContract
+from repro.core.bounded import BoundedQueryProcessor
+from repro.core.contracts import Contract
 from repro.errors import BudgetExceededError, QualityBoundError, QueryError
 
 
@@ -25,14 +26,14 @@ def cone_count(radius=5.0) -> Query:
 class TestContract:
     def test_validation(self):
         with pytest.raises(QueryError):
-            QualityContract(max_relative_error=-0.1)
+            Contract(max_relative_error=-0.1)
         with pytest.raises(QueryError):
-            QualityContract(time_budget=-1)
+            Contract(time_budget=-1)
         with pytest.raises(QueryError):
-            QualityContract(confidence=1.0)
+            Contract(confidence=1.0)
 
     def test_defaults_unconstrained(self):
-        contract = QualityContract()
+        contract = Contract()
         assert contract.max_relative_error is None
         assert contract.time_budget is None
 
@@ -52,7 +53,7 @@ class TestUnconstrainedExecution:
 class TestErrorBoundEscalation:
     def test_escalates_until_bound_met(self, processor):
         outcome = processor.execute(
-            cone_count(), QualityContract(max_relative_error=0.05)
+            cone_count(), Contract(max_relative_error=0.05)
         )
         assert outcome.met_quality
         assert outcome.achieved_error <= 0.05
@@ -63,7 +64,7 @@ class TestErrorBoundEscalation:
 
     def test_zero_error_bound_reaches_base_data(self, processor, sky_engine):
         outcome = processor.execute(
-            cone_count(), QualityContract(max_relative_error=0.0)
+            cone_count(), Contract(max_relative_error=0.0)
         )
         assert outcome.result.exact
         assert outcome.achieved_error == 0.0
@@ -73,16 +74,16 @@ class TestErrorBoundEscalation:
 
     def test_loose_bound_stops_early(self, processor):
         loose = processor.execute(
-            cone_count(), QualityContract(max_relative_error=0.5)
+            cone_count(), Contract(max_relative_error=0.5)
         )
         tight = processor.execute(
-            cone_count(), QualityContract(max_relative_error=0.02)
+            cone_count(), Contract(max_relative_error=0.02)
         )
         assert loose.total_cost < tight.total_cost
 
     def test_base_answer_matches_exact_executor(self, processor, sky_engine):
         outcome = processor.execute(
-            cone_count(), QualityContract(max_relative_error=0.0)
+            cone_count(), Contract(max_relative_error=0.0)
         )
         exact = sky_engine.execute_exact(cone_count())
         assert outcome.result.estimates["count(*)"].value == exact.scalar(
@@ -95,7 +96,7 @@ class TestTimeBounds:
         # enough for the two smaller layers only (100 + 1000 rows + agg)
         outcome = processor.execute(
             cone_count(),
-            QualityContract(max_relative_error=0.0001, time_budget=5_000),
+            Contract(max_relative_error=0.0001, time_budget=5_000),
         )
         assert not outcome.met_quality  # bound unreachable in budget
         assert outcome.total_cost <= 5_000
@@ -104,14 +105,14 @@ class TestTimeBounds:
     def test_generous_budget_allows_base(self, processor):
         outcome = processor.execute(
             cone_count(),
-            QualityContract(max_relative_error=0.0, time_budget=10_000_000),
+            Contract(max_relative_error=0.0, time_budget=10_000_000),
         )
         assert outcome.met_quality and outcome.met_budget
 
     def test_best_attempt_returned_when_budget_binds(self, processor):
         outcome = processor.execute(
             cone_count(),
-            QualityContract(max_relative_error=0.001, time_budget=3_000),
+            Contract(max_relative_error=0.001, time_budget=3_000),
         )
         # the best (largest affordable) answer is the one reported
         errors = [a.relative_error for a in outcome.attempts]
@@ -119,7 +120,7 @@ class TestTimeBounds:
 
     def test_tiny_budget_still_answers(self, processor):
         outcome = processor.execute(
-            cone_count(), QualityContract(time_budget=10)
+            cone_count(), Contract(time_budget=10)
         )
         assert outcome.result is not None
         assert len(outcome.attempts) == 1
@@ -155,7 +156,7 @@ class TestStrictMode:
         with pytest.raises(QualityBoundError, match="error bound"):
             processor.execute(
                 cone_count(),
-                QualityContract(
+                Contract(
                     max_relative_error=0.0001, time_budget=2_000, strict=True
                 ),
             )
@@ -163,7 +164,7 @@ class TestStrictMode:
     def test_budget_violation_raises(self, processor):
         with pytest.raises(BudgetExceededError, match="budget"):
             processor.execute(
-                cone_count(), QualityContract(time_budget=10, strict=True)
+                cone_count(), Contract(time_budget=10, strict=True)
             )
 
 
@@ -174,7 +175,7 @@ class TestGroupedQueries:
             aggregates=[AggregateSpec("count")],
             group_by=("obj_type",),
         )
-        outcome = processor.execute(q, QualityContract(max_relative_error=0.5))
+        outcome = processor.execute(q, Contract(max_relative_error=0.5))
         groups = outcome.result.groups
         assert groups is not None
         assert groups.num_rows == 2  # GALAXY and STAR
@@ -185,7 +186,7 @@ class TestGroupedQueries:
             aggregates=[AggregateSpec("count")],
             group_by=("obj_type",),
         )
-        outcome = processor.execute(q, QualityContract(max_relative_error=0.0))
+        outcome = processor.execute(q, Contract(max_relative_error=0.0))
         assert outcome.result.exact
         total = outcome.result.groups["count(*)"].sum()
         assert total == sky_engine.catalog.table("PhotoObjAll").num_rows
@@ -198,8 +199,8 @@ class TestGroupedQueries:
             aggregates=[AggregateSpec("count")],
             group_by=("fieldID",),
         )
-        loose = processor.execute(q, QualityContract(max_relative_error=None))
-        tight = processor.execute(q, QualityContract(max_relative_error=0.2))
+        loose = processor.execute(q, Contract(max_relative_error=None))
+        tight = processor.execute(q, Contract(max_relative_error=0.2))
         assert tight.total_cost > loose.total_cost
 
 
@@ -213,7 +214,7 @@ class TestRowQueriesBounded:
             select=("objID", "ra"),
             limit=25,
         )
-        outcome = processor.execute(q, QualityContract(max_relative_error=0.05))
+        outcome = processor.execute(q, Contract(max_relative_error=0.05))
         assert outcome.met_quality
         rows = outcome.result.rows
         assert rows.num_rows <= 25
@@ -223,7 +224,7 @@ class TestRowQueriesBounded:
 class TestResultRecord:
     def test_describe_traces_the_ladder(self, processor):
         outcome = processor.execute(
-            cone_count(), QualityContract(max_relative_error=0.05)
+            cone_count(), Contract(max_relative_error=0.05)
         )
         text = outcome.describe()
         assert "attempt" in text
@@ -231,7 +232,7 @@ class TestResultRecord:
 
     def test_attempt_costs_sum_to_total(self, processor):
         outcome = processor.execute(
-            cone_count(), QualityContract(max_relative_error=0.02)
+            cone_count(), Contract(max_relative_error=0.02)
         )
         assert sum(a.cost for a in outcome.attempts) == pytest.approx(
             outcome.total_cost

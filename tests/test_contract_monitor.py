@@ -511,19 +511,9 @@ class TestReportRendering:
 
 
 # ======================================================================
-# Deprecation shim + server default contract
+# Server default contract
 # ======================================================================
 class TestApiMigration:
-    def test_stats_warns_and_matches_report(self):
-        engine = tiny_engine(seed=8900, n=4_000)
-        with SciBorqServer(engine, max_workers=1) as server:
-            session = server.open_session("legacy")
-            session.execute(cone_count())
-            fresh = session.report()
-            with pytest.warns(DeprecationWarning, match="Session.stats"):
-                legacy = session.stats()
-            assert legacy == fresh
-
     def test_server_default_contract_applies(self):
         engine = tiny_engine(seed=9100, n=4_000)
         with SciBorqServer(
@@ -534,12 +524,11 @@ class TestApiMigration:
             # an explicit session contract always wins
             pinned = server.open_session("p", contract=Contract.gold())
             assert pinned.defaults == Contract.gold()
-            # the deprecated per-field spelling wins over the server
-            # default too (the caller did specify something)
-            with pytest.warns(DeprecationWarning):
-                legacy = server.open_session("l", max_relative_error=0.2)
-            assert legacy.defaults.max_relative_error == 0.2
-            assert legacy.defaults.tier is None
+            adhoc = server.open_session(
+                "a", contract=Contract.within_error(0.2)
+            )
+            assert adhoc.defaults.max_relative_error == 0.2
+            assert adhoc.defaults.tier is None
 
     def test_unknown_server_tier_raises(self):
         engine = tiny_engine(seed=9300, n=4_000)

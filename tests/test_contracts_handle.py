@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Contract, QualityContract, SciBorqServer
+from repro import Contract, SciBorqServer
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
 from repro.core.bounded import BoundedResult
@@ -89,17 +89,6 @@ class TestContractConstruction:
         assert named.hierarchy == "biased" and base.hierarchy is None
         conf = base.with_confidence(0.99)
         assert conf.confidence == 0.99 and base.confidence == 0.95
-
-    def test_quality_contract_is_the_same_class(self):
-        # the pre-redesign name must keep working, field for field
-        assert QualityContract is Contract
-        old_style = QualityContract(
-            max_relative_error=0.1, time_budget=5_000, confidence=0.9, strict=True
-        )
-        assert old_style.max_relative_error == 0.1
-        assert old_style.time_budget == 5_000
-        assert old_style.confidence == 0.9
-        assert old_style.strict
 
 
 class TestContractCombinator:
@@ -294,68 +283,42 @@ class TestExactContract:
 
 
 # ======================================================================
-# deprecation shims
+# after the shims: contracts are stated with Contract values only
+# (the class keeps its historical name so test ids stay stable)
 # ======================================================================
 class TestDeprecationShims:
-    def test_engine_legacy_kwargs_warn_and_match_contract(self, sky_engine):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = sky_engine.execute(cone_count(), max_relative_error=0.05)
-        modern = sky_engine.execute(cone_count(), Contract.within_error(0.05))
-        assert legacy.total_cost == modern.total_cost
-        assert (
-            legacy.result.estimates["count(*)"].value
-            == modern.result.estimates["count(*)"].value
-        )
-
     def test_engine_rejects_contract_plus_legacy(self, sky_engine):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(QueryError, match="not both"):
-                sky_engine.execute(
-                    cone_count(),
-                    Contract.within_error(0.05),
-                    time_budget=1_000,
-                )
-
-    def test_legacy_strict_and_confidence_map_through(self, sky_engine):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(QualityBoundError):
-                sky_engine.execute(
-                    cone_count(),
-                    max_relative_error=0.0001,
-                    time_budget=2_000,
-                    strict=True,
-                )
-
-    def test_session_legacy_kwargs_warn(self, fresh_sky_engine):
-        with SciBorqServer(fresh_sky_engine, max_workers=1) as server:
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                session = server.open_session("old", max_relative_error=0.1)
-            assert session.defaults == Contract.within_error(0.1)
+        with pytest.raises(TypeError, match="time_budget"):
+            sky_engine.execute(
+                cone_count(),
+                Contract.within_error(0.05),
+                time_budget=1_000,
+            )
 
     def test_session_rejects_contract_plus_legacy(self, fresh_sky_engine):
         with SciBorqServer(fresh_sky_engine, max_workers=1) as server:
-            with pytest.warns(DeprecationWarning):
-                with pytest.raises(SessionError, match="not both"):
-                    server.open_session(
-                        "both",
-                        contract=Contract.within_error(0.1),
-                        time_budget=1_000,
-                    )
+            with pytest.raises(TypeError, match="time_budget"):
+                server.open_session(
+                    "both",
+                    contract=Contract.within_error(0.1),
+                    time_budget=1_000,
+                )
 
     def test_session_execute_rejects_contract_plus_overrides(
         self, fresh_sky_engine
     ):
-        """Mixing contract= with per-field overrides must raise (as the
-        engine does), not silently drop the override."""
+        """Per-field overrides beside ``contract=`` are rejected, not
+        silently dropped: ``Session.contract(...)`` is the one place
+        that builds them."""
         with SciBorqServer(fresh_sky_engine, max_workers=1) as server:
             session = server.open_session("mixer")
-            with pytest.raises(SessionError, match="not both"):
+            with pytest.raises(TypeError, match="strict"):
                 session.execute(
                     cone_count(),
                     contract=Contract.within_error(0.05),
                     strict=True,
                 )
-            with pytest.raises(SessionError, match="not both"):
+            with pytest.raises(TypeError, match="time_budget"):
                 session.execute_many(
                     [cone_count()],
                     contract=Contract.within_error(0.05),
@@ -376,7 +339,7 @@ class TestDeprecationShims:
             override = session.contract(max_relative_error=0.5)
             assert not override.is_exact
             assert override.max_relative_error == 0.5
-            outcome = session.execute(cone_count(), max_relative_error=0.5)
+            outcome = session.execute(cone_count(), override)
             base_rows = fresh_sky_engine.catalog.table("PhotoObjAll").num_rows
             assert outcome.attempts[0].rows < base_rows  # ladder, not scan
             # without an override the exact default still routes exact

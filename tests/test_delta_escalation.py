@@ -26,7 +26,8 @@ from repro.columnstore.column import Column
 from repro.columnstore.expressions import Between, TruePredicate
 from repro.columnstore.query import AggregateSpec, Query
 from repro.columnstore.table import Table
-from repro.core.bounded import BoundedQueryProcessor, QualityContract
+from repro.core.bounded import BoundedQueryProcessor
+from repro.core.contracts import Contract
 from repro.core.impression import PI_COLUMN
 from repro.core.maintenance import rebuild_from_base, refresh_hierarchy
 from repro.core.policy import BiasedPolicy, UniformPolicy, build_hierarchy
@@ -343,7 +344,7 @@ class TestDeltaMatchesScratch:
         )
         for _ in range(6):
             query = _random_query(rng)
-            contract = QualityContract(max_relative_error=0.0)
+            contract = Contract(max_relative_error=0.0)
             delta_ctx, scratch_ctx = delta.new_context(), scratch.new_context()
             delta_outcome = delta.execute(query, contract, context=delta_ctx)
             scratch_outcome = scratch.execute(query, contract, context=scratch_ctx)
@@ -387,7 +388,7 @@ class TestDeltaMatchesScratch:
             predicate=Between("x", 25.0, 35.0),
             aggregates=[AggregateSpec("avg", "v"), AggregateSpec("count")],
         )
-        contract = QualityContract(max_relative_error=0.0)
+        contract = Contract(max_relative_error=0.0)
         _assert_same_outcome(
             delta.execute(query, contract), scratch.execute(query, contract)
         )
@@ -424,7 +425,7 @@ class TestDeltaMatchesScratch:
             predicate=Between("x", 10.0, 60.0),
             aggregates=[AggregateSpec("sum", "v")],
         )
-        contract = QualityContract(max_relative_error=0.0)
+        contract = Contract(max_relative_error=0.0)
         outcome = delta.execute(query, contract)
         _assert_same_outcome(outcome, scratch.execute(query, contract))
         # both impression rungs were scanned from scratch...
@@ -453,7 +454,7 @@ class TestDeltaCharging:
         )
         context = processor.new_context()
         outcome = processor.execute(
-            query, QualityContract(max_relative_error=0.0), context=context
+            query, Contract(max_relative_error=0.0), context=context
         )
         sizes = [imp.size for imp in hierarchy.from_smallest()]
         expected_deltas = [
@@ -488,7 +489,7 @@ class TestDeltaCharging:
             aggregates=[AggregateSpec("count")],
         )
         budget = 1.35 * base.num_rows  # < scratch ladder total, > delta total
-        contract = QualityContract(max_relative_error=0.0, time_budget=budget)
+        contract = Contract(max_relative_error=0.0, time_budget=budget)
         delta = BoundedQueryProcessor(catalog, hierarchy)
         scratch = BoundedQueryProcessor(
             catalog, hierarchy, delta_escalation=False
@@ -508,7 +509,7 @@ class TestDeltaCharging:
                 predicate=Between("x", 30.0, 50.0),
                 aggregates=[AggregateSpec("avg", "v")],
             ),
-            QualityContract(max_relative_error=0.0),
+            Contract(max_relative_error=0.0),
         )
         text = outcome.describe()
         assert "(Δ)" in text and "scanned=" in text
@@ -520,6 +521,6 @@ class TestDeltaCharging:
         processor = BoundedQueryProcessor(catalog, hierarchy)
         outcome = processor.execute(
             Query(table="T", predicate=Between("x", 0.0, 50.0), select=("x",)),
-            QualityContract(max_relative_error=0.5),
+            Contract(max_relative_error=0.5),
         )
         assert all(a.delta_rows is None for a in outcome.attempts)

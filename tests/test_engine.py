@@ -8,6 +8,7 @@ from repro.core.engine import SciBorq
 from repro.errors import ImpressionError, QueryError
 from repro.skyserver.schema import create_skyserver_catalog
 from repro.skyserver.views import register_skyserver_views
+from repro.core.contracts import Contract
 
 
 def cone_count(ra=150.0, dec=10.0, radius=5.0) -> Query:
@@ -80,13 +81,13 @@ class TestQueryPath:
             )
 
     def test_error_bound_execution(self, fresh_sky_engine):
-        outcome = fresh_sky_engine.execute(cone_count(), max_relative_error=0.1)
+        outcome = fresh_sky_engine.execute(cone_count(), Contract.within_error(0.1))
         assert outcome.met_quality
         assert outcome.achieved_error <= 0.1
 
     def test_execute_exact_bypasses_impressions(self, fresh_sky_engine):
         exact = fresh_sky_engine.execute_exact(cone_count())
-        bounded = fresh_sky_engine.execute(cone_count(), max_relative_error=0.0)
+        bounded = fresh_sky_engine.execute(cone_count(), Contract.within_error(0.0))
         assert bounded.result.estimates["count(*)"].value == exact.scalar(
             "count(*)"
         )

@@ -251,13 +251,13 @@ class TestContractContextAgreement:
     def test_unlimited_context_still_enforces_contract_budget(self, sky_engine):
         """A caller-opened meter must still enforce the time budget —
         without the processor mutating the caller's context."""
-        from repro.core.bounded import QualityContract
+        from repro.core.contracts import Contract
 
         processor = sky_engine.processor("PhotoObjAll")
         context = processor.new_context()  # limit=None
         outcome = processor.execute(
             cone(),
-            QualityContract(max_relative_error=0.0, time_budget=5_000),
+            Contract(max_relative_error=0.0, time_budget=5_000),
             context=context,
         )
         assert context.limit is None  # caller's context untouched
@@ -267,11 +267,11 @@ class TestContractContextAgreement:
     def test_reused_context_budgets_are_per_call(self, sky_engine):
         """Budgets apply to each call's own spending, so a reused
         context neither inherits stale limits nor double-counts."""
-        from repro.core.bounded import QualityContract
+        from repro.core.contracts import Contract
 
         processor = sky_engine.processor("PhotoObjAll")
         context = processor.new_context()
-        budgeted = QualityContract(max_relative_error=0.0, time_budget=5_000)
+        budgeted = Contract(max_relative_error=0.0, time_budget=5_000)
         first = processor.execute(cone(), budgeted, context=context)
         assert first.met_budget and first.total_cost <= 5_000
         # same budgeted contract again: judged on this call only, not
@@ -280,7 +280,7 @@ class TestContractContextAgreement:
         assert second.met_budget and second.total_cost <= 5_000
         # an unbounded contract on the same context escalates freely
         third = processor.execute(
-            cone(), QualityContract(max_relative_error=0.0), context=context
+            cone(), Contract(max_relative_error=0.0), context=context
         )
         assert third.achieved_error == 0.0  # reached the exact base rung
         assert context.spent == (

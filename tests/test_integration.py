@@ -18,6 +18,7 @@ from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
 from repro.skyserver.schema import RA_RANGE
 from repro.skyserver.workload_gen import FocalPoint
+from repro.core.contracts import Contract
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +139,7 @@ class TestEndToEndSession:
             predicate=RadialPredicate("ra", "dec", 150, 10, 4),
             aggregates=[AggregateSpec("count")],
         )
-        outcome = engine.execute(q, max_relative_error=0.2)
+        outcome = engine.execute(q, Contract.within_error(0.2))
         assert outcome.met_quality
 
         # 2. incremental ingest flows into the impressions
@@ -166,7 +167,7 @@ class TestEndToEndSession:
         costs, errors = [], []
         for budget in (1_000, 20_000, 500_000):
             outcome = context.engine.execute(
-                q, max_relative_error=0.0, time_budget=budget
+                q, Contract.within_error(0.0) & Contract.within_budget(budget)
             )
             costs.append(outcome.total_cost)
             errors.append(outcome.achieved_error)
@@ -182,7 +183,7 @@ class TestEndToEndSession:
             joins=[JoinSpec("Field", "fieldID", "fieldID", ("sky_brightness",))],
             aggregates=[AggregateSpec("avg", "sky_brightness")],
         )
-        outcome = context.engine.execute(q, max_relative_error=0.05)
+        outcome = context.engine.execute(q, Contract.within_error(0.05))
         exact = context.engine.execute_exact(q)
         assert outcome.result.estimates["avg(sky_brightness)"].value == pytest.approx(
             exact.scalar("avg(sky_brightness)"), rel=0.03

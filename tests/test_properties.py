@@ -17,6 +17,7 @@ from repro.stats.estimators import hajek_mean, ht_count, ht_sum, srs_count
 from repro.stats.fnchg import FisherNCHypergeometric
 from repro.stats.histogram import EquiWidthHistogram, PredicateHistogram
 from repro.stats.kde import BinnedKDE
+from repro.core.contracts import Contract
 
 positive_floats = st.floats(0.01, 1000.0, allow_nan=False)
 unit_floats = st.floats(0.01, 1.0)
@@ -239,7 +240,7 @@ class TestBoundedExecutionContract:
             predicate=RadialPredicate("ra", "dec", 150.0, 10.0, 5.0),
             aggregates=[AggregateSpec("count")],
         )
-        outcome = engine.execute(query, max_relative_error=target)
+        outcome = engine.execute(query, Contract.within_error(target))
         if outcome.met_quality:
             assert outcome.achieved_error <= target
         # attempts are always ordered cheap-to-expensive

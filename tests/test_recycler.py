@@ -44,6 +44,31 @@ class TestLookupStore:
         assert len(recycler) == 1
 
 
+class TestLossyEntries:
+    """Tiering does not bump the version: the entry carries the tag."""
+
+    def test_entry_over_warm_blocks_is_refused_once_exact_again(self):
+        from repro.columnstore.column import Column
+
+        column = Column("x", "float64", np.linspace(0.0, 50.0, 128), block_size=64)
+        table = Table("t", [column])
+        predicate = Between("x", 10, 20)
+        recycler = Recycler()
+        column.demote(0, "warm")
+        assert column.max_value_error() > 0
+        recycler.store(table, predicate, np.arange(5))  # a lossy evaluation
+        # a scan that would read the same warm blocks may reuse it
+        assert recycler.lookup(table, predicate) is not None
+        column.promote_all()
+        # promoted: same name, version and fingerprint — still refused
+        assert recycler.lookup(table, predicate) is None
+        assert recycler.peek(table, predicate) is not None
+        recycler.store(table, predicate, np.arange(7))  # the exact rescan
+        assert recycler.lookup(table, predicate).shape == (7,)
+        assert len(recycler) == 1
+        assert (recycler.stats.hits, recycler.stats.misses) == (2, 1)
+
+
 class TestEviction:
     def test_lru_eviction_under_pressure(self, table):
         recycler = Recycler(capacity_bytes=3 * 80)  # three 10-int entries

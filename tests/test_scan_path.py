@@ -1,0 +1,303 @@
+"""The single scan path and the one executor behind it.
+
+Every selection of every query — exact base scans and all rung scans
+of the bounded ladder — runs through ``Executor.select_indices``, on
+the one :class:`~repro.columnstore.executor.Executor` the engine owns.
+Pinned here:
+
+* over {recycler} x {scheduler} x {shard pool} the same predicates give
+  identical ``(indices, OperatorStats, charge)``, and every miss stores
+  back exactly once whichever back-end served it;
+* the opt-outs (``parallel_scans=False``, ``shared_scans=False``) still
+  bypass the scheduler;
+* the engine's processors, their estimators, and the exact path hold
+  the *same* executor, so a scheduler or shard pool installed before or
+  after ``create_hierarchy`` (or removed with ``None``) is what rung
+  scans use;
+* only the exact base-table path consults or fills the recycler.
+"""
+
+from __future__ import annotations
+
+import itertools
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.columnstore import operators
+from repro.columnstore.catalog import Catalog
+from repro.columnstore.column import Column
+from repro.columnstore.executor import Executor
+from repro.columnstore.expressions import And, Between, Comparison
+from repro.columnstore.query import AggregateSpec, Query
+from repro.columnstore.recycler import Recycler
+from repro.columnstore.table import Table
+from repro.core.contracts import Contract
+from repro.core.engine import SciBorq
+from repro.core.scheduler import SharedScanScheduler
+from repro.core.shards import ShardPool
+from repro.util.clock import ExecutionContext
+
+BS = 256
+N = 4096
+
+PREDICATES = [
+    Between("x", 10.0, 60.0),  # prunes blocks (x is sorted)
+    Comparison("y", "<", 30.0),  # never prunes
+    And([Between("x", 40.0, 90.0), Comparison("y", ">", 50.0)]),
+]
+
+
+@pytest.fixture(scope="module")
+def world():
+    """One catalog, one engine with two hierarchies, one shard pool."""
+    rng = np.random.default_rng(7)
+    table = Table(
+        "T",
+        [
+            Column("x", "float64", np.sort(rng.uniform(0.0, 100.0, N)), block_size=BS),
+            Column("y", "float64", rng.uniform(0.0, 100.0, N), block_size=BS),
+        ],
+    )
+    catalog = Catalog()
+    catalog.add_table(table)
+    engine = SciBorq(catalog, interest_attributes={"x": (0.0, 100.0)}, rng=13)
+    for name in ("early", "late"):
+        engine.create_hierarchy(
+            "T", policy="uniform", layer_sizes=(N // 4, N // 16), name=name
+        )
+        engine.rebuild("T", name)
+    pool = ShardPool(catalog, n_shards=2, min_rows=0)
+    try:
+        yield catalog, table, engine, pool
+    finally:
+        pool.close()
+
+
+def count_query(predicate=PREDICATES[0]) -> Query:
+    return Query("T", predicate=predicate, aggregates=(AggregateSpec("count"),))
+
+
+def row_query(predicate=PREDICATES[0]) -> Query:
+    return Query("T", predicate=predicate, select=("x", "y"))
+
+
+# ----------------------------------------------------------------------
+# Executor.select_indices: one order, one charge, one store-back
+# ----------------------------------------------------------------------
+class TestSelectIndices:
+    @pytest.mark.parametrize(
+        "recycler_on,scheduler_on,shards_on",
+        list(itertools.product((False, True), repeat=3)),
+    )
+    def test_every_combination_matches_the_solo_scan(
+        self, world, recycler_on, scheduler_on, shards_on
+    ):
+        catalog, table, _engine, pool = world
+        recycler = Recycler() if recycler_on else None
+        scheduler = SharedScanScheduler() if scheduler_on else None
+        executor = Executor(
+            catalog,
+            recycler=recycler,
+            scheduler=scheduler,
+            shard_pool=pool if shards_on else None,
+        )
+        scatters_before = pool.stats.scatters
+        for predicate in PREDICATES:
+            solo_indices, solo_op = operators.select(table, predicate, pool=None)
+            context = ExecutionContext()
+            indices, op, recycled = executor.select_indices(
+                table, predicate, context, recycle=True
+            )
+            np.testing.assert_array_equal(indices, solo_indices)
+            assert op == solo_op
+            assert context.spent == solo_op.cost
+            assert not recycled
+        # the first back-end that serves takes the scan, nothing after it
+        scatters = pool.stats.scatters - scatters_before
+        assert scatters == (len(PREDICATES) if shards_on else 0)
+        if scheduler_on:
+            expected = 0 if shards_on else len(PREDICATES)
+            assert scheduler.stats.scans == expected
+        if recycler_on:
+            # each miss stored back exactly once, whoever served it
+            assert recycler.stats.misses == len(PREDICATES)
+            assert recycler.stats.stored == len(PREDICATES)
+            for predicate in PREDICATES:
+                context = ExecutionContext()
+                indices, op, recycled = executor.select_indices(
+                    table, predicate, context, recycle=True
+                )
+                solo_indices, _ = operators.select(table, predicate, pool=None)
+                np.testing.assert_array_equal(indices, solo_indices)
+                assert recycled and context.spent == 0
+            assert recycler.stats.hits == len(PREDICATES)
+            assert recycler.stats.stored == len(PREDICATES)
+
+    def test_rung_scans_never_touch_the_recycler(self, world):
+        catalog, table, _engine, _pool = world
+        recycler = Recycler()
+        executor = Executor(catalog, recycler=recycler)
+        executor.select_indices(table, PREDICATES[0], ExecutionContext())
+        executor.execute(count_query(), fact_table=table)  # a ladder rung
+        assert (recycler.stats.hits, recycler.stats.misses) == (0, 0)
+        assert recycler.stats.stored == 0
+        executor.execute(count_query())  # the exact base-table path
+        assert (recycler.stats.misses, recycler.stats.stored) == (1, 1)
+
+    def test_opt_outs_bypass_the_scheduler(self, world):
+        catalog, table, _engine, _pool = world
+        scheduler = SharedScanScheduler()
+        enrolled = Executor(catalog, scheduler=scheduler)
+        serial = Executor(catalog, scheduler=scheduler, parallel_scans=False)
+        charges = []
+        for executor, context in (
+            (serial, ExecutionContext()),
+            (enrolled, ExecutionContext(shared_scans=False)),
+        ):
+            executor.select_indices(table, PREDICATES[1], context)
+            charges.append(context.spent)
+            assert scheduler.stats.scans == 0
+        context = ExecutionContext()
+        enrolled.select_indices(table, PREDICATES[1], context)
+        assert scheduler.stats.scans == 1
+        assert charges == [context.spent, context.spent]
+
+
+# ----------------------------------------------------------------------
+# SciBorq: one executor behind the exact path and every rung
+# ----------------------------------------------------------------------
+class TestOneExecutor:
+    def test_processors_estimators_and_exact_path_share_it(self, world):
+        _catalog, _table, engine, _pool = world
+        for name in ("early", "late"):
+            processor = engine.processor("T", name)
+            assert processor.executor is engine.executor
+            assert processor.estimator.executor is engine.executor
+        assert engine.executor.recycler is engine.recycler
+
+    def test_standalone_processor_builds_a_private_one(self, world):
+        from repro.core.bounded import BoundedQueryProcessor
+
+        catalog, _table, engine, _pool = world
+        processor = BoundedQueryProcessor(catalog, engine.hierarchy("T", "early"))
+        assert processor.executor is not engine.executor
+        assert processor.estimator.executor is processor.executor
+        assert processor.executor.recycler is None
+
+    def _climb(self, engine, hierarchy):
+        """A ladder to the base rung on ``hierarchy``: impression,
+        delta, and complement scans all happen."""
+        return engine.execute(
+            count_query(PREDICATES[1]), Contract.within_error(0.0), hierarchy=hierarchy
+        )
+
+    def test_scheduler_installed_between_hierarchies_serves_both(self, world):
+        catalog, _table, _engine, _pool = world
+        engine = SciBorq(catalog, interest_attributes={"x": (0.0, 100.0)}, rng=13)
+        engine.create_hierarchy("T", policy="uniform", layer_sizes=(N // 4,), name="early")
+        scheduler = SharedScanScheduler()
+        engine.set_scan_scheduler(scheduler)  # after 'early', before 'late'
+        engine.create_hierarchy("T", policy="uniform", layer_sizes=(N // 4,), name="late")
+        for name in ("early", "late"):
+            engine.rebuild("T", name)
+        assert engine.scan_scheduler is scheduler
+        reference = self._climb(engine, "early").total_cost
+        for name in ("early", "late"):
+            before = scheduler.stats.scans
+            assert self._climb(engine, name).total_cost == reference
+            assert scheduler.stats.scans > before
+        engine.set_scan_scheduler(None)
+        before = scheduler.stats.scans
+        for name in ("early", "late"):
+            assert self._climb(engine, name).total_cost == reference
+        assert scheduler.stats.scans == before
+        assert engine.scan_scheduler is None
+
+    def test_shard_pool_installed_or_removed_is_seen_by_rung_scans(self, world):
+        _catalog, _table, engine, pool = world
+        solo = {name: self._climb(engine, name) for name in ("early", "late")}
+        engine.set_shard_pool(pool)
+        try:
+            assert engine.shard_pool is pool
+            for name in ("early", "late"):
+                before = pool.stats.scatters
+                sharded = self._climb(engine, name)
+                assert pool.stats.scatters > before
+                assert sharded.total_cost == solo[name].total_cost
+                assert [a.cost for a in sharded.attempts] == [
+                    a.cost for a in solo[name].attempts
+                ]
+        finally:
+            engine.set_shard_pool(None)
+        before = pool.stats.scatters
+        self._climb(engine, "late")
+        assert pool.stats.scatters == before
+        assert engine.shard_pool is None
+
+    def test_only_the_exact_path_uses_the_recycler(self, world):
+        _catalog, _table, engine, _pool = world
+        engine.recycler.clear()
+        stats = engine.recycler.stats
+        before = (stats.hits, stats.misses, stats.stored)
+        for query in (count_query(PREDICATES[2]), row_query(PREDICATES[2])):
+            outcome = engine.execute(query, Contract.within_error(0.0))
+            assert outcome.attempts[-1].source == "T"  # reached the base rung
+        assert (stats.hits, stats.misses, stats.stored) == before
+        first = engine.execute(count_query(PREDICATES[2]), Contract.exact())
+        assert (stats.misses, stats.stored) == (before[1] + 1, before[2] + 1)
+        again = engine.execute(count_query(PREDICATES[2]), Contract.exact())
+        assert stats.hits == before[0] + 1
+        assert again.result.estimates["count(*)"].value == (
+            first.result.estimates["count(*)"].value
+        )
+        assert again.total_cost < first.total_cost  # the scan was recycled
+
+
+# ----------------------------------------------------------------------
+# execute_exact is a drain over submit: its accounting is the core's
+# ----------------------------------------------------------------------
+class TestExecuteExactAccounting:
+    def test_concurrent_calls_each_log_their_own_charge(self, world):
+        """The charge used to be a delta of the *shared* engine clock
+        (``context=None``), wrong whenever another thread charged
+        meanwhile."""
+        catalog, table, _engine, _pool = world
+        engine = SciBorq(
+            catalog, interest_attributes={"x": (0.0, 100.0)}, recycler_bytes=None
+        )
+        queries = [
+            count_query(Comparison("y", "<", bound))
+            for bound in (20.0, 45.0, 70.0, 95.0)
+        ]
+        expected = {}
+        for query in queries:
+            scan = operators.select(table, query.predicate, pool=None)[1]
+            # the scan reads every row, the count reads the matches
+            expected[query.fingerprint()] = float(scan.tuples_in + scan.tuples_out)
+        barrier = threading.Barrier(len(queries))
+
+        def run(query):
+            barrier.wait(timeout=10.0)
+            for _ in range(5):
+                engine.execute_exact(query)
+
+        threads = [threading.Thread(target=run, args=(q,)) for q in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        entries = engine.query_log.snapshot()
+        assert len(entries) == 5 * len(queries)
+        for entry in entries:
+            assert entry.settled
+            assert entry.outcome.tuples_charged == expected[entry.query.fingerprint()]
+        assert engine.clock.now == 5 * sum(expected.values())

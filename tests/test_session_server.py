@@ -22,6 +22,7 @@ from repro.errors import SessionError
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 from repro.util.concurrency import ReadWriteLock
+from repro.core.contracts import Contract
 
 
 def make_engine() -> SciBorq:
@@ -71,7 +72,7 @@ class TestCrossSessionIsolation:
         for user, specs in WORKLOADS.items():
             for ra, radius, error in specs:
                 outcome = serial_engine.execute(
-                    cone(ra, radius), max_relative_error=error
+                    cone(ra, radius), Contract.within_error(error)
                 )
                 serial_costs[(user, ra, radius)] = outcome.total_cost
 
@@ -129,7 +130,7 @@ class TestCrossSessionIsolation:
         submission time), not just the exact path."""
         with SciBorqServer(make_engine(), max_workers=2) as server:
             session = server.open_session("all-paths")
-            session.execute(cone(150.0, 5.0), max_relative_error=0.5)
+            session.execute(cone(150.0, 5.0), Contract.within_error(0.5))
             session.submit(cone(160.0, 5.0)).result()
             server.execute_exact(session, cone(170.0, 5.0))
             assert len(session.query_log) == 3
@@ -140,7 +141,7 @@ class TestCrossSessionIsolation:
         with outcome metadata carrying the owning session's id."""
         with SciBorqServer(make_engine(), max_workers=2) as server:
             alice = server.open_session("alice")
-            outcome = alice.execute(cone(150.0, 5.0), max_relative_error=0.5)
+            outcome = alice.execute(cone(150.0, 5.0), Contract.within_error(0.5))
             alice.submit(cone(160.0, 5.0)).result()
             server.execute_exact(alice, cone(170.0, 5.0))
             entries = server.engine.query_log.snapshot()
@@ -163,7 +164,8 @@ class TestSessionLifecycle:
     def test_session_defaults_and_overrides(self):
         with SciBorqServer(make_engine()) as server:
             session = server.open_session(
-                "strict-user", max_relative_error=0.1, time_budget=50_000
+                "strict-user",
+                contract=Contract.within_error(0.1) & Contract.within_budget(50_000),
             )
             contract = session.contract()
             assert contract.max_relative_error == 0.1
@@ -174,7 +176,7 @@ class TestSessionLifecycle:
 
     def test_budgeted_session_reports_spend_within_budget(self):
         with SciBorqServer(make_engine()) as server:
-            session = server.open_session("frugal", time_budget=6_000)
+            session = server.open_session("frugal", contract=Contract.within_budget(6_000))
             outcome = session.execute(cone(150.0, 5.0))
             assert outcome.met_budget
             assert outcome.total_cost <= 6_000
@@ -203,28 +205,30 @@ class TestSessionLifecycle:
         from repro.errors import QualityBoundError
 
         with SciBorqServer(make_engine(), max_workers=2) as server:
-            session = server.open_session("strict", strict=True)
+            session = server.open_session("strict", contract=Contract().strictly())
             results = session.execute_many(
                 [cone(150.0, 5.0), cone(170.0, 3.0)],
-                max_relative_error=1e-12,
-                time_budget=600,  # only the smallest layer fits: bound missed
+                # only the smallest layer fits the budget: bound missed
+                session.contract(max_relative_error=1e-12, time_budget=600),
                 return_exceptions=True,
             )
             assert all(isinstance(r, QualityBoundError) for r in results)
             ok = session.execute_many(
-                [cone(150.0, 5.0), cone(170.0, 3.0)], max_relative_error=0.9
+                [cone(150.0, 5.0), cone(170.0, 3.0)],
+                session.contract(max_relative_error=0.9),
             )
             assert all(o.result is not None for o in ok)
             # without the flag, the first failure re-raises after the gather
             with pytest.raises(QualityBoundError):
                 session.execute_many(
-                    [cone(150.0, 5.0)], max_relative_error=1e-12, time_budget=600
+                    [cone(150.0, 5.0)],
+                    session.contract(max_relative_error=1e-12, time_budget=600),
                 )
 
     def test_session_stats_roll_up(self):
         with SciBorqServer(make_engine()) as server:
             session = server.open_session("counter")
-            session.execute(cone(150.0, 5.0), max_relative_error=0.5)
+            session.execute(cone(150.0, 5.0), Contract.within_error(0.5))
             stats = session.report()
             assert stats.queries == 1
             assert stats.total_cost == session.total_cost > 0

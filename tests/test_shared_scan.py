@@ -31,6 +31,7 @@ from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 from repro.util.clock import ExecutionContext
 from repro.util.concurrency import Combiner
+from repro.core.contracts import Contract
 
 
 def make_engine(seed: int = 701) -> SciBorq:
@@ -326,12 +327,12 @@ class TestSchedulerIdentity:
         queries = random_cones(rng, 8)
         serial_engine = make_engine()
         serial = [
-            serial_engine.execute(query, max_relative_error=0.1)
+            serial_engine.execute(query, Contract.within_error(0.1))
             for query in queries
         ]
         with SciBorqServer(make_engine(), max_workers=4) as server:
             session = server.open_session(
-                "bulk", max_relative_error=0.1
+                "bulk", contract=Contract.within_error(0.1)
             )
             batched = session.execute_many(queries)
         for mine, theirs in zip(batched, serial):
@@ -380,10 +381,10 @@ class TestSchedulerEdges:
         """A lone query batches with nobody and still answers exactly."""
         serial_engine = make_engine()
         query = cone(150.0, 8.0, 5.0)
-        expected = serial_engine.execute(query, max_relative_error=0.1)
+        expected = serial_engine.execute(query, Contract.within_error(0.1))
         with SciBorqServer(make_engine(), max_workers=2) as server:
             session = server.open_session("lonely")
-            outcome = session.execute(query, max_relative_error=0.1)
+            outcome = session.execute(query, Contract.within_error(0.1))
             stats = server.scheduler.stats
         assert outcome.total_cost == expected.total_cost
         assert stats.scans == stats.batches  # every convoy had size one
@@ -434,7 +435,7 @@ class TestSchedulerEdges:
         """Cancelling one enrolled query never perturbs its convoy."""
         serial_engine = make_engine()
         query = cone(170.0, 9.0, 5.0)
-        expected = serial_engine.execute(query, max_relative_error=0.0)
+        expected = serial_engine.execute(query, Contract.within_error(0.0))
         with SciBorqServer(
             make_engine(), max_workers=4, batch_window=0.1
         ) as server:
@@ -458,10 +459,10 @@ class TestSchedulerEdges:
     def test_session_opt_out_bypasses_scheduler(self):
         with SciBorqServer(make_engine(), max_workers=2) as server:
             loner = server.open_session("loner", shared_scans=False)
-            loner.execute(cone(160.0, 8.0, 4.0), max_relative_error=0.2)
+            loner.execute(cone(160.0, 8.0, 4.0), Contract.within_error(0.2))
             assert server.scheduler.stats.scans == 0
             joiner = server.open_session("joiner")
-            joiner.execute(cone(160.0, 8.0, 4.0), max_relative_error=0.2)
+            joiner.execute(cone(160.0, 8.0, 4.0), Contract.within_error(0.2))
             assert server.scheduler.stats.scans > 0
 
     def test_context_flag_bypasses_scheduler_at_executor_level(self):
@@ -492,7 +493,7 @@ class TestSchedulerEdges:
                 aggregates=[AggregateSpec("count")],
             )
             with pytest.raises(UnknownColumnError):
-                session.execute(bad, max_relative_error=0.5)
+                session.execute(bad, Contract.within_error(0.5))
 
     def test_scheduler_stats_describe(self):
         scheduler = SharedScanScheduler()
@@ -523,6 +524,7 @@ class TestSchedulerEdges:
         would record a near-infinite tuples/sec rate and later time
         budgets would afford everything.
         """
+        from repro.columnstore.executor import Executor
         from repro.core.bounded import BoundedQueryProcessor
         from repro.util.clock import WallClock
 
@@ -533,7 +535,7 @@ class TestSchedulerEdges:
             engine.catalog,
             engine.hierarchy("PhotoObjAll"),
             clock=WallClock(),
-            scheduler=scheduler,
+            executor=Executor(engine.catalog, scheduler=scheduler),
         )
         query = cone(175.0, 9.0, 4.0)
         first_ctx = processor.new_context()

@@ -330,6 +330,44 @@ class TestContractHonesty:
         after = engine.execute_exact(self.cone())
         assert after.scalars == before.scalars
 
+    def test_exact_never_reuses_a_selection_evaluated_over_quantised_blocks(
+        self,
+    ):
+        """A bounded ladder that reached the base rung over warm blocks
+        leaves its selection in the scheduler's memo — same table
+        object, same version, same fingerprint.  Promotion changes none
+        of them, so the exact query used to be served the lossy vector
+        (and the recycler then kept it)."""
+        from repro.core.scheduler import SharedScanScheduler
+
+        query = Query(
+            table="fact",
+            predicate=Between("x", 100.3, 400.7),
+            select=("id", "x"),
+        )
+        truth = tiered_engine(n=20 * BS).execute(query, Contract.exact())
+        engine = tiered_engine(n=20 * BS)
+        scheduler = SharedScanScheduler()
+        engine.set_scan_scheduler(scheduler)
+        table = engine.catalog.table("fact")
+        for block in range(table.num_blocks - 1):
+            table.column("x").demote(block, "warm")
+        bounded = engine.execute(query, Contract.within_error(1e-9))
+        assert bounded.attempts[-1].source == "fact"  # climbed to the base
+        assert not bounded.result.exact  # honestly: it read warm blocks
+        # bounded scans over still-warm blocks keep their memo hits
+        engine.execute(query, Contract.within_error(1e-9))
+        assert scheduler.stats.deduped_scans > 0
+        for asked in range(2):  # second ask: served by the recycler
+            exact = engine.execute(query, Contract.exact())
+            assert exact.result.exact
+            for name in ("id", "x"):
+                np.testing.assert_array_equal(
+                    exact.result.rows.column(name).values,
+                    truth.result.rows.column(name).values,
+                )
+        assert engine.recycler.stats.hits == 1
+
     def test_warm_blocks_widen_estimates_honestly(self):
         engine = tiered_engine()
         exact = engine.execute_exact(self.cone()).scalars

@@ -9,7 +9,8 @@ import pytest
 
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
-from repro.core.bounded import BoundedQueryProcessor, QualityContract
+from repro.core.bounded import BoundedQueryProcessor
+from repro.core.contracts import Contract
 from repro.core.maintenance import rebuild_from_base
 from repro.core.policy import UniformPolicy, build_hierarchy
 from repro.util.clock import WallClock
@@ -38,7 +39,7 @@ class TestWallClockBudgets:
     def test_generous_seconds_budget_reaches_exact(self, wall_processor):
         outcome = wall_processor.execute(
             cone(),
-            QualityContract(max_relative_error=0.0, time_budget=30.0),
+            Contract(max_relative_error=0.0, time_budget=30.0),
         )
         assert outcome.met_quality
         assert outcome.achieved_error == 0.0
@@ -48,14 +49,14 @@ class TestWallClockBudgets:
         # estimated *cost* (tuples) never fits a 1e-9 second budget,
         # so only the mandatory smallest-layer answer runs
         outcome = wall_processor.execute(
-            cone(), QualityContract(time_budget=1e-9)
+            cone(), Contract(time_budget=1e-9)
         )
         assert outcome.result is not None
         assert len(outcome.attempts) == 1
 
     def test_spent_seconds_are_monotone_along_ladder(self, wall_processor):
         outcome = wall_processor.execute(
-            cone(), QualityContract(max_relative_error=0.0)
+            cone(), Contract(max_relative_error=0.0)
         )
         assert outcome.total_cost >= 0.0
         assert all(a.cost >= 0.0 for a in outcome.attempts)

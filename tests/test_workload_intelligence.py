@@ -539,7 +539,7 @@ class TestServerIntegration:
                 rng=13,
             )
             for query in generator.queries(14):
-                session.execute(query, max_relative_error=0.4)
+                session.execute(query, Contract.within_error(0.4))
             assert service.queries_mined == 14
             assert service.prewarm_passes >= 1
             assert "workload intelligence" in server.summary()
