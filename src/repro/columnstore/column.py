@@ -854,7 +854,9 @@ class Column:
         but shard workers never append.  Zone maps are computed
         lazily from the adopted values like any other column's.
         Adopted columns start (and, absent demotions, stay) on the
-        contiguous fast path.
+        contiguous fast path.  :meth:`take` and :meth:`filter` hand
+        their freshly gathered arrays over the same way: nobody else
+        holds them, so copying them into a new buffer buys nothing.
         """
         arr = np.asarray(values)
         if arr.ndim != 1:
@@ -880,11 +882,9 @@ class Column:
         only accurate to the quantisation bound).
         """
         gathered, error = self.gather_with_error(np.asarray(indices))
-        column = Column(
-            self.name,
-            self._dtype,
-            gathered,
-            block_size=self._block_size,
+        # adopted, not copied again: the gather is already an owned array
+        column = Column.from_external(
+            self.name, self._dtype, gathered, block_size=self._block_size
         )
         column.declare_value_error(error)
         return column
@@ -897,7 +897,7 @@ class Column:
                 f"mask of length {mask.shape[0]} does not match column "
                 f"{self.name!r} of length {self._size}"
             )
-        column = Column(
+        column = Column.from_external(
             self.name, self._dtype, self.values[mask], block_size=self._block_size
         )
         column.declare_value_error(self.max_value_error())

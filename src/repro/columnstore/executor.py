@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.columnstore import operators
 from repro.columnstore.catalog import Catalog
+from repro.columnstore.column import Column
 from repro.columnstore.operators import OperatorStats
 from repro.columnstore.query import Query
 from repro.columnstore.recycler import Recycler
@@ -193,19 +194,57 @@ class Executor:
         if context is None:
             context = self.new_context()
         source = fact_table if fact_table is not None else self.catalog.table(query.table)
-        stats = ExecutionStats(source=source.name, source_rows=source.num_rows)
         spent_before = context.spent
-
-        recycle = fact_table is None  # an override marks a rung scan
-        working = self._apply_selection(query, source, stats, context, recycle)
-        working = self._apply_joins(query, working, stats, context)
-
+        # an override marks a rung scan: only the base-table path recycles
+        working, stats = self.working_set(
+            query, source, context, recycle=fact_table is None
+        )
         if query.is_aggregate:
             result = self.finish_aggregate(query, working, stats, context)
         else:
-            result = self._finish_rows(query, working, stats, context)
+            result = self._finish_rows(query, source, working, stats, context)
         stats.charged = context.spent - spent_before
         return result
+
+    def working_set(
+        self,
+        query: Query,
+        source: Table,
+        context: Optional[ExecutionContext] = None,
+        recycle: bool = False,
+    ) -> tuple[Table, ExecutionStats]:
+        """Select and join: the rows of ``source`` the rest of the plan reads.
+
+        Late-materialising: the selection yields row indices, and only
+        the columns ``query`` still reads (:meth:`Query.columns_carried`
+        plus the table's hidden ``_``-prefixed columns, such as an
+        impression's ``_pi``) are gathered for the matching rows.
+        :class:`~repro.core.quality.ImpressionEstimator` builds its
+        sample working set here; :meth:`execute` goes on to finish it.
+        """
+        if context is None:
+            context = self.new_context()
+        stats = ExecutionStats(source=source.name, source_rows=source.num_rows)
+        spent_before = context.spent
+        indices, op, stats.recycled = self.select_indices(
+            source, query.predicate, context, recycle=recycle
+        )
+        stats.add(op)
+        name = f"{source.name}#sel"
+        carried = query.columns_carried()
+        if carried is not None:
+            carried = [
+                n for n in source.column_names if n in carried or n.startswith("_")
+            ]
+        if carried == []:
+            # COUNT(*) alone reads no column: the row ids carry the count
+            rids = np.asarray(indices, dtype=np.int64)
+            working = Table(name, [Column.from_external("_rid", np.int64, rids)])
+        else:
+            working = source.take(indices, name, carried)
+        working = self._apply_joins(query, working, stats, context)
+        stats.charged = context.spent - spent_before
+        return working, stats
 
     # ------------------------------------------------------------------
     def select_indices(
@@ -266,21 +305,6 @@ class Executor:
             recycler.store(source, predicate, indices)
         return indices, op, False
 
-    def _apply_selection(
-        self,
-        query: Query,
-        source: Table,
-        stats: ExecutionStats,
-        context: ExecutionContext,
-        recycle: bool,
-    ) -> Table:
-        indices, op, recycled = self.select_indices(
-            source, query.predicate, context, recycle=recycle
-        )
-        stats.recycled = stats.recycled or recycled
-        stats.add(op)
-        return source.take(indices, f"{source.name}#sel")
-
     def _apply_joins(
         self,
         query: Query,
@@ -339,6 +363,7 @@ class Executor:
     def _finish_rows(
         self,
         query: Query,
+        source: Table,
         working: Table,
         stats: ExecutionStats,
         context: ExecutionContext,
@@ -356,10 +381,22 @@ class Executor:
             if missing:
                 raise QueryError(
                     f"projection references missing columns {missing} "
-                    f"(available: {working.column_names})"
+                    f"(available: {self._whole_row_names(query, source)})"
                 )
             working = working.project(query.select, f"{working.name}#proj")
         return QueryResult(query=query, stats=stats, rows=working)
+
+    def _whole_row_names(self, query: Query, source: Table) -> List[str]:
+        """Column names of ``query``'s working set had it carried whole
+        rows — what a failed projection lists as available."""
+        none = np.empty(0, dtype=np.int64)
+        rows = source.empty_like()
+        for join in query.joins:
+            right = self.catalog.table(join.right_table)
+            rows = operators.materialise_join(
+                rows, right, none, none, join.projection
+            )
+        return rows.column_names
 
 
 def expand_view(catalog: Catalog, query: Query) -> Query:

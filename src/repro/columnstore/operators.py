@@ -1,7 +1,12 @@
 """Vectorised relational operators with per-operator statistics.
 
-Every operator materialises its output (MonetDB-style) and reports how
-many tuples it touched.  The tuple counts are the library's cost model:
+Every operator reports how many tuples it touched; all but the selection
+materialise their output (MonetDB-style).  A selection returns **row
+indices**: the executor then gathers, for the matching rows, only the
+columns the rest of the plan reads
+(:meth:`~repro.columnstore.executor.Executor.working_set`), so the
+working set the later operators materialise is plan-wide, not
+table-wide.  The tuple counts are the library's cost model:
 SciBORQ's runtime bounds are enforced by choosing which impression an
 operator tree runs over, and the benefit is visible precisely in these
 counts (paper §3.2).

@@ -138,6 +138,38 @@ class Query:
             read.add(self.order_by)
         return read
 
+    def columns_carried(self) -> Optional[set[str]]:
+        """Columns the plan still reads once the selection has run.
+
+        A selection yields row indices; only these columns of the
+        matching rows are ever gathered (late materialisation).  An
+        aggregate reads its inputs and group-by keys — its ``order_by``
+        names an *output* column, and a ``COUNT(*)`` reads nothing; a
+        row query reads its select list and ``order_by``; either reads
+        its join keys.  ``None`` means whole rows: a row query without
+        a select list.  Names are as the query spells them — some may
+        belong to a joined table or to no table at all, so callers
+        intersect with the table at hand (and add its hidden columns).
+        """
+        if not self.is_aggregate and not self.select:
+            return None
+        names = {join.left_on for join in self.joins}
+        if self.is_aggregate:
+            names.update(a.column for a in self.aggregates if a.column is not None)
+            names.update(self.group_by)
+        else:
+            names.update(self.select)
+            if self.order_by:
+                names.add(self.order_by)
+        for join in self.joins:
+            # "Right.n" only exists because the fact table's own "n" is
+            # in the way (see ``materialise_join``): "n" travels too
+            qualifier = f"{join.right_table}."
+            names.update(
+                n[len(qualifier):] for n in tuple(names) if n.startswith(qualifier)
+            )
+        return names
+
     def fingerprint(self) -> str:
         """Canonical identity string (recycler key, log dedup)."""
         parts = [f"from={self.table}", f"where={self.predicate.fingerprint()}"]

@@ -4,9 +4,12 @@ A :class:`Table` is both a base relation and an operator intermediate —
 MonetDB's defining trait of full materialisation (paper §3.2) is what
 lets SciBORQ re-route parts of a running query to a different
 impression, so the reproduction keeps every intermediate as a concrete
-Table.  Tables also carry a monotone ``version`` (bumped on every
-append) that the recycler and impression maintenance use to detect
-staleness.
+Table.  Concrete does not mean table-wide: a selection is a vector of
+row indices, and :meth:`Table.take` materialises just the columns the
+rest of the plan reads (paper §3.2: a column store pays for the
+attributes a query touches).  Tables also carry a monotone ``version``
+(bumped on every append) that the recycler and impression maintenance
+use to detect staleness.
 """
 
 from __future__ import annotations
@@ -239,12 +242,23 @@ class Table:
             {n: c.dtype for n, c in self._columns.items()},
         )
 
-    def take(self, indices: np.ndarray, name: str | None = None) -> "Table":
-        """Materialise the rows at ``indices`` into a new table."""
+    def take(
+        self,
+        indices: np.ndarray,
+        name: str | None = None,
+        columns: Iterable[str] | None = None,
+    ) -> "Table":
+        """Materialise the rows at ``indices`` into a new table.
+
+        ``columns`` names the columns to gather, in the order given
+        (default: all) — a column the rest of a plan never reads need
+        not be gathered, nor its demoted blocks decompressed.
+        """
         indices = np.asarray(indices)
+        names = self._columns if columns is None else columns
         return Table(
             name or f"{self.name}#take",
-            [col.take(indices) for col in self._columns.values()],
+            [self.column(n).take(indices) for n in names],
         )
 
     def filter(self, mask: np.ndarray, name: str | None = None) -> "Table":
@@ -262,8 +276,8 @@ class Table:
         projected = []
         for n in names:
             source = self._columns[n]
-            column = Column(
-                n, source.dtype, source.values, block_size=source.block_size
+            column = Column.from_external(
+                n, source.dtype, source.to_numpy(), block_size=source.block_size
             )
             column.declare_value_error(source.max_value_error())
             projected.append(column)

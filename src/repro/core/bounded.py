@@ -613,15 +613,6 @@ class BoundedQueryProcessor:
     def _foldable_enabled(self, query: Query) -> bool:
         return self.delta_escalation and self._foldable(query)
 
-    @staticmethod
-    def _fold_columns(query: Query) -> List[str]:
-        """Fact columns the fold must carry: aggregate inputs + keys."""
-        names = {
-            spec.column for spec in query.aggregates if spec.column is not None
-        }
-        names.update(query.group_by)
-        return sorted(names)
-
     def _scan_foldable(
         self,
         query: Query,
@@ -639,7 +630,8 @@ class BoundedQueryProcessor:
         superset of ``consumed`` resets the fold and is scanned from
         scratch (identical results, no saving).
         """
-        needed = self._fold_columns(query)
+        # aggregate inputs + group keys (a foldable query has no joins)
+        needed = sorted(query.columns_carried())
         ids: Optional[np.ndarray]
         if rung is None:
             if consumed is not None and fold is not None:
@@ -906,13 +898,15 @@ def progress_snapshot(
     )
 
 
-def _touched_columns(base: Table, query: Query) -> List[Column]:
-    """The columns an exact scan of ``query`` reads (a row query
-    without an explicit select returns every column)."""
-    if query.is_aggregate or query.select:
-        names = [n for n in query.columns_read() if base.has_column(n)]
-    else:
+def _scanned_columns(base: Table, query: Query) -> List[Column]:
+    """The columns an exact scan of ``query`` reads: the predicate's,
+    then whatever the plan carries past the selection."""
+    carried = query.columns_carried()
+    if carried is None:
         names = base.column_names
+    else:
+        carried |= query.predicate.columns()
+        names = [n for n in base.column_names if n in carried]
     return [base.column(name) for name in names]
 
 
@@ -924,7 +918,7 @@ def promote_for_exact(base: Table, query: Query) -> None:
     over a never-demoted table.
     """
     if not base.is_fully_hot:
-        for column in _touched_columns(base, query):
+        for column in _scanned_columns(base, query):
             column.promote_all()
 
 
@@ -964,7 +958,7 @@ def exact_estimated_result(
     from repro.stats.estimators import propagated_value_error
 
     value_error = max(
-        (c.max_value_error() for c in _touched_columns(base, query)), default=0.0
+        (c.max_value_error() for c in _scanned_columns(base, query)), default=0.0
     )
     is_exact = value_error == 0.0
     if query.is_aggregate and not query.group_by:

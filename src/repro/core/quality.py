@@ -173,17 +173,9 @@ class ImpressionEstimator:
         base = self.catalog.table(query.table)
         imp_table = impression.materialise(base)
 
-        working_query = Query(
-            table=query.table,
-            predicate=query.predicate,
-            joins=query.joins,
-        )
-        worked = self.executor.execute(
-            working_query, fact_table=imp_table, context=context
-        )
-        working = worked.rows
-        assert working is not None
-        stats = worked.stats
+        # the sample's matching rows, carrying ``_pi`` and only the
+        # columns the estimators below read
+        working, stats = self.executor.working_set(query, imp_table, context)
         stats.source = impression.name
         return self.estimate_from_working(
             query, impression, working, stats, confidence

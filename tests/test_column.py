@@ -100,6 +100,29 @@ class TestDerivation:
         with pytest.raises(SchemaError, match="mask"):
             Column("x", "int64", [1, 2]).filter(np.array([True]))
 
+    @pytest.mark.parametrize("demoted", [False, True])
+    def test_derived_columns_own_their_values_and_still_append(self, demoted):
+        # take/filter adopt the gathered array instead of copying it a
+        # second time: the result must neither alias the source nor
+        # lose the append path
+        source = Column("x", "float64", np.arange(40.0), block_size=16)
+        if demoted:
+            source.demote(0, "warm")
+        expected = source.to_numpy()
+        taken = source.take(np.array([30, 2, 2]))
+        kept = source.filter(np.arange(40) % 2 == 0)
+        for derived, head in ((taken, expected[[30, 2, 2]]), (kept, expected[::2])):
+            assert not np.shares_memory(derived.values, source.values)
+            assert derived.block_size == 16
+            derived.append(-1.0)
+            derived.extend(np.array([-2.0, -3.0]))
+            np.testing.assert_array_equal(
+                derived.values, np.concatenate([head, [-1.0, -2.0, -3.0]])
+            )
+            assert derived.max_value_error() == source.max_value_error()
+        np.testing.assert_array_equal(source.to_numpy(), expected)
+        assert len(source) == 40
+
     def test_nbytes_tracks_live_size_not_capacity(self):
         col = Column("x", "int64", [1])
         assert col.nbytes() == 8

@@ -330,6 +330,28 @@ class TestContractHonesty:
         after = engine.execute_exact(self.cone())
         assert after.scalars == before.scalars
 
+    def test_exact_aggregate_never_decompresses_a_column_it_does_not_read(self):
+        # regression: the selection gathered every column of the
+        # matching rows, so demoted blocks of a column neither promoted
+        # nor read were dequantised / spill-read on every exact query
+        engine = tiered_engine()
+        table = engine.catalog.table("fact")
+        unread = table.column("id")
+        for block in range(table.num_blocks - 1):
+            assert unread.demote(block, "cold")
+        before = unread.decompressions
+        outcome = engine.execute(
+            Query(
+                table="fact",
+                predicate=Between("x", 100.0, 420.0),
+                aggregates=[AggregateSpec("count"), AggregateSpec("avg", "y")],
+            ),
+            contract=Contract.exact(),
+        )
+        assert outcome.result.exact
+        assert unread.decompressions == before
+        assert not unread.is_fully_hot
+
     def test_exact_never_reuses_a_selection_evaluated_over_quantised_blocks(
         self,
     ):
