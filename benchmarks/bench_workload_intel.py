@@ -113,7 +113,7 @@ def train_fleet(n, seed, sessions, queries, model_path, bins):
         users = [server.open_session(f"scientist-{i}") for i in range(sessions)]
         for index, query in enumerate(drifting_workload(queries, rng=71)):
             users[index % sessions].execute(query, Contract.within_error(0.2))
-        summary = server.summary()
+        summary = server.report().render()
     path = save_intelligence(service, model_path)
     return path, service, summary
 

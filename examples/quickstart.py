@@ -30,7 +30,7 @@ def main() -> None:
     # 3. Load 200k synthetic observations; every batch streams through
     #    the impression builders on its way into the base table.
     build_skyserver(200_000, loader=engine.loader, rng=43)
-    print(engine.summary())
+    print(engine.report().render())
     print()
 
     # 4. A cone search near a known cluster, with a 5% error bound.

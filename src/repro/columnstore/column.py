@@ -845,17 +845,14 @@ class Column:
     ) -> "Column":
         """Adopt an externally-owned buffer as a column, zero-copy.
 
-        The shard-worker attach path (:mod:`repro.core.shards`) wraps
-        NumPy views over ``multiprocessing.shared_memory`` segments
-        this way: the array is used as the backing store directly, so
-        the caller must keep the underlying buffer alive for the
-        column's lifetime and must not resize it.  Appending still
-        works — the first regrow copies out of the external buffer —
-        but shard workers never append.  Zone maps are computed
-        lazily from the adopted values like any other column's.
-        Adopted columns start (and, absent demotions, stay) on the
-        contiguous fast path.  :meth:`take` and :meth:`filter` hand
-        their freshly gathered arrays over the same way: nobody else
+        The array is used as the backing store directly, so the caller
+        must keep the underlying buffer alive for the column's lifetime
+        and must not resize it.  Appending still works — the first
+        regrow copies out of the external buffer.  Zone maps are
+        computed lazily from the adopted values like any other
+        column's.  Adopted columns start (and, absent demotions, stay)
+        on the contiguous fast path.  :meth:`take` and :meth:`filter`
+        hand their freshly gathered arrays over this way: nobody else
         holds them, so copying them into a new buffer buys nothing.
         """
         arr = np.asarray(values)

@@ -35,7 +35,6 @@ from repro.util.concurrency import MorselPool, shared_scan_pool
 
 if TYPE_CHECKING:  # pragma: no cover - layering guard (core imports us)
     from repro.core.scheduler import SharedScanScheduler
-    from repro.core.shards import ShardPool
 
 
 @dataclass
@@ -112,8 +111,8 @@ class Executor:
     **Ownership.**  An engine (:class:`~repro.core.engine.SciBorq`)
     builds exactly one executor and hands it by reference to every
     bounded processor and impression estimator it creates, so a
-    scheduler or shard pool assigned here is seen by the exact path and
-    every ladder rung at their next scan; built stand-alone, processors
+    scheduler assigned here is seen by the exact path and every ladder
+    rung at their next scan; built stand-alone, processors
     and estimators create a private one.  Which scans may use the
     :attr:`recycler` is decided in :meth:`select_indices` alone.
 
@@ -141,11 +140,6 @@ class Executor:
         on the *scheduler's* morsel pool; ``scan_pool`` governs solo
         scans only.  Installed by
         :meth:`repro.core.engine.SciBorq.set_scan_scheduler`.
-    shard_pool:
-        Optional :class:`~repro.core.shards.ShardPool`: eligible
-        base-table selections scatter across shard worker processes
-        and gather byte-identical indices and charges.  Installed by
-        :meth:`repro.core.engine.SciBorq.set_shard_pool`.
     """
 
     def __init__(
@@ -156,13 +150,11 @@ class Executor:
         scan_pool: Optional[MorselPool] = None,
         parallel_scans: bool = True,
         scheduler: Optional["SharedScanScheduler"] = None,
-        shard_pool: Optional["ShardPool"] = None,
     ) -> None:
         self.catalog = catalog
         self.clock = clock if clock is not None else CostClock()
         self.recycler = recycler
         self.scheduler = scheduler
-        self.shard_pool = shard_pool
         if not parallel_scans:
             self.scan_pool: Optional[MorselPool] = None
         else:
@@ -258,11 +250,10 @@ class Executor:
 
         Every selection — exact base scans and all rung scans of the
         bounded ladder — runs through here in one fixed order:
-        recycler lookup, then the first back-end that serves (shard
-        scatter, shared-scan scheduler, solo
-        :func:`~repro.columnstore.operators.select`), one charge, one
+        recycler lookup, then the shared-scan scheduler or a solo
+        :func:`~repro.columnstore.operators.select`, one charge, one
         store-back.  Returns ``(indices, stats, recycled)``; a recycled
-        answer charges nothing, and every back-end returns the solo
+        answer charges nothing, and either back-end returns the solo
         scan's indices and stats and charges its cost.
 
         **The recycler rule lives here.**  ``recycle=True`` states
@@ -273,10 +264,9 @@ class Executor:
         across sampler generations, so the recycler's ``(name, version,
         fingerprint)`` key would serve stale index vectors.
 
-        The :attr:`shard_pool` may decline (small table, intermediate,
-        degraded pool).  Contexts that opted out (``shared_scans=
-        False``) and serial-forced executors (``parallel_scans=False``,
-        scans run in the calling thread) skip the :attr:`scheduler`.
+        Contexts that opted out (``shared_scans=False``) and
+        serial-forced executors (``parallel_scans=False``, scans run in
+        the calling thread) skip the :attr:`scheduler`.
         """
         recycler = self.recycler if recycle else None
         if recycler is not None:
@@ -284,12 +274,8 @@ class Executor:
             if cached is not None:
                 op = OperatorStats("select(recycled)", 0, cached.shape[0])
                 return cached, op, True
-        served = None
-        if self.shard_pool is not None:
-            served = self.shard_pool.scatter_scan(source, predicate)
         if (
-            served is None
-            and self.scheduler is not None
+            self.scheduler is not None
             and context.shared_scans
             and self.scan_pool is not None
         ):
@@ -297,9 +283,7 @@ class Executor:
             # which of the charged units another query's scan performed
             indices, op = self.scheduler.scan(source, predicate, context)
         else:
-            if served is None:
-                served = operators.select(source, predicate, pool=self.scan_pool)
-            indices, op = served
+            indices, op = operators.select(source, predicate, pool=self.scan_pool)
             context.charge(op.cost)
         if recycler is not None:
             recycler.store(source, predicate, indices)

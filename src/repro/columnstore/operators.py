@@ -89,7 +89,6 @@ class _BlockView:
 def scan_plan(
     table: Table,
     predicate: Expression,
-    row_range: Optional[Tuple[int, int]] = None,
 ) -> Tuple[List[Tuple[int, int]], int, int, int]:
     """Decide which row ranges a pruned scan must actually read.
 
@@ -97,39 +96,22 @@ def scan_plan(
     where ``runs`` are maximal contiguous ``(start, stop)`` row ranges
     of surviving blocks, in order.  Tables without a common block grid
     (or predicates reading no columns) degenerate to one full run.
-
-    ``row_range`` restricts the plan to rows in ``[start, stop)`` —
-    the shard scatter path (:mod:`repro.core.shards`) hands each
-    worker one block-aligned slice of the grid.  Per-block pruning
-    decisions are unchanged, so planning a partition of block-aligned
-    ranges and summing the pieces reproduces the unrestricted plan
-    exactly: same runs (concatenated), same rows charged, same
-    scanned/pruned block counts.
     """
     num_rows = table.num_rows
-    lo, hi = (0, num_rows) if row_range is None else row_range
-    lo = max(int(lo), 0)
-    hi = min(int(hi), num_rows)
-    if hi <= lo:
+    if num_rows == 0:
         return [], 0, 0, 0
     block_size = table.block_size
+    num_blocks = table.num_blocks
     needed = predicate.columns()
-    if block_size is None or table.num_blocks <= 1 or not needed:
-        covered = (
-            1
-            if block_size is None
-            else (hi - 1) // block_size - lo // block_size + 1
-        )
-        return [(lo, hi)], hi - lo, covered, 0
-    first_block = lo // block_size
-    last_block = (hi - 1) // block_size
+    if num_blocks <= 1 or not needed:
+        return [(0, num_rows)], num_rows, max(num_blocks, 1), 0
     runs: List[Tuple[int, int]] = []
     rows_to_scan = 0
     pruned = 0
     run_start: Optional[int] = None
-    for block in range(first_block, last_block + 1):
-        start = max(block * block_size, lo)
-        stop = min((block + 1) * block_size, hi)
+    for block in range(num_blocks):
+        start = block * block_size
+        stop = min(start + block_size, num_rows)
         zones = table.block_zones(block, needed)
         if zones and predicate.prune(zones):
             pruned += 1
@@ -141,8 +123,8 @@ def scan_plan(
         if run_start is None:
             run_start = start
     if run_start is not None:
-        runs.append((run_start, hi))
-    return runs, rows_to_scan, last_block - first_block + 1 - pruned, pruned
+        runs.append((run_start, num_rows))
+    return runs, rows_to_scan, num_blocks - pruned, pruned
 
 
 def _morsels(
@@ -163,7 +145,6 @@ def select(
     predicate: Expression,
     pool: Optional[MorselPool] = None,
     parallel_min_rows: int = PARALLEL_MIN_ROWS,
-    row_range: Optional[Tuple[int, int]] = None,
 ) -> Tuple[np.ndarray, OperatorStats]:
     """Evaluate ``predicate`` over ``table``; return row indices + stats.
 
@@ -176,15 +157,8 @@ def select(
     scanned.  When ``pool`` is given and the surviving rows are worth
     it, morsels are evaluated in parallel; fragment order is preserved,
     so the indices are identical to an unpruned full scan's.
-
-    ``row_range`` restricts the scan to rows in ``[start, stop)`` (see
-    :func:`scan_plan`); returned indices remain absolute, so shard
-    workers scanning a block-aligned partition of the grid produce
-    fragments that concatenate to exactly the unrestricted scan.
     """
-    runs, rows_to_scan, blocks_scanned, blocks_pruned = scan_plan(
-        table, predicate, row_range
-    )
+    runs, rows_to_scan, blocks_scanned, blocks_pruned = scan_plan(table, predicate)
     if not runs:
         indices = np.empty(0, dtype=np.int64)
     else:

@@ -187,11 +187,11 @@ class BoundedQueryProcessor:
         The :class:`~repro.columnstore.executor.Executor` every rung
         scan — impression, delta, complement, and base — runs through,
         shared with this processor's :attr:`estimator`.  The engine
-        passes its single executor, so the scheduler and shard pool it
-        installs there serve rung scans at once (and its exact path
-        scans through the same object); stand-alone, a private
-        executor is created.  Rung scans never use the recycler: the
-        rule lives in :meth:`Executor.select_indices
+        passes its single executor, so the scheduler it installs there
+        serves rung scans at once (and its exact path scans through the
+        same object); stand-alone, a private executor is created.
+        Rung scans never use the recycler: the rule lives in
+        :meth:`Executor.select_indices
         <repro.columnstore.executor.Executor.select_indices>`.
     """
 
@@ -219,30 +219,10 @@ class BoundedQueryProcessor:
         # guarded against lost updates.
         self._throughput: Optional[float] = None
         self._throughput_lock = threading.Lock()
-        # optional mined initial-rung advisor (workload intelligence):
-        # (query, ladder) -> rungs to skip at the bottom
-        self._rung_advisor = None
 
     def new_context(self, limit: Optional[float] = None) -> ExecutionContext:
         """Open a per-query context observed by this processor's clock."""
         return ExecutionContext(clock=self.clock, limit=limit)
-
-    def use_rung_advisor(self, advisor) -> None:
-        """Install (or remove, with ``None``) an initial-rung advisor.
-
-        ``advisor(query, ladder) -> int`` returns how many bottom
-        rungs to skip — mined from past escalation outcomes in this
-        query's region (:mod:`repro.core.intelligence`).  Skipping
-        never changes which *answers* later rungs produce (each rung's
-        answer is independent of how the ladder reached it; delta
-        escalation re-weights to exactly the from-scratch result), but
-        it does change charges for queries that would have settled on
-        a skipped rung, so the advisor itself decides when it is
-        confident enough to speak (and the service keeps it opt-in).
-        The last rung — the base table — is never skipped, and a
-        broken advisor is ignored rather than failing the query.
-        """
-        self._rung_advisor = advisor
 
     def _budget_units(
         self, predicted_cost: float, context: ExecutionContext
@@ -357,13 +337,6 @@ class BoundedQueryProcessor:
         else:
             ladder = list(self.hierarchy.candidates_for(query, base))
             ladder.append(None)  # the base table: exact, most expensive
-            if self._rung_advisor is not None and len(ladder) > 1:
-                try:
-                    skip = int(self._rung_advisor(query, ladder))
-                except Exception:
-                    skip = 0
-                if skip > 0:
-                    ladder = ladder[min(skip, len(ladder) - 1):]
 
         foldable = self._foldable_enabled(query)
         # Delta state threaded up the ladder: the matching rows of

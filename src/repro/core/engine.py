@@ -82,12 +82,12 @@ from repro.workload.predicates import PredicateSetCollector
 
 @dataclass(frozen=True)
 class EngineReport:
-    """Structured engine state: what :meth:`SciBorq.summary` renders.
+    """Structured engine state (:meth:`SciBorq.report`).
 
     Every field is a plain value (or a pre-rendered sub-describe from
     the owning component), so tooling can read the numbers without
-    parsing the legacy string — ``render()`` reproduces the historical
-    ``summary()`` output byte-for-byte from these fields.
+    parsing text; :meth:`render` is the overview for examples and
+    debugging.
     """
 
     #: ``catalog.summary()`` — table names, row counts, FKs.
@@ -110,7 +110,7 @@ class EngineReport:
     sla: Optional[SlaReport]
 
     def render(self) -> str:
-        """The legacy ``summary()`` text, unchanged line for line."""
+        """The engine state as text, one component per line."""
         lines = [self.catalog_summary]
         lines.extend(self.hierarchies)
         lines.append(
@@ -198,9 +198,9 @@ class SciBorq:
         self._self_tuning: Dict[str, SelfTuningReservoir] = {}
         #: The one executor: the exact path scans through it, and every
         #: processor and estimator this engine creates holds it by
-        #: reference — so the scheduler and shard pool installed on it
-        #: (by the server layer) serve every rung scan, of hierarchies
-        #: created before or after the install alike.
+        #: reference — so the scheduler installed on it (by the server
+        #: layer) serves every rung scan, of hierarchies created before
+        #: or after the install alike.
         self.executor = Executor(
             catalog, clock=self.clock, recycler=self.recycler
         )
@@ -211,7 +211,7 @@ class SciBorq:
         # workload-intelligence service (installed by the server layer
         # or directly): mines the query log into a region-popularity
         # model, prewarms predicted-hot ladders/blocks, weights the
-        # maintenance budget, and advises initial rungs
+        # maintenance budget, and recommends initial rungs
         # (core/intelligence).
         self._intelligence = None
         # contract monitor (installed by the server layer or directly):
@@ -266,8 +266,6 @@ class SciBorq:
         processor = BoundedQueryProcessor(
             self.catalog, hierarchy, clock=self.clock, executor=self.executor
         )
-        if self._intelligence is not None:
-            processor.use_rung_advisor(self._intelligence.initial_rung)
         self._processors.setdefault(table, {})[hierarchy_name] = processor
         if make_default or table not in self._default_hierarchy:
             self._default_hierarchy[table] = hierarchy_name
@@ -406,24 +404,6 @@ class SciBorq:
         """The installed shared-scan scheduler, or ``None``."""
         return self.executor.scheduler
 
-    def set_shard_pool(self, pool) -> None:
-        """Install (or remove, with ``None``) a process-shard pool.
-
-        Routes eligible base-table selections — rung scans of all
-        bounded processors plus base-data scans — through
-        :meth:`~repro.core.shards.ShardPool.scatter_scan`.  One
-        assignment on the shared :attr:`executor`.  Results and
-        per-query charges are byte-identical either way; the pool only
-        changes wall-clock.  The server layer installs one when
-        constructed with ``shard_pool=``.
-        """
-        self.executor.shard_pool = pool
-
-    @property
-    def shard_pool(self):
-        """The installed process-shard pool, or ``None``."""
-        return self.executor.shard_pool
-
     def set_memory_governor(self, governor) -> None:
         """Install (or remove, with ``None``) a memory governor.
 
@@ -454,22 +434,16 @@ class SciBorq:
         WorkloadIntelligenceService`).
 
         Wires the whole acting surface at once: the service binds to
-        this engine's interest domains and query log; every bounded
-        processor — existing and future — gets the mined initial-rung
-        advisor (inert until the service's ``advise_rungs`` opt-in);
-        the maintenance planner gets the popularity source that
-        weights refresh budgets; and an installed memory governor gets
-        the block-heat predictor.  Removing the service detaches all
-        four.  The server layer installs one when constructed with
+        this engine's interest domains and query log; the maintenance
+        planner gets the popularity source that weights refresh
+        budgets; and an installed memory governor gets the block-heat
+        predictor.  Removing the service detaches all three.  The
+        server layer installs one when constructed with
         ``intelligence=``.
         """
         self._intelligence = service
         if service is not None:
             service.bind(self)
-        advisor = None if service is None else service.initial_rung
-        for named in self._processors.values():
-            for processor in named.values():
-                processor.use_rung_advisor(advisor)
         self.planner.set_popularity_source(
             None if service is None else service.table_share
         )
@@ -927,12 +901,8 @@ class SciBorq:
 
     # ------------------------------------------------------------------
     def report(self) -> EngineReport:
-        """Structured engine state (:class:`EngineReport`).
-
-        The typed face of :meth:`summary`: same facts, plain fields
-        instead of a formatted string.  ``report().render()`` is
-        exactly the legacy summary text.
-        """
+        """Structured engine state (:class:`EngineReport`); its
+        ``render()`` is the text overview."""
         hierarchies = tuple(
             hierarchy.describe()
             for named in self._hierarchies.values()
@@ -953,11 +923,3 @@ class SciBorq:
             memory=self.memory_report(),
             sla=self._monitor.report() if self._monitor is not None else None,
         )
-
-    def summary(self) -> str:
-        """Engine state overview for examples and debugging.
-
-        A thin renderer over :meth:`report` — use the typed report
-        when you need the numbers rather than the prose.
-        """
-        return self.report().render()

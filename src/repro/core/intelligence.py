@@ -19,14 +19,8 @@ touches engine state:
   predicts hot, so demotion evicts cold-region blocks first and
   promotion favours the predicted working set, not just LRU ticks.
 * **Ladder recommendations** — :meth:`recommend` surfaces the mined
-  escalation profile ("sessions here escalated to rung k / error ε"),
-  and :meth:`initial_rung` (installed into every
-  :class:`~repro.core.bounded.BoundedQueryProcessor` as a rung
-  advisor) optionally skips the doomed small rungs.  Rung advice is
-  opt-in (``advise_rungs=True``): skipping rungs preserves the final
-  answer for queries that *would* have escalated past them (the
-  delta-escalation guarantee) but changes charges for queries that
-  would have settled early, so it must never be on by default.
+  escalation profile ("sessions here escalated to rung k / error ε").
+  It is advice to the caller only: no ladder skips a rung on it.
 
 Thread-safety: all mutable service state sits behind one internal
 lock.  :meth:`mine` only *reads* the engine (a locked log snapshot),
@@ -69,10 +63,6 @@ class WorkloadIntelligenceService:
         How many predicted-hot cells prewarming targets.
     min_support:
         Settled queries a cell needs before recommendations fire.
-    advise_rungs:
-        Whether :meth:`initial_rung` actually skips ladder rungs.
-        Off by default — skipping changes charges (never answers) for
-        queries that would have settled on a skipped rung.
     prewarm_every:
         Mined queries between prewarm passes (the server's cadence).
     model:
@@ -92,7 +82,6 @@ class WorkloadIntelligenceService:
         decay_every: int = 256,
         hot_cells: int = 4,
         min_support: int = 3,
-        advise_rungs: bool = False,
         prewarm_every: int = 16,
         model: Optional[RegionPopularityModel] = None,
     ) -> None:
@@ -103,7 +92,6 @@ class WorkloadIntelligenceService:
         self.bins = int(bins)
         self.hot_cells = int(hot_cells)
         self.min_support = int(min_support)
-        self.advise_rungs = bool(advise_rungs)
         self.prewarm_every = max(1, int(prewarm_every))
         self.model: Optional[RegionPopularityModel] = model
         self.miner: Optional[WorkloadMiner] = (
@@ -119,12 +107,11 @@ class WorkloadIntelligenceService:
         #: per-table block indices the last prewarm promoted/should pin
         self._hot_blocks: Dict[str, FrozenSet[int]] = {}
         self._mined_since_prewarm = 0
-        # observability counters (engine/server summary lines)
+        # observability counters (engine/server report lines)
         self._prewarm_passes = 0
         self._prewarm_hits = 0
         self._prewarm_misses = 0
         self._recommendations_issued = 0
-        self._recommendations_followed = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -320,28 +307,6 @@ class WorkloadIntelligenceService:
                 self._recommendations_issued += 1
             return recommendation
 
-    def initial_rung(self, query: Query, ladder) -> int:
-        """Rungs to skip at the bottom of ``ladder`` (the advisor hook).
-
-        Returns 0 — advise nothing — unless ``advise_rungs`` is on and
-        the query's region has enough settled history.  Never skips
-        the whole ladder.
-        """
-        if not self.advise_rungs:
-            return 0
-        with self._lock:
-            if self.model is None:
-                return 0
-            recommendation = self.model.recommendation_for(
-                query, min_support=self.min_support
-            )
-            if recommendation is None or recommendation.suggested_skip <= 0:
-                return 0
-            skip = min(recommendation.suggested_skip, max(0, len(ladder) - 1))
-            if skip > 0:
-                self._recommendations_followed += 1
-            return skip
-
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
@@ -368,7 +333,7 @@ class WorkloadIntelligenceService:
             return self._prewarm_hits / scored
 
     def describe(self) -> str:
-        """One summary line (engine/server ``summary()`` hook)."""
+        """One line of the engine and server reports."""
         with self._lock:
             mined = 0 if self.miner is None else self.miner.next_sequence
             scored = self._prewarm_hits + self._prewarm_misses
@@ -380,8 +345,7 @@ class WorkloadIntelligenceService:
                 f"{self._prewarm_passes} prewarm pass(es), "
                 f"hit-rate {hit_rate}, "
                 f"{len(self._hot_regions)} hot cell(s), "
-                f"recommendations {self._recommendations_issued} issued / "
-                f"{self._recommendations_followed} followed"
+                f"recommendations {self._recommendations_issued} issued"
             )
 
     def __repr__(self) -> str:

@@ -256,7 +256,7 @@ class SlaReport:
         return self.met / self.observed
 
     def describe(self) -> str:
-        """The one-line form ``summary()`` renders."""
+        """The one-line form the engine and server reports render."""
         tiers = ", ".join(
             f"{tier} {bucket.compliance:.1%} of {bucket.total}"
             for tier, bucket in sorted(self.by_tier.items())
@@ -705,7 +705,7 @@ class ContractMonitor:
             )
 
     def describe(self) -> str:
-        """One-line summary; what ``server.summary()`` renders."""
+        """One-line summary; the ``sla:`` line of ``report().render()``."""
         return self.report().describe()
 
     # ------------------------------------------------------------------

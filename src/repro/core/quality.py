@@ -135,8 +135,8 @@ class ImpressionEstimator:
         The :class:`~repro.columnstore.executor.Executor` impression
         scans run through.  The estimator never owns a shared one: an
         engine passes its single executor (via the bounded processor),
-        so a scheduler or shard pool installed there serves impression
-        scans too; stand-alone, a private executor is created.
+        so a scheduler installed there serves impression scans too;
+        stand-alone, a private executor is created.
         Impression scans always override the fact table, so they never
         touch the recycler (the rule lives in
         :meth:`Executor.select_indices

@@ -33,13 +33,6 @@ serving layer for the reproduction:
   accounting shortcuts.  Sessions may opt out per user
   (``open_session(shared_scans=False)``); ``batch_window`` configures
   how long a lone scan waits for co-runners (default: never).
-* **Process shards.**  With ``shard_pool=`` the server installs a
-  :class:`~repro.core.shards.ShardPool`: eligible base-table scans
-  scatter across worker processes over shared-memory block shards and
-  gather byte-identical indices and charges, escaping the GIL for the
-  Python half of scan cost.  Non-foldable work, unsharded tables, and
-  dead workers fall back to in-process execution — a worker crash
-  degrades, never errors.
 * **Bounded intake.**  With ``admission=`` the server installs an
   :class:`~repro.core.admission.AdmissionController`: submissions
   beyond the in-flight width wait in a bounded, priority-aged queue
@@ -83,7 +76,6 @@ from repro.core.maintenance import RefreshReport
 from repro.core.monitor import ContractMonitor, SlaReport
 from repro.core.scheduler import SchedulerStats, SharedScanScheduler
 from repro.core.session import Session
-from repro.core.shards import ShardPool, ShardPoolStats
 from repro.errors import OverloadedError, SessionError
 from repro.util.clock import ExecutionContext
 from repro.util.concurrency import ReadWriteLock
@@ -131,14 +123,13 @@ class SessionInfo:
 
 @dataclass(frozen=True)
 class ServerReport:
-    """Structured server state: what :meth:`SciBorqServer.summary`
-    renders.
+    """Structured server state (:meth:`SciBorqServer.report`).
 
     Each optional field is ``None`` when the corresponding subsystem
     is not installed; the stats fields are the subsystems' own frozen
     snapshot types, taken under their own locks, so a report is a
-    consistent point-in-time picture.  ``render()`` reproduces the
-    historical ``summary()`` text byte-for-byte from these fields.
+    consistent point-in-time picture.  :meth:`render` is the overview
+    for examples and debugging.
     """
 
     #: Open sessions at snapshot time, one :class:`SessionInfo` each.
@@ -150,7 +141,6 @@ class ServerReport:
     engine_clock: float
     admission: Optional[AdmissionStats]
     scheduler: Optional[SchedulerStats]
-    shards: Optional[ShardPoolStats]
     #: Full :meth:`~repro.core.engine.SciBorq.memory_report` mapping.
     memory: Mapping[str, object]
     governor_budget: Optional[int]
@@ -161,7 +151,7 @@ class ServerReport:
     sla: Optional[SlaReport]
 
     def render(self) -> str:
-        """The legacy ``summary()`` text, unchanged line for line."""
+        """The server state as text, one subsystem per line."""
         lines = [
             f"SciBorqServer: {len(self.open_sessions)} open session(s), "
             f"{self.queries_served} queries served, "
@@ -177,8 +167,6 @@ class ServerReport:
             lines.append(f"  {self.admission.describe()}")
         if self.scheduler is not None:
             lines.append(f"  {self.scheduler.describe()}")
-        if self.shards is not None:
-            lines.append(f"  {self.shards.describe()}")
         tiers = self.memory["tiers"]
         lines.append(
             f"  memory: {self.memory['ram_total']} B RAM "
@@ -222,15 +210,6 @@ class SciBorqServer:
         Scheduler batching window in seconds — how long a scan that
         would otherwise run alone waits for co-runners.  The default
         ``0.0`` never stalls anyone; convoys still form under load.
-    shard_pool:
-        Process-shard scatter-gather mode (default off).  ``True``
-        installs a :class:`~repro.core.shards.ShardPool` with an
-        autodetected shard count (``SCIBORQ_SHARDS`` overrides; see
-        :func:`~repro.core.shards.detect_shard_count`); an ``int``
-        pins the count; a ready :class:`ShardPool` is installed as-is
-        (and stays the caller's to close).  Workers spawn lazily on
-        the first eligible scan; shutdown drains in-flight sub-plans
-        and restores whatever pool the engine carried before.
     memory_budget:
         RAM-footprint governance (default off).  An ``int`` installs a
         :class:`~repro.core.governor.MemoryGovernor` with that byte
@@ -295,7 +274,6 @@ class SciBorqServer:
         max_workers: Optional[int] = None,
         shared_scans: bool = True,
         batch_window: float = 0.0,
-        shard_pool: Union[bool, int, ShardPool, None] = False,
         memory_budget: Union[int, MemoryGovernor, None] = None,
         admission: Union[bool, AdmissionController, None] = None,
         intelligence: Union[bool, WorkloadIntelligenceService, None] = None,
@@ -303,6 +281,8 @@ class SciBorqServer:
         contract: Union[Contract, str, None] = None,
     ) -> None:
         self.engine = engine
+        # Resolve and validate every argument before touching the
+        # engine: a bad argument must leave the engine exactly as found.
         if max_workers is None:
             max_workers = max(1, min(8, os.cpu_count() or 1))
         if max_workers < 1:
@@ -311,36 +291,6 @@ class SciBorqServer:
         self.scheduler: Optional[SharedScanScheduler] = (
             SharedScanScheduler(window=batch_window) if shared_scans else None
         )
-        #: Whatever the engine carried before this server took over;
-        #: shutdown restores it, so an earlier owner is not left
-        #: permanently detached by a later owner's exit.
-        self._previous_scheduler = engine.scan_scheduler
-        if self.scheduler is not None:
-            # shared_scans=False leaves any externally-installed
-            # scheduler on the engine untouched
-            engine.set_scan_scheduler(self.scheduler)
-        self._previous_shard_pool = engine.shard_pool
-        self.shard_pool: Optional[ShardPool] = None
-        #: whether shutdown() should close the pool (False for a
-        #: caller-supplied ShardPool instance — its lifetime is theirs)
-        self._owns_shard_pool = False
-        if shard_pool:
-            if isinstance(shard_pool, ShardPool):
-                self.shard_pool = shard_pool
-            elif shard_pool is True:
-                self.shard_pool = ShardPool(engine.catalog)
-                self._owns_shard_pool = True
-            else:
-                self.shard_pool = ShardPool(
-                    engine.catalog, n_shards=int(shard_pool)
-                )
-                self._owns_shard_pool = True
-            engine.set_shard_pool(self.shard_pool)
-            # the one startup log of the chosen topology
-            logging.getLogger("repro.shards").info(
-                "shard topology: %s", self.shard_pool.describe_topology()
-            )
-        self._previous_governor = engine.memory_governor
         self.memory_governor: Optional[MemoryGovernor] = None
         if isinstance(memory_budget, MemoryGovernor):
             self.memory_governor = memory_budget
@@ -350,27 +300,11 @@ class SciBorqServer:
             self.memory_governor = governor_from_env(
                 os.environ.get("SCIBORQ_MEMORY_BUDGET")
             )
-        if self.memory_governor is not None:
-            engine.set_memory_governor(self.memory_governor)
-            logging.getLogger("repro.memory").info(
-                "memory budget: %d bytes", self.memory_governor.budget_bytes
-            )
-        self._previous_intelligence = engine.intelligence
         self.intelligence: Optional[WorkloadIntelligenceService] = None
         if isinstance(intelligence, WorkloadIntelligenceService):
             self.intelligence = intelligence
         elif intelligence:
             self.intelligence = WorkloadIntelligenceService()
-        if self.intelligence is not None:
-            engine.set_intelligence(self.intelligence)
-            logging.getLogger("repro.intelligence").info(
-                "workload intelligence: %d×%d popularity grid, "
-                "prewarm every %d mined queries",
-                self.intelligence.model.bins,
-                self.intelligence.model.bins,
-                self.intelligence.prewarm_every,
-            )
-        self._previous_monitor = engine.monitor
         self.monitor: Optional[ContractMonitor] = None
         if isinstance(monitor, ContractMonitor):
             self.monitor = monitor
@@ -378,12 +312,6 @@ class SciBorqServer:
             # default ON: monitoring is pure observation, so there is
             # no accuracy or byte-identity cost to paying for it
             self.monitor = ContractMonitor()
-        if self.monitor is not None:
-            engine.set_monitor(self.monitor)
-            logging.getLogger("repro.monitor").info(
-                "contract monitoring: on, violation retention %d",
-                self.monitor.violation_retention,
-            )
         #: Server-wide default contract applied by ``open_session``
         #: when the caller specifies nothing at all.
         self.default_contract: Optional[Contract] = (
@@ -398,13 +326,21 @@ class SciBorqServer:
             self.admission = AdmissionController(max_inflight=max_workers)
         elif admission is None:
             self.admission = admission_from_env()
-        if self.admission is not None:
-            self.admission.bind_scheduler(self.scheduler)
-            logging.getLogger("repro.admission").info(
-                "admission control: %d in flight, queue depth %d",
-                self.admission.max_inflight,
-                self.admission.queue_depth,
-            )
+        #: Whatever the engine carried before this server took over;
+        #: shutdown restores it, so an earlier owner is not left
+        #: permanently detached by a later owner's exit.
+        self._previous_scheduler = engine.scan_scheduler
+        self._previous_governor = engine.memory_governor
+        self._previous_intelligence = engine.intelligence
+        self._previous_monitor = engine.monitor
+        try:
+            self._install()
+        except BaseException:
+            # an install can still fail (a service that cannot bind to
+            # this engine's domains, a spill error while enforcing the
+            # budget): no server exists to shut down, so undo it here
+            self._release_engine()
+            raise
         self._rwlock = ReadWriteLock()
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="sciborq"
@@ -418,6 +354,66 @@ class SciBorqServer:
         #: drain, cancel, or fail so no caller blocks forever
         self._active_handles: Set[QueryHandle] = set()
         self._closed = False
+
+    def _install(self) -> None:
+        """Install the resolved collaborators into the engine."""
+        engine = self.engine
+        if self.scheduler is not None:
+            # shared_scans=False leaves any externally-installed
+            # scheduler on the engine untouched
+            engine.set_scan_scheduler(self.scheduler)
+        if self.memory_governor is not None:
+            engine.set_memory_governor(self.memory_governor)
+            logging.getLogger("repro.memory").info(
+                "memory budget: %d bytes", self.memory_governor.budget_bytes
+            )
+        if self.intelligence is not None:
+            engine.set_intelligence(self.intelligence)
+            logging.getLogger("repro.intelligence").info(
+                "workload intelligence: %d×%d popularity grid, "
+                "prewarm every %d mined queries",
+                self.intelligence.model.bins,
+                self.intelligence.model.bins,
+                self.intelligence.prewarm_every,
+            )
+        if self.monitor is not None:
+            engine.set_monitor(self.monitor)
+            logging.getLogger("repro.monitor").info(
+                "contract monitoring: on, violation retention %d",
+                self.monitor.violation_retention,
+            )
+        if self.admission is not None:
+            self.admission.bind_scheduler(self.scheduler)
+            logging.getLogger("repro.admission").info(
+                "admission control: %d in flight, queue depth %d",
+                self.admission.max_inflight,
+                self.admission.queue_depth,
+            )
+
+    def _release_engine(self) -> None:
+        """Hand the engine back as this server found it.
+
+        Each collaborator this server installed that is still the
+        installed one is replaced by whatever the engine carried before
+        (``None`` for the common single-owner case, so direct engine use
+        runs plain solo scans again); a later owner's is never
+        clobbered.
+        """
+        engine = self.engine
+        if self.scheduler is not None and engine.scan_scheduler is self.scheduler:
+            engine.set_scan_scheduler(self._previous_scheduler)
+        if (
+            self.memory_governor is not None
+            and engine.memory_governor is self.memory_governor
+        ):
+            engine.set_memory_governor(self._previous_governor)
+        if (
+            self.intelligence is not None
+            and engine.intelligence is self.intelligence
+        ):
+            engine.set_intelligence(self._previous_intelligence)
+        if self.monitor is not None and engine.monitor is self.monitor:
+            engine.set_monitor(self._previous_monitor)
 
     # ------------------------------------------------------------------
     # session management
@@ -845,19 +841,10 @@ class SciBorqServer:
     # data + maintenance path (writers)
     # ------------------------------------------------------------------
     def ingest(self, table: str, batch: Mapping[str, np.ndarray]) -> int:
-        """Append a batch under the exclusive write lock.
-
-        With a shard pool installed, the table's shared-memory export
-        is dropped eagerly (it re-exports at the new version on the
-        next scatter) — correctness never depends on this, the pool
-        version-checks anyway; it just frees the stale segments now.
-        """
+        """Append a batch under the exclusive write lock."""
         self._require_open()
         with self._rwlock.write_locked():
-            loaded = self.engine.ingest(table, batch)
-            if self.shard_pool is not None:
-                self.shard_pool.invalidate(table)
-            return loaded
+            return self.engine.ingest(table, batch)
 
     def maintain(self) -> Dict[str, List[RefreshReport]]:
         """React to drift (engine-wide) under the write lock."""
@@ -964,15 +951,9 @@ class SciBorqServer:
         admission controller evicted (each failed with a structured
         shutdown rejection).
 
-        Also hands the engine's scan scheduler back: if this server's
-        scheduler is still the installed one, whatever was installed
-        before this server took over is restored (``None`` for the
-        common single-owner case, so direct engine use runs plain solo
-        scans again); a later owner's scheduler is never clobbered.
-        The shard pool gets the same treatment — detached from the
-        engine and, when this server created it, closed gracefully
-        (in-flight sub-plans drain, workers stop, shared memory is
-        unlinked — nothing leaks to atexit).
+        Also hands the engine back: the scan scheduler, memory
+        governor, intelligence service and contract monitor this server
+        installed are replaced by whatever the engine carried before.
         """
         if self._closed:
             return ShutdownReport()
@@ -1047,33 +1028,7 @@ class SciBorqServer:
         drained = sum(
             1 for handle in active if handle.done and handle not in forced
         )
-        if (
-            self.scheduler is not None
-            and self.engine.scan_scheduler is self.scheduler
-        ):
-            self.engine.set_scan_scheduler(self._previous_scheduler)
-        if (
-            self.shard_pool is not None
-            and self.engine.shard_pool is self.shard_pool
-        ):
-            self.engine.set_shard_pool(self._previous_shard_pool)
-        if self.shard_pool is not None and self._owns_shard_pool:
-            self.shard_pool.close()
-        if (
-            self.memory_governor is not None
-            and self.engine.memory_governor is self.memory_governor
-        ):
-            self.engine.set_memory_governor(self._previous_governor)
-        if (
-            self.intelligence is not None
-            and self.engine.intelligence is self.intelligence
-        ):
-            self.engine.set_intelligence(self._previous_intelligence)
-        if (
-            self.monitor is not None
-            and self.engine.monitor is self.monitor
-        ):
-            self.engine.set_monitor(self._previous_monitor)
+        self._release_engine()
         return ShutdownReport(
             drained=drained, cancelled=cancelled, evicted=evicted
         )
@@ -1081,12 +1036,11 @@ class SciBorqServer:
     def report(self) -> ServerReport:
         """Structured server state (:class:`ServerReport`).
 
-        The typed face of :meth:`summary`: every figure is a
-        consistent snapshot — the admission, scheduler, shard-pool,
-        and monitor stats objects each snapshot under their own lock,
-        so concurrent mutation never tears a field.  The fleet SLA
-        aggregates (``report().sla``) are present whenever a contract
-        monitor is installed (the default).
+        Every figure is a consistent snapshot — the admission,
+        scheduler, and monitor stats objects each snapshot under their
+        own lock, so concurrent mutation never tears a field.  The
+        fleet SLA aggregates (``report().sla``) are present whenever a
+        contract monitor is installed (the default).
         """
         sessions = self.sessions
         with self._admin_lock:
@@ -1114,9 +1068,6 @@ class SciBorqServer:
             scheduler=(
                 self.scheduler.stats if self.scheduler is not None else None
             ),
-            shards=(
-                self.shard_pool.stats if self.shard_pool is not None else None
-            ),
             memory=self.engine.memory_report(),
             governor_budget=(
                 governor.budget_bytes if governor is not None else None
@@ -1129,14 +1080,6 @@ class SciBorqServer:
             ),
             sla=self.monitor.report() if self.monitor is not None else None,
         )
-
-    def summary(self) -> str:
-        """Server state overview for examples and debugging.
-
-        A thin renderer over :meth:`report` — use the typed report
-        when you need the numbers rather than the prose.
-        """
-        return self.report().render()
 
     def __enter__(self) -> "SciBorqServer":
         return self

@@ -138,16 +138,6 @@ class MorselPool:
         self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
 
-    @property
-    def n_workers(self) -> int:
-        """Worker count (the pool-interface spelling of ``max_workers``).
-
-        Shared with :class:`repro.core.shards.ShardPool` so thread and
-        process pools are interchangeable in tests and diagnostics:
-        both expose ``n_workers`` and an idempotent ``close()``.
-        """
-        return self.max_workers
-
     def map(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
     ) -> List[_R]:
@@ -172,16 +162,6 @@ class MorselPool:
             if self._executor is not None:
                 self._executor.shutdown(wait=True)
                 self._executor = None
-
-    def close(self) -> None:
-        """Alias of :meth:`shutdown` — the common pool interface.
-
-        Lets tests and the server layer close a thread pool and a
-        :class:`repro.core.shards.ShardPool` through one protocol
-        (``n_workers`` / ``close()``), leaving no stray threads or
-        processes behind.
-        """
-        self.shutdown()
 
 
 class Combiner(Generic[_T, _R]):

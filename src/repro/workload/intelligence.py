@@ -21,12 +21,11 @@ into a *predictive* model of the fleet's behaviour:
   the same model, bit for bit.
 * :class:`LadderRecommendation` — the mined advice for one region:
   "sessions that explored this cone escalated to rung k / error ε",
-  surfaced via ``Session.recommend`` and consumed by the bounded
-  processor's initial-rung selection.
+  surfaced via ``Session.recommend``.
 
 Everything here is pure data + arithmetic — no locks, no engine
 references.  Thread-safety and the acting side (prewarming, weighted
-maintenance, rung advice) live in the service wrapper
+maintenance, recommendations) live in the service wrapper
 (:mod:`repro.core.intelligence`).
 """
 
@@ -92,10 +91,9 @@ class LadderRecommendation:
     experience says this region's queries waste: sessions here
     typically settled at rung ``mean_rungs``, so starting
     ``suggested_skip`` rungs up saves the doomed small-rung scans.
-    The suggestion is conservative (floor of the mean, minus one) —
-    overshooting would change charges on queries that *would* have
-    settled early, so the advisor only skips rungs the mined record
-    says essentially never answer.
+    The suggestion is conservative (floor of the mean, minus one):
+    it names only rungs the mined record says essentially never
+    answer.  It is advice to the caller; the ladder does not act on it.
     """
 
     support: int

@@ -42,7 +42,6 @@ from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.handle import QueryHandle
 from repro.core.server import SciBorqServer, ShutdownReport
-from repro.core.shards import ShardPoolStats
 from repro.errors import OverloadedError, SessionError
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
@@ -541,7 +540,7 @@ class TestServerAdmission:
         with SciBorqServer(make_engine(), admission=True) as server:
             session = server.open_session("s")
             session.execute(cone(150.0, 5.0), Contract.within_error(0.1))
-            text = server.summary()
+            text = server.report().render()
             assert "admission:" in text
             assert "failed" in text
 
@@ -571,7 +570,7 @@ class TestFailureAccounting:
                 time.sleep(0.01)
             assert server.queries_failed == 1
             assert session.report().failures == 1
-            assert "1 failed" in server.summary()
+            assert "1 failed" in server.report().render()
             # the failure still reaches a caller who does ask
             with pytest.raises(Exception):
                 handle.result()
@@ -825,32 +824,3 @@ class TestFaultInjection:
         handle.result(timeout=1.0)  # drained before the pool stopped
         again = server.shutdown()
         assert again == ShutdownReport()
-
-
-# ----------------------------------------------------------------------
-# torn-counter guard (satellite: stats under concurrent mutation)
-# ----------------------------------------------------------------------
-class TestShardPoolStatsConcurrency:
-    def test_concurrent_adds_never_lose_updates(self):
-        stats = ShardPoolStats()
-        per_thread, threads = 2_000, 8
-
-        def bump():
-            for _ in range(per_thread):
-                stats.add(scatters=1, export_bytes=3)
-
-        workers = [threading.Thread(target=bump) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert stats.scatters == per_thread * threads
-        assert stats.export_bytes == 3 * per_thread * threads
-
-    def test_snapshot_is_a_consistent_copy(self):
-        stats = ShardPoolStats()
-        stats.add(scatters=2, declined=1, exports=1, export_bytes=100)
-        view = stats.snapshot()
-        stats.add(scatters=1)
-        assert view.scatters == 2  # a copy, not a live reference
-        assert "shard pool:" in view.describe()

@@ -459,7 +459,7 @@ class TestShedAccounting:
 
 
 # ======================================================================
-# Typed reports render the legacy summaries
+# Typed reports and their rendered text
 # ======================================================================
 class TestReportRendering:
     def test_server_summary_is_report_render(self):
@@ -468,8 +468,7 @@ class TestReportRendering:
             session = server.open_session("render", contract="silver")
             session.execute(cone_count())
             report = server.report()
-            assert server.summary() == report.render()
-            assert "sla: " in server.summary()
+            assert "sla: " in report.render()
             assert report.sla.observed == 1
             assert report.queries_served == 1
             assert report.pool_workers == 1
@@ -478,20 +477,18 @@ class TestReportRendering:
 
     def test_engine_summary_is_report_render(self):
         engine = tiny_engine(seed=8100, n=4_000)
-        assert engine.summary() == engine.report().render()
-        assert "sla: " not in engine.summary()  # no monitor installed
+        assert "sla: " not in engine.report().render()  # no monitor installed
         with SciBorqServer(engine, max_workers=1) as server:
             server.open_session("e").execute(cone_count())
-            assert engine.summary() == engine.report().render()
-            assert "sla: " in engine.summary()
+            assert "sla: " in engine.report().render()
             assert engine.report().sla.observed == 1
         # monitor detached again: the sla line disappears with it
-        assert "sla: " not in engine.summary()
+        assert "sla: " not in engine.report().render()
 
     def test_monitor_off_summary_has_no_sla_line(self):
         engine = tiny_engine(seed=8300, n=4_000)
         with SciBorqServer(engine, max_workers=1, monitor=False) as server:
-            assert "sla: " not in server.summary()
+            assert "sla: " not in server.report().render()
             assert server.report().sla is None
 
     def test_progress_updates_carry_the_contract(self):

@@ -159,5 +159,5 @@ class TestMaintenancePath:
 
     def test_summary_mentions_hierarchy_and_log(self, fresh_sky_engine):
         fresh_sky_engine.execute(cone_count())
-        text = fresh_sky_engine.summary()
+        text = fresh_sky_engine.report().render()
         assert "hierarchy" in text and "query log" in text

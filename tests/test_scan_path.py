@@ -5,15 +5,16 @@ of the bounded ladder — runs through ``Executor.select_indices``, on
 the one :class:`~repro.columnstore.executor.Executor` the engine owns.
 Pinned here:
 
-* over {recycler} x {scheduler} x {shard pool} the same predicates give
-  identical ``(indices, OperatorStats, charge)``, and every miss stores
-  back exactly once whichever back-end served it;
-* the opt-outs (``parallel_scans=False``, ``shared_scans=False``) still
-  bypass the scheduler;
+* over {recycler} x {scheduler} x {session ``shared_scans``} the same
+  predicates give identical ``(indices, OperatorStats, charge)``, and
+  every miss stores back exactly once whichever back-end served it;
+* a miss goes to ``scheduler.scan`` exactly when the context shares
+  scans and the executor has a scan pool, and to ``operators.select``
+  otherwise;
 * the engine's processors, their estimators, and the exact path hold
-  the *same* executor, so a scheduler or shard pool installed before or
-  after ``create_hierarchy`` (or removed with ``None``) is what rung
-  scans use;
+  the *same* executor, so a scheduler installed before or after
+  ``create_hierarchy`` (or removed with ``None``) is what rung scans
+  use;
 * only the exact base-table path consults or fills the recycler.
 """
 
@@ -37,7 +38,6 @@ from repro.columnstore.table import Table
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.scheduler import SharedScanScheduler
-from repro.core.shards import ShardPool
 from repro.util.clock import ExecutionContext
 
 BS = 256
@@ -52,7 +52,7 @@ PREDICATES = [
 
 @pytest.fixture(scope="module")
 def world():
-    """One catalog, one engine with two hierarchies, one shard pool."""
+    """One catalog, one engine with two hierarchies."""
     rng = np.random.default_rng(7)
     table = Table(
         "T",
@@ -69,11 +69,7 @@ def world():
             "T", policy="uniform", layer_sizes=(N // 4, N // 16), name=name
         )
         engine.rebuild("T", name)
-    pool = ShardPool(catalog, n_shards=2, min_rows=0)
-    try:
-        yield catalog, table, engine, pool
-    finally:
-        pool.close()
+    return catalog, table, engine
 
 
 def count_query(predicate=PREDICATES[0]) -> Query:
@@ -89,25 +85,19 @@ def row_query(predicate=PREDICATES[0]) -> Query:
 # ----------------------------------------------------------------------
 class TestSelectIndices:
     @pytest.mark.parametrize(
-        "recycler_on,scheduler_on,shards_on",
+        "recycler_on,scheduler_on,shared_scans",
         list(itertools.product((False, True), repeat=3)),
     )
     def test_every_combination_matches_the_solo_scan(
-        self, world, recycler_on, scheduler_on, shards_on
+        self, world, recycler_on, scheduler_on, shared_scans
     ):
-        catalog, table, _engine, pool = world
+        catalog, table, _engine = world
         recycler = Recycler() if recycler_on else None
         scheduler = SharedScanScheduler() if scheduler_on else None
-        executor = Executor(
-            catalog,
-            recycler=recycler,
-            scheduler=scheduler,
-            shard_pool=pool if shards_on else None,
-        )
-        scatters_before = pool.stats.scatters
+        executor = Executor(catalog, recycler=recycler, scheduler=scheduler)
         for predicate in PREDICATES:
             solo_indices, solo_op = operators.select(table, predicate, pool=None)
-            context = ExecutionContext()
+            context = ExecutionContext(shared_scans=shared_scans)
             indices, op, recycled = executor.select_indices(
                 table, predicate, context, recycle=True
             )
@@ -115,18 +105,15 @@ class TestSelectIndices:
             assert op == solo_op
             assert context.spent == solo_op.cost
             assert not recycled
-        # the first back-end that serves takes the scan, nothing after it
-        scatters = pool.stats.scatters - scatters_before
-        assert scatters == (len(PREDICATES) if shards_on else 0)
         if scheduler_on:
-            expected = 0 if shards_on else len(PREDICATES)
+            expected = len(PREDICATES) if shared_scans else 0
             assert scheduler.stats.scans == expected
         if recycler_on:
             # each miss stored back exactly once, whoever served it
             assert recycler.stats.misses == len(PREDICATES)
             assert recycler.stats.stored == len(PREDICATES)
             for predicate in PREDICATES:
-                context = ExecutionContext()
+                context = ExecutionContext(shared_scans=shared_scans)
                 indices, op, recycled = executor.select_indices(
                     table, predicate, context, recycle=True
                 )
@@ -137,7 +124,7 @@ class TestSelectIndices:
             assert recycler.stats.stored == len(PREDICATES)
 
     def test_rung_scans_never_touch_the_recycler(self, world):
-        catalog, table, _engine, _pool = world
+        catalog, table, _engine = world
         recycler = Recycler()
         executor = Executor(catalog, recycler=recycler)
         executor.select_indices(table, PREDICATES[0], ExecutionContext())
@@ -147,23 +134,42 @@ class TestSelectIndices:
         executor.execute(count_query())  # the exact base-table path
         assert (recycler.stats.misses, recycler.stats.stored) == (1, 1)
 
-    def test_opt_outs_bypass_the_scheduler(self, world):
-        catalog, table, _engine, _pool = world
+    def test_opt_outs_bypass_the_scheduler(self, world, monkeypatch):
+        """A miss goes to ``scheduler.scan`` exactly when the context
+        shares scans and a scan pool is present, else to
+        ``operators.select`` — one of the two, once, same charge."""
+        catalog, table, _engine = world
         scheduler = SharedScanScheduler()
-        enrolled = Executor(catalog, scheduler=scheduler)
-        serial = Executor(catalog, scheduler=scheduler, parallel_scans=False)
-        charges = []
-        for executor, context in (
-            (serial, ExecutionContext()),
-            (enrolled, ExecutionContext(shared_scans=False)),
-        ):
+        calls = []
+        solo_select, shared_scan = operators.select, scheduler.scan
+
+        def spy_select(*args, **kwargs):
+            calls.append("select")
+            return solo_select(*args, **kwargs)
+
+        def spy_scan(*args, **kwargs):
+            calls.append("scheduler")
+            return shared_scan(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "select", spy_select)
+        monkeypatch.setattr(scheduler, "scan", spy_scan)
+        charges = set()
+        for shared_scans, parallel_scans in itertools.product((False, True), repeat=2):
+            executor = Executor(
+                catalog, scheduler=scheduler, parallel_scans=parallel_scans
+            )
+            assert (executor.scan_pool is not None) == parallel_scans
+            context = ExecutionContext(shared_scans=shared_scans)
+            calls.clear()
             executor.select_indices(table, PREDICATES[1], context)
-            charges.append(context.spent)
-            assert scheduler.stats.scans == 0
-        context = ExecutionContext()
-        enrolled.select_indices(table, PREDICATES[1], context)
+            shared = shared_scans and parallel_scans
+            assert calls == (["scheduler"] if shared else ["select"])
+            charges.add(context.spent)
+        assert len(charges) == 1
         assert scheduler.stats.scans == 1
-        assert charges == [context.spent, context.spent]
+        calls.clear()
+        Executor(catalog).select_indices(table, PREDICATES[1], ExecutionContext())
+        assert calls == ["select"]  # no scheduler installed
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +177,7 @@ class TestSelectIndices:
 # ----------------------------------------------------------------------
 class TestOneExecutor:
     def test_processors_estimators_and_exact_path_share_it(self, world):
-        _catalog, _table, engine, _pool = world
+        _catalog, _table, engine = world
         for name in ("early", "late"):
             processor = engine.processor("T", name)
             assert processor.executor is engine.executor
@@ -181,7 +187,7 @@ class TestOneExecutor:
     def test_standalone_processor_builds_a_private_one(self, world):
         from repro.core.bounded import BoundedQueryProcessor
 
-        catalog, _table, engine, _pool = world
+        catalog, _table, engine = world
         processor = BoundedQueryProcessor(catalog, engine.hierarchy("T", "early"))
         assert processor.executor is not engine.executor
         assert processor.estimator.executor is processor.executor
@@ -195,7 +201,7 @@ class TestOneExecutor:
         )
 
     def test_scheduler_installed_between_hierarchies_serves_both(self, world):
-        catalog, _table, _engine, _pool = world
+        catalog, _table, _engine = world
         engine = SciBorq(catalog, interest_attributes={"x": (0.0, 100.0)}, rng=13)
         engine.create_hierarchy("T", policy="uniform", layer_sizes=(N // 4,), name="early")
         scheduler = SharedScanScheduler()
@@ -216,29 +222,8 @@ class TestOneExecutor:
         assert scheduler.stats.scans == before
         assert engine.scan_scheduler is None
 
-    def test_shard_pool_installed_or_removed_is_seen_by_rung_scans(self, world):
-        _catalog, _table, engine, pool = world
-        solo = {name: self._climb(engine, name) for name in ("early", "late")}
-        engine.set_shard_pool(pool)
-        try:
-            assert engine.shard_pool is pool
-            for name in ("early", "late"):
-                before = pool.stats.scatters
-                sharded = self._climb(engine, name)
-                assert pool.stats.scatters > before
-                assert sharded.total_cost == solo[name].total_cost
-                assert [a.cost for a in sharded.attempts] == [
-                    a.cost for a in solo[name].attempts
-                ]
-        finally:
-            engine.set_shard_pool(None)
-        before = pool.stats.scatters
-        self._climb(engine, "late")
-        assert pool.stats.scatters == before
-        assert engine.shard_pool is None
-
     def test_only_the_exact_path_uses_the_recycler(self, world):
-        _catalog, _table, engine, _pool = world
+        _catalog, _table, engine = world
         engine.recycler.clear()
         stats = engine.recycler.stats
         before = (stats.hits, stats.misses, stats.stored)
@@ -264,7 +249,7 @@ class TestExecuteExactAccounting:
         """The charge used to be a delta of the *shared* engine clock
         (``context=None``), wrong whenever another thread charged
         meanwhile."""
-        catalog, table, _engine, _pool = world
+        catalog, table, _engine = world
         engine = SciBorq(
             catalog, interest_attributes={"x": (0.0, 100.0)}, recycler_bytes=None
         )

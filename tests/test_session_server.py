@@ -17,8 +17,10 @@ import pytest
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
 from repro.core.engine import SciBorq
+from repro.core.intelligence import WorkloadIntelligenceService
+from repro.core.scheduler import SharedScanScheduler
 from repro.core.server import SciBorqServer
-from repro.errors import SessionError
+from repro.errors import ImpressionError, QueryError, SessionError
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 from repro.util.concurrency import ReadWriteLock
@@ -198,6 +200,39 @@ class TestSessionLifecycle:
         with pytest.raises(SessionError, match="shut down"):
             server.open_session()
         server.shutdown()  # idempotent
+
+    @pytest.mark.parametrize(
+        "kwargs,env,error",
+        [
+            # a bad argument: the contract preset is resolved last
+            ({"contract": "platinum"}, {}, QueryError),
+            # a bad environment parse
+            ({}, {"SCIBORQ_MAX_INFLIGHT": "lots"}, ValueError),
+            # an install that fails half-way: the service cannot bind
+            (
+                {"intelligence": WorkloadIntelligenceService(x_attribute="nope")},
+                {},
+                ImpressionError,
+            ),
+        ],
+        ids=["contract-preset", "admission-env", "intelligence-bind"],
+    )
+    def test_failed_constructor_leaves_the_engine_as_found(
+        self, monkeypatch, kwargs, env, error
+    ):
+        """No server object exists to shut down, so whatever the
+        constructor installed before it raised must not stay behind."""
+        engine = make_engine()
+        earlier = SharedScanScheduler()
+        engine.set_scan_scheduler(earlier)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(error):
+            SciBorqServer(engine, memory_budget=1 << 20, **kwargs)
+        assert engine.scan_scheduler is earlier
+        assert engine.memory_governor is None
+        assert engine.intelligence is None
+        assert engine.monitor is None
 
     def test_strict_batch_with_return_exceptions(self):
         """A strict batch returns each failure in place, keeping the

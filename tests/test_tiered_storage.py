@@ -30,7 +30,6 @@ from repro.core.governor import (
 )
 from repro.core.persistence import ColumnBlockStore
 from repro.core.server import SciBorqServer
-from repro.core.shards import TableExport
 from repro.errors import SchemaError
 
 BS = 64  # block size used throughout: small enough for many blocks
@@ -527,7 +526,7 @@ class TestMemoryReport:
 
     def test_summary_mentions_memory(self):
         engine = tiered_engine()
-        assert "memory:" in engine.summary()
+        assert "memory:" in engine.report().render()
 
 
 class TestServerWiring:
@@ -548,7 +547,7 @@ class TestServerWiring:
                 ),
                 contract=Contract.unconstrained(),
             )
-            assert "governor" in server.summary()
+            assert "governor" in server.report().render()
         assert engine.memory_governor is None  # restored on shutdown
         assert not engine.catalog.table("fact").is_fully_hot  # governed
 
@@ -564,21 +563,6 @@ class TestServerWiring:
         engine = tiered_engine()
         with SciBorqServer(engine, max_workers=1) as server:
             assert server.memory_governor is None
-
-
-class TestShardInterop:
-    def test_export_refuses_demoted_tables(self):
-        table = tiered_table()
-        table.column("x").demote(0, "warm")
-        with pytest.raises(ValueError, match="demoted blocks"):
-            TableExport(table)
-
-    def test_export_works_after_promotion(self):
-        table = tiered_table()
-        table.column("x").demote(0, "warm")
-        table.promote_all()
-        export = TableExport(table)
-        export.close()
 
 
 class TestChunkedReadPaths:

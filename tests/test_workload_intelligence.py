@@ -542,8 +542,8 @@ class TestServerIntegration:
                 session.execute(query, Contract.within_error(0.4))
             assert service.queries_mined == 14
             assert service.prewarm_passes >= 1
-            assert "workload intelligence" in server.summary()
-            assert "workload intelligence" in server.engine.summary()
+            assert "workload intelligence" in server.report().render()
+            assert "workload intelligence" in server.engine.report().render()
             # the hot-region hit-rate is scored on post-prewarm arrivals
             assert service.prewarm_hit_rate is None or (
                 0.0 <= service.prewarm_hit_rate <= 1.0
@@ -559,33 +559,6 @@ class TestServerIntegration:
         with SciBorqServer(make_engine(), intelligence=True) as server:
             assert server.intelligence is not None
             assert server.engine.intelligence is server.intelligence
-
-    def test_rung_advice_is_opt_in(self):
-        engine = make_engine()
-        service = WorkloadIntelligenceService(bins=8, min_support=1)
-        engine.set_intelligence(service)
-        # plant a mined profile that says "rung 3 on average"
-        cell = service.model.cell_of(185.0, 0.0)
-        service.model.settled[cell] = 10
-        service.model.rungs_sum[cell] = 30.0
-        ladder = [1, 2, 3]
-        assert service.initial_rung(cone(185.0, 0.0, 2.0), ladder) == 0
-        service.advise_rungs = True
-        skip = service.initial_rung(cone(185.0, 0.0, 2.0), ladder)
-        assert skip == 2  # floor(3.0) - 1
-        assert service._recommendations_followed == 1
-
-    def test_advisor_never_skips_the_whole_ladder(self):
-        service = WorkloadIntelligenceService(
-            bins=8, min_support=1, advise_rungs=True
-        )
-        service.model = RegionPopularityModel(
-            "ra", "dec", (0.0, 360.0), (-90.0, 90.0), 8
-        )
-        cell = service.model.cell_of(185.0, 0.0)
-        service.model.settled[cell] = 10
-        service.model.rungs_sum[cell] = 90.0  # absurd mined mean
-        assert service.initial_rung(cone(185.0, 0.0, 2.0), [1, 2]) <= 1
 
     def test_unbound_service_raises_with_guidance(self):
         service = WorkloadIntelligenceService()
