@@ -3,10 +3,11 @@
 SciBORQ's premise is that "publicly accessible query logs provide a
 basis to derive areas of interest" (§2.1).  The workload-intelligence
 subsystem (:mod:`repro.workload.intelligence` +
-:mod:`repro.core.intelligence`) takes that seriously: one server's
-mined query log is persisted and handed to the next server, which
-focuses its impressions on the predicted-hot sky regions before the
-first query arrives.  This benchmark pins the subsystem's claims:
+:mod:`repro.core.intelligence`) takes that seriously: one fleet's
+mined query log is persisted and handed to the next engine, which
+replays it into its interest model and rebuilds its biased impressions
+around the predicted-hot sky regions before the first query arrives.
+This benchmark pins the subsystem's claims:
 
   (a) **≥2× fewer tuples to contract** — on a drifting multi-session
       workload (WorkloadGenerator focal-point shift), an engine warmed
@@ -17,11 +18,7 @@ first query arrives.  This benchmark pins the subsystem's claims:
       identical pipeline answer identical queries byte-identically
       (values, standard errors, confidence intervals, charges): the
       intelligence is deterministic end to end;
-  (c) **zero latency interference** — with prewarm passes firing on
-      the live server during an admitted burst, every admitted query
-      completes and the worst queue delay stays under the admission
-      bound (capacity × observed per-slot service time, with slack);
-  (d) **persistence fidelity** — the persisted model reloads to
+  (c) **persistence fidelity** — the persisted model reloads to
       identical predictions (popularity grid, hot cells, ladder
       recommendations), twice.
 
@@ -31,7 +28,6 @@ keeps the trajectory as workflow artifacts.
 """
 
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +35,6 @@ import numpy as np
 from repro.bench.report import write_bench_report
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
-from repro.core.admission import AdmissionController
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.intelligence import WorkloadIntelligenceService
@@ -100,22 +95,20 @@ def drifting_workload(count: int, rng: int):
 def train_fleet(n, seed, sessions, queries, model_path, bins):
     """Phase 1: a multi-session server mines its own drifting workload.
 
-    Returns the persisted model path and the trainer's service (for
-    observability numbers only — probing uses the reloaded snapshot).
+    Nothing mines while the sessions run: saving the service reads
+    the engine's log once, at the end.  Returns the persisted model
+    path and the trainer's service (for observability numbers only —
+    probing uses the reloaded snapshot).
     """
-    service = WorkloadIntelligenceService(
-        bins=bins, hot_cells=6, prewarm_every=8, min_support=2
-    )
+    service = WorkloadIntelligenceService(bins=bins, min_support=2)
     engine = build_engine(n, seed, layer_sizes=(4_000, 400))
-    with SciBorqServer(
-        engine, max_workers=4, intelligence=service
-    ) as server:
+    engine.set_intelligence(service)
+    with SciBorqServer(engine, max_workers=4) as server:
         users = [server.open_session(f"scientist-{i}") for i in range(sessions)]
         for index, query in enumerate(drifting_workload(queries, rng=71)):
             users[index % sessions].execute(query, Contract.within_error(0.2))
-        summary = server.report().render()
     path = save_intelligence(service, model_path)
-    return path, service, summary
+    return path, service, engine.report().render()
 
 
 def seed_interest_from_model(engine: SciBorq, model) -> None:
@@ -142,7 +135,6 @@ def build_warm(n, seed, model_path):
     seed_interest_from_model(engine, model)
     engine.rebuild("PhotoObjAll")  # re-apply bias to loaded data
     engine.set_intelligence(WorkloadIntelligenceService(model=model))
-    engine.prewarm()
     return engine, model
 
 
@@ -182,40 +174,6 @@ def run_probes(engine, probes):
     return outcomes, sum(o.total_cost for o in outcomes)
 
 
-def run_burst(n, seed, model_path, sessions, per_session):
-    """Phase 3: prewarm passes fire on a live admitted server."""
-    model = load_intelligence(model_path)
-    # tiny prewarm_every so passes genuinely interleave with the burst
-    service = WorkloadIntelligenceService(
-        model=model, prewarm_every=4, min_support=2
-    )
-    engine = build_engine(n, seed, layer_sizes=(4_000, 400))
-    controller = AdmissionController(
-        max_inflight=4, queue_depth=200, degrade_threshold=0.6
-    )
-    probes = probe_queries(model, per_session)
-    with SciBorqServer(
-        engine, max_workers=4, admission=controller, intelligence=service
-    ) as server:
-        users = [server.open_session(f"user-{i}") for i in range(sessions)]
-        handles = []
-        started = time.perf_counter()
-        for slot in range(per_session):
-            for user in users:
-                handles.append(user.submit(probes[slot], CONTRACT))
-        outcomes = [handle.result(timeout=300.0) for handle in handles]
-        elapsed = time.perf_counter() - started
-        run_seconds = [
-            h.run_seconds for h in handles if h.run_seconds is not None
-        ]
-        stats = server.admission.stats
-    mean_run = sum(run_seconds) / max(1, len(run_seconds))
-    bound = (controller.queue_depth + controller.max_inflight) * max(
-        mean_run, 1e-4
-    ) / controller.max_inflight * 4.0
-    return outcomes, stats, service, bound, elapsed
-
-
 def main() -> None:
     import argparse
 
@@ -228,11 +186,11 @@ def main() -> None:
     args = parser.parse_args()
     if args.smoke:
         n, train_sessions, train_queries = 60_000, 3, 48
-        probes_count, burst_sessions, burst_per = 6, 20, 3
+        probes_count = 6
         bins = 24
     else:
         n, train_sessions, train_queries = 400_000, 8, 240
-        probes_count, burst_sessions, burst_per = 12, 60, 4
+        probes_count = 12
         bins = 32
     seed = 9100
     print(
@@ -248,7 +206,7 @@ def main() -> None:
         )
         assert "workload intelligence" in trainer_summary
 
-        # (d) persistence fidelity: two loads, identical predictions
+        # (c) persistence fidelity: two loads, identical predictions
         first, second = (
             load_intelligence(model_path),
             load_intelligence(model_path),
@@ -273,7 +231,7 @@ def main() -> None:
             assert outcome.met_quality
         ratio = cold_tuples / max(warm_tuples, 1e-9)
         assert ratio >= 2.0, (
-            f"prewarmed arm saved only {ratio:.2f}× tuples "
+            f"warmed arm saved only {ratio:.2f}× tuples "
             f"(cold {cold_tuples:g}, warm {warm_tuples:g}); need ≥2×"
         )
 
@@ -283,22 +241,6 @@ def main() -> None:
         assert twin_tuples == warm_tuples
         for ours, theirs in zip(warm_outcomes, twin_outcomes):
             assert summarize(ours) == summarize(theirs)
-
-        # (c) prewarming never breaks admitted-latency bounds
-        burst_outcomes, stats, live_service, bound, elapsed = run_burst(
-            n, seed + 17, model_path, burst_sessions, burst_per
-        )
-        assert len(burst_outcomes) == burst_sessions * burst_per
-        assert all(o.result is not None for o in burst_outcomes)
-        assert stats.queued == 0 and stats.inflight == 0
-        assert live_service.prewarm_passes >= 1, (
-            "no prewarm pass fired during the burst — the interference "
-            "claim was not exercised"
-        )
-        assert stats.max_queue_seconds <= bound, (
-            f"queue delay {stats.max_queue_seconds:.3f}s exceeded the "
-            f"bound {bound:.3f}s with prewarming live"
-        )
 
     print("== E9a: tuples to contract ==")
     print(
@@ -310,14 +252,7 @@ def main() -> None:
         f"  twin warmed engine byte-identical on all {probes_count} "
         f"probes ✓"
     )
-    print("== E9c: latency interference ==")
-    print(
-        f"  {len(burst_outcomes)} admitted queries completed with "
-        f"{live_service.prewarm_passes} prewarm passes live; max queue "
-        f"wait {stats.max_queue_seconds * 1e3:.1f}ms "
-        f"(bound {bound * 1e3:.1f}ms), burst {elapsed:.3f}s ✓"
-    )
-    print("== E9d: persistence ==")
+    print("== E9c: persistence ==")
     print("  model reloaded twice to identical predictions ✓")
     print(f"  trainer: {trainer.describe()}")
 
@@ -331,11 +266,6 @@ def main() -> None:
             "warm_tuples": warm_tuples,
             "tuples_ratio": ratio,
             "trainer_queries_mined": trainer.queries_mined,
-            "burst_queries": len(burst_outcomes),
-            "burst_prewarm_passes": live_service.prewarm_passes,
-            "burst_max_queue_seconds": stats.max_queue_seconds,
-            "burst_queue_bound_seconds": bound,
-            "burst_elapsed_seconds": elapsed,
         },
     )
 

@@ -33,10 +33,9 @@
   with priority aging, graceful degradation under pressure, and
   structured sheds with retry-after advice.
 * :mod:`repro.core.intelligence` — collaborative workload
-  intelligence: the cross-session query log mined into a
-  region-popularity model that prewarms predicted-hot impressions
-  and blocks, weights maintenance budgets, and recommends ladder
-  entry points.
+  intelligence: the cross-session query log mined, on demand, into
+  a persistable region-popularity model that recommends ladder entry
+  points and seeds the next engine's interest model.
 * :mod:`repro.core.monitor` — runtime contract monitoring: every
   settled query scored against its contract
   (:class:`ContractVerdict`), streamed into fleet SLA aggregates

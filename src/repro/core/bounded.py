@@ -348,6 +348,101 @@ class BoundedQueryProcessor:
         attempts: List[ExecutionAttempt] = []
         best: Optional[EstimatedResult] = None
         best_error = float("inf")
+
+        def step(rung: Optional[Impression], recover: bool) -> ProgressUpdate:
+            """Execute one rung: scan → answer → attempt → snapshot.
+
+            With ``recover`` an unanswerable rung is recorded as an
+            infinite-error attempt (and a fold invalidated by sampler
+            churn degrades to a from-scratch scan); without it those
+            errors propagate — the answer of last resort has no rung
+            left to escalate to.
+            """
+            nonlocal fold, consumed, best, best_error
+            spent_before = context.spent
+            charged_before = context.charged_units
+            shared_before = context.shared_units
+            scanned: Optional[int] = None
+            result: Optional[EstimatedResult] = None
+            try:
+                if foldable:
+                    try:
+                        fold, consumed, stats, op = self._scan_foldable(
+                            query, rung, consumed, fold, base, context
+                        )
+                        scanned = op.tuples_in
+                        result = self._answer_from_fold(
+                            query,
+                            rung,
+                            fold,
+                            stats,
+                            contract.confidence,
+                            base,
+                            context,
+                        )
+                        result.stats.charged = context.spent - spent_before
+                    except ImpressionError:
+                        if not recover:
+                            raise
+                        # live sampler churn invalidated the fold (a
+                        # caller driving ingest concurrently without
+                        # the server's read/write lock): degrade to a
+                        # from-scratch rung and rebuild delta state
+                        # from here instead of failing the query.
+                        fold, consumed, scanned = None, None, None
+                        result = self._run_rung(
+                            query, rung, contract.confidence, base, context
+                        )
+                else:
+                    result = self._run_rung(
+                        query, rung, contract.confidence, base, context
+                    )
+            except EstimationError:
+                # the rung's sample holds no tuple this query needs
+                # (e.g. AVG over a region the tiny layer missed):
+                # record an unanswerable attempt and escalate.  On the
+                # foldable path the scan itself has already been folded
+                # in, so later rungs still pay only their delta.
+                if not recover:
+                    raise
+            if result is None:
+                source = base.name if rung is None else rung.name
+                attempt_error = float("inf")
+            else:
+                source = result.source
+                attempt_error = result.worst_relative_error
+                if attempt_error < best_error or best is None:
+                    best, best_error = result, attempt_error
+                # calibrate from work this rung *performed*: charges
+                # served by the shared-scan scheduler took no wall time
+                # here, and blending them in would record an absurd
+                # tuples/sec rate that breaks later time-budget
+                # conversions
+                self._observe_throughput(
+                    (context.charged_units - charged_before)
+                    - (context.shared_units - shared_before),
+                    context.spent - spent_before,
+                    context,
+                )
+            attempts.append(
+                ExecutionAttempt(
+                    source=source,
+                    rows=base.num_rows if rung is None else rung.size,
+                    cost=context.spent - spent_before,
+                    relative_error=attempt_error,
+                    satisfied=result is not None
+                    and (
+                        contract.max_relative_error is None
+                        or attempt_error <= contract.max_relative_error
+                    ),
+                    delta_rows=scanned,
+                )
+            )
+            return progress_snapshot(
+                contract, context, entry_spent, attempts,
+                result, best, best_error,
+            )
+
         for rung in ladder:
             if foldable:
                 cost = self._predicted_rung_cost(query, rung, base, consumed, fold)
@@ -370,131 +465,16 @@ class BoundedQueryProcessor:
                     query, base, context, affords, rung
                 ):
                     continue
-            spent_before = context.spent
-            charged_before = context.charged_units
-            shared_before = context.shared_units
-            scanned: Optional[int] = None
-            try:
-                if foldable:
-                    try:
-                        fold, consumed, stats, op = self._scan_foldable(
-                            query, rung, consumed, fold, base, context
-                        )
-                        scanned = op.tuples_in
-                        result = self._answer_from_fold(
-                            query,
-                            rung,
-                            fold,
-                            stats,
-                            contract.confidence,
-                            base,
-                            context,
-                        )
-                        result.stats.charged = context.spent - spent_before
-                    except ImpressionError:
-                        # live sampler churn invalidated the fold (a
-                        # caller driving ingest concurrently without
-                        # the server's read/write lock): degrade to a
-                        # from-scratch rung and rebuild delta state
-                        # from here instead of failing the query.
-                        fold, consumed, scanned = None, None, None
-                        result = self._run_rung(
-                            query, rung, contract.confidence, base, context
-                        )
-                else:
-                    result = self._run_rung(
-                        query, rung, contract.confidence, base, context
-                    )
-            except EstimationError:
-                # the rung's sample holds no tuple this query needs
-                # (e.g. AVG over a region the tiny layer missed):
-                # record an unanswerable attempt and escalate.  On the
-                # foldable path the scan itself has already been folded
-                # in, so later rungs still pay only their delta.
-                attempts.append(
-                    ExecutionAttempt(
-                        source=base.name if rung is None else rung.name,
-                        rows=base.num_rows if rung is None else rung.size,
-                        cost=context.spent - spent_before,
-                        relative_error=float("inf"),
-                        satisfied=False,
-                        delta_rows=scanned,
-                    )
-                )
-                yield progress_snapshot(
-                    contract, context, entry_spent, attempts,
-                    None, best, best_error,
-                )
-                continue
-            attempt_error = result.worst_relative_error
-            # calibrate from work this rung *performed*: charges served
-            # by the shared-scan scheduler took no wall time here, and
-            # blending them in would record an absurd tuples/sec rate
-            # that breaks later time-budget conversions
-            self._observe_throughput(
-                (context.charged_units - charged_before)
-                - (context.shared_units - shared_before),
-                context.spent - spent_before,
-                context,
-            )
-            satisfied = (
-                contract.max_relative_error is None
-                or attempt_error <= contract.max_relative_error
-            )
-            attempts.append(
-                ExecutionAttempt(
-                    source=result.source,
-                    rows=base.num_rows if rung is None else rung.size,
-                    cost=context.spent - spent_before,
-                    relative_error=attempt_error,
-                    satisfied=satisfied,
-                    delta_rows=scanned,
-                )
-            )
-            if attempt_error < best_error or best is None:
-                best, best_error = result, attempt_error
-            yield progress_snapshot(
-                contract, context, entry_spent, attempts,
-                result, best, best_error,
-            )
-            if satisfied:
+            update = step(rung, recover=True)
+            yield update
+            if update.satisfied:
                 break
 
         if best is None:
             # every affordable rung was unanswerable (e.g. AVG over a
             # region no sample covers, budget blocking the base): the
             # base table is the answer of last resort.
-            spent_before = context.spent
-            scanned = None
-            if foldable:
-                fold, consumed, stats, op = self._scan_foldable(
-                    query, None, consumed, fold, base, context
-                )
-                scanned = op.tuples_in
-                best = self._answer_from_fold(
-                    query, None, fold, stats, contract.confidence, base, context
-                )
-                best.stats.charged = context.spent - spent_before
-            else:
-                best = self._run_rung(
-                    query, None, contract.confidence, base, context
-                )
-            best_error = best.worst_relative_error
-            attempts.append(
-                ExecutionAttempt(
-                    source=base.name,
-                    rows=base.num_rows,
-                    cost=context.spent - spent_before,
-                    relative_error=best_error,
-                    satisfied=contract.max_relative_error is None
-                    or best_error <= contract.max_relative_error,
-                    delta_rows=scanned,
-                )
-            )
-            yield progress_snapshot(
-                contract, context, entry_spent, attempts,
-                best, best, best_error,
-            )
+            yield step(None, recover=False)
         call_spent = context.spent - entry_spent
         met_quality = (
             contract.max_relative_error is None

@@ -58,7 +58,6 @@ from repro.core.maintenance import (
     RefreshReport,
     rebuild_from_base,
     refresh_hierarchy,
-    refresh_hierarchy_budgeted,
 )
 from repro.core.monitor import ContractMonitor, SlaReport
 from repro.core.policy import (
@@ -208,10 +207,9 @@ class SciBorq:
         # demotes least-recently-scanned blocks hot→warm→cold to keep
         # the engine-wide footprint inside a byte budget (core/governor).
         self._memory_governor = None
-        # workload-intelligence service (installed by the server layer
-        # or directly): mines the query log into a region-popularity
-        # model, prewarms predicted-hot ladders/blocks, weights the
-        # maintenance budget, and recommends initial rungs
+        # workload-intelligence service (set_intelligence): mines the
+        # query log, on demand, into a region-popularity model that
+        # answers session.recommend() and persists across engines
         # (core/intelligence).
         self._intelligence = None
         # contract monitor (installed by the server layer or directly):
@@ -419,8 +417,6 @@ class SciBorq:
         """
         self._memory_governor = governor
         if governor is not None:
-            if self._intelligence is not None:
-                governor.set_heat_source(self._intelligence.block_heat)
             governor.enforce(self)
 
     @property
@@ -433,24 +429,18 @@ class SciBorq:
         service (:class:`~repro.core.intelligence.
         WorkloadIntelligenceService`).
 
-        Wires the whole acting surface at once: the service binds to
-        this engine's interest domains and query log; the maintenance
-        planner gets the popularity source that weights refresh
-        budgets; and an installed memory governor gets the block-heat
-        predictor.  Removing the service detaches all three.  The
-        server layer installs one when constructed with
-        ``intelligence=``.
+        The one way a service is installed: it binds to this engine's
+        interest domains and query log, and from then on mines that
+        log on demand — whenever :meth:`Session.recommend
+        <repro.core.session.Session.recommend>`, :meth:`report` or
+        :func:`~repro.core.persistence.save_intelligence` reads it.
+        The service is advice only; no query, cache, tier or refresh
+        depends on it, so a server in front neither installs nor
+        removes one.
         """
-        self._intelligence = service
         if service is not None:
             service.bind(self)
-        self.planner.set_popularity_source(
-            None if service is None else service.table_share
-        )
-        if self._memory_governor is not None:
-            self._memory_governor.set_heat_source(
-                None if service is None else service.block_heat
-            )
+        self._intelligence = service
 
     @property
     def intelligence(self):
@@ -475,25 +465,6 @@ class SciBorq:
     def monitor(self) -> Optional[ContractMonitor]:
         """The installed contract monitor, or ``None``."""
         return self._monitor
-
-    def mine_workload(self) -> int:
-        """Fold new query-log entries into the mined model (no-op
-        without an intelligence service); returns entries mined."""
-        if self._intelligence is None:
-            return 0
-        return self._intelligence.mine(self)
-
-    def prewarm(self) -> Dict[str, int]:
-        """Run one predictive prewarm pass (no-op without a service).
-
-        Pure caching — materialises predicted-hot ladders and promotes
-        predicted-hot blocks; answers and charges of every query are
-        unchanged.  Callers sharing the engine across threads must
-        hold the server's write lock (the server's cadence does).
-        """
-        if self._intelligence is None:
-            return {}
-        return self._intelligence.prewarm(self)
 
     def enforce_memory(self) -> None:
         """Run one governor enforcement pass (no-op without one)."""
@@ -822,59 +793,22 @@ class SciBorq:
     def maintain(self) -> Dict[str, list[RefreshReport]]:
         """React to drift for every hierarchy (paper's fast reflexes).
 
-        Returns refresh reports per table for hierarchies whose
-        workload drifted; quiet hierarchies are untouched.
-
-        Decay is scoped to the attributes whose detectors actually
-        fired — interest accumulated on stable attributes keeps its
-        evidence.  When a workload-intelligence service is installed
-        (:meth:`set_intelligence`), each table's refresh spends a
-        tuple budget proportional to its mined popularity share: the
-        most popular table refreshes in full and the others only as
-        far as their share affords, always favouring the cheap reflex
-        layers.  Without a popularity source (or before any query has
-        been mined) every hierarchy refreshes in full, as before.
+        When a drift detector fired, the planner absorbs the event
+        (decay scoped to the drifting attributes — interest accumulated
+        on stable attributes keeps its evidence) and every hierarchy is
+        refreshed from below; returns the refresh reports per table.
+        Without drift nothing is touched and the result is empty.
         """
-        drifted = self.planner.drifted_attributes()
-        if not drifted:
+        if not self.planner.absorb_drift():
             return {}
-        self.planner.drift_events += 1
-        for attribute in drifted:
-            if not self.interest.decay_attribute(
-                attribute, self.planner.decay_factor
-            ):
-                self.interest.decay(self.planner.decay_factor)
-                break
-        for attribute in drifted:
-            self.planner.detectors[attribute].reset_reference()
-        source = self.planner.popularity_source
-        shares: Dict[str, float] = {}
-        if source is not None:
-            for table in self._hierarchies:
-                try:
-                    shares[table] = float(source(table))
-                except Exception:
-                    shares[table] = 0.0
-        max_share = max(shares.values(), default=0.0)
         reports: Dict[str, list[RefreshReport]] = {}
         for table, named in self._hierarchies.items():
             base = self.catalog.table(table)
-            table_reports: list[RefreshReport] = []
-            for hierarchy in named.values():
-                if max_share <= 0.0:
-                    budget = None  # no mined signal: full refresh
-                else:
-                    layers = hierarchy.layers
-                    need = float(
-                        sum(lower.size for lower in layers[:-1])
-                    )
-                    budget = need * (shares[table] / max_share)
-                table_reports.extend(
-                    refresh_hierarchy_budgeted(
-                        hierarchy, base, self.clock, budget
-                    )
-                )
-            reports[table] = table_reports
+            reports[table] = [
+                report
+                for hierarchy in named.values()
+                for report in refresh_hierarchy(hierarchy, base, self.clock)
+            ]
         return reports
 
     def refresh(

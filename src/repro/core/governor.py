@@ -48,7 +48,6 @@ class GovernorStats:
 
 @dataclass
 class _Candidate:
-    heat: float
     tick: int
     ram_bytes: int
     column: Column
@@ -89,30 +88,6 @@ class MemoryGovernor:
         self.spill = spill
         self.stats = GovernorStats()
         self._lock = threading.Lock()
-        # optional (table_name, block) -> heat predictor; installed by
-        # the workload-intelligence service so residency follows
-        # predicted popularity, not just scan recency
-        self._heat_source = None
-
-    def set_heat_source(self, source) -> None:
-        """Install (or clear, with ``None``) a block-heat predictor.
-
-        ``source(table_name, block) -> float``: higher means the block
-        is predicted hot.  Heat leads the candidate ordering — cold
-        blocks demote before hot ones regardless of scan recency, and
-        hot blocks promote first — while the LRU tick stays the
-        tie-breaker, so without a predictor (or with a uniform one)
-        behaviour is exactly the previous pure-LRU policy.
-        """
-        self._heat_source = source
-
-    def _heat(self, table_name: str, block: int) -> float:
-        if self._heat_source is None:
-            return 0.0
-        try:
-            return float(self._heat_source(table_name, block))
-        except Exception:  # a broken predictor must never stop eviction
-            return 0.0
 
     # ------------------------------------------------------------------
     def enforce(self, engine) -> GovernorStats:
@@ -156,7 +131,7 @@ class MemoryGovernor:
         report = engine.memory_report()
         return int(report["ram_total"])
 
-    def _columns(self, tables: List[Table]) -> Iterable[Tuple[Table, Column]]:
+    def _columns(self, tables: List[Table]) -> Iterable[Column]:
         for table in tables:
             for name in table.column_names:
                 column = table.column(name)
@@ -165,31 +140,21 @@ class MemoryGovernor:
                         column.attach_spill(self.spill)
                     except Exception:
                         pass  # column already spilled elsewhere
-                yield table, column
+                yield column
 
     def _demote_until_fits(self, tables: List[Table], footprint: int) -> int:
         candidates: List[_Candidate] = []
         sequence = 0
-        for table, column in self._columns(tables):
+        for column in self._columns(tables):
             for block, tier, tick, ram in column.block_report():
                 if tier == "cold" or ram == 0:
                     continue
                 candidates.append(
-                    _Candidate(
-                        self._heat(table.name, block),
-                        tick,
-                        ram,
-                        column,
-                        block,
-                        tier,
-                        sequence,
-                    )
+                    _Candidate(tick, ram, column, block, tier, sequence)
                 )
                 sequence += 1
-        # predicted-cold first, then least-recently-scanned; stable on
-        # insertion order.  Without a heat source every heat is 0.0
-        # and this is the previous pure-LRU ordering.
-        candidates.sort(key=lambda c: (c.heat, c.tick, c.sequence))
+        # least-recently-scanned first; stable on insertion order
+        candidates.sort(key=lambda c: (c.tick, c.sequence))
         # pass 1: hot → warm (quantisable) or cold; pass 2: warm → cold
         for passes in ("hot", "warm"):
             for cand in candidates:
@@ -219,25 +184,18 @@ class MemoryGovernor:
         ceiling = PROMOTE_HEADROOM * self.budget_bytes
         if footprint >= ceiling:
             return footprint
-        demoted: List[Tuple[float, int, Column, int, int]] = []
-        for table, column in self._columns(tables):
-            promotable_cold = self._heat_source is not None
-            if column.is_fully_hot or (
-                column.demoted_access_tick == 0 and not promotable_cold
-            ):
+        demoted: List[Tuple[int, Column, int, int]] = []
+        for column in self._columns(tables):
+            if column.is_fully_hot or column.demoted_access_tick == 0:
                 continue
             raw = column.block_size * column.dtype.itemsize
             for block, tier, tick, ram in column.block_report():
-                if tier == "hot":
-                    continue
-                heat = self._heat(table.name, block)
-                if tick == 0 and heat <= 0.0:
-                    continue  # never scanned, not predicted hot
-                demoted.append((heat, tick, column, block, raw - ram))
-        # predicted-hot first, then most-recently-scanned: the
-        # (predicted) working set comes back hot
-        demoted.sort(key=lambda item: (-item[0], -item[1]))
-        for heat, tick, column, block, growth in demoted:
+                if tier == "hot" or tick == 0:
+                    continue  # resident already, or never scanned
+                demoted.append((tick, column, block, raw - ram))
+        # most-recently-scanned first: the working set comes back hot
+        demoted.sort(key=lambda item: -item[0])
+        for tick, column, block, growth in demoted:
             if footprint + growth > ceiling:
                 break
             if column.promote(block):
@@ -263,7 +221,10 @@ def governor_from_env(
     """Parse a ``SCIBORQ_MEMORY_BUDGET`` value into a governor.
 
     Accepts plain bytes (``"268435456"``) or a ``k``/``m``/``g``
-    suffix (``"256m"``).  Empty/absent/unparsable → None (no governor).
+    suffix (``"256m"``).  Empty/absent → None (no governor); anything
+    else that is not a positive size raises :class:`ValueError` — a
+    mistyped budget must fail loudly at startup, not silently serve
+    with no memory bound.
     """
     if not value:
         return None
@@ -274,8 +235,11 @@ def governor_from_env(
         text = text[:-1]
     try:
         budget = int(float(text) * multiplier)
-    except ValueError:
-        return None
+    except (ValueError, OverflowError):
+        budget = 0
     if budget <= 0:
-        return None
+        raise ValueError(
+            f"SCIBORQ_MEMORY_BUDGET must be a positive size in bytes "
+            f"(optionally with a k/m/g suffix), got {value!r}"
+        )
     return MemoryGovernor(budget, warm_bits=warm_bits)

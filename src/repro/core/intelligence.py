@@ -1,52 +1,49 @@
-"""The workload-intelligence service: acting on the mined model.
+"""The workload-intelligence service: the mined model, bound to an engine.
 
 :mod:`repro.workload.intelligence` turns the cross-session query log
 into a :class:`~repro.workload.intelligence.RegionPopularityModel`;
-this wrapper is the *acting* side, living in ``core/`` because it
-touches engine state:
+this wrapper binds one to an engine (``engine.set_intelligence``) and
+makes it safe to read from many sessions:
 
-* **Predictive prewarming** — :meth:`prewarm` pre-materialises the
-  impression ladders of mined-hot tables and promotes the column
-  blocks whose zone maps intersect the predicted-hot sky cells, so
-  the first query into a trending cone lands on a warm ladder and hot
-  blocks instead of paying the materialise + promote cost itself.
-  Prewarming is *pure caching*: it fills the same caches a query
-  would fill and promotes blocks back to their raw bytes — it never
-  changes what any query computes or is charged (the identity
-  property the test suite pins).
-* **Heat for the governor** — :meth:`block_heat` tells the
-  :class:`~repro.core.governor.MemoryGovernor` which blocks the model
-  predicts hot, so demotion evicts cold-region blocks first and
-  promotion favours the predicted working set, not just LRU ticks.
+* **Mining on demand** — the service never runs on the query path.
+  Every read (:meth:`recommend`, :meth:`describe`,
+  :attr:`queries_mined`, and
+  :func:`~repro.core.persistence.save_intelligence`) first folds the
+  entries the engine's query log gained since the last read.  The
+  miner's exactly-once sequence cursor makes that equal, bit for bit,
+  to mining after every query.
 * **Ladder recommendations** — :meth:`recommend` surfaces the mined
   escalation profile ("sessions here escalated to rung k / error ε").
   It is advice to the caller only: no ladder skips a rung on it.
 
+The model is advice and a shareable artifact, nothing more: it is
+persisted, handed to the next engine, and replayed into that engine's
+interest model before a biased rebuild (``benchmarks/
+bench_workload_intel.py``) — the route behind the ≥ 2× fewer-tuples
+number.  The service itself changes no cache, tier or budget.
+
 Thread-safety: all mutable service state sits behind one internal
-lock.  :meth:`mine` only *reads* the engine (a locked log snapshot),
-so the server runs it outside the ``ReadWriteLock``; :meth:`prewarm`
-mutates shared caches and block tiers, so the server takes the write
-lock first — the same discipline as governor enforcement.
+lock, and mining only *reads* the engine (a locked log slice), so no
+caller needs the server's ``ReadWriteLock``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.columnstore.query import Query
 from repro.errors import ImpressionError
 from repro.workload.intelligence import (
-    HotRegion,
     LadderRecommendation,
     RegionPopularityModel,
     WorkloadMiner,
-    paired_coordinates,
 )
+from repro.workload.log import QueryLog
 
 
 class WorkloadIntelligenceService:
-    """Mines the engine's query log and acts on the popularity model.
+    """Mines the bound engine's query log and answers from the model.
 
     Parameters
     ----------
@@ -59,12 +56,8 @@ class WorkloadIntelligenceService:
         Popularity-grid resolution (β per axis).
     decay_factor / decay_every:
         Popularity aging cadence (shared histogram machinery).
-    hot_cells:
-        How many predicted-hot cells prewarming targets.
     min_support:
         Settled queries a cell needs before recommendations fire.
-    prewarm_every:
-        Mined queries between prewarm passes (the server's cadence).
     model:
         A pre-mined model (e.g. loaded via
         :func:`repro.core.persistence.load_intelligence`); the service
@@ -80,9 +73,7 @@ class WorkloadIntelligenceService:
         bins: int = 16,
         decay_factor: float = 0.9,
         decay_every: int = 256,
-        hot_cells: int = 4,
         min_support: int = 3,
-        prewarm_every: int = 16,
         model: Optional[RegionPopularityModel] = None,
     ) -> None:
         self.x_attribute = x_attribute
@@ -90,9 +81,7 @@ class WorkloadIntelligenceService:
         self._x_range = x_range
         self._y_range = y_range
         self.bins = int(bins)
-        self.hot_cells = int(hot_cells)
         self.min_support = int(min_support)
-        self.prewarm_every = max(1, int(prewarm_every))
         self.model: Optional[RegionPopularityModel] = model
         self.miner: Optional[WorkloadMiner] = (
             WorkloadMiner(model, decay_factor, decay_every)
@@ -102,22 +91,16 @@ class WorkloadIntelligenceService:
         self._decay_factor = decay_factor
         self._decay_every = decay_every
         self._lock = threading.Lock()
-        #: predicted-hot regions of the last prewarm pass
-        self._hot_regions: List[HotRegion] = []
-        #: per-table block indices the last prewarm promoted/should pin
-        self._hot_blocks: Dict[str, FrozenSet[int]] = {}
-        self._mined_since_prewarm = 0
-        # observability counters (engine/server report lines)
-        self._prewarm_passes = 0
-        self._prewarm_hits = 0
-        self._prewarm_misses = 0
+        #: the bound engine's query log (None until :meth:`bind`)
+        self._log: Optional[QueryLog] = None
         self._recommendations_issued = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def bind(self, engine) -> None:
-        """Resolve domains against ``engine`` and arm the miner.
+        """Resolve domains against ``engine``, arm the miner, and take
+        the engine's query log as the one this service mines.
 
         Called by ``engine.set_intelligence``; idempotent.  Domains
         default to the engine's interest-model domains for the mined
@@ -137,6 +120,7 @@ class WorkloadIntelligenceService:
                 self.miner = WorkloadMiner(
                     self.model, self._decay_factor, self._decay_every
                 )
+            self._log = engine.query_log
 
     @staticmethod
     def _resolve_range(
@@ -155,142 +139,25 @@ class WorkloadIntelligenceService:
         return histogram.minimum, histogram.maximum
 
     # ------------------------------------------------------------------
-    # mining (reader-safe: touches only the locked log snapshot)
+    # mining (reader-safe: touches only a locked log slice)
     # ------------------------------------------------------------------
-    def mine(self, engine) -> int:
-        """Fold new log entries into the model; returns how many.
-
-        Also scores the prewarm hit-rate: once at least one prewarm
-        pass has run, every newly-mined query whose first (x, y) point
-        lands in a predicted-hot cell counts as a hit.
-        """
+    def mine(self) -> int:
+        """Fold the bound log's new entries into the model now; returns
+        how many.  Reads do this themselves — call it only to learn the
+        count or to fail loudly on a service nobody installed."""
         with self._lock:
-            if self.miner is None:
-                self.bind_required()
-            entries = engine.query_log.since(self.miner.next_sequence)
-            if self._prewarm_passes and self._hot_regions:
-                for entry in entries:
-                    points = paired_coordinates(
-                        entry.query, self.x_attribute, self.y_attribute
-                    )
-                    if not points:
-                        continue
-                    x, y = points[0]
-                    if any(r.contains(x, y) for r in self._hot_regions):
-                        self._prewarm_hits += 1
-                    else:
-                        self._prewarm_misses += 1
-            mined = self.miner.mine_entries(entries)
-            self._mined_since_prewarm += mined
-            return mined
+            if self._log is None:
+                raise ImpressionError(
+                    "workload intelligence service is not bound to an "
+                    "engine; install it via engine.set_intelligence(service)"
+                )
+            return self._fold_pending()
 
-    def bind_required(self) -> None:
-        raise ImpressionError(
-            "workload intelligence service is not bound to an engine; "
-            "install it via engine.set_intelligence(service)"
-        )
-
-    def should_prewarm(self) -> bool:
-        """Whether enough queries were mined since the last prewarm."""
-        with self._lock:
-            return self._mined_since_prewarm >= self.prewarm_every
-
-    # ------------------------------------------------------------------
-    # prewarming (writer: mutates caches and block tiers)
-    # ------------------------------------------------------------------
-    def prewarm(self, engine) -> Dict[str, int]:
-        """Warm ladders and blocks for the predicted-hot regions.
-
-        Pure caching, by construction: per mined-hot table this
-        (a) materialises every impression layer (filling the same
-        per-impression cache the first query would fill), and
-        (b) promotes the column blocks whose x/y zone maps intersect a
-        predicted-hot cell (promotion restores the block's original
-        raw bytes).  Neither step changes any query's answer or
-        charged units — a cold engine computes byte-identical results,
-        it just pays the materialise/promote latency inside the first
-        query instead of ahead of it.
-
-        The caller must hold the server's write lock when the engine
-        is shared (the server's cadence does); returns per-table
-        counts of blocks predicted hot.
-        """
-        with self._lock:
-            if self.model is None:
-                self.bind_required()
-            self._hot_regions = self.model.hot_cells(self.hot_cells)
-            regions = list(self._hot_regions)
-            self._mined_since_prewarm = 0
-            self._prewarm_passes += 1
-        warmed: Dict[str, int] = {}
-        hot_blocks: Dict[str, FrozenSet[int]] = {}
-        for table_name, named in getattr(engine, "_hierarchies", {}).items():
-            if self.model.table_counts.get(table_name, 0) <= 0:
-                continue  # never mined a query against this table
-            base = engine.catalog.table(table_name)
-            for hierarchy in named.values():
-                for impression in hierarchy.layers:
-                    impression.materialise(base)
-            blocks = self._hot_block_set(base, regions)
-            hot_blocks[table_name] = blocks
-            for name in base.column_names:
-                column = base.column(name)
-                for block in blocks:
-                    if block < column.num_blocks:
-                        column.promote(block)
-            warmed[table_name] = len(blocks)
-        with self._lock:
-            self._hot_blocks = hot_blocks
-        return warmed
-
-    def _hot_block_set(self, base, regions: List[HotRegion]) -> FrozenSet[int]:
-        """Blocks whose x/y zones intersect any predicted-hot cell."""
-        if not regions:
-            return frozenset()
-        hot: set[int] = set()
-        names = (self.x_attribute, self.y_attribute)
-        for block in range(base.num_blocks):
-            zones = base.block_zones(block, names)
-            x_zone = zones.get(self.x_attribute)
-            y_zone = zones.get(self.y_attribute)
-            if x_zone is None or y_zone is None:
-                continue  # no zone map: the model cannot place it
-            for region in regions:
-                if (
-                    x_zone.lo < region.x_hi
-                    and x_zone.hi >= region.x_lo
-                    and y_zone.lo < region.y_hi
-                    and y_zone.hi >= region.y_lo
-                ):
-                    hot.add(block)
-                    break
-        return frozenset(hot)
-
-    # ------------------------------------------------------------------
-    # heat for the memory governor
-    # ------------------------------------------------------------------
-    def block_heat(self, table_name: str, block: int) -> float:
-        """Predicted heat of one block: 1.0 in a hot region, else 0.0.
-
-        The governor mixes this into its candidate ordering — cold-
-        heat blocks demote first, hot-heat blocks promote first — so
-        residency follows predicted popularity, not just scan recency.
-        """
-        with self._lock:
-            blocks = self._hot_blocks.get(table_name)
-        if blocks is None:
-            return 0.0
-        return 1.0 if block in blocks else 0.0
-
-    # ------------------------------------------------------------------
-    # maintenance budget allocation
-    # ------------------------------------------------------------------
-    def table_share(self, table_name: str) -> float:
-        """``table``'s mined share of the workload (budget allocator)."""
-        with self._lock:
-            if self.model is None:
-                return 0.0
-            return self.model.table_share(table_name)
+    def _fold_pending(self) -> int:
+        """Catch up with the bound log (lock held; unbound: nothing)."""
+        if self._log is None:
+            return 0
+        return self.miner.mine(self._log)
 
     # ------------------------------------------------------------------
     # ladder recommendations
@@ -300,6 +167,7 @@ class WorkloadIntelligenceService:
         with self._lock:
             if self.model is None:
                 return None
+            self._fold_pending()
             recommendation = self.model.recommendation_for(
                 query, min_support=self.min_support
             )
@@ -311,40 +179,21 @@ class WorkloadIntelligenceService:
     # observability
     # ------------------------------------------------------------------
     @property
-    def prewarm_passes(self) -> int:
-        """How many prewarm passes have run."""
-        with self._lock:
-            return self._prewarm_passes
-
-    @property
     def queries_mined(self) -> int:
-        """Log entries folded into the model so far."""
+        """Log entries folded into the model, the pending ones included
+        (also the miner's log cursor, which persistence saves)."""
         with self._lock:
-            return 0 if self.miner is None else self.miner.next_sequence
-
-    @property
-    def prewarm_hit_rate(self) -> Optional[float]:
-        """Share of post-prewarm queries landing in predicted-hot
-        cells (None before any scored arrival)."""
-        with self._lock:
-            scored = self._prewarm_hits + self._prewarm_misses
-            if scored == 0:
-                return None
-            return self._prewarm_hits / scored
+            if self.miner is None:
+                return 0
+            self._fold_pending()
+            return self.miner.next_sequence
 
     def describe(self) -> str:
-        """One line of the engine and server reports."""
+        """One line of the engine report."""
+        mined = self.queries_mined
         with self._lock:
-            mined = 0 if self.miner is None else self.miner.next_sequence
-            scored = self._prewarm_hits + self._prewarm_misses
-            hit_rate = (
-                "n/a" if scored == 0 else f"{self._prewarm_hits / scored:.0%}"
-            )
             return (
                 f"workload intelligence: {mined} queries mined, "
-                f"{self._prewarm_passes} prewarm pass(es), "
-                f"hit-rate {hit_rate}, "
-                f"{len(self._hot_regions)} hot cell(s), "
                 f"recommendations {self._recommendations_issued} issued"
             )
 

@@ -150,37 +150,6 @@ def refresh_hierarchy(
     return reports
 
 
-def refresh_hierarchy_budgeted(
-    hierarchy: ImpressionHierarchy,
-    base: Table,
-    clock: Optional[ChargeTarget] = None,
-    budget: Optional[float] = None,
-) -> List[RefreshReport]:
-    """Refresh from below, spending at most ``budget`` streamed tuples.
-
-    The popularity-weighted maintenance path: the engine allocates
-    each table a tuple budget proportional to its mined workload
-    share, and this pass walks the ladder in the usual lower→upper
-    order, *skipping* any pair whose cost (|lower|) no longer fits.
-    Because layers shrink up the ladder, a tight budget still
-    refreshes the small reflex layers — exactly the ones the paper
-    says "need fast reflexes" — and only forgoes the expensive large
-    pairs.  ``budget=None`` degrades to :func:`refresh_hierarchy`.
-    """
-    if budget is None:
-        return refresh_hierarchy(hierarchy, base, clock)
-    reports: List[RefreshReport] = []
-    remaining = float(budget)
-    layers = hierarchy.layers
-    for lower, upper in zip(layers, layers[1:]):
-        cost = float(lower.size)
-        if cost > remaining:
-            continue  # later pairs are cheaper; give them a chance
-        reports.append(refresh_from_below(upper, lower, base, clock))
-        remaining -= cost
-    return reports
-
-
 def rebuild_from_base(
     hierarchy: ImpressionHierarchy,
     base: Table,
@@ -263,23 +232,12 @@ class MaintenancePlanner:
         How hard to age the interest histograms on drift (0.5 halves
         the accumulated focal evidence, letting the new focus dominate
         quickly).
-    popularity_source:
-        Optional table→share callable (the workload-intelligence
-        service's ``table_share``).  When set, the engine's drift
-        reaction spends its refresh budget proportionally to mined
-        popularity instead of refreshing every hierarchy in full, and
-        decay is scoped to the drifting attributes only.
     """
 
     interest: InterestModel
     detectors: Dict[str, DriftDetector] = field(default_factory=dict)
     decay_factor: float = 0.5
     drift_events: int = 0
-    popularity_source: Optional[object] = None
-
-    def set_popularity_source(self, source) -> None:
-        """Install (or clear, with ``None``) the table→share callable."""
-        self.popularity_source = source
 
     def observe(self, attribute: str, values: np.ndarray) -> None:
         """Feed predicate values to the attribute's drift detector."""
@@ -293,21 +251,38 @@ class MaintenancePlanner:
             name for name, detector in self.detectors.items() if detector.drifted
         ]
 
+    def absorb_drift(self) -> List[str]:
+        """The bookkeeping half of a drift reaction; returns the
+        drifted attributes (empty: no drift, nothing touched).
+
+        Counts the event, ages the interest of the drifting attributes
+        only — stable attributes keep their focal evidence; an
+        attribute the interest model does not track ages the whole
+        model instead — and resets the fired detectors so the same
+        shift does not fire twice.  The caller refreshes hierarchies.
+        """
+        drifted = self.drifted_attributes()
+        if not drifted:
+            return drifted
+        self.drift_events += 1
+        for name in drifted:
+            if not self.interest.decay_attribute(name, self.decay_factor):
+                self.interest.decay(self.decay_factor)
+                break
+        for name in drifted:
+            self.detectors[name].reset_reference()
+        return drifted
+
     def react(
         self,
         hierarchy: ImpressionHierarchy,
         base: Table,
         clock: Optional[ChargeTarget] = None,
     ) -> Optional[List[RefreshReport]]:
-        """If drift fired, decay interest and refresh the hierarchy.
+        """If drift fired, absorb it and refresh the hierarchy.
 
         Returns the refresh reports, or None when no drift was seen.
         """
-        drifted = self.drifted_attributes()
-        if not drifted:
+        if not self.absorb_drift():
             return None
-        self.drift_events += 1
-        self.interest.decay(self.decay_factor)
-        for name in drifted:
-            self.detectors[name].reset_reference()
         return refresh_hierarchy(hierarchy, base, clock)

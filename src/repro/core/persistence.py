@@ -133,20 +133,23 @@ def save_intelligence(source, path: str | Path) -> Path:
     full popularity grid (counts, settled outcomes, cost/rung/error
     sums), the per-table counts, and — for a service — the miner's
     log cursor, so a reloaded model makes *identical* predictions and
-    a service rebuilt on top keeps mining where this one stopped.
+    a service rebuilt on top keeps mining where this one stopped.  A
+    service is read like any other reader reads it: it first mines
+    what its engine's log gained, so the snapshot is current.
     """
     path = Path(path)
     model = getattr(source, "model", None)
     if model is None:
-        model = source
+        model, cursor = source, None
+    else:
+        cursor = source.queries_mined  # catches up with the log first
     metadata: dict = {
         "format_version": FORMAT_VERSION,
         "kind": "workload-intelligence",
         "model": model.state_metadata(),
     }
-    miner = getattr(source, "miner", None)
-    if miner is not None:
-        metadata["next_sequence"] = int(miner.next_sequence)
+    if cursor is not None:
+        metadata["next_sequence"] = int(cursor)
     arrays = dict(model.state_arrays())
     arrays["metadata"] = np.frombuffer(
         json.dumps(metadata).encode("utf-8"), dtype=np.uint8
@@ -162,7 +165,7 @@ def load_intelligence(path: str | Path):
     RegionPopularityModel`; pass it to
     ``WorkloadIntelligenceService(model=...)`` to serve (and keep
     mining) it — the collaborative half of workload intelligence:
-    one server's mined history warms the next server's caches.
+    one fleet's mined history tells the next engine where to sample.
     """
     from repro.workload.intelligence import RegionPopularityModel
 

@@ -71,7 +71,6 @@ from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.governor import GovernorStats, MemoryGovernor, governor_from_env
 from repro.core.handle import QueryHandle
-from repro.core.intelligence import WorkloadIntelligenceService
 from repro.core.maintenance import RefreshReport
 from repro.core.monitor import ContractMonitor, SlaReport
 from repro.core.scheduler import SchedulerStats, SharedScanScheduler
@@ -145,8 +144,6 @@ class ServerReport:
     memory: Mapping[str, object]
     governor_budget: Optional[int]
     governor: Optional[GovernorStats]
-    #: ``intelligence.describe()`` when a service is installed.
-    intelligence: Optional[str]
     #: Fleet SLA aggregates when a contract monitor is installed.
     sla: Optional[SlaReport]
 
@@ -183,8 +180,6 @@ class ServerReport:
                 f"{self.governor.demotions_cold}, "
                 f"promotions {self.governor.promotions}"
             )
-        if self.intelligence is not None:
-            lines.append(f"  {self.intelligence}")
         if self.sla is not None:
             lines.append(f"  {self.sla.describe()}")
         return "\n".join(lines)
@@ -215,7 +210,9 @@ class SciBorqServer:
         :class:`~repro.core.governor.MemoryGovernor` with that byte
         budget; a ready governor is installed as-is; ``None`` consults
         the ``SCIBORQ_MEMORY_BUDGET`` environment variable (bytes, or
-        with a ``k``/``m``/``g`` suffix).  The governor demotes
+        with a ``k``/``m``/``g`` suffix; a value that is not a positive
+        size raises :class:`ValueError` here, before the engine is
+        touched).  The governor demotes
         least-recently-scanned column blocks hot→warm→cold after
         ingests and query completions, keeping tables + impressions +
         recycler inside the budget; estimates over demoted blocks
@@ -234,20 +231,6 @@ class SciBorqServer:
         :class:`~repro.errors.OverloadedError` and ``submit_many``
         returns structured :class:`~repro.core.admission.
         RejectedQuery` slots for shed queries.
-    intelligence:
-        Collaborative workload intelligence (default off).  ``True``
-        installs a default :class:`~repro.core.intelligence.
-        WorkloadIntelligenceService`; a ready service is installed
-        as-is (e.g. one rebuilt from a persisted model via
-        :func:`~repro.core.persistence.load_intelligence`).  The
-        service mines the engine's cross-session query log into a
-        region-popularity model after query completions and, on its
-        cadence, prewarms predicted-hot impressions and column blocks
-        under the write lock — pure caching, so answers, charges, and
-        admitted-query latency bounds are untouched.  It also weights
-        drift-reaction refresh budgets by table popularity and powers
-        ``Session.recommend``.  Shutdown restores whatever service the
-        engine carried before.
     monitor:
         Runtime contract monitoring (default **on**).  ``None`` or
         ``True`` installs a fresh :class:`~repro.core.monitor.
@@ -276,7 +259,6 @@ class SciBorqServer:
         batch_window: float = 0.0,
         memory_budget: Union[int, MemoryGovernor, None] = None,
         admission: Union[bool, AdmissionController, None] = None,
-        intelligence: Union[bool, WorkloadIntelligenceService, None] = None,
         monitor: Union[bool, ContractMonitor, None] = None,
         contract: Union[Contract, str, None] = None,
     ) -> None:
@@ -300,11 +282,6 @@ class SciBorqServer:
             self.memory_governor = governor_from_env(
                 os.environ.get("SCIBORQ_MEMORY_BUDGET")
             )
-        self.intelligence: Optional[WorkloadIntelligenceService] = None
-        if isinstance(intelligence, WorkloadIntelligenceService):
-            self.intelligence = intelligence
-        elif intelligence:
-            self.intelligence = WorkloadIntelligenceService()
         self.monitor: Optional[ContractMonitor] = None
         if isinstance(monitor, ContractMonitor):
             self.monitor = monitor
@@ -331,14 +308,12 @@ class SciBorqServer:
         #: permanently detached by a later owner's exit.
         self._previous_scheduler = engine.scan_scheduler
         self._previous_governor = engine.memory_governor
-        self._previous_intelligence = engine.intelligence
         self._previous_monitor = engine.monitor
         try:
             self._install()
         except BaseException:
-            # an install can still fail (a service that cannot bind to
-            # this engine's domains, a spill error while enforcing the
-            # budget): no server exists to shut down, so undo it here
+            # an install can still fail (a spill error while enforcing
+            # the budget): no server exists to shut down, so undo it here
             self._release_engine()
             raise
         self._rwlock = ReadWriteLock()
@@ -366,15 +341,6 @@ class SciBorqServer:
             engine.set_memory_governor(self.memory_governor)
             logging.getLogger("repro.memory").info(
                 "memory budget: %d bytes", self.memory_governor.budget_bytes
-            )
-        if self.intelligence is not None:
-            engine.set_intelligence(self.intelligence)
-            logging.getLogger("repro.intelligence").info(
-                "workload intelligence: %d×%d popularity grid, "
-                "prewarm every %d mined queries",
-                self.intelligence.model.bins,
-                self.intelligence.model.bins,
-                self.intelligence.prewarm_every,
             )
         if self.monitor is not None:
             engine.set_monitor(self.monitor)
@@ -407,11 +373,6 @@ class SciBorqServer:
             and engine.memory_governor is self.memory_governor
         ):
             engine.set_memory_governor(self._previous_governor)
-        if (
-            self.intelligence is not None
-            and engine.intelligence is self.intelligence
-        ):
-            engine.set_intelligence(self._previous_intelligence)
         if self.monitor is not None and engine.monitor is self.monitor:
             engine.set_monitor(self._previous_monitor)
 
@@ -552,7 +513,7 @@ class SciBorqServer:
         handle for ``result()`` to re-raise — but it is *counted*
         here, per server and per session, so a background failure is
         observable without anyone ever calling ``result()``.  Returns
-        the admission slot, then lets the governor and the miner run.
+        the admission slot, then lets the governor run.
         """
         try:
             outcome = handle.result(timeout=0)
@@ -568,7 +529,6 @@ class SciBorqServer:
             self.admission.release(ticket, failed=failed)
         if not failed:
             self._govern_memory()
-            self._mine_intelligence()
 
     def execute(
         self,
@@ -881,38 +841,21 @@ class SciBorqServer:
         with self._rwlock.write_locked():
             self.engine.enforce_memory()
 
-    def _mine_intelligence(self) -> None:
-        """Post-query mining pass, plus prewarming on its cadence.
-
-        Mining only reads the engine (a locked query-log snapshot), so
-        it runs without the read-write lock and never delays admitted
-        queries.  Prewarming mutates shared caches and block tiers, so
-        it takes the write lock — the governor's discipline — and only
-        fires every ``prewarm_every`` mined queries.
-        """
-        service = self.intelligence
-        if service is None or self._closed:
-            return
-        service.mine(self.engine)
-        if service.should_prewarm():
-            with self._rwlock.write_locked():
-                service.prewarm(self.engine)
-            self._govern_memory()
-
     def recommend(self, session: Session, query: Query):
         """Mined ladder advice for ``query``'s sky region, or ``None``.
 
         Surfaces the collaborative escalation profile — how many
         settled queries the region has, how far they climbed, what
         error and cost they achieved — without running anything.
-        ``None`` without an intelligence service or below the
-        service's ``min_support``.
+        Reads the service installed on the engine
+        (``engine.set_intelligence``), which first mines whatever the
+        query log gained since its last read; ``None`` without a
+        service or below its ``min_support``.
         """
         self._require_open()
         session._require_open()
-        if self.intelligence is None:
-            return None
-        return self.intelligence.recommend(query)
+        service = self.engine.intelligence
+        return None if service is None else service.recommend(query)
 
     # ------------------------------------------------------------------
     # lifecycle + introspection
@@ -952,8 +895,8 @@ class SciBorqServer:
         shutdown rejection).
 
         Also hands the engine back: the scan scheduler, memory
-        governor, intelligence service and contract monitor this server
-        installed are replaced by whatever the engine carried before.
+        governor and contract monitor this server installed are
+        replaced by whatever the engine carried before.
         """
         if self._closed:
             return ShutdownReport()
@@ -1073,11 +1016,6 @@ class SciBorqServer:
                 governor.budget_bytes if governor is not None else None
             ),
             governor=governor.stats if governor is not None else None,
-            intelligence=(
-                self.intelligence.describe()
-                if self.intelligence is not None
-                else None
-            ),
             sla=self.monitor.report() if self.monitor is not None else None,
         )
 

@@ -24,8 +24,8 @@ into a *predictive* model of the fleet's behaviour:
   surfaced via ``Session.recommend``.
 
 Everything here is pure data + arithmetic — no locks, no engine
-references.  Thread-safety and the acting side (prewarming, weighted
-maintenance, recommendations) live in the service wrapper
+references.  Thread-safety, the binding to an engine's log and
+on-demand mining live in the service wrapper
 (:mod:`repro.core.intelligence`).
 """
 
@@ -154,7 +154,7 @@ class RegionPopularityModel:
         self.rungs_sum = np.zeros(shape, dtype=np.float64)
         self.error_sum = np.zeros(shape, dtype=np.float64)
         self.degraded = np.zeros(shape, dtype=np.int64)
-        #: per-table query counts (the maintenance budget allocator)
+        #: per-table query counts
         self.table_counts: Dict[str, int] = {}
         self.total = 0
 
@@ -247,13 +247,6 @@ class RegionPopularityModel:
         if self.total == 0:
             return 0.0
         return float(self.counts[self.cell_of(x, y)]) / self.total
-
-    def table_share(self, table: str) -> float:
-        """``table``'s share of all mined queries (0 when unknown)."""
-        total = sum(self.table_counts.values())
-        if total == 0:
-            return 0.0
-        return self.table_counts.get(table, 0) / total
 
     def recommendation_at(
         self, x: float, y: float, min_support: int = 3

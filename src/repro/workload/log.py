@@ -151,9 +151,16 @@ class QueryLog:
         return tuple(self._entries[-count:]) if count else ()
 
     def since(self, sequence: int) -> Sequence[QueryLogEntry]:
-        """Entries with sequence number ≥ ``sequence``."""
+        """Entries with sequence number ≥ ``sequence``.
+
+        Sequences are dense, so the answer is a slice from
+        ``sequence``'s offset in the retained window (clamped to its
+        start when the window already evicted it) — O(returned), not a
+        walk of the whole log.
+        """
         with self._lock:
-            return tuple(e for e in self._entries if e.sequence >= sequence)
+            offset = sequence - (self._next_sequence - len(self._entries))
+            return tuple(self._entries[max(offset, 0):])
 
     def most_common_fingerprints(self, count: int = 10) -> list[tuple[str, int]]:
         """The most repeated query shapes (workload hot spots)."""

@@ -150,6 +150,62 @@ class TestUnanswerableRungs:
         # at least one rung was recorded as unanswerable or escalated
         assert len(outcome.attempts) >= 1
 
+    @pytest.mark.parametrize("delta", [True, False], ids=["delta", "scratch"])
+    def test_base_is_the_answer_of_last_resort(self, sky_engine, delta):
+        """The tiny layer cannot answer and the budget blocks every
+        further rung: the base answers anyway, over budget, as one more
+        rung step — folding the scanned layer in when it can."""
+        from repro.columnstore.expressions import Between
+
+        base = sky_engine.catalog.table("PhotoObjAll")
+        hierarchy = sky_engine.hierarchy("PhotoObjAll")
+        smallest = hierarchy.layers[-1]
+        sampled = set(smallest.row_ids.tolist())
+        order = np.argsort(base["ra"])
+        start = next(
+            i
+            for i in range(len(order) - 2)
+            if not sampled & set(order[i : i + 3].tolist())
+        )
+        sliver = Query(
+            table="PhotoObjAll",
+            predicate=Between(
+                "ra", base["ra"][order[start]], base["ra"][order[start + 2]]
+            ),
+            aggregates=[AggregateSpec("avg", "r_mag")],
+        )
+        processor = BoundedQueryProcessor(
+            sky_engine.catalog, hierarchy, delta_escalation=delta
+        )
+        stream = processor.run(sliver, Contract(time_budget=150))
+        updates = []
+        while True:
+            try:
+                updates.append(next(stream))
+            except StopIteration as stop:
+                outcome = stop.value
+                break
+        unanswerable, last_resort = outcome.attempts
+        assert unanswerable.source == smallest.name
+        assert unanswerable.relative_error == float("inf")
+        assert not unanswerable.satisfied
+        assert last_resort.source == base.name
+        assert last_resort.rows == base.num_rows
+        assert last_resort.satisfied and last_resort.relative_error == 0.0
+        assert outcome.met_quality and not outcome.met_budget
+        assert outcome.total_cost == sum(a.cost for a in outcome.attempts)
+        # the fold pays only the rows the scanned layer did not cover
+        assert last_resort.delta_rows == (
+            base.num_rows - smallest.size if delta else None
+        )
+        exact = sky_engine.execute_exact(sliver).scalar("avg(r_mag)")
+        assert outcome.result.estimates["avg(r_mag)"].value == exact
+        # one update per rung, the last one carrying the final outcome
+        assert [u.rung for u in updates] == [0, 1]
+        assert updates[0].result is None and updates[0].partial is None
+        assert updates[1].partial.attempts == outcome.attempts
+        assert updates[1].partial.total_cost == outcome.total_cost
+
 
 class TestStrictMode:
     def test_quality_violation_raises(self, processor):

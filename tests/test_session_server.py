@@ -17,14 +17,21 @@ import pytest
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
 from repro.core.engine import SciBorq
-from repro.core.intelligence import WorkloadIntelligenceService
+from repro.core.governor import MemoryGovernor
 from repro.core.scheduler import SharedScanScheduler
 from repro.core.server import SciBorqServer
-from repro.errors import ImpressionError, QueryError, SessionError
+from repro.errors import QueryError, SessionError
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 from repro.util.concurrency import ReadWriteLock
 from repro.core.contracts import Contract
+
+
+class _UnenforceableGovernor(MemoryGovernor):
+    """A governor whose first enforcement hits a spill error."""
+
+    def enforce(self, engine):
+        raise OSError("spill device full")
 
 
 def make_engine() -> SciBorq:
@@ -206,16 +213,18 @@ class TestSessionLifecycle:
         [
             # a bad argument: the contract preset is resolved last
             ({"contract": "platinum"}, {}, QueryError),
-            # a bad environment parse
+            # a bad environment parse, after the governor was resolved...
             ({}, {"SCIBORQ_MAX_INFLIGHT": "lots"}, ValueError),
-            # an install that fails half-way: the service cannot bind
+            # ...and the governor's own: a mistyped budget is not "none"
             (
-                {"intelligence": WorkloadIntelligenceService(x_attribute="nope")},
-                {},
-                ImpressionError,
+                {"memory_budget": None},
+                {"SCIBORQ_MEMORY_BUDGET": "not-a-size"},
+                ValueError,
             ),
+            # an install that fails half-way: the budget cannot be enforced
+            ({"memory_budget": _UnenforceableGovernor(1 << 20)}, {}, OSError),
         ],
-        ids=["contract-preset", "admission-env", "intelligence-bind"],
+        ids=["contract-preset", "admission-env", "memory-env", "install-fails"],
     )
     def test_failed_constructor_leaves_the_engine_as_found(
         self, monkeypatch, kwargs, env, error
@@ -228,10 +237,9 @@ class TestSessionLifecycle:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         with pytest.raises(error):
-            SciBorqServer(engine, memory_budget=1 << 20, **kwargs)
+            SciBorqServer(engine, **{"memory_budget": 1 << 20, **kwargs})
         assert engine.scan_scheduler is earlier
         assert engine.memory_governor is None
-        assert engine.intelligence is None
         assert engine.monitor is None
 
     def test_strict_batch_with_return_exceptions(self):

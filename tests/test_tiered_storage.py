@@ -460,6 +460,54 @@ class TestGovernor:
             PROMOTE_HEADROOM * governor.budget_bytes
         )
 
+    def test_residency_order_is_lru_by_scan_tick(self):
+        """Scan recency alone orders both directions: the blocks
+        scanned longest ago demote first, and once demoted the ones
+        scanned last promote first — each exactly a prefix of the scan
+        order, however far the budget lets the pass go."""
+        engine = tiered_engine()
+        table = engine.catalog.table("fact")
+        block_bytes = BS * 8
+
+        def scan(order):
+            for name, block in order:
+                table.column(name).read_range(block * BS, (block + 1) * BS)
+
+        def not_hot():
+            return {
+                (name, block)
+                for name in table.column_names
+                for block in range(table.num_blocks)
+                if table.column(name).tier_of(block) != "hot"
+            }
+
+        oldest_first = [
+            (name, block)
+            for block in (3, 0, 4, 1, 5, 2)
+            for name in ("y", "id", "x")
+        ]
+        scan(oldest_first)
+        governor = MemoryGovernor(
+            int(engine.memory_report()["ram_total"]) - 3 * block_bytes
+        )
+        engine.set_memory_governor(governor)
+        demoted = not_hot()
+        assert 0 < len(demoted) < len(oldest_first)
+        assert demoted == set(oldest_first[: len(demoted)])
+
+        governor.budget_bytes = 1  # everything demotable goes down
+        engine.enforce_memory()
+        assert len(not_hot()) == len(oldest_first)
+        scan(oldest_first)  # the same order: x's block 2 is now the newest
+        floor = int(engine.memory_report()["ram_total"])
+        governor.budget_bytes = int(
+            (floor + 4 * block_bytes) / PROMOTE_HEADROOM
+        )
+        engine.enforce_memory()
+        promoted = set(oldest_first) - not_hot()
+        assert 0 < len(promoted) < len(oldest_first)
+        assert promoted == set(oldest_first[-len(promoted) :])
+
     def test_hidden_pi_columns_only_ever_go_cold(self):
         col = Column("_pi", "float64", np.full(2 * BS, 0.5), block_size=BS)
         table = Table("w", [col])
@@ -479,8 +527,9 @@ class TestGovernor:
     def test_governor_from_env_parses_suffixes(self):
         assert governor_from_env(None) is None
         assert governor_from_env("") is None
-        assert governor_from_env("not-a-size") is None
-        assert governor_from_env("-5") is None
+        for garbage in ("not-a-size", "-5", "0", "12q", "inf"):
+            with pytest.raises(ValueError, match="SCIBORQ_MEMORY_BUDGET"):
+                governor_from_env(garbage)
         assert governor_from_env("1024").budget_bytes == 1024
         assert governor_from_env("64k").budget_bytes == 64 << 10
         assert governor_from_env("2M").budget_bytes == 2 << 20

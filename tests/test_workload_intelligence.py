@@ -1,21 +1,18 @@
 """Tests for collaborative workload intelligence.
 
-The load-bearing property — pinned with hypothesis — is the identity
-guarantee: mining, prewarming, and popularity-weighted maintenance are
-*pure caching / scheduling* and never change what any query computes
-or is charged.  A prewarmed engine and a cold engine running the same
-seeded workload must produce byte-identical estimates, confidence
-intervals, and charged units.  Everything else (miner determinism,
-persistence round-trips, budget allocation, governor heat, rung
-advice) supports that guarantee.
+The mined model is advice and a shareable artifact: the miner folds
+the log deterministically and exactly once, the model persists and
+reloads to identical predictions, and the service — installed with
+``engine.set_intelligence`` and nothing else — mines on demand, so a
+read straight after a batch of queries equals mining after each one.
+An engine carrying a service answers, charges and reacts to drift
+exactly like one without.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import Between, RadialPredicate
@@ -160,12 +157,6 @@ class TestModel:
         assert rec.suggested_skip == max(0, int(np.floor(rec.mean_rungs)) - 1)
         assert "settled queries" in rec.describe()
 
-    def test_table_share(self):
-        model = small_model()
-        model.table_counts = {"a": 3, "b": 1}
-        assert model.table_share("a") == pytest.approx(0.75)
-        assert model.table_share("missing") == 0.0
-
     def test_paired_coordinates_positional(self):
         query = cone(120.0, 30.0, 2.0)
         assert paired_coordinates(query, "ra", "dec") == [(120.0, 30.0)]
@@ -267,10 +258,7 @@ class TestIdentity:
         the same seeded workload."""
         cold = make_engine()
         warm = make_engine()
-        service = WorkloadIntelligenceService(
-            bins=12, hot_cells=4, prewarm_every=8
-        )
-        warm.set_intelligence(service)
+        warm.set_intelligence(WorkloadIntelligenceService(bins=12))
         generator = WorkloadGenerator(
             focal_points=[FocalPoint(ra=185.0, dec=0.0, spread_ra=3.0)],
             cone_fraction=1.0,
@@ -280,41 +268,11 @@ class TestIdentity:
         for query in generator.queries(24):
             cold.execute(query, Contract.within_error(0.3))
             warm.execute(query, Contract.within_error(0.3))
-        warm.mine_workload()
-        warm.prewarm()
         return cold, warm
 
-    @given(
-        ra=st.floats(120.0, 250.0),
-        dec=st.floats(-20.0, 20.0),
-        radius=st.floats(1.0, 6.0),
-        error=st.floats(0.05, 0.8),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_prewarmed_engine_answers_byte_identically(
-        self, engine_pair, ra, dec, radius, error
-    ):
-        cold, warm = engine_pair
-        query = cone(ra, dec, radius)
-        a = cold.execute(query, Contract.within_error(error))
-        b = warm.execute(query, Contract.within_error(error))
-        assert a.total_cost == b.total_cost
-        assert len(a.attempts) == len(b.attempts)
-        assert set(a.result.estimates) == set(b.result.estimates)
-        for name, estimate in a.result.estimates.items():
-            other = b.result.estimates[name]
-            # bit-identical, treating NaN (an empty cone's avg) as equal
-            assert _same(estimate.value, other.value), name
-            assert _same(estimate.se, other.se), name
-            assert np.array_equal(
-                np.asarray(estimate.ci, dtype=float),
-                np.asarray(other.ci, dtype=float),
-                equal_nan=True,
-            ), name
-
     def test_maintenance_reaction_is_identical_single_table(self, engine_pair):
-        """With one mined table the popularity budget equals the full
-        need, so drift reactions refresh exactly as a cold engine's."""
+        """A mined model changes nothing about maintenance: drift
+        reactions refresh exactly as a cold engine's."""
         cold, warm = engine_pair
         drift = WorkloadGenerator(
             focal_points=[FocalPoint(ra=40.0, dec=-30.0, spread_ra=2.0)],
@@ -325,7 +283,7 @@ class TestIdentity:
         for query in drift.queries(40):
             cold.execute(query, Contract.within_error(0.5))
             warm.execute(query, Contract.within_error(0.5))
-        warm.mine_workload()
+        assert warm.intelligence.queries_mined == 64
         cold_reports = cold.maintain()
         warm_reports = warm.maintain()
         assert cold_reports.keys() == warm_reports.keys()
@@ -346,7 +304,7 @@ class TestIdentity:
 
 
 # ----------------------------------------------------------------------
-# Popularity-weighted maintenance budgets
+# Drift reaction: every hierarchy refreshes in full, decay is scoped
 # ----------------------------------------------------------------------
 def two_table_engine() -> SciBorq:
     """PhotoObjAll (5 000-row reflex layer) plus Photoz (400-row)."""
@@ -375,22 +333,6 @@ def force_ra_drift(engine: SciBorq) -> None:
 
 
 class TestBudgetedMaintenance:
-    def test_unpopular_table_gets_partial_refresh(self):
-        """Two hierarchies, one mined 9× more popular: the unpopular
-        table's budget no longer affords its refresh pair."""
-        engine = two_table_engine()
-        service = WorkloadIntelligenceService(bins=8)
-        engine.set_intelligence(service)
-        service.model.table_counts = {"PhotoObjAll": 90, "Photoz": 10}
-        force_ra_drift(engine)
-        reports = engine.maintain()
-        # popular table: full refresh (the one reflex→upper pair)
-        assert len(reports["PhotoObjAll"]) == 1
-        assert reports["PhotoObjAll"][0].tuples_streamed == 5_000
-        # unpopular table: budget = 400 × (10/90) ≈ 44 tuples — the
-        # 400-row lower pair no longer fits, nothing refreshable
-        assert reports["Photoz"] == []
-
     def test_without_intelligence_everything_refreshes_in_full(self):
         engine = two_table_engine()
         force_ra_drift(engine)
@@ -416,151 +358,87 @@ class TestBudgetedMaintenance:
 
 
 # ----------------------------------------------------------------------
-# Governor heat
-# ----------------------------------------------------------------------
-BS = 64  # small blocks so the fact table has many demotable blocks
-
-
-def blocked_engine(n: int = 6 * BS, seed: int = 3) -> SciBorq:
-    """The tiered-storage test fixture: a fact table of full blocks."""
-    from repro.columnstore import Catalog, Table
-    from repro.columnstore.column import Column
-
-    catalog = Catalog()
-    catalog.add_table(
-        Table(
-            "fact",
-            [
-                Column("id", "int64", block_size=BS),
-                Column("x", "float64", block_size=BS),
-                Column("y", "float64", block_size=BS),
-            ],
-        )
-    )
-    engine = SciBorq(catalog, interest_attributes={"x": (0.0, 600.0)}, rng=17)
-    engine.create_hierarchy("fact", policy="uniform", layer_sizes=(64,))
-    rng = np.random.default_rng(seed)
-    engine.loader.load_batch(
-        "fact",
-        {
-            "id": np.arange(n),
-            "x": np.sort(rng.uniform(0.0, 600.0, n)),
-            "y": rng.normal(10.0, 2.0, n),
-        },
-    )
-    return engine
-
-
-class TestGovernorHeat:
-    def test_predicted_hot_blocks_demote_last(self):
-        from repro.core.governor import MemoryGovernor
-
-        engine = blocked_engine()
-        table = engine.catalog.table("fact")
-        governor = MemoryGovernor(
-            int(engine.memory_report()["ram_total"]) - 2_000
-        )
-        governor.set_heat_source(
-            lambda table_name, block: 1.0 if block == 0 else 0.0
-        )
-        engine.set_memory_governor(governor)
-        stats = governor.stats
-        assert stats.demotions_warm + stats.demotions_cold > 0
-        # heat leads the eviction order: the predicted-hot first block
-        # of every column survives while cold-heat blocks demote
-        for name in table.column_names:
-            assert table.column(name).tier_of(0) == "hot", name
-
-    def test_predicted_hot_blocks_promote_without_a_scan(self):
-        from repro.core.governor import MemoryGovernor
-
-        engine = blocked_engine()
-        table = engine.catalog.table("fact")
-        governor = MemoryGovernor(1)  # demote everything demotable
-        engine.set_memory_governor(governor)
-        assert not table.is_fully_hot
-        assert table.column("x").tier_of(0) != "hot"
-        governor.set_heat_source(
-            lambda table_name, block: 1.0 if block == 0 else 0.0
-        )
-        governor.budget_bytes = 64 << 20
-        engine.enforce_memory()
-        # block 0 came back hot on prediction alone — it was never
-        # scanned after demotion — while unscanned cold-heat blocks stay
-        # demoted (pure LRU would have promoted nothing here)
-        assert table.column("x").tier_of(0) == "hot"
-        assert table.column("x").tier_of(1) != "hot"
-        assert governor.stats.promotions > 0
-
-    def test_without_heat_source_unscanned_blocks_stay_down(self):
-        """Pure-LRU regression: no predictor → no prediction promotes."""
-        from repro.core.governor import MemoryGovernor
-
-        engine = blocked_engine()
-        governor = MemoryGovernor(1)
-        engine.set_memory_governor(governor)
-        governor.budget_bytes = 64 << 20
-        engine.enforce_memory()
-        assert governor.stats.promotions == 0
-
-    def test_broken_heat_source_never_stops_eviction(self):
-        from repro.core.governor import MemoryGovernor
-
-        engine = blocked_engine()
-
-        def broken(table_name: str, block: int) -> float:
-            raise RuntimeError("predictor crashed")
-
-        governor = MemoryGovernor(
-            int(engine.memory_report()["ram_total"]) - 1_000
-        )
-        governor.set_heat_source(broken)
-        engine.set_memory_governor(governor)
-        assert governor.stats.demotions_warm + governor.stats.demotions_cold
-        assert governor.stats.last_footprint <= governor.budget_bytes
-
-
-# ----------------------------------------------------------------------
 # The service on a live server
 # ----------------------------------------------------------------------
+def focused_queries(count: int, rng: int = 13):
+    generator = WorkloadGenerator(
+        focal_points=[FocalPoint(ra=185.0, dec=0.0, spread_ra=2.0)],
+        cone_fraction=1.0,
+        aggregate_fraction=1.0,
+        rng=rng,
+    )
+    return list(generator.queries(count))
+
+
 class TestServerIntegration:
-    def test_server_mines_and_prewarms_on_cadence(self):
-        service = WorkloadIntelligenceService(
-            bins=12, hot_cells=2, prewarm_every=6, min_support=2
+    def test_reads_mine_on_demand_and_equal_per_query_mining(self):
+        """No explicit ``mine`` anywhere: ``recommend`` straight after
+        a batch of settled queries already reflects them, and the model
+        equals a twin's that was mined after every single query."""
+        batched = make_engine()
+        batched.set_intelligence(
+            WorkloadIntelligenceService(bins=12, min_support=2, decay_every=5)
         )
-        with SciBorqServer(
-            make_engine(), max_workers=2, intelligence=service
-        ) as server:
+        stepped = make_engine()
+        stepped_service = WorkloadIntelligenceService(
+            bins=12, min_support=2, decay_every=5
+        )
+        stepped.set_intelligence(stepped_service)
+        probe = cone(185.0, 0.0, 2.0)
+        with SciBorqServer(batched, max_workers=2) as server:
             session = server.open_session("astronomer")
-            generator = WorkloadGenerator(
-                focal_points=[FocalPoint(ra=185.0, dec=0.0, spread_ra=2.0)],
-                cone_fraction=1.0,
-                aggregate_fraction=1.0,
-                rng=13,
-            )
-            for query in generator.queries(14):
+            for query in focused_queries(14):
                 session.execute(query, Contract.within_error(0.4))
-            assert service.queries_mined == 14
-            assert service.prewarm_passes >= 1
-            assert "workload intelligence" in server.report().render()
-            assert "workload intelligence" in server.engine.report().render()
-            # the hot-region hit-rate is scored on post-prewarm arrivals
-            assert service.prewarm_hit_rate is None or (
-                0.0 <= service.prewarm_hit_rate <= 1.0
-            )
-            recommendation = session.recommend(cone(185.0, 0.0, 2.0))
+                stepped.execute(query, Contract.within_error(0.4))
+                assert stepped_service.mine() == 1
+            recommendation = session.recommend(probe)
             assert recommendation is not None
             assert recommendation.support >= 2
             assert session.recommend(cone(20.0, -80.0, 1.0)) is None
-        # shutdown restored the engine's previous (absent) service
-        assert server.engine.intelligence is None
+            assert "workload intelligence" in batched.report().render()
+        service = batched.intelligence
+        assert service.queries_mined == stepped_service.queries_mined == 14
+        assert service.mine() == 0  # the reads above left nothing pending
+        for name, array in stepped_service.model.state_arrays().items():
+            np.testing.assert_array_equal(
+                array, service.model.state_arrays()[name], err_msg=name
+            )
+        assert service.model.table_counts == stepped_service.model.table_counts
+        twin = stepped_service.recommend(probe)
+        # wall seconds are not mined, so the advice is equal field by field
+        assert twin == recommendation
 
-    def test_intelligence_true_builds_default_service(self):
-        with SciBorqServer(make_engine(), intelligence=True) as server:
-            assert server.intelligence is not None
-            assert server.engine.intelligence is server.intelligence
+    def test_save_reads_the_log_first(self, tmp_path):
+        engine = make_engine()
+        service = WorkloadIntelligenceService(bins=12)
+        engine.set_intelligence(service)
+        for query in focused_queries(6):
+            engine.execute(query, Contract.within_error(0.4))
+        loaded = load_intelligence(save_intelligence(service, tmp_path / "m"))
+        assert sum(loaded.table_counts.values()) == 6
+        assert loaded.total == service.model.total > 0
+
+    def test_server_leaves_an_installed_service_alone(self):
+        """The server neither installs nor removes a service: one the
+        engine already carries serves its sessions and survives
+        ``shutdown()``."""
+        engine = make_engine()
+        service = WorkloadIntelligenceService(bins=12, min_support=1)
+        engine.set_intelligence(service)
+        server = SciBorqServer(engine, max_workers=2)
+        session = server.open_session()
+        session.execute(cone(185.0, 0.0, 2.0), Contract.within_error(0.4))
+        assert server.recommend(session, cone(185.0, 0.0, 2.0)) is not None
+        server.shutdown()
+        assert engine.intelligence is service
+        assert service.queries_mined == 1
+
+    def test_recommend_without_a_service_is_none(self):
+        with SciBorqServer(make_engine()) as server:
+            session = server.open_session()
+            assert session.recommend(cone(185.0, 0.0, 2.0)) is None
 
     def test_unbound_service_raises_with_guidance(self):
         service = WorkloadIntelligenceService()
         with pytest.raises(ImpressionError, match="set_intelligence"):
-            service.mine(make_engine())
+            service.mine()

@@ -61,6 +61,18 @@ class TestQueries:
         for i in range(5):
             log.record(make_query(i))
         assert [e.sequence for e in log.since(3)] == [3, 4]
+        assert [e.sequence for e in log.since(0)] == [0, 1, 2, 3, 4]
+        assert log.since(5) == () and log.since(9) == ()
+
+    def test_since_on_a_window_that_evicted_the_sequence(self):
+        """A bounded log answers from what it still holds — the same
+        entries a walk of the window would have picked."""
+        log = QueryLog(max_entries=3)
+        for i in range(7):
+            log.record(make_query(i))
+        assert [e.sequence for e in log.since(2)] == [4, 5, 6]
+        assert [e.sequence for e in log.since(5)] == [5, 6]
+        assert log.since(7) == ()
 
     def test_most_common_fingerprints(self):
         log = QueryLog()
