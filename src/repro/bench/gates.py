@@ -14,8 +14,11 @@ Usage (CI runs exactly this)::
 
 The default spec requires gold >= 99%, silver >= 95%, bronze >= 90%
 compliance (evaluated against the ``contract_monitor`` artifact's
-per-tier figures, vacuously passing for unexercised tiers) and the
-monitor's observation overhead at most 2% of burst time.  ``--spec``
+per-tier figures, vacuously passing for unexercised tiers), the
+monitor's observation overhead at most 2% of burst time, and — from
+the ``maintenance`` artifact — at most one column gathered per rung
+beyond those the first query after an ingest reads, with
+refresh-from-below at least 10x cheaper than a rebuild.  ``--spec``
 points at a JSON file in the mapping shape
 :meth:`GateSpec.coerce` accepts (see CONTRIBUTING.md).
 """
@@ -40,9 +43,10 @@ from repro.core.monitor import (
 
 #: The spec CI enforces when none is supplied: the tier floors the
 #: presets promise, plus the monitor-overhead bound the tentpole
-#: claims.  ``required=True`` makes a missing contract_monitor
-#: artifact a failure — the gate exists to notice when the benchmark
-#: silently stopped running.
+#: claims and the gather-width bound of the maintenance benchmark.
+#: ``required=True`` makes a missing contract_monitor artifact a
+#: failure — the gate exists to notice when the benchmark silently
+#: stopped running.
 DEFAULT_SPEC = GateSpec(
     floors={"bronze": 0.90, "silver": 0.95, "gold": 0.99},
     metrics=(
@@ -52,6 +56,16 @@ DEFAULT_SPEC = GateSpec(
             max_value=0.02,
             required=True,
         ),
+        # after an ingest a rung gathers the columns the next query
+        # reads plus the hidden _pi, not the whole row (not required:
+        # bench_contract_monitor.py replays this spec over a directory
+        # that may hold its own report alone)
+        MetricGate(
+            artifact="maintenance", metric="max_excess_columns", max_value=1
+        ),
+        # paper §3.1: refresh-from-below is an order of magnitude
+        # cheaper than a rebuild from the base
+        MetricGate(artifact="maintenance", metric="refresh.saving", min_value=10),
     ),
 )
 

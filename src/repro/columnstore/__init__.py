@@ -19,7 +19,7 @@ select-project-join-aggregate shape of the SkyServer workload.
 """
 
 from repro.columnstore.column import Column
-from repro.columnstore.table import Table
+from repro.columnstore.table import DerivedTable, Table
 from repro.columnstore.catalog import Catalog, ForeignKey
 from repro.columnstore.expressions import (
     Expression,
@@ -45,6 +45,7 @@ from repro.columnstore.statistics import TableStatistics
 __all__ = [
     "Column",
     "Table",
+    "DerivedTable",
     "Catalog",
     "ForeignKey",
     "Expression",

@@ -10,11 +10,30 @@ rest of the plan reads (paper §3.2: a column store pays for the
 attributes a query touches).  Tables also carry a monotone ``version``
 (bumped on every append) that the recycler and impression maintenance
 use to detect staleness.
+
+The column-lazy rule
+--------------------
+A :class:`DerivedTable` is "rows ``row_ids`` of ``base``" — what an
+impression, a rung delta and a base complement are.  It knows its
+schema, row count and block grid from the base table alone and gathers
+a column on the first ``column(name)``, once, under a lock; a scan that
+reads two of thirteen columns pays for two gathers (paper §3.1: an
+impression "may contain a subset of the attributes of a table … if the
+need rises, more columns can be added").  **Accounting never gathers**:
+:meth:`Table.nbytes`, :meth:`Table.nbytes_by_tier`,
+:meth:`Table.is_fully_hot`, :meth:`Table.max_value_error`,
+:meth:`Table.promote_all` and :meth:`Table.resident_columns` walk the
+columns that are in RAM — every column of a plain table, the gathered
+ones of a derived table — so sizing, reporting and the memory governor
+never force a column into existence.  Whole-row operations (``take``
+with no column list, ``filter``, ``row``) go through ``column()`` and
+gather what they read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+import threading
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +61,10 @@ class Table:
         if not name:
             raise SchemaError("table name must be non-empty")
         self.name = name
+        #: the columns in RAM: all of them for a plain table, the ones
+        #: gathered so far for a :class:`DerivedTable`
         self._columns: Dict[str, Column] = {}
+        self._block_sizes: set[int] = set()
         self._version = 0
         if isinstance(columns, Mapping):
             for col_name, spec in columns.items():
@@ -61,6 +83,7 @@ class Table:
                 f"duplicate column {column.name!r} in table {self.name!r}"
             )
         self._columns[column.name] = column
+        self._block_sizes.add(column.block_size)
 
     def _check_rectangular(self) -> None:
         lengths = {len(c) for c in self._columns.values()}
@@ -102,12 +125,13 @@ class Table:
         Pruned scans need one block grid shared by every column; a
         table assembled from columns with mismatched block sizes (only
         possible by constructing Columns by hand) reports None, which
-        disables pruning rather than mis-aligning zones.
+        disables pruning rather than mis-aligning zones.  A column's
+        block size never changes, so the set is kept as columns are
+        adopted rather than rebuilt on every scan.
         """
-        sizes = {col.block_size for col in self._columns.values()}
-        if len(sizes) != 1:
+        if len(self._block_sizes) != 1:
             return None
-        (size,) = sizes
+        (size,) = self._block_sizes
         return size
 
     @property
@@ -154,15 +178,20 @@ class Table:
                 f"row {index} out of range for table {self.name!r} "
                 f"with {self.num_rows} rows"
             )
-        return {name: col[index] for name, col in self._columns.items()}
+        return {name: self.column(name)[index] for name in self.column_names}
 
     def iter_rows(self) -> Iterable[dict]:
         """Iterate rows as dicts.  Slow; meant for tests and examples."""
         for i in range(self.num_rows):
             yield self.row(i)
 
+    def resident_columns(self) -> List[Column]:
+        """The columns held in RAM — what accounting and the memory
+        governor walk (see "The column-lazy rule" above)."""
+        return list(self._columns.values())
+
     def nbytes(self) -> int:
-        """RAM-resident payload size of all columns in bytes.
+        """RAM-resident payload size of the resident columns in bytes.
 
         Tier-aware: warm blocks count their quantised codes, cold
         blocks count nothing (their raw bytes live in the spill).
@@ -170,7 +199,7 @@ class Table:
         return sum(col.nbytes() for col in self._columns.values())
 
     def nbytes_by_tier(self) -> Dict[str, int]:
-        """Payload bytes per residency tier, summed over columns."""
+        """Payload bytes per residency tier, summed over resident columns."""
         report = {"hot": 0, "warm": 0, "cold": 0}
         for col in self._columns.values():
             for tier, size in col.nbytes_by_tier().items():
@@ -179,17 +208,18 @@ class Table:
 
     @property
     def is_fully_hot(self) -> bool:
-        """Whether every block of every column is a raw hot ndarray."""
+        """Whether every block of every resident column is a raw hot ndarray."""
         return all(col.is_fully_hot for col in self._columns.values())
 
     def max_value_error(self) -> float:
-        """Max pointwise value-error bound across all columns."""
+        """Max pointwise value-error bound across the resident columns."""
         if not self._columns:
             return 0.0
         return max(col.max_value_error() for col in self._columns.values())
 
     def promote_all(self) -> int:
-        """Promote every demoted block to hot; returns blocks promoted."""
+        """Promote every demoted block of the resident columns to hot;
+        returns blocks promoted."""
         return sum(col.promote_all() for col in self._columns.values())
 
     def __repr__(self) -> str:
@@ -239,7 +269,7 @@ class Table:
         """A new empty table with this table's schema."""
         return Table(
             name or f"{self.name}#empty",
-            {n: c.dtype for n, c in self._columns.items()},
+            {n: self.column(n).dtype for n in self.column_names},
         )
 
     def take(
@@ -255,7 +285,7 @@ class Table:
         not be gathered, nor its demoted blocks decompressed.
         """
         indices = np.asarray(indices)
-        names = self._columns if columns is None else columns
+        names = self.column_names if columns is None else columns
         return Table(
             name or f"{self.name}#take",
             [self.column(n).take(indices) for n in names],
@@ -265,17 +295,17 @@ class Table:
         """Materialise the rows where ``mask`` holds into a new table."""
         return Table(
             name or f"{self.name}#filter",
-            [col.filter(mask) for col in self._columns.values()],
+            [self.column(n).filter(mask) for n in self.column_names],
         )
 
     def project(self, names: Sequence[str], name: str | None = None) -> "Table":
         """Materialise a column subset (column-store projection)."""
         for n in names:
-            if n not in self._columns:
+            if not self.has_column(n):
                 raise UnknownColumnError(self.name, n)
         projected = []
         for n in names:
-            source = self._columns[n]
+            source = self.column(n)
             column = Column.from_external(
                 n, source.dtype, source.to_numpy(), block_size=source.block_size
             )
@@ -293,3 +323,72 @@ class Table:
             arr = np.asarray(values)
             columns.append(Column(col_name, arr.dtype, arr))
         return cls(name, columns)
+
+
+class DerivedTable(Table):
+    """Rows ``row_ids`` of ``base``, one column gathered per first touch.
+
+    The one type behind :meth:`Impression.materialise
+    <repro.core.impression.Impression.materialise>`, ``materialise_delta``
+    and ``materialise_complement``.  ``names`` are the base columns it
+    exposes (in order); ``resident`` are ready columns it carries beside
+    them (an impression's hidden ``_pi``).  ``column_names``,
+    ``num_rows`` and ``block_size`` are answered from the base table's
+    schema, so planning a scan gathers nothing; ``column(name)`` gathers
+    ``base.column(name).take(row_ids)`` once — concurrent first touches
+    serialise on a lock and all see the same :class:`Column` — and the
+    column declares the value error of the base blocks it read *then*,
+    so a gather after the governor demoted those blocks is as honest as
+    one before.  Read-only: the rows are fixed at construction.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        base: Table,
+        row_ids: np.ndarray,
+        names: Sequence[str],
+        resident: Sequence[Column] = (),
+    ) -> None:
+        super().__init__(name, list(resident))
+        self._base = base
+        self._row_ids = row_ids
+        self._names = tuple(names) + tuple(self._columns)
+        if len(set(self._names)) != len(self._names):
+            raise SchemaError(f"duplicate column in table {name!r}: {self._names}")
+        if any(len(c) != row_ids.shape[0] for c in self._columns.values()):
+            raise SchemaError(
+                f"table {name!r}: resident columns do not hold "
+                f"{row_ids.shape[0]} rows"
+            )
+        self._block_sizes |= {base.column(n).block_size for n in names}
+        self._gather_lock = threading.Lock()
+
+    @property
+    def num_rows(self) -> int:
+        return int(self._row_ids.shape[0])
+
+    @property
+    def column_names(self) -> list[str]:
+        return list(self._names)
+
+    def has_column(self, name: str) -> bool:
+        return name in self._names
+
+    def column(self, name: str) -> Column:
+        column = self._columns.get(name)
+        if column is not None:
+            return column
+        if name not in self._names:
+            raise UnknownColumnError(self.name, name)
+        with self._gather_lock:
+            column = self._columns.get(name)
+            if column is None:
+                column = self._base.column(name).take(self._row_ids)
+                # published as a new dict: accounting iterates the old
+                # one undisturbed
+                self._columns = {**self._columns, name: column}
+        return column
+
+    def append_batch(self, batch: Mapping[str, np.ndarray | Sequence]) -> int:
+        raise SchemaError(f"derived table {self.name!r} is read-only")

@@ -475,10 +475,13 @@ class SciBorq:
         """Engine-wide memory accounting, per component and per tier.
 
         Aggregates every catalog table's RAM bytes (split hot/warm and
-        the cold spill bytes), every materialised impression payload,
-        and the recycler — the footprint the memory governor compares
-        against its budget (``ram_total`` excludes cold spill bytes,
-        which live on disk, not in RAM).
+        the cold spill bytes), the resident columns of every impression
+        payload, and the recycler — the footprint the memory governor
+        compares against its budget (``ram_total`` excludes cold spill
+        bytes, which live on disk, not in RAM).  Reporting gathers
+        nothing: a column no scan has touched is not in RAM and is not
+        counted (:meth:`Impression.memory_bytes
+        <repro.core.impression.Impression.memory_bytes>`).
         """
         tables: Dict[str, Dict[str, int]] = {}
         tiers = {"hot": 0, "warm": 0, "cold": 0}

@@ -123,18 +123,18 @@ class MemoryGovernor:
     def _footprint(self, engine, tables: List[Table]) -> int:
         """The same RAM total :meth:`SciBorq.memory_report` reports.
 
-        Sharing one accounting matters: un-materialised impression
-        payloads (sampler state, row ids) are RAM the governor cannot
-        demote, so they must still count against the budget — else the
-        governor declares victory at a footprint the report refutes.
+        Sharing one accounting matters: the governor must not declare
+        victory at a footprint the report refutes.  Impression payloads
+        count their resident columns only (see
+        :mod:`repro.columnstore.table`, "The column-lazy rule"), so
+        neither this sum nor :meth:`_columns` ever gathers one.
         """
         report = engine.memory_report()
         return int(report["ram_total"])
 
     def _columns(self, tables: List[Table]) -> Iterable[Column]:
         for table in tables:
-            for name in table.column_names:
-                column = table.column(name)
+            for column in table.resident_columns():
                 if self.spill is not None and column.is_fully_hot:
                     try:
                         column.attach_spill(self.spill)

@@ -14,6 +14,26 @@ each row's inclusion probability so that downstream operators (joins,
 selections) transport the estimation metadata for free, and
 :mod:`repro.core.quality` can compute Horvitz–Thompson estimates from
 any operator output.
+
+Invalidation costs what the next query reads
+--------------------------------------------
+Every ingest moves the base table's version and the samplers' progress,
+so every cached table here goes stale several times a second under
+load.  Two rules keep that cheap (paper §3.3: impressions stay current
+"with little overhead during the load phase"):
+
+* **Column-lazy tables.**  :meth:`Impression.materialise`,
+  :meth:`~Impression.materialise_delta` and
+  :meth:`~Impression.materialise_complement` all return a
+  :class:`~repro.columnstore.table.DerivedTable` over ``(base, row
+  ids)``: building one gathers nothing but ``_pi``, and a scan gathers
+  the columns it reads on first touch.  **Accounting never gathers** —
+  :meth:`Impression.memory_bytes`, ``engine.memory_report()`` and the
+  memory governor see resident columns only.
+* **Incremental row-id bookkeeping.**  An ingest replaces a few percent
+  of a reservoir's slots, so the sorted row-id index is *patched* with
+  the slots that changed (:func:`_patched_sort`) instead of re-sorted,
+  and deltas and complements are read off the sorted ids with a mask.
 """
 
 from __future__ import annotations
@@ -25,7 +45,7 @@ import numpy as np
 
 from repro.columnstore.column import Column
 from repro.columnstore.query import Query
-from repro.columnstore.table import Table
+from repro.columnstore.table import DerivedTable, Table
 from repro.errors import ImpressionError
 
 #: Name of the hidden inclusion-probability column.
@@ -93,7 +113,13 @@ class Impression:
         # Delta-escalation caches: sorted row-id index, per-predecessor
         # delta row ids/materialisations, and the base-complement rows.
         # All keys embed the samplers' progress so reservoir churn
-        # invalidates them for free.
+        # invalidates them for free, and a generation that
+        # ``_invalidate`` moves: a refresh re-arms the sampler and can
+        # land on the same (seen, size) with other rows, which the
+        # caches *other* impressions key on this one must notice too.
+        # The sorted index is ``(key, row_ids, sorted_ids, order)``; a
+        # stale one is kept as the starting point of the next patch.
+        self._generation = 0
         self._sorted_ids: Optional[tuple] = None
         self._delta_ids: dict = {}
         self._delta_tables: dict = {}
@@ -173,15 +199,29 @@ class Impression:
         )
         return query.columns_read() <= available
 
-    def materialise(self, base: Table) -> Table:
-        """The impression as a queryable table (cached).
+    def _derived(
+        self,
+        base: Table,
+        name: str,
+        row_ids: np.ndarray,
+        pis: Optional[np.ndarray] = None,
+    ) -> DerivedTable:
+        """``row_ids`` of ``base`` restricted to this impression's
+        column subset, carrying ``pis`` as the hidden ``_pi`` column."""
+        names = list(self.columns) if self.columns is not None else base.column_names
+        resident = [] if pis is None else [Column(PI_COLUMN, np.float64, pis)]
+        return DerivedTable(name, base, row_ids, names, resident)
 
-        The cache key covers both the base table's version (appends
-        shift nothing — row ids are stable — but a regrown column's
-        buffers may move) and the sampler's progress.
+    def materialise(self, base: Table) -> Table:
+        """The impression as a queryable table (cached, column-lazy).
+
+        One table per cache key, which covers both the base table's
+        version (appends shift nothing — row ids are stable — but a
+        regrown column's buffers may move) and the sampler's progress.
+        Only ``_pi`` is built here; see the module docstring.
         """
         with self._materialise_lock:
-            key = (base.version, self.sampler.seen, self.size)
+            key = (base.version, self._progress_key())
             if self._cached is not None and self._cache_key == key:
                 return self._cached
             row_ids = self.row_ids
@@ -191,21 +231,19 @@ class Impression:
                     f"{int(row_ids.max())} beyond base table "
                     f"{base.name!r} ({base.num_rows} rows)"
                 )
-            names = (
-                list(self.columns) if self.columns is not None else base.column_names
+            self._cached = self._derived(
+                base,
+                f"{base.name}§{self.name}",
+                row_ids,
+                self.inclusion_probabilities(),
             )
-            columns = [base.column(n).take(row_ids) for n in names]
-            columns.append(
-                Column(PI_COLUMN, np.float64, self.inclusion_probabilities())
-            )
-            self._cached = Table(f"{base.name}§{self.name}", columns)
             self._cache_key = key
             return self._cached
 
     def _invalidate(self) -> None:
+        self._generation += 1
         self._cached = None
         self._cache_key = None
-        self._sorted_ids = None
         self._delta_ids = {}
         self._delta_tables = {}
         self._complement = None
@@ -221,7 +259,7 @@ class Impression:
 
     def _progress_key(self) -> tuple:
         """Cache-key component tracking this impression's contents."""
-        return (self.sampler.seen, self.size)
+        return (self._generation, self.sampler.seen, self.size)
 
     @classmethod
     def _cache_put(cls, cache: dict, key, value) -> None:
@@ -241,19 +279,18 @@ class Impression:
     def _sorted_row_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """``(sorted_ids, argsort)`` of the current contents, cached.
 
-        Reads the cache slot exactly once: a concurrent
-        :meth:`_invalidate` may null it between a check and a re-read,
-        so the stale-but-consistent local is what gets used (worst
-        case: a redundant recompute).
+        Reads the cache slot exactly once, so a concurrent writer costs
+        at worst a redundant recompute.  A stale entry is patched, not
+        thrown away — see :func:`_patched_sort`.
         """
         key = self._progress_key()
         cached = self._sorted_ids
         if cached is None or cached[0] != key:
             row_ids = self.row_ids
-            order = np.argsort(row_ids, kind="stable")
-            cached = (key, row_ids[order], order)
+            previous = None if cached is None else cached[1:]
+            cached = (key, row_ids) + _patched_sort(row_ids, previous)
             self._sorted_ids = cached
-        return cached[1], cached[2]
+        return cached[2], cached[3]
 
     def positions_of(self, row_ids: np.ndarray) -> np.ndarray:
         """Positions (reservoir slots) of the given base row ids.
@@ -287,7 +324,7 @@ class Impression:
             if key in cache:
                 return cache[key]
         mine, _ = self._sorted_row_ids()
-        theirs = np.sort(prev.row_ids)
+        theirs, _ = prev._sorted_row_ids()
         slots = np.searchsorted(mine, theirs)
         nested = bool(
             theirs.size == 0
@@ -296,9 +333,11 @@ class Impression:
                 and np.array_equal(mine[slots], theirs)
             )
         )
-        delta = (
-            np.setdiff1d(mine, theirs, assume_unique=True) if nested else None
-        )
+        delta = None
+        if nested:
+            added = np.ones(mine.shape[0], dtype=bool)
+            added[slots] = False
+            delta = mine[added]
         with self._materialise_lock:
             self._cache_put(cache, key, delta)
         return delta
@@ -331,13 +370,10 @@ class Impression:
         delta = self.delta_row_ids(prev)
         if delta is None:
             return None
-        names = (
-            list(self.columns) if self.columns is not None else base.column_names
-        )
-        columns = [base.column(n).take(delta) for n in names]
         pis = self.inclusion_probabilities()[self.positions_of(delta)]
-        columns.append(Column(PI_COLUMN, np.float64, pis))
-        table = Table(f"{base.name}§{self.name}Δ{prev.name}", columns)
+        table = self._derived(
+            base, f"{base.name}§{self.name}Δ{prev.name}", delta, pis
+        )
         pair = (delta, table)
         with self._materialise_lock:
             self._cache_put(cache, key, pair)
@@ -354,7 +390,9 @@ class Impression:
         cached = self._complement
         if cached is None or cached[0] != key:
             mine, _ = self._sorted_row_ids()
-            ids = np.delete(np.arange(base.num_rows, dtype=np.int64), mine)
+            unsampled = np.ones(base.num_rows, dtype=bool)
+            unsampled[mine] = False
+            ids = np.flatnonzero(unsampled)
             cached = (key, ids, None)
             self._complement = cached
         return cached[1]
@@ -376,13 +414,7 @@ class Impression:
         if cached is not None and cached[0] == key and cached[2] is not None:
             return cached[1], cached[2]
         ids = self.complement_row_ids(base)
-        names = (
-            list(self.columns) if self.columns is not None else base.column_names
-        )
-        table = Table(
-            f"{base.name}∖{self.name}",
-            [base.column(n).take(ids) for n in names],
-        )
+        table = self._derived(base, f"{base.name}∖{self.name}", ids)
         with self._materialise_lock:
             self._complement = (key, ids, table)
         return ids, table
@@ -400,24 +432,62 @@ class Impression:
     def memory_bytes(self, base: Table) -> int:
         """RAM footprint of the materialised impression.
 
-        Tier-aware when a payload is materialised: demoted blocks
-        report their compressed (warm) or zero (cold) RAM cost.  With
-        no live materialisation the footprint is computed analytically
-        from dtype widths × held tuples (plus the hidden ``_pi`` float
-        column), so sizing decisions never force one.
+        The resident columns of the live table — ``_pi`` plus whatever
+        scans have gathered so far — tier-aware: demoted blocks report
+        their compressed (warm) or zero (cold) RAM cost.  With no live
+        table it is the ``_pi`` column a fresh one would start with.
+        Either way nothing is gathered: sizing decisions never force a
+        column (``base`` is part of the signature, not of the answer).
         """
         cached = self._cached
         if cached is not None:
             return int(cached.nbytes())
-        names = (
-            list(self.columns) if self.columns is not None else base.column_names
-        )
-        row_bytes = sum(base.column(n).dtype.itemsize for n in names)
-        row_bytes += np.dtype(np.float64).itemsize  # the _pi column
-        return int(row_bytes * self.size)
+        return int(np.dtype(np.float64).itemsize * self.size)
 
     def __repr__(self) -> str:
         return (
             f"Impression({self.name!r}, base={self.base_table!r}, "
             f"layer={self.layer}, size={self.size}/{self.capacity})"
         )
+
+
+def _patched_sort(
+    row_ids: np.ndarray, previous: Optional[tuple]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row_ids[order], order)`` for ``order = argsort(row_ids,
+    kind="stable")``, patched from ``previous`` where that is cheaper.
+
+    ``previous`` is ``(row_ids, sorted_ids, order)`` of an earlier
+    state of the same reservoir (or ``None``).  Sampler churn replaces
+    a few slots in place, so the slots whose id changed are found by
+    comparison, dropped from the previous index, sorted among
+    themselves and merged back in — O(n + k log k) against the
+    argsort's O(n log n).  Falls back to the full sort when the size
+    changed or more than a quarter of the slots moved.  Row ids are
+    distinct (a reservoir holds a base row at most once), so a merge by
+    id is the stable order.
+    """
+
+    def full() -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(row_ids, kind="stable")
+        return row_ids[order], order
+
+    if previous is None:
+        return full()
+    old_ids, old_sorted, old_order = previous
+    size = row_ids.shape[0]
+    if old_ids.shape[0] != size:
+        return full()
+    changed = np.flatnonzero(row_ids != old_ids)
+    if changed.size == 0:
+        return old_sorted, old_order
+    if changed.size * 4 > size:
+        return full()
+    moved = np.zeros(size, dtype=bool)
+    moved[changed] = True
+    kept = ~moved[old_order]
+    kept_ids, kept_order = old_sorted[kept], old_order[kept]
+    by_id = np.argsort(row_ids[changed], kind="stable")
+    new_ids, new_slots = row_ids[changed][by_id], changed[by_id]
+    at = np.searchsorted(kept_ids, new_ids)
+    return np.insert(kept_ids, at, new_ids), np.insert(kept_order, at, new_slots)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.columnstore import Catalog, Loader, Table
+from repro.columnstore.column import Column
 from repro.core.engine import SciBorq
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
@@ -91,3 +92,18 @@ def fresh_sky_engine() -> SciBorq:
 def workload() -> WorkloadGenerator:
     """A seeded default workload generator."""
     return WorkloadGenerator(rng=303)
+
+
+@pytest.fixture
+def gathered(monkeypatch) -> list[str]:
+    """Names of the columns ``Column.gather_with_error`` is asked for,
+    in order — the width guards count these."""
+    names: list[str] = []
+    original = Column.gather_with_error
+
+    def counting(self, indices):
+        names.append(self.name)
+        return original(self, indices)
+
+    monkeypatch.setattr(Column, "gather_with_error", counting)
+    return names

@@ -266,16 +266,65 @@ class TestImpressionDeltas:
         with pytest.raises(ImpressionError):
             small.positions_of(missing)
 
-    def test_memory_bytes_is_analytic(self):
+    def test_memory_bytes_is_analytic(self, gathered):
+        """Accounting never gathered: ``memory_bytes``, the memory report
+        and a governor pass read resident columns and nothing else."""
+        from repro.core.engine import SciBorq
+        from repro.core.server import SciBorqServer
+
         catalog, base, hierarchy = _nested_setup()
         impression = hierarchy.layer(1)
+        pi_bytes = 8 * impression.size
+        # nothing materialised: nothing forced, the would-be _pi counted
         impression._invalidate()
-        footprint = impression.memory_bytes(base)
-        # analytic: no materialisation may have happened
-        assert impression._cached is None
-        assert footprint == impression.materialise(base).nbytes()
-        assert footprint > 0
-
+        assert impression.memory_bytes(base) == pi_bytes
+        assert impression._cached is None and gathered == []
+        # a live table: its resident columns, _pi among them
+        table = impression.materialise(base)
+        assert impression.memory_bytes(base) == pi_bytes == table.nbytes()
+        table.column("v")
+        assert gathered == ["v"]
+        assert [c.name for c in table.resident_columns()] == [PI_COLUMN, "v"]
+        assert impression.memory_bytes(base) == pi_bytes + 8 * impression.size
+        assert impression.memory_bytes(base) == table.nbytes()
+        # a budgeted server: the install pass, a query epilogue and an
+        # explicit pass demote resident columns and gather none
+        rng = np.random.default_rng(3)
+        catalog = Catalog()
+        catalog.add_table(
+            Table(
+                "S",
+                [
+                    Column(n, "float64", rng.uniform(0.0, 100.0, 6_000), block_size=256)
+                    for n in ("x", "v", "w")
+                ],
+            )
+        )
+        engine = SciBorq(catalog, interest_attributes={"x": (0.0, 100.0)}, rng=5)
+        engine.create_hierarchy("S", policy="uniform", layer_sizes=(3_000, 700))
+        for layer in engine.hierarchy("S").layers:
+            layer.sampler.offer_batch(np.arange(6_000))
+        query = Query(
+            table="S",
+            predicate=Between("x", 10.0, 60.0),
+            aggregates=[AggregateSpec("avg", "v")],
+        )
+        engine.execute(query, Contract.within_error(1e-4))  # every rung gathered x, v
+        top = engine.hierarchy("S").layer(0).cached_table()
+        assert [c.name for c in top.resident_columns()] == [PI_COLUMN, "x", "v"]
+        del gathered[:]
+        budget = engine.memory_report()["ram_total"] // 3
+        with SciBorqServer(engine, max_workers=1, memory_budget=budget) as server:
+            governor = server.memory_governor
+            assert governor.stats.demotions_warm > 0 and not top.is_fully_hot
+            assert gathered == []
+            server.open_session().execute(query, Contract.within_error(0.5))
+            assert set(gathered) <= {"x", "v", PI_COLUMN}  # the query's own reads
+            del gathered[:]
+            governor.enforce(engine)
+            assert engine.memory_report()["ram_total"] == governor.stats.last_footprint
+        assert gathered == []
+        assert [c.name for c in top.resident_columns()] == [PI_COLUMN, "x", "v"]
 
 # ----------------------------------------------------------------------
 # bounded execution: delta vs from-scratch recomputation

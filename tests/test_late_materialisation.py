@@ -122,6 +122,8 @@ def build_engine(warm: bool) -> SciBorq:
     if warm:
         base = catalog.table("PhotoObjAll")
         sample = engine.hierarchy("PhotoObjAll").layer(0).materialise(base)
+        # base first: the sample's columns are then first touched (and
+        # gathered) over warm base blocks, the late-gather case
         for table in (base, sample):
             for name in table.column_names:
                 for block in range(1, table.num_rows // BS):
@@ -139,9 +141,15 @@ def engines() -> dict[str, SciBorq]:
 # ----------------------------------------------------------------------
 # the reference: whole rows, plain numpy
 # ----------------------------------------------------------------------
-def whole_rows(catalog: Catalog, query: Query, source: Table):
+def whole_rows(catalog: Catalog, query: Query, source: Table, inherited=None):
     """Selection and joins of ``query`` over ``source`` carrying every
-    column of the matching rows, plus the operator records charged."""
+    column of the matching rows, plus the operator records charged.
+
+    ``inherited`` is the value error each column of ``source`` already
+    carried when it was gathered (a sample gathered from a base table
+    whose blocks were warm by then), per column name.
+    """
+    inherited = inherited or {}
     mask = np.asarray(query.predicate.evaluate(source), dtype=bool)
     idx = np.flatnonzero(mask)
     _, select_op = operators.select(source, query.predicate)
@@ -152,7 +160,10 @@ def whole_rows(catalog: Catalog, query: Query, source: Table):
         out = Column(name, col.dtype, col.to_numpy()[idx])
         touched = np.unique(idx // col.block_size)
         out.declare_value_error(
-            max(col.block_value_error(int(b)) for b in touched)
+            max(
+                inherited.get(name, 0.0),
+                *(col.block_value_error(int(b)) for b in touched),
+            )
         )
         columns[name] = out
     ops = [select_op]
@@ -269,7 +280,15 @@ def assert_estimate_identity(estimator, impression, query, sample, got, context)
     """``got`` (the estimator over the narrow working set) against the
     same estimator handed whole rows."""
     catalog = estimator.catalog
-    whole, ops = whole_rows(catalog, query, sample)
+    # the sample's columns are gathered on first touch — here, after
+    # the base went warm — and carry the error of the base blocks read
+    base = catalog.table(impression.base_table)
+    blocks = np.unique(impression.row_ids // BS)
+    inherited = {
+        name: max(base.column(name).block_value_error(int(b)) for b in blocks)
+        for name in base.column_names
+    }
+    whole, ops = whole_rows(catalog, query, sample, inherited)
     want = estimator.estimate_from_working(
         query, impression, whole, ExecutionStats(sample.name, sample.num_rows)
     )
@@ -424,22 +443,9 @@ class TestErrorParity:
 
 
 # ----------------------------------------------------------------------
-# width guards: how many columns a plan actually gathers
+# width guards: how many columns a plan actually gathers (the
+# ``gathered`` fixture lives in conftest.py)
 # ----------------------------------------------------------------------
-@pytest.fixture
-def gathered(monkeypatch) -> list[str]:
-    """Names of the columns ``Column.gather_with_error`` is asked for."""
-    names: list[str] = []
-    original = Column.gather_with_error
-
-    def counting(self, indices):
-        names.append(self.name)
-        return original(self, indices)
-
-    monkeypatch.setattr(Column, "gather_with_error", counting)
-    return names
-
-
 class TestGatherWidth:
     ROWS_QUERY = Query(
         table="PhotoObjAll", predicate=CUT, select=("objID", "ra", "dec", "r_mag")
@@ -473,7 +479,9 @@ class TestGatherWidth:
     def test_impression_row_query_also_carries_pi(self, sky_engine, gathered):
         base = sky_engine.catalog.table("PhotoObjAll")
         impression = sky_engine.hierarchy("PhotoObjAll").layer(0)
-        impression.materialise(base)  # building the sample gathers every column
+        sample = impression.materialise(base)
+        for name in self.ROWS_QUERY.select:
+            sample.column(name)  # the sample's own first-touch gathers
         del gathered[:]
         estimator = sky_engine.processor("PhotoObjAll").estimator
         answer = estimator.estimate(self.ROWS_QUERY, impression)

@@ -410,6 +410,36 @@ class TestContractHonesty:
             estimates["avg(y)"].half_width
         )
 
+    def test_a_column_gathered_after_demotion_declares_the_blocks_error(self):
+        """An impression's columns are gathered on first touch, which
+        may be after the governor demoted the base blocks they read:
+        the late column must carry those blocks' bound, a column
+        gathered while the base was hot must not, and the estimate
+        built on the late one must widen by it."""
+        engine = tiered_engine()
+        table = engine.catalog.table("fact")
+        impression = engine.hierarchy("fact").layer(0)
+        sample = impression.materialise(table)
+        early = sample.column("x")  # gathered from the hot base
+        for block in range(table.num_blocks - 1):
+            table.column("y").demote(block, "warm")
+        assert impression.materialise(table) is sample  # demotion moves no key
+        late = sample.column("y")  # first touch: dequantised base blocks
+        touched = np.unique(impression.row_ids // BS)
+        assert late.max_value_error() == max(
+            table.column("y").block_value_error(int(b)) for b in touched
+        )
+        assert late.max_value_error() > 0.0 and late.is_fully_hot
+        assert early.max_value_error() == 0.0
+        assert np.abs(
+            late.values - tiered_table()["y"][impression.row_ids]
+        ).max() <= late.max_value_error()
+        outcome = engine.execute(self.cone(), contract=Contract.unconstrained())
+        assert outcome.attempts[0].source == impression.name
+        for estimate in outcome.result.estimates.values():
+            assert estimate.value_error > 0.0
+            assert estimate.half_width >= estimate.value_error
+
 
 # ----------------------------------------------------------------------
 # MemoryGovernor
