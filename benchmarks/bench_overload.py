@@ -102,7 +102,7 @@ def run_unloaded(n: int, seed: int, sessions: int, per_session: int):
     """The reference arm: every query alone, admission off."""
     engine = build_engine(n, seed)
     reference = {}
-    with SciBorqServer(engine, admission=False) as server:
+    with SciBorqServer(engine) as server:
         session = server.open_session("reference")
         for key, query in workload(sessions, per_session):
             reference[key] = summarize(session.execute(query, CONTRACT))

@@ -1,16 +1,14 @@
 """E12 — sampler substrate: throughput and footprint of the reservoir
-family vs the Bernoulli strawman.
+family.
 
 Streams one million tuples through each sampler.  Shape checks: every
-reservoir variant holds exactly its capacity while Bernoulli's
-footprint grows with the stream; uniform inclusion probabilities match
-the closed form.
+reservoir variant holds exactly its capacity; uniform inclusion
+probabilities match the closed form.
 """
 
 import numpy as np
 import pytest
 
-from repro.sampling.bernoulli import BernoulliSampler
 from repro.sampling.biased import BiasedReservoir
 from repro.sampling.last_seen import LastSeenReservoir
 from repro.sampling.reservoir import ReservoirR
@@ -63,26 +61,6 @@ def test_reservoir_throughput(benchmark, name, factory, needs_values):
 
     assert sampler.size == CAPACITY  # fixed footprint, always
     assert sampler.seen == STREAM
-
-
-def test_bernoulli_footprint_diverges(benchmark):
-    def run():
-        sampler = BernoulliSampler(CAPACITY / STREAM, rng=4)
-        sizes = []
-        for start in range(0, STREAM, CHUNK):
-            sampler.offer_batch(np.arange(start, start + CHUNK))
-            sizes.append(sampler.size)
-        return sampler, sizes
-
-    sampler, sizes = benchmark.pedantic(run, rounds=2, iterations=1)
-    print(
-        f"== E12: bernoulli footprint grows {sizes[0]} -> {sizes[-1]} "
-        f"over the stream"
-    )
-    # same *expected* final size as the reservoirs, but unbounded along
-    # the way: the growth is monotone and roughly linear
-    assert sizes[-1] == pytest.approx(CAPACITY, rel=0.1)
-    assert sizes[-1] > 15 * sizes[0]
 
 
 def test_uniform_inclusion_probability_closed_form(benchmark):

@@ -13,7 +13,7 @@ substrate:
 * :mod:`repro.workload` — query log, predicate sets, interest model,
   drift detection;
 * :mod:`repro.sampling` — Algorithm R, Last Seen, biased reservoir,
-  weighted/Bernoulli baselines, join synopses, extrema;
+  extrema, self-tuning and πps samplers;
 * :mod:`repro.core` — impressions, hierarchies, bounded query
   processing, maintenance, and the :class:`~repro.core.engine.SciBorq`
   facade.

@@ -35,7 +35,7 @@ from repro.columnstore.expressions import (
     col_between,
 )
 from repro.columnstore.query import Query, AggregateSpec, JoinSpec
-from repro.columnstore.aggstate import AggState, GroupedAggState, FoldState
+from repro.columnstore.aggstate import FoldState
 from repro.columnstore.executor import Executor, QueryResult, ExecutionStats
 from repro.columnstore.recycler import Recycler
 from repro.columnstore.loader import Loader, LoadObserver
@@ -62,8 +62,6 @@ __all__ = [
     "Query",
     "AggregateSpec",
     "JoinSpec",
-    "AggState",
-    "GroupedAggState",
     "FoldState",
     "Executor",
     "QueryResult",

@@ -1,237 +1,32 @@
-"""Mergeable partial-aggregate states for incremental escalation.
+"""The row-level fold state of incremental (delta) escalation.
 
 SciBORQ's impression hierarchies are *nested*: "each less detailed
 impression is derived from a previous more detailed one" (paper §3.1),
 so when the bounded query processor escalates from rung k to rung k+1
-it has already scanned every row the two rungs share.  This module is
-the algebra that lets escalation pay only for the rows each rung adds:
-
-* :class:`AggState` — the classic mergeable moment state (count, sum,
-  centred second moment, min, max) for one ungrouped aggregate column.
-  The derived aggregates avg/var/std are exact functions of the
-  moments, so ``merge(a, b).value(fn) == from_values(a ∪ b).value(fn)``
-  up to float associativity; the centred (Welford/Chan) form keeps
-  var/std numerically stable where the naive ``Σv² − n·mean²``
-  formulation cancels catastrophically.  Property tests pin these
-  semantics to :func:`repro.columnstore.operators.aggregate`'s.
-* :class:`GroupedAggState` — the same moments per group key, merged
-  key-wise (absent keys are simply adopted).
-
-Division of labour: the bounded processor's production ladder threads
-the row-level :class:`FoldState` and re-aggregates through the same
-operators as a from-scratch scan, because byte-identical exact answers
-require reproducing the scan *order*, and Horvitz–Thompson estimates
-need per-row inclusion probabilities that change from rung to rung.
-The moment states are the O(1)-memory merge algebra of the same
-semantics — for consumers (streaming folds, distributed merges, the
-property tests that pin the equivalence) that can trade bitwise
-ordering for constant state.
-* :class:`FoldState` — the row-level state the escalation ladder
-  threads upward: the predicate-matching rows seen so far (stable base
-  row ids plus the value columns the query's aggregates and grouping
-  read).  Keeping row ids is what makes the fold *re-weightable*: a
-  biased rung's Horvitz–Thompson estimates need each matching row's
-  inclusion probability *under the current rung's design*, and those
-  πs change from rung to rung even though the values do not.  Folds
-  merge disjoint scans (a previous rung plus the new rung's delta) and
-  keep the sorted-by-row-id invariant so exact base-table answers are
-  reconstructed in precisely the order a from-scratch scan would have
-  produced them — byte-identical results, a fraction of the cost.
+it has already scanned every row the two rungs share.
+:class:`FoldState` is what lets escalation pay only for the rows each
+rung adds: the predicate-matching rows seen so far (stable base row
+ids plus the value columns the query's aggregates and grouping read),
+threaded up the ladder and re-aggregated through the same operators as
+a from-scratch scan.  Keeping row ids is what makes the fold
+*re-weightable*: a biased rung's Horvitz–Thompson estimates need each
+matching row's inclusion probability *under the current rung's
+design*, and those πs change from rung to rung even though the values
+do not.  Folds merge disjoint scans (a previous rung plus the new
+rung's delta) and keep the sorted-by-row-id invariant so exact
+base-table answers are reconstructed in precisely the order a
+from-scratch scan would have produced them — byte-identical results,
+a fraction of the cost.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 import numpy as np
 
 from repro.errors import QueryError
-
-#: Aggregate functions derivable from one moment state.
-FOLDABLE_FUNCTIONS = ("count", "sum", "avg", "min", "max", "var", "std")
-
-
-@dataclass(frozen=True)
-class AggState:
-    """Mergeable moments of one value set (one aggregate column).
-
-    ``count`` is the number of rows folded in; ``total`` the raw sum;
-    ``mean``/``m2`` the centred first and second moments (Welford
-    form: ``m2 = Σ(v − mean)²``), which merge by Chan's parallel
-    update and stay numerically stable where the naive raw-moment
-    variance ``Σv² − n·mean²`` cancels catastrophically for large
-    means.  The raw second moment is still available as :attr:`sumsq`.
-    ``minimum``/``maximum`` are the extremes (NaN when the state is
-    empty, mirroring the operators' convention that aggregates over
-    zero rows are NaN).
-    """
-
-    count: int = 0
-    total: float = 0.0
-    mean: float = 0.0
-    m2: float = 0.0
-    minimum: float = math.nan
-    maximum: float = math.nan
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "AggState":
-        """The state of one scanned batch of values."""
-        values = np.asarray(values)
-        if values.shape[0] == 0:
-            return cls()
-        as_float = values.astype(np.float64, copy=False)
-        mean = float(as_float.mean())
-        deviations = as_float - mean
-        return cls(
-            count=int(values.shape[0]),
-            total=float(values.sum()),
-            mean=mean,
-            m2=float((deviations * deviations).sum()),
-            minimum=float(values.min()),
-            maximum=float(values.max()),
-        )
-
-    @property
-    def empty(self) -> bool:
-        """Whether no rows have been folded in yet."""
-        return self.count == 0
-
-    @property
-    def sumsq(self) -> float:
-        """The raw second moment ``Σv²``, derived from the centred form."""
-        return self.m2 + self.count * self.mean * self.mean
-
-    def merge(self, other: "AggState") -> "AggState":
-        """The state of the disjoint union of both inputs."""
-        if self.empty:
-            return other
-        if other.empty:
-            return self
-        count = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / count
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / count
-        return AggState(
-            count=count,
-            total=self.total + other.total,
-            mean=mean,
-            m2=m2,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-        )
-
-    def value(self, fn: str) -> float:
-        """Finalise one aggregate from the moments."""
-        if fn == "count":
-            return float(self.count)
-        if self.empty:
-            return math.nan
-        if fn == "sum":
-            return self.total
-        if fn == "avg":
-            return self.mean
-        if fn == "min":
-            return self.minimum
-        if fn == "max":
-            return self.maximum
-        if fn in ("var", "std"):
-            if self.count < 2:
-                return 0.0
-            var = max(self.m2 / (self.count - 1), 0.0)
-            return math.sqrt(var) if fn == "std" else var
-        raise QueryError(f"unknown aggregate {fn!r}")
-
-
-#: One group key: the tuple of per-attribute key values.
-GroupKey = Tuple[object, ...]
-
-
-@dataclass
-class GroupedAggState:
-    """Per-group moment states, merged key-wise.
-
-    ``columns`` maps each aggregated column name to its per-group
-    :class:`AggState`; ``counts`` carries the per-group row counts so
-    ``COUNT(*)`` needs no value column.
-    """
-
-    group_by: Tuple[str, ...]
-    counts: Dict[GroupKey, int] = field(default_factory=dict)
-    columns: Dict[str, Dict[GroupKey, AggState]] = field(default_factory=dict)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        group_by: Sequence[str],
-        keys: Mapping[str, np.ndarray],
-        values: Mapping[str, np.ndarray],
-    ) -> "GroupedAggState":
-        """Build the state of one scanned batch.
-
-        ``keys`` holds the group-by columns, ``values`` the aggregate
-        input columns; all arrays are row-aligned.
-        """
-        from repro.columnstore.operators import factorise_keys
-
-        group_by = tuple(group_by)
-        if not group_by:
-            raise QueryError("grouped state requires at least one key column")
-        key_arrays = [np.asarray(keys[name]) for name in group_by]
-        n = key_arrays[0].shape[0]
-        state = cls(group_by=group_by)
-        state.columns = {name: {} for name in values}
-        if n == 0:
-            return state
-        first_index, order, boundaries, counts = factorise_keys(key_arrays)
-        for g, start in enumerate(boundaries):
-            stop = (
-                boundaries[g + 1] if g + 1 < boundaries.shape[0] else order.shape[0]
-            )
-            rows = order[start:stop]
-            key = tuple(arr[first_index[g]] for arr in key_arrays)
-            state.counts[key] = int(counts[g])
-            for name, arr in values.items():
-                state.columns[name][key] = AggState.from_values(
-                    np.asarray(arr)[rows]
-                )
-        return state
-
-    def merge(self, other: "GroupedAggState") -> "GroupedAggState":
-        """Key-wise merge of two disjoint scans' grouped states."""
-        if self.group_by != other.group_by:
-            raise QueryError(
-                f"cannot merge grouped states over different keys: "
-                f"{self.group_by} vs {other.group_by}"
-            )
-        merged = GroupedAggState(group_by=self.group_by)
-        merged.counts = dict(self.counts)
-        for key, count in other.counts.items():
-            merged.counts[key] = merged.counts.get(key, 0) + count
-        names = set(self.columns) | set(other.columns)
-        for name in names:
-            mine = self.columns.get(name, {})
-            theirs = other.columns.get(name, {})
-            out: Dict[GroupKey, AggState] = dict(mine)
-            for key, state in theirs.items():
-                out[key] = out[key].merge(state) if key in out else state
-            merged.columns[name] = out
-        return merged
-
-    def keys_sorted(self) -> List[GroupKey]:
-        """Group keys in the order ``np.unique`` factorisation yields
-        (lexicographic by key tuple)."""
-        return sorted(self.counts)
-
-    def value(self, fn: str, column: Optional[str], key: GroupKey) -> float:
-        """Finalise one aggregate for one group."""
-        if fn == "count":
-            return float(self.counts.get(key, 0))
-        if column is None:
-            raise QueryError(f"aggregate {fn!r} requires a column")
-        state = self.columns.get(column, {}).get(key)
-        return state.value(fn) if state is not None else math.nan
 
 
 @dataclass(frozen=True)
@@ -301,18 +96,4 @@ class FoldState:
             },
             scanned_rows=self.scanned_rows + delta.scanned_rows,
             value_error=max(self.value_error, delta.value_error),
-        )
-
-    def agg_state(self, column: str) -> AggState:
-        """The moment state of one accumulated value column."""
-        return AggState.from_values(self.columns[column])
-
-    def grouped_state(
-        self, group_by: Sequence[str], value_columns: Sequence[str]
-    ) -> GroupedAggState:
-        """The grouped moment state of the accumulated rows."""
-        return GroupedAggState.from_arrays(
-            group_by,
-            {name: self.columns[name] for name in group_by},
-            {name: self.columns[name] for name in value_columns},
         )

@@ -342,12 +342,7 @@ def _float_coercible(dtype: np.dtype) -> bool:
 
 
 def _aggregate_array(fn: str, values: Optional[np.ndarray], count: int) -> float:
-    """Compute one ungrouped aggregate over ``values``.
-
-    The mergeable counterpart of these semantics is
-    :class:`~repro.columnstore.aggstate.AggState` (delta escalation's
-    fold algebra); property tests pin the two to agree.
-    """
+    """Compute one ungrouped aggregate over ``values``."""
     if fn == "count":
         return float(count)
     assert values is not None
@@ -397,8 +392,7 @@ def factorise_keys(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factorise row-aligned key columns into dense groups.
 
-    The shared grouping core of :func:`group_aggregate` and
-    :class:`repro.columnstore.aggstate.GroupedAggState`.  Returns
+    The grouping core of :func:`group_aggregate`.  Returns
     ``(first_index, order, boundaries, counts)``: the first input row
     of each group (groups ordered by combined key code, i.e.
     lexicographically by key tuple), a stable permutation clustering

@@ -59,10 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.scheduler import SharedScanScheduler
     from repro.core.session import Session
 
-#: Environment overrides consulted by :func:`admission_from_env`.
-MAX_INFLIGHT_ENV = "SCIBORQ_MAX_INFLIGHT"
-QUEUE_DEPTH_ENV = "SCIBORQ_QUEUE_DEPTH"
-
 #: Default retry-after advice (seconds) before any run-time history
 #: exists to base an estimate on.
 _RETRY_AFTER_FLOOR = 0.05
@@ -656,34 +652,3 @@ class AdmissionController:
             f"inflight={snapshot.inflight}, queued={snapshot.queued}, "
             f"shed={snapshot.shed})"
         )
-
-
-def admission_from_env(
-    max_inflight: Optional[str] = None, queue_depth: Optional[str] = None
-) -> Optional[AdmissionController]:
-    """Build a controller from ``SCIBORQ_MAX_INFLIGHT``/``SCIBORQ_QUEUE_DEPTH``.
-
-    Returns ``None`` when neither variable is set (admission stays
-    off, preserving the pre-admission server behaviour); either alone
-    takes the other's default.  Raises ``ValueError`` on garbage — a
-    mis-typed capacity should fail loudly at startup, not silently
-    serve unbounded.
-    """
-    raw_inflight = (
-        max_inflight
-        if max_inflight is not None
-        else os.environ.get(MAX_INFLIGHT_ENV)
-    )
-    raw_depth = (
-        queue_depth
-        if queue_depth is not None
-        else os.environ.get(QUEUE_DEPTH_ENV)
-    )
-    if raw_inflight is None and raw_depth is None:
-        return None
-    kwargs = {}
-    if raw_inflight is not None:
-        kwargs["max_inflight"] = int(raw_inflight)
-    if raw_depth is not None:
-        kwargs["queue_depth"] = int(raw_depth)
-    return AdmissionController(**kwargs)

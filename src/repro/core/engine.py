@@ -217,6 +217,8 @@ class SciBorq:
         # fleet SLA aggregates — pure observation, never a mutation
         # (core/monitor).
         self._monitor: Optional[ContractMonitor] = None
+        #: The one live ``SciBorqServer`` on this engine (it sets this).
+        self.server = None
         # Serialises workload bookkeeping (query log, predicate
         # collector, interest, drift) so concurrent sessions can share
         # one engine; the server layer relies on this.

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.columnstore.column import Column
 from repro.columnstore.table import Table
@@ -213,33 +213,3 @@ class MemoryGovernor:
                 if b == block:
                     return ram
         return 0
-
-
-def governor_from_env(
-    value: Optional[str], warm_bits: int = 8
-) -> Optional[MemoryGovernor]:
-    """Parse a ``SCIBORQ_MEMORY_BUDGET`` value into a governor.
-
-    Accepts plain bytes (``"268435456"``) or a ``k``/``m``/``g``
-    suffix (``"256m"``).  Empty/absent → None (no governor); anything
-    else that is not a positive size raises :class:`ValueError` — a
-    mistyped budget must fail loudly at startup, not silently serve
-    with no memory bound.
-    """
-    if not value:
-        return None
-    text = value.strip().lower()
-    multiplier = 1
-    if text and text[-1] in "kmg":
-        multiplier = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}[text[-1]]
-        text = text[:-1]
-    try:
-        budget = int(float(text) * multiplier)
-    except (ValueError, OverflowError):
-        budget = 0
-    if budget <= 0:
-        raise ValueError(
-            f"SCIBORQ_MEMORY_BUDGET must be a positive size in bytes "
-            f"(optionally with a k/m/g suffix), got {value!r}"
-        )
-    return MemoryGovernor(budget, warm_bits=warm_bits)

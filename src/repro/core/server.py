@@ -63,13 +63,12 @@ from repro.core.admission import (
     AdmissionStats,
     AdmissionTicket,
     RejectedQuery,
-    admission_from_env,
 )
 from repro.columnstore.executor import QueryResult
 from repro.core.bounded import BoundedResult, raw_query_result
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
-from repro.core.governor import GovernorStats, MemoryGovernor, governor_from_env
+from repro.core.governor import GovernorStats, MemoryGovernor
 from repro.core.handle import QueryHandle
 from repro.core.maintenance import RefreshReport
 from repro.core.monitor import ContractMonitor, SlaReport
@@ -191,9 +190,11 @@ class SciBorqServer:
     Parameters
     ----------
     engine:
-        The shared engine.  The server takes over coordination: all
-        ingest/maintenance should go through the server once it is
-        constructed.
+        The shared engine.  The server owns it until :meth:`shutdown`:
+        all ingest/maintenance goes through the server, and a second
+        server on the same engine raises
+        :class:`~repro.errors.SessionError` before the engine is
+        touched (two servers would guard one engine with two locks).
     max_workers:
         Thread-pool width for :meth:`execute_many`; defaults to the
         machine's core count (capped at 8 — scans are memory-bound
@@ -206,43 +207,36 @@ class SciBorqServer:
         would otherwise run alone waits for co-runners.  The default
         ``0.0`` never stalls anyone; convoys still form under load.
     memory_budget:
-        RAM-footprint governance (default off).  An ``int`` installs a
-        :class:`~repro.core.governor.MemoryGovernor` with that byte
-        budget; a ready governor is installed as-is; ``None`` consults
-        the ``SCIBORQ_MEMORY_BUDGET`` environment variable (bytes, or
-        with a ``k``/``m``/``g`` suffix; a value that is not a positive
-        size raises :class:`ValueError` here, before the engine is
-        touched).  The governor demotes
+        RAM-footprint governance (default ``None``: no governor).  An
+        ``int`` installs a :class:`~repro.core.governor.MemoryGovernor`
+        with that byte budget; a ready governor is installed as-is.
+        The governor demotes
         least-recently-scanned column blocks hot→warm→cold after
         ingests and query completions, keeping tables + impressions +
         recycler inside the budget; estimates over demoted blocks
         carry the quantisation bound in their CIs, and exact contracts
-        force-promote before scanning.  Shutdown restores whatever
-        governor the engine carried before.
+        force-promote before scanning.
     admission:
-        Overload management (default: consult the environment).
-        ``True`` installs an :class:`~repro.core.admission.
-        AdmissionController` sized to the pool (``max_inflight ==
-        max_workers``); a ready controller is installed as-is;
-        ``None`` consults ``SCIBORQ_MAX_INFLIGHT`` /
-        ``SCIBORQ_QUEUE_DEPTH`` (admission stays off when neither is
-        set, preserving the unbounded-intake behaviour); ``False``
-        forces it off.  With admission on, ``submit`` may raise
+        Overload management (default ``None``: off, intake is
+        unbounded).  A ready :class:`~repro.core.admission.
+        AdmissionController` is installed as-is —
+        ``AdmissionController(max_inflight=max_workers)`` sizes it to
+        the pool, so queueing happens in the controller (aged,
+        bounded), never in the executor.  With admission on,
+        ``submit`` may raise
         :class:`~repro.errors.OverloadedError` and ``submit_many``
         returns structured :class:`~repro.core.admission.
         RejectedQuery` slots for shed queries.
     monitor:
-        Runtime contract monitoring (default **on**).  ``None`` or
-        ``True`` installs a fresh :class:`~repro.core.monitor.
-        ContractMonitor` into the engine; a ready monitor is installed
-        as-is (e.g. one shared across servers); ``False`` forces it
-        off.  The monitor is pure observation — it watches every
+        Runtime contract monitoring (default ``True``: a fresh
+        :class:`~repro.core.monitor.ContractMonitor` is installed into
+        the engine); a ready monitor is installed as-is; ``False``
+        turns it off.  The monitor is pure observation — it watches every
         settled query and admission shed and aggregates per-tier /
         per-session SLA compliance, error-margin and latency
         histograms, and a bounded violation log (``server.report().
         sla``) — answers, charges, and attempt traces are byte-
-        identical with it on or off.  Shutdown restores whatever
-        monitor the engine carried before.
+        identical with it on or off.
     contract:
         Server-wide default :class:`Contract` for new sessions
         (default: none — sessions open unconstrained as before).  A
@@ -258,13 +252,18 @@ class SciBorqServer:
         shared_scans: bool = True,
         batch_window: float = 0.0,
         memory_budget: Union[int, MemoryGovernor, None] = None,
-        admission: Union[bool, AdmissionController, None] = None,
-        monitor: Union[bool, ContractMonitor, None] = None,
+        admission: Optional[AdmissionController] = None,
+        monitor: Union[ContractMonitor, bool] = True,
         contract: Union[Contract, str, None] = None,
     ) -> None:
         self.engine = engine
         # Resolve and validate every argument before touching the
         # engine: a bad argument must leave the engine exactly as found.
+        if engine.server is not None:
+            raise SessionError(
+                f"engine is already served by {engine.server!r}; shut "
+                f"that server down before starting another"
+            )
         if max_workers is None:
             max_workers = max(1, min(8, os.cpu_count() or 1))
         if max_workers < 1:
@@ -273,42 +272,30 @@ class SciBorqServer:
         self.scheduler: Optional[SharedScanScheduler] = (
             SharedScanScheduler(window=batch_window) if shared_scans else None
         )
-        self.memory_governor: Optional[MemoryGovernor] = None
-        if isinstance(memory_budget, MemoryGovernor):
-            self.memory_governor = memory_budget
-        elif memory_budget is not None:
-            self.memory_governor = MemoryGovernor(int(memory_budget))
-        else:
-            self.memory_governor = governor_from_env(
-                os.environ.get("SCIBORQ_MEMORY_BUDGET")
+        self.memory_governor: Optional[MemoryGovernor] = (
+            memory_budget
+            if memory_budget is None or isinstance(memory_budget, MemoryGovernor)
+            else MemoryGovernor(int(memory_budget))
+        )
+        if admission is not None and not isinstance(
+            admission, AdmissionController
+        ):
+            raise TypeError(
+                f"admission must be an AdmissionController or None, "
+                f"got {admission!r}"
             )
-        self.monitor: Optional[ContractMonitor] = None
-        if isinstance(monitor, ContractMonitor):
-            self.monitor = monitor
-        elif monitor is not False:
+        self.admission: Optional[AdmissionController] = admission
+        if isinstance(monitor, bool):
             # default ON: monitoring is pure observation, so there is
             # no accuracy or byte-identity cost to paying for it
-            self.monitor = ContractMonitor()
+            monitor = ContractMonitor() if monitor else None
+        self.monitor: Optional[ContractMonitor] = monitor
         #: Server-wide default contract applied by ``open_session``
         #: when the caller specifies nothing at all.
         self.default_contract: Optional[Contract] = (
             Contract.preset(contract) if isinstance(contract, str) else contract
         )
-        self.admission: Optional[AdmissionController] = None
-        if isinstance(admission, AdmissionController):
-            self.admission = admission
-        elif admission is True:
-            # in-flight width matching the pool: queueing happens in
-            # the controller (aged, bounded), never in the executor
-            self.admission = AdmissionController(max_inflight=max_workers)
-        elif admission is None:
-            self.admission = admission_from_env()
-        #: Whatever the engine carried before this server took over;
-        #: shutdown restores it, so an earlier owner is not left
-        #: permanently detached by a later owner's exit.
-        self._previous_scheduler = engine.scan_scheduler
-        self._previous_governor = engine.memory_governor
-        self._previous_monitor = engine.monitor
+        engine.server = self
         try:
             self._install()
         except BaseException:
@@ -333,15 +320,17 @@ class SciBorqServer:
     def _install(self) -> None:
         """Install the resolved collaborators into the engine."""
         engine = self.engine
-        if self.scheduler is not None:
-            # shared_scans=False leaves any externally-installed
-            # scheduler on the engine untouched
-            engine.set_scan_scheduler(self.scheduler)
         if self.memory_governor is not None:
+            # first: enforcing the budget is the one install that can
+            # fail, and nothing has been displaced yet
             engine.set_memory_governor(self.memory_governor)
             logging.getLogger("repro.memory").info(
                 "memory budget: %d bytes", self.memory_governor.budget_bytes
             )
+        if self.scheduler is not None:
+            # shared_scans=False leaves any externally-installed
+            # scheduler on the engine untouched
+            engine.set_scan_scheduler(self.scheduler)
         if self.monitor is not None:
             engine.set_monitor(self.monitor)
             logging.getLogger("repro.monitor").info(
@@ -357,24 +346,19 @@ class SciBorqServer:
             )
 
     def _release_engine(self) -> None:
-        """Hand the engine back as this server found it.
-
-        Each collaborator this server installed that is still the
-        installed one is replaced by whatever the engine carried before
-        (``None`` for the common single-owner case, so direct engine use
-        runs plain solo scans again); a later owner's is never
-        clobbered.
-        """
+        """Give the engine up, carrying nothing this server installed
+        (direct engine use runs plain solo scans again)."""
         engine = self.engine
         if self.scheduler is not None and engine.scan_scheduler is self.scheduler:
-            engine.set_scan_scheduler(self._previous_scheduler)
+            engine.set_scan_scheduler(None)
         if (
             self.memory_governor is not None
             and engine.memory_governor is self.memory_governor
         ):
-            engine.set_memory_governor(self._previous_governor)
+            engine.set_memory_governor(None)
         if self.monitor is not None and engine.monitor is self.monitor:
-            engine.set_monitor(self._previous_monitor)
+            engine.set_monitor(None)
+        engine.server = None
 
     # ------------------------------------------------------------------
     # session management
@@ -894,9 +878,9 @@ class SciBorqServer:
         admission controller evicted (each failed with a structured
         shutdown rejection).
 
-        Also hands the engine back: the scan scheduler, memory
-        governor and contract monitor this server installed are
-        replaced by whatever the engine carried before.
+        Also gives the engine up: the scan scheduler, memory governor
+        and contract monitor this server installed are removed, and
+        another server may then be started on the engine.
         """
         if self._closed:
             return ShutdownReport()

@@ -24,8 +24,9 @@ readers-writer lock.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Union
 
 from repro.columnstore.query import Query
 from repro.core.bounded import BoundedResult
@@ -37,6 +38,10 @@ from repro.workload.log import QueryLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.server import SciBorqServer
+
+#: How many recent outcomes :attr:`Session.history` keeps; older ones
+#: (result tables included) are dropped, the miss counters stay exact.
+HISTORY_WINDOW = 256
 
 #: Sentinel for "use the session default" in per-query overrides, so
 #: an explicit ``None`` can still mean "unbounded for this query".
@@ -119,8 +124,10 @@ class Session:
         self.clock = CostClock()
         #: This user's queries only.
         self.query_log = QueryLog()
-        self._history: List[BoundedResult] = []
+        self._history: Deque[BoundedResult] = deque(maxlen=HISTORY_WINDOW)
         self._history_lock = threading.Lock()
+        self._quality_misses = 0
+        self._budget_misses = 0
         self._failures = 0
         self._closed = False
 
@@ -281,6 +288,8 @@ class Session:
         # outcome history lands here
         with self._history_lock:
             self._history.append(outcome)
+            self._quality_misses += not outcome.met_quality
+            self._budget_misses += not outcome.met_budget
 
     def _record_failure(self, query: Query, exc: BaseException) -> None:
         """Count a server-side failure of one of this session's queries.
@@ -313,7 +322,8 @@ class Session:
 
     @property
     def history(self) -> List[BoundedResult]:
-        """Outcomes of this session's queries, in completion order."""
+        """The last :data:`HISTORY_WINDOW` outcomes of this session's
+        queries, in completion order."""
         with self._history_lock:
             return list(self._history)
 
@@ -325,15 +335,16 @@ class Session:
         carries met/missed flags.
         """
         with self._history_lock:
-            history = list(self._history)
+            quality_misses = self._quality_misses
+            budget_misses = self._budget_misses
             failures = self._failures
         return SessionStats(
             session_id=self.session_id,
             name=self.name,
             queries=len(self.query_log),
             total_cost=self.clock.now,
-            quality_misses=sum(1 for r in history if not r.met_quality),
-            budget_misses=sum(1 for r in history if not r.met_budget),
+            quality_misses=quality_misses,
+            budget_misses=budget_misses,
             failures=failures,
         )
 

@@ -1,4 +1,4 @@
-"""Sampling algorithms: the paper's reservoir family plus baselines.
+"""Sampling algorithms: the paper's reservoir family and its variants.
 
 * :mod:`repro.sampling.reservoir` — Algorithm R (paper Figure 2), the
   uniform baseline every impression policy builds on.
@@ -8,24 +8,20 @@
 * :mod:`repro.sampling.biased` — the biased reservoir (Figure 6):
   acceptance probability ``f̆(t)·N·n/cnt`` steered by the workload
   interest model.
-* :mod:`repro.sampling.weighted` — Efraimidis–Spirakis A-Res weighted
-  reservoir, the literature baseline biased sampling is compared to.
-* :mod:`repro.sampling.bernoulli` — Bernoulli (coin-flip) sampling,
-  the unbounded-size strawman.
-* :mod:`repro.sampling.join_synopsis` — FK-consistent sampling across
-  tables (Acharya et al., ref [3]).
-* :mod:`repro.sampling.reference` — literal, line-by-line
-  transcriptions of the paper's pseudocode (Figures 2, 3, 6), used by
-  tests to validate the production implementations and to document
-  where the pseudocode's slot-index reuse deviates from its prose.
+* :mod:`repro.sampling.extrema` — keeps one attribute's smallest and
+  largest values, so MIN/MAX are answered exactly.
+* :mod:`repro.sampling.icicles` — the self-tuning reservoir (ICICLES,
+  ref [7]): query results are re-offered to the sample.
+* :mod:`repro.sampling.pps` — fixed-size systematic πps selection for
+  rebuilding an impression from already-loaded data.
+
+The literal transcriptions of Figures 2, 3 and 6 the production
+samplers are validated against are ``tests/reference_samplers.py``.
 """
 
 from repro.sampling.reservoir import ReservoirR
 from repro.sampling.last_seen import LastSeenReservoir
 from repro.sampling.biased import BiasedReservoir
-from repro.sampling.weighted import WeightedReservoir
-from repro.sampling.bernoulli import BernoulliSampler
-from repro.sampling.join_synopsis import JoinSynopsis
 from repro.sampling.extrema import ExtremaReservoir
 from repro.sampling.icicles import SelfTuningReservoir
 from repro.sampling.pps import (
@@ -37,9 +33,6 @@ __all__ = [
     "ReservoirR",
     "LastSeenReservoir",
     "BiasedReservoir",
-    "WeightedReservoir",
-    "BernoulliSampler",
-    "JoinSynopsis",
     "ExtremaReservoir",
     "SelfTuningReservoir",
     "pps_inclusion_probabilities",

@@ -1,9 +1,8 @@
-"""Statistical machinery: streaming moments, histograms, KDE, FNCH.
+"""Statistical machinery: histograms, KDE, FNCH, estimators.
 
 This subpackage holds every estimator and density tool the paper's §4
 relies on:
 
-* :mod:`repro.stats.streaming` — single-pass moment trackers,
 * :mod:`repro.stats.histogram` — the Figure-5 streaming equi-width
   histogram (per-bin count and mean over the predicate set),
 * :mod:`repro.stats.equidepth` — equi-depth histograms (ref [18]),
@@ -14,12 +13,11 @@ relies on:
 * :mod:`repro.stats.bandwidth` — bandwidth selection rules used to
   reproduce the over/undersmoothed panels of Figure 4,
 * :mod:`repro.stats.fnchg` — Fisher's noncentral hypergeometric
-  distribution (Fog 2008, ref [6]),
+  distribution (Fog 2008, ref [6]); not yet used by the engine,
 * :mod:`repro.stats.estimators` — Horvitz–Thompson and SRS estimators
   with confidence intervals (the "strict error bounds" of §3.2).
 """
 
-from repro.stats.streaming import StreamingMoments, MinMaxTracker
 from repro.stats.histogram import EquiWidthHistogram, PredicateHistogram
 from repro.stats.equidepth import EquiDepthHistogram
 from repro.stats.multidim import Grid2DHistogram
@@ -47,8 +45,6 @@ from repro.stats.estimators import (
 )
 
 __all__ = [
-    "StreamingMoments",
-    "MinMaxTracker",
     "EquiWidthHistogram",
     "PredicateHistogram",
     "EquiDepthHistogram",

@@ -121,8 +121,8 @@ def propagated_value_error(
     for HT/SRS sums, the matched count for exact sums).  Per aggregate:
 
     * ``count`` → 0 — counts read no values.  (Predicate decisions
-      over quantised values can flip near boundaries; that effect is
-      bounded separately by the scan contract, not here.)
+      over quantised values can flip near boundaries; nothing bounds
+      those membership flips today — ROADMAP item 1(a).)
     * ``sum`` → ``delta · matched_weight`` — each contributing value
       drifts by at most delta, scaled by its weight.
     * ``avg`` → ``delta`` — a weighted mean of values each off by at

@@ -11,8 +11,8 @@ support, exact mean/variance by enumeration, and inversion sampling.
 The multivariate version uses Fog's standard reductions — each
 marginal is approximated by a univariate Fisher distribution of the
 class against the pooled remainder, and sampling proceeds by
-sequential conditional draws — which is what ``repro.core.quality``
-needs to predict the stratum composition of a biased impression.
+sequential conditional draws.  Nothing in the engine calls this yet;
+ROADMAP item 4(b) wires it into biased-rung variance or drops it.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ a fixed seed, which the test-suite and benchmark harness rely on.
 """
 
 from repro.util.rng import RandomSource, ensure_rng, spawn_rngs
-from repro.util.clock import CostClock, WallClock, Budget, ExecutionContext
+from repro.util.clock import CostClock, WallClock, ExecutionContext
 from repro.util.concurrency import ReadWriteLock
 from repro.util.textplot import ascii_histogram, ascii_series, format_table
 from repro.util.validation import (
@@ -22,7 +22,6 @@ __all__ = [
     "spawn_rngs",
     "CostClock",
     "WallClock",
-    "Budget",
     "ExecutionContext",
     "ReadWriteLock",
     "ascii_histogram",

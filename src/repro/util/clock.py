@@ -1,4 +1,4 @@
-"""Cost clocks, budgets, and per-execution cost contexts.
+"""Cost clocks and per-execution cost contexts.
 
 SciBORQ promises an *upper limit on execution time* (paper §3.2).  The
 original system reasons about wall-clock minutes on MonetDB; a Python
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 
@@ -235,44 +234,3 @@ class ExecutionContext:
             f"ExecutionContext({mode}, spent={self.spent:g}, limit={cap}, "
             f"observers={len(self._observers)})"
         )
-
-
-@dataclass
-class Budget:
-    """A spending limit against a clock, tracked incrementally.
-
-    Retained for callers that meter a single-threaded clock directly;
-    the query path itself uses :class:`ExecutionContext`, whose meter
-    is private per execution.  ``limit`` of ``None`` means unbounded
-    (quality-only queries).
-    """
-
-    clock: CostClock | WallClock
-    limit: float | None = None
-    _opened_at: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.limit is not None and self.limit < 0:
-            raise ValueError(f"budget limit must be non-negative, got {self.limit}")
-        self._opened_at = self.clock.now
-
-    @property
-    def spent(self) -> float:
-        """Cost charged to the clock since this budget opened."""
-        return self.clock.now - self._opened_at
-
-    @property
-    def remaining(self) -> float:
-        """Budget left; ``inf`` when the budget is unlimited."""
-        if self.limit is None:
-            return float("inf")
-        return max(0.0, self.limit - self.spent)
-
-    @property
-    def exhausted(self) -> bool:
-        """True once spending has reached or passed the limit."""
-        return self.remaining <= 0.0
-
-    def affords(self, units: float) -> bool:
-        """Whether ``units`` more cost would still fit in the budget."""
-        return units <= self.remaining

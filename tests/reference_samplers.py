@@ -2,8 +2,10 @@
 
 These are deliberately tuple-at-a-time and follow the figures line by
 line, including the detail that one random draw serves both the
-acceptance test and the slot choice.  Tests compare the production
-(vectorised) samplers against these references:
+acceptance test and the slot choice.  ``tests/test_reference.py``
+imports this module (the way ``tests/test_lazy_impressions.py`` imports
+``ladder_dump``) and compares the production (vectorised) samplers
+against these references:
 
 * acceptance *rates* must match exactly in expectation;
 * for Figure 2 the slot reuse is distributionally equivalent to a

@@ -31,13 +31,7 @@ import pytest
 
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
-from repro.core.admission import (
-    MAX_INFLIGHT_ENV,
-    QUEUE_DEPTH_ENV,
-    AdmissionController,
-    RejectedQuery,
-    admission_from_env,
-)
+from repro.core.admission import AdmissionController, RejectedQuery
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.handle import QueryHandle
@@ -327,34 +321,6 @@ class TestAdmissionController:
         assert "queue wait" in stats.describe()
 
 
-class TestAdmissionFromEnv:
-    def test_absent_environment_means_off(self, monkeypatch):
-        monkeypatch.delenv(MAX_INFLIGHT_ENV, raising=False)
-        monkeypatch.delenv(QUEUE_DEPTH_ENV, raising=False)
-        assert admission_from_env() is None
-
-    def test_environment_configures_controller(self, monkeypatch):
-        monkeypatch.setenv(MAX_INFLIGHT_ENV, "3")
-        monkeypatch.setenv(QUEUE_DEPTH_ENV, "17")
-        ctrl = admission_from_env()
-        assert ctrl.max_inflight == 3
-        assert ctrl.queue_depth == 17
-
-    def test_garbage_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(MAX_INFLIGHT_ENV, "lots")
-        with pytest.raises(ValueError):
-            admission_from_env()
-
-    def test_server_consults_environment(self, monkeypatch):
-        monkeypatch.setenv(MAX_INFLIGHT_ENV, "2")
-        server = SciBorqServer(make_engine(), max_workers=2)
-        try:
-            assert server.admission is not None
-            assert server.admission.max_inflight == 2
-        finally:
-            server.shutdown()
-
-
 # ----------------------------------------------------------------------
 # server integration
 # ----------------------------------------------------------------------
@@ -365,7 +331,7 @@ class TestServerAdmission:
         contract = Contract.within_error(0.1)
 
         unloaded = {}
-        with SciBorqServer(make_engine(), admission=False) as server:
+        with SciBorqServer(make_engine()) as server:
             session = server.open_session("solo")
             for ra, radius in specs:
                 outcome = session.execute(cone(ra, radius), contract)
@@ -479,7 +445,7 @@ class TestServerAdmission:
             assert stats.completed == 1
 
     def test_queue_time_split_in_progress_updates(self):
-        with SciBorqServer(make_engine(), admission=True) as server:
+        with SciBorqServer(make_engine(), admission=AdmissionController()) as server:
             session = server.open_session("timed")
             handle = session.submit(
                 cone(150.0, 5.0), contract=Contract.within_error(0.1)
@@ -537,7 +503,7 @@ class TestServerAdmission:
             assert stats.inflight == 0 and stats.queued == 0
 
     def test_summary_includes_admission_and_failure_lines(self):
-        with SciBorqServer(make_engine(), admission=True) as server:
+        with SciBorqServer(make_engine(), admission=AdmissionController()) as server:
             session = server.open_session("s")
             session.execute(cone(150.0, 5.0), Contract.within_error(0.1))
             text = server.report().render()

@@ -240,7 +240,7 @@ class TestByteIdentity:
             Contract.bronze(),
         ]
         runs = {}
-        for arm, monitor in (("off", False), ("on", None)):
+        for arm, monitor in (("off", False), ("on", True)):
             engine = tiny_engine(seed=7300)
             with SciBorqServer(
                 engine, max_workers=1, monitor=monitor
@@ -250,13 +250,13 @@ class TestByteIdentity:
                     self.trace(session.execute(q, c))
                     for q, c in zip(queries, contracts)
                 ]
-                if monitor is None:
+                if monitor:
                     assert server.monitor is not None
                     assert server.monitor.observed == len(queries)
                 else:
                     assert server.monitor is None
                     assert server.report().sla is None
-            # shutdown hands the engine back monitor-free
+            # shutdown leaves the engine monitor-free
             assert engine.monitor is None
         assert runs["on"] == runs["off"]
 

@@ -1,8 +1,8 @@
 """Delta escalation: pay only for the rows each rung adds.
 
-Covers the mergeable aggregate states (:mod:`repro.columnstore.
-aggstate`), the impression-level delta/complement machinery, and the
-bounded processor's incremental ladder: merged delta states must equal
+Covers the row-level fold state (:mod:`repro.columnstore.aggstate`),
+the impression-level delta/complement machinery, and the bounded
+processor's incremental ladder: folded delta scans must equal
 from-scratch recomputation, the execution context must be charged only
 delta rows on nested ladders, and non-nested hierarchies must fall
 back to from-scratch scans with identical results.
@@ -12,15 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.columnstore.aggstate import (
-    FOLDABLE_FUNCTIONS,
-    AggState,
-    FoldState,
-    GroupedAggState,
-)
+from repro.columnstore.aggstate import FoldState
 from repro.columnstore.catalog import Catalog
 from repro.columnstore.column import Column
 from repro.columnstore.expressions import Between, TruePredicate
@@ -36,111 +29,8 @@ from repro.workload.interest import InterestModel
 
 
 # ----------------------------------------------------------------------
-# mergeable moment states
+# the fold state
 # ----------------------------------------------------------------------
-values_arrays = st.lists(
-    st.floats(
-        min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-    ),
-    min_size=0,
-    max_size=60,
-)
-
-
-class TestAggState:
-    @given(values=values_arrays, split=st.integers(min_value=0, max_value=60))
-    @settings(max_examples=80, deadline=None)
-    def test_merge_equals_from_scratch(self, values, split):
-        arr = np.asarray(values, dtype=np.float64)
-        split = min(split, arr.shape[0])
-        merged = AggState.from_values(arr[:split]).merge(
-            AggState.from_values(arr[split:])
-        )
-        whole = AggState.from_values(arr)
-        for fn in FOLDABLE_FUNCTIONS:
-            a, b = merged.value(fn), whole.value(fn)
-            if np.isnan(a) or np.isnan(b):
-                assert np.isnan(a) and np.isnan(b)
-            else:
-                assert a == pytest.approx(b, rel=1e-9, abs=1e-6), fn
-
-    def test_matches_operator_semantics(self):
-        from repro.columnstore import operators
-
-        arr = np.array([3.0, 1.0, 4.0, 1.5])
-        state = AggState.from_values(arr)
-        for fn in ("sum", "avg", "min", "max", "var", "std"):
-            assert state.value(fn) == operators._aggregate_array(
-                fn, arr, arr.shape[0]
-            )
-
-    def test_empty_state_semantics(self):
-        empty = AggState()
-        assert empty.value("count") == 0.0
-        assert np.isnan(empty.value("sum"))
-        assert empty.merge(AggState.from_values(np.array([2.0]))).count == 1
-
-    def test_variance_stable_for_large_means(self):
-        """Regression: the naive raw-moment variance (Σv² − n·mean²)
-        cancels catastrophically for large means; the centred
-        Welford/Chan form must agree with numpy's two-pass variance."""
-        rng = np.random.default_rng(3)
-        values = 1e8 + rng.normal(0.0, 1.0, 10_000)
-        expected = float(values.var(ddof=1))
-        whole = AggState.from_values(values)
-        assert whole.value("var") == pytest.approx(expected, rel=1e-9)
-        merged = AggState.from_values(values[:3_333]).merge(
-            AggState.from_values(values[3_333:])
-        )
-        assert merged.value("var") == pytest.approx(expected, rel=1e-9)
-        assert whole.sumsq == pytest.approx(
-            float((values * values).sum()), rel=1e-12
-        )
-
-    def test_singleton_var_is_zero(self):
-        assert AggState.from_values(np.array([5.0])).value("var") == 0.0
-        assert AggState.from_values(np.array([5.0])).value("std") == 0.0
-
-    def test_unknown_aggregate_rejected(self):
-        with pytest.raises(QueryError):
-            AggState.from_values(np.array([1.0])).value("median")
-
-
-class TestGroupedAggState:
-    @given(
-        keys=st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=50),
-        split=st.integers(min_value=0, max_value=50),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_equals_from_scratch(self, keys, split):
-        rng = np.random.default_rng(len(keys) * 31 + split)
-        keys = np.asarray(keys, dtype=np.int64)
-        vals = rng.normal(10.0, 3.0, keys.shape[0])
-        split = min(split, keys.shape[0])
-
-        def build(sl):
-            return GroupedAggState.from_arrays(
-                ("g",), {"g": keys[sl]}, {"v": vals[sl]}
-            )
-
-        merged = build(slice(0, split)).merge(build(slice(split, None)))
-        whole = build(slice(None))
-        assert merged.counts == whole.counts
-        assert merged.keys_sorted() == whole.keys_sorted()
-        for key in whole.keys_sorted():
-            for fn in FOLDABLE_FUNCTIONS:
-                column = None if fn == "count" else "v"
-                assert merged.value(fn, column, key) == pytest.approx(
-                    whole.value(fn, column, key), rel=1e-9, abs=1e-9
-                )
-
-    def test_mismatched_keys_rejected(self):
-        a = GroupedAggState.from_arrays(("g",), {"g": np.array([1])}, {})
-        b = GroupedAggState.from_arrays(("h",), {"h": np.array([1])}, {})
-        with pytest.raises(QueryError):
-            a.merge(b)
-
-
 class TestFoldState:
     def test_fold_keeps_sorted_invariant(self):
         a = FoldState.from_scan(
@@ -162,19 +52,6 @@ class TestFoldState:
         b = FoldState.from_scan(np.array([2]), {"w": np.array([2.0])}, 1)
         with pytest.raises(QueryError):
             a.fold(b)
-
-    def test_agg_state_round_trip(self):
-        fold = FoldState.from_scan(
-            np.array([3, 1, 2]), {"v": np.array([30.0, 10.0, 20.0])}, 3
-        )
-        assert fold.agg_state("v").value("sum") == 60.0
-        grouped = FoldState.from_scan(
-            np.array([0, 1, 2]),
-            {"g": np.array([1, 1, 2]), "v": np.array([1.0, 3.0, 5.0])},
-            3,
-        ).grouped_state(("g",), ("v",))
-        assert grouped.value("avg", "v", (1,)) == 2.0
-        assert grouped.value("count", None, (2,)) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +229,9 @@ def _assert_same_outcome(delta_outcome, scratch_outcome):
             for mine, theirs in zip(estimates, b.group_estimates[name]):
                 assert mine.value == theirs.value
                 assert mine.se == theirs.se
+
+
+FOLDABLE_FUNCTIONS = ("count", "sum", "avg", "min", "max", "var", "std")
 
 
 def _random_query(rng) -> Query:

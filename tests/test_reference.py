@@ -4,7 +4,7 @@ transcriptions of paper Figures 2, 3 and 6."""
 import numpy as np
 import pytest
 
-from repro.sampling.reference import (
+from reference_samplers import (
     biased_reference,
     last_seen_reference,
     reservoir_r_reference,
@@ -55,7 +55,7 @@ class TestLastSeenReference:
         """The literal Figure-3 slot expression floor(n·rnd) with
         acceptance rnd < k/D only ever touches slots < n·k/D.  This
         documents the pseudocode artefact our production sampler
-        deliberately corrects (see sampling/reference.py docstring)."""
+        deliberately corrects (see reference_samplers.py docstring)."""
         hits = slot_histogram_last_seen(
             total=50_000, n=100, daily_ingest=1000, keep=100, rng=2
         )

@@ -16,8 +16,11 @@ import pytest
 
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
+from repro.core import session as session_module
+from repro.core.admission import AdmissionController
 from repro.core.engine import SciBorq
 from repro.core.governor import MemoryGovernor
+from repro.core.monitor import ContractMonitor
 from repro.core.scheduler import SharedScanScheduler
 from repro.core.server import SciBorqServer
 from repro.errors import QueryError, SessionError
@@ -209,38 +212,67 @@ class TestSessionLifecycle:
         server.shutdown()  # idempotent
 
     @pytest.mark.parametrize(
-        "kwargs,env,error",
+        "kwargs,error",
         [
             # a bad argument: the contract preset is resolved last
-            ({"contract": "platinum"}, {}, QueryError),
-            # a bad environment parse, after the governor was resolved...
-            ({}, {"SCIBORQ_MAX_INFLIGHT": "lots"}, ValueError),
-            # ...and the governor's own: a mistyped budget is not "none"
-            (
-                {"memory_budget": None},
-                {"SCIBORQ_MEMORY_BUDGET": "not-a-size"},
-                ValueError,
-            ),
+            ({"contract": "platinum"}, QueryError),
             # an install that fails half-way: the budget cannot be enforced
-            ({"memory_budget": _UnenforceableGovernor(1 << 20)}, {}, OSError),
+            ({"memory_budget": _UnenforceableGovernor(1 << 20)}, OSError),
         ],
-        ids=["contract-preset", "admission-env", "memory-env", "install-fails"],
+        ids=["contract-preset", "install-fails"],
     )
-    def test_failed_constructor_leaves_the_engine_as_found(
-        self, monkeypatch, kwargs, env, error
-    ):
+    def test_failed_constructor_leaves_the_engine_as_found(self, kwargs, error):
         """No server object exists to shut down, so whatever the
         constructor installed before it raised must not stay behind."""
         engine = make_engine()
         earlier = SharedScanScheduler()
         engine.set_scan_scheduler(earlier)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         with pytest.raises(error):
             SciBorqServer(engine, **{"memory_budget": 1 << 20, **kwargs})
         assert engine.scan_scheduler is earlier
         assert engine.memory_governor is None
         assert engine.monitor is None
+        assert engine.server is None
+
+    def test_second_server_on_an_owned_engine_is_refused(self):
+        """One owner: two servers would guard one engine with two
+        locks.  The refusal comes before the engine is touched."""
+        engine = make_engine()
+        with SciBorqServer(engine, memory_budget=1 << 30) as owner:
+            found = (engine.scan_scheduler, engine.memory_governor, engine.monitor)
+            with pytest.raises(SessionError, match="already served"):
+                SciBorqServer(engine, memory_budget=1 << 20)
+            assert found == (
+                engine.scan_scheduler, engine.memory_governor, engine.monitor
+            )
+            assert engine.server is owner
+            owner.open_session().execute(cone(150.0, 5.0))  # still serving
+        with SciBorqServer(engine) as successor:
+            assert engine.server is successor
+
+    def test_shutdown_leaves_nothing_installed_and_remembers_nothing(self):
+        engine = make_engine()
+        engine.set_scan_scheduler(SharedScanScheduler())
+        engine.set_memory_governor(MemoryGovernor(1 << 30))
+        engine.set_monitor(ContractMonitor())
+        server = SciBorqServer(engine, memory_budget=1 << 30)
+        assert engine.scan_scheduler is server.scheduler
+        assert engine.memory_governor is server.memory_governor
+        assert engine.monitor is server.monitor
+        server.shutdown()
+        assert engine.scan_scheduler is None
+        assert engine.memory_governor is None
+        assert engine.monitor is None
+        assert engine.server is None
+
+    @pytest.mark.parametrize("spelling", [True, False])
+    def test_admission_is_a_controller_or_nothing(self, spelling):
+        engine = make_engine()
+        with pytest.raises(TypeError, match="AdmissionController"):
+            SciBorqServer(engine, admission=spelling)
+        assert engine.server is None and engine.monitor is None
+        with SciBorqServer(engine, admission=AdmissionController()) as server:
+            assert server.admission.max_inflight == server.max_workers
 
     def test_strict_batch_with_return_exceptions(self):
         """A strict batch returns each failure in place, keeping the
@@ -276,6 +308,30 @@ class TestSessionLifecycle:
             assert stats.queries == 1
             assert stats.total_cost == session.total_cost > 0
             assert server.queries_served == 1
+
+    def test_history_is_a_window_and_the_miss_counters_stay_exact(
+        self, monkeypatch
+    ):
+        """Twice the window of queries: ``history`` holds the last
+        window of outcomes, the counters cover all of them."""
+        monkeypatch.setattr(session_module, "HISTORY_WINDOW", 3)
+        contracts = [Contract.within_budget(1.0), Contract.within_error(0.5)]
+        with SciBorqServer(make_engine()) as server:
+            session = server.open_session("long-lived")
+            outcomes = [
+                session.execute(cone(150.0, 5.0), contract)
+                for contract in contracts * 3
+            ]
+            assert len(outcomes) == 2 * session_module.HISTORY_WINDOW
+            assert session.history == outcomes[-3:]
+            stats = session.report()
+            assert stats.queries == len(outcomes)
+            assert stats.quality_misses == sum(
+                not o.met_quality for o in outcomes
+            )
+            assert stats.budget_misses == 3 == sum(
+                not o.met_budget for o in outcomes
+            )
 
 
 class TestWriterPaths:

@@ -677,15 +677,18 @@ class TestSchedulerEdges:
         assert 0 < lanes[0].memo_bytes <= _MEMO_BYTES
 
     def test_shutdown_does_not_clobber_a_later_scheduler(self):
+        """One owner at a time: the later server starts only after the
+        earlier one's exit, and that exit left nothing to come back."""
         engine = make_engine()
         first = SciBorqServer(engine, max_workers=1)
+        first.shutdown()
         second = SciBorqServer(engine, max_workers=1)
         assert engine.scan_scheduler is second.scheduler
-        first.shutdown()
+        first.shutdown()  # idempotent: must not touch the new owner
         assert engine.scan_scheduler is second.scheduler
-        # the last owner's exit restores whatever it displaced
+        assert engine.server is second
         second.shutdown()
-        assert engine.scan_scheduler is first.scheduler
+        assert engine.scan_scheduler is None
 
     def test_single_owner_shutdown_detaches_fully(self):
         engine = make_engine()

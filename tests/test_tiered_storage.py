@@ -23,11 +23,7 @@ from repro.columnstore.column import Column
 from repro.columnstore.expressions import Between
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
-from repro.core.governor import (
-    PROMOTE_HEADROOM,
-    MemoryGovernor,
-    governor_from_env,
-)
+from repro.core.governor import PROMOTE_HEADROOM, MemoryGovernor
 from repro.core.persistence import ColumnBlockStore
 from repro.core.server import SciBorqServer
 from repro.errors import SchemaError
@@ -554,17 +550,6 @@ class TestGovernor:
         engine.set_memory_governor(MemoryGovernor(1, spill=store))
         assert store.size_bytes > 0  # raw blocks landed in the shared store
 
-    def test_governor_from_env_parses_suffixes(self):
-        assert governor_from_env(None) is None
-        assert governor_from_env("") is None
-        for garbage in ("not-a-size", "-5", "0", "12q", "inf"):
-            with pytest.raises(ValueError, match="SCIBORQ_MEMORY_BUDGET"):
-                governor_from_env(garbage)
-        assert governor_from_env("1024").budget_bytes == 1024
-        assert governor_from_env("64k").budget_bytes == 64 << 10
-        assert governor_from_env("2M").budget_bytes == 2 << 20
-        assert governor_from_env("1g").budget_bytes == 1 << 30
-
 
 # ----------------------------------------------------------------------
 # Engine + server wiring
@@ -627,18 +612,10 @@ class TestServerWiring:
                 contract=Contract.unconstrained(),
             )
             assert "governor" in server.report().render()
-        assert engine.memory_governor is None  # restored on shutdown
+        assert engine.memory_governor is None  # removed on shutdown
         assert not engine.catalog.table("fact").is_fully_hot  # governed
 
-    def test_env_budget_is_consulted(self, monkeypatch):
-        monkeypatch.setenv("SCIBORQ_MEMORY_BUDGET", "32m")
-        engine = tiered_engine()
-        with SciBorqServer(engine, max_workers=1) as server:
-            assert server.memory_governor is not None
-            assert server.memory_governor.budget_bytes == 32 << 20
-
-    def test_no_budget_means_no_governor(self, monkeypatch):
-        monkeypatch.delenv("SCIBORQ_MEMORY_BUDGET", raising=False)
+    def test_no_budget_means_no_governor(self):
         engine = tiered_engine()
         with SciBorqServer(engine, max_workers=1) as server:
             assert server.memory_governor is None

@@ -1,8 +1,8 @@
-"""Tests for cost clocks and budgets."""
+"""Tests for cost clocks."""
 
 import pytest
 
-from repro.util.clock import Budget, CostClock, WallClock
+from repro.util.clock import CostClock, WallClock
 
 
 class TestCostClock:
@@ -43,39 +43,3 @@ class TestWallClock:
         clock = WallClock()
         clock.reset()
         assert clock.now < 1.0
-
-
-class TestBudget:
-    def test_unlimited_budget(self):
-        budget = Budget(CostClock(), None)
-        assert budget.remaining == float("inf")
-        assert not budget.exhausted
-        assert budget.affords(1e18)
-
-    def test_spending_tracks_clock(self):
-        clock = CostClock()
-        clock.charge(100)  # spent before the budget opens: not counted
-        budget = Budget(clock, 50)
-        clock.charge(30)
-        assert budget.spent == 30
-        assert budget.remaining == 20
-
-    def test_exhaustion(self):
-        clock = CostClock()
-        budget = Budget(clock, 10)
-        clock.charge(10)
-        assert budget.exhausted
-        assert budget.remaining == 0.0
-
-    def test_affords(self):
-        clock = CostClock()
-        budget = Budget(clock, 10)
-        assert budget.affords(10)
-        assert not budget.affords(11)
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Budget(CostClock(), -1)
-
-    def test_zero_limit_is_immediately_exhausted(self):
-        assert Budget(CostClock(), 0).exhausted
