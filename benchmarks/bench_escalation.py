@@ -19,7 +19,13 @@ Two parts:
       per-rung estimates;
   (b) under the same time budget the delta ladder reaches a **deeper
       rung** — the exact base answer — where the from-scratch ladder
-      cannot afford it.
+      cannot afford it;
+  (c) on an *independent* ladder — the shape a freshly built uniform
+      hierarchy has, and the one the repository's end-to-end benchmark
+      runs — and again after an ingest, every rung's answer is
+      **byte-identical** to the from-scratch ladder's, with equal
+      charges on every impression rung (each is scanned whole either
+      way, and answers in its scan's order).
 """
 
 import numpy as np
@@ -88,8 +94,9 @@ def test_escalation_ladder(benchmark, medium_context):
 # ======================================================================
 # standalone delta-escalation benchmark (CI: --smoke)
 # ======================================================================
-def _build_nested(n: int, layer_fracs, seed: int = 20260729):
-    """A fact table plus a *nested* uniform ladder over it."""
+def _build(n: int, layer_fracs, nested: bool = True, seed: int = 20260729):
+    """A fact table plus a uniform ladder over it: *nested* (each layer
+    refreshed from the one below) or as built (independent layers)."""
     from repro.columnstore.catalog import Catalog
     from repro.columnstore.column import Column
     from repro.columnstore.table import Table
@@ -115,9 +122,27 @@ def _build_nested(n: int, layer_fracs, seed: int = 20260729):
         "PhotoObjAll", UniformPolicy(layer_sizes=sizes), rng=seed + 1
     )
     rebuild_from_base(hierarchy, base)
-    refresh_hierarchy(hierarchy, base)  # derive each layer from below
-    assert hierarchy.is_nested()
+    if nested:
+        refresh_hierarchy(hierarchy, base)  # derive each layer from below
+    assert hierarchy.is_nested() == nested
     return catalog, base, hierarchy, rng
+
+
+def _ingest(base, hierarchy, rng, count: int) -> None:
+    """Append ``count`` rows and offer them to every layer, as a load does."""
+    start = base.num_rows
+    base.append_batch(
+        {
+            "ra": rng.uniform(120.0, 240.0, count),
+            "dec": rng.uniform(-5.0, 25.0, count),
+            "flux": rng.lognormal(1.0, 0.4, count),
+            "band": rng.integers(0, 5, count),
+        }
+    )
+    ids = np.arange(start, base.num_rows, dtype=np.int64)
+    for impression in hierarchy.layers:
+        impression.sampler.offer_batch(ids)
+        impression.set_inclusion_override(None)
 
 
 def _processors(catalog, hierarchy):
@@ -248,6 +273,99 @@ def run_budget_claim(catalog, base, hierarchy, rng):
     }
 
 
+def _fingerprint(result) -> bytes:
+    """Every number an answer reports, as bytes (None: unanswerable)."""
+    if result is None:
+        return b""
+    numbers = []
+    for estimate in (result.estimates or {}).values():
+        numbers += [estimate.value, estimate.se, estimate.value_error]
+    for estimates in (result.group_estimates or {}).values():
+        for estimate in estimates:
+            numbers += [estimate.value, estimate.se, estimate.value_error]
+    parts = [result.source.encode(), np.asarray(numbers, dtype=np.float64).tobytes()]
+    if result.groups is not None:
+        parts += [result.groups[n].tobytes() for n in result.groups.column_names]
+    return b"|".join(parts)
+
+
+def _run_updates(processor, query, contract):
+    stream = processor.run(query, contract)
+    updates = []
+    while True:
+        try:
+            updates.append(next(stream))
+        except StopIteration as stop:
+            return updates, stop.value
+
+
+def run_independent_claim(catalog, base, hierarchy, rng, n_queries: int):
+    """Claim (c): on an independent ladder, before and after an ingest,
+    the delta ladder's rungs are byte-identical to the scratch ladder's."""
+    delta, scratch = _processors(catalog, hierarchy)
+    contracts = (Contract(max_relative_error=0.0), Contract.within_error(0.2))
+    queries = [
+        Query(
+            table="PhotoObjAll",
+            predicate=RadialPredicate(
+                "ra",
+                "dec",
+                float(rng.uniform(125.0, 235.0)),
+                float(rng.uniform(0.0, 20.0)),
+                2.0,
+            ),
+            aggregates=[
+                AggregateSpec("count"),
+                AggregateSpec("avg", "flux"),
+                AggregateSpec("var", "flux"),
+            ],
+        )
+        for _ in range(n_queries)
+    ]
+    queries.append(
+        Query(
+            table="PhotoObjAll",
+            predicate=RadialPredicate("ra", "dec", 180.0, 10.0, 4.0),
+            aggregates=[AggregateSpec("sum", "flux")],
+            group_by=("band",),
+        )
+    )
+    states, rungs = [], 0
+    print("== E5c: independent ladder, delta vs from-scratch ==")
+    for state in ("as-built", "after-ingest"):
+        if state == "after-ingest":
+            _ingest(base, hierarchy, rng, base.num_rows // 10)
+        assert not hierarchy.is_nested(), "the ladder must stay independent"
+        for query in queries:
+            for contract in contracts:
+                mine, delta_outcome = _run_updates(delta, query, contract)
+                theirs, scratch_outcome = _run_updates(scratch, query, contract)
+                assert len(mine) == len(theirs)
+                for a, b in zip(mine, theirs):
+                    assert a.source == b.source
+                    assert _fingerprint(a.result) == _fingerprint(b.result), (
+                        f"{state}: rung {a.rung} ({a.source}) differs"
+                    )
+                    assert a.achieved_error == b.achieved_error
+                    if a.source != base.name:
+                        # scanned whole either way: the same charge
+                        assert a.attempt.cost == b.attempt.cost
+                assert _fingerprint(delta_outcome.result) == _fingerprint(
+                    scratch_outcome.result
+                )
+                assert delta_outcome.total_cost <= scratch_outcome.total_cost
+                rungs += len(mine)
+        states.append(state)
+        print(f"  {state}: {len(queries) * len(contracts)} ladders identical ✓")
+    return {
+        "nested": hierarchy.is_nested(),
+        "states": states,
+        "queries": len(queries) * len(contracts),
+        "rungs_compared": rungs,
+        "byte_identical": True,
+    }
+
+
 def main() -> None:
     import argparse
 
@@ -263,7 +381,7 @@ def main() -> None:
     else:
         n, n_queries = 200_000, 12
     layer_fracs = (0.64, 0.32, 0.16)
-    catalog, base, hierarchy, rng = _build_nested(n, layer_fracs)
+    catalog, base, hierarchy, rng = _build(n, layer_fracs)
     print(
         f"delta-escalation benchmark: n={n} layers="
         f"{[imp.size for imp in hierarchy.layers]} "
@@ -275,9 +393,12 @@ def main() -> None:
     )
     delta = run_delta_claim(catalog, base, hierarchy, rng, n_queries)
     budget = run_budget_claim(catalog, base, hierarchy, rng)
+    independent = run_independent_claim(
+        *_build(n, layer_fracs, nested=False), n_queries
+    )
     write_bench_report(
         "escalation",
-        {"n": n, "delta": delta, "budget": budget},
+        {"n": n, "delta": delta, "budget": budget, "independent": independent},
     )
     print("all delta-escalation claims hold ✓")
 

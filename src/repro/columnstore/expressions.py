@@ -241,9 +241,16 @@ class RadialPredicate(Expression):
         self.radius = float(radius)
 
     def evaluate(self, table: Table) -> np.ndarray:
+        # dx*dx + dy*dy in place: the same IEEE operations in the same
+        # order, in the two differences' own buffers — never in the
+        # column reads, which may be zero-copy views or scratch buffers
         dx = table[self.x_column] - self.cx
+        dx *= dx
         dy = table[self.y_column] - self.cy
-        return dx * dx + dy * dy <= self.radius * self.radius
+        dy *= dy
+        # mixed-precision axes promote the sum, exactly as `dx + dy` would
+        total = np.add(dx, dy, out=dx if dx.dtype == dy.dtype else None)
+        return total <= self.radius * self.radius
 
     def columns(self) -> set[str]:
         return {self.x_column, self.y_column}

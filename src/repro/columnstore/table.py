@@ -369,6 +369,15 @@ class DerivedTable(Table):
         return int(self._row_ids.shape[0])
 
     @property
+    def row_ids(self) -> np.ndarray:
+        """The base rows this table holds, in its row order (read-only):
+        the ids that belong to exactly these rows, whatever the sampler
+        that chose them has done since."""
+        view = self._row_ids.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def column_names(self) -> list[str]:
         return list(self._names)
 

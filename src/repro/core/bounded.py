@@ -33,8 +33,14 @@ would produce.  The final base rung scans "base minus the largest
 impression already consumed" and reconstructs the exact answer in
 base-row order — byte-identical to a full scan.  Cost predictions
 (`affords`) price the delta, so time budgets reach deeper rungs.
-Non-nested rung pairs, row queries, and joins fall back to the
-from-scratch path with unchanged semantics.
+A rung not nested over the previous one (independent reservoirs, as a
+freshly built uniform hierarchy has) is scanned from scratch and its
+fold restarted; that fold stays in the scan's order, with each match's
+slot in the scanned table, and the rung answers from it as it stands —
+row ids and πs read off the one table the scan read, nothing sorted or
+looked up.  Only a merge sorts by row id: folding in a nested delta or
+the base complement, and finishing the exact answer.  Row queries and
+joins take the from-scratch path with unchanged semantics.
 
 **Progressive execution.**  The ladder is a generator at heart:
 :meth:`BoundedQueryProcessor.run` yields one :class:`~repro.core.
@@ -367,7 +373,7 @@ class BoundedQueryProcessor:
             try:
                 if foldable:
                     try:
-                        fold, consumed, stats, op = self._scan_foldable(
+                        fold, consumed, stats, op, scan_table = self._scan_foldable(
                             query, rung, consumed, fold, base, context
                         )
                         scanned = op.tuples_in
@@ -375,6 +381,7 @@ class BoundedQueryProcessor:
                             query,
                             rung,
                             fold,
+                            scan_table,
                             stats,
                             contract.confidence,
                             base,
@@ -574,22 +581,27 @@ class BoundedQueryProcessor:
         fold: Optional[FoldState],
         base,
         context: ExecutionContext,
-    ) -> Tuple[FoldState, Optional[Impression], ExecutionStats, OperatorStats]:
+    ) -> Tuple[
+        FoldState, Optional[Impression], ExecutionStats, OperatorStats, Table
+    ]:
         """Scan the rows ``rung`` adds and fold their matches in.
 
-        Returns ``(fold, consumed, stats, select_op)`` where ``fold``
-        covers everything scanned so far and ``consumed`` is the rung
-        the *next* step should delta against.  A rung that is not a
-        superset of ``consumed`` resets the fold and is scanned from
-        scratch (identical results, no saving).
+        Returns ``(fold, consumed, stats, select_op, scan_table)`` where
+        ``fold`` covers everything scanned so far, ``consumed`` is the
+        rung the *next* step should delta against and ``scan_table`` is
+        the table this step read.  A rung that is not a superset of
+        ``consumed`` resets the fold and is scanned from scratch
+        (identical results, no saving): the fold then stays in the
+        scan's order, and nothing is sorted.
         """
         # aggregate inputs + group keys (a foldable query has no joins)
         needed = sorted(query.columns_carried())
         ids: Optional[np.ndarray]
+        # every branch takes its ids from the very table it scans: ids
+        # from a different sampler state than the table would mis-map
+        # matches (a live offer can land between two separate reads)
         if rung is None:
             if consumed is not None and fold is not None:
-                # one atomic (ids, table) pair: ids from a different
-                # sampler state than the table would mis-map matches
                 ids, scan_table = consumed.materialise_complement(base)
             else:
                 ids = None  # no state yet: scan the base itself
@@ -606,8 +618,8 @@ class BoundedQueryProcessor:
                 ids, scan_table = pair
             else:
                 fold = None  # not nested: rebuild the state from scratch
-                ids = rung.row_ids
                 scan_table = rung.materialise(base)
+                ids = scan_table.row_ids
             next_consumed = rung
             source, source_rows = rung.name, rung.size
         indices, op, _ = self.executor.select_indices(
@@ -631,17 +643,22 @@ class BoundedQueryProcessor:
             value_error = max(value_error, error)
         # scanned_rows is the charged quantity: rows the scan actually
         # read (post zone-map pruning), not the candidate delta size
-        delta_fold = FoldState.from_scan(
-            matched_ids, columns, scanned_rows=op.tuples_in, value_error=value_error
+        this_scan = FoldState.from_scan(
+            matched_ids,
+            columns,
+            scanned_rows=op.tuples_in,
+            value_error=value_error,
+            slots=indices,
         )
-        fold = delta_fold if fold is None else fold.fold(delta_fold)
-        return fold, next_consumed, stats, op
+        fold = this_scan if fold is None else fold.fold(this_scan)
+        return fold, next_consumed, stats, op, scan_table
 
     def _answer_from_fold(
         self,
         query: Query,
         rung: Optional[Impression],
         fold: FoldState,
+        scan_table: Table,
         stats: ExecutionStats,
         confidence: float,
         base,
@@ -649,30 +666,41 @@ class BoundedQueryProcessor:
     ) -> EstimatedResult:
         """Turn the accumulated fold into this rung's answer.
 
-        For an impression rung the fold is re-ordered to the rung's
-        scan order and re-weighted with the rung's own inclusion
-        probabilities, then handed to the standard estimator — the
-        result is exactly what a from-scratch scan of the rung would
-        have produced.  For the base rung the fold already *is* the
-        full matching row set, reconstructed in base order for a
-        byte-identical exact answer.
+        A fold still in scan order (``fold.slots``) comes from a
+        from-scratch scan of ``rung`` itself: its rows already are the
+        rung's scan order, and ``scan_table`` — the table that scan read —
+        holds their πs in its ``_pi`` column, so they are used as they
+        stand.  A merged fold (a nested delta rung) is re-ordered to the
+        rung's slot order and re-weighted with the rung's own inclusion
+        probabilities; a union of two scans has no single scan order to
+        keep.  Either way the working set goes to the standard
+        estimator and the result is exactly what a from-scratch scan of
+        the rung would have produced.  For the base rung the fold
+        already *is* the full matching row set, reconstructed in base
+        order for a byte-identical exact answer.
         """
         if rung is None:
             return self._exact_from_fold(
                 query, fold, stats, confidence, base, context
             )
-        positions = rung.positions_of(fold.row_ids)
-        order = np.argsort(positions, kind="stable")
+        if fold.slots is not None:
+            order = None
+            pis = scan_table.column(PI_COLUMN).gather(fold.slots)
+        else:
+            positions = rung.positions_of(fold.row_ids)
+            order = np.argsort(positions, kind="stable")
+            pis = rung.inclusion_probabilities()[positions[order]]
         columns = []
         for name, values in fold.columns.items():
-            column = Column(name, values.dtype, values[order])
+            column = Column.from_external(
+                name, values.dtype, values if order is None else values[order]
+            )
             # the fold's values may have been read from dequantised
             # warm blocks: the working copy must carry the bound so
             # the estimator widens its CIs accordingly
             column.declare_value_error(fold.value_error)
             columns.append(column)
-        pis = rung.inclusion_probabilities()[positions[order]]
-        columns.append(Column(PI_COLUMN, np.float64, pis))
+        columns.append(Column.from_external(PI_COLUMN, np.float64, pis))
         working = Table(f"{base.name}§{rung.name}#fold", columns)
         return self.estimator.estimate_from_working(
             query, rung, working, stats, confidence
@@ -699,6 +727,7 @@ class BoundedQueryProcessor:
         propagated quantisation drift.
         """
         from repro.stats.estimators import propagated_value_error
+        fold = fold.sorted()  # a lone base scan is still in scan order
         # the row-id column only exists to give the working table its
         # row count when no value columns are tracked (e.g. COUNT(*));
         # pick a name that cannot collide with a tracked fact column

@@ -22,6 +22,7 @@ from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
 from repro.core.bounded import BoundedResult
 from repro.core.engine import SciBorq
+from repro.core.handle import QueryHandle
 from repro.errors import (
     BudgetExceededError,
     QualityBoundError,
@@ -367,7 +368,19 @@ class TestDeprecationShims:
 # server-driven handles
 # ======================================================================
 class TestServerSubmit:
-    def test_driven_handle_streams_and_matches_execute(self, fresh_sky_engine):
+    def test_driven_handle_streams_and_matches_execute(
+        self, fresh_sky_engine, monkeypatch
+    ):
+        # the worker starts its drain only once the callback is attached:
+        # a rung published earlier would be replayed on this thread
+        attached = threading.Event()
+        drain = QueryHandle.drain
+
+        def drain_after_attach(handle):
+            assert attached.wait(timeout=60)
+            drain(handle)
+
+        monkeypatch.setattr(QueryHandle, "drain", drain_after_attach)
         with SciBorqServer(fresh_sky_engine, max_workers=2) as server:
             session = server.open_session(
                 "alice", contract=Contract.within_error(0.05)
@@ -376,6 +389,7 @@ class TestServerSubmit:
             handle = session.submit(cone_count()).on_progress(
                 lambda u: worker_names.append(threading.current_thread().name)
             )
+            attached.set()
             outcome = handle.result(timeout=60)
             assert outcome.met_quality
             assert len(handle.updates) == len(outcome.attempts)

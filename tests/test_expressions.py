@@ -4,6 +4,7 @@ fingerprints."""
 import numpy as np
 import pytest
 
+from repro.columnstore.column import Column
 from repro.columnstore.expressions import (
     And,
     Between,
@@ -16,6 +17,7 @@ from repro.columnstore.expressions import (
     col_between,
     col_eq,
 )
+from repro.columnstore.operators import _BlockView, select
 from repro.columnstore.table import Table
 from repro.errors import QueryError
 
@@ -78,6 +80,56 @@ class TestEvaluation:
     def test_radial_negative_radius(self):
         with pytest.raises(QueryError, match="non-negative"):
             RadialPredicate("x", "y", 0, 0, -1)
+
+    @pytest.mark.parametrize("x_dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("tier", ["hot", "warm"])
+    def test_radial_in_place_matches_textbook_formula(self, tier, x_dtype):
+        """The in-place distance is the textbook ``dx*dx + dy*dy``
+        mask, bit for bit — NaN and ±inf included, on zero-copy hot
+        reads and on warm blocks decoded into scratch buffers — and it
+        writes into no column it reads."""
+        block, n = 256, 2048
+        rng = np.random.default_rng(7)
+        cx, cy, radius = 0.25, -0.5, 2.0
+        x = rng.uniform(-3.0, 3.0, n).astype(x_dtype)
+        y = rng.uniform(-3.0, 3.0, n)
+        # a quarter of the rows on the rim, where one rounding decides
+        rim = rng.choice(n, size=n // 4, replace=False)
+        dx = x[rim].astype(np.float64) - cx
+        y[rim] = cy + np.sqrt(np.clip(radius * radius - dx * dx, 0.0, None))
+        specials = rng.choice(n // 2, size=40, replace=False)  # first half only
+        x[specials[:20]] = rng.choice([np.nan, np.inf, -np.inf], size=20)
+        y[specials[20:]] = rng.choice([np.nan, np.inf, -np.inf], size=20)
+        table = Table(
+            "t",
+            [
+                Column("x", x_dtype, x, block_size=block),
+                Column("y", "float64", y, block_size=block),
+            ],
+        )
+        if tier == "warm":
+            for name in ("x", "y"):
+                for b in range(n // block):
+                    # finite blocks quantise; blocks holding NaN / inf
+                    # fall through to cold — both decode on read
+                    assert table.column(name).demote(b, "warm")
+        before = {name: table.column(name).to_numpy() for name in ("x", "y")}
+        predicate = RadialPredicate("x", "y", cx, cy, radius)
+
+        def textbook(view) -> np.ndarray:
+            dx = view["x"] - predicate.cx
+            dy = view["y"] - predicate.cy
+            return dx * dx + dy * dy <= predicate.radius * predicate.radius
+
+        for start in range(0, n, 300):  # spans straddle block boundaries
+            view = _BlockView(table, start, min(start + 300, n))
+            expected = textbook(view)
+            np.testing.assert_array_equal(predicate.evaluate(view), expected)
+        np.testing.assert_array_equal(predicate.evaluate(table), textbook(table))
+        indices, _ = select(table, predicate)
+        np.testing.assert_array_equal(indices, np.flatnonzero(textbook(table)))
+        for name, values in before.items():
+            assert table.column(name).to_numpy().tobytes() == values.tobytes()
 
     def test_and_or_not(self, table):
         expr = (col_between("x", 1, 3) & col_eq("tag", 1)) | Not(
