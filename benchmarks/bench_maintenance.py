@@ -113,7 +113,7 @@ def run_invalidation_claim(context, ingest_rows):
     # independent reservoirs stop being nested on ingest, so every rung
     # was scanned whole; the base rung scanned the largest one's complement
     scanned = {layer.name: layer.cached_table() for layer in layers}
-    scanned[TABLE] = layers[-1].materialise_complement(base)[1]
+    scanned[TABLE] = layers[-1].materialise_complement(base)
     print(f"== invalidation: first cone aggregate after a {ingest_rows}-row ingest ==")
     print(f"  ingest itself: {ingest_ms:.1f} ms; the query reads {read} columns")
     for name, entry in rungs.items():

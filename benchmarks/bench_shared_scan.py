@@ -30,7 +30,7 @@ import time
 
 from repro.bench.report import write_bench_report
 from repro.columnstore import AggregateSpec, Query
-from repro.columnstore.expressions import RadialPredicate
+from repro.columnstore.expressions import And, Between
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.server import SciBorqServer
@@ -57,26 +57,30 @@ def build_engine(n: int, seed: int) -> SciBorq:
     return engine
 
 
-def hot_queries() -> list:
-    """The workload's hot regions: what 8 users probe simultaneously.
+def _band(r_lo: float, p_lo: float) -> Query:
+    return Query(
+        table="PhotoObjAll",
+        predicate=And(
+            [
+                Between("r_mag", r_lo, r_lo + 0.5),
+                Between("petro_rad", p_lo, p_lo + 1.0),
+            ]
+        ),
+        aggregates=[AggregateSpec("count"), AggregateSpec("avg", "g_mag")],
+    )
 
-    Small cones with a tight error bound force full-ladder climbs —
-    the scan-heavy regime where redundancy costs the most — while the
+
+def hot_queries() -> list:
+    """The workload's hot selections: what 8 users probe simultaneously.
+
+    Narrow magnitude / size bands with a tight error bound force
+    full-ladder climbs over attributes no layout clusters — the
+    scan-heavy regime where redundancy costs the most (a sky cone reads
+    only the zones of its cells, and leaves little to share) — while the
     matched sets stay small, so per-query estimation (which sharing
     cannot and must not dedup) does not drown the scans.
     """
-    regions = [(165.0, 8.0, 2.0), (205.0, 12.0, 2.0)]
-    return [
-        Query(
-            table="PhotoObjAll",
-            predicate=RadialPredicate("ra", "dec", ra, dec, radius),
-            aggregates=[
-                AggregateSpec("count"),
-                AggregateSpec("avg", "r_mag"),
-            ],
-        )
-        for ra, dec, radius in regions
-    ]
+    return [_band(17.0, 1.0), _band(18.5, 2.0)]
 
 
 def workload_jobs(sessions, queries, rounds: int):
@@ -92,23 +96,15 @@ def workload_jobs(sessions, queries, rounds: int):
 def warm_server(session) -> None:
     """Steady-state the server before timing.
 
-    Runs cones over *different* regions, so materialised rungs, zone
-    maps, and delta/complement caches are built (one-off costs both
-    arms would otherwise pay inside the timer) while the scheduler's
-    scan memo stays cold for the hot workload — the shared arm gets
-    no head start on the queries being measured.
+    Runs *different* bands over the same columns, so materialised
+    rungs, their gathered columns, zone maps, and delta/complement
+    caches are built (one-off costs both arms would otherwise pay
+    inside the timer) while the scheduler's scan memo stays cold for
+    the hot workload — the shared arm gets no head start on the
+    queries being measured.
     """
-    for ra in (140.0, 220.0):
-        session.execute(
-            Query(
-                table="PhotoObjAll",
-                predicate=RadialPredicate("ra", "dec", ra, 15.0, 2.0),
-                aggregates=[
-                    AggregateSpec("count"),
-                    AggregateSpec("avg", "r_mag"),
-                ],
-            )
-        )
+    for r_lo in (16.0, 20.0):
+        session.execute(_band(r_lo, 3.0))
 
 
 def run_arm(shared: bool, n: int, seed: int, rounds: int):

@@ -12,7 +12,12 @@ stripes sequentially, so ``ra`` arrives clustered):
 (b) **more rungs per budget** — under the same cost budget, a
     zero-error contract escalates deeper (reaching the exact base
     rung) on the pruned store than on an unprunable single-block
-    store.
+    store;
+(c) **rung tables prune on an unsorted base** — the engine lays every
+    impression table out by interest cell on its own zone grid, so on
+    a base loaded in *random* sky order selective cones charge the
+    hierarchy's rungs ≥2x fewer tuples than id-ordered twins of the
+    same samples, with the same answers within 1e-12.
 
 Run standalone: ``python benchmarks/bench_zone_maps.py [--smoke]``.
 """
@@ -33,6 +38,7 @@ from repro.columnstore.table import Table
 from repro.bench.report import write_bench_report
 from repro.core.bounded import BoundedQueryProcessor
 from repro.core.contracts import Contract
+from repro.core.engine import SciBorq
 from repro.core.maintenance import rebuild_from_base
 from repro.core.policy import UniformPolicy, build_hierarchy
 
@@ -189,6 +195,105 @@ def run_budget_claim(pruned_catalog, flat_catalog, rng, layer_sizes):
     }
 
 
+def _unsorted_engine(n: int, interest: dict, seed: int) -> SciBorq:
+    """A uniform (n/4, n/20, n/100) hierarchy fed by loading ``n`` rows
+    in random sky order, the engine's interest attributes ``interest``."""
+    catalog = Catalog()
+    catalog.add_table(
+        Table("PhotoObjAll", {"ra": "float64", "dec": "float64", "flux": "float64"})
+    )
+    engine = SciBorq(catalog, interest_attributes=interest, rng=seed)
+    engine.create_hierarchy(
+        "PhotoObjAll", policy="uniform", layer_sizes=(n // 4, n // 20, n // 100)
+    )
+    rng = np.random.default_rng(seed + 1)
+    for start in range(0, n, 50_000):
+        rows = min(50_000, n - start)
+        engine.loader.load_batch(
+            "PhotoObjAll",
+            {
+                "ra": rng.uniform(RA_LO, RA_HI, rows),
+                "dec": rng.uniform(DEC_LO, DEC_HI, rows),
+                "flux": rng.lognormal(1.0, 0.4, rows),
+            },
+        )
+    return engine
+
+
+def run_rung_layout_claim(n: int, n_queries: int, seed: int = 20261015):
+    """Claim (c): on an unsorted base, cell-ordered rung tables charge
+    selective cones ≥2x fewer tuples than id-ordered twins.
+
+    The twin engine's only interest attribute is a column the table
+    does not have, so its rows share one cell and its tables keep row-id
+    order; both engines draw identical samples from identical loads.
+    """
+    cells = _unsorted_engine(
+        n, {"ra": (RA_LO, RA_HI), "dec": (DEC_LO, DEC_HI)}, seed
+    )
+    twin = _unsorted_engine(n, {"unrelated": (0.0, 1.0)}, seed)
+    ladders = {
+        label: BoundedQueryProcessor(engine.catalog, engine.hierarchy("PhotoObjAll"))
+        for label, engine in (("cells", cells), ("ids", twin))
+    }
+    rng = np.random.default_rng(seed + 2)
+    radius = 1.5
+    charged = {"cells": 0, "ids": 0}
+    ratios = []
+    print(f"== E14c: {n_queries} cones over the rungs of an unsorted {n}-row base ==")
+    for i in range(n_queries):
+        query = Query(
+            table="PhotoObjAll",
+            predicate=RadialPredicate(
+                "ra",
+                "dec",
+                float(rng.uniform(RA_LO + radius, RA_HI - radius)),
+                float(rng.uniform(DEC_LO + radius, DEC_HI - radius)),
+                radius,
+            ),
+            aggregates=[AggregateSpec("count"), AggregateSpec("avg", "flux")],
+        )
+        # stop at the largest impression: the rungs, not the base
+        contract = Contract.within_error(1e-9)
+        outcomes = {}
+        for label, processor in ladders.items():
+            updates = processor.run(query, contract)
+            outcomes[label] = [next(updates) for _ in range(3)]
+        rung_tuples = {
+            label: sum(u.attempt.delta_rows for u in updates)
+            for label, updates in outcomes.items()
+        }
+        for mine, theirs in zip(outcomes["cells"], outcomes["ids"]):
+            assert mine.source == theirs.source
+            for name, estimate in theirs.result.estimates.items():
+                got = mine.result.estimates[name]
+                for field in ("value", "se"):
+                    want = getattr(estimate, field)
+                    assert abs(getattr(got, field) - want) <= 1e-12 * abs(want), (
+                        f"query {i} {mine.source} {name}.{field}"
+                    )
+        for label in charged:
+            charged[label] += rung_tuples[label]
+        ratios.append(rung_tuples["ids"] / rung_tuples["cells"])
+    ratios = np.asarray(ratios)
+    total = charged["ids"] / charged["cells"]
+    print(
+        f"  rung tuples charged, id order/cell order: total {total:.1f}x "
+        f"(per query min {ratios.min():.1f}x mean {ratios.mean():.1f}x)"
+    )
+    assert total >= 2.0, f"cell-ordered rungs won only {total:.2f}x; need ≥2x"
+    assert ratios.min() >= 1.0, "a cone charged a cell-ordered rung more"
+    print("  answers equal within 1e-12 on every rung ✓")
+    return {
+        "n": n,
+        "queries": n_queries,
+        "rung_tuples_ratio": float(total),
+        "rung_tuples_ratio_min": float(ratios.min()),
+        "rung_tuples_cells": int(charged["cells"]),
+        "rung_tuples_ids": int(charged["ids"]),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -200,9 +305,11 @@ def main() -> None:
     if args.smoke:
         n, block_size, n_queries = 20_000, 1_024, 8
         layer_sizes = (2_000, 200)
+        layout_rows = 200_000
     else:
         n, block_size, n_queries = 200_000, 8_192, 24
         layer_sizes = (5_000, 500)
+        layout_rows = 1_000_000
     pruned_catalog, flat_catalog, rng = build_store(n, block_size)
     print(
         f"zone-map benchmark: n={n} block_size={block_size} "
@@ -210,6 +317,7 @@ def main() -> None:
     )
     pruning = run_pruning_claim(pruned_catalog, flat_catalog, rng, n_queries)
     budget = run_budget_claim(pruned_catalog, flat_catalog, rng, layer_sizes)
+    layout = run_rung_layout_claim(layout_rows, n_queries)
     write_bench_report(
         "zone_maps",
         {
@@ -217,6 +325,7 @@ def main() -> None:
             "block_size": block_size,
             "pruning": pruning,
             "budget": budget,
+            "rung_layout": layout,
         },
     )
     print("all zone-map claims hold ✓")

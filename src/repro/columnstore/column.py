@@ -9,15 +9,15 @@ daily-ingest load path (paper §3.3) stays O(1) amortised per tuple.
 Storage is logically partitioned into fixed-size **blocks** of
 :data:`DEFAULT_BLOCK_SIZE` rows.  Numeric columns maintain a per-block
 **zone map** — the min/max of the block's live values, plus a NaN
-flag.  Maintenance is lazy *and* incremental: nothing is computed
-until the first :meth:`Column.zone` call, and each call folds in only
-the rows appended since the last one, so long-lived base tables pay
-O(appended values) per refresh while throwaway intermediates
-(``take``/``filter`` outputs that nobody prunes) pay nothing at all.
-Zone maps let selections skip whole blocks a predicate cannot match
-(see :meth:`repro.columnstore.expressions.Expression.prune`), which is
-what makes SciBORQ's tuples-touched budgets go further on the base
-table.
+flag — kept as arrays (:class:`Zones`).  Maintenance is lazy *and*
+incremental: nothing is computed until the first :meth:`Column.zones`
+call, and each call folds in only the rows appended since the last
+one, so long-lived base tables pay O(appended values) per refresh while
+throwaway intermediates (``take``/``filter`` outputs that nobody
+prunes) pay nothing at all.  Zone maps let selections skip whole blocks
+a predicate cannot match (see
+:meth:`repro.columnstore.expressions.Expression.keep_blocks`), which is
+what makes SciBORQ's tuples-touched budgets go further.
 
 Residency tiers
 ---------------
@@ -54,7 +54,7 @@ import math
 import threading
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -92,6 +92,19 @@ class Zone:
     def empty(self) -> bool:
         """True when the block holds no comparable (non-NaN) value."""
         return self.lo > self.hi
+
+
+class Zones(NamedTuple):
+    """Every block's :class:`Zone` of one column, as parallel arrays.
+
+    ``lo``/``hi`` have the column's dtype; a block with no comparable
+    value has ``lo = +inf > hi = -inf``.  Read-only by convention: a
+    fold publishes new arrays rather than writing into these.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    has_nan: np.ndarray
 
 
 class _WarmBlock:
@@ -181,16 +194,18 @@ class Column:
                 f"block_size must be positive, got {block_size}"
             )
         self._block_size = block_size
-        # Zone maps are kept for orderable numeric attributes only;
-        # lo/hi of None marks a block that has seen no comparable value
-        # yet (e.g. all NaN so far).
+        # Zone maps are kept for orderable numeric attributes only; an
+        # empty zone (lo > hi) marks a block that has seen no comparable
+        # value yet (e.g. all NaN so far).
         self._tracks_zones = np.issubdtype(self._dtype, np.number) and not (
             np.issubdtype(self._dtype, np.complexfloating)
         )
-        self._zone_lo: List[object] = []
-        self._zone_hi: List[object] = []
-        self._zone_nan: List[bool] = []
-        #: rows already folded into the zone lists; rows beyond this are
+        self._zones = Zones(
+            np.empty(0, dtype=self._dtype),
+            np.empty(0, dtype=self._dtype),
+            np.empty(0, dtype=bool),
+        )
+        #: rows already folded into the zone arrays; rows beyond this are
         #: folded lazily on the next ``zone()`` call, under the lock
         #: (queries are concurrent readers, so the lazy fold must not
         #: race itself).
@@ -216,6 +231,8 @@ class Column:
         #: tick of the last scan that touched a demoted block — the
         #: governor's promote-on-access signal.
         self._demoted_access_tick = 0
+        #: tick of the last scan or gather that read this column
+        self._read_tick = 0
         self._scratch = threading.local()
         if values is not None:
             self.extend(values)
@@ -310,21 +327,30 @@ class Column:
         stay exact for the quantised data — pruning decisions are
         identical across tiers and decompression-free.
         """
-        if not self._tracks_zones:
+        zones = self.zones()
+        if zones is None:
             return None
         if not 0 <= block < self.num_blocks:
             raise IndexError(
                 f"block {block} out of range for column {self.name!r} "
                 f"with {self.num_blocks} blocks"
             )
-        self._ensure_zones()
-        lo, hi = self._zone_lo[block], self._zone_hi[block]
-        if lo is None:
+        lo, hi = zones.lo[block], zones.hi[block]
+        if lo > hi:
             return Zone(lo=math.inf, hi=-math.inf, has_nan=True)
-        return Zone(lo=lo, hi=hi, has_nan=self._zone_nan[block])
+        return Zone(lo=lo, hi=hi, has_nan=bool(zones.has_nan[block]))
+
+    def zones(self) -> Optional[Zones]:
+        """Every block's zone map as arrays, or None when zones are not
+        kept — what a scan plan prunes with, one vector operation per
+        predicate instead of one call per block."""
+        if not self._tracks_zones:
+            return None
+        self._ensure_zones()
+        return self._zones
 
     def _ensure_zones(self) -> None:
-        """Fold rows appended since the last fold into the zone lists.
+        """Fold rows appended since the last fold into the zone arrays.
 
         Serialised because concurrent queries all reach here through
         the read path; without the lock two threads could interleave
@@ -349,35 +375,38 @@ class Column:
             self._zone_rows = self._size
 
     def _update_zones(self, start: int, arr: np.ndarray) -> None:
-        """Fold the values at rows ``start...`` into the blocks' zones."""
+        """Fold the values at rows ``start...`` into the blocks' zones.
+
+        One ``reduceat`` per statistic over the block boundaries inside
+        ``arr``; ``fmin``/``fmax`` skip NaNs, so a block of NaNs only
+        reduces to NaN and is stored as the empty zone ``(+inf, -inf)``.
+        A block the previous fold left partial is merged, not replaced.
+        """
         if arr.shape[0] == 0:
             return
-        block_size = self._block_size
-        pos = 0
-        n = arr.shape[0]
-        is_float = np.issubdtype(arr.dtype, np.floating)
-        while pos < n:
-            row = start + pos
-            block = row // block_size
-            take = min(n - pos, (block + 1) * block_size - row)
-            chunk = arr[pos : pos + take]
-            while len(self._zone_lo) <= block:
-                self._zone_lo.append(None)
-                self._zone_hi.append(None)
-                self._zone_nan.append(False)
-            if is_float:
-                nan_mask = np.isnan(chunk)
-                if nan_mask.any():
-                    self._zone_nan[block] = True
-                    chunk = chunk[~nan_mask]
-            if chunk.shape[0]:
-                lo = chunk.min()
-                hi = chunk.max()
-                if self._zone_lo[block] is None or lo < self._zone_lo[block]:
-                    self._zone_lo[block] = lo
-                if self._zone_hi[block] is None or hi > self._zone_hi[block]:
-                    self._zone_hi[block] = hi
-            pos += take
+        bs = self._block_size
+        first = start // bs
+        cuts = np.arange(first * bs, start + arr.shape[0], bs) - start
+        cuts[0] = 0
+        lo = np.fmin.reduceat(arr, cuts)
+        hi = np.fmax.reduceat(arr, cuts)
+        if np.issubdtype(arr.dtype, np.floating):
+            nan = np.logical_or.reduceat(np.isnan(arr), cuts)
+            empty = np.isnan(lo)
+            lo[empty] = np.inf
+            hi[empty] = -np.inf
+        else:
+            nan = np.zeros(cuts.shape[0], dtype=bool)
+        old = self._zones
+        if old.lo.shape[0] > first:  # the partial block we stopped in
+            lo[0] = np.fmin(lo[0], old.lo[first])
+            hi[0] = np.fmax(hi[0], old.hi[first])
+            nan[0] |= old.has_nan[first]
+        self._zones = Zones(
+            np.concatenate([old.lo[:first], lo]),
+            np.concatenate([old.hi[:first], hi]),
+            np.concatenate([old.has_nan[:first], nan]),
+        )
 
     # ------------------------------------------------------------------
     # tiered residency
@@ -449,6 +478,12 @@ class Column:
     def last_scanned(self, block: int) -> int:
         """The access tick of ``block`` (0 = never scanned)."""
         return self._block_ticks.get(block, 0)
+
+    @property
+    def last_read(self) -> int:
+        """The access tick of the last scan or gather that read any of
+        this column (0 = never read)."""
+        return self._read_tick
 
     @property
     def demoted_access_tick(self) -> int:
@@ -614,9 +649,9 @@ class Column:
     # tier-aware reads
     # ------------------------------------------------------------------
     def _touch(self, first_block: int, last_block: int) -> None:
-        tick = next(_TICK)
-        for block in range(first_block, last_block + 1):
-            self._block_ticks[block] = tick
+        self._read_tick = tick = next(_TICK)
+        blocks = range(first_block, last_block + 1)
+        self._block_ticks.update(dict.fromkeys(blocks, tick))
 
     def _block_values(self, block: int) -> np.ndarray:
         """The values of one block (chunked mode), materialised.
@@ -737,6 +772,7 @@ class Column:
                 f"gather on column {self.name!r} expects indices, got a mask"
             )
         idx = idx.astype(np.int64, copy=False)
+        self._read_tick = next(_TICK)
         data = self._data  # snapshot: see `values` on the demotion race
         if data is not None:
             view = data[: self._size]

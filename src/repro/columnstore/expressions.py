@@ -10,10 +10,12 @@ Expressions also produce stable ``fingerprint`` strings so the recycler
 can recognise a repeated selection without evaluating it.
 
 For zone-map pruned scans every expression additionally answers
-:meth:`Expression.prune`: given the per-column :class:`Zone` summaries
-of one storage block, can the block be *skipped* because no row in it
-can possibly match?  Prune answers must be conservative — False
-("must scan") is always safe, True is a promise.
+:meth:`Expression.keep_blocks`: given every block's per-column
+:class:`~repro.columnstore.column.Zones`, which blocks must be scanned
+because a row in them might match?  The mask is one vector operation
+per predicate, however many blocks a table has.  Answers must be
+conservative — True ("must scan") is always safe, False is a promise
+that no row of the block matches.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.columnstore.column import Zone
+from repro.columnstore.column import Zones
 from repro.columnstore.table import Table
 from repro.errors import QueryError
 
@@ -64,14 +66,14 @@ class Expression:
         """A canonical string identifying this predicate for caching."""
         raise NotImplementedError
 
-    def prune(self, zones: Mapping[str, Zone]) -> bool:
-        """Whether a block with these per-column zones can be skipped.
+    def keep_blocks(self, zones: Mapping[str, Zones], num_blocks: int) -> np.ndarray:
+        """Per block, whether it must be scanned (a boolean mask).
 
-        ``zones`` maps column name to that block's :class:`Zone`;
-        columns without zone maps are absent.  The default is the
-        conservative "must scan".
+        ``zones`` maps column name to that column's :class:`Zones`, one
+        entry per block; columns without zone maps are absent.  The
+        default is the conservative "scan every block".
         """
-        return False
+        return np.ones(num_blocks, dtype=bool)
 
     # Composition sugar --------------------------------------------------
     def __and__(self, other: "Expression") -> "Expression":
@@ -130,26 +132,27 @@ class Comparison(Expression):
     def fingerprint(self) -> str:
         return f"({self.column}{self.op}{self.value!r})"
 
-    def prune(self, zones: Mapping[str, Zone]) -> bool:
+    def keep_blocks(self, zones: Mapping[str, Zones], num_blocks: int) -> np.ndarray:
         zone = zones.get(self.column)
         if zone is None or not isinstance(self.value, _NUMERIC):
-            return False
-        if zone.empty:
-            # an all-NaN block fails every comparison except ``!=``
-            return self.op != "!="
-        value = self.value
+            return np.ones(num_blocks, dtype=bool)
+        lo, hi, value = zone.lo, zone.hi, self.value
+        if self.op == "!=":
+            # only a constant NaN-free run of exactly ``value`` fails;
+            # an all-NaN block passes (NaN != anything)
+            return zone.has_nan | (lo != value) | (hi != value)
         if self.op == "<":
-            return bool(zone.lo >= value)
-        if self.op == "<=":
-            return bool(zone.lo > value)
-        if self.op == ">":
-            return bool(zone.hi <= value)
-        if self.op == ">=":
-            return bool(zone.hi < value)
-        if self.op == "==":
-            return bool(value < zone.lo or value > zone.hi)
-        # "!=": only a constant NaN-free run of exactly ``value`` fails
-        return bool(not zone.has_nan and zone.lo == zone.hi == value)
+            skip = lo >= value
+        elif self.op == "<=":
+            skip = lo > value
+        elif self.op == ">":
+            skip = hi <= value
+        elif self.op == ">=":
+            skip = hi < value
+        else:  # "=="
+            skip = (value < lo) | (value > hi)
+        # an all-NaN block (lo > hi) fails every other comparison
+        return ~(skip | (lo > hi))
 
 
 class Between(Expression):
@@ -175,11 +178,11 @@ class Between(Expression):
     def fingerprint(self) -> str:
         return f"({self.column} between {self.lo!r} and {self.hi!r})"
 
-    def prune(self, zones: Mapping[str, Zone]) -> bool:
+    def keep_blocks(self, zones: Mapping[str, Zones], num_blocks: int) -> np.ndarray:
         zone = zones.get(self.column)
         if zone is None:
-            return False
-        return bool(zone.empty or zone.hi < self.lo or zone.lo > self.hi)
+            return np.ones(num_blocks, dtype=bool)
+        return ~((zone.lo > zone.hi) | (zone.hi < self.lo) | (zone.lo > self.hi))
 
 
 class InSet(Expression):
@@ -208,15 +211,16 @@ class InSet(Expression):
     def fingerprint(self) -> str:
         return f"({self.column} in {sorted(map(repr, self.values))})"
 
-    def prune(self, zones: Mapping[str, Zone]) -> bool:
+    def keep_blocks(self, zones: Mapping[str, Zones], num_blocks: int) -> np.ndarray:
         zone = zones.get(self.column)
         if zone is None or not all(
             isinstance(v, _NUMERIC) for v in self.values
         ):
-            return False
-        if zone.empty:
-            return True
-        return all(v < zone.lo or v > zone.hi for v in self.values)
+            return np.ones(num_blocks, dtype=bool)
+        keep = np.zeros(num_blocks, dtype=bool)
+        for v in self.values:
+            keep |= ~((v < zone.lo) | (v > zone.hi))
+        return keep & ~(zone.lo > zone.hi)
 
 
 class RadialPredicate(Expression):
@@ -264,22 +268,21 @@ class RadialPredicate(Expression):
             f"r={self.radius!r})"
         )
 
-    def prune(self, zones: Mapping[str, Zone]) -> bool:
+    def keep_blocks(self, zones: Mapping[str, Zones], num_blocks: int) -> np.ndarray:
         # the cone's bounding box must intersect both axis zones
+        keep = np.ones(num_blocks, dtype=bool)
         for column, centre in (
             (self.x_column, self.cx),
             (self.y_column, self.cy),
         ):
             zone = zones.get(column)
-            if zone is None:
-                continue
-            if (
-                zone.empty
-                or zone.hi < centre - self.radius
-                or zone.lo > centre + self.radius
-            ):
-                return True
-        return False
+            if zone is not None:
+                keep &= ~(
+                    (zone.lo > zone.hi)
+                    | (zone.hi < centre - self.radius)
+                    | (zone.lo > centre + self.radius)
+                )
+        return keep
 
 
 class And(Expression):
@@ -305,8 +308,11 @@ class And(Expression):
     def fingerprint(self) -> str:
         return "(and " + " ".join(op.fingerprint() for op in self.operands) + ")"
 
-    def prune(self, zones: Mapping[str, Zone]) -> bool:
-        return any(op.prune(zones) for op in self.operands)
+    def keep_blocks(self, zones: Mapping[str, Zones], num_blocks: int) -> np.ndarray:
+        keep = self.operands[0].keep_blocks(zones, num_blocks)
+        for op in self.operands[1:]:
+            keep = keep & op.keep_blocks(zones, num_blocks)
+        return keep
 
 
 class Or(Expression):
@@ -332,8 +338,11 @@ class Or(Expression):
     def fingerprint(self) -> str:
         return "(or " + " ".join(op.fingerprint() for op in self.operands) + ")"
 
-    def prune(self, zones: Mapping[str, Zone]) -> bool:
-        return all(op.prune(zones) for op in self.operands)
+    def keep_blocks(self, zones: Mapping[str, Zones], num_blocks: int) -> np.ndarray:
+        keep = self.operands[0].keep_blocks(zones, num_blocks)
+        for op in self.operands[1:]:
+            keep = keep | op.keep_blocks(zones, num_blocks)
+        return keep
 
 
 class Not(Expression):

@@ -94,8 +94,11 @@ def scan_plan(
 
     Returns ``(runs, rows_to_scan, blocks_scanned, blocks_pruned)``
     where ``runs`` are maximal contiguous ``(start, stop)`` row ranges
-    of surviving blocks, in order.  Tables without a common block grid
-    (or predicates reading no columns) degenerate to one full run.
+    of surviving blocks, in order.  The predicate's keep-mask over the
+    zone arrays becomes runs where it changes value (a ``diff``), so
+    planning costs the same few vector operations at 64 zones as at
+    one.  Tables without a common block grid (or predicates reading no
+    columns) degenerate to one full run.
     """
     num_rows = table.num_rows
     if num_rows == 0:
@@ -105,39 +108,61 @@ def scan_plan(
     needed = predicate.columns()
     if num_blocks <= 1 or not needed:
         return [(0, num_rows)], num_rows, max(num_blocks, 1), 0
-    runs: List[Tuple[int, int]] = []
-    rows_to_scan = 0
-    pruned = 0
-    run_start: Optional[int] = None
-    for block in range(num_blocks):
-        start = block * block_size
-        stop = min(start + block_size, num_rows)
-        zones = table.block_zones(block, needed)
-        if zones and predicate.prune(zones):
-            pruned += 1
-            if run_start is not None:
-                runs.append((run_start, start))
-                run_start = None
-            continue
-        rows_to_scan += stop - start
-        if run_start is None:
-            run_start = start
-    if run_start is not None:
-        runs.append((run_start, num_rows))
-    return runs, rows_to_scan, num_blocks - pruned, pruned
+    keep = predicate.keep_blocks(table.zones(needed), num_blocks)
+    if keep.all():
+        return [(0, num_rows)], num_rows, num_blocks, 0
+    # a run starts and stops where the padded mask changes value
+    padded = np.zeros(num_blocks + 2, dtype=bool)
+    padded[1:-1] = keep
+    edges = np.flatnonzero(padded[1:] != padded[:-1]) * block_size
+    starts, stops = edges[::2], np.minimum(edges[1::2], num_rows)
+    scanned = int(np.count_nonzero(keep))
+    return (
+        list(zip(starts.tolist(), stops.tolist())),
+        int((stops - starts).sum()),
+        scanned,
+        num_blocks - scanned,
+    )
 
 
-def _morsels(
-    runs: Sequence[Tuple[int, int]], morsel_rows: int
-) -> List[Tuple[int, int]]:
-    """Split surviving runs into bounded work units, preserving order."""
-    morsels: List[Tuple[int, int]] = []
+#: A morsel: the row ranges one work unit evaluates, in order.
+Morsel = List[Tuple[int, int]]
+
+
+def _morsels(runs: Sequence[Tuple[int, int]]) -> List[Morsel]:
+    """Group surviving runs into work units of :data:`PARALLEL_MIN_ROWS`
+    rows (the last may be short), preserving order.
+
+    A unit is sized by rows, not zones: a rung table's zones are a few
+    thousand rows, and one unit per surviving zone would hand the pool
+    work too small to be worth the hand-off.  Runs longer than a unit
+    are split; short ones share a unit.
+    """
+    morsels: List[Morsel] = []
+    current: Morsel = []
+    filled = 0
     for start, stop in runs:
-        while stop - start > morsel_rows:
-            morsels.append((start, start + morsel_rows))
-            start += morsel_rows
-        morsels.append((start, stop))
+        while start < stop:
+            take = min(stop - start, PARALLEL_MIN_ROWS - filled)
+            current.append((start, start + take))
+            filled += take
+            start += take
+            if filled == PARALLEL_MIN_ROWS:
+                morsels.append(current)
+                current, filled = [], 0
+    if current:
+        morsels.append(current)
     return morsels
+
+
+def _scan_morsel(table: Table, predicate: Expression, morsel: Morsel) -> np.ndarray:
+    """The indices of ``morsel``'s rows that match ``predicate``."""
+    parts = [
+        np.flatnonzero(predicate.evaluate(_BlockView(table, start, stop))) + start
+        for start, stop in morsel
+    ]
+    indices = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return indices.astype(np.int64, copy=False)
 
 
 def select(
@@ -162,13 +187,10 @@ def select(
     if not runs:
         indices = np.empty(0, dtype=np.int64)
     else:
-        block_size = table.block_size or table.num_rows
-        morsels = _morsels(runs, max(block_size, 1))
+        morsels = _morsels(runs)
 
-        def scan_morsel(bounds: Tuple[int, int]) -> np.ndarray:
-            start, stop = bounds
-            mask = predicate.evaluate(_BlockView(table, start, stop))
-            return np.flatnonzero(mask).astype(np.int64, copy=False) + start
+        def scan_morsel(morsel: Morsel) -> np.ndarray:
+            return _scan_morsel(table, predicate, morsel)
 
         if (
             pool is not None
@@ -222,18 +244,14 @@ def select_shared(
             plans[i] = scan_plan(table, predicate)
         except Exception as exc:  # noqa: BLE001 - per-consumer isolation
             outcomes[i] = exc
-    block_size = table.block_size or table.num_rows
-    tasks: List[Tuple[int, Tuple[int, int]]] = []
+    tasks: List[Tuple[int, Morsel]] = []
     for i, (runs, _rows, _scanned, _pruned) in plans.items():
-        tasks.extend((i, morsel) for morsel in _morsels(runs, max(block_size, 1)))
+        tasks.extend((i, morsel) for morsel in _morsels(runs))
 
-    def scan_task(
-        task: Tuple[int, Tuple[int, int]]
-    ) -> np.ndarray | Exception:
-        i, (start, stop) = task
+    def scan_task(task: Tuple[int, Morsel]) -> np.ndarray | Exception:
+        i, morsel = task
         try:
-            mask = predicates[i].evaluate(_BlockView(table, start, stop))
-            return np.flatnonzero(mask).astype(np.int64, copy=False) + start
+            return _scan_morsel(table, predicates[i], morsel)
         except Exception as exc:  # noqa: BLE001 - per-consumer isolation
             return exc
 

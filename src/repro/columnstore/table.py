@@ -15,9 +15,10 @@ The column-lazy rule
 --------------------
 A :class:`DerivedTable` is "rows ``row_ids`` of ``base``" — what an
 impression, a rung delta and a base complement are.  It knows its
-schema, row count and block grid from the base table alone and gathers
-a column on the first ``column(name)``, once, under a lock; a scan that
-reads two of thirteen columns pays for two gathers (paper §3.1: an
+schema from the base table, its row count and zone grid from its own
+row ids, and gathers a column on the first ``column(name)``, once,
+under a lock; a scan that reads two of thirteen columns pays for two
+gathers (paper §3.1: an
 impression "may contain a subset of the attributes of a table … if the
 need rises, more columns can be added").  **Accounting never gathers**:
 :meth:`Table.nbytes`, :meth:`Table.nbytes_by_tier`,
@@ -33,11 +34,11 @@ gather what they read.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.columnstore.column import Column, Zone
+from repro.columnstore.column import Column, Zones
 from repro.errors import LoadError, SchemaError, UnknownColumnError
 
 
@@ -142,18 +143,18 @@ class Table:
             return 0
         return -(-self.num_rows // block_size)
 
-    def block_zones(self, block: int, names: Iterable[str]) -> Dict[str, Zone]:
-        """Zone maps of ``block`` for the named columns.
+    def zones(self, names: Iterable[str]) -> Dict[str, Zones]:
+        """Every block's zone maps for the named columns, as arrays.
 
         Columns that keep no zones (non-numeric) are simply absent
         from the result — predicates treat a missing zone as
         unprunable.
         """
-        zones: Dict[str, Zone] = {}
+        zones: Dict[str, Zones] = {}
         for name in names:
-            zone = self.column(name).zone(block)
-            if zone is not None:
-                zones[name] = zone
+            column_zones = self.column(name).zones()
+            if column_zones is not None:
+                zones[name] = column_zones
         return zones
 
     def has_column(self, name: str) -> bool:
@@ -325,21 +326,79 @@ class Table:
         return cls(name, columns)
 
 
+class RowPatch(NamedTuple):
+    """How an ordered row set changes: drop some rows, insert others.
+
+    The patched rows are the old rows where ``kept`` holds (``None``:
+    all of them), in order, with new rows at the positions ``added`` of
+    the result; ``is_old`` marks the result's other positions.  Every
+    array aligned with the old rows patches by :meth:`merge` — one pass
+    through two boolean masks, where ``np.delete`` plus ``np.insert``
+    would copy twice and a position gather would read out of order.
+    """
+
+    kept: Optional[np.ndarray]
+    is_old: np.ndarray
+    added: np.ndarray
+
+    @classmethod
+    def plan(cls, size: int, removed: np.ndarray, at: np.ndarray) -> "RowPatch":
+        """Drop the rows at positions ``removed`` of ``size`` ordered rows
+        and insert new ones before the positions ``at`` (both ascending;
+        ``np.searchsorted`` positions among the old rows)."""
+        added = at - np.searchsorted(removed, at) + np.arange(at.shape[0])
+        kept = None
+        if removed.shape[0]:
+            kept = np.ones(size, dtype=bool)
+            kept[removed] = False
+        is_old = np.ones(size - removed.shape[0] + at.shape[0], dtype=bool)
+        is_old[added] = False
+        return cls(kept, is_old, added)
+
+    def merge(self, old: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """``old`` patched: its kept values, ``new`` at the added rows."""
+        out = np.empty(self.is_old.shape[0], dtype=old.dtype)
+        out[self.is_old] = old if self.kept is None else old[self.kept]
+        out[self.added] = new
+        return out
+
+
+#: Zones a derived table's grid aims for, whatever its size ...
+DERIVED_ZONES = 64
+#: ... unless that would make a zone smaller than this many rows.
+MIN_DERIVED_ZONE_ROWS = 1024
+
+
+def derived_zone_rows(num_rows: int) -> int:
+    """Rows per zone of a derived table of ``num_rows`` rows:
+    ``max(1024, ceil(num_rows / 64))``, so a rung of any size has enough
+    zones to prune and no zone is too small to be worth a plan entry."""
+    return max(MIN_DERIVED_ZONE_ROWS, -(-int(num_rows) // DERIVED_ZONES))
+
+
 class DerivedTable(Table):
     """Rows ``row_ids`` of ``base``, one column gathered per first touch.
 
     The one type behind :meth:`Impression.materialise
     <repro.core.impression.Impression.materialise>`, ``materialise_delta``
     and ``materialise_complement``.  ``names`` are the base columns it
-    exposes (in order); ``resident`` are ready columns it carries beside
-    them (an impression's hidden ``_pi``).  ``column_names``,
-    ``num_rows`` and ``block_size`` are answered from the base table's
-    schema, so planning a scan gathers nothing; ``column(name)`` gathers
-    ``base.column(name).take(row_ids)`` once — concurrent first touches
-    serialise on a lock and all see the same :class:`Column` — and the
-    column declares the value error of the base blocks it read *then*,
-    so a gather after the governor demoted those blocks is as honest as
-    one before.  Read-only: the rows are fixed at construction.
+    exposes (in order); ``resident`` maps names to ready arrays it
+    carries beside them (an impression's hidden ``_pi``).
+    ``column_names`` comes from the base table's schema and
+    ``num_rows`` from the row ids, so planning a scan gathers nothing;
+    ``column(name)``
+    gathers ``base.column(name)`` at ``row_ids`` once — concurrent first
+    touches serialise on a lock and all see the same :class:`Column` —
+    and the column declares the value error of the base blocks it read
+    *then*, so a gather after the governor demoted those blocks is as
+    honest as one before.  Read-only: the rows are fixed at
+    construction.
+
+    The table has its own zone grid, :func:`derived_zone_rows` rows per
+    zone for every column, not the base table's: a rung a twentieth of
+    the base would otherwise be a single block, and the order its owner
+    lays its rows out in (interest cells, for an impression) could not
+    prune anything.
     """
 
     def __init__(
@@ -348,9 +407,16 @@ class DerivedTable(Table):
         base: Table,
         row_ids: np.ndarray,
         names: Sequence[str],
-        resident: Sequence[Column] = (),
+        resident: Mapping[str, np.ndarray] | None = None,
     ) -> None:
-        super().__init__(name, list(resident))
+        self._zone_rows = derived_zone_rows(row_ids.shape[0])
+        super().__init__(
+            name,
+            [
+                Column.from_external(n, values.dtype, values, self._zone_rows)
+                for n, values in (resident or {}).items()
+            ],
+        )
         self._base = base
         self._row_ids = row_ids
         self._names = tuple(names) + tuple(self._columns)
@@ -361,8 +427,12 @@ class DerivedTable(Table):
                 f"table {name!r}: resident columns do not hold "
                 f"{row_ids.shape[0]} rows"
             )
-        self._block_sizes |= {base.column(n).block_size for n in names}
+        self._block_sizes = {self._zone_rows}
         self._gather_lock = threading.Lock()
+        self._resident = frozenset(self._columns)
+        #: columns of the table this one patches, not yet carried over
+        self._previous: Dict[str, Column] = {}
+        self._patch: Optional[RowPatch] = None
 
     @property
     def num_rows(self) -> int:
@@ -393,11 +463,68 @@ class DerivedTable(Table):
         with self._gather_lock:
             column = self._columns.get(name)
             if column is None:
-                column = self._base.column(name).take(self._row_ids)
+                column = self._gather(name)
                 # published as a new dict: accounting iterates the old
                 # one undisturbed
                 self._columns = {**self._columns, name: column}
         return column
+
+    def _gather(self, name: str) -> Column:
+        """Column ``name`` of these rows: carried forward from the
+        previous table when that one had it (see :meth:`carry_from`),
+        read from the base otherwise."""
+        source = self._base.column(name)
+        previous = self._previous.pop(name, None)
+        if previous is None:
+            values, error = source.gather_with_error(self._row_ids)
+        else:
+            added = self._patch.added
+            new, error = source.gather_with_error(self._row_ids[added])
+            values = self._patch.merge(previous.values, new)
+            error = max(error, previous.max_value_error())
+            if not self._previous:
+                self._patch = None  # every carried column is built
+        column = Column.from_external(name, source.dtype, values, self._zone_rows)
+        column.declare_value_error(error)
+        return column
+
+    def drop(self, name: str) -> int:
+        """Forget gathered column ``name``; returns the bytes freed.
+
+        A gathered column is a copy of base rows, so dropping it loses
+        nothing: the next ``column(name)`` gathers it again.  The memory
+        governor frees RAM this way instead of demoting a derived
+        table's blocks.  Columns the table was built with (``_pi``) are
+        not copies and are never dropped.
+        """
+        with self._gather_lock:
+            column = self._columns.get(name)
+            if column is None or name in self._resident:
+                return 0
+            self._columns = {n: c for n, c in self._columns.items() if n != name}
+        return column.nbytes()
+
+    def carry_from(self, previous: "DerivedTable", patch: RowPatch) -> None:
+        """Let the columns ``previous`` gathered carry over to this table.
+
+        This table's rows must be ``previous``'s rows patched by
+        ``patch`` — what an impression's table becomes after sampler
+        churn.  A column ``previous`` had gathered is then built on first
+        touch from its kept values plus the new rows alone, declaring
+        the worse of the two value errors: a fresh gather of a table
+        laid out by interest cell reads the base in one interleaved pass
+        per cell, a few times slower than the patch.  Columns are still
+        built only when read, so accounting and the next query's gathers
+        are as if the table were fresh.  A column nothing read since it
+        was gathered does not carry over.  Call before the table is
+        published.
+        """
+        self._previous = {
+            name: column
+            for name, column in previous._columns.items()
+            if name in self._names and name not in self._columns and column.last_read
+        }
+        self._patch = patch
 
     def append_batch(self, batch: Mapping[str, np.ndarray | Sequence]) -> int:
         raise SchemaError(f"derived table {self.name!r} is read-only")

@@ -602,24 +602,23 @@ class BoundedQueryProcessor:
         # matches (a live offer can land between two separate reads)
         if rung is None:
             if consumed is not None and fold is not None:
-                ids, scan_table = consumed.materialise_complement(base)
+                scan_table = consumed.materialise_complement(base)
+                ids = scan_table.row_ids
             else:
                 ids = None  # no state yet: scan the base itself
                 scan_table = base
             next_consumed = consumed
             source, source_rows = base.name, base.num_rows
         else:
-            pair = (
+            scan_table = (
                 rung.materialise_delta(base, consumed)
                 if consumed is not None and fold is not None
                 else None
             )
-            if pair is not None:
-                ids, scan_table = pair
-            else:
+            if scan_table is None:
                 fold = None  # not nested: rebuild the state from scratch
                 scan_table = rung.materialise(base)
-                ids = scan_table.row_ids
+            ids = scan_table.row_ids
             next_consumed = rung
             source, source_rows = rung.name, rung.size
         indices, op, _ = self.executor.select_indices(
@@ -627,11 +626,7 @@ class BoundedQueryProcessor:
         )
         stats = ExecutionStats(source=source, source_rows=source_rows)
         stats.add(op)
-        matched_ids = (
-            indices
-            if ids is None
-            else np.asarray(ids, dtype=np.int64)[indices]
-        )
+        matched_ids = indices if ids is None else ids[indices].astype(np.int64)
         # gather per touched block (demoted blocks decompress at most
         # once, pruned ones never) and record the worst pointwise drift
         # bound of the blocks actually read
@@ -671,13 +666,13 @@ class BoundedQueryProcessor:
         rung's scan order, and ``scan_table`` — the table that scan read —
         holds their πs in its ``_pi`` column, so they are used as they
         stand.  A merged fold (a nested delta rung) is re-ordered to the
-        rung's slot order and re-weighted with the rung's own inclusion
-        probabilities; a union of two scans has no single scan order to
-        keep.  Either way the working set goes to the standard
-        estimator and the result is exactly what a from-scratch scan of
-        the rung would have produced.  For the base rung the fold
-        already *is* the full matching row set, reconstructed in base
-        order for a byte-identical exact answer.
+        rung table's row order and re-weighted with that table's πs; a
+        union of two scans has no single scan order to keep.  Either way
+        the working set goes to the standard estimator and the result is
+        exactly what a from-scratch scan of the rung would have produced.
+        For the base rung the fold already *is* the full matching row
+        set, reconstructed in base order for a byte-identical exact
+        answer.
         """
         if rung is None:
             return self._exact_from_fold(
@@ -689,7 +684,7 @@ class BoundedQueryProcessor:
         else:
             positions = rung.positions_of(fold.row_ids)
             order = np.argsort(positions, kind="stable")
-            pis = rung.inclusion_probabilities()[positions[order]]
+            pis = rung.materialise(base).column(PI_COLUMN).gather(positions[order])
         columns = []
         for name, values in fold.columns.items():
             column = Column.from_external(

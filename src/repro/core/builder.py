@@ -8,17 +8,22 @@ offered — as a stream of (row id, values) — to every impression
 registered for that table.  Samplers that don't inspect values
 (Algorithm R, Last Seen) get only the row ids; the biased reservoir
 receives the column batch so it can evaluate the interest mass.
+
+The builder also keys every loaded row with its interest cell
+(:class:`~repro.core.impression.CellKeys`), from the raw batch, before
+any sampler sees it: the impressions it feeds lay their tables out in
+cell order without ever reading the base table back.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.columnstore.loader import LoadObserver
-from repro.core.impression import Impression
+from repro.core.impression import CellKeys, Impression
 from repro.sampling.biased import BiasedReservoir
 from repro.sampling.extrema import ExtremaReservoir
 from repro.sampling.icicles import SelfTuningReservoir
@@ -29,9 +34,14 @@ class ImpressionBuilder(LoadObserver):
 
     One builder serves any number of hierarchies and tables; register
     it once per table with the loader, then attach impressions.
+    ``interest_domains`` are the engine's interest attributes and their
+    domains, the axes of every table's cells (a table with none of them
+    has one cell).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, interest_domains: Mapping[str, Tuple[float, float]]) -> None:
+        self._interest_domains = dict(interest_domains)
+        self._cells: Dict[str, CellKeys] = {}
         self._impressions: Dict[str, List[Impression]] = defaultdict(list)
         self._extrema: Dict[str, List[ExtremaReservoir]] = defaultdict(list)
         self._self_tuning: Dict[str, List[SelfTuningReservoir]] = defaultdict(
@@ -45,7 +55,15 @@ class ImpressionBuilder(LoadObserver):
     # ------------------------------------------------------------------
     def attach(self, impression: Impression) -> None:
         """Register an impression for its base table's future loads."""
+        impression.cells = self.cells_of(impression.base_table)
         self._impressions[impression.base_table].append(impression)
+
+    def cells_of(self, table_name: str) -> CellKeys:
+        """The interest cells of ``table_name``'s rows seen so far."""
+        cells = self._cells.get(table_name)
+        if cells is None:
+            cells = self._cells[table_name] = CellKeys(self._interest_domains)
+        return cells
 
     def attach_hierarchy(self, hierarchy) -> None:
         """Register every layer of a hierarchy."""
@@ -93,6 +111,8 @@ class ImpressionBuilder(LoadObserver):
         if count == 0:
             return
         row_ids = np.arange(start_row, start_row + count, dtype=np.int64)
+        if targets:
+            self.cells_of(table_name).observe(start_row, batch)
         for impression in targets:
             if isinstance(impression.sampler, BiasedReservoir):
                 impression.sampler.offer_batch(row_ids, batch)

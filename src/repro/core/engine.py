@@ -172,7 +172,7 @@ class SciBorq:
         self.clock = clock if clock is not None else CostClock()
         self.rng = ensure_rng(rng)
         self.loader = Loader(catalog)
-        self.builder = ImpressionBuilder()
+        self.builder = ImpressionBuilder(interest_attributes)
         self.recycler = Recycler(recycler_bytes) if recycler_bytes else None
         self.query_log = QueryLog()
         self.interest = InterestModel(interest_attributes, bins=bins)

@@ -5,9 +5,17 @@ the same formalism to *memory* (ROADMAP "Error-bounded compressed
 column blocks").  It tracks the engine's RAM-resident footprint —
 catalog tables, materialised impression payloads, and the recycler —
 against a byte budget, and when the budget is exceeded it demotes the
-least-recently-scanned full blocks ``hot → warm`` (error-bounded int8
-/int16 quantisation) and then ``warm → cold`` (mmap-backed raw spill,
-exact) until the footprint fits.  Blocks a later scan touches are
+least-recently-scanned full blocks of the *catalog* tables ``hot →
+warm`` (error-bounded int8/int16 quantisation) and then ``warm →
+cold`` (mmap-backed raw spill, exact) until the footprint fits.
+Impression tables stay resident: their zones are a few thousand rows,
+and every rung scan reads them, so a demoted zone would cost a spill
+read per scan for little saved.  The one exception is a column an
+impression table gathered that nothing has read since (a report that
+walked every column, say): it is a copy of base rows, so the governor
+*drops* it first (:meth:`DerivedTable.drop
+<repro.columnstore.table.DerivedTable.drop>`), and a scan that wants
+it later gathers it again.  Blocks a later scan touches are
 promoted back while headroom allows, so the working set migrates to
 hot and the archive tail pays for it.
 
@@ -23,10 +31,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.columnstore.column import Column
-from repro.columnstore.table import Table
+from repro.columnstore.table import DerivedTable, Table
 from repro.util.validation import require
 
 #: Fraction of the budget promotion may fill back up.  Promoting to
@@ -54,6 +62,8 @@ class _Candidate:
     block: int
     tier: str = "hot"
     sequence: int = field(default=0)
+    #: set for a gathered, never-read impression-table column: drop it
+    table: Optional[DerivedTable] = None
 
 
 class MemoryGovernor:
@@ -103,7 +113,9 @@ class MemoryGovernor:
             tables = list(self._governed_tables(engine))
             footprint = self._footprint(engine, tables)
             if footprint > self.budget_bytes:
-                footprint = self._demote_until_fits(tables, footprint)
+                footprint = self._demote_until_fits(
+                    tables, self._impression_tables(engine), footprint
+                )
             else:
                 footprint = self._promote_while_fits(tables, footprint)
             self.stats.last_footprint = int(footprint)
@@ -113,12 +125,16 @@ class MemoryGovernor:
     def _governed_tables(self, engine) -> Iterable[Table]:
         for name in engine.catalog.table_names:
             yield engine.catalog.table(name)
+
+    @staticmethod
+    def _impression_tables(engine) -> Iterable[DerivedTable]:
+        """The live impression tables ``memory_report`` counts."""
         for named in getattr(engine, "_hierarchies", {}).values():
             for hierarchy in named.values():
                 for impression in hierarchy.layers:
-                    cached = impression.cached_table()
-                    if cached is not None:
-                        yield cached
+                    table = impression.cached_table()
+                    if table is not None:
+                        yield table
 
     def _footprint(self, engine, tables: List[Table]) -> int:
         """The same RAM total :meth:`SciBorq.memory_report` reports.
@@ -142,7 +158,12 @@ class MemoryGovernor:
                         pass  # column already spilled elsewhere
                 yield column
 
-    def _demote_until_fits(self, tables: List[Table], footprint: int) -> int:
+    def _demote_until_fits(
+        self,
+        tables: List[Table],
+        impression_tables: Iterable[DerivedTable],
+        footprint: int,
+    ) -> int:
         candidates: List[_Candidate] = []
         sequence = 0
         for column in self._columns(tables):
@@ -153,14 +174,28 @@ class MemoryGovernor:
                     _Candidate(tick, ram, column, block, tier, sequence)
                 )
                 sequence += 1
+        for table in impression_tables:
+            for column in table.resident_columns():
+                if column.last_read == 0:  # gathered, never read since
+                    candidates.append(
+                        _Candidate(
+                            0, column.nbytes(), column, -1,
+                            sequence=-1, table=table,
+                        )
+                    )
         # least-recently-scanned first; stable on insertion order
         candidates.sort(key=lambda c: (c.tick, c.sequence))
-        # pass 1: hot → warm (quantisable) or cold; pass 2: warm → cold
+        # pass 1: never-read impression columns dropped, then hot → warm
+        # (quantisable) or cold; pass 2: warm → cold
         for passes in ("hot", "warm"):
             for cand in candidates:
                 if footprint <= self.budget_bytes:
                     return footprint
                 if cand.tier != passes:
+                    continue
+                if cand.table is not None:
+                    footprint -= cand.table.drop(cand.column.name)
+                    cand.tier = "dropped"
                     continue
                 column, block = cand.column, cand.block
                 before = self._block_ram(column, block)

@@ -31,25 +31,122 @@ load.  Two rules keep that cheap (paper §3.3: impressions stay current
   :meth:`Impression.memory_bytes`, ``engine.memory_report()`` and the
   memory governor see resident columns only.
 * **Incremental row-id bookkeeping.**  An ingest replaces a few percent
-  of a reservoir's slots, so the sorted row-id index is *patched* with
-  the slots that changed (:func:`_patched_sort`) instead of re-sorted,
-  and deltas and complements are read off the sorted ids with a mask.
+  of a reservoir's slots, so the ordered row index is *patched* with
+  the slots that changed (:func:`_index`) instead of re-sorted, and so
+  is the base complement (:func:`_complement_patch`); a patched table
+  carries the columns its predecessor gathered, reading only the new
+  rows from the base.
+
+Rows laid out by interest cell
+------------------------------
+The paper focuses impressions on the workload's interest attributes
+(§4); a scan can only exploit that if the rows of a focal region sit
+together.  Every table built here — rung, delta and complement — holds
+its rows in (cell, row id) order, where the cell is a Morton code over
+the interest attributes (:class:`CellKeys`, keyed once per base row by
+the builder from the raw batch), and each
+:class:`~repro.columnstore.table.DerivedTable` has a zone grid scaled
+to its own size.  A cone then touches the few zones of its cells, and
+the zone maps prune the rest of every rung.  The order is a property of
+the layout only — estimates depend on it no more than floating-point
+summation order does — and callers take a table's row ids from the
+table itself, never from a second read of the sampler.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional, Protocol, Sequence
+from typing import Mapping, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.columnstore.column import Column
 from repro.columnstore.query import Query
-from repro.columnstore.table import DerivedTable, Table
+from repro.columnstore.table import DerivedTable, RowPatch, Table
 from repro.errors import ImpressionError
 
 #: Name of the hidden inclusion-probability column.
 PI_COLUMN = "_pi"
+
+
+#: Bits of a composite sort key left for the row id; the cell sits above.
+_ID_BITS = 48
+_ID_MASK = (1 << _ID_BITS) - 1
+
+
+class CellKeys:
+    """The interest cell of every base row of one table.
+
+    A cell is a uint8 Morton code over the engine's interest attributes
+    (paper §4: impressions focus on the attributes the workload asks
+    about): each attribute's domain is cut into ``2**bits`` equal
+    slices, ``bits = 8 // k`` for ``k`` attributes — 16 × 16 for (ra,
+    dec) — and the slice numbers' bits are interleaved, so nearby cells
+    get nearby codes.  A value outside its domain falls in the edge
+    slice, a NaN in slice 0.
+
+    Keys are computed once per base row, from the raw batch, when the
+    impression builder sees the load or ingest (:meth:`observe`); a row
+    the builder never saw (loaded before it registered, or appended
+    behind the loader's back) has cell 0.  A table none of whose
+    columns is an interest attribute — or an impression no builder
+    feeds — therefore has one constant cell: the same code, in row-id
+    order.  Never reads the base table.
+    """
+
+    def __init__(self, domains: Mapping[str, Tuple[float, float]] | None = None):
+        self._domains = dict(domains or {})
+        self._buffer = np.zeros(0, dtype=np.uint8)
+        #: the published keys: a view of the buffer, swapped in whole
+        self._known = self._buffer[:0]
+        self._lock = threading.Lock()
+
+    def observe(self, start_row: int, batch: Mapping[str, np.ndarray]) -> None:
+        """Key the rows ``start_row...`` of an appended batch."""
+        attributes = [a for a in self._domains if a in batch][:8]
+        count = (
+            np.asarray(next(iter(batch.values()))).shape[0] if batch else 0
+        )
+        keys = np.zeros(count, dtype=np.uint8)
+        if attributes:
+            bits = 8 // len(attributes)
+            slices = 1 << bits
+            for axis, name in enumerate(attributes):
+                lo, hi = self._domains[name]
+                scaled = (np.asarray(batch[name], dtype=np.float64) - lo) / (hi - lo)
+                slot = np.nan_to_num(np.floor(scaled * slices), nan=0.0)
+                slot = np.clip(slot, 0, slices - 1).astype(np.uint8)
+                for bit in range(bits):
+                    keys |= ((slot >> bit) & 1) << (bit * len(attributes) + axis)
+        with self._lock:
+            known = self._known.shape[0]
+            stop = start_row + count
+            if stop <= known:
+                return  # a row's cell, once keyed, never changes
+            if stop > self._buffer.shape[0]:
+                grown = np.zeros(max(stop, 2 * self._buffer.shape[0]), np.uint8)
+                grown[:known] = self._known
+                self._buffer = grown
+            # rows between ``known`` and ``start_row`` keep cell 0
+            first = max(start_row, known)
+            self._buffer[first:stop] = keys[first - start_row :]
+            self._known = self._buffer[:stop]
+
+    def of(self, row_ids: np.ndarray) -> np.ndarray:
+        """The cells of ``row_ids`` (0 for rows never observed)."""
+        known = self._known
+        row_ids = np.asarray(row_ids, dtype=np.int64)
+        if row_ids.size and row_ids.max() >= known.shape[0]:
+            cells = np.zeros(row_ids.shape[0], dtype=np.uint8)
+            seen = row_ids < known.shape[0]
+            cells[seen] = known[row_ids[seen]]
+            return cells
+        return known[row_ids]
+
+    def sort_keys(self, row_ids: np.ndarray) -> np.ndarray:
+        """Composite int64 keys whose ascending order is (cell, row id)."""
+        row_ids = np.asarray(row_ids, dtype=np.int64)
+        return (self.of(row_ids).astype(np.int64) << _ID_BITS) | row_ids
 
 
 class SamplerProtocol(Protocol):
@@ -117,10 +214,14 @@ class Impression:
         # ``_invalidate`` moves: a refresh re-arms the sampler and can
         # land on the same (seen, size) with other rows, which the
         # caches *other* impressions key on this one must notice too.
-        # The sorted index is ``(key, row_ids, sorted_ids, order)``; a
-        # stale one is kept as the starting point of the next patch.
+        # The ordered index is ``(key,) + _Index`` (see :meth:`_ordered`);
+        # the last materialised table and its index outlive invalidation
+        # as the starting point of the next patch, and so does the
+        # complement (its key says whether it is current).
         self._generation = 0
-        self._sorted_ids: Optional[tuple] = None
+        self._ordered_index: Optional[tuple] = None
+        self._previous: Optional[tuple[_Index, DerivedTable]] = None
+        self._cells = CellKeys()
         self._delta_ids: dict = {}
         self._delta_tables: dict = {}
         self._complement: Optional[tuple] = None
@@ -140,7 +241,8 @@ class Impression:
 
     @property
     def row_ids(self) -> np.ndarray:
-        """Base-table row ids of the current contents."""
+        """Base-table row ids of the current contents, in sampler slot
+        order (a materialised table holds them in (cell, row id) order)."""
         return self.sampler.row_ids
 
     def inclusion_probabilities(self) -> np.ndarray:
@@ -199,6 +301,18 @@ class Impression:
         )
         return query.columns_read() <= available
 
+    @property
+    def cells(self) -> CellKeys:
+        """The interest cells of the base rows, which lay out every table
+        this impression builds (set by the builder that feeds it)."""
+        return self._cells
+
+    @cells.setter
+    def cells(self, cells: CellKeys) -> None:
+        self._cells = cells
+        self._ordered_index = self._previous = self._complement = None
+        self._invalidate()
+
     def _derived(
         self,
         base: Table,
@@ -209,7 +323,7 @@ class Impression:
         """``row_ids`` of ``base`` restricted to this impression's
         column subset, carrying ``pis`` as the hidden ``_pi`` column."""
         names = list(self.columns) if self.columns is not None else base.column_names
-        resident = [] if pis is None else [Column(PI_COLUMN, np.float64, pis)]
+        resident = None if pis is None else {PI_COLUMN: pis}
         return DerivedTable(name, base, row_ids, names, resident)
 
     def materialise(self, base: Table) -> Table:
@@ -218,27 +332,38 @@ class Impression:
         One table per cache key, which covers both the base table's
         version (appends shift nothing — row ids are stable — but a
         regrown column's buffers may move) and the sampler's progress.
-        Only ``_pi`` is built here; see the module docstring.
+        Rows are in (cell, row id) order — see :meth:`_ordered` — and
+        only ``_pi`` is built here; see the module docstring.  The new
+        table is a patch of the previous one: the columns that one had
+        gathered carry over (:meth:`DerivedTable.carry_from`), so after
+        an ingest only the admitted rows are read from the base.
         """
         with self._materialise_lock:
-            key = (base.version, self._progress_key())
+            progress = self._progress_key()
+            key = (base.version, progress)
             if self._cached is not None and self._cache_key == key:
                 return self._cached
-            row_ids = self.row_ids
+            previous_index, previous_table = self._previous or (None, None)
+            index, patch = _index(self._cells, self.row_ids, previous_index)
+            self._ordered_index = (progress,) + index
+            row_ids = index.sorted_keys & _ID_MASK
             if row_ids.size and row_ids.max() >= base.num_rows:
                 raise ImpressionError(
                     f"impression {self.name!r} references row "
                     f"{int(row_ids.max())} beyond base table "
                     f"{base.name!r} ({base.num_rows} rows)"
                 )
-            self._cached = self._derived(
+            table = self._derived(
                 base,
                 f"{base.name}§{self.name}",
                 row_ids,
-                self.inclusion_probabilities(),
+                self.inclusion_probabilities()[index.order],
             )
-            self._cache_key = key
-            return self._cached
+            if patch is not None and previous_table._base is base:
+                table.carry_from(previous_table, patch)
+            self._cached, self._cache_key = table, key
+            self._previous = (index, table)
+            return table
 
     def _invalidate(self) -> None:
         self._generation += 1
@@ -246,7 +371,6 @@ class Impression:
         self._cache_key = None
         self._delta_ids = {}
         self._delta_tables = {}
-        self._complement = None
 
     # ------------------------------------------------------------------
     # delta escalation ("each less detailed impression is derived from
@@ -276,84 +400,95 @@ class Impression:
                 break
         cache[key] = value
 
-    def _sorted_row_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted_ids, argsort)`` of the current contents, cached.
+    def _ordered(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sorted_keys, order)`` of the current contents, cached.
 
-        Reads the cache slot exactly once, so a concurrent writer costs
-        at worst a redundant recompute.  A stale entry is patched, not
-        thrown away — see :func:`_patched_sort`.
+        ``sorted_keys`` are the held rows' (cell, row id) keys
+        (:meth:`CellKeys.sort_keys`) ascending — the row order of every
+        table this impression builds — and ``order`` the reservoir slot
+        of each.  Reads the cache slot exactly once, so a concurrent
+        writer costs at worst a redundant recompute.  A stale entry is
+        patched, not thrown away — see :func:`_index`.
         """
         key = self._progress_key()
-        cached = self._sorted_ids
+        cached = self._ordered_index
         if cached is None or cached[0] != key:
-            row_ids = self.row_ids
-            previous = None if cached is None else cached[1:]
-            cached = (key, row_ids) + _patched_sort(row_ids, previous)
-            self._sorted_ids = cached
-        return cached[2], cached[3]
+            previous = None if cached is None else _Index(*cached[1:])
+            index, _ = _index(self._cells, self.row_ids, previous)
+            cached = (key,) + index
+            self._ordered_index = cached
+        return cached[3], cached[4]
+
+    def _sort_keys_of(self, other: "Impression") -> np.ndarray:
+        """``other``'s rows as ascending keys in *this* impression's order."""
+        if other._cells is self._cells:
+            return other._ordered()[0]
+        return np.sort(self._cells.sort_keys(other.row_ids))
 
     def positions_of(self, row_ids: np.ndarray) -> np.ndarray:
-        """Positions (reservoir slots) of the given base row ids.
+        """Positions of the given base row ids in this impression's table
+        order (the rows of :meth:`materialise`).
 
         Every id must be held by this impression; use
         :meth:`delta_row_ids` to establish containment first.
         """
-        sorted_ids, order = self._sorted_row_ids()
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        slots = np.searchsorted(sorted_ids, row_ids)
-        if row_ids.size and (
-            slots.max(initial=0) >= sorted_ids.size
-            or not np.array_equal(sorted_ids[slots], row_ids)
+        sorted_keys, _ = self._ordered()
+        keys = self._cells.sort_keys(row_ids)
+        positions = np.searchsorted(sorted_keys, keys)
+        if keys.size and (
+            positions.max(initial=0) >= sorted_keys.size
+            or not np.array_equal(sorted_keys[positions], keys)
         ):
             raise ImpressionError(
                 f"impression {self.name!r} does not hold all requested rows"
             )
-        return order[slots]
+        return positions
+
+    def _delta(self, prev: "Impression") -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """``(row_ids, slots)`` of the rows this impression adds over
+        ``prev``, in table order, or ``None`` when not nested; cached per
+        predecessor until either sampler makes progress."""
+        key = (self._progress_key(), prev.name, prev._progress_key())
+        cache = self._delta_ids
+        with self._materialise_lock:
+            if key in cache:
+                return cache[key]
+        mine, order = self._ordered()
+        theirs = self._sort_keys_of(prev)
+        at = np.searchsorted(mine, theirs)
+        nested = bool(
+            theirs.size == 0
+            or (at.max(initial=0) < mine.size and np.array_equal(mine[at], theirs))
+        )
+        delta = None
+        if nested:
+            added = np.ones(mine.shape[0], dtype=bool)
+            added[at] = False
+            delta = (mine[added] & _ID_MASK, order[added])
+        with self._materialise_lock:
+            self._cache_put(cache, key, delta)
+        return delta
 
     def delta_row_ids(self, prev: "Impression") -> Optional[np.ndarray]:
-        """Rows this impression adds over ``prev``, sorted ascending.
+        """Rows this impression adds over ``prev``, in table order.
 
         Returns ``None`` when ``prev`` is **not nested** inside this
         impression (independent reservoirs, partial overlap) — the
         caller must then fall back to a from-scratch scan.  Cached per
         predecessor until either sampler makes progress.
         """
-        key = (self._progress_key(), prev.name, prev._progress_key())
-        cache = self._delta_ids
-        with self._materialise_lock:
-            if key in cache:
-                return cache[key]
-        mine, _ = self._sorted_row_ids()
-        theirs, _ = prev._sorted_row_ids()
-        slots = np.searchsorted(mine, theirs)
-        nested = bool(
-            theirs.size == 0
-            or (
-                slots.max(initial=0) < mine.size
-                and np.array_equal(mine[slots], theirs)
-            )
-        )
-        delta = None
-        if nested:
-            added = np.ones(mine.shape[0], dtype=bool)
-            added[slots] = False
-            delta = mine[added]
-        with self._materialise_lock:
-            self._cache_put(cache, key, delta)
-        return delta
+        delta = self._delta(prev)
+        return None if delta is None else delta[0]
 
-    def materialise_delta(
-        self, base: Table, prev: "Impression"
-    ) -> Optional[tuple[np.ndarray, Table]]:
+    def materialise_delta(self, base: Table, prev: "Impression") -> Optional[Table]:
         """The rows this impression adds over ``prev``, as a table.
 
-        Returns ``(delta_row_ids, table)`` — one atomic pair, so a
-        caller can never mix ids from one sampler state with a table
-        built from another.  The table is shaped exactly like
-        :meth:`materialise` (same columns, hidden ``_pi`` carrying
-        *this* impression's inclusion probabilities) but holds only
-        the delta rows, so a scan of it charges the escalation ladder
-        for nothing it already paid.  ``None`` when the two
+        Shaped exactly like :meth:`materialise` (same columns, same row
+        order, hidden ``_pi`` carrying *this* impression's inclusion
+        probabilities) but holding only the delta rows, so a scan of it
+        charges the escalation ladder for nothing it already paid.
+        Callers take the rows' ids from the table (``row_ids``), never
+        from a second read of the samplers.  ``None`` when the two
         impressions are not nested.
         """
         key = (
@@ -367,77 +502,85 @@ class Impression:
             cached = cache.get(key)
         if cached is not None:
             return cached
-        delta = self.delta_row_ids(prev)
+        delta = self._delta(prev)
         if delta is None:
             return None
-        pis = self.inclusion_probabilities()[self.positions_of(delta)]
+        row_ids, slots = delta
         table = self._derived(
-            base, f"{base.name}§{self.name}Δ{prev.name}", delta, pis
+            base,
+            f"{base.name}§{self.name}Δ{prev.name}",
+            row_ids,
+            self.inclusion_probabilities()[slots],
         )
-        pair = (delta, table)
         with self._materialise_lock:
-            self._cache_put(cache, key, pair)
-        return pair
+            self._cache_put(cache, key, table)
+        return table
 
     def complement_row_ids(self, base: Table) -> np.ndarray:
-        """Base rows this impression has *not* sampled, ascending.
+        """Base rows this impression has *not* sampled, in (cell, row
+        id) order — the rows of :meth:`materialise_complement`."""
+        return self.materialise_complement(base).row_ids
+
+    def materialise_complement(self, base: Table) -> Table:
+        """The unsampled base rows as a table (no ``_pi``).
 
         This is the final rung of a delta ladder: the exact base-table
         answer only needs "base minus the largest impression already
-        consumed".
-        """
-        key = (base.version, base.num_rows, self._progress_key())
-        cached = self._complement
-        if cached is None or cached[0] != key:
-            mine, _ = self._sorted_row_ids()
-            unsampled = np.ones(base.num_rows, dtype=bool)
-            unsampled[mine] = False
-            ids = np.flatnonzero(unsampled)
-            cached = (key, ids, None)
-            self._complement = cached
-        return cached[1]
-
-    def materialise_complement(self, base: Table) -> tuple[np.ndarray, Table]:
-        """The unsampled base rows as ``(row_ids, table)`` (no ``_pi``).
-
-        Returned as one atomic pair like :meth:`materialise_delta`,
-        and restricted to this impression's column subset — any query
-        whose ladder consumed this impression is confined to those
+        consumed".  Restricted to this impression's column subset — any
+        query whose ladder consumed this impression is confined to those
         columns anyway.  Built lazily: cost *prediction* for the base
         rung never calls this (it only needs the complement's
         cardinality), so considering an unaffordable exact rung
         materialises nothing.
+
+        Patched like :meth:`materialise`: between two complements the
+        base only grows and the sampler only swaps slots, so the new
+        complement is the old one minus the rows the sampler admitted
+        from it, plus the rows it evicted and the new base rows it did
+        not admit — found by comparing slots, inserted by key, and the
+        gathered columns carry over.  A first build, or one after most
+        slots changed, sorts the keys of every unsampled row.
         """
-        key = (base.version, base.num_rows, self._progress_key())
         with self._materialise_lock:
+            key = (base.version, base.num_rows, self._progress_key())
             cached = self._complement
-        if cached is not None and cached[0] == key and cached[2] is not None:
-            return cached[1], cached[2]
-        ids = self.complement_row_ids(base)
-        table = self._derived(base, f"{base.name}∖{self.name}", ids)
-        with self._materialise_lock:
-            self._complement = (key, ids, table)
-        return ids, table
+            if cached is not None and cached[0] == key:
+                return cached[-1]
+            slot_ids, num_rows = self.row_ids, base.num_rows
+            patch = None
+            if cached is not None and cached[-1]._base is base:
+                patch = _complement_patch(self._cells, cached, slot_ids, num_rows)
+            if patch is None:
+                unsampled = np.ones(num_rows, dtype=bool)
+                unsampled[slot_ids] = False
+                keys = np.sort(self._cells.sort_keys(np.flatnonzero(unsampled)))
+                # int32 where it fits: the complement is most of the base
+                ids = (keys & _ID_MASK).astype(
+                    np.int32 if num_rows < 2**31 else np.int64
+                )
+                starts = _cell_starts(keys >> _ID_BITS)
+            else:
+                ids, starts, patch = patch
+            table = self._derived(base, f"{base.name}∖{self.name}", ids)
+            if patch is not None:
+                table.carry_from(cached[-1], patch)
+            self._complement = (key, slot_ids, num_rows, starts, table)
+            return table
 
     # ------------------------------------------------------------------
     def cached_table(self) -> Optional[Table]:
-        """The currently-materialised payload table, or ``None``.
-
-        The memory governor demotes impression payload blocks through
-        this handle exactly like catalog-table blocks; a ``None``
-        (nothing materialised) costs nothing and governs nothing.
-        """
+        """The currently-materialised payload table, or ``None`` —
+        for inspecting what is resident without materialising."""
         return self._cached
 
     def memory_bytes(self, base: Table) -> int:
         """RAM footprint of the materialised impression.
 
         The resident columns of the live table — ``_pi`` plus whatever
-        scans have gathered so far — tier-aware: demoted blocks report
-        their compressed (warm) or zero (cold) RAM cost.  With no live
-        table it is the ``_pi`` column a fresh one would start with.
-        Either way nothing is gathered: sizing decisions never force a
-        column (``base`` is part of the signature, not of the answer).
+        scans have gathered so far.  With no live table it is the
+        ``_pi`` column a fresh one would start with.  Either way nothing
+        is gathered: sizing decisions never force a column (``base`` is
+        part of the signature, not of the answer).
         """
         cached = self._cached
         if cached is not None:
@@ -451,43 +594,124 @@ class Impression:
         )
 
 
-def _patched_sort(
-    row_ids: np.ndarray, previous: Optional[tuple]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(row_ids[order], order)`` for ``order = argsort(row_ids,
-    kind="stable")``, patched from ``previous`` where that is cheaper.
+class _Index(NamedTuple):
+    """One impression state laid out in (cell, row id) order."""
 
-    ``previous`` is ``(row_ids, sorted_ids, order)`` of an earlier
-    state of the same reservoir (or ``None``).  Sampler churn replaces
-    a few slots in place, so the slots whose id changed are found by
-    comparison, dropped from the previous index, sorted among
-    themselves and merged back in — O(n + k log k) against the
+    #: the sampler's row id per slot
+    slot_ids: np.ndarray
+    #: :meth:`CellKeys.sort_keys` per slot
+    slot_keys: np.ndarray
+    #: the slot keys ascending: the table's rows
+    sorted_keys: np.ndarray
+    #: the slot of each sorted key
+    order: np.ndarray
+
+
+def _index(
+    cells: CellKeys, slot_ids: np.ndarray, previous: Optional[_Index]
+) -> tuple[_Index, Optional[RowPatch]]:
+    """The index of slots ``slot_ids``, patched from ``previous`` where
+    that is cheaper, and how its sorted rows patch the previous ones
+    (``None`` when sorted from scratch).
+
+    Sampler churn replaces a few slots in place, so the slots whose id
+    changed are found by comparison: only their keys are computed, the
+    evicted rows are dropped from the previous index, the admitted ones
+    sorted among themselves and merged in — O(n + k log k) against the
     argsort's O(n log n).  Falls back to the full sort when the size
-    changed or more than a quarter of the slots moved.  Row ids are
-    distinct (a reservoir holds a base row at most once), so a merge by
-    id is the stable order.
+    changed or more than a quarter of the slots moved.  Keys are
+    distinct (a reservoir holds a base row at most once, and the row id
+    is part of the key), so a merge by key is the stable order.
     """
-
-    def full() -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(row_ids, kind="stable")
-        return row_ids[order], order
-
-    if previous is None:
-        return full()
-    old_ids, old_sorted, old_order = previous
-    size = row_ids.shape[0]
-    if old_ids.shape[0] != size:
-        return full()
-    changed = np.flatnonzero(row_ids != old_ids)
-    if changed.size == 0:
-        return old_sorted, old_order
-    if changed.size * 4 > size:
-        return full()
+    size = slot_ids.shape[0]
+    if previous is None or previous.slot_ids.shape[0] != size:
+        changed = None
+    else:
+        changed = np.flatnonzero(slot_ids != previous.slot_ids)
+    if changed is None or changed.size * 4 > size:
+        slot_keys = cells.sort_keys(slot_ids)
+        order = np.argsort(slot_keys, kind="stable")
+        return _Index(slot_ids, slot_keys, slot_keys[order], order), None
+    slot_keys = previous.slot_keys.copy()
+    slot_keys[changed] = cells.sort_keys(slot_ids[changed])
     moved = np.zeros(size, dtype=bool)
     moved[changed] = True
-    kept = ~moved[old_order]
-    kept_ids, kept_order = old_sorted[kept], old_order[kept]
-    by_id = np.argsort(row_ids[changed], kind="stable")
-    new_ids, new_slots = row_ids[changed][by_id], changed[by_id]
-    at = np.searchsorted(kept_ids, new_ids)
-    return np.insert(kept_ids, at, new_ids), np.insert(kept_order, at, new_slots)
+    by_key = np.argsort(slot_keys[changed], kind="stable")
+    added_keys, added_slots = slot_keys[changed][by_key], changed[by_key]
+    patch = RowPatch.plan(
+        size,
+        np.flatnonzero(moved[previous.order]),
+        np.searchsorted(previous.sorted_keys, added_keys),
+    )
+    index = _Index(
+        slot_ids,
+        slot_keys,
+        patch.merge(previous.sorted_keys, added_keys),
+        patch.merge(previous.order, added_slots),
+    )
+    return index, patch
+
+
+def _cell_starts(cells: np.ndarray) -> np.ndarray:
+    """Where each of the 256 cells' runs starts in rows ordered by cell
+    (ascending ``cells``), and where the last one ends."""
+    return np.concatenate(
+        [[0], np.cumsum(np.bincount(cells, minlength=256))]
+    ).astype(np.int64)
+
+
+def _cell_positions(
+    ids: np.ndarray, starts: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """``np.searchsorted`` positions of ascending sort ``keys`` among
+    rows ``ids`` in (cell, row id) order whose cell runs begin at
+    ``starts`` — a search within each cell's run, so the rows need no
+    key array of their own."""
+    cells, query = keys >> _ID_BITS, keys & _ID_MASK
+    bounds = np.searchsorted(cells, np.arange(257))
+    positions = np.empty(keys.shape[0], dtype=np.int64)
+    for cell in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        lo, hi = bounds[cell], bounds[cell + 1]
+        run = ids[starts[cell] : starts[cell + 1]]
+        positions[lo:hi] = starts[cell] + np.searchsorted(run, query[lo:hi])
+    return positions
+
+
+def _complement_patch(
+    cells: CellKeys, previous: tuple, slot_ids: np.ndarray, num_rows: int
+) -> Optional[tuple[np.ndarray, np.ndarray, RowPatch]]:
+    """``(ids, starts, patch)``: the complement of ``slot_ids`` among
+    ``num_rows`` base rows in (cell, row id) order, where its cell runs
+    start, and how it patches the previous complement — patched from
+    ``previous``, a complement cache entry ``(key, slot_ids, num_rows,
+    starts, table)`` — or ``None`` when a from-scratch build is cheaper
+    (size change, most slots moved).
+    """
+    _, old_slots, old_rows, old_starts, old_table = previous
+    if old_slots.shape[0] != slot_ids.shape[0] or not old_table.num_rows:
+        return None
+    changed = np.flatnonzero(slot_ids != old_slots)
+    if changed.size * 4 > slot_ids.shape[0]:
+        return None
+    before, after = old_slots[changed], slot_ids[changed]
+    # a row can change slot (a refresh re-streams): count only real moves
+    evicted = before[~np.isin(before, after, assume_unique=True)]
+    admitted = after[~np.isin(after, before, assume_unique=True)]
+    fresh = np.ones(num_rows - old_rows, dtype=bool)
+    fresh[admitted[admitted >= old_rows] - old_rows] = False
+    new_keys = np.sort(
+        cells.sort_keys(np.concatenate([evicted, old_rows + np.flatnonzero(fresh)]))
+    )
+    left_keys = np.sort(cells.sort_keys(admitted[admitted < old_rows]))
+    old_ids = old_table._row_ids
+    patch = RowPatch.plan(
+        old_ids.shape[0],
+        _cell_positions(old_ids, old_starts, left_keys),
+        _cell_positions(old_ids, old_starts, new_keys),
+    )
+    starts = (
+        old_starts
+        - _cell_starts(left_keys >> _ID_BITS)
+        + _cell_starts(new_keys >> _ID_BITS)
+    )
+    return patch.merge(old_ids, new_keys & _ID_MASK), starts, patch

@@ -3,10 +3,13 @@
 Two slivers x delta/scratch x three budgets, run on a nested ladder
 and again after an ingest has made every cached table stale, on hot
 data.  ``tests/data/ladder_dump.json`` holds what this module printed
-at the commit *before* impression tables went column-lazy;
+once impression tables were laid out by interest cell;
 ``tests/test_lazy_impressions.py`` holds the current code to it, float
-for float (``float.hex``).  Uses nothing newer than that commit, so it
-runs there unchanged::
+for float (``float.hex``).  ``tests/data/ladder_dump_id_order.json`` is
+the dump of the last row-id-ordered layout (unchanged since the eager
+materialisation), which ``tests/test_cell_layout.py`` holds the cell
+layout to: the same counts, answers within 1e-12, no charge higher.
+Regenerate only when answers are meant to change::
 
     PYTHONPATH=<checkout>/src python tests/ladder_dump.py > tests/data/ladder_dump.json
 """

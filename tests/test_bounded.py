@@ -5,6 +5,7 @@ import pytest
 
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
+from repro.columnstore.operators import scan_plan
 from repro.core.bounded import BoundedQueryProcessor
 from repro.core.contracts import Contract
 from repro.errors import BudgetExceededError, QualityBoundError, QueryError
@@ -194,10 +195,16 @@ class TestUnanswerableRungs:
         assert last_resort.satisfied and last_resort.relative_error == 0.0
         assert outcome.met_quality and not outcome.met_budget
         assert outcome.total_cost == sum(a.cost for a in outcome.attempts)
-        # the fold pays only the rows the scanned layer did not cover
-        assert last_resort.delta_rows == (
-            base.num_rows - smallest.size if delta else None
-        )
+        # the fold pays only the rows the scanned layer did not cover,
+        # and of those only the zones of the complement (laid out by
+        # interest cell) that the sliver's zone maps cannot rule out
+        if delta:
+            complement = smallest.materialise_complement(base)
+            assert complement.num_rows == base.num_rows - smallest.size
+            assert last_resort.delta_rows == scan_plan(complement, sliver.predicate)[1]
+            assert last_resort.delta_rows <= complement.num_rows // 4
+        else:
+            assert last_resort.delta_rows is None
         exact = sky_engine.execute_exact(sliver).scalar("avg(r_mag)")
         assert outcome.result.estimates["avg(r_mag)"].value == exact
         # one update per rung, the last one carrying the final outcome

@@ -19,7 +19,7 @@ def setting():
     catalog = Catalog()
     catalog.add_table(Table("t", {"id": "int64", "x": "float64"}))
     loader = Loader(catalog)
-    builder = ImpressionBuilder()
+    builder = ImpressionBuilder({"x": (0.0, 1.0)})
     loader.register("t", builder)
     return catalog, loader, builder
 
@@ -32,6 +32,24 @@ def load(loader, n, start=0):
             "x": np.linspace(0, 1, n),
         },
     )
+
+
+class TestCells:
+    def test_rows_are_keyed_from_the_batch_and_shared_by_attached_impressions(
+        self, setting
+    ):
+        _, loader, builder = setting
+        first, second = (
+            Impression(f"t/u/L{i}", "t", ReservoirR(8, rng=i)) for i in range(2)
+        )
+        builder.attach(first)
+        builder.attach(second)
+        load(loader, 5)
+        cells = builder.cells_of("t")
+        assert first.cells is cells and second.cells is cells
+        # one interest attribute: 256 slices of x's domain
+        np.testing.assert_array_equal(cells.of(np.arange(5)), [0, 64, 128, 192, 255])
+        assert builder.cells_of("other").of(np.arange(3)).tolist() == [0, 0, 0]
 
 
 class TestRouting:

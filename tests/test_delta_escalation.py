@@ -113,14 +113,12 @@ class TestImpressionDeltas:
     def test_materialise_delta_carries_current_pis(self):
         catalog, base, hierarchy = _nested_setup()
         small, large = hierarchy.layer(2), hierarchy.layer(1)
-        delta_ids, delta_table = large.materialise_delta(base, small)
+        delta_table = large.materialise_delta(base, small)
         delta = large.delta_row_ids(small)
-        np.testing.assert_array_equal(delta_ids, delta)
+        np.testing.assert_array_equal(delta_table.row_ids, delta)
         assert delta_table.num_rows == delta.shape[0]
         np.testing.assert_array_equal(delta_table["x"], base["x"][delta])
-        expected_pis = large.inclusion_probabilities()[
-            large.positions_of(delta)
-        ]
+        expected_pis = large.materialise(base)[PI_COLUMN][large.positions_of(delta)]
         np.testing.assert_array_equal(delta_table[PI_COLUMN], expected_pis)
 
     def test_complement_partitions_base(self):
@@ -129,8 +127,8 @@ class TestImpressionDeltas:
         complement = top.complement_row_ids(base)
         assert complement.shape[0] == base.num_rows - top.size
         assert np.intersect1d(complement, top.row_ids).size == 0
-        ids, table = top.materialise_complement(base)
-        np.testing.assert_array_equal(ids, complement)
+        table = top.materialise_complement(base)
+        np.testing.assert_array_equal(table.row_ids, complement)
         assert table.num_rows == complement.shape[0]
         np.testing.assert_array_equal(table["v"], base["v"][complement])
 
@@ -165,7 +163,8 @@ class TestImpressionDeltas:
         assert impression.memory_bytes(base) == pi_bytes + 8 * impression.size
         assert impression.memory_bytes(base) == table.nbytes()
         # a budgeted server: the install pass, a query epilogue and an
-        # explicit pass demote resident columns and gather none
+        # explicit pass demote base blocks — a rung table's blocks never
+        # demote, its gathered columns may be dropped — and gather none
         rng = np.random.default_rng(3)
         catalog = Catalog()
         catalog.add_table(
@@ -193,7 +192,8 @@ class TestImpressionDeltas:
         budget = engine.memory_report()["ram_total"] // 3
         with SciBorqServer(engine, max_workers=1, memory_budget=budget) as server:
             governor = server.memory_governor
-            assert governor.stats.demotions_warm > 0 and not top.is_fully_hot
+            assert governor.stats.demotions_warm > 0 and top.is_fully_hot
+            assert not catalog.table("S").is_fully_hot
             assert gathered == []
             server.open_session().execute(query, Contract.within_error(0.5))
             assert set(gathered) <= {"x", "v", PI_COLUMN}  # the query's own reads
@@ -201,7 +201,9 @@ class TestImpressionDeltas:
             governor.enforce(engine)
             assert engine.memory_report()["ram_total"] == governor.stats.last_footprint
         assert gathered == []
-        assert [c.name for c in top.resident_columns()] == [PI_COLUMN, "x", "v"]
+        assert top.is_fully_hot
+        assert [c.name for c in top.resident_columns()][0] == PI_COLUMN
+        assert {c.name for c in top.resident_columns()} <= {PI_COLUMN, "x", "v"}
 
 # ----------------------------------------------------------------------
 # bounded execution: delta vs from-scratch recomputation

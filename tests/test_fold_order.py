@@ -236,6 +236,36 @@ class TestScanOrderMatchesScratch:
             _assert_delta_equals_scratch(engine, f"ra~{shift}/after-maintain")
 
 
+def test_a_merged_fold_is_ordered_like_the_rungs_table(monkeypatch):
+    """On a nested ladder each impression rung answers from a merged
+    fold; its working set must be the rung table's matching rows in
+    that table's (interest-cell) order, πs included — the order a
+    from-scratch scan of the table produces — so delta ≡ scratch holds
+    float for float."""
+    engine, _ = _engine()
+    engine.refresh(TABLE)
+    base = engine.catalog.table(TABLE)
+    processor = _processors(engine)["delta"]
+    seen = []
+    original = processor.estimator.estimate_from_working
+
+    def recording(query, impression, working, stats, confidence=None):
+        seen.append((impression, working))
+        return original(query, impression, working, stats, confidence)
+
+    monkeypatch.setattr(processor.estimator, "estimate_from_working", recording)
+    query = TestNoSortRoundTrip.QUERY
+    outcome = processor.execute(query, Contract.within_error(1e-9))
+    assert [a.delta_rows is not None for a in outcome.attempts] == [True] * 4
+    assert len(seen) == 3
+    for rung, working in seen:
+        table = rung.materialise(base)
+        assert not np.all(np.diff(table.row_ids) > 0)  # cell order, not id order
+        matches = np.flatnonzero(query.predicate.evaluate(table))
+        for name in ("g_mag", "_pi"):
+            assert working[name].tobytes() == table[name][matches].tobytes(), name
+
+
 class _CountingNumpy:
     """numpy, with its ``argsort`` calls counted."""
 
@@ -309,7 +339,7 @@ class TestNoSortRoundTrip:
         assert len(outcome.attempts) == 4 and outcome.result.exact
         fold_sorts, ladder_sorts, lookups = counted()
         # two nested deltas and the complement are folded in; each
-        # nested rung re-orders its merged fold to slot order
+        # nested rung re-orders its merged fold to the rung table's order
         assert (fold_sorts, ladder_sorts) == (3, 2)
         assert lookups >= 2
 

@@ -7,7 +7,8 @@ complements is patched, not rebuilt, when a sampler replaces a few
 slots.  These guards count *gathers*, so a regression to eager
 whole-row materialisation fails tier-1 rather than a timed run; the
 ladder dump holds every reported number to the last commit that
-materialised eagerly.
+materialised eagerly, up to the interest-cell layout's summation order
+and lower charges (``test_cell_layout.py``).
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from repro.columnstore import AggregateSpec, Query, Table
 from repro.columnstore.column import Column
 from repro.columnstore.executor import Executor
 from repro.columnstore.expressions import Between, RadialPredicate
-from repro.columnstore.table import DerivedTable
+from repro.columnstore.table import DerivedTable, derived_zone_rows
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
-from repro.core.impression import PI_COLUMN, _patched_sort
+from repro.core.impression import PI_COLUMN, CellKeys, _index, _Index
 from repro.core.maintenance import refresh_hierarchy
 from repro.core.policy import UniformPolicy, build_hierarchy
 from repro.errors import SchemaError, UnknownColumnError
@@ -150,19 +151,20 @@ def small_base() -> Table:
 class TestDerivedTable:
     def test_schema_is_answered_without_a_gather(self, monkeypatch):
         monkeypatch.setattr(
-            Column, "take", lambda self, indices: pytest.fail("gathered")
+            Column, "gather_with_error", lambda self, indices: pytest.fail("gathered")
         )
         ids = np.array([7, 3, 900])
-        pis = Column(PI_COLUMN, "float64", np.full(3, 0.5), block_size=128)
-        table = DerivedTable("d", small_base(), ids, ["x", "y"], [pis])
+        pis = np.full(3, 0.5)
+        table = DerivedTable("d", small_base(), ids, ["x", "y"], {PI_COLUMN: pis})
         assert table.column_names == ["x", "y", PI_COLUMN]
         assert (table.num_rows, len(table)) == (3, 3)
-        assert table.block_size == 128 and table.num_blocks == 1
+        assert table.block_size == 1024 and table.num_blocks == 1
         assert table.has_column("y") and not table.has_column("z")
         assert table.nbytes() == 24 and table.is_fully_hot
         assert table.nbytes_by_tier() == {"hot": 24, "warm": 0, "cold": 0}
         assert table.max_value_error() == 0.0 and table.promote_all() == 0
-        assert table.resident_columns() == [pis]
+        (resident,) = table.resident_columns()
+        assert resident.name == PI_COLUMN and resident.values.base is pis
         assert "rows=3" in repr(table)
 
     def test_columns_are_the_base_rows_in_row_id_order(self):
@@ -177,16 +179,25 @@ class TestDerivedTable:
         assert table.take(np.array([0]), columns=["y"]).column_names == ["y"]
 
     def test_a_mismatched_block_grid_is_seen_before_any_gather(self):
+        """A derived table's zone grid is its own — max(1024, ⌈n/64⌉) rows
+        per zone for every column, whatever the base's blocks — and is
+        known before any gather."""
         base = Table(
             "b",
             [
-                Column("x", "float64", np.arange(10.0), block_size=4),
-                Column("y", "float64", np.arange(10.0), block_size=8),
+                Column("x", "float64", np.arange(300_000.0), block_size=4),
+                Column("y", "float64", np.arange(300_000.0), block_size=8),
             ],
         )
-        table = DerivedTable("d", base, np.arange(5), ["x", "y"])
-        assert table.block_size is None and table.resident_columns() == []
-        assert DerivedTable("d", base, np.arange(5), ["x"]).block_size == 4
+        grids = ((5, 1024, 1), (70_000, 1_094, 64), (200_000, 3_125, 64))
+        for rows, zone_rows, zones in grids:
+            ids = np.arange(rows)
+            table = DerivedTable("d", base, ids, ["x", "y"], {PI_COLUMN: np.ones(rows)})
+            assert derived_zone_rows(rows) == zone_rows
+            assert (table.block_size, table.num_blocks) == (zone_rows, zones)
+            assert [c.name for c in table.resident_columns()] == [PI_COLUMN]
+            grid = {table.column(n).block_size for n in table.column_names}
+            assert grid == {zone_rows}
 
     def test_errors(self):
         base = small_base()
@@ -196,25 +207,21 @@ class TestDerivedTable:
         with pytest.raises(SchemaError, match="read-only"):
             table.append_batch({"x": [1.0]})
         with pytest.raises(SchemaError, match="4 rows"):
-            DerivedTable(
-                "d", base, np.arange(4), ["x"], [Column(PI_COLUMN, "float64", [1.0])]
-            )
+            DerivedTable("d", base, np.arange(4), ["x"], {PI_COLUMN: np.ones(1)})
         with pytest.raises(SchemaError, match="duplicate"):
-            DerivedTable(
-                "d", base, np.arange(1), ["x"], [Column("x", "float64", [1.0])]
-            )
+            DerivedTable("d", base, np.arange(1), ["x"], {"x": np.ones(1)})
 
     def test_eight_threads_first_touching_a_column_gather_it_once(self, monkeypatch):
         table = DerivedTable("d", small_base(), np.arange(0, 1_000, 3), ["x", "y"])
         calls = []
-        original = Column.take
+        original = Column.gather_with_error
 
-        def slow_take(self, indices):
+        def slow_gather(self, indices):
             calls.append(self.name)
             time.sleep(0.02)  # hold the race open
             return original(self, indices)
 
-        monkeypatch.setattr(Column, "take", slow_take)
+        monkeypatch.setattr(Column, "gather_with_error", slow_gather)
         barrier = threading.Barrier(8, timeout=10)
 
         def touch(_):
@@ -236,17 +243,34 @@ class TestDerivedTable:
 # ----------------------------------------------------------------------
 # incremental row-id bookkeeping
 # ----------------------------------------------------------------------
+def cell_order(cells: CellKeys, row_ids: np.ndarray) -> np.ndarray:
+    """``row_ids`` in (cell, row id) order, sorted from scratch."""
+    return row_ids[np.lexsort((row_ids, cells.of(row_ids)))]
+
+
 def assert_bookkeeping_from_scratch(hierarchy, base: Table) -> None:
     for impression in hierarchy.layers:
+        cells = impression.cells
         row_ids = impression.row_ids
-        order = np.argsort(row_ids, kind="stable")
-        sorted_ids, got_order = impression._sorted_row_ids()
+        order = np.lexsort((row_ids, cells.of(row_ids)))
+        sorted_keys, got_order = impression._ordered()
         np.testing.assert_array_equal(got_order, order)
-        np.testing.assert_array_equal(sorted_ids, row_ids[order])
+        np.testing.assert_array_equal(sorted_keys, cells.sort_keys(row_ids[order]))
+        table = impression.materialise(base)
+        np.testing.assert_array_equal(table.row_ids, row_ids[order])
         np.testing.assert_array_equal(
-            impression.complement_row_ids(base),
-            np.setdiff1d(np.arange(base.num_rows), row_ids),
+            table[PI_COLUMN], impression.inclusion_probabilities()[order]
         )
+        complement = impression.materialise_complement(base)
+        np.testing.assert_array_equal(
+            complement.row_ids,
+            cell_order(cells, np.setdiff1d(np.arange(base.num_rows), row_ids)),
+        )
+        # the columns a patched table carried over hold the right rows
+        # (read by a scan, so the next table carries them again)
+        for derived in (table, complement):
+            values = derived.column("v").read_range(0, derived.num_rows)
+            np.testing.assert_array_equal(values, base["v"][derived.row_ids])
     layers = hierarchy.layers
     for large in layers:
         for small in layers:
@@ -255,7 +279,8 @@ def assert_bookkeeping_from_scratch(hierarchy, base: Table) -> None:
             delta = large.delta_row_ids(small)
             if np.isin(small.row_ids, large.row_ids).all():
                 np.testing.assert_array_equal(
-                    delta, np.setdiff1d(large.row_ids, small.row_ids)
+                    delta,
+                    cell_order(large.cells, np.setdiff1d(large.row_ids, small.row_ids)),
                 )
             else:
                 assert delta is None
@@ -283,16 +308,23 @@ class TestRowIdBookkeeping:
     def test_patched_index_equals_from_scratch_under_churn(self, operations, seed):
         """Offers (first fill, then in-place replacement), refreshes
         from below, override installs and out-of-band reloads, checked
-        at random points so several changes pile up behind one patch."""
+        at random points so several changes pile up behind one patch:
+        the patched (cell, row id) order of every table equals a
+        from-scratch ``lexsort((ids, cells))``."""
         rng = np.random.default_rng(seed)
         base = Table("T", {"v": "float64"})
         hierarchy = build_hierarchy(
             "T", UniformPolicy(layer_sizes=(48, 20, 8)), rng=seed + 1
         )
+        cells = CellKeys({"v": (0.0, 1.0)})
+        for layer in hierarchy.layers:
+            layer.cells = cells
         for kind, arg in [("offer", 30), ("check", 0)] + operations + [("check", 0)]:
             if kind == "offer":
                 first = base.num_rows
-                base.append_batch({"v": rng.uniform(0, 1, arg)})
+                batch = {"v": rng.uniform(0, 1, arg)}
+                base.append_batch(batch)
+                cells.observe(first, batch)
                 for layer in hierarchy.layers:
                     layer.sampler.offer_batch(np.arange(first, first + arg))
             elif kind == "refresh":
@@ -328,13 +360,22 @@ class TestRowIdBookkeeping:
             "argsort",
             lambda a, **kw: sorts.append(len(a)) or original(a, **kw),
         )
-        _, got = _patched_sort(new, (old, old[order], order))
+        cells = CellKeys()  # one cell: the keys are the row ids
+        previous = _Index(old, old, old[order], order)
+        index, patch = _index(cells, new, previous)
         assert sorts == [200]  # the changed slots among themselves
-        np.testing.assert_array_equal(got, original(new, kind="stable"))
+        np.testing.assert_array_equal(index.order, original(new, kind="stable"))
+        np.testing.assert_array_equal(index.sorted_keys, np.sort(new))
+        # the patch: the kept old rows, and the 200 new ones where they go
+        added = index.sorted_keys[patch.added]
+        np.testing.assert_array_equal(np.sort(added), np.arange(10_000, 10_200))
+        np.testing.assert_array_equal(
+            patch.merge(previous.sorted_keys, added), index.sorted_keys
+        )
         # more than a quarter moved, or another size: the full sort
         for other in (rng.permutation(10_000).astype(np.int64), new[:-1]):
             del sorts[:]
-            _patched_sort(other, (old, old[order], order))
+            assert _index(cells, other, previous)[1] is None
             assert sorts == [other.shape[0]]
 
 
@@ -344,8 +385,9 @@ class TestRowIdBookkeeping:
 def test_ladder_dump_is_byte_identical_to_the_eager_parent():
     """Answers, attempts, charges, delta rows and every progress update
     of 12 cases (2 slivers x delta/scratch x 3 budgets), on a nested
-    ladder and again after an ingest, against the dump taken at the
-    parent commit (see :mod:`ladder_dump`)."""
+    ladder and again after an ingest, against the dump of the
+    cell-ordered layout (see :mod:`ladder_dump`; the eager, id-ordered
+    parent's dump is held to it in ``test_cell_layout.py``)."""
     golden = json.loads(
         (Path(__file__).parent / "data" / "ladder_dump.json").read_text()
     )

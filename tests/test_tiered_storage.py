@@ -23,6 +23,7 @@ from repro.columnstore.column import Column
 from repro.columnstore.expressions import Between
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
+from repro.core.impression import PI_COLUMN
 from repro.core.governor import PROMOTE_HEADROOM, MemoryGovernor
 from repro.core.persistence import ColumnBlockStore
 from repro.core.server import SciBorqServer
@@ -428,7 +429,7 @@ class TestContractHonesty:
         assert late.max_value_error() > 0.0 and late.is_fully_hot
         assert early.max_value_error() == 0.0
         assert np.abs(
-            late.values - tiered_table()["y"][impression.row_ids]
+            late.values - tiered_table()["y"][sample.row_ids]
         ).max() <= late.max_value_error()
         outcome = engine.execute(self.cone(), contract=Contract.unconstrained())
         assert outcome.attempts[0].source == impression.name
@@ -533,6 +534,22 @@ class TestGovernor:
         promoted = set(oldest_first) - not_hot()
         assert 0 < len(promoted) < len(oldest_first)
         assert promoted == set(oldest_first[-len(promoted) :])
+
+    def test_impression_tables_stay_resident_but_unread_columns_drop(self):
+        """A rung table's blocks never demote; under pressure the
+        governor first drops the columns it gathered that nothing has
+        read since (never ``_pi``), and the next read gathers them
+        again, byte-identically."""
+        engine = tiered_engine()
+        base = engine.catalog.table("fact")
+        rung = engine.hierarchy("fact").layer(0).materialise(base)
+        want = {name: rung.column(name).to_numpy() for name in ("id", "x", "y")}
+        rung.column("y").gather(np.arange(4))  # only y is read
+        engine.set_memory_governor(MemoryGovernor(1))
+        assert [c.name for c in rung.resident_columns()] == [PI_COLUMN, "y"]
+        assert rung.is_fully_hot and not base.is_fully_hot
+        for name, values in want.items():
+            np.testing.assert_array_equal(rung.column(name).values, values)
 
     def test_hidden_pi_columns_only_ever_go_cold(self):
         col = Column("_pi", "float64", np.full(2 * BS, 0.5), block_size=BS)

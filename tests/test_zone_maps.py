@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import zone_oracle
 
 from repro.columnstore import operators
-from repro.columnstore.column import Column, Zone
+from repro.columnstore.column import Column, Zone, Zones
 from repro.columnstore.expressions import (
     And,
     Between,
@@ -131,8 +135,26 @@ class TestTableBlocks:
                 Column("txt", "U4", ["a", "b"], block_size=2),
             ],
         )
-        zones = table.block_zones(0, ["num", "txt"])
+        zones = table.zones(["num", "txt"])
         assert set(zones) == {"num"}
+        np.testing.assert_array_equal(zones["num"].lo, [1.0])
+        np.testing.assert_array_equal(zones["num"].hi, [2.0])
+
+
+def as_arrays(zones: dict) -> dict:
+    """One block's :class:`Zone` per column, as one-entry zone arrays."""
+    return {
+        name: Zones(np.array([z.lo]), np.array([z.hi]), np.array([z.has_nan]))
+        for name, z in zones.items()
+    }
+
+
+def prunes(expression, zones: dict) -> bool:
+    """Whether the keep-mask skips a block with these zones — checked
+    against the scalar oracle on the way."""
+    skip = not expression.keep_blocks(as_arrays(zones), 1)[0]
+    assert skip == zone_oracle.prune(expression, zones)
+    return skip
 
 
 class TestPrune:
@@ -141,56 +163,56 @@ class TestPrune:
 
     def test_comparison_all_ops(self):
         zones = self.zone(10.0, 20.0)
-        assert Comparison("x", "<", 10.0).prune(zones)
-        assert not Comparison("x", "<", 10.5).prune(zones)
-        assert Comparison("x", "<=", 9.9).prune(zones)
-        assert Comparison("x", ">", 20.0).prune(zones)
-        assert Comparison("x", ">=", 20.5).prune(zones)
-        assert Comparison("x", "==", 21.0).prune(zones)
-        assert not Comparison("x", "==", 15.0).prune(zones)
-        assert not Comparison("x", "!=", 15.0).prune(zones)
+        assert prunes(Comparison("x", "<", 10.0), zones)
+        assert not prunes(Comparison("x", "<", 10.5), zones)
+        assert prunes(Comparison("x", "<=", 9.9), zones)
+        assert prunes(Comparison("x", ">", 20.0), zones)
+        assert prunes(Comparison("x", ">=", 20.5), zones)
+        assert prunes(Comparison("x", "==", 21.0), zones)
+        assert not prunes(Comparison("x", "==", 15.0), zones)
+        assert not prunes(Comparison("x", "!=", 15.0), zones)
 
     def test_not_equal_prunes_only_constant_blocks(self):
-        assert Comparison("x", "!=", 7.0).prune(self.zone(7.0, 7.0))
-        assert not Comparison("x", "!=", 7.0).prune(
-            self.zone(7.0, 7.0, has_nan=True)
+        assert prunes(Comparison("x", "!=", 7.0), self.zone(7.0, 7.0))
+        assert not prunes(
+            Comparison("x", "!=", 7.0), self.zone(7.0, 7.0, has_nan=True)
         )
 
     def test_all_nan_block_prunes_comparisons_but_not_ne(self):
         empty = self.zone(np.inf, -np.inf, has_nan=True)
-        assert Comparison("x", "<", 5.0).prune(empty)
-        assert Comparison("x", "==", 5.0).prune(empty)
-        assert not Comparison("x", "!=", 5.0).prune(empty)
+        assert prunes(Comparison("x", "<", 5.0), empty)
+        assert prunes(Comparison("x", "==", 5.0), empty)
+        assert not prunes(Comparison("x", "!=", 5.0), empty)
 
     def test_between_and_inset(self):
         zones = self.zone(10.0, 20.0)
-        assert Between("x", 21.0, 30.0).prune(zones)
-        assert Between("x", 0.0, 9.0).prune(zones)
-        assert not Between("x", 15.0, 30.0).prune(zones)
-        assert InSet("x", [1.0, 30.0]).prune(zones)
-        assert not InSet("x", [1.0, 12.0]).prune(zones)
-        assert not InSet("x", ["label"]).prune(zones)
+        assert prunes(Between("x", 21.0, 30.0), zones)
+        assert prunes(Between("x", 0.0, 9.0), zones)
+        assert not prunes(Between("x", 15.0, 30.0), zones)
+        assert prunes(InSet("x", [1.0, 30.0]), zones)
+        assert not prunes(InSet("x", [1.0, 12.0]), zones)
+        assert not prunes(InSet("x", ["label"]), zones)
 
     def test_radial_uses_bounding_box(self):
         zones = {"x": Zone(0.0, 1.0), "y": Zone(0.0, 1.0)}
-        assert RadialPredicate("x", "y", 5.0, 0.5, 1.0).prune(zones)
-        assert RadialPredicate("x", "y", 0.5, 5.0, 1.0).prune(zones)
-        assert not RadialPredicate("x", "y", 1.5, 0.5, 1.0).prune(zones)
+        assert prunes(RadialPredicate("x", "y", 5.0, 0.5, 1.0), zones)
+        assert prunes(RadialPredicate("x", "y", 0.5, 5.0, 1.0), zones)
+        assert not prunes(RadialPredicate("x", "y", 1.5, 0.5, 1.0), zones)
 
     def test_boolean_composition(self):
         zones = self.zone(10.0, 20.0)
         hit = Between("x", 15.0, 16.0)
         miss = Between("x", 30.0, 40.0)
-        assert And([hit, miss]).prune(zones)
-        assert not And([hit, hit]).prune(zones)
-        assert Or([miss, miss]).prune(zones)
-        assert not Or([hit, miss]).prune(zones)
-        assert not Not(miss).prune(zones)  # conservative
-        assert not TruePredicate().prune(zones)
+        assert prunes(And([hit, miss]), zones)
+        assert not prunes(And([hit, hit]), zones)
+        assert prunes(Or([miss, miss]), zones)
+        assert not prunes(Or([hit, miss]), zones)
+        assert not prunes(Not(miss), zones)  # conservative
+        assert not prunes(TruePredicate(), zones)
 
     def test_missing_zone_never_prunes(self):
-        assert not Comparison("other", ">", 1.0).prune(self.zone(0.0, 1.0))
-        assert not Between("other", 5.0, 6.0).prune(self.zone(0.0, 1.0))
+        assert not prunes(Comparison("other", ">", 1.0), self.zone(0.0, 1.0))
+        assert not prunes(Between("other", 5.0, 6.0), self.zone(0.0, 1.0))
 
 
 class TestPrunedSelect:
@@ -218,7 +240,7 @@ class TestPrunedSelect:
         assert stats.tuples_in == table.num_rows
 
     def test_parallel_path_identical_to_serial(self):
-        table = blocked_table(n=256, block_size=16)
+        table = blocked_table(n=300_000, block_size=1024)
         predicate = Or(
             [Between("x", 10.0, 30.0), Between("x", 70.0, 80.0)]
         )
@@ -293,3 +315,220 @@ class TestPrunedSelect:
         _, stats = operators.select(table, predicate)
         assert estimate.steps[0].estimated_cost == stats.tuples_in
         assert "pruned" in estimate.steps[0].detail
+
+
+# ----------------------------------------------------------------------
+# one vectorised path, held to the scalar oracle
+# ----------------------------------------------------------------------
+BOUNDS = st.one_of(
+    st.floats(-50.0, 50.0, allow_nan=False),
+    st.sampled_from([np.inf, -np.inf, 0.0, 7.0]),
+)
+VALUES = st.one_of(BOUNDS, st.just(np.nan), st.integers(-60, 60), st.just("label"))
+NUMBERS = st.one_of(BOUNDS, st.just(np.nan))
+
+
+@st.composite
+def zone_arrays(draw, num_blocks: int) -> Zones:
+    """Random zones: ordinary, constant, ±inf, empty (lo > hi) and all-NaN
+    blocks, with or without a NaN flag."""
+    lo, hi, nan = [], [], []
+    for _ in range(num_blocks):
+        kind = draw(st.sampled_from(["range", "all-nan", "inverted"]))
+        if kind == "all-nan":
+            a, b, flag = np.inf, -np.inf, True
+        else:
+            a, b = sorted([draw(BOUNDS), draw(BOUNDS)])
+            if kind == "inverted":
+                a, b = b + 1.0, a
+            flag = draw(st.booleans())
+        lo.append(a)
+        hi.append(b)
+        nan.append(flag)
+    return Zones(np.array(lo), np.array(hi), np.array(nan))
+
+
+COLUMNS = st.sampled_from(["x", "y", "absent"])
+LEAVES = st.one_of(
+    st.builds(
+        Comparison,
+        COLUMNS,
+        st.sampled_from(["<", "<=", ">", ">=", "==", "!="]),
+        VALUES,
+    ),
+    st.builds(
+        lambda column, a, b: Between(column, *sorted([a, b])), COLUMNS, BOUNDS, BOUNDS
+    ),
+    st.builds(InSet, COLUMNS, st.lists(VALUES, min_size=1, max_size=3)),
+    st.builds(
+        RadialPredicate,
+        st.just("x"),
+        st.sampled_from(["y", "absent"]),
+        NUMBERS,
+        NUMBERS,
+        st.floats(0.0, 30.0),
+    ),
+    st.just(TruePredicate()),
+)
+PREDICATES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.builds(And, st.lists(inner, min_size=1, max_size=3)),
+        st.builds(Or, st.lists(inner, min_size=1, max_size=3)),
+        st.builds(Not, inner),
+    ),
+    max_leaves=6,
+)
+
+
+class TestKeepMaskMatchesOracle:
+    @given(data=st.data(), predicate=PREDICATES, num_blocks=st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_keep_mask_is_the_negated_scalar_prune_block_by_block(
+        self, data, predicate, num_blocks
+    ):
+        zones = {
+            "x": data.draw(zone_arrays(num_blocks)),
+            "y": data.draw(zone_arrays(num_blocks)),
+        }
+        keep = predicate.keep_blocks(zones, num_blocks)
+        assert keep.dtype == np.bool_ and keep.shape == (num_blocks,)
+        for block in range(num_blocks):
+            scalar = {
+                name: Zone(z.lo[block], z.hi[block], bool(z.has_nan[block]))
+                for name, z in zones.items()
+            }
+            assert keep[block] == (not zone_oracle.prune(predicate, scalar))
+
+
+def per_block_fold(chunks, block_size: int):
+    """The zone fold as it was: a Python loop over each appended chunk's
+    blocks, ``None`` bounds for a block with no comparable value yet."""
+    lo, hi, nan = [], [], []
+    start = 0
+    for arr in chunks:
+        pos = 0
+        while pos < arr.shape[0]:
+            row = start + pos
+            block = row // block_size
+            take = min(arr.shape[0] - pos, (block + 1) * block_size - row)
+            chunk = arr[pos : pos + take]
+            while len(lo) <= block:
+                lo.append(None)
+                hi.append(None)
+                nan.append(False)
+            if np.issubdtype(chunk.dtype, np.floating):
+                mask = np.isnan(chunk)
+                if mask.any():
+                    nan[block] = True
+                    chunk = chunk[~mask]
+            if chunk.shape[0]:
+                if lo[block] is None or chunk.min() < lo[block]:
+                    lo[block] = chunk.min()
+                if hi[block] is None or chunk.max() > hi[block]:
+                    hi[block] = chunk.max()
+            pos += take
+        start += arr.shape[0]
+    return [
+        Zone(np.inf, -np.inf, True) if low is None else Zone(low, high, flag)
+        for low, high, flag in zip(lo, hi, nan)
+    ]
+
+
+class TestVectorisedFold:
+    @given(
+        chunks=st.lists(
+            st.lists(
+                st.one_of(st.floats(-1e6, 1e6), st.just(np.nan), st.just(np.inf)),
+                min_size=1,
+                max_size=20,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        block_size=st.integers(1, 7),
+        ints=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_zones_equal_the_per_block_fold(self, chunks, block_size, ints):
+        """Folded after every append (so partial blocks are merged into),
+        NaN and all-NaN blocks included, float and integer columns."""
+        dtype = "int64" if ints else "float64"
+        arrays = [np.asarray(c, dtype=np.float64) for c in chunks]
+        if ints:
+            arrays = [
+                np.nan_to_num(a, nan=3.0, posinf=9.0).astype(np.int64)
+                for a in arrays
+            ]
+        column = Column("v", dtype, block_size=block_size)
+        for arr in arrays:
+            column.extend(arr)
+            column.zones()  # fold now: the next append lands in a partial block
+        expected = per_block_fold(arrays, block_size)
+        assert [column.zone(b) for b in range(column.num_blocks)] == expected
+        zones = column.zones()
+        assert zones.lo.dtype == np.dtype(dtype) and zones.lo.shape == (len(expected),)
+
+
+class _CountingPool(MorselPool):
+    def __init__(self) -> None:
+        super().__init__(max_workers=2)
+        self.items: list[int] = []
+
+    def map(self, fn, items):
+        items = list(items)
+        self.items.append(len(items))
+        return super().map(fn, items)
+
+
+class TestMorselsAreNotZones:
+    def test_a_64_zone_scan_submits_one_unit_per_65536_rows(self):
+        """Units are sized in rows, not zones: a scan over a 64-zone table
+        hands the pool at most ⌈rows_to_scan / 65 536⌉ items, whichever
+        zones survived, and the answer is the serial scan's."""
+        from repro.columnstore.table import DerivedTable
+
+        rng = np.random.default_rng(8)
+        n = 400_000
+        base = Table("b", [Column("x", "float64", rng.uniform(0, 100, n))])
+        ids = np.argsort(base["x"], kind="stable")  # x ascending: zones prune
+        table = DerivedTable("d", base, ids, ["x"])
+        assert table.num_blocks == 64
+        pool = _CountingPool()
+        try:
+            for predicate in (
+                TruePredicate(),
+                Between("x", 10.0, 60.0),
+                Or(
+                    [
+                        Between("x", 1.0, 9.0),
+                        Between("x", 40.0, 41.0),
+                        Between("x", 90.0, 99.0),
+                    ]
+                ),
+            ):
+                serial, stats = operators.select(table, predicate)
+                del pool.items[:]
+                parallel, _ = operators.select(
+                    table, predicate, pool=pool, parallel_min_rows=0
+                )
+                assert serial.tobytes() == parallel.tobytes()
+                assert pool.items and pool.items[0] <= -(-stats.tuples_in // 65_536)
+                (shared,) = operators.select_shared(
+                    table, [predicate], pool=pool, parallel_min_rows=0
+                )
+                assert shared[0].tobytes() == serial.tobytes()
+                assert pool.items[-1] <= -(-stats.tuples_in // 65_536)
+        finally:
+            pool.shutdown()
+
+    def test_units_cover_the_runs_in_order(self):
+        runs = [(0, 10), (20, 200_000), (300_000, 300_005)]
+        morsels = operators._morsels(runs)
+        assert [r for m in morsels for r in m][0] == (0, 10)
+        flat = [r for m in morsels for r in m]
+        covered = [i for start, stop in flat for i in (start, stop)]
+        assert covered == sorted(covered)
+        assert sum(stop - start for start, stop in flat) == 10 + 199_980 + 5
+        assert [sum(b - a for a, b in m) for m in morsels[:-1]] == [65_536] * 3
+
