@@ -17,7 +17,12 @@ stripes sequentially, so ``ra`` arrives clustered):
     impression table out by interest cell on its own zone grid, so on
     a base loaded in *random* sky order selective cones charge the
     hierarchy's rungs ≥2x fewer tuples than id-ordered twins of the
-    same samples, with the same answers within 1e-12.
+    same samples, with the same answers within 1e-12;
+(d) **base scans prune on an unsorted base** — the largest rung and its
+    complement partition the base in interest-cell order, so exact cone
+    scans and row-query base rungs that read them charge ≥3x fewer
+    tuples than a hierarchy-less twin scanning the base, with
+    byte-identical answers.
 
 Run standalone: ``python benchmarks/bench_zone_maps.py [--smoke]``.
 """
@@ -195,17 +200,22 @@ def run_budget_claim(pruned_catalog, flat_catalog, rng, layer_sizes):
     }
 
 
-def _unsorted_engine(n: int, interest: dict, seed: int) -> SciBorq:
-    """A uniform (n/4, n/20, n/100) hierarchy fed by loading ``n`` rows
-    in random sky order, the engine's interest attributes ``interest``."""
+def _unsorted_engine(
+    n: int, interest: dict, seed: int, hierarchy: bool = True, **options
+) -> SciBorq:
+    """``n`` rows loaded in random sky order into an engine whose
+    interest attributes are ``interest`` (``options`` go to
+    :class:`SciBorq`), with a uniform (n/4, n/20, n/100) hierarchy fed by
+    the load unless ``hierarchy`` is off."""
     catalog = Catalog()
     catalog.add_table(
         Table("PhotoObjAll", {"ra": "float64", "dec": "float64", "flux": "float64"})
     )
-    engine = SciBorq(catalog, interest_attributes=interest, rng=seed)
-    engine.create_hierarchy(
-        "PhotoObjAll", policy="uniform", layer_sizes=(n // 4, n // 20, n // 100)
-    )
+    engine = SciBorq(catalog, interest_attributes=interest, rng=seed, **options)
+    if hierarchy:
+        engine.create_hierarchy(
+            "PhotoObjAll", policy="uniform", layer_sizes=(n // 4, n // 20, n // 100)
+        )
     rng = np.random.default_rng(seed + 1)
     for start in range(0, n, 50_000):
         rows = min(50_000, n - start)
@@ -294,6 +304,80 @@ def run_rung_layout_claim(n: int, n_queries: int, seed: int = 20261015):
     }
 
 
+def _same_answer(got, want, label: str) -> None:
+    """Byte-identical exact answers: scalars by ``float.hex``, rows
+    column by column."""
+    assert got.exact and want.exact, label
+    if want.estimates is not None:
+        assert {n: e.value.hex() for n, e in got.estimates.items()} == {
+            n: e.value.hex() for n, e in want.estimates.items()
+        }, label
+    else:
+        for name in want.rows.column_names:
+            assert got.rows[name].tobytes() == want.rows[name].tobytes(), label
+
+
+def run_base_cover_claim(n: int, n_queries: int, seed: int = 20261016):
+    """Claim (d): on an unsorted base, exact cones and row-query base
+    rungs charge ≥3x fewer tuples than on a hierarchy-less twin.
+
+    The hierarchy's largest table and its complement hold every base
+    row once, in interest-cell order, so a base scan reads those two
+    instead of the load-ordered base; the twin can only scan the base.
+    Recycling is off on both, so every query pays its scan.
+    """
+    interest = {"ra": (RA_LO, RA_HI), "dec": (DEC_LO, DEC_HI)}
+    cells = _unsorted_engine(n, interest, seed, recycler_bytes=None)
+    twin = _unsorted_engine(n, interest, seed, hierarchy=False, recycler_bytes=None)
+    rng = np.random.default_rng(seed + 2)
+    radius = 1.5
+    charged = {"cells": 0.0, "twin": 0.0}
+    ratios = []
+    print(f"== E14d: {n_queries} cones x (exact, row query) over an unsorted {n}-row base ==")
+    for i in range(n_queries):
+        predicate = RadialPredicate(
+            "ra",
+            "dec",
+            float(rng.uniform(RA_LO + radius, RA_HI - radius)),
+            float(rng.uniform(DEC_LO + radius, DEC_HI - radius)),
+            radius,
+        )
+        exact = Query(
+            table="PhotoObjAll",
+            predicate=predicate,
+            aggregates=[AggregateSpec("count"), AggregateSpec("avg", "flux")],
+        )
+        rows = Query(
+            table="PhotoObjAll", predicate=predicate, select=("ra", "flux"), limit=50
+        )
+        # the row query climbs every rung; only its base rung is compared
+        for query, contract in ((exact, Contract.exact()), (rows, Contract.within_error(0.0))):
+            got = cells.execute(query, contract)
+            want = twin.execute(query, Contract.exact())
+            assert got.attempts[-1].source == "PhotoObjAll"
+            _same_answer(got.result, want.result, f"query {i}")
+            mine, theirs = got.attempts[-1].cost, want.total_cost
+            charged["cells"] += mine
+            charged["twin"] += theirs
+            ratios.append(theirs / mine)
+    ratios = np.asarray(ratios)
+    total = charged["twin"] / charged["cells"]
+    print(
+        f"  base-scan tuples charged, twin/cover: total {total:.1f}x "
+        f"(per scan min {ratios.min():.1f}x mean {ratios.mean():.1f}x)"
+    )
+    assert total >= 3.0, f"the cover won only {total:.2f}x; need ≥3x"
+    print("  answers byte-identical on every scan ✓")
+    return {
+        "n": n,
+        "queries": n_queries,
+        "tuples_ratio": float(total),
+        "tuples_ratio_min": float(ratios.min()),
+        "tuples_cover": int(charged["cells"]),
+        "tuples_twin": int(charged["twin"]),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -318,6 +402,7 @@ def main() -> None:
     pruning = run_pruning_claim(pruned_catalog, flat_catalog, rng, n_queries)
     budget = run_budget_claim(pruned_catalog, flat_catalog, rng, layer_sizes)
     layout = run_rung_layout_claim(layout_rows, n_queries)
+    cover = run_base_cover_claim(layout_rows, n_queries)
     write_bench_report(
         "zone_maps",
         {
@@ -326,6 +411,7 @@ def main() -> None:
             "pruning": pruning,
             "budget": budget,
             "rung_layout": layout,
+            "base_cover": cover,
         },
     )
     print("all zone-map claims hold ✓")

@@ -66,6 +66,12 @@ DEFAULT_SPEC = GateSpec(
         # paper §3.1: refresh-from-below is an order of magnitude
         # cheaper than a rebuild from the base
         MetricGate(artifact="maintenance", metric="refresh.saving", min_value=10),
+        # base scans read the largest rung plus its complement, laid out
+        # by interest cell: ≥3x fewer tuples than scanning the unsorted
+        # base (not required, like the maintenance gates)
+        MetricGate(
+            artifact="zone_maps", metric="base_cover.tuples_ratio", min_value=3
+        ),
     ),
 )
 

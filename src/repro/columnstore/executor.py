@@ -18,7 +18,7 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.columnstore.column import Column
 from repro.columnstore.operators import OperatorStats
 from repro.columnstore.query import Query
 from repro.columnstore.recycler import Recycler
-from repro.columnstore.table import Table
+from repro.columnstore.table import DerivedTable, Table
 from repro.errors import QueryError
 from repro.util.clock import CostClock, ExecutionContext, WallClock
 from repro.util.concurrency import MorselPool, shared_scan_pool
@@ -70,6 +70,21 @@ class ExecutionStats:
             for op in self.operators
         )
         return "\n".join(lines)
+
+
+class BaseCover(NamedTuple):
+    """Tables that together hold every row of a base table exactly once.
+
+    Each part's ``row_ids`` name the base rows it holds, and each is
+    laid out on its own zone grid — an impression hierarchy's largest
+    table and that table's complement
+    (:meth:`repro.core.hierarchy.ImpressionHierarchy.base_cover` decides
+    when a base scan reads them).
+    """
+
+    parts: Tuple[DerivedTable, ...]
+    #: rows the parts' zone plans scan together: the select step's cost
+    scan_rows: int
 
 
 @dataclass
@@ -170,6 +185,7 @@ class Executor:
         query: Query,
         fact_table: Optional[Table] = None,
         context: Optional[ExecutionContext] = None,
+        cover: Optional[BaseCover] = None,
     ) -> QueryResult:
         """Run ``query``; ``fact_table`` overrides catalog resolution.
 
@@ -180,7 +196,8 @@ class Executor:
         path — may use the recycler (see :meth:`select_indices`).
         ``context`` carries this execution's cost meter; when absent a
         fresh unbounded context is opened (its charges still aggregate
-        to :attr:`clock`).
+        to :attr:`clock`).  ``cover`` is a partition of the source the
+        selection reads instead of it (see :meth:`select_indices`).
         """
         query = expand_view(self.catalog, query)
         if context is None:
@@ -189,7 +206,7 @@ class Executor:
         spent_before = context.spent
         # an override marks a rung scan: only the base-table path recycles
         working, stats = self.working_set(
-            query, source, context, recycle=fact_table is None
+            query, source, context, recycle=fact_table is None, cover=cover
         )
         if query.is_aggregate:
             result = self.finish_aggregate(query, working, stats, context)
@@ -204,6 +221,7 @@ class Executor:
         source: Table,
         context: Optional[ExecutionContext] = None,
         recycle: bool = False,
+        cover: Optional[BaseCover] = None,
     ) -> tuple[Table, ExecutionStats]:
         """Select and join: the rows of ``source`` the rest of the plan reads.
 
@@ -219,7 +237,7 @@ class Executor:
         stats = ExecutionStats(source=source.name, source_rows=source.num_rows)
         spent_before = context.spent
         indices, op, stats.recycled = self.select_indices(
-            source, query.predicate, context, recycle=recycle
+            source, query.predicate, context, recycle=recycle, cover=cover
         )
         stats.add(op)
         name = f"{source.name}#sel"
@@ -245,6 +263,7 @@ class Executor:
         predicate,
         context: ExecutionContext,
         recycle: bool = False,
+        cover: Optional[BaseCover] = None,
     ) -> tuple[np.ndarray, OperatorStats, bool]:
         """Selection indices over ``source``: the one scan path.
 
@@ -255,6 +274,13 @@ class Executor:
         store-back.  Returns ``(indices, stats, recycled)``; a recycled
         answer charges nothing, and either back-end returns the solo
         scan's indices and stats and charges its cost.
+
+        With a ``cover`` of ``source`` each part is scanned instead,
+        down the same back-end and charged its own solo cost; every
+        match maps through its part's ``row_ids`` and the union, sorted,
+        is exactly the index vector a scan of ``source`` returns.  The
+        parts' stats add up to one ``select``.  The recycler still keys
+        on ``source``.
 
         **The recycler rule lives here.**  ``recycle=True`` states
         that this is the exact base-table path (:meth:`execute` says so
@@ -274,6 +300,30 @@ class Executor:
             if cached is not None:
                 op = OperatorStats("select(recycled)", 0, cached.shape[0])
                 return cached, op, True
+        if cover is None:
+            indices, op = self._scan(source, predicate, context)
+        else:
+            scans = [self._scan(part, predicate, context) for part in cover.parts]
+            indices = np.sort(
+                np.concatenate(
+                    [part.row_ids[found] for part, (found, _) in zip(cover.parts, scans)]
+                ).astype(np.int64, copy=False)
+            )
+            op = OperatorStats(
+                "select",
+                sum(part_op.tuples_in for _, part_op in scans),
+                int(indices.shape[0]),
+                blocks_scanned=sum(part_op.blocks_scanned for _, part_op in scans),
+                blocks_pruned=sum(part_op.blocks_pruned for _, part_op in scans),
+            )
+        if recycler is not None:
+            recycler.store(source, predicate, indices)
+        return indices, op, False
+
+    def _scan(
+        self, table: Table, predicate, context: ExecutionContext
+    ) -> tuple[np.ndarray, OperatorStats]:
+        """One scan of ``table``, on the scheduler or solo, charged."""
         if (
             self.scheduler is not None
             and context.shared_scans
@@ -281,13 +331,10 @@ class Executor:
         ):
             # the scheduler charges the context itself: it also notes
             # which of the charged units another query's scan performed
-            indices, op = self.scheduler.scan(source, predicate, context)
-        else:
-            indices, op = operators.select(source, predicate, pool=self.scan_pool)
-            context.charge(op.cost)
-        if recycler is not None:
-            recycler.store(source, predicate, indices)
-        return indices, op, False
+            return self.scheduler.scan(table, predicate, context)
+        indices, op = operators.select(table, predicate, pool=self.scan_pool)
+        context.charge(op.cost)
+        return indices, op
 
     def _apply_joins(
         self,

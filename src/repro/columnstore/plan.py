@@ -74,18 +74,21 @@ def estimate_cost(
     charge the rows that reach them.
 
     The select step is **zone-map aware**: it charges only the rows of
-    blocks the predicate's :meth:`prune` cannot rule out — the same
-    computation the pruned scan itself performs — so the estimate the
-    bounded processor's escalation decisions see matches the cheaper
-    post-pruning reality exactly.
+    blocks the predicate's :meth:`~repro.columnstore.expressions.
+    Expression.keep_blocks` cannot rule out — the same plan
+    (:func:`~repro.columnstore.operators.scan_plan`) the pruned scan
+    itself follows — so the estimate the bounded processor's escalation
+    decisions see matches the cheaper post-pruning reality exactly.
 
-    ``scan_rows`` prices *delta escalation*: when a rung only scans
-    the rows it adds over the previous one (a nested impression's
-    delta, or "base minus the largest impression consumed"), pass that
-    cardinality and the select step is charged for it alone, while
-    the downstream steps (joins, aggregation, sort) still see the full
-    ``fact_table`` cardinality — they process the cumulative matching
-    rows, not just the delta's.
+    ``scan_rows`` prices a select that reads other tables than
+    ``fact_table``: a rung that only scans the rows it adds over the
+    previous one (a nested impression's delta, or "base minus the
+    largest impression consumed"), or a base scan that reads the
+    hierarchy's cover of the base.  Pass that cardinality and the
+    select step is charged for it alone, while the downstream steps
+    (joins, aggregation, sort) still see the full ``fact_table``
+    cardinality — they process the cumulative matching rows, not just
+    the delta's.
     """
     if statistics is not None:
         selectivity = float(
@@ -100,7 +103,7 @@ def estimate_cost(
         if scan_rows < 0:
             raise ValueError(f"scan_rows must be non-negative, got {scan_rows}")
         steps.append(
-            PlanStep("select", float(scan_rows), f"scan {source.name} (delta)")
+            PlanStep("select", float(scan_rows), f"scan {source.name} (delta or cover)")
         )
     else:
         _, rows_to_scan, _, blocks_pruned = scan_plan(source, query.predicate)

@@ -40,7 +40,11 @@ slot in the scanned table, and the rung answers from it as it stands —
 row ids and πs read off the one table the scan read, nothing sorted or
 looked up.  Only a merge sorts by row id: folding in a nested delta or
 the base complement, and finishing the exact answer.  Row queries and
-joins take the from-scratch path with unchanged semantics.
+joins take the from-scratch path with unchanged semantics.  A base rung
+with nothing folded below it selects through the hierarchy's cell-laid
+cover of the base when :meth:`~repro.core.hierarchy.
+ImpressionHierarchy.base_cover` says so — the same indices as a base
+scan, fewer rows charged — and the planner prices it the same way.
 
 **Progressive execution.**  The ladder is a generator at heart:
 :meth:`BoundedQueryProcessor.run` yields one :class:`~repro.core.
@@ -508,7 +512,13 @@ class BoundedQueryProcessor:
         self, query: Query, rung: Optional[Impression], base
     ) -> float:
         if rung is None:
-            return estimate_cost(query, self.catalog).total_cost
+            # the select step the scan will take: the cover's, if any
+            cover = self.hierarchy.base_cover(query.predicate, base)
+            return estimate_cost(
+                query,
+                self.catalog,
+                scan_rows=None if cover is None else cover.scan_rows,
+            ).total_cost
         fact = rung.materialise(base)
         return estimate_cost(query, self.catalog, fact_table=fact).total_cost
 
@@ -597,6 +607,7 @@ class BoundedQueryProcessor:
         # aggregate inputs + group keys (a foldable query has no joins)
         needed = sorted(query.columns_carried())
         ids: Optional[np.ndarray]
+        cover = None
         # every branch takes its ids from the very table it scans: ids
         # from a different sampler state than the table would mis-map
         # matches (a live offer can land between two separate reads)
@@ -607,6 +618,7 @@ class BoundedQueryProcessor:
             else:
                 ids = None  # no state yet: scan the base itself
                 scan_table = base
+                cover = self.hierarchy.base_cover(query.predicate, base)
             next_consumed = consumed
             source, source_rows = base.name, base.num_rows
         else:
@@ -622,7 +634,7 @@ class BoundedQueryProcessor:
             next_consumed = rung
             source, source_rows = rung.name, rung.size
         indices, op, _ = self.executor.select_indices(
-            scan_table, query.predicate, context
+            scan_table, query.predicate, context, cover=cover
         )
         stats = ExecutionStats(source=source, source_rows=source_rows)
         stats.add(op)
@@ -822,7 +834,12 @@ class BoundedQueryProcessor:
             return self.estimator.estimate(query, rung, confidence, context)
         # the override marks a rung scan: the ladder's base rung never
         # uses the recycler (only the engine's exact path does)
-        exact = self.executor.execute(query, fact_table=base, context=context)
+        exact = self.executor.execute(
+            query,
+            fact_table=base,
+            context=context,
+            cover=self.hierarchy.base_cover(query.predicate, base),
+        )
         return exact_estimated_result(query, exact, base, confidence)
 
 

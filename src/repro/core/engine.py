@@ -597,7 +597,7 @@ class SciBorq:
             return ExecutionContext(clock=self.clock, limit=contract.time_budget)
 
         if contract.is_exact:
-            stream = self._run_exact(query, contract, open_context)
+            stream = self._run_exact(query, contract, open_context, hierarchy)
         elif not self._processors.get(query.table):
             raise QueryError(
                 f"no hierarchy for table {query.table!r}; create one or "
@@ -677,6 +677,7 @@ class SciBorq:
         query: Query,
         contract: Contract,
         open_context: Callable[[], ExecutionContext],
+        hierarchy: Optional[str],
     ) -> Iterator[ProgressUpdate]:
         """Exact stream: one base-data attempt, no ladder.
 
@@ -685,14 +686,20 @@ class SciBorq:
         one result type — and keeps the base path's side effects
         (recycler capture feeding the ICICLES reservoir, paper §5).
         Works on tables with no hierarchy: the executor is all it
-        needs.  Demoted blocks are promoted before the context opens,
-        so a wall-mode budget bills the scan alone.
+        needs.  With one, the selection reads the hierarchy's cell-laid
+        cover of the base when :meth:`ImpressionHierarchy.base_cover`
+        says so.  Demoted blocks are promoted and the cover resolved
+        before the context opens, so a wall-mode budget bills the scan
+        alone.
         """
         base = self.catalog.table(query.table)
         promote_for_exact(base, query)
+        named = self._hierarchies.get(query.table, {})
+        target = named.get(hierarchy or self._default_hierarchy.get(query.table))
+        cover = None if target is None else target.base_cover(query.predicate, base)
         context = open_context()
         entry_spent = context.spent
-        raw = self.executor.execute(query, context=context)
+        raw = self.executor.execute(query, context=context, cover=cover)
         self._offer_recycled_rows(query)
         result = exact_estimated_result(query, raw, base, contract.confidence)
         attempt = ExecutionAttempt(

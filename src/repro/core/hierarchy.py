@@ -12,13 +12,22 @@ Layer 0 is the most detailed (largest) impression; higher layers are
 smaller and cheaper.  The bounded query processor walks a hierarchy
 smallest-first and escalates toward layer 0 — and ultimately the base
 table — until the quality contract is satisfied.
+
+The base table stays in load order, but the hierarchy already
+partitions it in interest-cell order: the largest layer's table plus
+its complement.  :meth:`ImpressionHierarchy.base_cover` decides when a
+base scan reads those two instead.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
+from repro.columnstore.executor import BaseCover
+from repro.columnstore.expressions import Expression
+from repro.columnstore.operators import scan_plan
 from repro.columnstore.query import Query
+from repro.columnstore.recycler import reads_lossy_values
 from repro.columnstore.table import Table
 from repro.core.impression import Impression
 from repro.errors import ImpressionError
@@ -114,6 +123,48 @@ class ImpressionHierarchy:
             if impression.size <= budget_rows:
                 return impression
         return None
+
+    def base_cover(self, predicate: Expression, base: Table) -> Optional[BaseCover]:
+        """What a scan of ``base`` for ``predicate`` reads instead, if
+        anything: the access-path rule of every base scan.
+
+        The largest layer's table and its complement partition the base
+        in interest-cell order (:meth:`Impression.cover`), so a selective
+        predicate on the cell attributes prunes most of both, where the
+        base, in load order, offers every block to every cone.  The cover
+        is read only when all of these hold, checked cheapest first:
+
+        1. the predicate reads an attribute the cells are keyed on, and
+           only columns the largest layer holds;
+        2. its two tables hold exactly ``base.num_rows`` rows;
+        3. no part — and not the base — would be read through
+           dequantised values (:func:`reads_lossy_values`): a lossy part
+           must not answer an exact scan, and a lossy base scan must
+           keep its own answer;
+        4. the two zone plans together scan fewer rows than the base's.
+
+        The executor scans what this returns
+        (:meth:`Executor.select_indices
+        <repro.columnstore.executor.Executor.select_indices>`), and the
+        bounded processor prices a base rung's select step with its
+        ``scan_rows`` — one rule for both.  ``None`` means: scan the base.
+        """
+        largest = self._layers[0]
+        columns = predicate.columns()
+        held = largest.columns if largest.columns is not None else base.column_names
+        if (
+            not columns & largest.cells.attributes
+            or not columns <= set(held)
+            or reads_lossy_values(base, predicate)
+        ):
+            return None
+        parts = largest.cover(base)
+        if parts is None or any(reads_lossy_values(part, predicate) for part in parts):
+            return None
+        scan_rows = sum(scan_plan(part, predicate)[1] for part in parts)
+        if scan_rows >= scan_plan(base, predicate)[1]:
+            return None
+        return BaseCover(parts, scan_rows)
 
     def total_rows(self) -> int:
         """Sum of layer sizes (the hierarchy's storage footprint)."""

@@ -101,6 +101,11 @@ class CellKeys:
         self._known = self._buffer[:0]
         self._lock = threading.Lock()
 
+    @property
+    def attributes(self) -> frozenset[str]:
+        """The interest attributes the cells are keyed on."""
+        return frozenset(self._domains)
+
     def observe(self, start_row: int, batch: Mapping[str, np.ndarray]) -> None:
         """Key the rows ``start_row...`` of an appended batch."""
         attributes = [a for a in self._domains if a in batch][:8]
@@ -566,6 +571,29 @@ class Impression:
                 table.carry_from(cached[-1], patch)
             self._complement = (key, slot_ids, num_rows, starts, table)
             return table
+
+    def cover(self, base: Table) -> Optional[Tuple[DerivedTable, DerivedTable]]:
+        """``(table, complement)``: every row of ``base`` exactly once.
+
+        :meth:`materialise` and :meth:`materialise_complement` of one
+        sampler state and one base length, each in (cell, row id) order
+        on its own zone grid — a partition of the base a scan can prune
+        by interest cell.  ``None`` when the two do not fit together (a
+        live offer or append landed between the two builds).
+        """
+        table = self.materialise(base)
+        complement = self.materialise_complement(base)
+        with self._materialise_lock:
+            cached = self._complement
+            same_state = (
+                self._cached is table
+                and cached is not None
+                and cached[-1] is complement
+                and self._cache_key == (cached[0][0], cached[0][2])
+            )
+        if not same_state or table.num_rows + complement.num_rows != base.num_rows:
+            return None
+        return table, complement
 
     # ------------------------------------------------------------------
     def cached_table(self) -> Optional[Table]:

@@ -3,9 +3,12 @@
 Two slivers x delta/scratch x three budgets, run on a nested ladder
 and again after an ingest has made every cached table stale, on hot
 data.  ``tests/data/ladder_dump.json`` holds what this module printed
-once impression tables were laid out by interest cell;
+once base rungs read the hierarchy's cell-laid cover of the base;
 ``tests/test_lazy_impressions.py`` holds the current code to it, float
-for float (``float.hex``).  ``tests/data/ladder_dump_id_order.json`` is
+for float (``float.hex``).  ``tests/data/ladder_dump_load_order_base.json``
+is the dump from when every base rung scanned the base in load order,
+which ``tests/test_base_cover.py`` holds the cover to: every answer
+identical, no charge higher.  ``tests/data/ladder_dump_id_order.json`` is
 the dump of the last row-id-ordered layout (unchanged since the eager
 materialisation), which ``tests/test_cell_layout.py`` holds the cell
 layout to: the same counts, answers within 1e-12, no charge higher.

@@ -72,9 +72,9 @@ def scanned(monkeypatch) -> list[Table]:
     tables: list[Table] = []
     original = Executor.select_indices
 
-    def recording(self, source, predicate, context, recycle=False):
+    def recording(self, source, predicate, context, recycle=False, cover=None):
         tables.append(source)
-        return original(self, source, predicate, context, recycle=recycle)
+        return original(self, source, predicate, context, recycle=recycle, cover=cover)
 
     monkeypatch.setattr(Executor, "select_indices", recording)
     return tables
@@ -386,8 +386,9 @@ def test_ladder_dump_is_byte_identical_to_the_eager_parent():
     """Answers, attempts, charges, delta rows and every progress update
     of 12 cases (2 slivers x delta/scratch x 3 budgets), on a nested
     ladder and again after an ingest, against the dump of the
-    cell-ordered layout (see :mod:`ladder_dump`; the eager, id-ordered
-    parent's dump is held to it in ``test_cell_layout.py``)."""
+    cell-ordered layout with base rungs read through the cover (see
+    :mod:`ladder_dump`; the earlier dumps are held to it in
+    ``test_cell_layout.py`` and ``test_base_cover.py``)."""
     golden = json.loads(
         (Path(__file__).parent / "data" / "ladder_dump.json").read_text()
     )
