@@ -147,7 +147,10 @@ def run_loaded(
             key: (slots[key].queue_seconds, slots[key].run_seconds)
             for key in outcomes
         }
-        stats = server.admission.stats
+    # read after shutdown: a worker returns the admission slot after its
+    # handle's result is published, so the last release can trail the
+    # last result() by a moment
+    stats = server.admission.stats
     return slots, outcomes, latencies, stats, elapsed
 
 

@@ -4,10 +4,12 @@ SciBORQ's serving story (and LifeRaft's core observation) is that
 exploratory science traffic is redundant: many users probe the same
 table — often the same hot regions — at the same time, each under
 their own bounds.  The shared-scan batch scheduler
-(:mod:`repro.core.scheduler`) turns that redundancy into wall-clock:
-in-flight rung scans of the same table convoy on one pass, equal
-predicates are evaluated once, and every query is still charged
-exactly its solo cost.
+(:mod:`repro.core.scheduler`) and the executor's selection cache
+(:mod:`repro.columnstore.recycler`) turn that redundancy into
+wall-clock: in-flight rung scans of the same table convoy on one pass,
+equal predicates are evaluated once, a scan that queued behind its
+twin's pass is served by it, and every query is still charged exactly
+its solo cost.
 
 Standalone benchmark (``python benchmarks/bench_shared_scan.py
 [--smoke]``) pins two claims with 8 concurrent sessions probing the
@@ -16,11 +18,11 @@ same table through a shared server:
   (a) **identity** — per-query results, tuples charged, attempts, and
       ``ProgressUpdate`` streams are byte-identical between the
       shared-scan server and an identically-seeded server with
-      sharing disabled;
+      sharing disabled and no selection cache;
   (b) **throughput** — completing the whole 8-session workload takes
-      ≥2x less wall-clock with shared scans than without, at equal
-      pool width (measured via convoy dedup: the scheduler reports
-      how many scans were served by a sibling's evaluation).
+      ≥2x less wall-clock with sharing than without, at equal pool
+      width (the cache's hits and the convoys' dedups count the scans
+      another query's evaluation served).
 
 Writes ``BENCH_shared_scan.json`` (see ``bench/report.py``) so CI
 keeps the performance trajectory as workflow artifacts.
@@ -41,11 +43,15 @@ SESSIONS = 8
 ERROR_BOUND = 0.005  # tight enough to force deep multi-rung climbs
 
 
-def build_engine(n: int, seed: int) -> SciBorq:
-    """A deterministic engine; equal seeds produce identical state."""
+def build_engine(n: int, seed: int, cache: bool = True) -> SciBorq:
+    """A deterministic engine; equal seeds produce identical state.
+
+    ``cache=False`` builds it without the selection cache.
+    """
     engine = SciBorq(
         create_skyserver_catalog(),
         interest_attributes={"ra": RA_RANGE, "dec": DEC_RANGE},
+        recycler_bytes=16 * 1024 * 1024 if cache else None,
         rng=seed,
     )
     engine.create_hierarchy(
@@ -99,9 +105,9 @@ def warm_server(session) -> None:
     Runs *different* bands over the same columns, so materialised
     rungs, their gathered columns, zone maps, and delta/complement
     caches are built (one-off costs both arms would otherwise pay
-    inside the timer) while the scheduler's scan memo stays cold for
-    the hot workload — the shared arm gets no head start on the
-    queries being measured.
+    inside the timer) while the selection cache stays cold for the hot
+    workload — the shared arm gets no head start on the queries being
+    measured.
     """
     for r_lo in (16.0, 20.0):
         session.execute(_band(r_lo, 3.0))
@@ -113,9 +119,10 @@ def run_arm(shared: bool, n: int, seed: int, rounds: int):
     The server keeps its default, core-capped pool width — the sane
     production sizing — while all 8 sessions stay concurrently in
     flight; sharing must win by removing redundant work, not by
-    rearranging threads.
+    rearranging threads.  The solo arm has neither convoys nor the
+    selection cache.
     """
-    engine = build_engine(n, seed)
+    engine = build_engine(n, seed, cache=shared)
     with SciBorqServer(engine, shared_scans=shared) as server:
         sessions = [
             server.open_session(
@@ -129,7 +136,9 @@ def run_arm(shared: bool, n: int, seed: int, rounds: int):
         handles = server.submit_many(jobs)
         outcomes = [handle.result() for handle in handles]
         elapsed = time.perf_counter() - started
-        stats = server.scheduler.stats if server.scheduler is not None else None
+        stats = None
+        if shared:
+            stats = (server.scheduler.stats, engine.recycler.stats)
         summaries = []
         for handle, outcome in zip(handles, outcomes):
             updates = [
@@ -205,13 +214,16 @@ def main() -> None:
     solo_best, shared_best = min(solo_times), min(shared_times)
     speedup = solo_best / shared_best
     assert convoy_stats is not None
+    convoy_stats, cache_stats = convoy_stats
+    served = convoy_stats.deduped_scans + cache_stats.hits
     print("== E7b: throughput ==")
     print(f"  {convoy_stats.describe()}")
+    print(f"  selection cache: {cache_stats.hits} hits, {cache_stats.misses} misses")
     print(
         f"  wall-clock (best of {repetitions}): solo {solo_best:.3f}s, "
         f"shared {shared_best:.3f}s → {speedup:.2f}x"
     )
-    assert convoy_stats.deduped_scans > 0, "no convoy ever shared a scan"
+    assert served > 0, "no scan was ever served by another query's evaluation"
     assert speedup >= 2.0, (
         f"shared scans must be ≥2x faster at {SESSIONS} concurrent "
         f"same-table sessions; measured {speedup:.2f}x"
@@ -234,6 +246,8 @@ def main() -> None:
                 "deduped_scans": convoy_stats.deduped_scans,
                 "tuples_saved": convoy_stats.tuples_saved,
             },
+            "cache_hits": cache_stats.hits,
+            "served_scans": served,
         },
     )
     print("all shared-scan claims hold ✓")

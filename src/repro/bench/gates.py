@@ -18,7 +18,9 @@ per-tier figures, vacuously passing for unexercised tiers), the
 monitor's observation overhead at most 2% of burst time, and — from
 the ``maintenance`` artifact — at most one column gathered per rung
 beyond those the first query after an ingest reads, with
-refresh-from-below at least 10x cheaper than a rebuild.  ``--spec``
+refresh-from-below at least 10x cheaper than a rebuild, and — from
+the ``zone_maps`` and ``recycler`` artifacts — the base cover's and the
+selection cache's savings.  ``--spec``
 points at a JSON file in the mapping shape
 :meth:`GateSpec.coerce` accepts (see CONTRIBUTING.md).
 """
@@ -71,6 +73,13 @@ DEFAULT_SPEC = GateSpec(
         # base (not required, like the maintenance gates)
         MetricGate(
             artifact="zone_maps", metric="base_cover.tuples_ratio", min_value=3
+        ),
+        # repeated bounded climbs: the selection cache serves every rung
+        # scan of a repetition, so scans read ≥3x fewer tuples than
+        # uncached climbs charged the same (not required, like the
+        # maintenance gates)
+        MetricGate(
+            artifact="recycler", metric="ladder.performed_saving", min_value=3
         ),
     ),
 )

@@ -166,12 +166,3 @@ def figure7_series(
             [base.proportions()[focal_bins].sum()]
         )
     return out
-
-
-def sample_values(
-    engine: SciBorq, table: str, layer: int, column: str
-) -> np.ndarray:
-    """Column values of one impression layer (figure plumbing)."""
-    base = engine.catalog.table(table)
-    impression = engine.hierarchy(table).layer(layer)
-    return impression.materialise(base)[column].copy()

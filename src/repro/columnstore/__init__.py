@@ -32,14 +32,13 @@ from repro.columnstore.expressions import (
     Or,
     Not,
     col_eq,
-    col_between,
 )
 from repro.columnstore.query import Query, AggregateSpec, JoinSpec
 from repro.columnstore.aggstate import FoldState
 from repro.columnstore.executor import Executor, QueryResult, ExecutionStats
 from repro.columnstore.recycler import Recycler
 from repro.columnstore.loader import Loader, LoadObserver
-from repro.columnstore.plan import explain, estimate_cost
+from repro.columnstore.plan import estimate_cost
 from repro.columnstore.statistics import TableStatistics
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "Or",
     "Not",
     "col_eq",
-    "col_between",
     "Query",
     "AggregateSpec",
     "JoinSpec",
@@ -69,7 +67,6 @@ __all__ = [
     "Recycler",
     "Loader",
     "LoadObserver",
-    "explain",
     "estimate_cost",
     "TableStatistics",
 ]

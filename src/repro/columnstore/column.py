@@ -465,6 +465,22 @@ class Column:
                     worst = max(worst, entry.value_error)
         return worst
 
+    def lossy_state(self) -> tuple:
+        """What a read of this column gets dequantised: the inherited
+        floor and, by block, each warm block's recorded bound — ``()``
+        when every value read is exact.  Equal states read equal values:
+        a block quantises the same raw values the same way every time."""
+        warm = ()
+        if self._chunks is not None:
+            warm = tuple(
+                (block, entry.value_error)
+                for block, entry in enumerate(self._chunks)
+                if isinstance(entry, _WarmBlock) and entry.value_error > 0.0
+            )
+        if warm or self._value_error_floor > 0.0:
+            return (self._value_error_floor, warm)
+        return ()
+
     def declare_value_error(self, bound: float) -> None:
         """Raise the column's inherited value-error floor to ``bound``.
 

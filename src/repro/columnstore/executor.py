@@ -27,7 +27,7 @@ from repro.columnstore.catalog import Catalog
 from repro.columnstore.column import Column
 from repro.columnstore.operators import OperatorStats
 from repro.columnstore.query import Query
-from repro.columnstore.recycler import Recycler
+from repro.columnstore.recycler import Recycler, lossy_reads
 from repro.columnstore.table import DerivedTable, Table
 from repro.errors import QueryError
 from repro.util.clock import CostClock, ExecutionContext, WallClock
@@ -44,10 +44,8 @@ class ExecutionStats:
     source: str
     source_rows: int
     operators: List[OperatorStats] = field(default_factory=list)
-    recycled: bool = False
     #: What this execution's context metered during the call: tuple
-    #: units under a CostClock, elapsed seconds under a WallClock
-    #: (where recycled lookups still take — and bill — real time).
+    #: units under a CostClock, elapsed seconds under a WallClock.
     charged: float = 0.0
 
     @property
@@ -63,7 +61,7 @@ class ExecutionStats:
         """One line per operator, for EXPLAIN ANALYZE style output."""
         lines = [
             f"source={self.source} rows={self.source_rows} "
-            f"cost={self.total_cost}" + (" (recycled)" if self.recycled else "")
+            f"cost={self.total_cost}"
         ]
         lines.extend(
             f"  {op.operator}: in={op.tuples_in} out={op.tuples_out}"
@@ -85,6 +83,15 @@ class BaseCover(NamedTuple):
     parts: Tuple[DerivedTable, ...]
     #: rows the parts' zone plans scan together: the select step's cost
     scan_rows: int
+
+    def merge(self, found: List[np.ndarray]) -> np.ndarray:
+        """The base indices of the parts' selections ``found``, sorted:
+        exactly the index vector a scan of the base returns."""
+        return np.sort(
+            np.concatenate(
+                [part.row_ids[hits] for part, hits in zip(self.parts, found)]
+            ).astype(np.int64, copy=False)
+        )
 
 
 @dataclass
@@ -125,11 +132,10 @@ class Executor:
 
     **Ownership.**  An engine (:class:`~repro.core.engine.SciBorq`)
     builds exactly one executor and hands it by reference to every
-    bounded processor and impression estimator it creates, so a
-    scheduler assigned here is seen by the exact path and every ladder
-    rung at their next scan; built stand-alone, processors
-    and estimators create a private one.  Which scans may use the
-    :attr:`recycler` is decided in :meth:`select_indices` alone.
+    bounded processor and impression estimator it creates, so its
+    :attr:`recycler` and a scheduler assigned here are seen by the
+    exact path and every ladder rung at their next scan; built
+    stand-alone, processors and estimators create a private one.
 
     Parameters
     ----------
@@ -140,7 +146,8 @@ class Executor:
         this executor forwards its charges here.  Defaults to a
         private :class:`CostClock`.
     recycler:
-        Optional intermediate-result cache (exact base scans only).
+        Optional selection cache, consulted for every scan
+        (:meth:`select_indices`).
     scan_pool:
         Worker pool for morsel-parallel selections.  Defaults to the
         process-wide shared pool; pass ``None`` explicitly via
@@ -192,8 +199,6 @@ class Executor:
         The override is how ladder rungs are queried: the query still
         *names* the base table, but the rows come from the given table
         (an impression, or the base itself as a ladder's last rung).
-        Only an execution without an override — the exact base-table
-        path — may use the recycler (see :meth:`select_indices`).
         ``context`` carries this execution's cost meter; when absent a
         fresh unbounded context is opened (its charges still aggregate
         to :attr:`clock`).  ``cover`` is a partition of the source the
@@ -204,10 +209,7 @@ class Executor:
             context = self.new_context()
         source = fact_table if fact_table is not None else self.catalog.table(query.table)
         spent_before = context.spent
-        # an override marks a rung scan: only the base-table path recycles
-        working, stats = self.working_set(
-            query, source, context, recycle=fact_table is None, cover=cover
-        )
+        working, stats = self.working_set(query, source, context, cover=cover)
         if query.is_aggregate:
             result = self.finish_aggregate(query, working, stats, context)
         else:
@@ -220,7 +222,6 @@ class Executor:
         query: Query,
         source: Table,
         context: Optional[ExecutionContext] = None,
-        recycle: bool = False,
         cover: Optional[BaseCover] = None,
     ) -> tuple[Table, ExecutionStats]:
         """Select and join: the rows of ``source`` the rest of the plan reads.
@@ -236,9 +237,7 @@ class Executor:
             context = self.new_context()
         stats = ExecutionStats(source=source.name, source_rows=source.num_rows)
         spent_before = context.spent
-        indices, op, stats.recycled = self.select_indices(
-            source, query.predicate, context, recycle=recycle, cover=cover
-        )
+        indices, op = self.select_indices(source, query.predicate, context, cover=cover)
         stats.add(op)
         name = f"{source.name}#sel"
         carried = query.columns_carried()
@@ -262,78 +261,71 @@ class Executor:
         source: Table,
         predicate,
         context: ExecutionContext,
-        recycle: bool = False,
         cover: Optional[BaseCover] = None,
-    ) -> tuple[np.ndarray, OperatorStats, bool]:
+    ) -> tuple[np.ndarray, OperatorStats]:
         """Selection indices over ``source``: the one scan path.
 
         Every selection — exact base scans and all rung scans of the
-        bounded ladder — runs through here in one fixed order:
-        recycler lookup, then the shared-scan scheduler or a solo
-        :func:`~repro.columnstore.operators.select`, one charge, one
-        store-back.  Returns ``(indices, stats, recycled)``; a recycled
-        answer charges nothing, and either back-end returns the solo
-        scan's indices and stats and charges its cost.
+        bounded ladder: impressions, deltas, complements and the base —
+        runs through here in one fixed order: one :attr:`recycler`
+        lookup, on a miss the shared-scan scheduler or a solo
+        :func:`~repro.columnstore.operators.select`, then one
+        store-back.  Returns the solo scan's ``(indices, stats)`` and
+        charges its cost, whoever served it; a cache hit is also noted
+        as shared (:meth:`ExecutionContext.note_shared`), since no
+        block was read for it.
 
         With a ``cover`` of ``source`` each part is scanned instead,
-        down the same back-end and charged its own solo cost; every
-        match maps through its part's ``row_ids`` and the union, sorted,
-        is exactly the index vector a scan of ``source`` returns.  The
-        parts' stats add up to one ``select``.  The recycler still keys
-        on ``source``.
-
-        **The recycler rule lives here.**  ``recycle=True`` states
-        that this is the exact base-table path (:meth:`execute` says so
-        when given no ``fact_table`` override); only then is the
-        :attr:`recycler` consulted and filled.  No rung scan recycles:
-        impression deltas and complements reuse names and versions
-        across sampler generations, so the recycler's ``(name, version,
-        fingerprint)`` key would serve stale index vectors.
+        down the same path and charged its own solo cost; every match
+        maps through its part's ``row_ids`` and the union, sorted, is
+        exactly the index vector a scan of ``source`` returns.  The
+        parts' stats add up to one ``select``.
 
         Contexts that opted out (``shared_scans=False``) and
         serial-forced executors (``parallel_scans=False``, scans run in
-        the calling thread) skip the :attr:`scheduler`.
+        the calling thread) skip the :attr:`scheduler`, not the cache.
         """
-        recycler = self.recycler if recycle else None
-        if recycler is not None:
-            cached = recycler.lookup(source, predicate)
-            if cached is not None:
-                op = OperatorStats("select(recycled)", 0, cached.shape[0])
-                return cached, op, True
         if cover is None:
-            indices, op = self._scan(source, predicate, context)
-        else:
-            scans = [self._scan(part, predicate, context) for part in cover.parts]
-            indices = np.sort(
-                np.concatenate(
-                    [part.row_ids[found] for part, (found, _) in zip(cover.parts, scans)]
-                ).astype(np.int64, copy=False)
-            )
-            op = OperatorStats(
-                "select",
-                sum(part_op.tuples_in for _, part_op in scans),
-                int(indices.shape[0]),
-                blocks_scanned=sum(part_op.blocks_scanned for _, part_op in scans),
-                blocks_pruned=sum(part_op.blocks_pruned for _, part_op in scans),
-            )
-        if recycler is not None:
-            recycler.store(source, predicate, indices)
-        return indices, op, False
+            return self._scan(source, predicate, context)
+        scans = [self._scan(part, predicate, context) for part in cover.parts]
+        indices = cover.merge([found for found, _ in scans])
+        op = OperatorStats(
+            "select",
+            sum(part_op.tuples_in for _, part_op in scans),
+            int(indices.shape[0]),
+            blocks_scanned=sum(part_op.blocks_scanned for _, part_op in scans),
+            blocks_pruned=sum(part_op.blocks_pruned for _, part_op in scans),
+        )
+        return indices, op
 
     def _scan(
         self, table: Table, predicate, context: ExecutionContext
     ) -> tuple[np.ndarray, OperatorStats]:
-        """One scan of ``table``, on the scheduler or solo, charged."""
+        """One scan of ``table``: from the cache, the scheduler or solo,
+        charged the solo cost."""
+        recycler = self.recycler
+        if recycler is not None:
+            # tagged before the scan: a block promoted while it runs
+            # must not let a lossy evaluation pass for an exact one
+            lossy = lossy_reads(table, predicate)
+            hit = recycler.lookup(table, predicate, lossy)
+            if hit is not None:
+                context.charge(hit[1].cost)
+                context.note_shared(hit[1].cost)
+                return hit
         if (
             self.scheduler is not None
             and context.shared_scans
             and self.scan_pool is not None
         ):
-            # the scheduler charges the context itself: it also notes
-            # which of the charged units another query's scan performed
-            return self.scheduler.scan(table, predicate, context)
+            # the scheduler charges the context itself (noting which
+            # units another query's scan performed) and fills the cache
+            # inside its pass, where a scan queued behind it looks
+            return self.scheduler.scan(table, predicate, context, recycler)
         indices, op = operators.select(table, predicate, pool=self.scan_pool)
         context.charge(op.cost)
+        if recycler is not None:
+            recycler.store(table, predicate, indices, op, lossy)
         return indices, op
 
     def _apply_joins(

@@ -384,8 +384,3 @@ def _merge_requested(
 def col_eq(column: str, value: object) -> Comparison:
     """Shorthand for ``Comparison(column, "==", value)``."""
     return Comparison(column, "==", value)
-
-
-def col_between(column: str, lo: float, hi: float) -> Between:
-    """Shorthand for ``Between(column, lo, hi)``."""
-    return Between(column, lo, hi)

@@ -133,14 +133,3 @@ def estimate_cost(
     if query.limit is not None:
         steps.append(PlanStep("limit", min(surviving, float(query.limit)), ""))
     return PlanEstimate(steps=steps)
-
-
-def explain(
-    query: Query,
-    catalog: Catalog,
-    fact_table: Optional[Table] = None,
-) -> str:
-    """Human-readable plan text for a query (examples, debugging)."""
-    estimate = estimate_cost(query, catalog, fact_table)
-    header = f"query: {query.fingerprint()}"
-    return header + "\n" + estimate.describe()

@@ -1,4 +1,5 @@
-"""Intermediate-result recycler (Ivanova et al., SIGMOD 2009, ref [13]).
+"""The selection cache: intermediate-result recycling (Ivanova et al.,
+SIGMOD 2009, ref [13]).
 
 MonetDB's recycler caches operator intermediates and reuses them when a
 later query contains the same sub-plan.  The paper leans on it twice:
@@ -6,48 +7,64 @@ it "already facilitates" keeping the tuples a workload touched
 (paper §3.3), and its existence is why re-routing running queries
 between impressions is practical (§3.2).
 
-The reproduction caches *selection index vectors* keyed by
-``(table name, table version, predicate fingerprint)``.  Keying on the
-version makes invalidation free: an append bumps the version, and stale
-entries simply stop matching (and age out by LRU).
+The reproduction caches *selections*: the index vector and the solo
+:class:`~repro.columnstore.operators.OperatorStats` of one scan, keyed
+by ``(table object, table version, predicate fingerprint)``.  It is the
+one cache of the scan path —
+:meth:`~repro.columnstore.executor.Executor.select_indices` consults it
+for every scan, of base tables and of impression, delta and complement
+tables alike.
 
-Tiering does *not* bump the version, so each entry also remembers
-whether its predicate was evaluated over quantised (warm) blocks
-(:func:`reads_lossy_values`).  Such an entry keeps serving scans that
-would read lossy values themselves, and is refused once the predicate's
-columns are exact again — an exact answer never reuses a lossy
-evaluation.
+* **The live object is the key.**  Deltas and complements reuse names
+  and versions across sampler generations, but each generation is a new
+  object, so a stale entry can never match.  The entry holds a weak
+  reference to its table, so a later object that happens to get the
+  same ``id()`` never hits either.
+* **The version invalidates.**  An append bumps it; stale entries stop
+  matching and age out by LRU.
+* **The lossy tag is taken before the scan.**  Tiering bumps no version,
+  so each entry remembers which quantised (warm) values its scan read
+  (:func:`lossy_reads`), and serves only a scan that would read the
+  same: an exact scan never reuses a lossy evaluation, and no scan
+  reuses one made before the governor moved a block it reads.  The
+  caller takes the tag before evaluating, because blocks are promoted
+  while readers run: a tag taken after would pass a lossy evaluation
+  off as exact.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.columnstore.expressions import Expression
+from repro.columnstore.operators import OperatorStats
 from repro.columnstore.table import Table
 
-_Key = Tuple[str, int, str]
 
-
-def reads_lossy_values(table: Table, predicate: Expression) -> bool:
-    """Whether evaluating ``predicate`` over ``table`` right now would
-    read dequantised values (any of its columns holds a warm block or
-    inherited a value-error bound from a lossy source)."""
-    return any(
-        table.column(name).max_value_error() > 0.0
-        for name in predicate.columns()
-        if table.has_column(name)
-    )
+def lossy_reads(table: Table, predicate: Expression) -> tuple:
+    """What evaluating ``predicate`` over ``table`` right now would read
+    dequantised — from a warm block, or a column that inherited a value
+    error from a lossy source: ``(column, Column.lossy_state())`` for
+    each predicate column that has any, ``()`` (falsy) when every value
+    read is exact.  Equal tags read equal values."""
+    tag = []
+    for name in predicate.columns():
+        if table.has_column(name):
+            state = table.column(name).lossy_state()
+            if state:
+                tag.append((name, state))
+    return tuple(tag)
 
 
 @dataclass
 class RecyclerStats:
-    """Hit/miss counters, exposed for the recycler benchmark (E11)."""
+    """Hit/miss counters of the selection cache."""
 
     hits: int = 0
     misses: int = 0
@@ -62,8 +79,15 @@ class RecyclerStats:
         return self.hits / total if total else 0.0
 
 
+class _Entry(NamedTuple):
+    ref: "weakref.ref[Table]"
+    indices: np.ndarray
+    stats: OperatorStats
+    lossy: tuple
+
+
 class Recycler:
-    """An LRU cache of selection results with a byte budget.
+    """An LRU cache of selections with a byte budget.
 
     Parameters
     ----------
@@ -78,8 +102,7 @@ class Recycler:
                 f"capacity_bytes must be positive, got {capacity_bytes}"
             )
         self.capacity_bytes = capacity_bytes
-        #: key -> (indices, evaluated over lossy values?)
-        self._entries: "OrderedDict[_Key, Tuple[np.ndarray, bool]]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._bytes = 0
         self.stats = RecyclerStats()
         # One recycler is shared by every session of a server; lookups
@@ -87,63 +110,95 @@ class Recycler:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def _key(self, table: Table, predicate: Expression) -> _Key:
-        return (table.name, table.version, predicate.fingerprint())
+    @staticmethod
+    def _key(table: Table, predicate: Expression) -> tuple:
+        return (id(table), table.version, predicate.fingerprint())
 
-    def lookup(self, table: Table, predicate: Expression) -> Optional[np.ndarray]:
-        """Return cached selection indices, or None on a miss.
-
-        A hit refreshes the entry's LRU position.  An entry evaluated
-        over lossy values is a miss once the predicate's columns are
-        exact again (the store-back after the rescan replaces it).
-        """
+    def _serve(
+        self, table: Table, predicate: Expression, lossy: tuple
+    ) -> Optional[Tuple[np.ndarray, OperatorStats]]:
+        """The selection serving this scan, LRU-refreshed (under the
+        lock).  The entry must be this very table's: a dead table's
+        ``id()``, reused, finds nothing."""
         key = self._key(table, predicate)
+        entry = self._entries.get(key)
+        if entry is None or entry.ref() is not table or entry.lossy != lossy:
+            return None
+        self._entries.move_to_end(key)
+        return entry.indices, entry.stats
+
+    def lookup(
+        self, table: Table, predicate: Expression, lossy: tuple
+    ) -> Optional[Tuple[np.ndarray, OperatorStats]]:
+        """The cached ``(indices, stats)`` of this scan, or None on a miss.
+
+        ``lossy`` is :func:`lossy_reads` of the scan asking: an entry
+        whose tag differs is a miss (the store-back after the rescan
+        replaces it).  A hit refreshes the entry's LRU position.
+        """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or (
-                entry[1] and not reads_lossy_values(table, predicate)
-            ):
+            hit = self._serve(table, predicate, lossy)
+            if hit is None:
                 self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry[0]
+            else:
+                self.stats.hits += 1
+            return hit
+
+    def recheck(
+        self, table: Table, predicate: Expression, lossy: tuple
+    ) -> Optional[Tuple[np.ndarray, OperatorStats]]:
+        """A second look for a scan whose :meth:`lookup` missed.
+
+        The shared-scan scheduler asks again when the scan leads its
+        pass: a twin's pass may have stored the selection while it
+        queued.  A hit turns the scan's miss into a hit, so every scan
+        still counts once in :attr:`stats`; a miss counts nothing.
+        """
+        with self._lock:
+            hit = self._serve(table, predicate, lossy)
+            if hit is not None:
+                self.stats.misses -= 1
+                self.stats.hits += 1
+            return hit
 
     def peek(self, table: Table, predicate: Expression) -> Optional[np.ndarray]:
-        """Read a cached entry without touching stats or LRU order.
+        """Read a cached selection without touching stats or LRU order.
 
-        Internal plumbing (e.g. feeding the ICICLES reservoir the rows
-        a query just touched) uses this so bookkeeping reflects only
-        real query traffic.
+        Internal plumbing (feeding the ICICLES reservoir the rows a
+        query just touched) uses this so bookkeeping reflects only real
+        query traffic.
         """
         with self._lock:
             entry = self._entries.get(self._key(table, predicate))
-            return None if entry is None else entry[0]
+            return entry.indices if entry is not None and entry.ref() is table else None
 
-    def store(self, table: Table, predicate: Expression, indices: np.ndarray) -> None:
-        """Cache selection indices, evicting LRU entries to fit."""
-        indices = np.asarray(indices)
+    def store(
+        self,
+        table: Table,
+        predicate: Expression,
+        indices: np.ndarray,
+        stats: OperatorStats,
+        lossy: tuple,
+    ) -> None:
+        """Cache one scan's selection, evicting LRU entries to fit.
+
+        ``lossy`` is the :func:`lossy_reads` tag the caller took
+        *before* the scan ran.
+        """
         if indices.nbytes > self.capacity_bytes:
-            # Would evict everything and still not fit.  Count it:
-            # a silently dropped entry looks identical to a stored one
-            # from the caller's side, so capacity misconfiguration was
-            # previously invisible in the stats.
+            # would evict everything and still not fit: count it, or
+            # capacity misconfiguration is invisible in the stats
             with self._lock:
                 self.stats.rejected += 1
             return
         key = self._key(table, predicate)
-        lossy = reads_lossy_values(table, predicate)
         with self._lock:
             if key in self._entries:
-                self._bytes -= self._entries.pop(key)[0].nbytes
-            while (
-                self._bytes + indices.nbytes > self.capacity_bytes
-                and self._entries
-            ):
-                _, (evicted, _) = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
+                self._bytes -= self._entries.pop(key).indices.nbytes
+            while self._bytes + indices.nbytes > self.capacity_bytes:
+                self._bytes -= self._entries.popitem(last=False)[1].indices.nbytes
                 self.stats.evictions += 1
-            self._entries[key] = (indices, lossy)
+            self._entries[key] = _Entry(weakref.ref(table), indices, stats, lossy)
             self._bytes += indices.nbytes
             self.stats.stored += 1
 

@@ -315,8 +315,9 @@ class AdmissionController:
 
         A queued query whose table currently has shared-scan lanes (a
         convoy in flight, or one that just ran) is boosted: admitting
-        it *now* lets it ride the convoy's pass or its scan memo,
-        which is throughput the queue would otherwise waste.  The
+        it *now* lets it ride the convoy's pass, or find recent scans'
+        selections still in the executor's cache, which is throughput
+        the queue would otherwise waste.  The
         server binds its own scheduler automatically.
         """
         self._scheduler = scheduler

@@ -200,7 +200,7 @@ class BoundedQueryProcessor:
         passes its single executor, so the scheduler it installs there
         serves rung scans at once (and its exact path scans through the
         same object); stand-alone, a private executor is created.
-        Rung scans never use the recycler: the rule lives in
+        Every rung scan consults the executor's selection cache once, in
         :meth:`Executor.select_indices
         <repro.columnstore.executor.Executor.select_indices>`.
     """
@@ -633,7 +633,7 @@ class BoundedQueryProcessor:
             ids = scan_table.row_ids
             next_consumed = rung
             source, source_rows = rung.name, rung.size
-        indices, op, _ = self.executor.select_indices(
+        indices, op = self.executor.select_indices(
             scan_table, query.predicate, context, cover=cover
         )
         stats = ExecutionStats(source=source, source_rows=source_rows)
@@ -832,8 +832,6 @@ class BoundedQueryProcessor:
     ) -> EstimatedResult:
         if rung is not None:
             return self.estimator.estimate(query, rung, confidence, context)
-        # the override marks a rung scan: the ladder's base rung never
-        # uses the recycler (only the engine's exact path does)
         exact = self.executor.execute(
             query,
             fact_table=base,

@@ -35,11 +35,12 @@ from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columnstore.catalog import Catalog
-from repro.columnstore.executor import Executor, QueryResult, expand_view
+from repro.columnstore.executor import BaseCover, Executor, QueryResult, expand_view
 from repro.columnstore.expressions import TruePredicate
 from repro.columnstore.loader import Loader
 from repro.columnstore.query import Query
 from repro.columnstore.recycler import Recycler
+from repro.columnstore.table import Table
 from repro.core.bounded import (
     BoundedQueryProcessor,
     BoundedResult,
@@ -151,6 +152,9 @@ class SciBorq:
         β for every interest histogram.
     drift_window / drift_threshold:
         Configuration of the per-attribute drift detectors.
+    recycler_bytes:
+        Byte budget of the executor's selection cache (the
+        :attr:`recycler`); ``None`` or 0 runs without one.
     clock:
         Cost clock; defaults to a deterministic tuples-touched clock.
     """
@@ -173,7 +177,6 @@ class SciBorq:
         self.rng = ensure_rng(rng)
         self.loader = Loader(catalog)
         self.builder = ImpressionBuilder(interest_attributes)
-        self.recycler = Recycler(recycler_bytes) if recycler_bytes else None
         self.query_log = QueryLog()
         self.interest = InterestModel(interest_attributes, bins=bins)
         self.collector = PredicateSetCollector(tuple(interest_attributes))
@@ -197,11 +200,13 @@ class SciBorq:
         self._self_tuning: Dict[str, SelfTuningReservoir] = {}
         #: The one executor: the exact path scans through it, and every
         #: processor and estimator this engine creates holds it by
-        #: reference — so the scheduler installed on it (by the server
-        #: layer) serves every rung scan, of hierarchies created before
-        #: or after the install alike.
+        #: reference — so its selection cache, and the scheduler
+        #: installed on it (by the server layer), serve every rung scan,
+        #: of hierarchies created before or after the install alike.
         self.executor = Executor(
-            catalog, clock=self.clock, recycler=self.recycler
+            catalog,
+            clock=self.clock,
+            recycler=Recycler(recycler_bytes) if recycler_bytes else None,
         )
         # memory governor (installed by the server layer or directly):
         # demotes least-recently-scanned blocks hot→warm→cold to keep
@@ -386,6 +391,11 @@ class SciBorq:
         if self.builder not in self.loader.observers_of(table):
             self.loader.register(table, self.builder)
         return reservoir
+
+    @property
+    def recycler(self) -> Optional[Recycler]:
+        """The executor's selection cache, or ``None``."""
+        return self.executor.recycler
 
     def set_scan_scheduler(self, scheduler) -> None:
         """Install (or remove, with ``None``) a shared-scan scheduler.
@@ -700,7 +710,7 @@ class SciBorq:
         context = open_context()
         entry_spent = context.spent
         raw = self.executor.execute(query, context=context, cover=cover)
-        self._offer_recycled_rows(query)
+        self._offer_recycled_rows(query, base, cover)
         result = exact_estimated_result(query, raw, base, contract.confidence)
         attempt = ExecutionAttempt(
             source=base.name,
@@ -718,14 +728,19 @@ class SciBorq:
             raise BudgetExceededError(contract.time_budget, outcome.total_cost)
         return outcome
 
-    def _offer_recycled_rows(self, query: Query) -> None:
-        """The ICICLES side effect of a base-data scan (paper §5)."""
+    def _offer_recycled_rows(
+        self, query: Query, base: Table, cover: Optional[BaseCover]
+    ) -> None:
+        """The ICICLES side effect of a base-data scan (paper §5): the
+        selection the scan left in the cache, part by part for a cover."""
         reservoir = self._self_tuning.get(query.table)
-        if reservoir is not None and self.recycler is not None:
-            base = self.catalog.table(query.table)
-            touched = self.recycler.peek(base, query.predicate)
-            if touched is not None:
-                reservoir.offer_results(touched)
+        if reservoir is None or self.recycler is None:
+            return
+        parts = (base,) if cover is None else cover.parts
+        found = [self.recycler.peek(part, query.predicate) for part in parts]
+        if any(hits is None for hits in found):
+            return
+        reservoir.offer_results(found[0] if cover is None else cover.merge(found))
 
     def _settle(
         self,

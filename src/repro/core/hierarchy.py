@@ -27,7 +27,7 @@ from repro.columnstore.executor import BaseCover
 from repro.columnstore.expressions import Expression
 from repro.columnstore.operators import scan_plan
 from repro.columnstore.query import Query
-from repro.columnstore.recycler import reads_lossy_values
+from repro.columnstore.recycler import lossy_reads
 from repro.columnstore.table import Table
 from repro.core.impression import Impression
 from repro.errors import ImpressionError
@@ -138,7 +138,7 @@ class ImpressionHierarchy:
            only columns the largest layer holds;
         2. its two tables hold exactly ``base.num_rows`` rows;
         3. no part — and not the base — would be read through
-           dequantised values (:func:`reads_lossy_values`): a lossy part
+           dequantised values (:func:`lossy_reads`): a lossy part
            must not answer an exact scan, and a lossy base scan must
            keep its own answer;
         4. the two zone plans together scan fewer rows than the base's.
@@ -155,11 +155,11 @@ class ImpressionHierarchy:
         if (
             not columns & largest.cells.attributes
             or not columns <= set(held)
-            or reads_lossy_values(base, predicate)
+            or lossy_reads(base, predicate)
         ):
             return None
         parts = largest.cover(base)
-        if parts is None or any(reads_lossy_values(part, predicate) for part in parts):
+        if parts is None or any(lossy_reads(part, predicate) for part in parts):
             return None
         scan_rows = sum(scan_plan(part, predicate)[1] for part in parts)
         if scan_rows >= scan_plan(base, predicate)[1]:

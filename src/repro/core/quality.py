@@ -136,9 +136,8 @@ class ImpressionEstimator:
         scans run through.  The estimator never owns a shared one: an
         engine passes its single executor (via the bounded processor),
         so a scheduler installed there serves impression scans too;
-        stand-alone, a private executor is created.
-        Impression scans always override the fact table, so they never
-        touch the recycler (the rule lives in
+        stand-alone, a private executor is created.  Its selection
+        cache serves repeated impression scans (see
         :meth:`Executor.select_indices
         <repro.columnstore.executor.Executor.select_indices>`).
     """

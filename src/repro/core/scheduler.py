@@ -10,8 +10,8 @@ ladders: the unit of sharing is the **rung scan**.
 
 How it works
 ------------
-Every rung scan of every in-flight query funnels through
-:meth:`SharedScanScheduler.scan` (via
+Every scan of every in-flight query that the executor's cache does not
+serve funnels through :meth:`SharedScanScheduler.scan` (via
 :meth:`~repro.columnstore.executor.Executor.select_indices`).  Scans
 are grouped by the *identity* of the table object being scanned —
 materialised impressions, rung deltas, and complements are cached on
@@ -32,23 +32,16 @@ collapse into one evaluation — the redundancy win — and distinct
 predicates ride the same pass, fanned morsel-by-morsel over the shared
 :class:`~repro.util.concurrency.MorselPool`.
 
-Convoys alone would under-share: the GIL staggers concurrent ladder
-climbs, so two queries scanning the same rung often miss each other by
-a few milliseconds.  Each lane therefore keeps a **scan memo**: once a
-convoy (or lone leader) has evaluated a predicate over a table object,
-later enrolled scans of the *same object at the same version* reuse
-the result — each block of a table generation really is read once per
-distinct predicate, no matter how arrivals interleave.  Keying on the
-live object (not name/version, the recycler's key) is what makes this
-safe for the ephemeral delta/complement tables that recycling must
-skip: a new sampler generation is a new object, so stale reuse is
-structurally impossible, and ingest bumps the version, which the memo
-checks.  Tiering changes neither, so each memo entry also remembers
-whether it was evaluated over quantised blocks and is refused by a
-scan whose predicate columns are exact again — an exact answer never
-reuses a lossy evaluation, while bounded scans over still-warm blocks
-keep their hits.  Contexts are charged their full solo cost on memo
-hits too.
+Convoys share a scan among queries *in flight*.  Reuse *across*
+queries — a later scan of the same table object, version and predicate
+— is the executor's selection cache
+(:class:`~repro.columnstore.recycler.Recycler`), consulted before a
+scan ever reaches the scheduler.  The two stay separate, as in LifeRaft,
+and meet at one point: a pass stores what it evaluated in the cache
+before the next pass on its table starts, and a leader re-checks the
+cache for the requests it carries.  A scan that queued behind a twin's
+pass — a few milliseconds too late to join it — is then served by that
+pass rather than reading the table again.
 
 Accounting stays honest
 -----------------------
@@ -75,19 +68,10 @@ import numpy as np
 from repro.columnstore import operators
 from repro.columnstore.expressions import Expression
 from repro.columnstore.operators import OperatorStats
-from repro.columnstore.recycler import reads_lossy_values
+from repro.columnstore.recycler import Recycler, lossy_reads
 from repro.columnstore.table import Table
 from repro.util.clock import ExecutionContext
 from repro.util.concurrency import Combiner, MorselPool, shared_scan_pool
-
-#: Distinct predicate results remembered per table generation.
-_MEMO_CAPACITY = 128
-
-#: Index-vector bytes one lane's memo may pin (the Recycler keeps the
-#: same discipline for its cache: results are bounded by bytes, not
-#: entry counts — a single broad predicate over a large base table can
-#: leave a multi-MB index vector behind).
-_MEMO_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -97,12 +81,11 @@ class SchedulerStats:
     ``scans`` counts every request enrolled; ``batches`` counts shared
     passes that actually evaluated something, and ``convoy_scans`` the
     requests those passes carried, so ``convoy_scans / batches`` is
-    the average convoy size (memo-only serves inflate neither).
-    ``deduped_scans`` counts requests served by another query's
-    predicate evaluation — inside one convoy (equal fingerprints) or
-    via the lane's scan memo (same table generation, any interleaving)
-    — and ``tuples_saved`` the scan cost those requests were charged
-    without anything being re-read for them.
+    the average convoy size.  ``deduped_scans`` counts requests served
+    by an equal predicate's evaluation inside the same convoy, and
+    ``tuples_saved`` the scan cost those requests were charged without
+    anything being re-read for them.  Scans the selection cache serves
+    count as the cache's hits, not here.
     """
 
     scans: int
@@ -129,77 +112,30 @@ class SchedulerStats:
 class _Request:
     """One query's enrolment in a convoy: predicate + result slot."""
 
-    __slots__ = ("predicate", "fingerprint", "lossy", "key", "shared")
+    __slots__ = ("predicate", "lossy", "key", "served")
 
     def __init__(self, table: Table, predicate: Expression) -> None:
         self.predicate = predicate
-        self.fingerprint = predicate.fingerprint()
-        #: Whether this scan reads quantised values.  Taken at
-        #: enrolment, *before* any evaluation: blocks are only ever
-        #: promoted while readers run, so an entry remembered under
-        #: this flag is never lossier than the flag says.
-        self.lossy = reads_lossy_values(table, predicate)
+        #: The cache's lossy tag, taken at enrolment — before any
+        #: evaluation, as the cache requires.
+        self.lossy = lossy_reads(table, predicate)
         #: Convoy group: a request whose columns are exact never rides
-        #: a twin's lossy memo hit.
-        self.key = (self.fingerprint, self.lossy)
-        #: Set by the leader: True when another request's evaluation
-        #: served this one (equal fingerprint, same convoy).
-        self.shared = False
+        #: a twin's evaluation over quantised values.
+        self.key = (predicate.fingerprint(), self.lossy)
+        #: Set by the leader: ``"convoy"`` when an equal request's
+        #: evaluation in the same pass served this one, ``"cache"``
+        #: when the selection cache did.
+        self.served: Optional[str] = None
 
 
 class _TableLane:
-    """Per-table-object scheduling state: convoy queue + scan memo.
+    """Per-table-object scheduling state: the convoy queue."""
 
-    The memo maps predicate fingerprints to ``(version, indices,
-    stats, lossy)`` of an already-executed scan of *this* table object;
-    the version guard invalidates on ingest, and a ``lossy`` entry
-    (evaluated over quantised blocks) only serves requests that are
-    lossy themselves.  Bounded FIFO by entry count
-    *and* by pinned index-vector bytes — a table generation sees a
-    modest set of distinct predicates, but one broad predicate can
-    leave a large vector behind.
-    """
-
-    __slots__ = ("ref", "combiner", "memo", "memo_lock", "memo_bytes")
+    __slots__ = ("ref", "combiner")
 
     def __init__(self, table: Table, window: float) -> None:
         self.ref = weakref.ref(table)
         self.combiner: Combiner = Combiner(window)
-        self.memo: Dict[str, Tuple[int, np.ndarray, OperatorStats, bool]] = {}
-        self.memo_lock = threading.Lock()
-        self.memo_bytes = 0
-
-    def lookup(
-        self, request: _Request, version: int
-    ) -> Optional[Tuple[np.ndarray, OperatorStats]]:
-        with self.memo_lock:
-            hit = self.memo.get(request.fingerprint)
-            if hit is None or hit[0] != version or (hit[3] and not request.lossy):
-                return None
-            return hit[1], hit[2]
-
-    def remember(
-        self,
-        request: _Request,
-        version: int,
-        indices: np.ndarray,
-        stats: OperatorStats,
-    ) -> None:
-        fingerprint = request.fingerprint
-        if indices.nbytes > _MEMO_BYTES:
-            return  # never pin a vector bigger than the whole budget
-        with self.memo_lock:
-            previous = self.memo.pop(fingerprint, None)
-            if previous is not None:
-                self.memo_bytes -= previous[1].nbytes
-            while self.memo and (
-                len(self.memo) >= _MEMO_CAPACITY
-                or self.memo_bytes + indices.nbytes > _MEMO_BYTES
-            ):
-                evicted = self.memo.pop(next(iter(self.memo)))[1]
-                self.memo_bytes -= evicted.nbytes
-            self.memo[fingerprint] = (version, indices, stats, request.lossy)
-            self.memo_bytes += indices.nbytes
 
 
 class SharedScanScheduler:
@@ -244,33 +180,25 @@ class SharedScanScheduler:
         table: Table,
         predicate: Expression,
         context: ExecutionContext,
+        recycler: Optional[Recycler] = None,
     ) -> Tuple[np.ndarray, OperatorStats]:
         """Run one selection through the scheduler, charging ``context``.
 
-        Served from the lane's scan memo when this table generation
-        has already evaluated an equal predicate; otherwise blocks
-        until a convoy containing this request has executed
+        Blocks until a convoy containing this request has executed
         (immediately, when no convoy is forming).  Returns ``(indices,
         stats)`` byte-identical to a solo
         :func:`~repro.columnstore.operators.select`, with the solo cost
         charged to ``context``; re-raises exactly what the solo scan
         would have raised, without failing the rest of the convoy.
+        ``recycler`` is the executor's selection cache, where this
+        request already missed: the leader re-checks it and stores
+        what the pass evaluates.
         """
         lane = self._lane_for(table)
         request = _Request(table, predicate)
-        hit = lane.lookup(request, table.version)
-        if hit is not None:
-            indices, stats = hit
-            context.charge(stats.cost)
-            context.note_shared(stats.cost)
-            with self._stats_lock:
-                self._scans += 1
-                self._deduped += 1
-                self._tuples_saved += stats.cost
-            return indices, stats
         try:
             outcome = lane.combiner.run(
-                request, lambda batch: self._execute(table, lane, batch)
+                request, lambda batch: self._execute(table, batch, recycler)
             )
         except Exception:  # noqa: BLE001 - whole-pass failure
             # a failure of the pass itself (not of one predicate —
@@ -282,7 +210,7 @@ class SharedScanScheduler:
             context.charge(stats.cost)
             return indices, stats
         if isinstance(outcome, Exception):
-            if not request.shared:
+            if request.served is None:
                 raise outcome
             # deduped consumers re-run solo instead of re-raising the
             # group's shared instance: exception objects must stay
@@ -296,8 +224,9 @@ class SharedScanScheduler:
             return indices, stats
         indices, stats = outcome
         context.charge(stats.cost)
-        if request.shared:
+        if request.served is not None:
             context.note_shared(stats.cost)
+        if request.served == "convoy":
             with self._stats_lock:
                 self._deduped += 1
                 self._tuples_saved += stats.cost
@@ -322,9 +251,7 @@ class SharedScanScheduler:
                 # lane creation marks a table-generation boundary: the
                 # previous generation's ephemeral tables are dying, so
                 # sweep dead lanes now (creation is rare — once per
-                # generation — and the sweep keeps dead memos from
-                # pinning index vectors until some arbitrary later
-                # threshold)
+                # generation)
                 dead = [k for k, v in self._lanes.items() if v.ref() is None]
                 for k in dead:
                     del self._lanes[k]
@@ -333,50 +260,63 @@ class SharedScanScheduler:
             return lane
 
     def _execute(
-        self, table: Table, lane: _TableLane, batch: List[_Request]
+        self, table: Table, batch: List[_Request], recycler: Optional[Recycler]
     ) -> Sequence[Tuple[np.ndarray, OperatorStats] | Exception]:
-        """The leader's shared pass: dedup, scan once, distribute.
+        """The leader's shared pass: re-check, dedup, scan once, distribute.
 
+        A request the ``recycler`` can serve now — a pass that finished
+        while it queued stored its selection — is served from there.
         Equal-fingerprint requests share one evaluation; distinct
         predicates ride the same pass via
-        :func:`~repro.columnstore.operators.select_shared`.  The memo
-        is consulted again here, group by group — a request that
-        missed it at enrolment may find its twin's result by the time
-        it leads (lane passes are serialised, so a pass that finished
-        while this request queued has already published) — and each
-        freshly evaluated group is remembered for the rest of the
-        table generation.  Returns one outcome per request, in batch
-        order.
+        :func:`~repro.columnstore.operators.select_shared`, and each
+        evaluated selection goes into the ``recycler`` before the next
+        pass on this table can start.  Returns one outcome per request,
+        in batch order.
         """
-        version = table.version
-        outcomes: Dict[
-            Tuple[str, bool], Tuple[np.ndarray, OperatorStats] | Exception
-        ] = {}
-        leaders: Dict[Tuple[str, bool], _Request] = {}
-        for request in batch:
-            key = request.key
-            if key in leaders or key in outcomes:
-                request.shared = True
+        outcomes: Dict[int, Tuple[np.ndarray, OperatorStats]] = {}
+        leaders: Dict[tuple, _Request] = {}
+        for position, request in enumerate(batch):
+            if request.key in leaders:
+                request.served = "convoy"
                 continue
-            hit = lane.lookup(request, version)
-            if hit is not None:
-                outcomes[key] = hit
-                request.shared = True
-                continue
-            leaders[key] = request
-        unique = [leader.predicate for leader in leaders.values()]
-        if unique:
-            per_group = operators.select_shared(table, unique, pool=self._pool)
-            for (key, leader), outcome in zip(leaders.items(), per_group):
-                outcomes[key] = outcome
-                if not isinstance(outcome, Exception):
-                    lane.remember(leader, version, outcome[0], outcome[1])
+            hit = (
+                None
+                if recycler is None
+                else recycler.recheck(table, request.predicate, request.lossy)
+            )
+            if hit is None:
+                leaders[request.key] = request
+            else:
+                request.served = "cache"
+                outcomes[position] = hit
+        per_group: Dict[tuple, Tuple[np.ndarray, OperatorStats] | Exception] = {}
+        if leaders:
+            per_group = dict(
+                zip(
+                    leaders,
+                    operators.select_shared(
+                        table,
+                        [leader.predicate for leader in leaders.values()],
+                        pool=self._pool,
+                    ),
+                )
+            )
+            if recycler is not None:
+                for key, outcome in per_group.items():
+                    if not isinstance(outcome, Exception):
+                        leader = leaders[key]
+                        recycler.store(
+                            table, leader.predicate, outcome[0], outcome[1], leader.lossy
+                        )
         with self._stats_lock:
             self._scans += len(batch)
-            if unique:
+            if leaders:
                 self._batches += 1
                 self._convoy_scans += len(batch)
-        return [outcomes[request.key] for request in batch]
+        return [
+            outcomes[position] if position in outcomes else per_group[request.key]
+            for position, request in enumerate(batch)
+        ]
 
     # ------------------------------------------------------------------
     def lane_activity(self) -> Dict[str, int]:
@@ -384,8 +324,8 @@ class SharedScanScheduler:
 
         The admission controller (:mod:`repro.core.admission`) orders
         its intake queue with this: a queued query whose base table
-        has live lanes can ride an in-flight convoy's pass or its scan
-        memo, so dispatching it now buys throughput for free.  Lane
+        has live lanes can ride an in-flight convoy's pass, so
+        dispatching it now buys throughput for free.  Lane
         keys are table objects (impressions, deltas, complements);
         each maps back to its base table by stripping the derivation
         suffix (``base§…``, ``base∖…``, ``base#…``), so the counts

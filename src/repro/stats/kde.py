@@ -152,16 +152,3 @@ class BinnedKDE:
     def evaluation_cost(self) -> int:
         """Kernel evaluations per query point (≤ β, independent of N)."""
         return int((self.histogram.counts > 0).sum())
-
-
-def mean_absolute_deviation(
-    first,
-    second,
-    xs: np.ndarray,
-) -> float:
-    """Mean |first(x) − second(x)| over a grid — the Figure-4 closeness
-    check ("almost identical with the estimation from f̂")."""
-    xs = np.asarray(xs, dtype=float)
-    a = np.asarray(first(xs), dtype=float)
-    b = np.asarray(second(xs), dtype=float)
-    return float(np.mean(np.abs(a - b)))

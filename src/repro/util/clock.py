@@ -168,9 +168,10 @@ class ExecutionContext:
     def shared_units(self) -> float:
         """Charged units whose work another query's scan performed.
 
-        The shared-scan scheduler charges a memo- or convoy-served
-        query its full solo cost (accounting honesty) while spending
-        almost no wall time on it.  Wall-mode throughput calibration
+        A scan served by the executor's selection cache, or by an equal
+        predicate's evaluation in a shared-scan convoy, is charged its
+        full solo cost (accounting honesty) while spending almost no
+        wall time on it.  Wall-mode throughput calibration
         must exclude these units — ``charged_units - shared_units`` is
         the work this execution actually performed — or one shared
         serve would record a near-infinite tuples/sec rate and break

@@ -6,7 +6,6 @@ from repro.bench.harness import (
     build_experiment_context,
     figure4_series,
     figure7_series,
-    sample_values,
 )
 from repro.bench.report import print_histogram_panel, print_series
 
@@ -35,11 +34,6 @@ class TestExperimentContext:
             a.engine.hierarchy("PhotoObjAll").layer(0).row_ids,
             b.engine.hierarchy("PhotoObjAll").layer(0).row_ids,
         )
-
-    def test_sample_values_reads_one_layer(self):
-        ctx = build_experiment_context(n_objects=2_000, layer_sizes=(200, 20), rng=3)
-        values = sample_values(ctx.engine, "PhotoObjAll", 1, "ra")
-        assert values.shape[0] == 20
 
 
 class TestFigurePipelines:

@@ -133,10 +133,12 @@ class TestRecycling:
         ex = Executor(small_catalog, recycler=Recycler())
         q = Query(table="fact", predicate=Between("x", 9, 11))
         first = ex.execute(q)
+        assert (ex.recycler.stats.hits, ex.recycler.stats.misses) == (0, 1)
         second = ex.execute(q)
-        assert not first.stats.recycled
-        assert second.stats.recycled
+        assert ex.recycler.stats.hits == 1
         assert second.rows.num_rows == first.rows.num_rows
+        # a served selection is charged as the scan it replaces
+        assert second.stats.operators == first.stats.operators
 
     def test_append_invalidates_recycled_entry(self, small_catalog):
         ex = Executor(small_catalog, recycler=Recycler())
@@ -145,8 +147,9 @@ class TestRecycling:
         small_catalog.table("fact").append_batch(
             {"id": [10_000], "x": [10.0], "grp": [0]}
         )
-        result = ex.execute(q)
-        assert not result.stats.recycled  # version changed -> miss
+        ex.execute(q)
+        # version changed -> miss
+        assert (ex.recycler.stats.hits, ex.recycler.stats.misses) == (0, 2)
 
 
 class TestFactTableOverride:

@@ -14,7 +14,6 @@ from repro.columnstore.expressions import (
     Or,
     RadialPredicate,
     TruePredicate,
-    col_between,
     col_eq,
 )
 from repro.columnstore.operators import _BlockView, select
@@ -132,7 +131,7 @@ class TestEvaluation:
             assert table.column(name).to_numpy().tobytes() == values.tobytes()
 
     def test_and_or_not(self, table):
-        expr = (col_between("x", 1, 3) & col_eq("tag", 1)) | Not(
+        expr = (Between("x", 1, 3) & col_eq("tag", 1)) | Not(
             Comparison("x", "<", 4)
         )
         mask = expr.evaluate(table)

@@ -378,9 +378,9 @@ class TestSingleTableRead:
         scanned = []
         select_indices = processor.executor.select_indices
 
-        def recording(source, predicate, context, recycle=False, cover=None):
+        def recording(source, predicate, context, cover=None):
             scanned.append(source)
-            return select_indices(source, predicate, context, recycle, cover)
+            return select_indices(source, predicate, context, cover)
 
         monkeypatch.setattr(processor.executor, "select_indices", recording)
         return engine, rung, processor, scanned

@@ -12,7 +12,6 @@ from repro.bench.harness import (
     build_experiment_context,
     figure4_series,
     figure7_series,
-    sample_values,
 )
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
@@ -78,13 +77,18 @@ class TestFigure7Shape:
             rng=7,
         )
         engine = ctx.engine
-        base_ra = engine.catalog.table("PhotoObjAll")["ra"].copy()
-        uniform_ra = sample_values(engine, "PhotoObjAll", 0, "ra")
+        base = engine.catalog.table("PhotoObjAll")
+        base_ra = base["ra"].copy()
+
+        def sample_ra():
+            return engine.hierarchy("PhotoObjAll").layer(0).materialise(base)["ra"].copy()
+
+        uniform_ra = sample_ra()
         engine.create_hierarchy(
             "PhotoObjAll", policy="biased", layer_sizes=(6_000, 600)
         )
         engine.rebuild("PhotoObjAll")
-        biased_ra = sample_values(engine, "PhotoObjAll", 0, "ra")
+        biased_ra = sample_ra()
         interest = engine.interest.interest_for("ra")
         centers = np.linspace(RA_RANGE[0], RA_RANGE[1], 30)
         focal_density = interest.kde.evaluate(centers)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.columnstore import AggregateSpec, Executor, JoinSpec, Query
 from repro.columnstore.expressions import Between
-from repro.columnstore.plan import estimate_cost, explain
+from repro.columnstore.plan import estimate_cost
 from repro.util.clock import CostClock
 
 
@@ -56,17 +56,3 @@ class TestEstimate:
         q = Query(table="fact", limit=7)
         estimate = estimate_cost(q, small_catalog)
         assert estimate.steps[-1].estimated_cost == 7
-
-
-class TestExplain:
-    def test_mentions_query_and_steps(self, small_catalog):
-        q = Query(
-            table="fact",
-            joins=[JoinSpec("dim", "grp", "grp")],
-            aggregates=[AggregateSpec("count")],
-            order_by="count(*)",
-        )
-        text = explain(q, small_catalog)
-        assert "query:" in text
-        for op in ("select", "join", "aggregate", "sort"):
-            assert op in text

@@ -1,4 +1,4 @@
-"""Every module under ``src/repro`` is reached from the served system.
+"""Every module and public name under ``src/repro`` is reached.
 
 The rule (CONTRIBUTING, "Reachability"): a module earns its place by
 being imported — directly or transitively, by ``import`` statements
@@ -8,6 +8,12 @@ SkyServer data set, or the bench tooling CI runs.  A package
 unwired module looks wired.  A module only its own tests import is
 deleted together with them, or sits on ``ALLOWED`` below with the
 reason and the place its verdict falls due.
+
+The same holds name by name: every public top-level function, class
+or constant of a module must be used somewhere outside ``tests/`` —
+in ``src/repro`` (not counting ``__init__`` re-exports), the
+benchmarks or the examples.  Deliberate public API nothing else calls
+sits on ``ALLOWED`` too, by its dotted name.
 """
 
 import ast
@@ -27,9 +33,28 @@ ROOTS = (
     "repro.bench.report",
 )
 
-# module -> one line: why it stays unreached, and where its verdict is due
+REPO = SRC.parent
+#: where a use of a public name counts, besides ``src/repro`` itself
+USERS = ("benchmarks", "examples")
+
+# module or module.name -> one line: why it stays unreached, and where
+# its verdict is due
 ALLOWED = {
     "repro.stats.fnchg": "verdict with ROADMAP 4(b)",
+    "repro.core.persistence.save_hierarchy": "public API: snapshot a hierarchy to disk",
+    "repro.core.persistence.load_hierarchy": "public API: restore a saved hierarchy",
+    "repro.skyserver.functions.f_get_nearby_obj_eq": "SkyServer's fGetNearbyObjEq (paper §2.1)",
+    "repro.stats.kde.EpanechnikovKernel": "public API: the other kernel a KDE takes",
+}
+
+# test-only helpers whose deletion, with their tests, is queued in
+# ROADMAP 8-v: the list may only shrink
+DUE = {
+    "repro.util.validation.require_fraction",
+    "repro.util.validation.require_type",
+    "repro.stats.bandwidth.scott_bandwidth",
+    "repro.stats.bandwidth.least_squares_cv_bandwidth",
+    "repro.util.textplot.ascii_series",
 }
 
 
@@ -96,6 +121,55 @@ def _unreached():
     return leaves - _reached(modules)
 
 
+def _public_names(modules):
+    """``module.name`` of every public top-level function, class and
+    assigned name of the package's modules."""
+    names = set()
+    for module, path in modules.items():
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            names.update(f"{module}.{n}" for n in defined if not n.startswith("_"))
+    return names
+
+
+def _used_identifiers():
+    """Every identifier code outside ``tests/`` names: variables,
+    attributes and imported names."""
+    paths = [p for p in (SRC / PACKAGE).rglob("*.py") if p.name != "__init__.py"]
+    for user in USERS:
+        paths.extend((REPO / user).rglob("*.py"))
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def _unused_names():
+    modules = _modules()
+    unreached = _unreached()
+    used = _used_identifiers()
+    return {
+        name
+        for name in _public_names(modules)
+        if name.rsplit(".", 1)[0] not in unreached and name.rsplit(".", 1)[1] not in used
+    }
+
+
 def test_every_module_is_reached_or_allow_listed():
     unlisted = _unreached() - set(ALLOWED)
     assert unlisted == set(), (
@@ -105,8 +179,17 @@ def test_every_module_is_reached_or_allow_listed():
     )
 
 
+def test_every_public_name_is_used_or_allow_listed():
+    unlisted = _unused_names() - set(ALLOWED) - DUE
+    assert unlisted == set(), (
+        "public names nothing outside tests/ uses (use them, delete them "
+        f"with their tests, or allow-list with a reason): {sorted(unlisted)}"
+    )
+
+
 def test_allow_list_is_short_and_current():
-    assert len(ALLOWED) <= 1
+    assert len(ALLOWED) <= 5
     assert all(reason.strip() for reason in ALLOWED.values())
-    stale = set(ALLOWED) - _unreached()
+    stale = set(ALLOWED) - _unreached() - _unused_names()
     assert stale == set(), f"allow-listed but reached or gone: {sorted(stale)}"
+    assert DUE <= _unused_names(), f"used or gone: {sorted(DUE - _unused_names())}"

@@ -1,11 +1,22 @@
-"""Tests for the intermediate-result recycler."""
+"""Tests for the selection cache (the recycler)."""
+
+import gc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from repro.columnstore import operators
+from repro.columnstore.catalog import Catalog
+from repro.columnstore.column import Column
+from repro.columnstore.executor import Executor
 from repro.columnstore.expressions import Between
-from repro.columnstore.recycler import Recycler
+from repro.columnstore.operators import OperatorStats
+from repro.columnstore.query import AggregateSpec, Query
+from repro.columnstore.recycler import Recycler, lossy_reads
 from repro.columnstore.table import Table
+
+EXACT = ()
 
 
 @pytest.fixture
@@ -13,60 +24,140 @@ def table() -> Table:
     return Table.from_arrays("t", {"x": np.arange(100, dtype=float)})
 
 
+def op(rows: int = 100, out: int = 0) -> OperatorStats:
+    return OperatorStats("select", rows, out)
+
+
+def store(recycler, table, predicate, indices, lossy=EXACT):
+    indices = np.asarray(indices)
+    recycler.store(table, predicate, indices, op(out=indices.shape[0]), lossy)
+
+
+def lookup(recycler, table, predicate, lossy=EXACT):
+    hit = recycler.lookup(table, predicate, lossy)
+    return None if hit is None else hit[0]
+
+
 class TestLookupStore:
     def test_miss_then_hit(self, table):
         recycler = Recycler()
         predicate = Between("x", 10, 20)
-        assert recycler.lookup(table, predicate) is None
-        recycler.store(table, predicate, np.arange(10, 21))
-        hit = recycler.lookup(table, predicate)
-        np.testing.assert_array_equal(hit, np.arange(10, 21))
+        assert recycler.lookup(table, predicate, EXACT) is None
+        stats = OperatorStats("select", 100, 11, blocks_scanned=1)
+        recycler.store(table, predicate, np.arange(10, 21), stats, EXACT)
+        indices, cached = recycler.lookup(table, predicate, EXACT)
+        np.testing.assert_array_equal(indices, np.arange(10, 21))
+        assert cached == stats  # the solo scan's stats, to the byte
         assert recycler.stats.hits == 1 and recycler.stats.misses == 1
 
     def test_different_predicates_do_not_collide(self, table):
         recycler = Recycler()
-        recycler.store(table, Between("x", 0, 1), np.array([0, 1]))
-        assert recycler.lookup(table, Between("x", 0, 2)) is None
+        store(recycler, table, Between("x", 0, 1), [0, 1])
+        assert lookup(recycler, table, Between("x", 0, 2)) is None
 
     def test_version_change_invalidates(self, table):
         recycler = Recycler()
         predicate = Between("x", 0, 5)
-        recycler.store(table, predicate, np.arange(6))
+        store(recycler, table, predicate, np.arange(6))
         table.append_batch({"x": [3.0]})
-        assert recycler.lookup(table, predicate) is None
+        assert lookup(recycler, table, predicate) is None
 
     def test_store_overwrites_same_key(self, table):
         recycler = Recycler()
         predicate = Between("x", 0, 5)
-        recycler.store(table, predicate, np.arange(3))
-        recycler.store(table, predicate, np.arange(6))
-        assert recycler.lookup(table, predicate).shape[0] == 6
+        store(recycler, table, predicate, np.arange(3))
+        store(recycler, table, predicate, np.arange(6))
+        assert lookup(recycler, table, predicate).shape[0] == 6
         assert len(recycler) == 1
+
+
+class TestTableIdentity:
+    """The key is the live object: names and versions are not enough."""
+
+    def test_an_equal_twin_never_hits(self, table):
+        recycler = Recycler()
+        twin = Table.from_arrays("t", {"x": np.arange(100, dtype=float)})
+        assert (twin.name, twin.version) == (table.name, table.version)
+        store(recycler, table, Between("x", 0, 5), np.arange(6))
+        assert lookup(recycler, twin, Between("x", 0, 5)) is None
+
+    def test_a_reused_id_never_hits(self):
+        recycler = Recycler()
+        predicate = Between("x", 0, 5)
+        store(recycler, Table.from_arrays("t", {"x": np.arange(10.0)}), predicate, [9])
+        gc.collect()  # the table dies; its entry stays until evicted
+        reused = Table.from_arrays("t", {"x": np.arange(10.0)})
+        # file the dead table's entry under the new table's id, as if
+        # the allocator had handed the new table the same address
+        ((_, version, fingerprint), entry), = recycler._entries.items()
+        recycler._entries = OrderedDict({(id(reused), version, fingerprint): entry})
+        assert entry.ref() is None
+        assert lookup(recycler, reused, predicate) is None
+        assert recycler.peek(reused, predicate) is None
 
 
 class TestLossyEntries:
     """Tiering does not bump the version: the entry carries the tag."""
 
-    def test_entry_over_warm_blocks_is_refused_once_exact_again(self):
-        from repro.columnstore.column import Column
-
+    @staticmethod
+    def warm_table():
         column = Column("x", "float64", np.linspace(0.0, 50.0, 128), block_size=64)
-        table = Table("t", [column])
+        column.demote(0, "warm")
+        return Table("t", [column]), column
+
+    def test_entry_over_warm_blocks_is_refused_once_exact_again(self):
+        table, column = self.warm_table()
         predicate = Between("x", 10, 20)
         recycler = Recycler()
-        column.demote(0, "warm")
         assert column.max_value_error() > 0
-        recycler.store(table, predicate, np.arange(5))  # a lossy evaluation
+        lossy = lossy_reads(table, predicate)
+        assert lossy != EXACT
+        store(recycler, table, predicate, np.arange(5), lossy)  # a lossy evaluation
         # a scan that would read the same warm blocks may reuse it
-        assert recycler.lookup(table, predicate) is not None
+        assert lookup(recycler, table, predicate, lossy_reads(table, predicate)) is not None
         column.promote_all()
-        # promoted: same name, version and fingerprint — still refused
-        assert recycler.lookup(table, predicate) is None
+        # promoted: same object, version and fingerprint — still refused
+        assert lossy_reads(table, predicate) == EXACT
+        assert lookup(recycler, table, predicate) is None
         assert recycler.peek(table, predicate) is not None
-        recycler.store(table, predicate, np.arange(7))  # the exact rescan
-        assert recycler.lookup(table, predicate).shape == (7,)
+        store(recycler, table, predicate, np.arange(7))  # the exact rescan
+        assert lookup(recycler, table, predicate).shape == (7,)
         assert len(recycler) == 1
         assert (recycler.stats.hits, recycler.stats.misses) == (2, 1)
+
+    def test_an_exact_entry_is_refused_once_a_block_it_reads_is_demoted(self):
+        table, column = self.warm_table()
+        column.promote_all()
+        predicate = Between("x", 10, 20)
+        recycler = Recycler()
+        store(recycler, table, predicate, np.arange(5))
+        column.demote(0, "warm")
+        assert lookup(recycler, table, predicate, lossy_reads(table, predicate)) is None
+
+    def test_tag_is_taken_before_the_scan(self, monkeypatch):
+        """A block promoted while the scan runs must not turn its lossy
+        evaluation into an entry an exact scan reuses."""
+        table, column = self.warm_table()
+        catalog = Catalog()
+        catalog.add_table(table)
+        executor = Executor(catalog, recycler=Recycler(), parallel_scans=False)
+        query = Query("t", predicate=Between("x", 10, 20), aggregates=[AggregateSpec("count")])
+        select, scanned = operators.select, []
+
+        def promoting_select(target, predicate, **kwargs):
+            result = select(target, predicate, **kwargs)  # over the warm block
+            column.promote_all()  # a concurrent exact reader promotes it
+            scanned.append(target)
+            return result
+
+        monkeypatch.setattr(operators, "select", promoting_select)
+        executor.execute(query)
+        assert column.max_value_error() == 0.0
+        exact = executor.execute(query)
+        assert scanned == [table, table]  # the exact scan was not served the entry
+        values = np.linspace(0.0, 50.0, 128)
+        expected = int(((values >= 10) & (values <= 20)).sum())
+        assert exact.scalar("count(*)") == expected
 
 
 class TestEviction:
@@ -74,25 +165,25 @@ class TestEviction:
         recycler = Recycler(capacity_bytes=3 * 80)  # three 10-int entries
         predicates = [Between("x", i, i + 9) for i in range(5)]
         for p in predicates:
-            recycler.store(table, p, np.arange(10))
+            store(recycler, table, p, np.arange(10))
         assert len(recycler) <= 3
         assert recycler.stats.evictions >= 2
         # the most recent entry must still be present
-        assert recycler.lookup(table, predicates[-1]) is not None
+        assert lookup(recycler, table, predicates[-1]) is not None
 
     def test_lookup_refreshes_lru_position(self, table):
         recycler = Recycler(capacity_bytes=2 * 80)
         a, b, c = (Between("x", i, i + 1) for i in range(3))
-        recycler.store(table, a, np.arange(10))
-        recycler.store(table, b, np.arange(10))
-        recycler.lookup(table, a)  # refresh a; b becomes LRU
-        recycler.store(table, c, np.arange(10))
-        assert recycler.lookup(table, a) is not None
-        assert recycler.lookup(table, b) is None
+        store(recycler, table, a, np.arange(10))
+        store(recycler, table, b, np.arange(10))
+        lookup(recycler, table, a)  # refresh a; b becomes LRU
+        store(recycler, table, c, np.arange(10))
+        assert lookup(recycler, table, a) is not None
+        assert lookup(recycler, table, b) is None
 
     def test_oversized_entry_not_stored(self, table):
         recycler = Recycler(capacity_bytes=8)
-        recycler.store(table, Between("x", 0, 50), np.arange(51))
+        store(recycler, table, Between("x", 0, 50), np.arange(51))
         assert len(recycler) == 0
 
     def test_invalid_capacity(self):
@@ -101,8 +192,8 @@ class TestEviction:
 
     def test_clear_keeps_counters(self, table):
         recycler = Recycler()
-        recycler.store(table, Between("x", 0, 1), np.array([0]))
-        recycler.lookup(table, Between("x", 0, 1))
+        store(recycler, table, Between("x", 0, 1), [0])
+        lookup(recycler, table, Between("x", 0, 1))
         recycler.clear()
         assert len(recycler) == 0 and recycler.size_bytes == 0
         assert recycler.stats.hits == 1
@@ -110,9 +201,9 @@ class TestEviction:
     def test_hit_rate(self, table):
         recycler = Recycler()
         predicate = Between("x", 0, 1)
-        recycler.lookup(table, predicate)
-        recycler.store(table, predicate, np.array([0]))
-        recycler.lookup(table, predicate)
+        lookup(recycler, table, predicate)
+        store(recycler, table, predicate, [0])
+        lookup(recycler, table, predicate)
         assert recycler.stats.hit_rate == pytest.approx(0.5)
 
 
@@ -121,15 +212,56 @@ class TestOversizeRejection:
         recycler = Recycler(capacity_bytes=64)
         predicate = Between("x", 0, 99)
         oversize = np.arange(100)  # 800 bytes > 64-byte budget
-        recycler.store(table, predicate, oversize)
+        store(recycler, table, predicate, oversize)
         # regression: the drop used to be invisible in the stats
         assert recycler.stats.rejected == 1
         assert recycler.stats.stored == 0
         assert len(recycler) == 0 and recycler.size_bytes == 0
-        assert recycler.lookup(table, predicate) is None
+        assert lookup(recycler, table, predicate) is None
 
     def test_fitting_entries_are_never_rejected(self, table):
         recycler = Recycler(capacity_bytes=1024)
-        recycler.store(table, Between("x", 0, 5), np.arange(6))
+        store(recycler, table, Between("x", 0, 5), np.arange(6))
         assert recycler.stats.rejected == 0
         assert recycler.stats.stored == 1
+
+
+def test_concurrent_readers_and_writers_keep_the_books():
+    """Eight threads look up, re-check and store over one small cache
+    under a short switch interval: every lookup counts exactly once,
+    and the byte count is the entries' and never above the budget."""
+    import sys
+    import threading
+
+    table = Table.from_arrays("t", {"x": np.arange(100, dtype=float)})
+    recycler = Recycler(capacity_bytes=40 * 80)  # forty 10-int entries
+    predicates = [Between("x", i, i + 9) for i in range(64)]
+    lookups_per_thread = 400
+    barrier = threading.Barrier(8)
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        barrier.wait(timeout=10)
+        for _ in range(lookups_per_thread):
+            predicate = predicates[int(rng.integers(len(predicates)))]
+            if recycler.lookup(table, predicate, EXACT) is None:
+                if recycler.recheck(table, predicate, EXACT) is None:
+                    store(recycler, table, predicate, np.arange(10))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    stats = recycler.stats
+    assert stats.hits + stats.misses == 8 * lookups_per_thread
+    assert stats.evictions > 0
+    entries = recycler._entries.values()
+    assert recycler.size_bytes == sum(entry.indices.nbytes for entry in entries)
+    assert recycler.size_bytes <= recycler.capacity_bytes

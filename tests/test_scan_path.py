@@ -6,8 +6,9 @@ the one :class:`~repro.columnstore.executor.Executor` the engine owns.
 Pinned here:
 
 * over {recycler} x {scheduler} x {session ``shared_scans``} the same
-  predicates give identical ``(indices, OperatorStats, charge)``, and
-  every miss stores back exactly once whichever back-end served it;
+  predicates give identical ``(indices, OperatorStats, charge)``, every
+  miss stores back exactly once whichever back-end served it, and a hit
+  returns and charges the solo scan's;
 * a miss goes to ``scheduler.scan`` exactly when the context shares
   scans and the executor has a scan pool, and to ``operators.select``
   otherwise;
@@ -15,7 +16,11 @@ Pinned here:
   the *same* executor, so a scheduler installed before or after
   ``create_hierarchy`` (or removed with ``None``) is what rung scans
   use;
-* only the exact base-table path consults or fills the recycler.
+* every scan consults the recycler — rung scans and the exact path
+  alike — keyed by the live table object, so a new sampler generation
+  with the same name and version never hits;
+* every served selection equals a fresh ``operators.select`` of that
+  table object over offer / ingest / maintain / demote interleavings.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnstore import operators
 from repro.columnstore.catalog import Catalog
@@ -98,13 +105,11 @@ class TestSelectIndices:
         for predicate in PREDICATES:
             solo_indices, solo_op = operators.select(table, predicate, pool=None)
             context = ExecutionContext(shared_scans=shared_scans)
-            indices, op, recycled = executor.select_indices(
-                table, predicate, context, recycle=True
-            )
+            indices, op = executor.select_indices(table, predicate, context)
             np.testing.assert_array_equal(indices, solo_indices)
             assert op == solo_op
             assert context.spent == solo_op.cost
-            assert not recycled
+            assert context.shared_units == 0
         if scheduler_on:
             expected = len(PREDICATES) if shared_scans else 0
             assert scheduler.stats.scans == expected
@@ -114,25 +119,45 @@ class TestSelectIndices:
             assert recycler.stats.stored == len(PREDICATES)
             for predicate in PREDICATES:
                 context = ExecutionContext(shared_scans=shared_scans)
-                indices, op, recycled = executor.select_indices(
-                    table, predicate, context, recycle=True
-                )
-                solo_indices, _ = operators.select(table, predicate, pool=None)
+                indices, op = executor.select_indices(table, predicate, context)
+                solo_indices, solo_op = operators.select(table, predicate, pool=None)
                 np.testing.assert_array_equal(indices, solo_indices)
-                assert recycled and context.spent == 0
+                # a hit is the solo scan: its stats, its charge, all shared
+                assert op == solo_op
+                assert context.spent == context.shared_units == solo_op.cost
             assert recycler.stats.hits == len(PREDICATES)
             assert recycler.stats.stored == len(PREDICATES)
+            if scheduler_on:
+                assert scheduler.stats.scans == expected  # hits never enrol
 
-    def test_rung_scans_never_touch_the_recycler(self, world):
-        catalog, table, _engine = world
+    def test_rung_scans_hit_and_a_new_generation_never_does(self, world):
+        catalog, table, engine = world
         recycler = Recycler()
         executor = Executor(catalog, recycler=recycler)
         executor.select_indices(table, PREDICATES[0], ExecutionContext())
-        executor.execute(count_query(), fact_table=table)  # a ladder rung
-        assert (recycler.stats.hits, recycler.stats.misses) == (0, 0)
-        assert recycler.stats.stored == 0
+        executor.execute(count_query(), fact_table=table)  # a ladder's base rung
         executor.execute(count_query())  # the exact base-table path
-        assert (recycler.stats.misses, recycler.stats.stored) == (1, 1)
+        assert (recycler.stats.misses, recycler.stats.hits) == (1, 2)
+        base = engine.catalog.table("T")
+        impression = engine.hierarchy("T", "early").layer(0)
+        rung = impression.materialise(base)
+        first = ExecutionContext()
+        executor.select_indices(rung, PREDICATES[0], first)
+        again = ExecutionContext()
+        executor.select_indices(rung, PREDICATES[0], again)
+        assert again.spent == again.shared_units == first.spent > 0
+        assert (recycler.stats.misses, recycler.stats.hits) == (2, 3)
+        # a rebuild gives the rung a new sampler generation: a new table
+        # object under the same name and version
+        engine.rebuild("T", "early")
+        fresh = impression.materialise(base)
+        assert fresh is not rung
+        assert (fresh.name, fresh.version) == (rung.name, rung.version)
+        indices, _ = executor.select_indices(fresh, PREDICATES[0], ExecutionContext())
+        assert (recycler.stats.misses, recycler.stats.hits) == (3, 3)
+        np.testing.assert_array_equal(
+            indices, operators.select(fresh, PREDICATES[0], pool=None)[0]
+        )
 
     def test_opt_outs_bypass_the_scheduler(self, world, monkeypatch):
         """A miss goes to ``scheduler.scan`` exactly when the context
@@ -202,7 +227,10 @@ class TestOneExecutor:
 
     def test_scheduler_installed_between_hierarchies_serves_both(self, world):
         catalog, _table, _engine = world
-        engine = SciBorq(catalog, interest_attributes={"x": (0.0, 100.0)}, rng=13)
+        # no cache: each repeated climb must reach the scheduler again
+        engine = SciBorq(
+            catalog, interest_attributes={"x": (0.0, 100.0)}, recycler_bytes=None, rng=13
+        )
         engine.create_hierarchy("T", policy="uniform", layer_sizes=(N // 4,), name="early")
         scheduler = SharedScanScheduler()
         engine.set_scan_scheduler(scheduler)  # after 'early', before 'late'
@@ -222,23 +250,30 @@ class TestOneExecutor:
         assert scheduler.stats.scans == before
         assert engine.scan_scheduler is None
 
-    def test_only_the_exact_path_uses_the_recycler(self, world):
+    def test_ladders_and_the_exact_path_share_the_recycler(self, world):
         _catalog, _table, engine = world
         engine.recycler.clear()
         stats = engine.recycler.stats
-        before = (stats.hits, stats.misses, stats.stored)
-        for query in (count_query(PREDICATES[2]), row_query(PREDICATES[2])):
-            outcome = engine.execute(query, Contract.within_error(0.0))
-            assert outcome.attempts[-1].source == "T"  # reached the base rung
-        assert (stats.hits, stats.misses, stats.stored) == before
+        misses = stats.misses
+        climbs = [
+            engine.execute(query, Contract.within_error(0.0))
+            for query in (count_query(PREDICATES[2]), row_query(PREDICATES[2]))
+        ]
+        assert all(climb.attempts[-1].source == "T" for climb in climbs)
+        assert stats.misses > misses  # rung scans fill the cache
+        hits = stats.hits
+        again = engine.execute(row_query(PREDICATES[2]), Contract.within_error(0.0))
+        # every rung of the repeat is served, and charged as the first
+        assert stats.hits - hits == len(climbs[1].attempts)
+        assert [a.cost for a in again.attempts] == [a.cost for a in climbs[1].attempts]
         first = engine.execute(count_query(PREDICATES[2]), Contract.exact())
-        assert (stats.misses, stats.stored) == (before[1] + 1, before[2] + 1)
-        again = engine.execute(count_query(PREDICATES[2]), Contract.exact())
-        assert stats.hits == before[0] + 1
-        assert again.result.estimates["count(*)"].value == (
+        hits = stats.hits
+        exact = engine.execute(count_query(PREDICATES[2]), Contract.exact())
+        assert stats.hits > hits
+        assert exact.result.estimates["count(*)"].value == (
             first.result.estimates["count(*)"].value
         )
-        assert again.total_cost < first.total_cost  # the scan was recycled
+        assert exact.total_cost == first.total_cost  # a hit charges the solo cost
 
 
 # ----------------------------------------------------------------------
@@ -286,3 +321,87 @@ class TestExecuteExactAccounting:
             assert entry.settled
             assert entry.outcome.tuples_charged == expected[entry.query.fingerprint()]
         assert engine.clock.now == 5 * sum(expected.values())
+
+
+# ----------------------------------------------------------------------
+# what the cache serves is what a fresh scan would return
+# ----------------------------------------------------------------------
+#: few predicates, so that repeats — the scans the cache serves — are
+#: common; one on the cell attribute ``x`` (its base scans read the
+#: cover), one off it (they read the base)
+POOL = (PREDICATES[0], PREDICATES[1])
+_OPERATION = {
+    "offer": st.tuples(st.just("offer"), st.integers(1, 600)),
+    "ingest": st.tuples(st.just("ingest"), st.integers(1, 600)),
+    "maintain": st.just(("maintain",)),
+    "demote": st.tuples(
+        st.just("demote"),
+        st.sampled_from(["x", "y"]),
+        st.integers(0, 15),
+        st.sampled_from(["warm", "cold"]),
+    ),
+    "query": st.tuples(
+        st.just("query"),
+        st.sampled_from(range(len(POOL))),
+        st.sampled_from(["exact", "climb", "rows"]),
+    ),
+}
+#: queries and demotions weighted up: a served scan needs a repeat, and
+#: a stale one a tier change between the two (exact queries promote)
+OPERATIONS = st.lists(
+    st.sampled_from(
+        ["offer", "ingest", "maintain"] + ["demote"] * 3 + ["query"] * 6
+    ).flatmap(_OPERATION.__getitem__),
+    max_size=20,
+)
+
+
+@given(operations=OPERATIONS)
+@settings(max_examples=200, deadline=None)
+def test_every_served_selection_is_a_fresh_scan(operations):
+    rng = np.random.default_rng(5)
+
+    def batch(rows):
+        # whole numbers: many rows sit on a predicate's bound, where a
+        # quantised value can fall on either side of it
+        return {name: rng.integers(0, 100, rows).astype(float) for name in ("x", "y")}
+
+    catalog = Catalog()
+    catalog.add_table(
+        Table("T", [Column(name, "float64", block_size=BS) for name in ("x", "y")])
+    )
+    engine = SciBorq(catalog, interest_attributes={"x": (0.0, 100.0)}, rng=3)
+    engine.create_hierarchy("T", policy="uniform", layer_sizes=(N // 4, N // 16))
+    engine.loader.load_batch("T", batch(N))
+    base = catalog.table("T")
+    recycler = engine.recycler
+    lookup, served = recycler.lookup, []
+
+    def checked_lookup(table, predicate, lossy):
+        hit = lookup(table, predicate, lossy)
+        if hit is not None:
+            indices, op = operators.select(table, predicate, pool=None)
+            np.testing.assert_array_equal(hit[0], indices)
+            assert hit[1] == op
+            served.append(table)
+        return hit
+
+    recycler.lookup = checked_lookup
+    for operation in operations:
+        kind = operation[0]
+        if kind == "offer":
+            engine.loader.load_batch("T", batch(operation[1]))
+        elif kind == "ingest":
+            engine.ingest("T", batch(operation[1]))
+        elif kind == "maintain":
+            engine.refresh("T")
+        elif kind == "demote":
+            base.column(operation[1]).demote(operation[2], operation[3])
+        else:
+            predicate = POOL[operation[1]]
+            if operation[2] == "exact":
+                engine.execute(count_query(predicate), Contract.exact())
+            elif operation[2] == "climb":
+                engine.execute(count_query(predicate), Contract.within_error(0.0))
+            else:
+                engine.execute(row_query(predicate), Contract.within_error(0.0))

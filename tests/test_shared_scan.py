@@ -462,7 +462,8 @@ class TestSchedulerEdges:
             loner.execute(cone(160.0, 8.0, 4.0), Contract.within_error(0.2))
             assert server.scheduler.stats.scans == 0
             joiner = server.open_session("joiner")
-            joiner.execute(cone(160.0, 8.0, 4.0), Contract.within_error(0.2))
+            # another cone: the loner's scans are in the cache
+            joiner.execute(cone(200.0, 12.0, 4.0), Contract.within_error(0.2))
             assert server.scheduler.stats.scans > 0
 
     def test_context_flag_bypasses_scheduler_at_executor_level(self):
@@ -476,10 +477,10 @@ class TestSchedulerEdges:
         executor = Executor(catalog, scheduler=scheduler)
         predicate = Comparison("x", "<", 40.0)
         opted_out = ExecutionContext(shared_scans=False)
-        executor.select_indices(table, predicate, opted_out, recycle=False)
+        executor.select_indices(table, predicate, opted_out)
         assert scheduler.stats.scans == 0
         enrolled = ExecutionContext()
-        executor.select_indices(table, predicate, enrolled, recycle=False)
+        executor.select_indices(table, predicate, enrolled)
         assert scheduler.stats.scans == 1
         assert opted_out.charged_units == enrolled.charged_units
 
@@ -503,28 +504,38 @@ class TestSchedulerEdges:
         assert "window=0" in repr(scheduler)
 
     def test_memo_hits_do_not_inflate_convoy_size(self):
+        """Cache hits never reach the scheduler: one evaluation, nine
+        serves, and the convoy counters see only the evaluation."""
+        from repro.columnstore.executor import Executor
+        from repro.columnstore.recycler import Recycler
+
         rng = np.random.default_rng(41)
         table = blocked_table(rng, n=1_000)
+        catalog = Catalog()
+        catalog.add_table(table)
         scheduler = SharedScanScheduler()
+        executor = Executor(catalog, recycler=Recycler(), scheduler=scheduler)
         predicate = Comparison("x", "<", 55.0)
         for _ in range(10):
-            scheduler.scan(table, predicate, ExecutionContext())
+            executor.select_indices(table, predicate, ExecutionContext())
         stats = scheduler.stats
-        assert stats.scans == 10
-        assert stats.batches == 1  # one evaluation, nine memo serves
+        assert stats.scans == 1
+        assert stats.batches == 1
         assert stats.convoy_scans == 1
         assert stats.mean_batch_size == 1.0
-        assert stats.deduped_scans == 9
+        assert stats.deduped_scans == 0
+        assert executor.recycler.stats.hits == 9
 
     def test_shared_serves_do_not_poison_wall_throughput(self):
-        """Memo-served charges must not count as observed work.
+        """Cache-served charges must not count as observed work.
 
-        A memo hit charges full solo cost in ~no wall time; if the
+        A cache hit charges full solo cost in ~no wall time; if the
         wall-mode throughput calibration counted it, one shared serve
         would record a near-infinite tuples/sec rate and later time
         budgets would afford everything.
         """
         from repro.columnstore.executor import Executor
+        from repro.columnstore.recycler import Recycler
         from repro.core.bounded import BoundedQueryProcessor
         from repro.util.clock import WallClock
 
@@ -535,14 +546,16 @@ class TestSchedulerEdges:
             engine.catalog,
             engine.hierarchy("PhotoObjAll"),
             clock=WallClock(),
-            executor=Executor(engine.catalog, scheduler=scheduler),
+            executor=Executor(
+                engine.catalog, recycler=Recycler(), scheduler=scheduler
+            ),
         )
         query = cone(175.0, 9.0, 4.0)
         first_ctx = processor.new_context()
         processor.execute(query, context=first_ctx)
         calibrated = processor._throughput
         assert calibrated is not None and calibrated > 0
-        # an identical query: every rung scan is served from the memo
+        # an identical query: every rung scan is served from the cache
         second_ctx = processor.new_context()
         processor.execute(query, context=second_ctx)
         assert second_ctx.shared_units > 0
@@ -582,15 +595,22 @@ class TestSchedulerEdges:
     def test_leader_consults_memo_for_scans_queued_behind_a_pass(self):
         """A scan enqueued while its twin executes must not re-scan.
 
-        Lane passes are serialised, so by the time the late arrival
-        leads its own convoy, the twin's result is in the memo — the
-        leader must serve it from there instead of re-reading the
-        table ('read once per distinct predicate, no matter how
-        arrivals interleave').
+        Both miss the selection cache at enrolment.  Lane passes are
+        serialised and a pass stores its selections before the next one
+        starts, so by the time the late arrival leads its own convoy the
+        twin's result is in the cache — the leader serves it from there
+        instead of re-reading the table ('read once per distinct
+        predicate, no matter how arrivals interleave').
         """
+        from repro.columnstore.executor import Executor
+        from repro.columnstore.recycler import Recycler
+
         rng = np.random.default_rng(29)
         table = blocked_table(rng, n=2_000)
+        catalog = Catalog()
+        catalog.add_table(table)
         scheduler = SharedScanScheduler()
+        executor = Executor(catalog, recycler=Recycler(), scheduler=scheduler)
         predicate = Comparison("x", "<", 60.0)
         in_pass = threading.Event()
         release = threading.Event()
@@ -603,12 +623,12 @@ class TestSchedulerEdges:
             assert release.wait(timeout=10)
             return original(*args, **kwargs)
 
-        outcomes = []
+        outcomes, contexts = [], []
 
         def submit():
-            outcomes.append(
-                scheduler.scan(table, predicate, ExecutionContext())
-            )
+            context = ExecutionContext()
+            contexts.append(context)
+            outcomes.append(executor.select_indices(table, predicate, context))
 
         import repro.core.scheduler as scheduler_module
 
@@ -619,7 +639,7 @@ class TestSchedulerEdges:
             assert in_pass.wait(timeout=10)  # first pass is executing
             second = threading.Thread(target=submit)
             second.start()
-            time.sleep(0.1)  # second enqueues behind the busy lane
+            time.sleep(0.1)  # second misses the cache and enqueues
             release.set()
             first.join(timeout=10)
             second.join(timeout=10)
@@ -630,7 +650,12 @@ class TestSchedulerEdges:
         assert outcomes[0][1] == outcomes[1][1]
         # the predicate was evaluated exactly once across both scans
         assert sum(len(preds) for preds in calls) == 1
-        assert scheduler.stats.deduped_scans == 1
+        # a cache hit, counted once per scan; not a convoy dedup
+        stats = executor.recycler.stats
+        assert (stats.hits, stats.misses) == (1, 1)
+        assert scheduler.stats.deduped_scans == 0
+        assert scheduler.stats.scans == 2 and scheduler.stats.batches == 1
+        assert sorted(c.shared_units for c in contexts) == [0, outcomes[0][1].cost]
 
     def test_dead_lanes_swept_on_generation_boundary(self):
         rng = np.random.default_rng(31)
@@ -653,28 +678,31 @@ class TestSchedulerEdges:
 
         scheduler = SharedScanScheduler()
         serial = Executor(catalog, parallel_scans=False, scheduler=scheduler)
-        indices, op, recycled = serial.select_indices(
-            table, Comparison("x", "<", 30.0), ExecutionContext(), recycle=False
+        indices, op = serial.select_indices(
+            table, Comparison("x", "<", 30.0), ExecutionContext()
         )
         assert scheduler.stats.scans == 0  # stayed on the solo serial path
         solo, solo_op = operators.select(table, Comparison("x", "<", 30.0))
         assert np.array_equal(indices, solo)
 
     def test_memo_is_byte_bounded(self):
-        from repro.core.scheduler import _MEMO_BYTES
+        """Selections of every scan share one byte budget."""
+        from repro.columnstore.executor import Executor
+        from repro.columnstore.recycler import Recycler
 
         rng = np.random.default_rng(11)
         table = blocked_table(rng, n=1_000)
-        scheduler = SharedScanScheduler()
+        catalog = Catalog()
+        catalog.add_table(table)
+        recycler = Recycler(capacity_bytes=32 * 1024)
+        executor = Executor(
+            catalog, recycler=recycler, scheduler=SharedScanScheduler()
+        )
         context = ExecutionContext()
         for i in range(40):
-            lo = float(i)
-            scheduler.scan(
-                table, Comparison("x", ">=", lo), context
-            )
-        lanes = list(scheduler._lanes.values())
-        assert len(lanes) == 1
-        assert 0 < lanes[0].memo_bytes <= _MEMO_BYTES
+            executor.select_indices(table, Comparison("x", ">=", float(i)), context)
+        assert 0 < recycler.size_bytes <= recycler.capacity_bytes
+        assert recycler.stats.evictions > 0
 
     def test_shutdown_does_not_clobber_a_later_scheduler(self):
         """One owner at a time: the later server starts only after the

@@ -21,6 +21,7 @@ from repro.columnstore import AggregateSpec, Catalog, Query, Table
 from repro.columnstore import operators
 from repro.columnstore.column import Column
 from repro.columnstore.expressions import Between
+from repro.columnstore.recycler import Recycler
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.impression import PI_COLUMN
@@ -352,10 +353,9 @@ class TestContractHonesty:
         self,
     ):
         """A bounded ladder that reached the base rung over warm blocks
-        leaves its selection in the scheduler's memo — same table
-        object, same version, same fingerprint.  Promotion changes none
-        of them, so the exact query used to be served the lossy vector
-        (and the recycler then kept it)."""
+        leaves its selection in the cache — same table object, same
+        version, same fingerprint.  Promotion changes none of them, so
+        the exact query used to be served the lossy vector."""
         from repro.core.scheduler import SharedScanScheduler
 
         query = Query(
@@ -365,26 +365,28 @@ class TestContractHonesty:
         )
         truth = tiered_engine(n=20 * BS).execute(query, Contract.exact())
         engine = tiered_engine(n=20 * BS)
-        scheduler = SharedScanScheduler()
-        engine.set_scan_scheduler(scheduler)
+        engine.set_scan_scheduler(SharedScanScheduler())
         table = engine.catalog.table("fact")
         for block in range(table.num_blocks - 1):
             table.column("x").demote(block, "warm")
         bounded = engine.execute(query, Contract.within_error(1e-9))
         assert bounded.attempts[-1].source == "fact"  # climbed to the base
         assert not bounded.result.exact  # honestly: it read warm blocks
-        # bounded scans over still-warm blocks keep their memo hits
+        stats = engine.recycler.stats
+        # bounded scans over still-warm blocks keep their hits
+        hits = stats.hits
         engine.execute(query, Contract.within_error(1e-9))
-        assert scheduler.stats.deduped_scans > 0
-        for asked in range(2):  # second ask: served by the recycler
+        assert stats.hits - hits == len(bounded.attempts)
+        for asked in range(2):  # second ask: served by the cache
+            hits = stats.hits
             exact = engine.execute(query, Contract.exact())
+            assert stats.hits - hits == asked
             assert exact.result.exact
             for name in ("id", "x"):
                 np.testing.assert_array_equal(
                     exact.result.rows.column(name).values,
                     truth.result.rows.column(name).values,
                 )
-        assert engine.recycler.stats.hits == 1
 
     def test_warm_blocks_widen_estimates_honestly(self):
         engine = tiered_engine()
@@ -631,6 +633,35 @@ class TestServerWiring:
             assert "governor" in server.report().render()
         assert engine.memory_governor is None  # removed on shutdown
         assert not engine.catalog.table("fact").is_fully_hot  # governed
+
+    def test_every_cached_selection_counts_in_the_footprint(self):
+        """Rung scans' selections sit in the one cache too, and the
+        memory report — the governor's footprint — counts all of it,
+        never more than the cache's budget."""
+        engine = tiered_engine(n=20 * BS)
+        engine.executor.recycler = Recycler(capacity_bytes=16 * 1024)
+        ram = engine.memory_report()["ram_total"]
+        base = engine.catalog.table("fact")
+        with SciBorqServer(engine, max_workers=1, memory_budget=int(ram * 0.5)) as server:
+            session = server.open_session()
+            for lo in range(0, 560, 40):
+                query = Query(
+                    table="fact",
+                    predicate=Between("x", float(lo), lo + 90.0),
+                    aggregates=[AggregateSpec("count"), AggregateSpec("avg", "y")],
+                )
+                climb = server.execute(session, query, contract=Contract.within_error(0.0))
+                assert climb.attempts[-1].source == "fact"
+                report = engine.memory_report()
+                assert report["recycler_bytes"] == engine.recycler.size_bytes
+                assert 0 < report["recycler_bytes"] <= engine.recycler.capacity_bytes
+        rung_bytes = sum(
+            entry.indices.nbytes
+            for entry in engine.recycler._entries.values()
+            if entry.ref() is not base
+        )
+        assert rung_bytes > 0
+        assert engine.recycler.stats.evictions > 0
 
     def test_no_budget_means_no_governor(self):
         engine = tiered_engine()
