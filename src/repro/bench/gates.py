@@ -19,8 +19,9 @@ monitor's observation overhead at most 2% of burst time, and — from
 the ``maintenance`` artifact — at most one column gathered per rung
 beyond those the first query after an ingest reads, with
 refresh-from-below at least 10x cheaper than a rebuild, and — from
-the ``zone_maps`` and ``recycler`` artifacts — the base cover's and the
-selection cache's savings.  ``--spec``
+the ``zone_maps``, ``recycler`` and ``memory`` artifacts — the base
+cover's and the selection cache's savings, and the cover's under a
+memory budget.  ``--spec``
 points at a JSON file in the mapping shape
 :meth:`GateSpec.coerce` accepts (see CONTRIBUTING.md).
 """
@@ -80,6 +81,13 @@ DEFAULT_SPEC = GateSpec(
         # maintenance gates)
         MetricGate(
             artifact="recycler", metric="ladder.performed_saving", min_value=3
+        ),
+        # under a memory budget impression tables stay exact copies of
+        # base rows, so exact cones still read the base cover: ≥3x fewer
+        # tuples than a hierarchy-less twin (not required, like the
+        # maintenance gates)
+        MetricGate(
+            artifact="memory", metric="budgeted.exact_tuples_ratio", min_value=3
         ),
     ),
 )

@@ -37,7 +37,9 @@ Each *full* block lives in one of three tiers:
   back lazily.  Cold is *exact* — demotion always spills the original
   raw bytes first, so promoting any block back to hot restores it
   byte-identically, which is what lets ``Contract.exact()``
-  force-promote and answer exactly over a previously-demoted table.
+  promote the columns it reads and answer exactly over a
+  previously-demoted table, and what lets :meth:`Column.gather` return
+  raw values from any tier.
 
 Zone maps are folded **before** a block may demote, i.e. they are
 always built from the raw (pre-quantisation) values.  Quantised codes
@@ -669,12 +671,13 @@ class Column:
         blocks = range(first_block, last_block + 1)
         self._block_ticks.update(dict.fromkeys(blocks, tick))
 
-    def _block_values(self, block: int) -> np.ndarray:
+    def _block_values(self, block: int, raw: bool = False) -> np.ndarray:
         """The values of one block (chunked mode), materialised.
 
         Hot blocks and the tail return aliasing views; warm blocks
-        dequantise and cold blocks mmap-read from the spill — both
-        counted in :attr:`decompressions` and recorded as demoted-block
+        dequantise (or, with ``raw``, read their raw bytes from the
+        spill) and cold blocks mmap-read from the spill — both counted
+        in :attr:`decompressions` and recorded as demoted-block
         accesses for the governor's promote-on-access signal.
         """
         assert self._chunks is not None
@@ -687,7 +690,7 @@ class Column:
             return entry
         self.decompressions += 1
         self._demoted_access_tick = self._block_ticks.get(block, 0) or next(_TICK)
-        if isinstance(entry, _WarmBlock):
+        if isinstance(entry, _WarmBlock) and not raw:
             return entry.dequantise(self._dtype)
         return self._spill.read(
             self._spill_key(block), self._dtype, self._block_size
@@ -769,19 +772,28 @@ class Column:
         return view
 
     def gather(self, indices: np.ndarray) -> np.ndarray:
-        """``values[indices]`` without materialising the whole column.
+        """``values[indices]`` exactly as stored, at every tier.
 
-        Groups the requested rows by block and decompresses each
-        touched block at most once; zone-pruned (untouched) blocks are
-        never decompressed.  Returns an owned array.
+        Hot blocks and the tail are read from RAM; warm and cold blocks
+        from the spill, which always holds their raw bytes (demotion
+        spills first) — so no tier adds an error to the result, and a
+        copy built from it is an exact copy.  Each touched block is read
+        at most once.  Returns an owned array.
         """
-        arr, _ = self.gather_with_error(indices)
-        return arr
+        return self.gather_with_error(indices, raw=True)[0]
 
     def gather_with_error(
-        self, indices: np.ndarray
+        self, indices: np.ndarray, raw: bool = False
     ) -> Tuple[np.ndarray, float]:
-        """Gather plus the max value-error bound of the touched blocks."""
+        """``values[indices]`` plus the max value-error bound of what was
+        read: the one gather every other goes through.
+
+        By default values are what a scan reads — warm blocks
+        dequantised, their recorded bounds reported; with ``raw`` they
+        are :meth:`gather`'s, and no block adds to the bound.  Either
+        way the bound includes the column's inherited floor.  Touched
+        blocks are read at most once, zone-pruned ones never.
+        """
         idx = np.asarray(indices)
         if idx.dtype == np.bool_:
             raise SchemaError(
@@ -803,9 +815,10 @@ class Column:
         for block in np.unique(blocks):
             block = int(block)
             sel = blocks == block
-            values = self._block_values(block)
+            values = self._block_values(block, raw)
             out[sel] = values[idx[sel] - block * self._block_size]
-            worst = max(worst, self.block_value_error(block))
+            if not raw:
+                worst = max(worst, self.block_value_error(block))
             self._block_ticks[block] = next(_TICK)
         return out, worst
 

@@ -388,11 +388,13 @@ class DerivedTable(Table):
     ``num_rows`` from the row ids, so planning a scan gathers nothing;
     ``column(name)``
     gathers ``base.column(name)`` at ``row_ids`` once — concurrent first
-    touches serialise on a lock and all see the same :class:`Column` —
-    and the column declares the value error of the base blocks it read
-    *then*, so a gather after the governor demoted those blocks is as
-    honest as one before.  Read-only: the rows are fixed at
-    construction.
+    touches serialise on a lock and all see the same :class:`Column`.
+    **A derived table is an exact copy of base rows**: the gather
+    (:meth:`Column.gather`) reads raw values at every tier, warm and
+    cold base blocks from the spill, so a column gathered after the
+    governor demoted those blocks equals one gathered before, byte for
+    byte, and declares no value error.  Read-only: the rows are fixed
+    at construction.
 
     The table has its own zone grid, :func:`derived_zone_rows` rows per
     zone for every column, not the base table's: a rung a twentieth of
@@ -476,17 +478,13 @@ class DerivedTable(Table):
         source = self._base.column(name)
         previous = self._previous.pop(name, None)
         if previous is None:
-            values, error = source.gather_with_error(self._row_ids)
+            values = source.gather(self._row_ids)
         else:
-            added = self._patch.added
-            new, error = source.gather_with_error(self._row_ids[added])
+            new = source.gather(self._row_ids[self._patch.added])
             values = self._patch.merge(previous.values, new)
-            error = max(error, previous.max_value_error())
             if not self._previous:
                 self._patch = None  # every carried column is built
-        column = Column.from_external(name, source.dtype, values, self._zone_rows)
-        column.declare_value_error(error)
-        return column
+        return Column.from_external(name, source.dtype, values, self._zone_rows)
 
     def drop(self, name: str) -> int:
         """Forget gathered column ``name``; returns the bytes freed.
@@ -510,10 +508,11 @@ class DerivedTable(Table):
         This table's rows must be ``previous``'s rows patched by
         ``patch`` — what an impression's table becomes after sampler
         churn.  A column ``previous`` had gathered is then built on first
-        touch from its kept values plus the new rows alone, declaring
-        the worse of the two value errors: a fresh gather of a table
-        laid out by interest cell reads the base in one interleaved pass
-        per cell, a few times slower than the patch.  Columns are still
+        touch from its kept values plus the new rows alone — raw base
+        values both, so the result equals a fresh gather byte for byte
+        at a fraction of its cost: a fresh gather of a table laid out by
+        interest cell reads the base in one interleaved pass per cell, a
+        few times slower than the patch.  Columns are still
         built only when read, so accounting and the next query's gathers
         are as if the table were fresh.  A column nothing read since it
         was gathered does not carry over.  Call before the table is

@@ -69,7 +69,12 @@ import numpy as np
 from repro.columnstore.aggstate import FoldState
 from repro.columnstore.catalog import Catalog
 from repro.columnstore.column import Column
-from repro.columnstore.executor import ExecutionStats, Executor, QueryResult
+from repro.columnstore.executor import (
+    BaseCover,
+    ExecutionStats,
+    Executor,
+    QueryResult,
+)
 from repro.columnstore.operators import OperatorStats
 from repro.columnstore.plan import estimate_cost
 from repro.columnstore.query import Query
@@ -341,8 +346,11 @@ class BoundedQueryProcessor:
 
         if contract.is_exact:
             # an exact contract goes straight to the base columns —
-            # no impression rung is ever considered
-            promote_for_exact(base, query)
+            # no impression rung is ever considered — and promotes the
+            # ones its scan reads, which depends on the cover
+            promote_for_exact(
+                base, query, self.hierarchy.base_cover(query.predicate, base)
+            )
             ladder: List[Optional[Impression]] = [None]
         else:
             ladder = list(self.hierarchy.candidates_for(query, base))
@@ -832,13 +840,11 @@ class BoundedQueryProcessor:
     ) -> EstimatedResult:
         if rung is not None:
             return self.estimator.estimate(query, rung, confidence, context)
+        cover = self.hierarchy.base_cover(query.predicate, base)
         exact = self.executor.execute(
-            query,
-            fact_table=base,
-            context=context,
-            cover=self.hierarchy.base_cover(query.predicate, base),
+            query, fact_table=base, context=context, cover=cover
         )
-        return exact_estimated_result(query, exact, base, confidence)
+        return exact_estimated_result(query, exact, base, confidence, cover)
 
 
 def progress_snapshot(
@@ -890,27 +896,38 @@ def progress_snapshot(
     )
 
 
-def _scanned_columns(base: Table, query: Query) -> List[Column]:
-    """The columns an exact scan of ``query`` reads: the predicate's,
-    then whatever the plan carries past the selection."""
+def _scanned_columns(
+    base: Table, query: Query, cover: Optional[BaseCover]
+) -> List[Column]:
+    """The base columns a base scan of ``query`` reads: whatever the
+    plan carries past the selection, and the predicate's unless
+    ``cover`` answers the selection — its parts are exact copies of base
+    rows, so through a cover the predicate never reads the base."""
     carried = query.columns_carried()
     if carried is None:
         names = base.column_names
     else:
-        carried |= query.predicate.columns()
+        if cover is None:
+            carried |= query.predicate.columns()
         names = [n for n in base.column_names if n in carried]
     return [base.column(name) for name in names]
 
 
-def promote_for_exact(base: Table, query: Query) -> None:
-    """Restore every block an exact scan of ``query`` could touch to hot.
+def promote_for_exact(
+    base: Table, query: Query, cover: Optional[BaseCover]
+) -> None:
+    """Restore to hot every block of the base columns an exact scan of
+    ``query`` reads (:func:`_scanned_columns` — with a ``cover``, the
+    carried ones alone); the predicate's blocks stay where the governor
+    put them when the cover selects.
 
     Exact means byte-exact: warm blocks hold lossy codes, and the spill
     holds the raw bytes, so the promoted scan is byte-identical to one
-    over a never-demoted table.
+    over a never-demoted table.  Resolve ``cover`` first: which columns
+    need promoting depends on it.
     """
     if not base.is_fully_hot:
-        for column in _scanned_columns(base, query):
+        for column in _scanned_columns(base, query, cover):
             column.promote_all()
 
 
@@ -935,22 +952,30 @@ def raw_query_result(outcome: BoundedResult) -> QueryResult:
 
 
 def exact_estimated_result(
-    query: Query, exact: QueryResult, base: Table, confidence: float
+    query: Query,
+    exact: QueryResult,
+    base: Table,
+    confidence: float,
+    cover: Optional[BaseCover],
 ) -> EstimatedResult:
     """Wrap a raw base-executor result into the bounded answer shape.
 
     Shared by the processor's final exact rung and the engine's
     ``Contract.exact()`` fast path (which bypasses the ladder — and
-    works on tables with no hierarchy at all).  "Exact" is claimed
-    only when the scanned table holds no quantised (warm) blocks: the
-    engine's exact path force-promotes first, so it always lands here
-    with a zero bound; a ladder's answer-of-last-resort over a
-    demoted table degrades honestly to a bounded near-exact estimate.
+    works on tables with no hierarchy at all).  ``cover`` is what the
+    scan selected through, and the bound is declared from the base
+    columns that scan read (:func:`_scanned_columns`, the set
+    :func:`promote_for_exact` promotes).  "Exact" is claimed only when
+    none of them holds a quantised (warm) block: the engine's exact
+    path promotes them first, so it always lands here with a zero
+    bound; a ladder's answer-of-last-resort over a demoted table
+    degrades honestly to a bounded near-exact estimate.
     """
     from repro.stats.estimators import propagated_value_error
 
     value_error = max(
-        (c.max_value_error() for c in _scanned_columns(base, query)), default=0.0
+        (c.max_value_error() for c in _scanned_columns(base, query, cover)),
+        default=0.0,
     )
     is_exact = value_error == 0.0
     if query.is_aggregate and not query.group_by:

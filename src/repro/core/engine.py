@@ -424,8 +424,10 @@ class SciBorq:
         and promoting them back on access.  Enforcement runs after
         every ingest and, when the server layer is in front, after
         query completions.  Answers stay honest by construction:
-        demoted-block error bounds ride every estimate's
-        ``value_error`` and exact contracts force-promote first.
+        impression tables are exact copies of base rows whatever the
+        tiers, demoted-block error bounds of the base blocks a scan
+        reads ride every estimate's ``value_error``, and exact
+        contracts promote the base columns they read first.
         """
         self._memory_governor = governor
         if governor is not None:
@@ -698,20 +700,22 @@ class SciBorq:
         Works on tables with no hierarchy: the executor is all it
         needs.  With one, the selection reads the hierarchy's cell-laid
         cover of the base when :meth:`ImpressionHierarchy.base_cover`
-        says so.  Demoted blocks are promoted and the cover resolved
-        before the context opens, so a wall-mode budget bills the scan
-        alone.
+        says so.  The cover is resolved first, then only the base
+        columns the scan reads are promoted (:func:`promote_for_exact`:
+        the carried ones through a cover, the predicate's too without
+        one) — both before the context opens, so a wall-mode budget
+        bills the scan alone.
         """
         base = self.catalog.table(query.table)
-        promote_for_exact(base, query)
         named = self._hierarchies.get(query.table, {})
         target = named.get(hierarchy or self._default_hierarchy.get(query.table))
         cover = None if target is None else target.base_cover(query.predicate, base)
+        promote_for_exact(base, query, cover)
         context = open_context()
         entry_spent = context.spent
         raw = self.executor.execute(query, context=context, cover=cover)
         self._offer_recycled_rows(query, base, cover)
-        result = exact_estimated_result(query, raw, base, contract.confidence)
+        result = exact_estimated_result(query, raw, base, contract.confidence, cover)
         attempt = ExecutionAttempt(
             source=base.name,
             rows=base.num_rows,

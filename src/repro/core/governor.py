@@ -19,12 +19,16 @@ it later gathers it again.  Blocks a later scan touches are
 promoted back while headroom allows, so the working set migrates to
 hot and the archive tail pays for it.
 
-Honesty is structural, not policed here: a warm block's recorded
-pointwise bound rides every estimate's ``value_error`` (see
-:mod:`repro.stats.estimators`), cold blocks are byte-exact, and exact
-contracts force-promote before scanning — the governor can therefore
-demote *anything* demotable without ever making an answer silently
-wrong, only honestly wider.
+Honesty is structural, not policed here: impression, delta and
+complement tables gather raw base values from any tier (the spill holds
+every demoted block's raw bytes), so they stay exact copies of the base
+under any budget and demotion never reaches a sample; a warm block's
+recorded pointwise bound rides the ``value_error`` of every estimate
+that reads the base block itself (see :mod:`repro.stats.estimators`),
+cold blocks are byte-exact, and exact contracts promote the base
+columns they read before scanning — the governor can therefore demote
+*anything* demotable without ever making an answer silently wrong, only
+honestly wider.
 """
 
 from __future__ import annotations

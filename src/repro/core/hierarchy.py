@@ -27,7 +27,6 @@ from repro.columnstore.executor import BaseCover
 from repro.columnstore.expressions import Expression
 from repro.columnstore.operators import scan_plan
 from repro.columnstore.query import Query
-from repro.columnstore.recycler import lossy_reads
 from repro.columnstore.table import Table
 from repro.core.impression import Impression
 from repro.errors import ImpressionError
@@ -137,11 +136,13 @@ class ImpressionHierarchy:
         1. the predicate reads an attribute the cells are keyed on, and
            only columns the largest layer holds;
         2. its two tables hold exactly ``base.num_rows`` rows;
-        3. no part — and not the base — would be read through
-           dequantised values (:func:`lossy_reads`): a lossy part
-           must not answer an exact scan, and a lossy base scan must
-           keep its own answer;
-        4. the two zone plans together scan fewer rows than the base's.
+        3. the two zone plans together scan fewer rows than the base's.
+
+        The base's tiers do not enter the rule: both parts are exact
+        copies of base rows (:class:`~repro.columnstore.table.DerivedTable`
+        gathers raw values, and the governor never demotes them), so a
+        cover over a demoted base selects exactly what a scan of the
+        never-demoted base would.
 
         The executor scans what this returns
         (:meth:`Executor.select_indices
@@ -152,14 +153,10 @@ class ImpressionHierarchy:
         largest = self._layers[0]
         columns = predicate.columns()
         held = largest.columns if largest.columns is not None else base.column_names
-        if (
-            not columns & largest.cells.attributes
-            or not columns <= set(held)
-            or lossy_reads(base, predicate)
-        ):
+        if not columns & largest.cells.attributes or not columns <= set(held):
             return None
         parts = largest.cover(base)
-        if parts is None or any(lossy_reads(part, predicate) for part in parts):
+        if parts is None:
             return None
         scan_rows = sum(scan_plan(part, predicate)[1] for part in parts)
         if scan_rows >= scan_plan(base, predicate)[1]:

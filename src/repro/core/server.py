@@ -211,11 +211,12 @@ class SciBorqServer:
         ``int`` installs a :class:`~repro.core.governor.MemoryGovernor`
         with that byte budget; a ready governor is installed as-is.
         The governor demotes
-        least-recently-scanned column blocks hot→warm→cold after
+        least-recently-scanned base-table blocks hot→warm→cold after
         ingests and query completions, keeping tables + impressions +
-        recycler inside the budget; estimates over demoted blocks
-        carry the quantisation bound in their CIs, and exact contracts
-        force-promote before scanning.
+        recycler inside the budget; impression tables stay exact
+        copies of base rows, estimates that read warm base blocks carry
+        the quantisation bound in their CIs, and exact contracts
+        promote the base columns they read before scanning.
     admission:
         Overload management (default ``None``: off, intake is
         unbounded).  A ready :class:`~repro.core.admission.

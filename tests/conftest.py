@@ -97,13 +97,15 @@ def workload() -> WorkloadGenerator:
 @pytest.fixture
 def gathered(monkeypatch) -> list[str]:
     """Names of the columns ``Column.gather_with_error`` is asked for,
-    in order — the width guards count these."""
+    in order — every gather, raw (a derived table's first touch) or
+    not (a working set's ``take``, a fold's carried values); the width
+    guards count these."""
     names: list[str] = []
     original = Column.gather_with_error
 
-    def counting(self, indices):
+    def counting(self, indices, raw=False):
         names.append(self.name)
-        return original(self, indices)
+        return original(self, indices, raw)
 
     monkeypatch.setattr(Column, "gather_with_error", counting)
     return names

@@ -16,7 +16,8 @@ returns.  Pinned here:
   session ``shared_scans``, and a repeated exact query meets the
   recycler as the twin's does: every scan of the repeat is served, and
   charged as the first;
-* a cover whose columns are lossy is not read, and nothing changes;
+* under a memory budget the cover's columns stay exact copies of the
+  base rows, so an exact query still reads it and answers like the twin;
 * the planner prices a base rung's select step as the scan charges it;
 * the ladder dump gives the load-order dump's answers, no charge higher.
 """
@@ -372,12 +373,13 @@ def test_a_repeated_exact_query_meets_the_recycler_as_the_twin_does():
 
 
 # ----------------------------------------------------------------------
-# a lossy cover is not read
+# under a memory budget the cover stays exact, and is read
 # ----------------------------------------------------------------------
-def test_a_memory_budget_that_leaves_the_cover_lossy_takes_the_base_path(monkeypatch):
-    # no NaN rows: a block holding one cannot quantise, only go cold
-    engine, _ = make_engine(9, nan_share=0.0)
-    twin, _ = make_engine(9, hierarchy=False, nan_share=0.0)
+def test_a_memory_budget_leaves_the_cover_exact_and_the_cover_is_read(monkeypatch):
+    # no NaN rows: a block holding one cannot quantise, only go cold;
+    # no selection cache, so the exact query's scans are its own
+    engine, _ = make_engine(9, recycler=False, nan_share=0.0)
+    twin, _ = make_engine(9, hierarchy=False, recycler=False, nan_share=0.0)
     base = engine.catalog.table(TABLE)
     query = AGGREGATES[0]
     engine.set_memory_governor(MemoryGovernor(base.nbytes() * 6 // 10))
@@ -385,7 +387,13 @@ def test_a_memory_budget_that_leaves_the_cover_lossy_takes_the_base_path(monkeyp
     # a climb to the base gathers the cover's columns from demoted blocks
     engine.execute(query, Contract.within_error(1e-9))
     parts = engine.hierarchy(TABLE).layer(0).cover(base)
-    assert all(lossy_reads(part, CONE) for part in parts)
+    assert not any(lossy_reads(part, CONE) for part in parts)
+    for part in parts:
+        for name in ("ra", "dec"):
+            column = part.column(name)
+            assert column.max_value_error() == 0.0
+            raw = twin.catalog.table(TABLE)[name][part.row_ids]
+            assert column.values.tobytes() == raw.tobytes()
     scanned = []
     select = operators.select
 
@@ -395,10 +403,10 @@ def test_a_memory_budget_that_leaves_the_cover_lossy_takes_the_base_path(monkeyp
 
     monkeypatch.setattr(operators, "select", spy)
     got = engine.execute(query, Contract.exact())
-    assert scanned == [base]  # no part scan
+    assert scanned == list(parts)  # no base scan
     want = twin.execute(query, Contract.exact())
     assert_same_answer(got.result, want.result)
-    assert got.total_cost == want.total_cost
+    assert got.total_cost < want.total_cost
 
 
 # ----------------------------------------------------------------------

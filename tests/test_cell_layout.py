@@ -113,13 +113,18 @@ class TestRowPatch:
         np.testing.assert_array_equal(patch.merge(old, new), expected)
         np.testing.assert_array_equal(expected[patch.added], new)
 
-    def test_a_carried_column_declares_the_worse_error(self):
+    def test_a_carried_column_holds_the_raw_base_rows(self):
+        """Kept rows from the previous table, new rows gathered raw from
+        warm base blocks: the carried column is an exact copy."""
         rng = np.random.default_rng(2)
-        x = Column("x", "float64", rng.uniform(0, 1, 4096), block_size=1024)
+        raw = rng.uniform(0, 1, 4096)
+        x = Column("x", "float64", raw, block_size=1024)
         base = Table("b", [x])
         old = DerivedTable("d", base, np.arange(0, 4096, 2), ["x"])
-        old.column("x").declare_value_error(0.25)
         old.column("x").read_range(0, 8)  # read: worth carrying over
+        for block in range(4):
+            assert x.demote(block, "warm")
+        assert x.max_value_error() > 0.0
         ids = np.arange(1, 4096, 2)[:5]
         removed, at = np.array([0, 3]), np.array([1, 1, 7, 9, 2048])
         patch = RowPatch.plan(old.num_rows, removed, at)
@@ -127,8 +132,8 @@ class TestRowPatch:
         table = DerivedTable("d2", base, row_ids, ["x"])
         table.carry_from(old, patch)
         assert table.resident_columns() == []  # nothing gathered until read
-        np.testing.assert_array_equal(table["x"], base["x"][row_ids])
-        assert table.column("x").max_value_error() == 0.25
+        assert table["x"].tobytes() == raw[row_ids].tobytes()
+        assert table.column("x").max_value_error() == 0.0
         assert table._patch is None  # the plan is dropped once every column is built
 
 

@@ -123,7 +123,8 @@ def build_engine(warm: bool) -> SciBorq:
         base = catalog.table("PhotoObjAll")
         sample = engine.hierarchy("PhotoObjAll").layer(0).materialise(base)
         # base first: the sample's columns are then first touched (and
-        # gathered) over warm base blocks, the late-gather case
+        # gathered, raw) over warm base blocks, the late-gather case;
+        # its own blocks quantised after are what its scans read
         for table in (base, sample):
             for name in table.column_names:
                 for block in range(1, table.num_rows // BS):
@@ -141,15 +142,9 @@ def engines() -> dict[str, SciBorq]:
 # ----------------------------------------------------------------------
 # the reference: whole rows, plain numpy
 # ----------------------------------------------------------------------
-def whole_rows(catalog: Catalog, query: Query, source: Table, inherited=None):
+def whole_rows(catalog: Catalog, query: Query, source: Table):
     """Selection and joins of ``query`` over ``source`` carrying every
-    column of the matching rows, plus the operator records charged.
-
-    ``inherited`` is the value error each column of ``source`` already
-    carried when it was gathered (a sample gathered from a base table
-    whose blocks were warm by then), per column name.
-    """
-    inherited = inherited or {}
+    column of the matching rows, plus the operator records charged."""
     mask = np.asarray(query.predicate.evaluate(source), dtype=bool)
     idx = np.flatnonzero(mask)
     _, select_op = operators.select(source, query.predicate)
@@ -160,10 +155,7 @@ def whole_rows(catalog: Catalog, query: Query, source: Table, inherited=None):
         out = Column(name, col.dtype, col.to_numpy()[idx])
         touched = np.unique(idx // col.block_size)
         out.declare_value_error(
-            max(
-                inherited.get(name, 0.0),
-                *(col.block_value_error(int(b)) for b in touched),
-            )
+            max((col.block_value_error(int(b)) for b in touched), default=0.0)
         )
         columns[name] = out
     ops = [select_op]
@@ -280,15 +272,10 @@ def assert_estimate_identity(estimator, impression, query, sample, got, context)
     """``got`` (the estimator over the narrow working set) against the
     same estimator handed whole rows."""
     catalog = estimator.catalog
-    # the sample's columns are gathered on first touch — here, after
-    # the base went warm — and carry the error of the base blocks read
-    base = catalog.table(impression.base_table)
-    blocks = np.unique(impression.row_ids // BS)
-    inherited = {
-        name: max(base.column(name).block_value_error(int(b)) for b in blocks)
-        for name in base.column_names
-    }
-    whole, ops = whole_rows(catalog, query, sample, inherited)
+    # the sample's columns were gathered on first touch — for ``warm``,
+    # after the base went warm — as raw base values: the only error
+    # they carry is that of their own blocks quantised since
+    whole, ops = whole_rows(catalog, query, sample)
     want = estimator.estimate_from_working(
         query, impression, whole, ExecutionStats(sample.name, sample.num_rows)
     )

@@ -151,7 +151,9 @@ def small_base() -> Table:
 class TestDerivedTable:
     def test_schema_is_answered_without_a_gather(self, monkeypatch):
         monkeypatch.setattr(
-            Column, "gather_with_error", lambda self, indices: pytest.fail("gathered")
+            Column,
+            "gather_with_error",
+            lambda self, indices, raw=False: pytest.fail("gathered"),
         )
         ids = np.array([7, 3, 900])
         pis = np.full(3, 0.5)
@@ -216,10 +218,10 @@ class TestDerivedTable:
         calls = []
         original = Column.gather_with_error
 
-        def slow_gather(self, indices):
-            calls.append(self.name)
+        def slow_gather(self, indices, raw=False):
+            calls.append((self.name, raw))
             time.sleep(0.02)  # hold the race open
-            return original(self, indices)
+            return original(self, indices, raw)
 
         monkeypatch.setattr(Column, "gather_with_error", slow_gather)
         barrier = threading.Barrier(8, timeout=10)
@@ -235,7 +237,7 @@ class TestDerivedTable:
                 seen = list(pool.map(touch, range(8), timeout=10))
         finally:
             sys.setswitchinterval(interval)
-        assert calls == ["x"]
+        assert calls == [("x", True)]  # once, raw
         assert all(column is seen[0] for column in seen)
         assert table.resident_columns() == [seen[0]]
 

@@ -4,9 +4,11 @@ The contract under test (ROADMAP "Error-bounded compressed column
 blocks"): a column's blocks may live hot (raw ndarray), warm
 (error-bounded int8/int16 quantisation), or cold (mmap-backed raw
 spill) — and the engine stays *honest* about it.  All-hot answers are
-byte-identical to the pre-tiering engine; answers touching warm blocks
-carry the recorded pointwise bound in ``Estimate.value_error``; exact
-contracts force-promote so their answers are byte-identical again; and
+byte-identical to the pre-tiering engine; impression tables gathered
+after a demotion still hold the raw base values; answers reading warm
+base blocks carry the recorded pointwise bound in
+``Estimate.value_error``; exact contracts promote the base columns they
+read so their answers are byte-identical again; and
 zone-map pruning (zones fold from raw values before any demotion)
 makes identical decisions at every tier without decompressing pruned
 blocks.
@@ -22,6 +24,7 @@ from repro.columnstore import operators
 from repro.columnstore.column import Column
 from repro.columnstore.expressions import Between
 from repro.columnstore.recycler import Recycler
+from repro.core.bounded import BoundedQueryProcessor
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.impression import PI_COLUMN
@@ -181,6 +184,17 @@ class TestDemotePromote:
         got, err = col.gather_with_error(mixed_idx)
         assert err == bound
         assert np.abs(got - original[mixed_idx]).max() <= bound
+
+    def test_gather_returns_raw_values_from_every_tier(self):
+        col = float_column()
+        original = col.values.copy()
+        col.demote(0, "warm")
+        col.demote(1, "cold")
+        idx = np.array([BS + 3, 2, 3 * BS + 1, 4 * BS + 5, 0])  # cold, warm, hot, tail
+        assert col.gather(idx).tobytes() == original[idx].tobytes()
+        got, err = col.gather_with_error(idx, raw=True)
+        assert got.tobytes() == original[idx].tobytes() and err == 0.0
+        assert col.tier_of(0) == "warm" and col.tier_of(1) == "cold"  # nothing promoted
 
     def test_take_and_filter_carry_value_error_floor(self):
         col = float_column()
@@ -389,6 +403,9 @@ class TestContractHonesty:
                 )
 
     def test_warm_blocks_widen_estimates_honestly(self):
+        """A base rung with nothing folded below it (the from-scratch
+        ladder's last rung) selects through the exact cover but reads
+        its carried column from the warm base blocks themselves."""
         engine = tiered_engine()
         exact = engine.execute_exact(self.cone()).scalars
         table = engine.catalog.table("fact")
@@ -396,7 +413,12 @@ class TestContractHonesty:
             table.column("y").demote(block, "warm")
         delta = table.column("y").max_value_error()
         assert delta > 0.0
-        outcome = engine.execute(self.cone(), contract=Contract.unconstrained())
+        processor = BoundedQueryProcessor(
+            engine.catalog, engine.hierarchy("fact"), delta_escalation=False
+        )
+        outcome = processor.execute(self.cone(), Contract.within_error(0.0))
+        assert outcome.attempts[-1].source == "fact"
+        assert not outcome.result.exact
         estimates = outcome.result.estimates
         for name in ("sum(y)", "avg(y)"):
             estimate = estimates[name]
@@ -409,12 +431,13 @@ class TestContractHonesty:
             estimates["avg(y)"].half_width
         )
 
-    def test_a_column_gathered_after_demotion_declares_the_blocks_error(self):
+    def test_a_column_gathered_after_demotion_is_raw(self):
         """An impression's columns are gathered on first touch, which
         may be after the governor demoted the base blocks they read:
-        the late column must carry those blocks' bound, a column
-        gathered while the base was hot must not, and the estimate
-        built on the late one must widen by it."""
+        the late column still holds the raw base values — the spill
+        keeps every demoted block's raw bytes — and declares no error,
+        so the estimate built on it is the never-demoted engine's."""
+        want = tiered_engine().execute(self.cone(), Contract.unconstrained())
         engine = tiered_engine()
         table = engine.catalog.table("fact")
         impression = engine.hierarchy("fact").layer(0)
@@ -422,22 +445,15 @@ class TestContractHonesty:
         early = sample.column("x")  # gathered from the hot base
         for block in range(table.num_blocks - 1):
             table.column("y").demote(block, "warm")
+        assert table.column("y").max_value_error() > 0.0
         assert impression.materialise(table) is sample  # demotion moves no key
-        late = sample.column("y")  # first touch: dequantised base blocks
-        touched = np.unique(impression.row_ids // BS)
-        assert late.max_value_error() == max(
-            table.column("y").block_value_error(int(b)) for b in touched
-        )
-        assert late.max_value_error() > 0.0 and late.is_fully_hot
-        assert early.max_value_error() == 0.0
-        assert np.abs(
-            late.values - tiered_table()["y"][sample.row_ids]
-        ).max() <= late.max_value_error()
+        late = sample.column("y")  # first touch: raw bytes from the spill
+        assert late.max_value_error() == early.max_value_error() == 0.0
+        assert late.is_fully_hot and not table.column("y").is_fully_hot
+        assert late.values.tobytes() == tiered_table()["y"][sample.row_ids].tobytes()
         outcome = engine.execute(self.cone(), contract=Contract.unconstrained())
         assert outcome.attempts[0].source == impression.name
-        for estimate in outcome.result.estimates.values():
-            assert estimate.value_error > 0.0
-            assert estimate.half_width >= estimate.value_error
+        assert outcome.result.estimates == want.result.estimates
 
 
 # ----------------------------------------------------------------------
