@@ -21,7 +21,8 @@ beyond those the first query after an ingest reads, with
 refresh-from-below at least 10x cheaper than a rebuild, and — from
 the ``zone_maps``, ``recycler`` and ``memory`` artifacts — the base
 cover's and the selection cache's savings, and the cover's under a
-memory budget.  ``--spec``
+memory budget, and — from the ``reservoir`` artifact — the reservoir's
+array-step offer at least 5x its hit-by-hit transcription.  ``--spec``
 points at a JSON file in the mapping shape
 :meth:`GateSpec.coerce` accepts (see CONTRIBUTING.md).
 """
@@ -89,6 +90,11 @@ DEFAULT_SPEC = GateSpec(
         MetricGate(
             artifact="memory", metric="budgeted.exact_tuples_ratio", min_value=3
         ),
+        # Algorithm R's array-step offer at the largest layer's capacity:
+        # ≥5x the hit-by-hit loop it replaced, timed in the same process
+        # (a ratio, not a wall-clock floor; not required, like the
+        # maintenance gates)
+        MetricGate(artifact="reservoir", metric="algorithm_r.speedup", min_value=5),
     ),
 )
 

@@ -649,7 +649,8 @@ def _index(
     argsort's O(n log n).  Falls back to the full sort when the size
     changed or more than a quarter of the slots moved.  Keys are
     distinct (a reservoir holds a base row at most once, and the row id
-    is part of the key), so a merge by key is the stable order.
+    is part of the key), so any sort gives the one order, the default
+    (unstable) one fastest, and a merge by key is that order too.
     """
     size = slot_ids.shape[0]
     if previous is None or previous.slot_ids.shape[0] != size:
@@ -658,13 +659,13 @@ def _index(
         changed = np.flatnonzero(slot_ids != previous.slot_ids)
     if changed is None or changed.size * 4 > size:
         slot_keys = cells.sort_keys(slot_ids)
-        order = np.argsort(slot_keys, kind="stable")
+        order = np.argsort(slot_keys)
         return _Index(slot_ids, slot_keys, slot_keys[order], order), None
     slot_keys = previous.slot_keys.copy()
     slot_keys[changed] = cells.sort_keys(slot_ids[changed])
     moved = np.zeros(size, dtype=bool)
     moved[changed] = True
-    by_key = np.argsort(slot_keys[changed], kind="stable")
+    by_key = np.argsort(slot_keys[changed])
     added_keys, added_slots = slot_keys[changed][by_key], changed[by_key]
     patch = RowPatch.plan(
         size,

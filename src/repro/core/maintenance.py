@@ -73,9 +73,8 @@ def refresh_from_below(
         )
     lower_ids = lower.row_ids
     lower_pis = lower.inclusion_probabilities()
-    pi_of_row: Dict[int, float] = {
-        int(row): float(pi) for row, pi in zip(lower_ids, lower_pis)
-    }
+    # the lower πs by row id: every upper row is a lower row
+    by_id = np.argsort(lower_ids)
     sampler = upper.sampler
     reset = getattr(sampler, "reset", None)
     if callable(reset):
@@ -92,9 +91,8 @@ def refresh_from_below(
         accepted = sampler.offer_batch(lower_ids)
     upper_ids = sampler.row_ids
     upper_pis = sampler.inclusion_probabilities()
-    composed = np.array(
-        [pi_of_row[int(row)] for row in upper_ids], dtype=float
-    ) * np.asarray(upper_pis, dtype=float)
+    found = by_id[np.searchsorted(lower_ids[by_id], upper_ids)]
+    composed = lower_pis[found] * np.asarray(upper_pis, dtype=float)
     upper.set_inclusion_override(np.clip(composed, 1e-12, 1.0))
     if clock is not None:
         clock.charge(lower_ids.shape[0])

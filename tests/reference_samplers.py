@@ -19,15 +19,21 @@ against these references:
   evictions uniform, matching the prose ("another randomly chosen one
   is thrown out") rather than the pseudocode artefact.  The
   ``test_reference_slot_artifact`` tests document the difference.
+
+:func:`sequential_offer_batch` is of another kind: the production
+``ReservoirBase.offer_batch`` written hit by hit, with the same draws
+in the same order.  ``tests/test_sequential_offer.py`` holds the
+array-step implementation to it state array for state array.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.sampling.base import ReservoirBase
 from repro.util.rng import RandomSource, ensure_rng
 
 
@@ -143,3 +149,62 @@ def slot_histogram_last_seen(
         if daily_ingest * rnd < keep:
             hits[math.floor(n * rnd)] += 1
     return hits
+
+
+def sequential_offer_batch(
+    sampler: ReservoirBase,
+    row_ids: np.ndarray,
+    batch: Optional[Mapping[str, np.ndarray]] = None,
+) -> int:
+    """``ReservoirBase.offer_batch`` one accepted tuple at a time.
+
+    The same acceptance test and the same draws, in the same order, but
+    every hit is written by its own loop iteration, so a later hit into
+    a slot overwrites an earlier one and accepts are numbered as they
+    come.  Fills first, like the tuple-at-a-time figures.
+    """
+    row_ids = np.asarray(row_ids, dtype=np.int64)
+    count = row_ids.shape[0]
+    if count == 0:
+        return 0
+    start = 0
+    accepted = 0
+    if sampler._filled < sampler.capacity:
+        take = min(sampler.capacity - sampler._filled, count)
+        fill = slice(sampler._filled, sampler._filled + take)
+        sampler._row_ids[fill] = row_ids[:take]
+        sampler._accept_prob[fill] = 1.0
+        sampler._accept_seq[fill] = sampler._accepts
+        sampler._offer_cnt[fill] = sampler._seen + 1 + np.arange(take)
+        sampler._churn_at[fill] = sampler._churn_total
+        sampler._filled += take
+        sampler._seen += take
+        start = accepted = take
+        if start == count:
+            return accepted
+    tail_ids = row_ids[start:]
+    tail_batch = (
+        {k: np.asarray(v)[start:] for k, v in batch.items()}
+        if batch is not None
+        else None
+    )
+    counts_after = sampler._seen + 1 + np.arange(tail_ids.shape[0], dtype=np.int64)
+    probs = np.clip(
+        sampler.acceptance_probabilities(tail_ids, tail_batch, counts_after),
+        0.0,
+        1.0,
+    )
+    draws = sampler.rng.random(tail_ids.shape[0])
+    hits = np.flatnonzero(draws < probs)
+    slots = sampler.rng.integers(0, sampler.capacity, size=hits.shape[0])
+    churn_after = sampler._churn_total + np.cumsum(probs) / sampler.capacity
+    for hit, slot in zip(hits, slots):
+        sampler._accepts += 1
+        sampler._row_ids[slot] = tail_ids[hit]
+        sampler._accept_prob[slot] = probs[hit]
+        sampler._accept_seq[slot] = sampler._accepts
+        sampler._offer_cnt[slot] = counts_after[hit]
+        sampler._churn_at[slot] = churn_after[hit]
+    sampler._churn_total = float(churn_after[-1])
+    sampler._seen += tail_ids.shape[0]
+    return accepted + hits.shape[0]
