@@ -20,12 +20,18 @@ Two parts:
   scale, and writes ``BENCH_maintenance.json``; ``repro.bench.gates``
   holds ``max_excess_columns`` (gathered minus read, worst rung) at
   most 1 — the hidden ``_pi`` — and the refresh saving at least 10x.
+  The same run climbs a cone *row* query to the base (its base rung
+  reads the cover) and records ``rows.gather_ratio``: values gathered
+  for the returned columns over values returned, worst rung — a row
+  answer orders and limits its index vector and gathers only the kept
+  rows, so the gate holds it at most 1.
 """
 
 import time
 
 from repro.bench.report import write_bench_report
 from repro.columnstore import AggregateSpec, Query
+from repro.columnstore.column import Column
 from repro.columnstore.expressions import RadialPredicate
 from repro.core.contracts import Contract
 from repro.core.maintenance import rebuild_from_base, refresh_hierarchy
@@ -140,6 +146,55 @@ def run_invalidation_claim(context, ingest_rows):
     }
 
 
+ROWS = Query(
+    table=TABLE,
+    predicate=CONE.predicate,
+    select=("objID", "ra", "dec", "r_mag"),
+    order_by="g_mag",
+    limit=200,
+)
+
+
+def run_rows_claim(context):
+    """Climb a cone row query to the base, counting per rung the values
+    gathered for its returned columns against the values returned."""
+    engine = context.engine
+    base = engine.catalog.table(TABLE)
+    assert engine.hierarchy(TABLE).base_cover(ROWS.predicate, base) is not None
+    gathered = []
+    original = Column.gather_with_error
+
+    def counting(column, indices, raw=False):
+        # raw gathers are a rung table's own first touch, not the answer
+        if not raw and column.name in ROWS.select:
+            gathered.append(len(indices))
+        return original(column, indices, raw)
+
+    rungs = {}
+    Column.gather_with_error = counting
+    try:
+        for update in engine.processor(TABLE).run(ROWS, TO_THE_BASE):
+            rows = update.result.rows
+            rungs[update.source] = {
+                "returned": rows.num_rows * len(rows.column_names),
+                "gathered": sum(gathered),
+            }
+            del gathered[:]
+    finally:
+        Column.gather_with_error = original
+    assert list(rungs)[-1] == TABLE
+    ratio = max(e["gathered"] / max(e["returned"], 1) for e in rungs.values())
+    print("== rows: a cone row query climbed to the base (through the cover) ==")
+    for name, entry in rungs.items():
+        print(
+            f"  {name}: gathered {entry['gathered']} values, "
+            f"returned {entry['returned']}"
+        )
+    assert ratio <= 1, f"a rung gathered {ratio:.1f}x the values it returned"
+    print(f"  gather ratio (worst rung): {ratio:.2f} ✓")
+    return {"gather_ratio": ratio, "rungs": rungs}
+
+
 def run_refresh_claim(context, layer_sizes):
     """E9 at the standalone scale: refresh-from-below vs base rebuild."""
     base = context.engine.catalog.table(TABLE)
@@ -182,8 +237,11 @@ def main() -> None:
         f"({'smoke' if args.smoke else 'full'})"
     )
     invalidation = run_invalidation_claim(context, INGEST_ROWS)
+    rows = run_rows_claim(context)
     refresh = run_refresh_claim(context, layer_sizes)
-    write_bench_report("maintenance", {"n": n, **invalidation, "refresh": refresh})
+    write_bench_report(
+        "maintenance", {"n": n, **invalidation, "rows": rows, "refresh": refresh}
+    )
     print("all maintenance claims hold ✓")
 
 

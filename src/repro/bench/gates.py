@@ -70,6 +70,9 @@ DEFAULT_SPEC = GateSpec(
         # paper §3.1: refresh-from-below is an order of magnitude
         # cheaper than a rebuild from the base
         MetricGate(artifact="maintenance", metric="refresh.saving", min_value=10),
+        # a row answer gathers only the rows it returns, on every rung
+        # of a cone row query climbed to the base
+        MetricGate(artifact="maintenance", metric="rows.gather_ratio", max_value=1),
         # base scans read the largest rung plus its complement, laid out
         # by interest cell: ≥3x fewer tuples than scanning the unsorted
         # base (not required, like the maintenance gates)

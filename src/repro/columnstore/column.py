@@ -467,6 +467,27 @@ class Column:
                     worst = max(worst, entry.value_error)
         return worst
 
+    def value_error_at(self, indices: np.ndarray) -> float:
+        """The bound :meth:`gather_with_error` reports for ``indices`` —
+        the floor and every touched block's — without reading a value.
+
+        The touched blocks are marked read, as that gather would mark
+        them: the memory governor ranks a row answer's blocks by the
+        rows it matched, not by the few it returns.
+        """
+        self._read_tick = next(_TICK)
+        chunks = self._chunks
+        worst = self._value_error_floor
+        if self._data is not None or chunks is None or indices.size == 0:
+            return worst
+        for block in np.unique(indices // self._block_size).tolist():
+            if block < len(chunks) and not isinstance(chunks[block], np.ndarray):
+                worst = max(worst, self.block_value_error(block))
+                last = self._block_ticks.get(block, 0)
+                self._demoted_access_tick = last or next(_TICK)
+            self._block_ticks[block] = next(_TICK)
+        return worst
+
     def lossy_state(self) -> tuple:
         """What a read of this column gets dequantised: the inherited
         floor and, by block, each warm block's recorded bound — ``()``

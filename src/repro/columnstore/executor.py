@@ -18,7 +18,7 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.columnstore.operators import OperatorStats
 from repro.columnstore.query import Query
 from repro.columnstore.recycler import Recycler, lossy_reads
 from repro.columnstore.table import DerivedTable, Table
-from repro.errors import QueryError
+from repro.errors import QueryError, UnknownColumnError
 from repro.util.clock import CostClock, ExecutionContext, WallClock
 from repro.util.concurrency import MorselPool, shared_scan_pool
 
@@ -203,18 +203,22 @@ class Executor:
         fresh unbounded context is opened (its charges still aggregate
         to :attr:`clock`).  ``cover`` is a partition of the source the
         selection reads instead of it (see :meth:`select_indices`).
+        Aggregates finish a gathered :meth:`working_set`; a row query
+        orders and limits its selection's index vector and gathers the
+        kept rows once (:meth:`row_set`, :func:`order_and_limit`,
+        :func:`gather_rows`), charged as a materialised sort and limit.
         """
         query = expand_view(self.catalog, query)
         if context is None:
             context = self.new_context()
         source = fact_table if fact_table is not None else self.catalog.table(query.table)
         spent_before = context.spent
-        working, stats = self.working_set(query, source, context, cover=cover)
         if query.is_aggregate:
+            working, stats = self.working_set(query, source, context, cover=cover)
             result = self.finish_aggregate(query, working, stats, context)
         else:
-            result = self._finish_rows(query, source, working, stats, context)
-        stats.charged = context.spent - spent_before
+            result = self._finish_rows(query, source, context, cover)
+        result.stats.charged = context.spent - spent_before
         return result
 
     def working_set(
@@ -224,19 +228,23 @@ class Executor:
         context: Optional[ExecutionContext] = None,
         cover: Optional[BaseCover] = None,
     ) -> tuple[Table, ExecutionStats]:
-        """Select and join: the rows of ``source`` the rest of the plan reads.
+        """Select and join: the rows of ``source`` the rest of the plan
+        reads, gathered.
 
         Late-materialising: the selection yields row indices, and only
         the columns ``query`` still reads (:meth:`Query.columns_carried`
         plus the table's hidden ``_``-prefixed columns, such as an
         impression's ``_pi``) are gathered for the matching rows.
+        Aggregates read it whole:
         :class:`~repro.core.quality.ImpressionEstimator` builds its
         sample working set here; :meth:`execute` goes on to finish it.
+        A row query without joins keeps its selection as an index vector
+        instead (:meth:`row_set`) and gathers only the rows it returns.
         """
         if context is None:
             context = self.new_context()
-        stats = ExecutionStats(source=source.name, source_rows=source.num_rows)
         spent_before = context.spent
+        stats = ExecutionStats(source=source.name, source_rows=source.num_rows)
         indices, op = self.select_indices(source, query.predicate, context, cover=cover)
         stats.add(op)
         name = f"{source.name}#sel"
@@ -254,6 +262,29 @@ class Executor:
         working = self._apply_joins(query, working, stats, context)
         stats.charged = context.spent - spent_before
         return working, stats
+
+    def row_set(
+        self,
+        query: Query,
+        source: Table,
+        context: Optional[ExecutionContext] = None,
+        cover: Optional[BaseCover] = None,
+    ) -> "RowSet":
+        """A row query's working set, nothing gathered: the selection's
+        index vector into ``source``, or with joins every row of the
+        joined :meth:`working_set`.  :func:`order_and_limit` and
+        :func:`gather_rows` finish it, here and in
+        :class:`~repro.core.quality.ImpressionEstimator`."""
+        if query.joins:
+            return RowSet.whole(*self.working_set(query, source, context, cover))
+        if context is None:
+            context = self.new_context()
+        spent_before = context.spent
+        stats = ExecutionStats(source=source.name, source_rows=source.num_rows)
+        indices, op = self.select_indices(source, query.predicate, context, cover=cover)
+        stats.add(op)
+        stats.charged = context.spent - spent_before
+        return RowSet(source, indices, f"{source.name}#sel", stats)
 
     # ------------------------------------------------------------------
     def select_indices(
@@ -387,27 +418,30 @@ class Executor:
         self,
         query: Query,
         source: Table,
-        working: Table,
-        stats: ExecutionStats,
         context: ExecutionContext,
+        cover: Optional[BaseCover],
     ) -> QueryResult:
-        if query.order_by:
-            working, op = operators.sort(working, query.order_by, query.descending)
+        rows = self.row_set(query, source, context, cover)
+        kept, ops, name = order_and_limit(query, rows.table, rows.indices, rows.name)
+        for op in ops:
             context.charge(op.cost)
-            stats.add(op)
-        if query.limit is not None:
-            working, op = operators.limit(working, query.limit)
-            context.charge(op.cost)
-            stats.add(op)
+            rows.stats.add(op)
+        names = rows.table.column_names
         if query.select:
-            missing = [n for n in query.select if not working.has_column(n)]
+            missing = [n for n in query.select if not rows.table.has_column(n)]
             if missing:
                 raise QueryError(
                     f"projection references missing columns {missing} "
                     f"(available: {self._whole_row_names(query, source)})"
                 )
-            working = working.project(query.select, f"{working.name}#proj")
-        return QueryResult(query=query, stats=stats, rows=working)
+            names, name = query.select, f"{name}#proj"
+        return QueryResult(
+            query=query,
+            stats=rows.stats,
+            rows=gather_rows(
+                rows.table, kept, rows.indices, names, name, query.order_by
+            ),
+        )
 
     def _whole_row_names(self, query: Query, source: Table) -> List[str]:
         """Column names of ``query``'s working set had it carried whole
@@ -420,6 +454,74 @@ class Executor:
                 rows, right, none, none, join.projection
             )
         return rows.column_names
+
+
+class RowSet(NamedTuple):
+    """Rows ``indices`` of ``table``: a row query's working set, called
+    ``name`` (in error messages) and selected as ``stats`` record."""
+
+    table: Table
+    indices: np.ndarray
+    name: str
+    stats: ExecutionStats
+
+    @classmethod
+    def whole(cls, table: Table, stats: ExecutionStats) -> "RowSet":
+        """Every row of a materialised working set."""
+        return cls(table, np.arange(table.num_rows), table.name, stats)
+
+
+def order_and_limit(
+    query: Query, table: Table, indices: np.ndarray, name: str
+) -> Tuple[np.ndarray, List[OperatorStats], str]:
+    """ORDER BY and LIMIT of a row answer, on its index vector.
+
+    ORDER BY gathers its key column alone and orders the indices
+    stably (:func:`~repro.columnstore.operators.stable_order`); LIMIT
+    truncates them.  Returns the kept indices, the ``sort`` / ``limit``
+    records a materialised sort and limit of the ``name``d working set
+    would have charged, and the name the rows then go by.
+    """
+    ops: List[OperatorStats] = []
+    matched = int(indices.shape[0])
+    if query.order_by:
+        if not table.has_column(query.order_by):
+            raise UnknownColumnError(name, query.order_by)
+        keys, _ = table.column(query.order_by).gather_with_error(indices)
+        indices = indices[operators.stable_order(keys, query.descending)]
+        ops.append(OperatorStats("sort", matched, matched))
+        name = "sort"
+    if query.limit is not None:
+        indices = indices[: query.limit]
+        ops.append(OperatorStats("limit", matched, int(indices.shape[0])))
+        name = "limit"
+    return indices, ops, name
+
+
+def gather_rows(
+    table: Table,
+    kept: np.ndarray,
+    matched: np.ndarray,
+    names: Sequence[str],
+    name: str,
+    order_by: Optional[str],
+) -> Table:
+    """The returned rows: one :meth:`Table.take` of the ``kept`` indices.
+
+    Each returned column declares the value-error bound of every
+    ``matched`` row's block (:meth:`Column.value_error_at`) — which rows
+    a LIMIT keeps must not narrow it — and the blocks of the returned
+    columns and the ``order_by`` key are marked read in the table's
+    column order, as a gather of the whole match would have marked them.
+    """
+    rows = table.take(kept, name, names)
+    read = set(names) | {order_by}
+    for column in table.column_names:
+        if column in read:
+            bound = table.column(column).value_error_at(matched)
+            if column in names:
+                rows.column(column).declare_value_error(bound)
+    return rows
 
 
 def expand_view(catalog: Catalog, query: Query) -> Query:

@@ -6,10 +6,11 @@ indices**: the executor then gathers, for the matching rows, only the
 columns the rest of the plan reads
 (:meth:`~repro.columnstore.executor.Executor.working_set`), so the
 working set the later operators materialise is plan-wide, not
-table-wide.  The tuple counts are the library's cost model:
-SciBORQ's runtime bounds are enforced by choosing which impression an
-operator tree runs over, and the benefit is visible precisely in these
-counts (paper §3.2).
+table-wide; a row answer orders and limits the index vector itself
+(:func:`~repro.columnstore.executor.order_and_limit`).  The tuple
+counts are the library's cost model: SciBORQ's runtime bounds are
+enforced by choosing which impression an operator tree runs over, and
+the benefit is visible precisely in these counts (paper §3.2).
 
 Selection is zone-map aware: storage blocks whose per-column min/max
 summaries cannot satisfy the predicate are skipped entirely and —
@@ -501,22 +502,28 @@ def group_aggregate(
 # ----------------------------------------------------------------------
 # ordering and limiting
 # ----------------------------------------------------------------------
+def stable_order(values: np.ndarray, descending: bool = False) -> np.ndarray:
+    """The stable sorting permutation of ``values``, either direction.
+
+    Rows with equal keys keep their input order both ways.  (Reversing
+    an ascending stable order would reverse the tie runs too, so the
+    descending order sorts the *reversed* input ascending and flips
+    that — ties land back in input order.)
+    """
+    if descending:
+        reversed_order = np.argsort(values[::-1], kind="stable")
+        return (values.shape[0] - 1 - reversed_order)[::-1]
+    return np.argsort(values, kind="stable")
+
+
 def sort(
     table: Table, by: str, descending: bool = False, name: str = "sort"
 ) -> Tuple[Table, OperatorStats]:
-    """Full sort of a materialised table by one column.
-
-    Stable in both directions: rows with equal keys keep their input
-    order.  (Reversing an ascending stable order would reverse the tie
-    runs too, so the descending path sorts the *reversed* input
-    ascending and flips that — ties land back in input order.)
-    """
-    values = table[by]
-    if descending:
-        reversed_order = np.argsort(values[::-1], kind="stable")
-        order = (table.num_rows - 1 - reversed_order)[::-1]
-    else:
-        order = np.argsort(values, kind="stable")
+    """Full sort of a materialised table by one column, stable in both
+    directions (:func:`stable_order`).  Row answers order their index
+    vector with the same helper instead
+    (:func:`~repro.columnstore.executor.order_and_limit`)."""
+    order = stable_order(table[by], descending)
     stats = OperatorStats("sort", table.num_rows, table.num_rows)
     return table.take(order, name), stats
 

@@ -21,7 +21,11 @@ tables alike.
   reference to its table, so a later object that happens to get the
   same ``id()`` never hits either.
 * **The version invalidates.**  An append bumps it; stale entries stop
-  matching and age out by LRU.
+  matching.
+* **Dead generations leave at once.**  Nothing can serve an entry whose
+  table was collected or moved on to a new version, so such entries do
+  not wait for LRU: they are swept at the next call after a table dies,
+  and at the next store of a table whose version moved.
 * **The lossy tag is taken before the scan.**  Tiering bumps no version,
   so each entry remembers which quantised (warm) values its scan read
   (:func:`lossy_reads`), and serves only a scan that would read the
@@ -104,6 +108,11 @@ class Recycler:
         self.capacity_bytes = capacity_bytes
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._bytes = 0
+        #: ``id(table)`` → the version its entries were stored at
+        self._versions: dict = {}
+        #: entries' weak references whose table died (appended by their
+        #: callbacks, from whichever thread the table dies in)
+        self._dead: list = []
         self.stats = RecyclerStats()
         # One recycler is shared by every session of a server; lookups
         # mutate LRU order and stats, so all access is serialised.
@@ -114,12 +123,24 @@ class Recycler:
     def _key(table: Table, predicate: Expression) -> tuple:
         return (id(table), table.version, predicate.fingerprint())
 
+    def _sweep(self) -> None:
+        """Drop every entry whose table was collected or has moved on
+        to a new version (under the lock)."""
+        del self._dead[:]
+        for key, entry in list(self._entries.items()):
+            table = entry.ref()
+            if table is None or table.version != key[1]:
+                self._bytes -= self._entries.pop(key).indices.nbytes
+        self._versions = {key[0]: key[1] for key in self._entries}
+
     def _serve(
         self, table: Table, predicate: Expression, lossy: tuple
     ) -> Optional[Tuple[np.ndarray, OperatorStats]]:
         """The selection serving this scan, LRU-refreshed (under the
         lock).  The entry must be this very table's: a dead table's
         ``id()``, reused, finds nothing."""
+        if self._dead:
+            self._sweep()
         key = self._key(table, predicate)
         entry = self._entries.get(key)
         if entry is None or entry.ref() is not table or entry.lossy != lossy:
@@ -193,12 +214,17 @@ class Recycler:
             return
         key = self._key(table, predicate)
         with self._lock:
+            moved = self._versions.get(id(table), table.version) != table.version
+            if moved or self._dead:
+                self._sweep()
+            self._versions[id(table)] = table.version
             if key in self._entries:
                 self._bytes -= self._entries.pop(key).indices.nbytes
             while self._bytes + indices.nbytes > self.capacity_bytes:
                 self._bytes -= self._entries.popitem(last=False)[1].indices.nbytes
                 self.stats.evictions += 1
-            self._entries[key] = _Entry(weakref.ref(table), indices, stats, lossy)
+            ref = weakref.ref(table, self._dead.append)
+            self._entries[key] = _Entry(ref, indices, stats, lossy)
             self._bytes += indices.nbytes
             self.stats.stored += 1
 
@@ -207,14 +233,19 @@ class Recycler:
     def size_bytes(self) -> int:
         """Bytes currently cached."""
         with self._lock:
+            if self._dead:
+                self._sweep()
             return self._bytes
 
     def __len__(self) -> int:
         with self._lock:
+            if self._dead:
+                self._sweep()
             return len(self._entries)
 
     def clear(self) -> None:
         """Drop all entries (counters are preserved)."""
         with self._lock:
             self._entries.clear()
+            self._versions.clear()
             self._bytes = 0

@@ -299,21 +299,6 @@ class Table:
             [self.column(n).filter(mask) for n in self.column_names],
         )
 
-    def project(self, names: Sequence[str], name: str | None = None) -> "Table":
-        """Materialise a column subset (column-store projection)."""
-        for n in names:
-            if not self.has_column(n):
-                raise UnknownColumnError(self.name, n)
-        projected = []
-        for n in names:
-            source = self.column(n)
-            column = Column.from_external(
-                n, source.dtype, source.to_numpy(), block_size=source.block_size
-            )
-            column.declare_value_error(source.max_value_error())
-            projected.append(column)
-        return Table(name or f"{self.name}#project", projected)
-
     @classmethod
     def from_arrays(
         cls, name: str, arrays: Mapping[str, np.ndarray | Sequence]

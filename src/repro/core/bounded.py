@@ -462,21 +462,19 @@ class BoundedQueryProcessor:
                 result, best, best_error,
             )
 
+        # with neither a time budget nor a context limit, affords() is
+        # always true: nothing can refuse a rung, so none is priced
+        priced = contract.time_budget is not None or context.limit is not None
         for rung in ladder:
-            if foldable:
+            fits = True
+            if priced:
                 cost = self._predicted_rung_cost(query, rung, base, consumed, fold)
-            else:
-                cost = self._predicted_cost(query, rung, base)
-            cost_units = self._budget_units(cost, context)
-            if attempts and not affords(cost_units):
+                fits = affords(self._budget_units(cost, context))
+            if attempts and not fits:
                 # We already have an answer and the next rung does not
                 # fit the remaining budget: stop escalating.
                 break
-            if (
-                not attempts
-                and not affords(cost_units)
-                and rung is not None
-            ):
+            if not attempts and not fits and rung is not None:
                 # Nothing answered yet; skip rungs that cannot fit,
                 # but never skip every rung — the smallest impression
                 # is the answer of last resort (handled below).

@@ -35,9 +35,10 @@ so a perf or quality regression fails CI, not a reader of dashboards.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -192,13 +193,13 @@ class _StreamingHistogram:
 
     def add(self, value: float) -> None:
         value = float(value)
-        if value != value or value == float("inf"):  # NaN / unanswerable
-            value = float("inf")
+        if value != value or value == math.inf:  # NaN / unanswerable
             self.counts[-1] += 1
         else:
             self.counts[bisect_left(self.edges, value)] += 1
             self.sum += value
-            self.max = max(self.max, value)
+            if value > self.max:
+                self.max = value
         self.total += 1
 
     def _quantile(self, fraction: float) -> float:
@@ -485,8 +486,8 @@ class ContractMonitor:
         self._by_status: Dict[str, int] = {
             status: 0 for status in VERDICT_STATUSES
         }
-        self._by_tier: Dict[str, _Bucket] = {}
-        self._by_session: Dict[Optional[int], _Bucket] = {}
+        self._by_tier: Dict[str, _Bucket] = defaultdict(_Bucket)
+        self._by_session: Dict[Optional[int], _Bucket] = defaultdict(_Bucket)
         self._session_names: Dict[int, str] = {}
         self._errors = _StreamingHistogram(ERROR_EDGES)
         self._latency = _StreamingHistogram(LATENCY_EDGES)
@@ -638,10 +639,8 @@ class ContractMonitor:
             self._observed += 1
             self._by_status[verdict.status] += 1
             tier_key = verdict.tier or UNTIERED
-            self._by_tier.setdefault(tier_key, _Bucket()).add(verdict.status)
-            self._by_session.setdefault(
-                verdict.session_id, _Bucket()
-            ).add(verdict.status)
+            self._by_tier[tier_key].add(verdict.status)
+            self._by_session[verdict.session_id].add(verdict.status)
             if (
                 verdict.session_id is not None
                 and verdict.session_name is not None

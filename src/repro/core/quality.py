@@ -28,11 +28,17 @@ import numpy as np
 from repro.columnstore import operators
 from repro.columnstore.catalog import Catalog
 from repro.columnstore.column import Column
-from repro.columnstore.executor import ExecutionStats, Executor
+from repro.columnstore.executor import (
+    ExecutionStats,
+    Executor,
+    RowSet,
+    gather_rows,
+    order_and_limit,
+)
 from repro.columnstore.query import AggregateSpec, Query
 from repro.columnstore.table import Table
 from repro.core.impression import PI_COLUMN, Impression
-from repro.errors import EstimationError, QueryError
+from repro.errors import EstimationError, QueryError, UnknownColumnError
 from repro.sampling.reservoir import ReservoirR
 from repro.stats.estimators import (
     Estimate,
@@ -171,7 +177,10 @@ class ImpressionEstimator:
         """
         base = self.catalog.table(query.table)
         imp_table = impression.materialise(base)
-
+        if not query.is_aggregate:
+            rows = self.executor.row_set(query, imp_table, context)
+            rows.stats.source = impression.name
+            return self._rows(query, impression, rows, confidence)
         # the sample's matching rows, carrying ``_pi`` and only the
         # columns the estimators below read
         working, stats = self.executor.working_set(query, imp_table, context)
@@ -197,18 +206,18 @@ class ImpressionEstimator:
         from previous rungs with *this* impression's inclusion
         probabilities — instead of re-scanning the whole impression.
         """
+        if not query.is_aggregate:
+            return self._rows(
+                query, impression, RowSet.whole(working, stats), confidence
+            )
         confidence = confidence if confidence is not None else self.confidence
         population = self.catalog.table(query.table).num_rows
         uniform = isinstance(impression.sampler, ReservoirR)
-        if query.is_aggregate and query.group_by:
+        if query.group_by:
             return self._grouped(
                 query, impression, working, stats, population, uniform, confidence
             )
-        if query.is_aggregate:
-            return self._scalar(
-                query, impression, working, stats, population, uniform, confidence
-            )
-        return self._rows(
+        return self._scalar(
             query, impression, working, stats, population, uniform, confidence
         )
 
@@ -448,34 +457,36 @@ class ImpressionEstimator:
         self,
         query: Query,
         impression: Impression,
-        working: Table,
-        stats: ExecutionStats,
-        population: int,
-        uniform: bool,
-        confidence: float,
+        rows: RowSet,
+        confidence: Optional[float],
     ) -> EstimatedResult:
-        pis = np.asarray(working[PI_COLUMN], dtype=float)
-        if uniform:
+        """A row answer from the sample: the support estimate, then the
+        executor's row step — order and limit on the index vector, one
+        gather of the kept rows.  A uniform rung counts its matches; a
+        biased one gathers ``_pi`` at them, and nothing else, for
+        :func:`ht_count`."""
+        confidence = confidence if confidence is not None else self.confidence
+        population = self.catalog.table(query.table).num_rows
+        matched = rows.indices
+        if isinstance(impression.sampler, ReservoirR):
             support = srs_count(
-                int(pis.shape[0]), impression.size, population, confidence
+                int(matched.shape[0]), impression.size, population, confidence
             )
         else:
-            support = ht_count(pis, confidence, population)
-        rows = working
-        if query.order_by:
-            rows, _ = operators.sort(rows, query.order_by, query.descending)
-        if query.limit is not None:
-            rows, _ = operators.limit(rows, query.limit)
-        if query.select:
-            rows = rows.project(list(query.select))
-        else:
-            visible = [n for n in rows.column_names if n != PI_COLUMN]
-            rows = rows.project(visible)
+            pis, _ = rows.table.column(PI_COLUMN).gather_with_error(matched)
+            support = ht_count(np.asarray(pis, dtype=float), confidence, population)
+        kept, _, name = order_and_limit(query, rows.table, matched, rows.name)
+        names = query.select or [n for n in rows.table.column_names if n != PI_COLUMN]
+        for n in names:
+            if not rows.table.has_column(n):
+                raise UnknownColumnError(name, n)
         return EstimatedResult(
             query=query,
             source=impression.name,
-            stats=stats,
-            rows=rows,
+            stats=rows.stats,
+            rows=gather_rows(
+                rows.table, kept, matched, names, f"{name}#project", query.order_by
+            ),
             support=support,
         )
 

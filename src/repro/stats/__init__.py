@@ -29,7 +29,6 @@ from repro.stats.kde import (
 )
 from repro.stats.bandwidth import (
     silverman_bandwidth,
-    scott_bandwidth,
     oversmoothed_bandwidth,
     undersmoothed_bandwidth,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "ExactKDE",
     "BinnedKDE",
     "silverman_bandwidth",
-    "scott_bandwidth",
     "oversmoothed_bandwidth",
     "undersmoothed_bandwidth",
     "FisherNCHypergeometric",

@@ -2,7 +2,7 @@
 
 "Choosing the correct approximation for the bandwidth h is hard and
 has been an area of intense research" (paper §4, citing Jones, Marron
-& Sheather 1996).  The library ships the standard reference rules plus
+& Sheather 1996).  The library ships Silverman's reference rule plus
 the deliberately bad choices needed to reproduce Figure 4's
 oversmoothed (green) and undersmoothed (blue) panels.
 """
@@ -37,15 +37,6 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * _spread(values) * values.shape[0] ** (-0.2)
 
 
-def scott_bandwidth(values: np.ndarray) -> float:
-    """Scott's rule: 1.06·σ·N^(−1/5) (slightly smoother than Silverman)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] == 0:
-        raise ValueError("cannot select a bandwidth for an empty sample")
-    std = float(values.std(ddof=1)) if values.shape[0] > 1 else 1.0
-    return 1.06 * (std if std > 0 else 1.0) * values.shape[0] ** (-0.2)
-
-
 def oversmoothed_bandwidth(values: np.ndarray, factor: float = OVERSMOOTH_FACTOR) -> float:
     """A deliberately large h ("green lines" of Figure 4)."""
     require_positive(factor, "factor")
@@ -58,40 +49,3 @@ def undersmoothed_bandwidth(
     """A deliberately small h ("blue lines" of Figure 4)."""
     require_positive(factor, "factor")
     return silverman_bandwidth(values) * factor
-
-
-def least_squares_cv_bandwidth(
-    values: np.ndarray,
-    candidates: np.ndarray | None = None,
-) -> float:
-    """Least-squares cross-validation over a candidate grid.
-
-    Minimises the LSCV criterion
-    ``∫f̂² − (2/N)Σᵢ f̂₋ᵢ(xᵢ)`` for a Gaussian kernel, evaluated in
-    closed form.  Quadratic in N, so intended for predicate sets
-    (hundreds of values), not base data.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    if n < 3:
-        raise ValueError("LSCV needs at least 3 points")
-    if candidates is None:
-        h0 = silverman_bandwidth(values)
-        candidates = h0 * np.logspace(-1.0, 1.0, 21)
-    diffs = values[:, None] - values[None, :]
-    best_h, best_score = None, np.inf
-    for h in np.asarray(candidates, dtype=float):
-        if h <= 0:
-            continue
-        u = diffs / h
-        # ∫ f̂² dx = (1/(N²h·2√π)) Σᵢⱼ exp(−uᵢⱼ²/4)
-        term1 = np.exp(-0.25 * u * u).sum() / (n * n * h * 2.0 * np.sqrt(np.pi))
-        # (2/N) Σᵢ f̂₋ᵢ(xᵢ) with Gaussian kernel
-        phi = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-        np.fill_diagonal(phi, 0.0)
-        term2 = 2.0 * phi.sum() / (n * (n - 1) * h)
-        score = term1 - term2
-        if score < best_score:
-            best_h, best_score = float(h), float(score)
-    assert best_h is not None
-    return best_h

@@ -8,12 +8,11 @@ a fixed seed, which the test-suite and benchmark harness rely on.
 from repro.util.rng import RandomSource, ensure_rng, spawn_rngs
 from repro.util.clock import CostClock, WallClock, ExecutionContext
 from repro.util.concurrency import ReadWriteLock
-from repro.util.textplot import ascii_histogram, ascii_series, format_table
+from repro.util.textplot import ascii_histogram, format_table
 from repro.util.validation import (
     require,
     require_positive,
     require_in_range,
-    require_fraction,
 )
 
 __all__ = [
@@ -25,10 +24,8 @@ __all__ = [
     "ExecutionContext",
     "ReadWriteLock",
     "ascii_histogram",
-    "ascii_series",
     "format_table",
     "require",
     "require_positive",
     "require_in_range",
-    "require_fraction",
 ]

@@ -47,40 +47,6 @@ def ascii_histogram(
     return "\n".join(lines)
 
 
-def ascii_series(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    height: int = 12,
-    width: int = 64,
-    title: str = "",
-) -> str:
-    """Render (x, y) points as a sparse scatter/curve in a text grid."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape:
-        raise ValueError("xs and ys must have the same shape")
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    if xs.size == 0:
-        lines.append("(empty series)")
-        return "\n".join(lines)
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in zip(xs, ys):
-        col = int((x - x_lo) / x_span * (width - 1))
-        row = int((y - y_lo) / y_span * (height - 1))
-        grid[height - 1 - row][col] = "*"
-    lines.append(f"y ∈ [{y_lo:g}, {y_hi:g}]")
-    lines.extend("|" + "".join(row) for row in grid)
-    lines.append("+" + "-" * width)
-    lines.append(f" x ∈ [{x_lo:g}, {x_hi:g}]")
-    return "\n".join(lines)
-
-
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],

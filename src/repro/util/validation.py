@@ -7,9 +7,6 @@ a sampler loop.
 
 from __future__ import annotations
 
-from typing import Any
-
-
 def require(condition: bool, message: str) -> None:
     """Raise ``ValueError(message)`` unless ``condition`` holds."""
     if not condition:
@@ -26,19 +23,3 @@ def require_in_range(value: float, lo: float, hi: float, name: str) -> None:
     """Require ``lo <= value <= hi``."""
     if not (lo <= value <= hi):
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-
-
-def require_fraction(value: float, name: str) -> None:
-    """Require ``0 <= value <= 1`` (probabilities, ratios)."""
-    require_in_range(value, 0.0, 1.0, name)
-
-
-def require_type(value: Any, types: type | tuple[type, ...], name: str) -> None:
-    """Require ``isinstance(value, types)``, naming the parameter."""
-    if not isinstance(value, types):
-        expected = (
-            types.__name__
-            if isinstance(types, type)
-            else " or ".join(t.__name__ for t in types)
-        )
-        raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")

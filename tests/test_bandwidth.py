@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.stats.bandwidth import (
-    least_squares_cv_bandwidth,
     oversmoothed_bandwidth,
-    scott_bandwidth,
     silverman_bandwidth,
     undersmoothed_bandwidth,
 )
@@ -18,10 +16,6 @@ class TestReferenceRules:
         h = silverman_bandwidth(values)
         spread = min(values.std(ddof=1), np.subtract(*np.percentile(values, [75, 25])) / 1.34)
         assert h == pytest.approx(0.9 * spread * 400 ** (-0.2))
-
-    def test_scott_larger_than_silverman_for_normal_data(self, rng):
-        values = rng.normal(0, 1, 500)
-        assert scott_bandwidth(values) > silverman_bandwidth(values)
 
     def test_shrinks_with_sample_size(self, rng):
         small = rng.normal(0, 1, 50)
@@ -53,22 +47,3 @@ class TestFigure4Panels:
     def test_invalid_factor(self, rng):
         with pytest.raises(ValueError, match="factor"):
             oversmoothed_bandwidth(rng.normal(0, 1, 10), 0.0)
-
-
-class TestLSCV:
-    def test_picks_reasonable_bandwidth(self, rng):
-        values = rng.normal(0, 1, 200)
-        h = least_squares_cv_bandwidth(values)
-        reference = silverman_bandwidth(values)
-        assert reference / 10 < h < reference * 10
-
-    def test_prefers_reference_over_extremes(self, rng):
-        values = np.concatenate([rng.normal(-3, 0.5, 150), rng.normal(3, 0.5, 150)])
-        reference = silverman_bandwidth(values)
-        candidates = np.array([reference / 8, reference, reference * 8])
-        h = least_squares_cv_bandwidth(values, candidates)
-        assert h != pytest.approx(reference * 8)  # oversmoothing merges modes
-
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            least_squares_cv_bandwidth(np.array([1.0, 2.0]))

@@ -267,6 +267,55 @@ class TestGroupedQueries:
         assert tight.total_cost > loose.total_cost
 
 
+class TestUnpricedClimb:
+    """Without a time budget or a context limit nothing can refuse a
+    rung, so the ladder prices none — and climbs exactly as under a
+    budget that admits every rung."""
+
+    QUERIES = {
+        "aggregate": cone_count(),
+        "rows": Query(
+            table="PhotoObjAll",
+            predicate=RadialPredicate("ra", "dec", 150.0, 10.0, 8.0),
+            select=("objID", "ra", "dec", "r_mag"),
+            order_by="r_mag",
+            limit=50,
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", list(QUERIES))
+    def test_no_prediction_and_the_same_climb(self, processor, monkeypatch, shape):
+        from repro.core import bounded
+
+        priced = []
+        original = bounded.estimate_cost
+
+        def spy(*args, **kwargs):
+            priced.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bounded, "estimate_cost", spy)
+        query = self.QUERIES[shape]
+        free = processor.execute(query, Contract(max_relative_error=0.0))
+        assert priced == []
+        context = processor.new_context(limit=1e15)
+        budgeted = processor.execute(
+            query, Contract(max_relative_error=0.0, time_budget=1e15), context
+        )
+        assert priced  # the budget priced the rungs it could refuse
+        assert free.attempts == budgeted.attempts
+        assert len(free.attempts) == len(processor.hierarchy.layers) + 1
+        assert free.total_cost == budgeted.total_cost
+        assert free.result.estimates == budgeted.result.estimates
+        assert free.result.support == budgeted.result.support
+        if shape == "rows":
+            assert free.result.rows.column_names == budgeted.result.rows.column_names
+            for name in free.result.rows.column_names:
+                np.testing.assert_array_equal(
+                    free.result.rows[name], budgeted.result.rows[name]
+                )
+
+
 class TestRowQueriesBounded:
     def test_row_query_support_error_drives_escalation(self, processor):
         from repro.columnstore.expressions import Between

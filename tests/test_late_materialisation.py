@@ -13,14 +13,18 @@ regression to whole-row gathers fails tier-1 rather than a timed run.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnstore import AggregateSpec, Catalog, Loader, Query, Table
 from repro.columnstore import operators
 from repro.columnstore.column import Column
 from repro.columnstore.executor import ExecutionStats, Executor, expand_view
-from repro.columnstore.expressions import Between
+from repro.columnstore.expressions import Between, RadialPredicate
 from repro.columnstore.operators import OperatorStats
 from repro.columnstore.query import JoinSpec
 from repro.core.contracts import Contract
@@ -463,7 +467,30 @@ class TestGatherWidth:
         assert outcome.result.rows.column_names == ["objID", "ra", "dec", "r_mag"]
         assert gathered == ["objID", "ra", "dec", "r_mag"]
 
-    def test_impression_row_query_also_carries_pi(self, sky_engine, gathered):
+    def test_impression_row_query_also_carries_pi(self, gathered):
+        # a biased rung's support is a Horvitz-Thompson count: its row
+        # answer gathers ``_pi`` at the matches, and nothing else
+        engine = SciBorq(
+            create_skyserver_catalog(),
+            interest_attributes={"ra": RA_RANGE, "dec": DEC_RANGE},
+            rng=43,
+        )
+        engine.create_hierarchy("PhotoObjAll", policy="biased", layer_sizes=(SAMPLE,))
+        build_skyserver(ROWS, generator=SkyGenerator(rng=44), loader=engine.loader)
+        base = engine.catalog.table("PhotoObjAll")
+        impression = engine.hierarchy("PhotoObjAll").layer(0)
+        sample = impression.materialise(base)
+        for name in self.ROWS_QUERY.select:
+            sample.column(name)  # the sample's own first-touch gathers
+        del gathered[:]
+        answer = ImpressionEstimator(engine.catalog).estimate(
+            self.ROWS_QUERY, impression
+        )
+        assert answer.rows.column_names == ["objID", "ra", "dec", "r_mag"]
+        assert answer.rows.num_rows > 0 and answer.support.value > 0
+        assert gathered == [PI_COLUMN, "objID", "ra", "dec", "r_mag"]
+
+    def test_uniform_impression_row_query_gathers_no_pi(self, sky_engine, gathered):
         base = sky_engine.catalog.table("PhotoObjAll")
         impression = sky_engine.hierarchy("PhotoObjAll").layer(0)
         sample = impression.materialise(base)
@@ -473,4 +500,141 @@ class TestGatherWidth:
         estimator = sky_engine.processor("PhotoObjAll").estimator
         answer = estimator.estimate(self.ROWS_QUERY, impression)
         assert answer.rows.column_names == ["objID", "ra", "dec", "r_mag"]
-        assert gathered == ["objID", "ra", "dec", "r_mag", PI_COLUMN]
+        assert gathered == ["objID", "ra", "dec", "r_mag"]
+
+
+# ----------------------------------------------------------------------
+# the row step: order and limit on the index vector, one gather
+# ----------------------------------------------------------------------
+ROW_COLUMNS = list(photoobj_schema())
+#: a cone on the cell attributes: the base rung reads the cover
+CONE = RadialPredicate("ra", "dec", 180.0, 0.0, 40.0)
+
+row_queries = st.builds(
+    lambda select, order_by, descending, limit, predicate: Query(
+        table="PhotoObjAll",
+        predicate=predicate,
+        select=tuple(select),
+        order_by=order_by,
+        descending=descending,
+        limit=limit,
+    ),
+    select=st.lists(st.sampled_from(ROW_COLUMNS), unique=True, max_size=5),
+    # fieldID and obj_type hold long tie runs
+    order_by=st.none() | st.sampled_from(["fieldID", "obj_type", "g_mag", "ra"]),
+    descending=st.booleans(),
+    limit=st.none() | st.just(0) | st.integers(1, 60) | st.just(10**6),
+    predicate=st.sampled_from([CUT]),
+)
+
+
+def expected_rows(query: Query, whole: Table, visible):
+    """What a row answer over ``whole`` returns — names, values,
+    declared bounds — and the sort / limit records it charges."""
+    names = list(query.select) or visible
+    arrays = sort_limit(query, {n: whole[n] for n in whole.column_names})
+    errors = {n: whole.column(n).max_value_error() for n in names}
+    matched = whole.num_rows
+    ops = []
+    if query.order_by:
+        ops.append(OperatorStats("sort", matched, matched))
+    if query.limit is not None:
+        ops.append(OperatorStats("limit", matched, min(query.limit, matched)))
+    return names, arrays, errors, ops
+
+
+@pytest.mark.parametrize(
+    "where", ["base-hot", "base-warm", "cover", "impression-hot", "impression-warm"]
+)
+@settings(max_examples=25, deadline=None)
+@given(query=row_queries)
+def test_row_step_matches_whole_rows(engines, where, query):
+    tier = "warm" if where.endswith("warm") else "hot"
+    engine = engines[tier]
+    base = engine.catalog.table("PhotoObjAll")
+    if where == "cover":
+        query = replace(query, predicate=CONE)
+    if where.startswith("impression"):
+        impression = engine.hierarchy("PhotoObjAll").layer(0)
+        sample = impression.materialise(base)
+        estimator = ImpressionEstimator(engine.catalog)
+        context = estimator.executor.new_context()
+        got = estimator.estimate(query, impression, context=context)
+        whole, ops = whole_rows(engine.catalog, query, sample)
+        visible = [n for n in whole.column_names if n != PI_COLUMN]
+        names, arrays, errors, _ = expected_rows(query, whole, visible)
+        want = estimator.estimate_from_working(
+            query, impression, whole, ExecutionStats(sample.name, sample.num_rows)
+        )
+        assert got.support == want.support
+        rows = got.rows
+    else:
+        executor = Executor(engine.catalog)
+        context = executor.new_context()
+        cover = None
+        if where == "cover":
+            cover = engine.hierarchy("PhotoObjAll").base_cover(query.predicate, base)
+            assert cover is not None
+        got = executor.execute(query, fact_table=base, context=context, cover=cover)
+        whole, ops = whole_rows(engine.catalog, query, base)
+        if cover is not None:
+            scans = [operators.select(part, query.predicate)[1] for part in cover.parts]
+            ops[0] = OperatorStats(
+                "select",
+                sum(op.tuples_in for op in scans),
+                whole.num_rows,
+                blocks_scanned=sum(op.blocks_scanned for op in scans),
+                blocks_pruned=sum(op.blocks_pruned for op in scans),
+            )
+        names, arrays, errors, row_ops = expected_rows(
+            query, whole, whole.column_names
+        )
+        ops += row_ops
+        rows = got.rows
+    assert_tables_equal(rows, names, arrays, errors)
+    assert got.stats.operators == ops
+    assert got.stats.charged == context.spent == got.stats.total_cost
+
+
+class TestGatherWidthOfRows:
+    """A row answer gathers its order key at every match and each
+    returned column at the kept rows alone."""
+
+    QUERY = Query(
+        table="PhotoObjAll",
+        predicate=CUT,
+        select=("objID", "ra", "dec", "r_mag"),
+        order_by="g_mag",
+        limit=30,
+    )
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        seen: list[tuple[str, int]] = []
+        original = Column.gather_with_error
+
+        def counting(self, indices, raw=False):
+            seen.append((self.name, int(np.asarray(indices).shape[0])))
+            return original(self, indices, raw)
+
+        monkeypatch.setattr(Column, "gather_with_error", counting)
+        return seen
+
+    @pytest.mark.parametrize("tier", ["hot", "warm"])
+    def test_no_returned_column_gathers_more_than_the_limit(self, engines, sizes, tier):
+        engine = engines[tier]
+        base = engine.catalog.table("PhotoObjAll")
+        impression = engine.hierarchy("PhotoObjAll").layer(0)
+        sample = impression.materialise(base)
+        for name in ROW_COLUMNS:
+            sample.column(name)  # first-touch gathers are the sample's own
+        del sizes[:]
+        exact = Executor(engine.catalog).execute(self.QUERY, fact_table=base)
+        estimate = ImpressionEstimator(engine.catalog).estimate(self.QUERY, impression)
+        for answer in (exact.rows, estimate.rows):
+            assert answer.num_rows == self.QUERY.limit
+        returned = [(n, s) for n, s in sizes if n in self.QUERY.select]
+        assert len(returned) == 2 * len(self.QUERY.select)
+        assert all(size <= self.QUERY.limit for _, size in returned)
+        # the order key, once per answer, at every match
+        assert [n for n, s in sizes if n not in self.QUERY.select] == ["g_mag"] * 2

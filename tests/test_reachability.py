@@ -49,13 +49,7 @@ ALLOWED = {
 
 # test-only helpers whose deletion, with their tests, is queued in
 # ROADMAP 8-v: the list may only shrink
-DUE = {
-    "repro.util.validation.require_fraction",
-    "repro.util.validation.require_type",
-    "repro.stats.bandwidth.scott_bandwidth",
-    "repro.stats.bandwidth.least_squares_cv_bandwidth",
-    "repro.util.textplot.ascii_series",
-}
+DUE: set[str] = set()
 
 
 def _modules():

@@ -13,8 +13,13 @@ from repro.columnstore.executor import Executor
 from repro.columnstore.expressions import Between
 from repro.columnstore.operators import OperatorStats
 from repro.columnstore.query import AggregateSpec, Query
+from repro.columnstore.expressions import RadialPredicate
 from repro.columnstore.recycler import Recycler, lossy_reads
-from repro.columnstore.table import Table
+from repro.columnstore.table import DerivedTable, Table
+from repro.core.contracts import Contract
+from repro.core.engine import SciBorq
+from repro.skyserver.generator import SkyGenerator, build_skyserver
+from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 
 EXACT = ()
 
@@ -85,7 +90,7 @@ class TestTableIdentity:
         recycler = Recycler()
         predicate = Between("x", 0, 5)
         store(recycler, Table.from_arrays("t", {"x": np.arange(10.0)}), predicate, [9])
-        gc.collect()  # the table dies; its entry stays until evicted
+        gc.collect()  # the table dies; its entry goes at the next call
         reused = Table.from_arrays("t", {"x": np.arange(10.0)})
         # file the dead table's entry under the new table's id, as if
         # the allocator had handed the new table the same address
@@ -94,6 +99,105 @@ class TestTableIdentity:
         assert entry.ref() is None
         assert lookup(recycler, reused, predicate) is None
         assert recycler.peek(reused, predicate) is None
+
+
+class TestDeadGenerations:
+    """Entries nothing can serve again leave at once, not by LRU."""
+
+    def test_a_moved_on_version_leaves_at_the_next_store(self, table):
+        recycler = Recycler()
+        other = Table.from_arrays("u", {"x": np.arange(10.0)})
+        store(recycler, table, Between("x", 0, 5), np.arange(6))
+        store(recycler, other, Between("x", 0, 5), np.arange(6))
+        table.append_batch({"x": [3.0]})
+        assert len(recycler) == 2  # nothing swept before the next store
+        store(recycler, table, Between("x", 0, 9), np.arange(10))
+        keys = sorted((key[0], key[1]) for key in recycler._entries)
+        assert keys == sorted([(id(table), 1), (id(other), 0)])
+        assert recycler.size_bytes == 6 * 8 + 10 * 8
+        assert lookup(recycler, other, Between("x", 0, 5)) is not None
+
+    def test_a_collected_table_s_entries_leave(self, table):
+        recycler = Recycler()
+        doomed = Table.from_arrays("t", {"x": np.arange(10.0)})
+        store(recycler, doomed, Between("x", 0, 5), np.arange(6))
+        store(recycler, doomed, Between("x", 1, 5), np.arange(1, 6))
+        store(recycler, table, Between("x", 0, 5), np.arange(6))
+        del doomed
+        gc.collect()
+        assert len(recycler) == 1 and recycler.size_bytes == 6 * 8
+        assert lookup(recycler, table, Between("x", 0, 5)) is not None
+        assert recycler._versions == {id(table): 0}
+
+    def test_a_dropped_derived_table_s_entries_leave(self, fresh_sky_engine):
+        engine = fresh_sky_engine
+        base = engine.catalog.table("PhotoObjAll")
+        derived = DerivedTable(
+            "d", base, np.arange(0, base.num_rows, 3), base.column_names
+        )
+        cone = RadialPredicate("ra", "dec", 180.0, 0.0, 20.0)
+        context = engine.executor.new_context()
+        engine.executor.select_indices(derived, cone, context)
+        engine.executor.select_indices(base, cone, context)
+        assert {key[0] for key in engine.recycler._entries} >= {id(derived)}
+        del derived
+        gc.collect()
+        assert len(engine.recycler) == 1  # the call purges
+        assert [key[0] for key in engine.recycler._entries] == [id(base)]
+
+    @staticmethod
+    def climb(engine, radius, contract):
+        query = Query(
+            table="PhotoObjAll",
+            predicate=RadialPredicate("ra", "dec", 180.0, 0.0, radius),
+            aggregates=[AggregateSpec("count"), AggregateSpec("avg", "r_mag")],
+        )
+        outcome = engine.execute(query, contract)
+        return [attempt.cost for attempt in outcome.attempts]
+
+    def stream(self, engine):
+        """Cones, an ingest, the same cones again: what each query
+        charged per rung, and the cache's hit count."""
+        charges = []
+        contracts = (Contract(), Contract.within_error(0.01), Contract.exact())
+        for _ in range(2):
+            for radius in (5.0, 10.0):
+                for contract in contracts:
+                    charges.append(self.climb(engine, radius, contract))
+        engine.ingest("PhotoObjAll", SkyGenerator(rng=7).photoobj_batch(2_000))
+        for radius in (5.0, 10.0):
+            for contract in contracts:
+                charges.append(self.climb(engine, radius, contract))
+        return charges, engine.recycler.stats.hits
+
+    @staticmethod
+    def engine():
+        engine = SciBorq(
+            create_skyserver_catalog(),
+            interest_attributes={"ra": RA_RANGE, "dec": DEC_RANGE},
+            rng=201,
+        )
+        engine.create_hierarchy(
+            "PhotoObjAll", policy="uniform", layer_sizes=(5_000, 500)
+        )
+        build_skyserver(20_000, generator=SkyGenerator(rng=202), loader=engine.loader)
+        return engine
+
+    def test_after_an_ingest_no_old_generation_entry_remains(self):
+        engine = self.engine()
+        self.stream(engine)
+        gc.collect()
+        recycler = engine.recycler
+        assert len(recycler) > 0  # the call purges
+        for (_, version, _), entry in recycler._entries.items():
+            table = entry.ref()
+            assert table is not None and table.version == version
+
+    def test_hits_and_charges_are_those_of_a_cache_that_keeps_them(self, monkeypatch):
+        charges, hits = self.stream(self.engine())
+        monkeypatch.setattr(Recycler, "_sweep", lambda self: None)
+        assert self.stream(self.engine()) == (charges, hits)
+        assert hits > 0
 
 
 class TestLossyEntries:

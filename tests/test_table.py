@@ -98,10 +98,6 @@ class TestDerivation:
         sub = table.filter(table["a"] >= 2)
         assert sub.num_rows == 2
 
-    def test_project_subset_and_order(self, table):
-        sub = table.project(["b", "a"])
-        assert sub.column_names == ["b", "a"]
-
     def test_take_column_subset_in_the_order_given(self, table):
         sub = table.take(np.array([3, 0]), "sub", columns=["b"])
         assert sub.name == "sub" and sub.column_names == ["b"]
@@ -109,17 +105,6 @@ class TestDerivation:
         assert table.take(np.array([1]), columns=["b", "a"]).column_names == ["b", "a"]
         with pytest.raises(UnknownColumnError):
             table.take(np.array([0]), columns=["zzz"])
-
-    def test_project_owns_its_values(self, table):
-        sub = table.project(["a"])
-        assert not np.shares_memory(sub["a"], table["a"])
-        sub.append_batch({"a": [7]})
-        assert sub.num_rows == table.num_rows + 1
-        np.testing.assert_array_equal(sub["a"][:-1], table["a"])
-
-    def test_project_unknown_column(self, table):
-        with pytest.raises(UnknownColumnError):
-            table.project(["zzz"])
 
     def test_empty_like(self, table):
         empty = table.empty_like()

@@ -730,3 +730,79 @@ class TestChunkedReadPaths:
         assert [entry[0] for entry in report] == [0, 1]
         tiers = {block: tier for block, tier, _, _ in report}
         assert tiers == {0: "hot", 1: "warm"}
+
+
+class TestValueErrorAt:
+    """A row answer learns the bound of every matched row's block from
+    the block bounds alone, and marks those blocks read as a gather
+    would: the governor sees the same working set."""
+
+    @staticmethod
+    def tiered(n: int = 6 * BS + 9) -> Column:
+        col = float_column(n=n)
+        col.demote(1, "warm")
+        col.demote(3, "cold")
+        col.demote(4, "warm", bits=16)
+        return col
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [3], [3, BS + 1, BS + 2], [2 * BS, 3 * BS + 7, 4 * BS, 6 * BS + 8]],
+    )
+    def test_bound_and_access_match_a_gather(self, rows):
+        indices = np.array(rows, dtype=np.int64)
+        col, twin = self.tiered(), self.tiered()
+        values, bound = twin.gather_with_error(indices)
+        assert col.value_error_at(indices) == bound
+
+        def by_tick(column):
+            ticks = [(column.last_scanned(b), b) for b in range(column.num_blocks)]
+            return [b for tick, b in sorted(ticks) if tick]
+
+        assert by_tick(col) == by_tick(twin)
+        assert bool(col.demoted_access_tick) == bool(twin.demoted_access_tick)
+        assert col.last_read > 0 and col.decompressions == 0
+        np.testing.assert_array_equal(values, twin.gather_with_error(indices)[0])
+
+    def test_a_contiguous_column_reports_its_floor(self):
+        col = float_column()
+        col.declare_value_error(0.25)
+        assert col.value_error_at(np.arange(5)) == 0.25
+
+    def test_a_row_answer_marks_blocks_as_its_whole_match_gather_did(self):
+        from repro.columnstore.executor import Executor
+
+        query = Query(
+            table="fact",
+            predicate=Between("x", 100.0, 500.0),
+            select=("y", "id"),
+            order_by="x",
+            descending=True,
+            limit=5,
+        )
+        tables = []
+        for _ in range(2):
+            table = tiered_table()
+            for name in ("x", "y"):
+                for block in (1, 2, 4):
+                    table.column(name).demote(block, "warm")
+            table.column("id").demote(3, "cold")
+            tables.append(table)
+        answered, reference = tables
+        catalog = Catalog()
+        catalog.add_table(answered)
+        Executor(catalog).execute(query)
+        # the whole-match gather of the carried columns, in table order
+        matched, _ = operators.select(reference, query.predicate)
+        for name in reference.column_names:
+            reference.column(name).gather_with_error(matched)
+
+        def ranking(table):
+            ticks = [
+                (column.last_scanned(b), column.name, b)
+                for column in table.resident_columns()
+                for b in range(column.num_blocks)
+            ]
+            return [(name, b) for tick, name, b in sorted(ticks) if tick]
+
+        assert ranking(answered) == ranking(reference)

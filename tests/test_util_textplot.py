@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.textplot import ascii_histogram, ascii_series, format_table
+from repro.util.textplot import ascii_histogram, format_table
 
 
 class TestAsciiHistogram:
@@ -27,23 +27,6 @@ class TestAsciiHistogram:
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             ascii_histogram(np.zeros((2, 2)))
-
-
-class TestAsciiSeries:
-    def test_contains_points(self):
-        text = ascii_series([0, 1, 2], [0, 1, 4])
-        assert text.count("*") >= 3 - 1  # points may overlap cells
-
-    def test_empty_series(self):
-        assert "(empty series)" in ascii_series([], [])
-
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ValueError, match="same shape"):
-            ascii_series([1, 2], [1])
-
-    def test_constant_series_does_not_crash(self):
-        text = ascii_series([1, 2, 3], [5, 5, 5])
-        assert "*" in text
 
 
 class TestFormatTable:

@@ -4,10 +4,8 @@ import pytest
 
 from repro.util.validation import (
     require,
-    require_fraction,
     require_in_range,
     require_positive,
-    require_type,
 )
 
 
@@ -38,22 +36,3 @@ class TestRequireInRange:
     def test_rejects_outside(self):
         with pytest.raises(ValueError, match=r"x must be in \[0, 1\]"):
             require_in_range(1.5, 0, 1, "x")
-
-
-class TestRequireFraction:
-    def test_accepts_probability(self):
-        require_fraction(0.5, "p")
-
-    def test_rejects_above_one(self):
-        with pytest.raises(ValueError):
-            require_fraction(1.01, "p")
-
-
-class TestRequireType:
-    def test_accepts_match(self):
-        require_type(3, int, "n")
-        require_type(3.0, (int, float), "n")
-
-    def test_rejects_mismatch_naming_parameter(self):
-        with pytest.raises(TypeError, match="n must be int"):
-            require_type("3", int, "n")
