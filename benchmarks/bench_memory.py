@@ -12,8 +12,8 @@ the least-recently-scanned blocks to fit a byte budget.  Five claims:
     recorded quantisation bound in ``Estimate.value_error``, and the
     achieved error stays within that declared bound;
 (c) **byte-identity** — all-hot answers and ``Contract.exact()``
-    answers (which promote the base columns their scan reads) are
-    byte-identical to the pre-demotion engine;
+    answers (which read demoted blocks' raw bytes from the spill and
+    change no tier) are byte-identical to the pre-demotion engine;
 (d) **pruning across tiers** — zone maps fold from raw values before
     any demotion, so pruning decisions are identical at every tier and
     pruned blocks are never decompressed;
@@ -22,6 +22,10 @@ the least-recently-scanned blocks to fit a byte budget.  Five claims:
     every impression rung answers as on an unbudgeted engine, and an
     exact cone still selects through the base cover: ≥3x fewer tuples
     than a hierarchy-less twin's base scan, byte-identical answers.
+    Over that replayed stream no exact query promotes a block
+    (``exact.promotions``) and, once the working set fits, the governor
+    demotes nothing (``budgeted.demotions_after_fit``): no reader undoes
+    its work.
 
 Run standalone: ``python benchmarks/bench_memory.py [--smoke]``.
 """
@@ -196,11 +200,29 @@ def run_honesty_claim(engine: SciBorq, truth: dict):
     }
 
 
+def block_tiers(table: Table) -> dict:
+    """Every column's block tiers, in block order."""
+    return {
+        name: [table.column(name).tier_of(b) for b in range(table.num_blocks)]
+        for name in table.column_names
+    }
+
+
+def promoted_blocks(before: dict, after: dict) -> int:
+    """Blocks demoted in ``before`` and hot in ``after``."""
+    return sum(
+        old != "hot" and new == "hot"
+        for name in before
+        for old, new in zip(before[name], after[name])
+    )
+
+
 def run_identity_claim(engine: SciBorq, truth: dict):
-    """Claim (c): exact contracts promote what they read and match
-    all-hot bytes."""
+    """Claim (c): exact contracts read raw bytes from the spill, change
+    no tier, and match all-hot bytes."""
     table = engine.catalog.table("PhotoObjAll")
     assert not table.column("flux").is_fully_hot  # claim (b) demoted it
+    before = block_tiers(table)
     outcome = engine.execute(cone_avg(), contract=Contract.exact())
     estimates = outcome.result.estimates
     print("== E16c: Contract.exact() over the demoted table ==")
@@ -210,9 +232,9 @@ def run_identity_claim(engine: SciBorq, truth: dict):
             f"{name}: exact answer drifted after demotion"
         )
         assert estimate.value_error == 0.0 and estimate.method == "exact"
-    assert table.column("flux").is_fully_hot, "exact must promote what it reads"
-    print("  byte-identical to the pre-demotion answer ✓")
-    return {"estimates_identical": len(truth), "force_promoted": True}
+    assert block_tiers(table) == before, "exact must read the spill, not promote"
+    print("  byte-identical to the pre-demotion answer, no tier changed ✓")
+    return {"estimates_identical": len(truth), "tiers_unchanged": True}
 
 
 def run_pruning_claim(n: int, block_size: int, seed: int = 4):
@@ -317,7 +339,9 @@ def run_budget_claim(n: int, block_size: int, n_queries: int, seed: int = 202610
     selects through the base cover of the budgeted engine and charges
     ≥3x fewer tuples than the hierarchy-less twin's base scan, answering
     byte for byte like it; and no derived-table column declares a value
-    error.
+    error.  Two work counters ride along: the blocks the exact cones
+    promoted, and the governor's demotions after the first cone's
+    climb and exact answer fitted the working set.
     """
     budgeted = build_unsorted_engine(n, block_size, seed)
     unbudgeted = build_unsorted_engine(n, block_size, seed)
@@ -329,6 +353,13 @@ def run_budget_claim(n: int, block_size: int, n_queries: int, seed: int = 202610
     radius = 1.5
     rungs = 0
     charged = {"cover": 0.0, "twin": 0.0}
+    promotions = 0
+    governor = budgeted.memory_governor
+
+    def demotions() -> int:
+        return governor.stats.demotions_warm + governor.stats.demotions_cold
+
+    fitted = None
     print(f"== E16e: {n_queries} cones over an unsorted {n}-row base, budget {budget} B ==")
     for i in range(n_queries):
         predicate = RadialPredicate(
@@ -347,8 +378,12 @@ def run_budget_claim(n: int, block_size: int, n_queries: int, seed: int = 202610
         budgeted.enforce_memory()
         assert answers[0] == answers[1], f"query {i}: a rung moved under the budget"
         rungs += len(answers[0])
+        before = block_tiers(base)
         got = budgeted.execute(query, Contract.exact())
+        promotions += promoted_blocks(before, block_tiers(base))
         budgeted.enforce_memory()
+        if fitted is None:
+            fitted = demotions()
         want = twin.execute(query, Contract.exact())
         assert got.result.exact and want.result.exact, f"query {i}"
         assert {k: e.value.hex() for k, e in got.result.estimates.items()} == {
@@ -371,15 +406,20 @@ def run_budget_claim(n: int, block_size: int, n_queries: int, seed: int = 202610
         f"  {rungs} impression rungs identical to the unbudgeted engine's; "
         f"derived-table value error {worst:g}"
     )
+    demotions_after_fit = demotions() - fitted
     print(
         f"  exact cones: twin/cover tuples {ratio:.1f}x with "
         f"{demoted} of 2 predicate columns left demoted"
+    )
+    print(
+        f"  exact cones promoted {promotions} blocks; the governor demoted "
+        f"{demotions_after_fit} after the first fit"
     )
     assert worst == 0.0, "a derived table declared a value error"
     assert demoted > 0, "the budget must leave predicate blocks demoted"
     assert ratio >= 3.0, f"the cover won only {ratio:.2f}x under the budget; need ≥3x"
     print("  exact answers byte-identical to the twin's ✓")
-    return {
+    return promotions, {
         "n": n,
         "queries": n_queries,
         "budget_bytes": budget,
@@ -388,6 +428,7 @@ def run_budget_claim(n: int, block_size: int, n_queries: int, seed: int = 202610
         "exact_tuples_ratio": float(ratio),
         "exact_tuples_cover": int(charged["cover"]),
         "exact_tuples_twin": int(charged["twin"]),
+        "demotions_after_fit": int(demotions_after_fit),
     }
 
 
@@ -419,7 +460,7 @@ def main() -> None:
     honesty = run_honesty_claim(engine, truth)
     identity = run_identity_claim(engine, truth)
     pruning = run_pruning_claim(n, block_size)
-    budgeted = run_budget_claim(budget_rows, budget_block, n_queries)
+    promotions, budgeted = run_budget_claim(budget_rows, budget_block, n_queries)
     write_bench_report(
         "memory",
         {
@@ -430,6 +471,7 @@ def main() -> None:
             "identity": identity,
             "pruning": pruning,
             "budgeted": budgeted,
+            "exact": {"promotions": int(promotions)},
         },
     )
     print("all memory-tier claims hold ✓")

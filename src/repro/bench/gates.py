@@ -21,7 +21,8 @@ beyond those the first query after an ingest reads, with
 refresh-from-below at least 10x cheaper than a rebuild, and — from
 the ``zone_maps``, ``recycler`` and ``memory`` artifacts — the base
 cover's and the selection cache's savings, and the cover's under a
-memory budget, and — from the ``reservoir`` artifact — the reservoir's
+memory budget with no block promoted by an exact query and no demotion
+once the working set fits, and — from the ``reservoir`` artifact — the reservoir's
 array-step offer at least 5x its hit-by-hit transcription.  ``--spec``
 points at a JSON file in the mapping shape
 :meth:`GateSpec.coerce` accepts (see CONTRIBUTING.md).
@@ -92,6 +93,14 @@ DEFAULT_SPEC = GateSpec(
         # maintenance gates)
         MetricGate(
             artifact="memory", metric="budgeted.exact_tuples_ratio", min_value=3
+        ),
+        # exact answers read demoted blocks' raw bytes from the spill:
+        # they promote nothing, so the governor has nothing to undo
+        # once the working set fits (not required, like the
+        # maintenance gates)
+        MetricGate(artifact="memory", metric="exact.promotions", max_value=0),
+        MetricGate(
+            artifact="memory", metric="budgeted.demotions_after_fit", max_value=0
         ),
         # Algorithm R's array-step offer at the largest layer's capacity:
         # ≥5x the hit-by-hit loop it replaced, timed in the same process

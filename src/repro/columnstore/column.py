@@ -36,10 +36,17 @@ Each *full* block lives in one of three tiers:
   (:class:`repro.core.persistence.ColumnBlockStore`); reads map them
   back lazily.  Cold is *exact* — demotion always spills the original
   raw bytes first, so promoting any block back to hot restores it
-  byte-identically, which is what lets ``Contract.exact()``
-  promote the columns it reads and answer exactly over a
-  previously-demoted table, and what lets :meth:`Column.gather` return
-  raw values from any tier.
+  byte-identically, and any reader may ask for the raw bytes of a
+  warm block instead of its codes: :meth:`Column.gather` (and a
+  ``raw`` :meth:`Column.read_range` or
+  :meth:`Column.gather_with_error`) returns raw values from any tier,
+  which is how ``Contract.exact()`` answers exactly over a demoted
+  table without changing a tier.
+
+Every column keeps a tally of its payload bytes per tier, updated where
+a block changes tier or rows are appended, so :meth:`Column.nbytes` and
+:meth:`Column.nbytes_by_tier` — what the memory governor sums after
+every answer — cost O(1), not a walk over the blocks.
 
 Zone maps are folded **before** a block may demote, i.e. they are
 always built from the raw (pre-quantisation) values.  Quantised codes
@@ -157,6 +164,16 @@ class _ColdBlock:
         return 0  # no RAM-resident payload
 
 
+class _Tally(NamedTuple):
+    """Payload bytes per tier of a chunked column's sealed blocks.
+    Replaced whole on every change, so a reader never sees half an
+    update."""
+
+    hot: int = 0
+    warm: int = 0
+    cold: int = 0
+
+
 class Column:
     """A named, typed, append-only vector of values.
 
@@ -220,6 +237,9 @@ class Column:
         self._chunks: Optional[List[object]] = None
         self._tail: Optional[np.ndarray] = None  # rows past the sealed blocks
         self._tail_size = 0
+        #: the sealed blocks' bytes per tier (chunked mode; the tail's
+        #: are ``_tail_size`` rows)
+        self._tally = _Tally()
         self._spill = None  # lazily-created ColumnBlockStore
         self._tier_lock = threading.RLock()
         self._block_ticks: Dict[int, int] = {}
@@ -416,9 +436,7 @@ class Column:
     @property
     def is_fully_hot(self) -> bool:
         """Whether every block is a raw ndarray (no demoted payloads)."""
-        if self._chunks is None:
-            return True
-        return all(isinstance(entry, np.ndarray) for entry in self._chunks)
+        return self._chunks is None or not (self._tally.warm or self._tally.cold)
 
     def tier_of(self, block: int) -> str:
         """The residency tier of ``block``: ``hot``/``warm``/``cold``."""
@@ -461,15 +479,16 @@ class Column:
         all-hot fast path — estimates collapse to today's widths.
         """
         worst = self._value_error_floor
-        if self._chunks is not None:
+        if self._chunks is not None and self._tally.warm:
             for entry in self._chunks:
                 if isinstance(entry, _WarmBlock):
                     worst = max(worst, entry.value_error)
         return worst
 
-    def value_error_at(self, indices: np.ndarray) -> float:
+    def value_error_at(self, indices: np.ndarray, raw: bool = False) -> float:
         """The bound :meth:`gather_with_error` reports for ``indices`` —
-        the floor and every touched block's — without reading a value.
+        the floor and, unless ``raw``, every touched block's — without
+        reading a value.
 
         The touched blocks are marked read, as that gather would mark
         them: the memory governor ranks a row answer's blocks by the
@@ -482,7 +501,8 @@ class Column:
             return worst
         for block in np.unique(indices // self._block_size).tolist():
             if block < len(chunks) and not isinstance(chunks[block], np.ndarray):
-                worst = max(worst, self.block_value_error(block))
+                if not raw:
+                    worst = max(worst, self.block_value_error(block))
                 last = self._block_ticks.get(block, 0)
                 self._demoted_access_tick = last or next(_TICK)
             self._block_ticks[block] = next(_TICK)
@@ -494,7 +514,7 @@ class Column:
         when every value read is exact.  Equal states read equal values:
         a block quantises the same raw values the same way every time."""
         warm = ()
-        if self._chunks is not None:
+        if self._chunks is not None and self._tally.warm:
             warm = tuple(
                 (block, entry.value_error)
                 for block, entry in enumerate(self._chunks)
@@ -587,10 +607,31 @@ class Column:
         tail = np.empty(max(_MIN_CAPACITY, tail_rows), dtype=self._dtype)
         if tail_rows:
             tail[:tail_rows] = self._data[n_sealed * bs : self._size]
+        self._tally = _Tally(hot=n_sealed * bs * self._dtype.itemsize)
         self._chunks = chunks
         self._tail = tail
         self._tail_size = tail_rows
         self._data = None
+
+    def _entry_bytes(self, entry) -> Tuple[str, int]:
+        """The tier of one sealed block's entry and the bytes its tier
+        tallies: RAM for hot and warm, the spilled raw bytes for cold."""
+        if isinstance(entry, np.ndarray):
+            return "hot", int(entry.nbytes)
+        if isinstance(entry, _WarmBlock):
+            return "warm", entry.nbytes
+        return "cold", int(entry.length * self._dtype.itemsize)
+
+    def _set_block(self, block: int, entry) -> None:
+        """Replace sealed block ``block`` by ``entry``, moving its bytes
+        between the tier tallies (under the tier lock)."""
+        old_tier, old_bytes = self._entry_bytes(self._chunks[block])
+        new_tier, new_bytes = self._entry_bytes(entry)
+        tally = self._tally._asdict()
+        tally[old_tier] -= old_bytes
+        tally[new_tier] += new_bytes
+        self._chunks[block] = entry
+        self._tally = _Tally(**tally)
 
     def demote(self, block: int, tier: str = "warm", bits: int = 8) -> bool:
         """Demote one full block to the ``warm`` or ``cold`` tier.
@@ -628,9 +669,9 @@ class Column:
                 if warm is None:
                     tier = "cold"  # unquantisable: lossless fallback
                 else:
-                    self._chunks[block] = warm
+                    self._set_block(block, warm)
                     return True
-            self._chunks[block] = _ColdBlock(self._block_size)
+            self._set_block(block, _ColdBlock(self._block_size))
             return True
 
     def promote(self, block: int) -> bool:
@@ -649,7 +690,7 @@ class Column:
             raw = self._spill.read(
                 self._spill_key(block), self._dtype, self._block_size
             )
-            self._chunks[block] = np.array(raw, dtype=self._dtype)
+            self._set_block(block, np.array(raw, dtype=self._dtype))
             return True
 
     def promote_all(self) -> int:
@@ -728,9 +769,15 @@ class Column:
         return buffer
 
     def _materialise_range(
-        self, start: int, stop: int, out: Optional[np.ndarray] = None, touch=True
+        self,
+        start: int,
+        stop: int,
+        out: Optional[np.ndarray] = None,
+        touch=True,
+        raw: bool = False,
     ) -> np.ndarray:
-        """Assemble rows ``[start, stop)`` across block boundaries."""
+        """Assemble rows ``[start, stop)`` across block boundaries (warm
+        blocks dequantised, or with ``raw`` read from the spill)."""
         n = stop - start
         if out is None:
             out = np.empty(n, dtype=self._dtype)
@@ -741,7 +788,7 @@ class Column:
             row = start + pos
             block = row // bs
             take = min(n - pos, (block + 1) * bs - row)
-            values = self._block_values(block)
+            values = self._block_values(block, raw)
             offset = row - block * bs
             out[pos : pos + take] = values[offset : offset + take]
             pos += take
@@ -749,7 +796,7 @@ class Column:
             self._touch(start // bs, (stop - 1) // bs)
         return out
 
-    def read_range(self, start: int, stop: int) -> np.ndarray:
+    def read_range(self, start: int, stop: int, raw: bool = False) -> np.ndarray:
         """Rows ``[start, stop)`` for a scan, tier-aware and read-only.
 
         The scan hot path: contiguous columns return the same
@@ -757,7 +804,9 @@ class Column:
         the range stays inside one hot block (or the tail) and
         otherwise decompress per-block into a reused per-thread
         scratch buffer — one allocation per (column, thread), not per
-        morsel.  Callers must consume the result before the next
+        morsel.  Warm blocks read dequantised, or with ``raw`` their raw
+        bytes from the spill — what an exact scan reads, with no tier
+        changed.  Callers must consume the result before the next
         ``read_range`` on the same column from the same thread.
         """
         start = max(int(start), 0)
@@ -787,7 +836,9 @@ class Column:
                 view.flags.writeable = False
                 return view
         n = stop - start
-        out = self._materialise_range(start, stop, out=self._scratch_buffer(n))
+        out = self._materialise_range(
+            start, stop, out=self._scratch_buffer(n), raw=raw
+        )
         view = out[:n]
         view.flags.writeable = False
         return view
@@ -871,6 +922,9 @@ class Column:
         bs = self._block_size
         while self._tail_size >= bs:
             self._chunks.append(self._tail[:bs].copy())
+            self._tally = self._tally._replace(
+                hot=self._tally.hot + bs * self._dtype.itemsize
+            )
             remaining = self._tail_size - bs
             if remaining:
                 self._tail[:remaining] = self._tail[bs : self._tail_size].copy()
@@ -956,15 +1010,16 @@ class Column:
         column._size = int(arr.shape[0])
         return column
 
-    def take(self, indices: np.ndarray) -> "Column":
+    def take(self, indices: np.ndarray, raw: bool = False) -> "Column":
         """A new column holding ``values[indices]`` (materialised).
 
         Tier-aware: touched blocks decompress at most once each, and
         the result inherits the max value-error bound of the blocks it
         was gathered from (a hot copy of dequantised values is still
-        only accurate to the quantisation bound).
+        only accurate to the quantisation bound) — none with ``raw``,
+        which reads warm blocks' raw bytes (:meth:`gather_with_error`).
         """
-        gathered, error = self.gather_with_error(np.asarray(indices))
+        gathered, error = self.gather_with_error(np.asarray(indices), raw)
         # adopted, not copied again: the gather is already an owned array
         column = Column.from_external(
             self.name, self._dtype, gathered, block_size=self._block_size
@@ -996,16 +1051,15 @@ class Column:
         """
         if self._chunks is None:
             return int(self._size * self._dtype.itemsize)
-        total = self._tail_size * self._dtype.itemsize
-        for entry in self._chunks:
-            total += entry.nbytes if not isinstance(entry, np.ndarray) else entry.nbytes
-        return int(total)
+        tally = self._tally
+        return int(self._tail_size * self._dtype.itemsize + tally.hot + tally.warm)
 
     def nbytes_by_tier(self) -> Dict[str, int]:
         """Payload bytes per residency tier.
 
         ``hot`` and ``warm`` are RAM-resident; ``cold`` reports the
-        mmap-backed spill bytes (the block's raw payload on disk).
+        mmap-backed spill bytes (the block's raw payload on disk).  Read
+        from the column's tally: no block is visited.
         """
         if self._chunks is None:
             return {
@@ -1013,16 +1067,23 @@ class Column:
                 "warm": 0,
                 "cold": 0,
             }
-        report = {"hot": int(self._tail_size * self._dtype.itemsize), "warm": 0, "cold": 0}
-        itemsize = self._dtype.itemsize
-        for entry in self._chunks:
-            if isinstance(entry, np.ndarray):
-                report["hot"] += int(entry.nbytes)
-            elif isinstance(entry, _WarmBlock):
-                report["warm"] += int(entry.nbytes)
-            else:
-                report["cold"] += int(entry.length * itemsize)
-        return report
+        tally = self._tally
+        return {
+            "hot": int(self._tail_size * self._dtype.itemsize + tally.hot),
+            "warm": tally.warm,
+            "cold": tally.cold,
+        }
+
+    def block_nbytes(self, block: int) -> int:
+        """RAM bytes of one block: raw for hot, codes for warm, none for
+        cold."""
+        chunks = self._chunks
+        if chunks is None or block >= len(chunks):
+            return min(self._block_size, self._size - block * self._block_size) * (
+                self._dtype.itemsize
+            )
+        tier, size = self._entry_bytes(chunks[block])
+        return 0 if tier == "cold" else size
 
     def block_report(self) -> List[Tuple[int, str, int, int]]:
         """Per full block: ``(block, tier, last_scanned, ram_bytes)``.
@@ -1030,16 +1091,7 @@ class Column:
         The governor's demotion-candidate feed; partial tail blocks
         (never demotable) are omitted.
         """
-        bs = self._block_size
-        itemsize = self._dtype.itemsize
-        report = []
-        for block in range(self._size // bs):
-            tier = self.tier_of(block)
-            if tier == "hot":
-                ram = bs * itemsize
-            elif tier == "warm":
-                ram = self._chunks[block].nbytes
-            else:
-                ram = 0
-            report.append((block, tier, self.last_scanned(block), ram))
-        return report
+        return [
+            (block, self.tier_of(block), self.last_scanned(block), self.block_nbytes(block))
+            for block in range(self._size // self._block_size)
+        ]

@@ -193,6 +193,7 @@ class Executor:
         fact_table: Optional[Table] = None,
         context: Optional[ExecutionContext] = None,
         cover: Optional[BaseCover] = None,
+        raw: bool = False,
     ) -> QueryResult:
         """Run ``query``; ``fact_table`` overrides catalog resolution.
 
@@ -203,6 +204,9 @@ class Executor:
         fresh unbounded context is opened (its charges still aggregate
         to :attr:`clock`).  ``cover`` is a partition of the source the
         selection reads instead of it (see :meth:`select_indices`).
+        With ``raw`` every read of the source — the selection and the
+        gathers after it — takes warm blocks' raw bytes from the spill,
+        as an exact contract needs, and changes no tier.
         Aggregates finish a gathered :meth:`working_set`; a row query
         orders and limits its selection's index vector and gathers the
         kept rows once (:meth:`row_set`, :func:`order_and_limit`,
@@ -214,10 +218,10 @@ class Executor:
         source = fact_table if fact_table is not None else self.catalog.table(query.table)
         spent_before = context.spent
         if query.is_aggregate:
-            working, stats = self.working_set(query, source, context, cover=cover)
+            working, stats = self.working_set(query, source, context, cover, raw)
             result = self.finish_aggregate(query, working, stats, context)
         else:
-            result = self._finish_rows(query, source, context, cover)
+            result = self._finish_rows(query, source, context, cover, raw)
         result.stats.charged = context.spent - spent_before
         return result
 
@@ -227,9 +231,10 @@ class Executor:
         source: Table,
         context: Optional[ExecutionContext] = None,
         cover: Optional[BaseCover] = None,
+        raw: bool = False,
     ) -> tuple[Table, ExecutionStats]:
         """Select and join: the rows of ``source`` the rest of the plan
-        reads, gathered.
+        reads, gathered (``raw``: see :meth:`execute`).
 
         Late-materialising: the selection yields row indices, and only
         the columns ``query`` still reads (:meth:`Query.columns_carried`
@@ -245,7 +250,9 @@ class Executor:
             context = self.new_context()
         spent_before = context.spent
         stats = ExecutionStats(source=source.name, source_rows=source.num_rows)
-        indices, op = self.select_indices(source, query.predicate, context, cover=cover)
+        indices, op = self.select_indices(
+            source, query.predicate, context, cover=cover, raw=raw
+        )
         stats.add(op)
         name = f"{source.name}#sel"
         carried = query.columns_carried()
@@ -258,7 +265,7 @@ class Executor:
             rids = np.asarray(indices, dtype=np.int64)
             working = Table(name, [Column.from_external("_rid", np.int64, rids)])
         else:
-            working = source.take(indices, name, carried)
+            working = source.take(indices, name, carried, raw)
         working = self._apply_joins(query, working, stats, context)
         stats.charged = context.spent - spent_before
         return working, stats
@@ -269,6 +276,7 @@ class Executor:
         source: Table,
         context: Optional[ExecutionContext] = None,
         cover: Optional[BaseCover] = None,
+        raw: bool = False,
     ) -> "RowSet":
         """A row query's working set, nothing gathered: the selection's
         index vector into ``source``, or with joins every row of the
@@ -276,12 +284,14 @@ class Executor:
         :func:`gather_rows` finish it, here and in
         :class:`~repro.core.quality.ImpressionEstimator`."""
         if query.joins:
-            return RowSet.whole(*self.working_set(query, source, context, cover))
+            return RowSet.whole(*self.working_set(query, source, context, cover, raw))
         if context is None:
             context = self.new_context()
         spent_before = context.spent
         stats = ExecutionStats(source=source.name, source_rows=source.num_rows)
-        indices, op = self.select_indices(source, query.predicate, context, cover=cover)
+        indices, op = self.select_indices(
+            source, query.predicate, context, cover=cover, raw=raw
+        )
         stats.add(op)
         stats.charged = context.spent - spent_before
         return RowSet(source, indices, f"{source.name}#sel", stats)
@@ -293,6 +303,7 @@ class Executor:
         predicate,
         context: ExecutionContext,
         cover: Optional[BaseCover] = None,
+        raw: bool = False,
     ) -> tuple[np.ndarray, OperatorStats]:
         """Selection indices over ``source``: the one scan path.
 
@@ -312,13 +323,18 @@ class Executor:
         exactly the index vector a scan of ``source`` returns.  The
         parts' stats add up to one ``select``.
 
+        A ``raw`` scan evaluates the predicate over warm blocks' raw
+        bytes (an exact contract's scan): its cache tag is ``()``, so it
+        is served only a selection evaluated over exact values, and the
+        scheduler never evaluates it in a dequantised pass.
+
         Contexts that opted out (``shared_scans=False``) and
         serial-forced executors (``parallel_scans=False``, scans run in
         the calling thread) skip the :attr:`scheduler`, not the cache.
         """
         if cover is None:
-            return self._scan(source, predicate, context)
-        scans = [self._scan(part, predicate, context) for part in cover.parts]
+            return self._scan(source, predicate, context, raw)
+        scans = [self._scan(part, predicate, context, raw) for part in cover.parts]
         indices = cover.merge([found for found, _ in scans])
         op = OperatorStats(
             "select",
@@ -330,7 +346,7 @@ class Executor:
         return indices, op
 
     def _scan(
-        self, table: Table, predicate, context: ExecutionContext
+        self, table: Table, predicate, context: ExecutionContext, raw: bool
     ) -> tuple[np.ndarray, OperatorStats]:
         """One scan of ``table``: from the cache, the scheduler or solo,
         charged the solo cost."""
@@ -338,7 +354,7 @@ class Executor:
         if recycler is not None:
             # tagged before the scan: a block promoted while it runs
             # must not let a lossy evaluation pass for an exact one
-            lossy = lossy_reads(table, predicate)
+            lossy = () if raw else lossy_reads(table, predicate)
             hit = recycler.lookup(table, predicate, lossy)
             if hit is not None:
                 context.charge(hit[1].cost)
@@ -352,8 +368,10 @@ class Executor:
             # the scheduler charges the context itself (noting which
             # units another query's scan performed) and fills the cache
             # inside its pass, where a scan queued behind it looks
-            return self.scheduler.scan(table, predicate, context, recycler)
-        indices, op = operators.select(table, predicate, pool=self.scan_pool)
+            return self.scheduler.scan(table, predicate, context, recycler, raw)
+        indices, op = operators.select(
+            table, predicate, pool=self.scan_pool, raw=raw
+        )
         context.charge(op.cost)
         if recycler is not None:
             recycler.store(table, predicate, indices, op, lossy)
@@ -420,9 +438,12 @@ class Executor:
         source: Table,
         context: ExecutionContext,
         cover: Optional[BaseCover],
+        raw: bool,
     ) -> QueryResult:
-        rows = self.row_set(query, source, context, cover)
-        kept, ops, name = order_and_limit(query, rows.table, rows.indices, rows.name)
+        rows = self.row_set(query, source, context, cover, raw)
+        kept, ops, name = order_and_limit(
+            query, rows.table, rows.indices, rows.name, raw
+        )
         for op in ops:
             context.charge(op.cost)
             rows.stats.add(op)
@@ -439,7 +460,7 @@ class Executor:
             query=query,
             stats=rows.stats,
             rows=gather_rows(
-                rows.table, kept, rows.indices, names, name, query.order_by
+                rows.table, kept, rows.indices, names, name, query.order_by, raw
             ),
         )
 
@@ -472,12 +493,12 @@ class RowSet(NamedTuple):
 
 
 def order_and_limit(
-    query: Query, table: Table, indices: np.ndarray, name: str
+    query: Query, table: Table, indices: np.ndarray, name: str, raw: bool = False
 ) -> Tuple[np.ndarray, List[OperatorStats], str]:
     """ORDER BY and LIMIT of a row answer, on its index vector.
 
-    ORDER BY gathers its key column alone and orders the indices
-    stably (:func:`~repro.columnstore.operators.stable_order`); LIMIT
+    ORDER BY gathers its key column alone (``raw``: warm blocks' raw
+    bytes) and orders the indices stably (:func:`~repro.columnstore.operators.stable_order`); LIMIT
     truncates them.  Returns the kept indices, the ``sort`` / ``limit``
     records a materialised sort and limit of the ``name``d working set
     would have charged, and the name the rows then go by.
@@ -487,7 +508,7 @@ def order_and_limit(
     if query.order_by:
         if not table.has_column(query.order_by):
             raise UnknownColumnError(name, query.order_by)
-        keys, _ = table.column(query.order_by).gather_with_error(indices)
+        keys, _ = table.column(query.order_by).gather_with_error(indices, raw)
         indices = indices[operators.stable_order(keys, query.descending)]
         ops.append(OperatorStats("sort", matched, matched))
         name = "sort"
@@ -505,20 +526,22 @@ def gather_rows(
     names: Sequence[str],
     name: str,
     order_by: Optional[str],
+    raw: bool = False,
 ) -> Table:
     """The returned rows: one :meth:`Table.take` of the ``kept`` indices.
 
     Each returned column declares the value-error bound of every
     ``matched`` row's block (:meth:`Column.value_error_at`) — which rows
-    a LIMIT keeps must not narrow it — and the blocks of the returned
+    a LIMIT keeps must not narrow it; a ``raw`` gather reads warm blocks'
+    raw bytes and declares none of theirs — and the blocks of the returned
     columns and the ``order_by`` key are marked read in the table's
     column order, as a gather of the whole match would have marked them.
     """
-    rows = table.take(kept, name, names)
+    rows = table.take(kept, name, names, raw)
     read = set(names) | {order_by}
     for column in table.column_names:
         if column in read:
-            bound = table.column(column).value_error_at(matched)
+            bound = table.column(column).value_error_at(matched, raw)
             if column in names:
                 rows.column(column).declare_value_error(bound)
     return rows

@@ -69,22 +69,26 @@ class _BlockView:
     :meth:`~repro.columnstore.column.Column.read_range`, so hot data
     stays zero-copy while warm/cold blocks decompress per-block into
     the column's reused per-thread scratch buffer — never the whole
-    column, and never a block the scan plan pruned.
+    column, and never a block the scan plan pruned.  A ``raw`` view
+    reads warm blocks' raw bytes from the spill instead of their codes.
     """
 
-    __slots__ = ("_table", "_start", "_stop")
+    __slots__ = ("_table", "_start", "_stop", "_raw")
 
-    def __init__(self, table: Table, start: int, stop: int) -> None:
+    def __init__(
+        self, table: Table, start: int, stop: int, raw: bool = False
+    ) -> None:
         self._table = table
         self._start = start
         self._stop = stop
+        self._raw = raw
 
     @property
     def num_rows(self) -> int:
         return self._stop - self._start
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._table.column(name).read_range(self._start, self._stop)
+        return self._table.column(name).read_range(self._start, self._stop, self._raw)
 
 
 def scan_plan(
@@ -156,10 +160,13 @@ def _morsels(runs: Sequence[Tuple[int, int]]) -> List[Morsel]:
     return morsels
 
 
-def _scan_morsel(table: Table, predicate: Expression, morsel: Morsel) -> np.ndarray:
+def _scan_morsel(
+    table: Table, predicate: Expression, morsel: Morsel, raw: bool
+) -> np.ndarray:
     """The indices of ``morsel``'s rows that match ``predicate``."""
     parts = [
-        np.flatnonzero(predicate.evaluate(_BlockView(table, start, stop))) + start
+        np.flatnonzero(predicate.evaluate(_BlockView(table, start, stop, raw)))
+        + start
         for start, stop in morsel
     ]
     indices = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -171,6 +178,7 @@ def select(
     predicate: Expression,
     pool: Optional[MorselPool] = None,
     parallel_min_rows: int = PARALLEL_MIN_ROWS,
+    raw: bool = False,
 ) -> Tuple[np.ndarray, OperatorStats]:
     """Evaluate ``predicate`` over ``table``; return row indices + stats.
 
@@ -182,7 +190,9 @@ def select(
     charged: ``stats.tuples_in`` (the cost) counts only rows actually
     scanned.  When ``pool`` is given and the surviving rows are worth
     it, morsels are evaluated in parallel; fragment order is preserved,
-    so the indices are identical to an unpruned full scan's.
+    so the indices are identical to an unpruned full scan's.  With
+    ``raw`` warm blocks are evaluated on their raw bytes, read from the
+    spill (:meth:`~repro.columnstore.column.Column.read_range`).
     """
     runs, rows_to_scan, blocks_scanned, blocks_pruned = scan_plan(table, predicate)
     if not runs:
@@ -191,7 +201,7 @@ def select(
         morsels = _morsels(runs)
 
         def scan_morsel(morsel: Morsel) -> np.ndarray:
-            return _scan_morsel(table, predicate, morsel)
+            return _scan_morsel(table, predicate, morsel, raw)
 
         if (
             pool is not None
@@ -219,6 +229,7 @@ def select_shared(
     predicates: Sequence[Expression],
     pool: Optional[MorselPool] = None,
     parallel_min_rows: int = PARALLEL_MIN_ROWS,
+    raw: Optional[Sequence[bool]] = None,
 ) -> List[Tuple[np.ndarray, OperatorStats] | Exception]:
     """Evaluate several predicates over ``table`` in one shared pass.
 
@@ -228,7 +239,9 @@ def select_shared(
     is charged exactly what its solo scan would have been — but the
     pass walks the table once, evaluating all consumers' predicates
     morsel by morsel (in parallel on ``pool`` when the combined work
-    is worth it).
+    is worth it).  ``raw`` flags, per predicate, the consumers whose
+    scan reads warm blocks' raw bytes (``select(..., raw=True)``);
+    each predicate is evaluated over its own consumer's reads.
 
     Returns one entry per predicate, in order: ``(indices, stats)``
     byte-identical to what ``select(table, predicate, pool)`` would
@@ -239,6 +252,7 @@ def select_shared(
     outcomes: List[Tuple[np.ndarray, OperatorStats] | Exception | None] = [
         None
     ] * len(predicates)
+    raw = [False] * len(predicates) if raw is None else list(raw)
     plans: Dict[int, Tuple[List[Tuple[int, int]], int, int, int]] = {}
     for i, predicate in enumerate(predicates):
         try:
@@ -252,7 +266,7 @@ def select_shared(
     def scan_task(task: Tuple[int, Morsel]) -> np.ndarray | Exception:
         i, morsel = task
         try:
-            return _scan_morsel(table, predicates[i], morsel)
+            return _scan_morsel(table, predicates[i], morsel, raw[i])
         except Exception as exc:  # noqa: BLE001 - per-consumer isolation
             return exc
 

@@ -30,7 +30,9 @@ tables alike.
   so each entry remembers which quantised (warm) values its scan read
   (:func:`lossy_reads`), and serves only a scan that would read the
   same: an exact scan never reuses a lossy evaluation, and no scan
-  reuses one made before the governor moved a block it reads.  The
+  reuses one made before the governor moved a block it reads.  A *raw*
+  scan — an exact contract's, which reads warm blocks' raw bytes from
+  the spill — reads no quantised value, so its tag is ``()``.  The
   caller takes the tag before evaluating, because blocks are promoted
   while readers run: a tag taken after would pass a lossy evaluation
   off as exact.
@@ -182,16 +184,23 @@ class Recycler:
                 self.stats.hits += 1
             return hit
 
-    def peek(self, table: Table, predicate: Expression) -> Optional[np.ndarray]:
-        """Read a cached selection without touching stats or LRU order.
+    def peek(
+        self, table: Table, predicate: Expression, lossy: Optional[tuple] = None
+    ) -> Optional[np.ndarray]:
+        """Read a cached selection without touching stats or LRU order —
+        with ``lossy``, only one evaluated over reads with that tag.
 
-        Internal plumbing (feeding the ICICLES reservoir the rows a
-        query just touched) uses this so bookkeeping reflects only real
-        query traffic.
+        Internal plumbing (feeding the ICICLES reservoir the rows an
+        exact query just selected, ``lossy=()``) uses this so
+        bookkeeping reflects only real query traffic.
         """
         with self._lock:
             entry = self._entries.get(self._key(table, predicate))
-            return entry.indices if entry is not None and entry.ref() is table else None
+            if entry is None or entry.ref() is not table:
+                return None
+            if lossy is not None and entry.lossy != lossy:
+                return None
+            return entry.indices
 
     def store(
         self,

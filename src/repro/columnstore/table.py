@@ -278,18 +278,21 @@ class Table:
         indices: np.ndarray,
         name: str | None = None,
         columns: Iterable[str] | None = None,
+        raw: bool = False,
     ) -> "Table":
         """Materialise the rows at ``indices`` into a new table.
 
         ``columns`` names the columns to gather, in the order given
         (default: all) — a column the rest of a plan never reads need
-        not be gathered, nor its demoted blocks decompressed.
+        not be gathered, nor its demoted blocks decompressed.  With
+        ``raw`` warm blocks are read as their raw bytes
+        (:meth:`Column.take`).
         """
         indices = np.asarray(indices)
         names = self.column_names if columns is None else columns
         return Table(
             name or f"{self.name}#take",
-            [self.column(n).take(indices) for n in names],
+            [self.column(n).take(indices, raw) for n in names],
         )
 
     def filter(self, mask: np.ndarray, name: str | None = None) -> "Table":

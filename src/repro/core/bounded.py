@@ -344,13 +344,11 @@ class BoundedQueryProcessor:
                 return True
             return units <= contract.time_budget - (context.spent - entry_spent)
 
-        if contract.is_exact:
-            # an exact contract goes straight to the base columns —
-            # no impression rung is ever considered — and promotes the
-            # ones its scan reads, which depends on the cover
-            promote_for_exact(
-                base, query, self.hierarchy.base_cover(query.predicate, base)
-            )
+        # an exact contract goes straight to the base columns — no
+        # impression rung is ever considered — and reads their warm
+        # blocks' raw bytes from the spill, changing no tier
+        raw = contract.is_exact
+        if raw:
             ladder: List[Optional[Impression]] = [None]
         else:
             ladder = list(self.hierarchy.candidates_for(query, base))
@@ -386,7 +384,7 @@ class BoundedQueryProcessor:
                 if foldable:
                     try:
                         fold, consumed, stats, op, scan_table = self._scan_foldable(
-                            query, rung, consumed, fold, base, context
+                            query, rung, consumed, fold, base, context, raw
                         )
                         scanned = op.tuples_in
                         result = self._answer_from_fold(
@@ -410,11 +408,11 @@ class BoundedQueryProcessor:
                         # from here instead of failing the query.
                         fold, consumed, scanned = None, None, None
                         result = self._run_rung(
-                            query, rung, contract.confidence, base, context
+                            query, rung, contract.confidence, base, context, raw
                         )
                 else:
                     result = self._run_rung(
-                        query, rung, contract.confidence, base, context
+                        query, rung, contract.confidence, base, context, raw
                     )
             except EstimationError:
                 # the rung's sample holds no tuple this query needs
@@ -597,6 +595,7 @@ class BoundedQueryProcessor:
         fold: Optional[FoldState],
         base,
         context: ExecutionContext,
+        raw: bool = False,
     ) -> Tuple[
         FoldState, Optional[Impression], ExecutionStats, OperatorStats, Table
     ]:
@@ -608,7 +607,10 @@ class BoundedQueryProcessor:
         the table this step read.  A rung that is not a superset of
         ``consumed`` resets the fold and is scanned from scratch
         (identical results, no saving): the fold then stays in the
-        scan's order, and nothing is sorted.
+        scan's order, and nothing is sorted.  With ``raw`` (an exact
+        contract's base rung) the scan and the gathers read warm blocks'
+        raw bytes (:meth:`Executor.select_indices
+        <repro.columnstore.executor.Executor.select_indices>`).
         """
         # aggregate inputs + group keys (a foldable query has no joins)
         needed = sorted(query.columns_carried())
@@ -640,7 +642,7 @@ class BoundedQueryProcessor:
             next_consumed = rung
             source, source_rows = rung.name, rung.size
         indices, op = self.executor.select_indices(
-            scan_table, query.predicate, context, cover=cover
+            scan_table, query.predicate, context, cover=cover, raw=raw
         )
         stats = ExecutionStats(source=source, source_rows=source_rows)
         stats.add(op)
@@ -651,7 +653,7 @@ class BoundedQueryProcessor:
         columns: Dict[str, np.ndarray] = {}
         value_error = 0.0
         for name in needed:
-            values, error = scan_table.column(name).gather_with_error(indices)
+            values, error = scan_table.column(name).gather_with_error(indices, raw)
             columns[name] = values
             value_error = max(value_error, error)
         # scanned_rows is the charged quantity: rows the scan actually
@@ -835,14 +837,15 @@ class BoundedQueryProcessor:
         confidence: float,
         base,
         context: ExecutionContext,
+        raw: bool = False,
     ) -> EstimatedResult:
         if rung is not None:
             return self.estimator.estimate(query, rung, confidence, context)
         cover = self.hierarchy.base_cover(query.predicate, base)
         exact = self.executor.execute(
-            query, fact_table=base, context=context, cover=cover
+            query, fact_table=base, context=context, cover=cover, raw=raw
         )
-        return exact_estimated_result(query, exact, base, confidence, cover)
+        return exact_estimated_result(query, exact, base, confidence, cover, raw)
 
 
 def progress_snapshot(
@@ -911,24 +914,6 @@ def _scanned_columns(
     return [base.column(name) for name in names]
 
 
-def promote_for_exact(
-    base: Table, query: Query, cover: Optional[BaseCover]
-) -> None:
-    """Restore to hot every block of the base columns an exact scan of
-    ``query`` reads (:func:`_scanned_columns` — with a ``cover``, the
-    carried ones alone); the predicate's blocks stay where the governor
-    put them when the cover selects.
-
-    Exact means byte-exact: warm blocks hold lossy codes, and the spill
-    holds the raw bytes, so the promoted scan is byte-identical to one
-    over a never-demoted table.  Resolve ``cover`` first: which columns
-    need promoting depends on it.
-    """
-    if not base.is_fully_hot:
-        for column in _scanned_columns(base, query, cover):
-            column.promote_all()
-
-
 def raw_query_result(outcome: BoundedResult) -> QueryResult:
     """An exact outcome in the raw executor shape.
 
@@ -955,26 +940,30 @@ def exact_estimated_result(
     base: Table,
     confidence: float,
     cover: Optional[BaseCover],
+    raw: bool,
 ) -> EstimatedResult:
     """Wrap a raw base-executor result into the bounded answer shape.
 
     Shared by the processor's final exact rung and the engine's
     ``Contract.exact()`` fast path (which bypasses the ladder — and
-    works on tables with no hierarchy at all).  ``cover`` is what the
-    scan selected through, and the bound is declared from the base
-    columns that scan read (:func:`_scanned_columns`, the set
-    :func:`promote_for_exact` promotes).  "Exact" is claimed only when
-    none of them holds a quantised (warm) block: the engine's exact
-    path promotes them first, so it always lands here with a zero
-    bound; a ladder's answer-of-last-resort over a demoted table
-    degrades honestly to a bounded near-exact estimate.
+    works on tables with no hierarchy at all).  A ``raw`` scan — every
+    exact contract's, on either path — read warm blocks' raw bytes
+    from the spill, so it declares no bound and is exact whatever the
+    tiers.  Otherwise ``cover`` is what the scan selected through, the
+    bound is declared from the base columns that scan read
+    (:func:`_scanned_columns`), and "exact" is claimed only when none of
+    them holds a quantised (warm) block: a bounded ladder's
+    answer-of-last-resort over a demoted table degrades honestly to a
+    bounded near-exact estimate.
     """
     from repro.stats.estimators import propagated_value_error
 
-    value_error = max(
-        (c.max_value_error() for c in _scanned_columns(base, query, cover)),
-        default=0.0,
-    )
+    value_error = 0.0
+    if not raw:
+        value_error = max(
+            (c.max_value_error() for c in _scanned_columns(base, query, cover)),
+            default=0.0,
+        )
     is_exact = value_error == 0.0
     if query.is_aggregate and not query.group_by:
         by_name = {spec.output_name: spec.fn for spec in query.aggregates}

@@ -47,7 +47,6 @@ from repro.core.bounded import (
     ExecutionAttempt,
     exact_estimated_result,
     progress_snapshot,
-    promote_for_exact,
     raw_query_result,
 )
 from repro.core.contracts import Contract
@@ -427,7 +426,7 @@ class SciBorq:
         impression tables are exact copies of base rows whatever the
         tiers, demoted-block error bounds of the base blocks a scan
         reads ride every estimate's ``value_error``, and exact
-        contracts promote the base columns they read first.
+        contracts read demoted blocks' raw bytes from the spill.
         """
         self._memory_governor = governor
         if governor is not None:
@@ -700,22 +699,25 @@ class SciBorq:
         Works on tables with no hierarchy: the executor is all it
         needs.  With one, the selection reads the hierarchy's cell-laid
         cover of the base when :meth:`ImpressionHierarchy.base_cover`
-        says so.  The cover is resolved first, then only the base
-        columns the scan reads are promoted (:func:`promote_for_exact`:
-        the carried ones through a cover, the predicate's too without
-        one) — both before the context opens, so a wall-mode budget
-        bills the scan alone.
+        says so — resolved before the context opens, so a wall-mode
+        budget bills the scan alone.  Every read of the base — the
+        predicate scan when no cover answers, the carried columns'
+        gathers — takes warm blocks' raw bytes from the spill
+        (``Executor.execute(..., raw=True)``): the answer is exact with
+        ``value_error == 0`` whatever the governor demoted, and no tier
+        changes.
         """
         base = self.catalog.table(query.table)
         named = self._hierarchies.get(query.table, {})
         target = named.get(hierarchy or self._default_hierarchy.get(query.table))
         cover = None if target is None else target.base_cover(query.predicate, base)
-        promote_for_exact(base, query, cover)
         context = open_context()
         entry_spent = context.spent
-        raw = self.executor.execute(query, context=context, cover=cover)
+        exact = self.executor.execute(query, context=context, cover=cover, raw=True)
         self._offer_recycled_rows(query, base, cover)
-        result = exact_estimated_result(query, raw, base, contract.confidence, cover)
+        result = exact_estimated_result(
+            query, exact, base, contract.confidence, cover, raw=True
+        )
         attempt = ExecutionAttempt(
             source=base.name,
             rows=base.num_rows,
@@ -736,12 +738,13 @@ class SciBorq:
         self, query: Query, base: Table, cover: Optional[BaseCover]
     ) -> None:
         """The ICICLES side effect of a base-data scan (paper §5): the
-        selection the scan left in the cache, part by part for a cover."""
+        exact selection the scan left in the cache, part by part for a
+        cover."""
         reservoir = self._self_tuning.get(query.table)
         if reservoir is None or self.recycler is None:
             return
         parts = (base,) if cover is None else cover.parts
-        found = [self.recycler.peek(part, query.predicate) for part in parts]
+        found = [self.recycler.peek(part, query.predicate, ()) for part in parts]
         if any(hits is None for hits in found):
             return
         reservoir.offer_results(found[0] if cover is None else cover.merge(found))

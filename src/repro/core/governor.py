@@ -25,10 +25,18 @@ every demoted block's raw bytes), so they stay exact copies of the base
 under any budget and demotion never reaches a sample; a warm block's
 recorded pointwise bound rides the ``value_error`` of every estimate
 that reads the base block itself (see :mod:`repro.stats.estimators`),
-cold blocks are byte-exact, and exact contracts promote the base
-columns they read before scanning — the governor can therefore demote
-*anything* demotable without ever making an answer silently wrong, only
-honestly wider.
+cold blocks are byte-exact, and exact contracts read demoted blocks'
+raw bytes from the spill, as the samples do — the governor can
+therefore demote *anything* demotable without ever making an answer
+silently wrong, only honestly wider.  Nor does a reader ever undo its
+work: no query promotes a block, so once the working set fits, the
+governor has nothing left to demote.
+
+The footprint is cheap to check: every column keeps its per-tier byte
+tally (:meth:`Column.nbytes_by_tier
+<repro.columnstore.column.Column.nbytes_by_tier>`), so a check costs
+O(columns) and visits no block.  Only a pass that demotes or promotes
+walks blocks.
 """
 
 from __future__ import annotations
@@ -107,23 +115,43 @@ class MemoryGovernor:
     def enforce(self, engine) -> GovernorStats:
         """Bring the engine's RAM footprint inside the budget.
 
-        Called after ingest and after query completions (cheap when
-        under budget: one footprint sum).  Demotes LRU-first, then
-        promotes recently-scanned demoted blocks while the footprint
-        stays under :data:`PROMOTE_HEADROOM` × budget.
+        Called after ingest and after query completions that find the
+        footprint over budget (:meth:`enforce_within_budget`).  Demotes
+        LRU-first, then promotes recently-scanned demoted blocks while
+        the footprint stays under :data:`PROMOTE_HEADROOM` × budget.
         """
         with self._lock:
-            self.stats.enforcements += 1
-            tables = list(self._governed_tables(engine))
-            footprint = self._footprint(engine, tables)
-            if footprint > self.budget_bytes:
-                footprint = self._demote_until_fits(
-                    tables, self._impression_tables(engine), footprint
-                )
-            else:
-                footprint = self._promote_while_fits(tables, footprint)
-            self.stats.last_footprint = int(footprint)
+            self._enforce(engine, demote=True)
             return self.stats
+
+    def enforce_within_budget(self, engine) -> bool:
+        """:meth:`enforce`, if it would demote nothing: when the
+        footprint is within budget, promote as :meth:`enforce` does and
+        return True; when it is over, change nothing and return False.
+
+        The server's query epilogue runs this beside concurrent scans —
+        a promotion swaps one block's entry for its raw bytes in one
+        step, which a scan sees whole, before or after (the scan's cache
+        tag, taken first, keeps a lossy read from passing as exact) —
+        and takes its exclusive lock for :meth:`enforce` only on False.
+        """
+        with self._lock:
+            return self._enforce(engine, demote=False)
+
+    def _enforce(self, engine, demote: bool) -> bool:
+        tables = list(self._governed_tables(engine))
+        footprint = self._footprint(engine, tables)
+        if footprint > self.budget_bytes:
+            if not demote:
+                return False
+            footprint = self._demote_until_fits(
+                tables, self._impression_tables(engine), footprint
+            )
+        else:
+            footprint = self._promote_while_fits(tables, footprint)
+        self.stats.enforcements += 1
+        self.stats.last_footprint = int(footprint)
+        return True
 
     # ------------------------------------------------------------------
     def _governed_tables(self, engine) -> Iterable[Table]:
@@ -202,14 +230,14 @@ class MemoryGovernor:
                     cand.tier = "dropped"
                     continue
                 column, block = cand.column, cand.block
-                before = self._block_ram(column, block)
+                before = column.block_nbytes(block)
                 if passes == "hot" and column.quantisable:
                     if not column.demote(block, "warm", self.warm_bits):
                         continue
                 else:
                     if not column.demote(block, "cold"):
                         continue
-                after = self._block_ram(column, block)
+                after = column.block_nbytes(block)
                 if column.tier_of(block) == "warm":
                     self.stats.demotions_warm += 1
                     cand.tier = "warm"
@@ -241,14 +269,3 @@ class MemoryGovernor:
                 self.stats.promotions += 1
                 footprint += growth
         return footprint
-
-    @staticmethod
-    def _block_ram(column: Column, block: int) -> int:
-        tier = column.tier_of(block)
-        if tier == "hot":
-            return column.block_size * column.dtype.itemsize
-        if tier == "warm":
-            for b, t, _, ram in column.block_report():
-                if b == block:
-                    return ram
-        return 0

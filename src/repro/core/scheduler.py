@@ -27,10 +27,13 @@ immediately — batching emerges under load, nobody stalls without
 co-runners (an optional ``window`` lets a would-be-lone leader wait
 for stragglers).
 
-Within a batch, requests with *equal* predicates (by fingerprint)
-collapse into one evaluation — the redundancy win — and distinct
-predicates ride the same pass, fanned morsel-by-morsel over the shared
-:class:`~repro.util.concurrency.MorselPool`.
+Within a batch, requests with *equal* predicates (by fingerprint) that
+read equal values collapse into one evaluation — the redundancy win —
+and distinct predicates ride the same pass, fanned morsel-by-morsel over
+the shared :class:`~repro.util.concurrency.MorselPool`.  Each request is
+evaluated over its own reads: an exact contract's *raw* request reads
+warm blocks' raw bytes, a bounded one their codes, so the two never
+share an evaluation, whatever pass they ride.
 
 Convoys share a scan among queries *in flight*.  Reuse *across*
 queries — a later scan of the same table object, version and predicate
@@ -112,16 +115,20 @@ class SchedulerStats:
 class _Request:
     """One query's enrolment in a convoy: predicate + result slot."""
 
-    __slots__ = ("predicate", "lossy", "key", "served")
+    __slots__ = ("predicate", "raw", "lossy", "key", "served")
 
-    def __init__(self, table: Table, predicate: Expression) -> None:
+    def __init__(self, table: Table, predicate: Expression, raw: bool) -> None:
         self.predicate = predicate
+        #: Whether the scan reads warm blocks' raw bytes (an exact
+        #: contract's): ``operators.select(..., raw=True)``.
+        self.raw = raw
         #: The cache's lossy tag, taken at enrolment — before any
-        #: evaluation, as the cache requires.
-        self.lossy = lossy_reads(table, predicate)
+        #: evaluation, as the cache requires; ``()`` for a raw scan.
+        self.lossy = () if raw else lossy_reads(table, predicate)
         #: Convoy group: a request whose columns are exact never rides
-        #: a twin's evaluation over quantised values.
-        self.key = (predicate.fingerprint(), self.lossy)
+        #: a twin's evaluation over quantised values, and a raw request
+        #: never a dequantised one (nor the other way round).
+        self.key = (predicate.fingerprint(), self.lossy, raw)
         #: Set by the leader: ``"convoy"`` when an equal request's
         #: evaluation in the same pass served this one, ``"cache"``
         #: when the selection cache did.
@@ -181,6 +188,7 @@ class SharedScanScheduler:
         predicate: Expression,
         context: ExecutionContext,
         recycler: Optional[Recycler] = None,
+        raw: bool = False,
     ) -> Tuple[np.ndarray, OperatorStats]:
         """Run one selection through the scheduler, charging ``context``.
 
@@ -192,10 +200,11 @@ class SharedScanScheduler:
         would have raised, without failing the rest of the convoy.
         ``recycler`` is the executor's selection cache, where this
         request already missed: the leader re-checks it and stores
-        what the pass evaluates.
+        what the pass evaluates.  ``raw`` is the solo scan's
+        (:func:`~repro.columnstore.operators.select`).
         """
         lane = self._lane_for(table)
-        request = _Request(table, predicate)
+        request = _Request(table, predicate, raw)
         try:
             outcome = lane.combiner.run(
                 request, lambda batch: self._execute(table, batch, recycler)
@@ -206,7 +215,7 @@ class SharedScanScheduler:
             # object shared by the whole convoy; fall back to a solo
             # serial scan so every consumer gets its own result or its
             # own exception instance
-            indices, stats = operators.select(table, predicate, pool=None)
+            indices, stats = operators.select(table, predicate, pool=None, raw=raw)
             context.charge(stats.cost)
             return indices, stats
         if isinstance(outcome, Exception):
@@ -218,7 +227,7 @@ class SharedScanScheduler:
             # from several threads garbles tracebacks).  A failed scan
             # charged nothing, so the re-run is charge-identical.
             indices, stats = operators.select(
-                table, predicate, pool=self._pool
+                table, predicate, pool=self._pool, raw=raw
             )
             context.charge(stats.cost)
             return indices, stats
@@ -270,8 +279,10 @@ class SharedScanScheduler:
         predicates ride the same pass via
         :func:`~repro.columnstore.operators.select_shared`, and each
         evaluated selection goes into the ``recycler`` before the next
-        pass on this table can start.  Returns one outcome per request,
-        in batch order.
+        pass on this table can start — exact evaluations last, so a twin
+        over quantised values in the same pass never displaces the entry
+        an exact scan's caller reads back (the engine feeds its ICICLES
+        sample from it).  Returns one outcome per request, in batch order.
         """
         outcomes: Dict[int, Tuple[np.ndarray, OperatorStats]] = {}
         leaders: Dict[tuple, _Request] = {}
@@ -298,11 +309,13 @@ class SharedScanScheduler:
                         table,
                         [leader.predicate for leader in leaders.values()],
                         pool=self._pool,
+                        raw=[leader.raw for leader in leaders.values()],
                     ),
                 )
             )
             if recycler is not None:
-                for key, outcome in per_group.items():
+                for key in sorted(per_group, key=lambda key: not key[1]):
+                    outcome = per_group[key]
                     if not isinstance(outcome, Exception):
                         leader = leaders[key]
                         recycler.store(

@@ -215,8 +215,8 @@ class SciBorqServer:
         ingests and query completions, keeping tables + impressions +
         recycler inside the budget; impression tables stay exact
         copies of base rows, estimates that read warm base blocks carry
-        the quantisation bound in their CIs, and exact contracts
-        promote the base columns they read before scanning.
+        the quantisation bound in their CIs, and exact contracts read
+        demoted blocks' raw bytes from the spill.
     admission:
         Overload management (default ``None``: off, intake is
         unbounded).  A ready :class:`~repro.core.admission.
@@ -814,15 +814,24 @@ class SciBorqServer:
             return self.engine.rebuild(table, hierarchy)
 
     def _govern_memory(self) -> None:
-        """Post-query governor pass, exclusive so scans never race it.
+        """Post-query governor pass: exclusive only when it must demote.
 
-        Demotion swaps a column from its contiguous buffer to per-block
-        storage; taking the write lock waits for in-flight readers to
-        drain first.  Cheap when under budget (one footprint sum) and
-        skipped entirely without a governor.
+        The footprint is read beside other readers, under the read lock
+        (an O(columns) sum); within budget the governor only promotes,
+        which scans may race (:meth:`MemoryGovernor.enforce_within_budget
+        <repro.core.governor.MemoryGovernor.enforce_within_budget>`).
+        Over budget, demotion swaps a column from its contiguous buffer
+        to per-block storage, so the pass takes the write lock — waiting
+        for in-flight readers to drain — and the governor checks the
+        footprint again once it holds it.  Skipped entirely without a
+        governor.
         """
-        if self.memory_governor is None or self._closed:
+        governor = self.memory_governor
+        if governor is None or self._closed:
             return
+        with self._rwlock.read_locked():
+            if governor.enforce_within_budget(self.engine):
+                return
         with self._rwlock.write_locked():
             self.engine.enforce_memory()
 

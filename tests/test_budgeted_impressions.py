@@ -13,10 +13,15 @@ bytes.  Pinned here:
   answers exactly as on an unbudgeted twin;
 * under a budget an exact cone still reads the base cover: it charges
   less than the base plan, answers byte for byte like a hierarchy-less
-  twin, and leaves the tiers of its predicate columns alone — only the
-  columns it carries past the selection are promoted;
+  twin, and leaves every block's tier alone — the columns it carries
+  past the selection, and an uncovered predicate, are read as raw
+  bytes from the spill, never promoted;
 * a bounded climb's base rung under a budget counts like the
-  unbudgeted twin's.
+  unbudgeted twin's;
+* after a budgeted stream of queries and ingests through a server, the
+  memory report — the governor's footprint, read from each column's
+  tier tally — equals a walk over every block, and no exact query
+  promoted a block.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.governor import MemoryGovernor
 from repro.core.impression import PI_COLUMN
+from repro.core.server import SciBorqServer
+from tier_oracle import walked_memory_report
 
 TABLE = "T"
 COLUMNS = ("ra", "dec", "mjd", "r_mag")
@@ -210,10 +217,14 @@ def test_derived_tables_stay_exact_copies_under_any_interleaving(operations, see
 
 
 # ----------------------------------------------------------------------
-# exact contracts read the cover, and promote what they carry only
+# exact contracts read the cover, and the spill for what they carry
 # ----------------------------------------------------------------------
 def tiers(column: Column) -> list[str]:
     return [column.tier_of(block) for block in range(column.num_blocks)]
+
+
+def table_tiers(table: Table) -> dict[str, list[str]]:
+    return {name: tiers(table.column(name)) for name in table.column_names}
 
 
 def test_an_exact_cone_under_a_budget_reads_the_cover_and_promotes_no_predicate_column():
@@ -222,8 +233,8 @@ def test_an_exact_cone_under_a_budget_reads_the_cover_and_promotes_no_predicate_
     base = engine.catalog.table(TABLE)
     cover = engine.hierarchy(TABLE).base_cover(CONE, base)
     assert cover is not None and cover.scan_rows < scan_plan(base, CONE)[1]
-    predicate_tiers = {name: tiers(base.column(name)) for name in ("ra", "dec")}
-    assert any(t != "hot" for column in predicate_tiers.values() for t in column)
+    before = table_tiers(base)
+    assert any(t != "hot" for name in ("ra", "dec") for t in before[name])
     assert not base.column("mjd").is_fully_hot
     want = twin.execute(CONE_QUERY, Contract.exact())
     processor = BoundedQueryProcessor(engine.catalog, engine.hierarchy(TABLE))
@@ -238,17 +249,16 @@ def test_an_exact_cone_under_a_budget_reads_the_cover_and_promotes_no_predicate_
         }
         assert all(e.value_error == 0.0 for e in got.result.estimates.values())
         assert got.total_cost < want.total_cost  # the cover pruned
-        for name, before in predicate_tiers.items():
-            assert tiers(base.column(name)) == before  # no promotion
-        for name in ("r_mag", "mjd"):  # carried: promoted to answer exactly
-            assert base.column(name).is_fully_hot
+        # carried columns read raw from the spill: every block's tier
+        # is unchanged
+        assert table_tiers(base) == before
     raw = engine.execute_exact(CONE_QUERY).scalars
     assert {n: v.hex() for n, v in raw.items()} == {
         n: e.value.hex() for n, e in want.result.estimates.items()
     }
 
 
-def test_an_exact_query_off_the_cell_attributes_promotes_its_predicate():
+def test_an_exact_query_off_the_cell_attributes_reads_its_predicate_raw():
     engine, _ = make_engine(37, budget=0.4)
     twin, _ = make_engine(37, hierarchy=False)
     base = engine.catalog.table(TABLE)
@@ -259,13 +269,17 @@ def test_an_exact_query_off_the_cell_attributes_promotes_its_predicate():
     )
     assert engine.hierarchy(TABLE).base_cover(query.predicate, base) is None
     assert not base.column("r_mag").is_fully_hot
+    before = table_tiers(base)
     got = engine.execute(query, Contract.exact())
     want = twin.execute(query, Contract.exact())
     assert got.result.exact and got.total_cost == want.total_cost
     assert {n: e.value.hex() for n, e in got.result.estimates.items()} == {
         n: e.value.hex() for n, e in want.result.estimates.items()
     }
-    assert base.column("r_mag").is_fully_hot and base.column("mjd").is_fully_hot
+    assert all(e.value_error == 0.0 for e in got.result.estimates.values())
+    # the predicate was evaluated on raw bytes from the spill: every
+    # block's tier is unchanged
+    assert table_tiers(base) == before
 
 
 # ----------------------------------------------------------------------
@@ -293,3 +307,40 @@ def test_a_bounded_base_rung_under_a_budget_counts_like_the_unbudgeted_twin():
         )
     # the base's predicate blocks were never promoted for it
     assert base.column("ra").max_value_error() > 0.0
+
+
+# ----------------------------------------------------------------------
+# the footprint the governor reads is the block walk's
+# ----------------------------------------------------------------------
+def test_after_a_budgeted_stream_the_memory_report_is_a_fresh_block_walk():
+    engine, rng = make_engine(43)
+    base = engine.catalog.table(TABLE)
+    budget = int(engine.memory_report()["ram_total"] * 0.4)
+    contracts = [Contract.exact(), Contract.within_error(0.05), Contract.within_error(1e-9)]
+    with SciBorqServer(engine, max_workers=1, memory_budget=budget) as server:
+        governor = server.memory_governor
+        session = server.open_session()
+        for i in range(24):
+            if i % 8 == 7:
+                server.ingest(TABLE, sky_batch(rng, 700, float(base.num_rows)))
+                continue
+            predicate = RadialPredicate(
+                "ra", "dec", float(rng.uniform(130, 230)), float(rng.uniform(0, 20)), 5.0
+            )
+            query = Query(TABLE, predicate=predicate, aggregates=CONE_QUERY.aggregates)
+            contract = contracts[i % len(contracts)]
+            before, promotions = table_tiers(base), governor.stats.promotions
+            server.execute(session, query, contract)
+            after = table_tiers(base)
+            promoted = sum(
+                old != "hot" and new == "hot"
+                for name in before
+                for old, new in zip(before[name], after[name])
+            )
+            # the governor's own headroom promotions are the only ones
+            assert promoted == governor.stats.promotions - promotions
+        report = engine.memory_report()
+        walked = walked_memory_report(engine)
+        assert {key: report[key] for key in walked} == walked
+        assert report["tables"][TABLE] == walked["tiers"]
+        assert walked["tiers"]["warm"] + walked["cold_bytes"] > 0  # governed

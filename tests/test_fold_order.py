@@ -378,9 +378,9 @@ class TestSingleTableRead:
         scanned = []
         select_indices = processor.executor.select_indices
 
-        def recording(source, predicate, context, cover=None):
+        def recording(source, predicate, context, cover=None, raw=False):
             scanned.append(source)
-            return select_indices(source, predicate, context, cover)
+            return select_indices(source, predicate, context, cover, raw)
 
         monkeypatch.setattr(processor.executor, "select_indices", recording)
         return engine, rung, processor, scanned

@@ -72,9 +72,9 @@ def scanned(monkeypatch) -> list[Table]:
     tables: list[Table] = []
     original = Executor.select_indices
 
-    def recording(self, source, predicate, context, cover=None):
+    def recording(self, source, predicate, context, cover=None, raw=False):
         tables.append(source)
-        return original(self, source, predicate, context, cover=cover)
+        return original(self, source, predicate, context, cover=cover, raw=raw)
 
     monkeypatch.setattr(Executor, "select_indices", recording)
     return tables

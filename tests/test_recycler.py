@@ -1,6 +1,8 @@
 """Tests for the selection cache (the recycler)."""
 
 import gc
+import threading
+import time
 from collections import OrderedDict
 
 import numpy as np
@@ -18,8 +20,10 @@ from repro.columnstore.recycler import Recycler, lossy_reads
 from repro.columnstore.table import DerivedTable, Table
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
+from repro.core.scheduler import SharedScanScheduler
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
+from repro.util.clock import ExecutionContext
 
 EXACT = ()
 
@@ -262,6 +266,118 @@ class TestLossyEntries:
         values = np.linspace(0.0, 50.0, 128)
         expected = int(((values >= 10) & (values <= 20)).sum())
         assert exact.scalar("count(*)") == expected
+
+
+class TestRawReads:
+    """An exact contract's scan reads warm predicate blocks' raw bytes
+    from the spill, beside bounded scans that read their codes: each
+    gets its own solo selection, in sequence and in one convoy, and the
+    cache never serves the exact scan a dequantised one."""
+
+    PREDICATE = Between("x", 30.0, 60.0)
+    COUNT = Query("t", predicate=PREDICATE, aggregates=[AggregateSpec("count")])
+
+    @staticmethod
+    def warm_engine(scheduler=None):
+        """Whole numbers on warm blocks: many rows sit on a bound, where
+        a dequantised value falls on either side of it."""
+        values = np.random.default_rng(7).integers(0, 100, 16 * 64).astype(float)
+        catalog = Catalog()
+        catalog.add_table(Table("t", [Column("x", "float64", values, block_size=64)]))
+        engine = SciBorq(catalog, interest_attributes={"x": (0.0, 100.0)}, rng=1)
+        engine.enable_result_recycling("t")
+        column = catalog.table("t").column("x")
+        for block in range(16):
+            column.demote(block, "warm")
+        if scheduler is not None:
+            engine.set_scan_scheduler(scheduler)
+        return engine, catalog.table("t"), values
+
+    def solo(self, table, raw):
+        return operators.select(table, self.PREDICATE, raw=raw)[0]
+
+    def test_raw_and_dequantised_scans_differ_here(self):
+        _, table, values = self.warm_engine()
+        exact = self.solo(table, raw=True)
+        np.testing.assert_array_equal(
+            exact, np.flatnonzero((values >= 30.0) & (values <= 60.0))
+        )
+        assert not np.array_equal(exact, self.solo(table, raw=False))
+        assert lossy_reads(table, self.PREDICATE) != EXACT
+
+    @pytest.mark.parametrize("exact_first", [True, False])
+    def test_one_after_the_other_each_gets_its_solo_selection(self, exact_first):
+        engine, table, _ = self.warm_engine()
+        tiers = [table.column("x").tier_of(b) for b in range(16)]
+        want = {raw: self.solo(table, raw) for raw in (True, False)}
+        stats = engine.recycler.stats
+        first, second = (True, False) if exact_first else (False, True)
+        # a repeat is served from the cache; an entry of the other
+        # reading never serves a scan
+        for raw, served in ((first, 0), (first, 1), (second, 0), (second, 1)):
+            hits = stats.hits
+            got, _ = engine.executor.select_indices(
+                table, self.PREDICATE, ExecutionContext(), raw=raw
+            )
+            np.testing.assert_array_equal(got, want[raw])
+            assert stats.hits - hits == served
+        answer = engine.execute(self.COUNT, Contract.exact())
+        assert answer.result.exact
+        assert answer.result.estimates["count(*)"].value == want[True].shape[0]
+        assert answer.result.estimates["count(*)"].value_error == 0.0
+        assert [table.column("x").tier_of(b) for b in range(16)] == tiers
+
+    def test_the_cache_never_serves_the_exact_scan_a_dequantised_selection(self):
+        engine, table, _ = self.warm_engine()
+        recycler = engine.recycler
+        lossy = lossy_reads(table, self.PREDICATE)
+        engine.executor.select_indices(table, self.PREDICATE, ExecutionContext())
+        assert recycler.lookup(table, self.PREDICATE, lossy) is not None
+        assert recycler.lookup(table, self.PREDICATE, EXACT) is None
+        hits = recycler.stats.hits
+        got, _ = engine.executor.select_indices(
+            table, self.PREDICATE, ExecutionContext(), raw=True
+        )
+        assert recycler.stats.hits == hits  # a miss: rescanned raw
+        np.testing.assert_array_equal(got, self.solo(table, raw=True))
+        assert recycler.peek(table, self.PREDICATE, EXACT) is not None
+
+    def test_in_one_convoy_each_gets_its_solo_selection(self, monkeypatch):
+        scheduler = SharedScanScheduler(window=0.5)
+        engine, table, _ = self.warm_engine(scheduler)
+        want = {raw: self.solo(table, raw) for raw in (True, False)}
+        offered = []
+        reservoir = engine.self_tuning_sample("t")
+        monkeypatch.setattr(
+            reservoir, "offer_results", lambda rows: offered.append(np.array(rows))
+        )
+        answers = {}
+
+        def exact():
+            answers["exact"] = engine.execute(self.COUNT, Contract.exact())
+
+        def bounded():
+            answers["bounded"] = engine.executor.select_indices(
+                table, self.PREDICATE, ExecutionContext()
+            )[0]
+
+        first = threading.Thread(target=exact)
+        second = threading.Thread(target=bounded)
+        first.start()
+        time.sleep(0.1)  # the exact scan leads and waits out its window
+        second.start()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        stats = scheduler.stats
+        assert (stats.batches, stats.convoy_scans) == (1, 2)  # one convoy
+        outcome = answers["exact"]
+        assert outcome.result.exact
+        assert outcome.result.estimates["count(*)"].value == want[True].shape[0]
+        np.testing.assert_array_equal(answers["bounded"], want[False])
+        # the ICICLES capture found the exact scan's selection, not its
+        # dequantised twin's, though both went into the cache in one pass
+        assert len(offered) == 1
+        np.testing.assert_array_equal(offered[0], want[True])
 
 
 class TestEviction:

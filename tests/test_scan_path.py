@@ -347,7 +347,8 @@ _OPERATION = {
     ),
 }
 #: queries and demotions weighted up: a served scan needs a repeat, and
-#: a stale one a tier change between the two (exact queries promote)
+#: a stale one a tier change between the two (exact queries read warm
+#: blocks raw, bounded ones dequantised)
 OPERATIONS = st.lists(
     st.sampled_from(
         ["offer", "ingest", "maintain"] + ["demote"] * 3 + ["query"] * 6
@@ -380,7 +381,11 @@ def test_every_served_selection_is_a_fresh_scan(operations):
     def checked_lookup(table, predicate, lossy):
         hit = lookup(table, predicate, lossy)
         if hit is not None:
-            indices, op = operators.select(table, predicate, pool=None)
+            # what the asking scan reads: an exact one (tag ``()``) raw
+            # values, a lossy one the warm blocks' codes
+            indices, op = operators.select(
+                table, predicate, pool=None, raw=lossy == ()
+            )
             np.testing.assert_array_equal(hit[0], indices)
             assert hit[1] == op
             served.append(table)

@@ -7,8 +7,9 @@ spill) — and the engine stays *honest* about it.  All-hot answers are
 byte-identical to the pre-tiering engine; impression tables gathered
 after a demotion still hold the raw base values; answers reading warm
 base blocks carry the recorded pointwise bound in
-``Estimate.value_error``; exact contracts promote the base columns they
-read so their answers are byte-identical again; and
+``Estimate.value_error``; exact contracts read demoted blocks' raw
+bytes from the spill, changing no tier, so their answers are
+byte-identical again; and
 zone-map pruning (zones fold from raw values before any demotion)
 makes identical decisions at every tier without decompressing pruned
 blocks.
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnstore import AggregateSpec, Catalog, Query, Table
 from repro.columnstore import operators
@@ -32,6 +35,8 @@ from repro.core.governor import PROMOTE_HEADROOM, MemoryGovernor
 from repro.core.persistence import ColumnBlockStore
 from repro.core.server import SciBorqServer
 from repro.errors import SchemaError
+from repro.util.concurrency import ReadWriteLock
+from tier_oracle import walked_nbytes_by_tier
 
 BS = 64  # block size used throughout: small enough for many blocks
 
@@ -245,6 +250,57 @@ class TestFootprint:
         table.promote_all()
         assert table.is_fully_hot and table.max_value_error() == 0.0
 
+    @given(
+        dtype=st.sampled_from(["float64", "float32", "int64"]),
+        initial=st.integers(0, 3 * BS),
+        operations=st.lists(
+            st.one_of(
+                st.tuples(st.just("extend"), st.integers(0, 2 * BS + 3)),
+                st.tuples(st.just("append"), st.integers(1, 3)),
+                st.tuples(
+                    st.just("demote"),
+                    st.integers(0, 8),
+                    st.sampled_from(["warm", "cold"]),
+                    st.sampled_from([8, 16]),
+                ),
+                st.tuples(st.just("promote"), st.integers(0, 8)),
+                st.tuples(st.just("promote_all")),
+            ),
+            max_size=25,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_the_tier_tally_is_a_fresh_block_walk(self, dtype, initial, operations):
+        """Whatever mix of appends and tier moves a column went
+        through, its tallied bytes equal a walk over every block."""
+        rng = np.random.default_rng(initial)
+        col = Column("x", dtype, (rng.uniform(-50, 150, initial)).astype(dtype), block_size=BS)
+        for operation in operations:
+            kind = operation[0]
+            if kind == "extend":
+                col.extend(rng.uniform(-50, 150, operation[1]).astype(dtype))
+            elif kind == "append":
+                for value in rng.uniform(-50, 150, operation[1]).astype(dtype):
+                    col.append(value)
+            elif kind == "demote":
+                col.demote(operation[1], operation[2], operation[3])
+            elif kind == "promote":
+                col.promote(operation[1])
+            else:
+                col.promote_all()
+            walked = walked_nbytes_by_tier(col)
+            assert col.nbytes_by_tier() == walked
+            assert col.nbytes() == walked["hot"] + walked["warm"]
+            assert col.is_fully_hot == all(
+                col.tier_of(block) == "hot" for block in range(col.num_blocks)
+            )
+            assert col.max_value_error() == max(
+                [col.block_value_error(b) for b in range(col.num_blocks)], default=0.0
+            )
+            assert sum(col.block_nbytes(b) for b in range(col.num_blocks)) == (
+                walked["hot"] + walked["warm"]
+            )
+
 
 # ----------------------------------------------------------------------
 # Scans: pruning identical across tiers, decompressions charged honestly
@@ -314,7 +370,7 @@ class TestContractHonesty:
         for estimate in outcome.result.estimates.values():
             assert estimate.value_error == 0.0
 
-    def test_exact_contract_force_promotes_and_matches_pre_demotion(self):
+    def test_exact_contract_reads_raw_matching_pre_demotion(self):
         engine = tiered_engine()
         exact_before = engine.execute(self.cone(), contract=Contract.exact())
         table = engine.catalog.table("fact")
@@ -322,15 +378,22 @@ class TestContractHonesty:
             for block in range(table.num_blocks - 1):
                 table.column(name).demote(block, "warm")
         assert not table.is_fully_hot
+        tiers = {
+            name: [table.column(name).tier_of(b) for b in range(table.num_blocks)]
+            for name in table.column_names
+        }
         exact_after = engine.execute(self.cone(), contract=Contract.exact())
         for name, estimate in exact_before.result.estimates.items():
             after = exact_after.result.estimates[name]
             assert after.value == estimate.value  # byte-identical
             assert after.value_error == 0.0
             assert after.method == "exact"
-        # the touched columns were promoted back to answer exactly
-        assert table.column("x").is_fully_hot
-        assert table.column("y").is_fully_hot
+        # the touched columns were read raw from the spill: every
+        # block's tier is unchanged
+        assert tiers == {
+            name: [table.column(name).tier_of(b) for b in range(table.num_blocks)]
+            for name in table.column_names
+        }
 
     def test_execute_exact_matches_too(self):
         engine = tiered_engine()
@@ -678,6 +741,44 @@ class TestServerWiring:
         )
         assert rung_bytes > 0
         assert engine.recycler.stats.evictions > 0
+
+    def test_an_answer_takes_the_write_lock_only_over_budget(self, monkeypatch):
+        """The epilogue reads the footprint beside other readers; only
+        an answer that finds it over budget takes the write side — once
+        — and lands at or under the budget."""
+        engine = tiered_engine(n=20 * BS)
+        base = engine.catalog.table("fact")
+        writes = []
+        acquire_write = ReadWriteLock.acquire_write
+
+        def spy(lock):
+            writes.append(lock)
+            acquire_write(lock)
+
+        monkeypatch.setattr(ReadWriteLock, "acquire_write", spy)
+
+        def cone(lo):
+            return Query(
+                table="fact",
+                predicate=Between("x", lo, lo + 90.0),
+                aggregates=[AggregateSpec("count"), AggregateSpec("avg", "y")],
+            )
+
+        ram = engine.memory_report()["ram_total"]
+        with SciBorqServer(engine, max_workers=1, memory_budget=4 * ram) as server:
+            governor = server.memory_governor
+            session = server.open_session()
+            for lo in (100.0, 300.0):
+                server.execute(session, cone(lo), Contract.exact())
+                server.execute(session, cone(lo), Contract.within_error(0.0))
+            assert writes == [] and base.is_fully_hot  # under budget
+            governor.budget_bytes = engine.memory_report()["ram_total"] // 2
+            server.execute(session, cone(200.0), Contract.exact())
+            assert len(writes) == 1  # over budget: once
+            assert engine.memory_report()["ram_total"] <= governor.budget_bytes
+            assert not base.is_fully_hot
+            server.execute(session, cone(200.0), Contract.exact())
+            assert len(writes) == 1  # fits again: the read side only
 
     def test_no_budget_means_no_governor(self):
         engine = tiered_engine()
