@@ -22,7 +22,14 @@ stripes sequentially, so ``ra`` arrives clustered):
     complement partition the base in interest-cell order, so exact cone
     scans and row-query base rungs that read them charge ≥3x fewer
     tuples than a hierarchy-less twin scanning the base, with
-    byte-identical answers.
+    byte-identical answers;
+(e) **scans run in the thread that asked** — a selection evaluates its
+    morsels in order in the calling thread; the same morsels fanned over
+    a :class:`~repro.util.concurrency.MorselPool` return byte-identical
+    indices.  ``scan.fanout_wall_ratio`` records what the fan-out costs
+    two concurrent sessions scanning a 1 M-row table (fan-out wall time
+    ÷ caller-thread wall time; > 1 means the fan-out is slower).  It is
+    a wall time, so it is recorded, not gated.
 
 Run standalone: ``python benchmarks/bench_zone_maps.py [--smoke]``.
 """
@@ -30,13 +37,17 @@ Run standalone: ``python benchmarks/bench_zone_maps.py [--smoke]``.
 from __future__ import annotations
 
 import argparse
+import os
+import threading
+import time
 
 import numpy as np
 
+from repro.columnstore import operators
 from repro.columnstore.catalog import Catalog
 from repro.columnstore.column import Column
 from repro.columnstore.executor import Executor
-from repro.columnstore.expressions import RadialPredicate
+from repro.columnstore.expressions import Between, RadialPredicate
 from repro.columnstore.plan import estimate_cost
 from repro.columnstore.query import AggregateSpec, Query
 from repro.columnstore.table import Table
@@ -46,6 +57,7 @@ from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.maintenance import rebuild_from_base
 from repro.core.policy import UniformPolicy, build_hierarchy
+from repro.util.concurrency import MorselPool
 
 RA_LO, RA_HI = 120.0, 240.0
 DEC_LO, DEC_HI = -5.0, 25.0
@@ -378,6 +390,100 @@ def run_base_cover_claim(n: int, n_queries: int, seed: int = 20261016):
     }
 
 
+def fanned_select(table: Table, predicate, pool: MorselPool) -> np.ndarray:
+    """:func:`~repro.columnstore.operators.select`'s indices with its
+    morsels fanned over ``pool`` and merged in order: the fan-out arm."""
+    runs = operators.scan_plan(table, predicate)[0]
+    fragments = pool.map(
+        lambda morsel: operators._scan_morsel(table, predicate, morsel, False),
+        operators._morsels(runs),
+    )
+    return np.concatenate(fragments) if fragments else np.empty(0, dtype=np.int64)
+
+
+def _two_sessions(scan, predicates) -> float:
+    """Wall seconds for two threads, started together, to each run
+    ``scan`` over their half of ``predicates``."""
+    barrier = threading.Barrier(3)
+
+    def session(mine):
+        barrier.wait()
+        for predicate in mine:
+            scan(predicate)
+
+    threads = [
+        threading.Thread(target=session, args=(predicates[i::2],)) for i in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    barrier.wait()
+    start = time.perf_counter()
+    for thread in threads:
+        thread.join()
+    return time.perf_counter() - start
+
+
+def run_fanout_claim(n: int, scans: int, rounds: int, seed: int = 20261017):
+    """Claim (e): fanned morsels return the caller-thread scan's indices;
+    record the fan-out's wall time over the caller thread's.
+
+    Predicates are ranges of the unclustered ``dec``, so nothing prunes
+    and every scan reads all ``n`` rows.  The two arms alternate order
+    for ``rounds`` rounds and each keeps its median.
+    """
+    rng = np.random.default_rng(seed)
+    table = Table(
+        "PhotoObjAll",
+        [
+            Column("ra", "float64", rng.uniform(RA_LO, RA_HI, n)),
+            Column("dec", "float64", rng.uniform(DEC_LO, DEC_HI, n)),
+        ],
+    )
+    lows = rng.uniform(DEC_LO, DEC_HI - 5.0, scans)
+    predicates = [Between("dec", float(lo), float(lo) + 5.0) for lo in lows]
+    morsels = len(operators._morsels(operators.scan_plan(table, predicates[0])[0]))
+    pool = MorselPool()
+    print(
+        f"== E14e: 2 sessions x {scans // 2} scans of {n} rows "
+        f"({morsels} morsels each), caller thread vs "
+        f"{pool.max_workers}-thread fan-out =="
+    )
+    try:
+        for i, predicate in enumerate(predicates):
+            want = operators.select(table, predicate)[0]
+            got = fanned_select(table, predicate, pool)
+            assert got.tobytes() == want.tobytes(), f"scan {i}: fan-out differs"
+        arms = {
+            "caller": lambda predicate: operators.select(table, predicate),
+            "fanout": lambda predicate: fanned_select(table, predicate, pool),
+        }
+        walls = {label: [] for label in arms}
+        for r in range(rounds):
+            order = list(arms) if r % 2 == 0 else list(arms)[::-1]
+            for label in order:
+                walls[label].append(_two_sessions(arms[label], predicates))
+    finally:
+        pool.shutdown()
+    caller, fanout = (float(np.median(walls[label])) for label in ("caller", "fanout"))
+    ratio = fanout / caller
+    print(
+        f"  wall s (median of {rounds}): caller {caller:.3f}, fan-out {fanout:.3f}; "
+        f"fan-out / caller {ratio:.2f} on {os.cpu_count()} CPU(s) (recorded, not gated)"
+    )
+    print("  fanned morsels byte-identical to the caller-thread scan on every scan ✓")
+    return {
+        "n": n,
+        "sessions": 2,
+        "scans": scans,
+        "morsels_per_scan": morsels,
+        "pool_workers": pool.max_workers,
+        "cpus": os.cpu_count(),
+        "caller_wall_s": caller,
+        "fanout_wall_s": fanout,
+        "fanout_wall_ratio": ratio,
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -390,10 +496,12 @@ def main() -> None:
         n, block_size, n_queries = 20_000, 1_024, 8
         layer_sizes = (2_000, 200)
         layout_rows = 200_000
+        fanout_scans, fanout_rounds = 16, 5
     else:
         n, block_size, n_queries = 200_000, 8_192, 24
         layer_sizes = (5_000, 500)
         layout_rows = 1_000_000
+        fanout_scans, fanout_rounds = 24, 7
     pruned_catalog, flat_catalog, rng = build_store(n, block_size)
     print(
         f"zone-map benchmark: n={n} block_size={block_size} "
@@ -403,6 +511,7 @@ def main() -> None:
     budget = run_budget_claim(pruned_catalog, flat_catalog, rng, layer_sizes)
     layout = run_rung_layout_claim(layout_rows, n_queries)
     cover = run_base_cover_claim(layout_rows, n_queries)
+    scan = run_fanout_claim(1_000_000, fanout_scans, fanout_rounds)
     write_bench_report(
         "zone_maps",
         {
@@ -412,6 +521,7 @@ def main() -> None:
             "budget": budget,
             "rung_layout": layout,
             "base_cover": cover,
+            "scan": scan,
         },
     )
     print("all zone-map claims hold ✓")

@@ -13,6 +13,10 @@ context.  The executor's own clock is only an *observer* — it
 aggregates total spend across executions but is never consulted for
 budget decisions, so concurrent queries cannot corrupt each other's
 accounting.
+
+Every scan runs in the thread that asked for it — solo, or leading a
+convoy of the shared-scan scheduler — so a query's work is done by its
+own session thread and the executor starts no thread of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from repro.columnstore.recycler import Recycler, lossy_reads
 from repro.columnstore.table import DerivedTable, Table
 from repro.errors import QueryError, UnknownColumnError
 from repro.util.clock import CostClock, ExecutionContext, WallClock
-from repro.util.concurrency import MorselPool, shared_scan_pool
 
 if TYPE_CHECKING:  # pragma: no cover - layering guard (core imports us)
     from repro.core.scheduler import SharedScanScheduler
@@ -148,19 +151,11 @@ class Executor:
     recycler:
         Optional selection cache, consulted for every scan
         (:meth:`select_indices`).
-    scan_pool:
-        Worker pool for morsel-parallel selections.  Defaults to the
-        process-wide shared pool; pass ``None`` explicitly via
-        ``parallel_scans=False`` to force serial scans.
-    parallel_scans:
-        Whether selections may fan out across the scan pool.
     scheduler:
         Optional :class:`~repro.core.scheduler.SharedScanScheduler`:
         selections enrol in its convoys so concurrent queries scanning
         the same table share one pass, with per-query indices, stats,
-        and charges byte-identical to solo scans.  A convoy pass runs
-        on the *scheduler's* morsel pool; ``scan_pool`` governs solo
-        scans only.  Installed by
+        and charges byte-identical to solo scans.  Installed by
         :meth:`repro.core.engine.SciBorq.set_scan_scheduler`.
     """
 
@@ -169,18 +164,12 @@ class Executor:
         catalog: Catalog,
         clock: Optional[CostClock | WallClock] = None,
         recycler: Optional[Recycler] = None,
-        scan_pool: Optional[MorselPool] = None,
-        parallel_scans: bool = True,
         scheduler: Optional["SharedScanScheduler"] = None,
     ) -> None:
         self.catalog = catalog
         self.clock = clock if clock is not None else CostClock()
         self.recycler = recycler
         self.scheduler = scheduler
-        if not parallel_scans:
-            self.scan_pool: Optional[MorselPool] = None
-        else:
-            self.scan_pool = scan_pool if scan_pool is not None else shared_scan_pool()
 
     def new_context(self, limit: Optional[float] = None) -> ExecutionContext:
         """Open a fresh per-execution context observed by our clock."""
@@ -328,9 +317,8 @@ class Executor:
         is served only a selection evaluated over exact values, and the
         scheduler never evaluates it in a dequantised pass.
 
-        Contexts that opted out (``shared_scans=False``) and
-        serial-forced executors (``parallel_scans=False``, scans run in
-        the calling thread) skip the :attr:`scheduler`, not the cache.
+        Contexts that opted out (``shared_scans=False``) skip the
+        :attr:`scheduler`, not the cache.
         """
         if cover is None:
             return self._scan(source, predicate, context, raw)
@@ -360,18 +348,12 @@ class Executor:
                 context.charge(hit[1].cost)
                 context.note_shared(hit[1].cost)
                 return hit
-        if (
-            self.scheduler is not None
-            and context.shared_scans
-            and self.scan_pool is not None
-        ):
+        if self.scheduler is not None and context.shared_scans:
             # the scheduler charges the context itself (noting which
             # units another query's scan performed) and fills the cache
             # inside its pass, where a scan queued behind it looks
             return self.scheduler.scan(table, predicate, context, recycler, raw)
-        indices, op = operators.select(
-            table, predicate, pool=self.scan_pool, raw=raw
-        )
+        indices, op = operators.select(table, predicate, raw=raw)
         context.charge(op.cost)
         if recycler is not None:
             recycler.store(table, predicate, indices, op, lossy)

@@ -15,9 +15,12 @@ the benefit is visible precisely in these counts (paper §3.2).
 Selection is zone-map aware: storage blocks whose per-column min/max
 summaries cannot satisfy the predicate are skipped entirely and —
 crucially for the cost model — *not charged*.  Surviving blocks are
-scanned in morsels, optionally in parallel on a
-:class:`~repro.util.concurrency.MorselPool`; fragments merge in block
-order, so the result is bit-identical to a full scan.
+scanned in morsels of :data:`MORSEL_ROWS` rows, one after another in
+the calling thread — the temporaries of a 64 K-row unit stay in cache,
+which beats evaluating a whole run at once.  Fragments merge in block
+order, so the result is bit-identical to a full scan.  Parallelism is
+the server's concurrent sessions (:mod:`repro.core.server`), not a
+second layer of threads under each scan.
 """
 
 from __future__ import annotations
@@ -32,12 +35,10 @@ from repro.columnstore.expressions import Expression
 from repro.columnstore.query import AggregateSpec
 from repro.columnstore.table import Table
 from repro.errors import QueryError
-from repro.util.concurrency import MorselPool
 
-#: Minimum rows a pruned scan must cover before it fans out to the
-#: pool; below this the numpy kernel is too quick to be worth handing
-#: between threads.
-PARALLEL_MIN_ROWS = 65_536
+#: Rows per morsel: the unit a pruned scan evaluates at a time, small
+#: enough that a unit's temporaries stay in cache.
+MORSEL_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -135,24 +136,24 @@ Morsel = List[Tuple[int, int]]
 
 
 def _morsels(runs: Sequence[Tuple[int, int]]) -> List[Morsel]:
-    """Group surviving runs into work units of :data:`PARALLEL_MIN_ROWS`
+    """Group surviving runs into work units of :data:`MORSEL_ROWS`
     rows (the last may be short), preserving order.
 
     A unit is sized by rows, not zones: a rung table's zones are a few
-    thousand rows, and one unit per surviving zone would hand the pool
-    work too small to be worth the hand-off.  Runs longer than a unit
-    are split; short ones share a unit.
+    thousand rows, and one unit per surviving zone would pay numpy's
+    per-call overhead on work too small to amortise it.  Runs longer
+    than a unit are split; short ones share a unit.
     """
     morsels: List[Morsel] = []
     current: Morsel = []
     filled = 0
     for start, stop in runs:
         while start < stop:
-            take = min(stop - start, PARALLEL_MIN_ROWS - filled)
+            take = min(stop - start, MORSEL_ROWS - filled)
             current.append((start, start + take))
             filled += take
             start += take
-            if filled == PARALLEL_MIN_ROWS:
+            if filled == MORSEL_ROWS:
                 morsels.append(current)
                 current, filled = [], 0
     if current:
@@ -176,8 +177,6 @@ def _scan_morsel(
 def select(
     table: Table,
     predicate: Expression,
-    pool: Optional[MorselPool] = None,
-    parallel_min_rows: int = PARALLEL_MIN_ROWS,
     raw: bool = False,
 ) -> Tuple[np.ndarray, OperatorStats]:
     """Evaluate ``predicate`` over ``table``; return row indices + stats.
@@ -188,32 +187,29 @@ def select(
 
     Blocks the predicate's zone maps rule out are skipped and not
     charged: ``stats.tuples_in`` (the cost) counts only rows actually
-    scanned.  When ``pool`` is given and the surviving rows are worth
-    it, morsels are evaluated in parallel; fragment order is preserved,
-    so the indices are identical to an unpruned full scan's.  With
-    ``raw`` warm blocks are evaluated on their raw bytes, read from the
-    spill (:meth:`~repro.columnstore.column.Column.read_range`).
+    scanned.  The surviving rows are evaluated morsel by morsel, in
+    order, in the calling thread, so the indices are identical to an
+    unpruned full scan's.  With ``raw`` warm blocks are evaluated on
+    their raw bytes, read from the spill
+    (:meth:`~repro.columnstore.column.Column.read_range`).
     """
+    return _select(table, predicate, raw)
+
+
+def _select(
+    table: Table, predicate: Expression, raw: bool
+) -> Tuple[np.ndarray, OperatorStats]:
+    """:func:`select`'s scan, which :func:`select_shared` runs per
+    consumer (not through ``select``, so a wrapper of the public
+    function sees each shared pass once)."""
     runs, rows_to_scan, blocks_scanned, blocks_pruned = scan_plan(table, predicate)
-    if not runs:
+    fragments = [_scan_morsel(table, predicate, m, raw) for m in _morsels(runs)]
+    if not fragments:
         indices = np.empty(0, dtype=np.int64)
+    elif len(fragments) == 1:
+        indices = fragments[0]
     else:
-        morsels = _morsels(runs)
-
-        def scan_morsel(morsel: Morsel) -> np.ndarray:
-            return _scan_morsel(table, predicate, morsel, raw)
-
-        if (
-            pool is not None
-            and len(morsels) > 1
-            and rows_to_scan >= parallel_min_rows
-        ):
-            fragments = pool.map(scan_morsel, morsels)
-        else:
-            fragments = [scan_morsel(m) for m in morsels]
-        indices = (
-            np.concatenate(fragments) if len(fragments) > 1 else fragments[0]
-        )
+        indices = np.concatenate(fragments)
     stats = OperatorStats(
         "select",
         rows_to_scan,
@@ -227,8 +223,6 @@ def select(
 def select_shared(
     table: Table,
     predicates: Sequence[Expression],
-    pool: Optional[MorselPool] = None,
-    parallel_min_rows: int = PARALLEL_MIN_ROWS,
     raw: Optional[Sequence[bool]] = None,
 ) -> List[Tuple[np.ndarray, OperatorStats] | Exception]:
     """Evaluate several predicates over ``table`` in one shared pass.
@@ -236,74 +230,26 @@ def select_shared(
     The multi-consumer counterpart of :func:`select`, used by the
     shared-scan scheduler (:mod:`repro.core.scheduler`): each block
     run survives zone-map pruning *per predicate* — so every consumer
-    is charged exactly what its solo scan would have been — but the
-    pass walks the table once, evaluating all consumers' predicates
-    morsel by morsel (in parallel on ``pool`` when the combined work
-    is worth it).  ``raw`` flags, per predicate, the consumers whose
-    scan reads warm blocks' raw bytes (``select(..., raw=True)``);
+    is charged exactly what its solo scan would have been — and the
+    pass, in the calling thread, evaluates each consumer's predicate
+    over its own morsels.  ``raw`` flags, per predicate, the consumers
+    whose scan reads warm blocks' raw bytes (``select(..., raw=True)``);
     each predicate is evaluated over its own consumer's reads.
 
     Returns one entry per predicate, in order: ``(indices, stats)``
-    byte-identical to what ``select(table, predicate, pool)`` would
-    have produced, or the exception that predicate's own solo scan
-    would have raised (a bad predicate fails only its own consumer,
-    never the whole batch).
+    byte-identical to what ``select(table, predicate)`` would have
+    produced, or the exception that predicate's own solo scan would
+    have raised (a bad predicate fails only its own consumer, never the
+    whole batch).
     """
-    outcomes: List[Tuple[np.ndarray, OperatorStats] | Exception | None] = [
-        None
-    ] * len(predicates)
     raw = [False] * len(predicates) if raw is None else list(raw)
-    plans: Dict[int, Tuple[List[Tuple[int, int]], int, int, int]] = {}
-    for i, predicate in enumerate(predicates):
+    outcomes: List[Tuple[np.ndarray, OperatorStats] | Exception] = []
+    for predicate, reads_raw in zip(predicates, raw):
         try:
-            plans[i] = scan_plan(table, predicate)
+            outcomes.append(_select(table, predicate, reads_raw))
         except Exception as exc:  # noqa: BLE001 - per-consumer isolation
-            outcomes[i] = exc
-    tasks: List[Tuple[int, Morsel]] = []
-    for i, (runs, _rows, _scanned, _pruned) in plans.items():
-        tasks.extend((i, morsel) for morsel in _morsels(runs))
-
-    def scan_task(task: Tuple[int, Morsel]) -> np.ndarray | Exception:
-        i, morsel = task
-        try:
-            return _scan_morsel(table, predicates[i], morsel, raw[i])
-        except Exception as exc:  # noqa: BLE001 - per-consumer isolation
-            return exc
-
-    total_rows = sum(rows for _runs, rows, _s, _p in plans.values())
-    if pool is not None and len(tasks) > 1 and total_rows >= parallel_min_rows:
-        fragments = pool.map(scan_task, tasks)
-    else:
-        fragments = [scan_task(task) for task in tasks]
-
-    per_predicate: Dict[int, List[np.ndarray]] = {i: [] for i in plans}
-    for (i, _morsel), fragment in zip(tasks, fragments):
-        if isinstance(fragment, Exception):
-            if outcomes[i] is None:
-                outcomes[i] = fragment
-        else:
-            per_predicate[i].append(fragment)
-    for i, (_runs, rows_to_scan, blocks_scanned, blocks_pruned) in plans.items():
-        if outcomes[i] is not None:
-            continue  # this consumer's scan failed
-        pieces = per_predicate[i]
-        if not pieces:
-            indices = np.empty(0, dtype=np.int64)
-        elif len(pieces) > 1:
-            indices = np.concatenate(pieces)
-        else:
-            indices = pieces[0]
-        outcomes[i] = (
-            indices,
-            OperatorStats(
-                "select",
-                rows_to_scan,
-                int(indices.shape[0]),
-                blocks_scanned=blocks_scanned,
-                blocks_pruned=blocks_pruned,
-            ),
-        )
-    return outcomes  # type: ignore[return-value]
+            outcomes.append(exc)
+    return outcomes
 
 
 # ----------------------------------------------------------------------

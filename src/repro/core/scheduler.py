@@ -29,11 +29,12 @@ for stragglers).
 
 Within a batch, requests with *equal* predicates (by fingerprint) that
 read equal values collapse into one evaluation — the redundancy win —
-and distinct predicates ride the same pass, fanned morsel-by-morsel over
-the shared :class:`~repro.util.concurrency.MorselPool`.  Each request is
-evaluated over its own reads: an exact contract's *raw* request reads
-warm blocks' raw bytes, a bounded one their codes, so the two never
-share an evaluation, whatever pass they ride.
+and distinct predicates ride the same pass, evaluated one after another
+in the leader's thread: the scheduler starts no thread, and its
+followers wait while the leader's pass runs.  Each request is evaluated
+over its own reads: an exact contract's *raw* request reads warm
+blocks' raw bytes, a bounded one their codes, so the two never share an
+evaluation, whatever pass they ride.
 
 Convoys share a scan among queries *in flight*.  Reuse *across*
 queries — a later scan of the same table object, version and predicate
@@ -74,7 +75,7 @@ from repro.columnstore.operators import OperatorStats
 from repro.columnstore.recycler import Recycler, lossy_reads
 from repro.columnstore.table import Table
 from repro.util.clock import ExecutionContext
-from repro.util.concurrency import Combiner, MorselPool, shared_scan_pool
+from repro.util.concurrency import Combiner
 
 
 @dataclass(frozen=True)
@@ -157,21 +158,15 @@ class SharedScanScheduler:
         still form whenever a scan arrives while another is running
         (queue pressure), which is exactly the concurrent-burst case
         the scheduler exists for.
-    pool:
-        Morsel pool for the shared pass; defaults to the process-wide
-        scan pool.
 
     Thread-safe; one instance serves a whole
     :class:`~repro.core.server.SciBorqServer`.
     """
 
-    def __init__(
-        self, window: float = 0.0, pool: Optional[MorselPool] = None
-    ) -> None:
+    def __init__(self, window: float = 0.0) -> None:
         if window < 0:
             raise ValueError(f"window must be non-negative, got {window}")
         self.window = window
-        self._pool = pool if pool is not None else shared_scan_pool()
         self._lanes: Dict[int, _TableLane] = {}
         self._lanes_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -213,9 +208,9 @@ class SharedScanScheduler:
             # a failure of the pass itself (not of one predicate —
             # those come back as per-group outcomes) is one exception
             # object shared by the whole convoy; fall back to a solo
-            # serial scan so every consumer gets its own result or its
-            # own exception instance
-            indices, stats = operators.select(table, predicate, pool=None, raw=raw)
+            # scan so every consumer gets its own result or its own
+            # exception instance
+            indices, stats = operators.select(table, predicate, raw=raw)
             context.charge(stats.cost)
             return indices, stats
         if isinstance(outcome, Exception):
@@ -226,9 +221,7 @@ class SharedScanScheduler:
             # per-query (callers annotate them, and raising one object
             # from several threads garbles tracebacks).  A failed scan
             # charged nothing, so the re-run is charge-identical.
-            indices, stats = operators.select(
-                table, predicate, pool=self._pool, raw=raw
-            )
+            indices, stats = operators.select(table, predicate, raw=raw)
             context.charge(stats.cost)
             return indices, stats
         indices, stats = outcome
@@ -308,7 +301,6 @@ class SharedScanScheduler:
                     operators.select_shared(
                         table,
                         [leader.predicate for leader in leaders.values()],
-                        pool=self._pool,
                         raw=[leader.raw for leader in leaders.values()],
                     ),
                 )

@@ -1,4 +1,4 @@
-"""Concurrency primitives: the RW lock and the morsel scan pool.
+"""Concurrency primitives: the RW lock and the flat combiner.
 
 The server (:mod:`repro.core.server`) serves many sessions over one
 shared engine.  Queries only *read* the catalog, hierarchies, and
@@ -9,21 +9,19 @@ writer is waiting, new readers queue behind it — so a steady stream of
 cheap queries cannot starve ingest indefinitely (LifeRaft's failure
 mode when query throughput outpaces data arrival).
 
-The module also owns the :class:`MorselPool` used by morsel-parallel
-scans (:func:`repro.columnstore.operators.select`): surviving storage
-blocks are split into morsels and evaluated on a small shared thread
-pool.  Numpy releases the GIL inside its comparison kernels, so this
-is real parallelism on multi-core hosts, and a process-wide singleton
-(:func:`shared_scan_pool`) keeps the thread count bounded no matter
-how many executors and sessions exist.
-
-:class:`Combiner` is the third primitive: a flat-combining batch
+:class:`Combiner` is the second primitive: a flat-combining batch
 queue.  Concurrent callers enqueue items; whichever caller finds the
 queue idle becomes the *leader*, executes everybody's pending items in
 one call, and hands each caller its own result.  The shared-scan
 scheduler (:mod:`repro.core.scheduler`) builds its batching windows on
 it — LifeRaft-style convoys form under queue pressure without any
 caller ever stalling when it is alone.
+
+Scans themselves start no thread: a selection evaluates its morsels in
+the thread that asked (:func:`repro.columnstore.operators.select`), and
+parallelism is the server's concurrent sessions.  :class:`MorselPool`
+remains only as the fan-out arm ``benchmarks/bench_zone_maps.py``
+measures that choice against.
 """
 
 from __future__ import annotations
@@ -120,13 +118,14 @@ class ReadWriteLock:
 
 
 class MorselPool:
-    """A lazily started thread pool for morsel-parallel scan work.
+    """A lazily started thread pool that maps work in input order.
 
-    Threads are only created on the first :meth:`map` call, so opening
-    executors stays free and short scans that never parallelise pay
-    nothing.  ``map`` preserves input order, which is what lets the
-    pruned scan concatenate its index fragments into the exact order a
-    serial scan would produce.
+    No scan uses it: it is the fan-out arm of
+    ``benchmarks/bench_zone_maps.py``, which fans a scan's morsels over
+    it and compares indices and wall time with the caller-thread scan.
+    Threads are only created on the first :meth:`map` call.  ``map``
+    preserves input order, so fragments concatenate into the exact
+    order a caller-thread scan produces.
     """
 
     def __init__(self, max_workers: int | None = None) -> None:
@@ -251,15 +250,3 @@ class Combiner(Generic[_T, _R]):
             raise slot.error
         return slot.result  # type: ignore[return-value]
 
-
-_shared_pool: MorselPool | None = None
-_shared_pool_lock = threading.Lock()
-
-
-def shared_scan_pool() -> MorselPool:
-    """The process-wide scan pool every executor shares by default."""
-    global _shared_pool
-    with _shared_pool_lock:
-        if _shared_pool is None:
-            _shared_pool = MorselPool()
-        return _shared_pool

@@ -248,7 +248,7 @@ class TestLossyEntries:
         table, column = self.warm_table()
         catalog = Catalog()
         catalog.add_table(table)
-        executor = Executor(catalog, recycler=Recycler(), parallel_scans=False)
+        executor = Executor(catalog, recycler=Recycler())
         query = Query("t", predicate=Between("x", 10, 20), aggregates=[AggregateSpec("count")])
         select, scanned = operators.select, []
 

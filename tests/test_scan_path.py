@@ -10,8 +10,7 @@ Pinned here:
   miss stores back exactly once whichever back-end served it, and a hit
   returns and charges the solo scan's;
 * a miss goes to ``scheduler.scan`` exactly when the context shares
-  scans and the executor has a scan pool, and to ``operators.select``
-  otherwise;
+  scans, and to ``operators.select`` otherwise;
 * the engine's processors, their estimators, and the exact path hold
   the *same* executor, so a scheduler installed before or after
   ``create_hierarchy`` (or removed with ``None``) is what rung scans
@@ -20,7 +19,9 @@ Pinned here:
   alike — keyed by the live table object, so a new sampler generation
   with the same name and version never hits;
 * every served selection equals a fresh ``operators.select`` of that
-  table object over offer / ingest / maintain / demote interleavings.
+  table object over offer / ingest / maintain / demote interleavings;
+* a scan — solo, in a convoy, or through a base cover — reads its
+  blocks on the thread that asked, and starts no thread.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from hypothesis import strategies as st
 from repro.columnstore import operators
 from repro.columnstore.catalog import Catalog
 from repro.columnstore.column import Column
-from repro.columnstore.executor import Executor
+from repro.columnstore.executor import BaseCover, Executor
 from repro.columnstore.expressions import And, Between, Comparison
 from repro.columnstore.query import AggregateSpec, Query
 from repro.columnstore.recycler import Recycler
-from repro.columnstore.table import Table
+from repro.columnstore.table import DerivedTable, Table
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.scheduler import SharedScanScheduler
@@ -103,7 +104,7 @@ class TestSelectIndices:
         scheduler = SharedScanScheduler() if scheduler_on else None
         executor = Executor(catalog, recycler=recycler, scheduler=scheduler)
         for predicate in PREDICATES:
-            solo_indices, solo_op = operators.select(table, predicate, pool=None)
+            solo_indices, solo_op = operators.select(table, predicate)
             context = ExecutionContext(shared_scans=shared_scans)
             indices, op = executor.select_indices(table, predicate, context)
             np.testing.assert_array_equal(indices, solo_indices)
@@ -120,7 +121,7 @@ class TestSelectIndices:
             for predicate in PREDICATES:
                 context = ExecutionContext(shared_scans=shared_scans)
                 indices, op = executor.select_indices(table, predicate, context)
-                solo_indices, solo_op = operators.select(table, predicate, pool=None)
+                solo_indices, solo_op = operators.select(table, predicate)
                 np.testing.assert_array_equal(indices, solo_indices)
                 # a hit is the solo scan: its stats, its charge, all shared
                 assert op == solo_op
@@ -156,13 +157,13 @@ class TestSelectIndices:
         indices, _ = executor.select_indices(fresh, PREDICATES[0], ExecutionContext())
         assert (recycler.stats.misses, recycler.stats.hits) == (3, 3)
         np.testing.assert_array_equal(
-            indices, operators.select(fresh, PREDICATES[0], pool=None)[0]
+            indices, operators.select(fresh, PREDICATES[0])[0]
         )
 
     def test_opt_outs_bypass_the_scheduler(self, world, monkeypatch):
         """A miss goes to ``scheduler.scan`` exactly when the context
-        shares scans and a scan pool is present, else to
-        ``operators.select`` — one of the two, once, same charge."""
+        shares scans, else to ``operators.select`` — one of the two,
+        once, same charge."""
         catalog, table, _engine = world
         scheduler = SharedScanScheduler()
         calls = []
@@ -179,16 +180,12 @@ class TestSelectIndices:
         monkeypatch.setattr(operators, "select", spy_select)
         monkeypatch.setattr(scheduler, "scan", spy_scan)
         charges = set()
-        for shared_scans, parallel_scans in itertools.product((False, True), repeat=2):
-            executor = Executor(
-                catalog, scheduler=scheduler, parallel_scans=parallel_scans
-            )
-            assert (executor.scan_pool is not None) == parallel_scans
+        for shared_scans in (False, True):
+            executor = Executor(catalog, scheduler=scheduler)
             context = ExecutionContext(shared_scans=shared_scans)
             calls.clear()
             executor.select_indices(table, PREDICATES[1], context)
-            shared = shared_scans and parallel_scans
-            assert calls == (["scheduler"] if shared else ["select"])
+            assert calls == (["scheduler"] if shared_scans else ["select"])
             charges.add(context.spent)
         assert len(charges) == 1
         assert scheduler.stats.scans == 1
@@ -294,7 +291,7 @@ class TestExecuteExactAccounting:
         ]
         expected = {}
         for query in queries:
-            scan = operators.select(table, query.predicate, pool=None)[1]
+            scan = operators.select(table, query.predicate)[1]
             # the scan reads every row, the count reads the matches
             expected[query.fingerprint()] = float(scan.tuples_in + scan.tuples_out)
         barrier = threading.Barrier(len(queries))
@@ -321,6 +318,94 @@ class TestExecuteExactAccounting:
             assert entry.settled
             assert entry.outcome.tuples_charged == expected[entry.query.fingerprint()]
         assert engine.clock.now == 5 * sum(expected.values())
+
+
+# ----------------------------------------------------------------------
+# a scan runs in the thread that asked for it
+# ----------------------------------------------------------------------
+class TestScansStartNoThread:
+    ROWS = 400_000  # 7 morsels of 65 536 rows
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        """The thread of every ``Column.read_range`` call."""
+        seen: list[int] = []
+        read_range = Column.read_range
+
+        def spy(column, *args, **kwargs):
+            seen.append(threading.get_ident())
+            return read_range(column, *args, **kwargs)
+
+        monkeypatch.setattr(Column, "read_range", spy)
+        return seen
+
+    @pytest.fixture()
+    def big(self):
+        rng = np.random.default_rng(41)
+        table = Table(
+            "B",
+            [
+                Column("x", "float64", rng.uniform(0.0, 100.0, self.ROWS)),
+                Column("y", "float64", rng.uniform(0.0, 100.0, self.ROWS)),
+            ],
+        )
+        catalog = Catalog()
+        catalog.add_table(table)
+        return catalog, table
+
+    def test_solo_convoy_and_cover_scans_read_on_the_callers_thread(self, big, reads):
+        catalog, table = big
+        predicate = Between("y", 20.0, 70.0)
+        want = operators.select(table, predicate)[0]
+        assert len(operators._morsels(operators.scan_plan(table, predicate)[0])) >= 6
+        threads_before = threading.active_count()
+        me = threading.get_ident()
+
+        # a solo scan
+        del reads[:]
+        solo = Executor(catalog)
+        indices, _ = solo.select_indices(table, predicate, ExecutionContext())
+        assert indices.tobytes() == want.tobytes()
+        assert reads and set(reads) == {me}
+
+        # a convoy: two callers share one pass, led by one of them (a
+        # leader waits for its co-runner, however late it is scheduled)
+        scheduler = SharedScanScheduler(window=5.0)
+        executor = Executor(catalog, scheduler=scheduler)
+        callers, found = set(), []
+        barrier = threading.Barrier(2)
+
+        def ask(bound):
+            callers.add(threading.get_ident())
+            barrier.wait(timeout=10.0)
+            mine = Between("y", 20.0, bound)
+            found.append(executor.select_indices(table, mine, ExecutionContext()))
+
+        del reads[:]
+        askers = [threading.Thread(target=ask, args=(b,)) for b in (70.0, 90.0)]
+        for asker in askers:
+            asker.start()
+        for asker in askers:
+            asker.join(timeout=30.0)
+        assert len(found) == 2
+        assert (scheduler.stats.batches, scheduler.stats.convoy_scans) == (1, 2)
+        assert reads and len(set(reads)) == 1 and set(reads) <= callers
+
+        # a base scan read through its cover: two halves of the base
+        halves = (np.arange(0, self.ROWS, 2), np.arange(1, self.ROWS, 2))
+        parts = tuple(
+            DerivedTable(f"B{i}", table, ids, ["x", "y"])
+            for i, ids in enumerate(halves)
+        )
+        cover = BaseCover(parts, self.ROWS)
+        del reads[:]
+        indices, op = executor.select_indices(
+            table, predicate, ExecutionContext(), cover=cover
+        )
+        assert indices.tobytes() == want.tobytes() and op.tuples_in == self.ROWS
+        assert reads and set(reads) == {me}
+
+        assert threading.active_count() == threads_before
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +469,7 @@ def test_every_served_selection_is_a_fresh_scan(operations):
             # what the asking scan reads: an exact one (tag ``()``) raw
             # values, a lossy one the warm blocks' codes
             indices, op = operators.select(
-                table, predicate, pool=None, raw=lossy == ()
+                table, predicate, raw=lossy == ()
             )
             np.testing.assert_array_equal(hit[0], indices)
             assert hit[1] == op

@@ -669,7 +669,7 @@ class TestSchedulerEdges:
         # lane (if the last table were alive) or none remain
         assert len(scheduler._lanes) <= 1
 
-    def test_serial_executor_never_enrols(self):
+    def test_a_context_without_shared_scans_never_enrols(self):
         rng = np.random.default_rng(37)
         table = blocked_table(rng, n=1_000)
         catalog = Catalog()
@@ -677,13 +677,14 @@ class TestSchedulerEdges:
         from repro.columnstore.executor import Executor
 
         scheduler = SharedScanScheduler()
-        serial = Executor(catalog, parallel_scans=False, scheduler=scheduler)
-        indices, op = serial.select_indices(
-            table, Comparison("x", "<", 30.0), ExecutionContext()
+        executor = Executor(catalog, scheduler=scheduler)
+        indices, op = executor.select_indices(
+            table, Comparison("x", "<", 30.0), ExecutionContext(shared_scans=False)
         )
-        assert scheduler.stats.scans == 0  # stayed on the solo serial path
+        assert scheduler.stats.scans == 0  # stayed on the solo path
         solo, solo_op = operators.select(table, Comparison("x", "<", 30.0))
         assert np.array_equal(indices, solo)
+        assert op == solo_op
 
     def test_memo_is_byte_bounded(self):
         """Selections of every scan share one byte budget."""

@@ -1,8 +1,9 @@
-"""Tests for block storage, zone maps, and pruned/parallel selection.
+"""Tests for block storage, zone maps, and pruned morsel selection.
 
-The contract under test: a zone-map pruned scan — serial or
-morsel-parallel — returns *exactly* the indices of a full scan, while
-charging only the rows of blocks the predicate could possibly match.
+The contract under test: a zone-map pruned scan — evaluated morsel by
+morsel in the calling thread — returns *exactly* the indices of a full
+scan, while charging only the rows of blocks the predicate could
+possibly match.
 """
 
 from __future__ import annotations
@@ -240,21 +241,28 @@ class TestPrunedSelect:
         assert stats.tuples_in == table.num_rows
 
     def test_parallel_path_identical_to_serial(self):
+        """The caller-thread scan returns exactly what the same morsels,
+        fanned over a pool and merged in order, return."""
         table = blocked_table(n=300_000, block_size=1024)
         predicate = Or(
             [Between("x", 10.0, 30.0), Between("x", 70.0, 80.0)]
         )
         serial, serial_stats = operators.select(table, predicate)
+        runs, rows_to_scan, _scanned, _pruned = operators.scan_plan(table, predicate)
+        morsels = operators._morsels(runs)
+        assert len(morsels) > 1
         pool = MorselPool(max_workers=4)
         try:
-            parallel, parallel_stats = operators.select(
-                table, predicate, pool=pool, parallel_min_rows=0
+            fragments = pool.map(
+                lambda morsel: operators._scan_morsel(table, predicate, morsel, False),
+                morsels,
             )
         finally:
             pool.shutdown()
+        parallel = np.concatenate(fragments)
         np.testing.assert_array_equal(serial, parallel)
         assert serial.tobytes() == parallel.tobytes()
-        assert serial_stats.tuples_in == parallel_stats.tuples_in
+        assert serial_stats.tuples_in == rows_to_scan
 
     def test_pruning_equivalence_random_predicates(self):
         """Property: pruned and unpruned selection agree exactly."""
@@ -470,22 +478,11 @@ class TestVectorisedFold:
         assert zones.lo.dtype == np.dtype(dtype) and zones.lo.shape == (len(expected),)
 
 
-class _CountingPool(MorselPool):
-    def __init__(self) -> None:
-        super().__init__(max_workers=2)
-        self.items: list[int] = []
-
-    def map(self, fn, items):
-        items = list(items)
-        self.items.append(len(items))
-        return super().map(fn, items)
-
-
 class TestMorselsAreNotZones:
-    def test_a_64_zone_scan_submits_one_unit_per_65536_rows(self):
+    def test_a_64_zone_scan_submits_one_unit_per_65536_rows(self, monkeypatch):
         """Units are sized in rows, not zones: a scan over a 64-zone table
-        hands the pool at most ⌈rows_to_scan / 65 536⌉ items, whichever
-        zones survived, and the answer is the serial scan's."""
+        evaluates ⌈rows_to_scan / 65 536⌉ units, whichever zones
+        survived, and the answer is the full scan's."""
         from repro.columnstore.table import DerivedTable
 
         rng = np.random.default_rng(8)
@@ -494,33 +491,35 @@ class TestMorselsAreNotZones:
         ids = np.argsort(base["x"], kind="stable")  # x ascending: zones prune
         table = DerivedTable("d", base, ids, ["x"])
         assert table.num_blocks == 64
-        pool = _CountingPool()
-        try:
-            for predicate in (
-                TruePredicate(),
-                Between("x", 10.0, 60.0),
-                Or(
-                    [
-                        Between("x", 1.0, 9.0),
-                        Between("x", 40.0, 41.0),
-                        Between("x", 90.0, 99.0),
-                    ]
-                ),
-            ):
-                serial, stats = operators.select(table, predicate)
-                del pool.items[:]
-                parallel, _ = operators.select(
-                    table, predicate, pool=pool, parallel_min_rows=0
-                )
-                assert serial.tobytes() == parallel.tobytes()
-                assert pool.items and pool.items[0] <= -(-stats.tuples_in // 65_536)
-                (shared,) = operators.select_shared(
-                    table, [predicate], pool=pool, parallel_min_rows=0
-                )
-                assert shared[0].tobytes() == serial.tobytes()
-                assert pool.items[-1] <= -(-stats.tuples_in // 65_536)
-        finally:
-            pool.shutdown()
+        assert operators.MORSEL_ROWS == 65_536
+        units: list[int] = []
+        scan_morsel = operators._scan_morsel
+
+        def counting_scan_morsel(*args):
+            units.append(1)
+            return scan_morsel(*args)
+
+        monkeypatch.setattr(operators, "_scan_morsel", counting_scan_morsel)
+        for predicate in (
+            TruePredicate(),
+            Between("x", 10.0, 60.0),
+            Or(
+                [
+                    Between("x", 1.0, 9.0),
+                    Between("x", 40.0, 41.0),
+                    Between("x", 90.0, 99.0),
+                ]
+            ),
+        ):
+            del units[:]
+            indices, stats = operators.select(table, predicate)
+            want = np.flatnonzero(predicate.evaluate(table))
+            assert indices.tobytes() == want.astype(np.int64).tobytes()
+            assert len(units) == -(-stats.tuples_in // 65_536)
+            del units[:]
+            (shared,) = operators.select_shared(table, [predicate])
+            assert shared[0].tobytes() == indices.tobytes()
+            assert len(units) == -(-stats.tuples_in // 65_536)
 
     def test_units_cover_the_runs_in_order(self):
         runs = [(0, 10), (20, 200_000), (300_000, 300_005)]
