@@ -81,7 +81,8 @@ def test_concurrent_sessions_isolated_and_faster(benchmark, medium_context):
                 user: session.clock.now for user, session in sessions.items()
             }
             batch_start = time.perf_counter()
-            concurrent = server.execute_many(jobs)
+            handles = [session.submit(query) for session, query in jobs]
+            concurrent = [handle.result() for handle in handles]
             batch_elapsed = time.perf_counter() - batch_start
             return (
                 serial,
@@ -163,7 +164,8 @@ def test_session_clocks_partition_engine_clock(benchmark, medium_context):
         engine_before = engine.clock.now
 
         def run():
-            return server.execute_many(jobs)
+            handles = [session.submit(query) for session, query in jobs]
+            return [handle.result() for handle in handles]
 
         outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
         assert all(outcome.result is not None for outcome in outcomes)

@@ -133,7 +133,7 @@ def run_arm(shared: bool, n: int, seed: int, rounds: int):
         warm_server(sessions[0])
         jobs = workload_jobs(sessions, hot_queries(), rounds)
         started = time.perf_counter()
-        handles = server.submit_many(jobs)
+        handles = [server.submit(session, query) for session, query in jobs]
         outcomes = [handle.result() for handle in handles]
         elapsed = time.perf_counter() - started
         stats = None

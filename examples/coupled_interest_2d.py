@@ -1,17 +1,13 @@
-"""Extensions from the paper's related/future work (§5, footnote 3).
+"""2-D coupled interest, from the paper's footnote 3.
 
-Run:  python examples/self_tuning_and_2d.py
+Run:  python examples/coupled_interest_2d.py
 
-Two techniques the paper names but does not build:
-
-* **ICICLES-style self-tuning samples** — "a side-effect of a query
-  evaluation is to update an impression using query results": rows a
-  query touches get another inclusion chance, so the sample drifts to
-  the working set with no interest model at all.
-* **2-D coupled interest** — the footnote-3 "more attractive"
-  multi-dimensional histogram: a workload probing (150,10) and
-  (205,40) should not boost the phantom cross-products (150,40) /
-  (205,10), but per-attribute marginals cannot tell them apart.
+The footnote-3 "more attractive" multi-dimensional histogram, which the
+paper names but does not build: a workload probing (150,10) and
+(205,40) should not boost the phantom cross-products (150,40) /
+(205,10), but per-attribute marginals cannot tell them apart.  Each
+model steers a 10k-tuple πps impression; the printout compares the
+share of those tuples in the true targets and in the phantoms.
 """
 
 import numpy as np
@@ -19,7 +15,6 @@ import numpy as np
 from repro import SciBorq
 from repro.sampling.pps import systematic_pps_sample
 from repro.skyserver import build_skyserver, create_skyserver_catalog
-from repro.skyserver.functions import nearby_count_query
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE
 from repro.workload.interest import CoupledInterest, InterestModel
 
@@ -36,31 +31,11 @@ def main() -> None:
         interest_attributes={"ra": RA_RANGE, "dec": DEC_RANGE},
         rng=71,
     )
-    engine.create_hierarchy(
-        "PhotoObjAll", policy="uniform", layer_sizes=(10_000, 1_000)
-    )
-    tuner = engine.enable_result_recycling("PhotoObjAll", capacity=3_000)
     build_skyserver(150_000, loader=engine.loader, rng=72)
-
-    # --- part 1: self-tuning via query results -------------------------
-    print("part 1: ICICLES-style result recycling")
-    hot_query = nearby_count_query(150.0, 10.0, 4.0)
-    for _ in range(8):  # the scientist hammers one region, exactly
-        engine.execute_exact(hot_query)
     base = engine.catalog.table("PhotoObjAll")
     ra, dec = base["ra"], base["dec"]
-    ids = tuner.row_ids
-    in_hot = cone_share(ra, dec, ids, (150.0, 10.0), radius=4.0)
-    population = cone_share(ra, dec, np.arange(base.num_rows), (150.0, 10.0), 4.0)
-    print(f"  result offers absorbed: {tuner.result_offers}")
-    print(
-        f"  hot-region share of the self-tuning sample: {in_hot:.1%} "
-        f"(population share {population:.1%})"
-    )
-    print()
 
-    # --- part 2: coupled vs marginal interest ---------------------------
-    print("part 2: 2-D coupled interest vs per-attribute marginals")
+    print("2-D coupled interest vs per-attribute marginals")
     rng = np.random.default_rng(73)
     workload_ra = np.concatenate(
         [rng.normal(150, 3, 200), rng.normal(205, 3, 200)]

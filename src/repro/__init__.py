@@ -12,8 +12,8 @@ substrate:
   noncentral hypergeometric distribution, design-based estimators;
 * :mod:`repro.workload` — query log, predicate sets, interest model,
   drift detection;
-* :mod:`repro.sampling` — Algorithm R, Last Seen, biased reservoir,
-  extrema, self-tuning and πps samplers;
+* :mod:`repro.sampling` — Algorithm R, Last Seen, biased reservoir
+  and πps samplers;
 * :mod:`repro.core` — impressions, hierarchies, bounded query
   processing, maintenance, and the :class:`~repro.core.engine.SciBorq`
   facade.

@@ -190,9 +190,9 @@ class Recycler:
         """Read a cached selection without touching stats or LRU order —
         with ``lossy``, only one evaluated over reads with that tag.
 
-        Internal plumbing (feeding the ICICLES reservoir the rows an
-        exact query just selected, ``lossy=()``) uses this so
-        bookkeeping reflects only real query traffic.
+        No scan calls this: it is the stats-neutral probe tests use to
+        look into the cache, so the counters they assert on reflect
+        only the scans they drive.
         """
         with self._lock:
             entry = self._entries.get(self._key(table, predicate))

@@ -25,8 +25,6 @@ import numpy as np
 from repro.columnstore.loader import LoadObserver
 from repro.core.impression import CellKeys, Impression
 from repro.sampling.biased import BiasedReservoir
-from repro.sampling.extrema import ExtremaReservoir
-from repro.sampling.icicles import SelfTuningReservoir
 
 
 class ImpressionBuilder(LoadObserver):
@@ -43,10 +41,6 @@ class ImpressionBuilder(LoadObserver):
         self._interest_domains = dict(interest_domains)
         self._cells: Dict[str, CellKeys] = {}
         self._impressions: Dict[str, List[Impression]] = defaultdict(list)
-        self._extrema: Dict[str, List[ExtremaReservoir]] = defaultdict(list)
-        self._self_tuning: Dict[str, List[SelfTuningReservoir]] = defaultdict(
-            list
-        )
         self.batches_processed = 0
         self.tuples_processed = 0
 
@@ -70,18 +64,8 @@ class ImpressionBuilder(LoadObserver):
         for impression in hierarchy.layers:
             self.attach(impression)
 
-    def attach_extrema(self, table_name: str, reservoir: ExtremaReservoir) -> None:
-        """Register an extrema reservoir (outlier impressions)."""
-        self._extrema[table_name].append(reservoir)
-
-    def attach_self_tuning(
-        self, table_name: str, reservoir: SelfTuningReservoir
-    ) -> None:
-        """Register an ICICLES-style self-tuning reservoir."""
-        self._self_tuning[table_name].append(reservoir)
-
     def detach(self, impression: Impression) -> None:
-        """Unregister an impression (e.g. a dropped hierarchy)."""
+        """Unregister an impression (e.g. of a replaced hierarchy)."""
         try:
             self._impressions[impression.base_table].remove(impression)
         except ValueError:
@@ -102,26 +86,19 @@ class ImpressionBuilder(LoadObserver):
     ) -> None:
         """Offer one appended batch to every registered impression."""
         targets = self._impressions.get(table_name, ())
-        extrema = self._extrema.get(table_name, ())
-        tuning = self._self_tuning.get(table_name, ())
-        if not targets and not extrema and not tuning:
+        if not targets:
             return
         lengths = {np.asarray(v).shape[0] for v in batch.values()}
         (count,) = lengths or {0}
         if count == 0:
             return
         row_ids = np.arange(start_row, start_row + count, dtype=np.int64)
-        if targets:
-            self.cells_of(table_name).observe(start_row, batch)
+        self.cells_of(table_name).observe(start_row, batch)
         for impression in targets:
             if isinstance(impression.sampler, BiasedReservoir):
                 impression.sampler.offer_batch(row_ids, batch)
             else:
                 impression.sampler.offer_batch(row_ids)
             impression.set_inclusion_override(None)
-        for reservoir in extrema:
-            reservoir.offer_batch(row_ids, batch)
-        for reservoir in tuning:
-            reservoir.offer_batch(row_ids)
         self.batches_processed += 1
         self.tuples_processed += count

@@ -123,9 +123,7 @@ class Contract:
 
         Unlike ``within_error(0.0)`` — which climbs the ladder and
         only *ends* on the base columns — an exact contract goes
-        straight there, works on tables with no hierarchy at all, and
-        preserves the base-path side effects (result recycling into
-        the ICICLES reservoir).
+        straight there and works on tables with no hierarchy at all.
         """
         return cls(max_relative_error=0.0, is_exact=True)
 

@@ -35,12 +35,10 @@ from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columnstore.catalog import Catalog
-from repro.columnstore.executor import BaseCover, Executor, QueryResult, expand_view
-from repro.columnstore.expressions import TruePredicate
+from repro.columnstore.executor import Executor, QueryResult, expand_view
 from repro.columnstore.loader import Loader
 from repro.columnstore.query import Query
 from repro.columnstore.recycler import Recycler
-from repro.columnstore.table import Table
 from repro.core.bounded import (
     BoundedQueryProcessor,
     BoundedResult,
@@ -68,9 +66,6 @@ from repro.core.policy import (
     build_hierarchy,
 )
 from repro.errors import BudgetExceededError, ImpressionError, QueryError
-from repro.sampling.extrema import ExtremaReservoir
-from repro.sampling.icicles import SelfTuningReservoir
-from repro.stats.estimators import Estimate
 from repro.util.clock import CostClock, ExecutionContext, WallClock
 from repro.util.rng import RandomSource, ensure_rng
 from repro.workload.drift import DriftDetector
@@ -195,8 +190,6 @@ class SciBorq:
         self._hierarchies: Dict[str, Dict[str, ImpressionHierarchy]] = {}
         self._processors: Dict[str, Dict[str, BoundedQueryProcessor]] = {}
         self._default_hierarchy: Dict[str, str] = {}
-        self._extrema: Dict[Tuple[str, str], ExtremaReservoir] = {}
-        self._self_tuning: Dict[str, SelfTuningReservoir] = {}
         #: The one executor: the exact path scans through it, and every
         #: processor and estimator this engine creates holds it by
         #: reference — so its selection cache, and the scheduler
@@ -278,24 +271,6 @@ class SciBorq:
             self.loader.register(table, self.builder)
         return hierarchy
 
-    def drop_hierarchy(self, table: str, name: str) -> None:
-        """Remove a named hierarchy (its layers stop receiving loads)."""
-        try:
-            hierarchy = self._hierarchies[table].pop(name)
-            self._processors[table].pop(name, None)
-        except KeyError:
-            raise ImpressionError(
-                f"no hierarchy named {name!r} for table {table!r}"
-            ) from None
-        for impression in hierarchy.layers:
-            self.builder.detach(impression)
-        if self._default_hierarchy.get(table) == name:
-            remaining = self._hierarchies[table]
-            if remaining:
-                self._default_hierarchy[table] = next(iter(remaining))
-            else:
-                del self._default_hierarchy[table]
-
     def _resolve_policy(
         self,
         policy: Policy | str,
@@ -346,10 +321,6 @@ class SciBorq:
                 f"no hierarchy named {resolved!r} for table {table!r}"
             ) from None
 
-    def hierarchy_names(self, table: str) -> list[str]:
-        """Names of all hierarchies registered for ``table``."""
-        return list(self._hierarchies.get(table, ()))
-
     def processor(
         self, table: str, name: Optional[str] = None
     ) -> BoundedQueryProcessor:
@@ -361,35 +332,6 @@ class SciBorq:
             raise ImpressionError(
                 f"no hierarchy named {resolved!r} for table {table!r}"
             ) from None
-
-    def track_extrema(
-        self, table: str, attribute: str, capacity: int = 128
-    ) -> ExtremaReservoir:
-        """Maintain an outlier impression for MIN/MAX on an attribute."""
-        reservoir = ExtremaReservoir(capacity, attribute)
-        self._extrema[(table, attribute)] = reservoir
-        self.builder.attach_extrema(table, reservoir)
-        if self.builder not in self.loader.observers_of(table):
-            self.loader.register(table, self.builder)
-        return reservoir
-
-    def enable_result_recycling(
-        self, table: str, capacity: int = 10_000, result_boost: float = 1.0
-    ) -> SelfTuningReservoir:
-        """Maintain an ICICLES-style self-tuning sample (paper §5).
-
-        The reservoir sees the load stream like any impression, and —
-        the self-tuning part — every base-data query whose selection
-        the recycler captured re-offers its result rows, so the sample
-        drifts toward the workload's working set.  Read it via
-        :meth:`self_tuning_sample`.
-        """
-        reservoir = SelfTuningReservoir(capacity, result_boost, rng=self.rng)
-        self._self_tuning[table] = reservoir
-        self.builder.attach_self_tuning(table, reservoir)
-        if self.builder not in self.loader.observers_of(table):
-            self.loader.register(table, self.builder)
-        return reservoir
 
     @property
     def recycler(self) -> Optional[Recycler]:
@@ -536,15 +478,6 @@ class SciBorq:
             }
         return report
 
-    def self_tuning_sample(self, table: str) -> SelfTuningReservoir:
-        """The self-tuning reservoir for ``table`` (raises if absent)."""
-        try:
-            return self._self_tuning[table]
-        except KeyError:
-            raise ImpressionError(
-                f"result recycling not enabled for table {table!r}"
-            ) from None
-
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------
@@ -583,13 +516,12 @@ class SciBorq:
         Submission feeds the workload machinery up front (query log,
         predicate sets, drift detectors) — the workload model sees
         intent, not completion.  An exact contract routes straight to
-        the executor's base path (works on tables with no hierarchy at all,
-        preserves the ICICLES recycling side effect); any other
-        contract requires a hierarchy.  ``hierarchy`` overrides the
-        contract's own selection.  ``context`` carries a caller-owned
-        cost meter; ``context_factory`` defers its creation to the
-        first rung (the server layer uses this so wall-mode budgets
-        bill execution time, not queueing time).
+        the executor's base path (works on tables with no hierarchy at
+        all); any other contract requires a hierarchy.  ``hierarchy``
+        overrides the contract's own selection.  ``context`` carries a
+        caller-owned cost meter; ``context_factory`` defers its creation
+        to the first rung (the server layer uses this so wall-mode
+        budgets bill execution time, not queueing time).
         """
         query = expand_view(self.catalog, query)
         contract = contract if contract is not None else Contract()
@@ -660,8 +592,8 @@ class SciBorq:
         ``submit(query, Contract.exact()).result()`` converted back to
         a :class:`~repro.columnstore.executor.QueryResult`
         (``execute(query, Contract.exact())`` returns the uniform
-        :class:`BoundedResult` instead).  Logging, monitoring, the
-        charge, and the ICICLES side effect are the core's own.
+        :class:`BoundedResult` instead).  Logging, monitoring and the
+        charge are the core's own.
         """
         return raw_query_result(
             self.submit(
@@ -694,13 +626,12 @@ class SciBorq:
 
         Produces the same :class:`BoundedResult` shape as a bounded
         execution (one exact, satisfied attempt) so callers handle
-        one result type — and keeps the base path's side effects
-        (recycler capture feeding the ICICLES reservoir, paper §5).
-        Works on tables with no hierarchy: the executor is all it
-        needs.  With one, the selection reads the hierarchy's cell-laid
-        cover of the base when :meth:`ImpressionHierarchy.base_cover`
-        says so — resolved before the context opens, so a wall-mode
-        budget bills the scan alone.  Every read of the base — the
+        one result type.  Works on tables with no hierarchy: the
+        executor is all it needs.  With one, the selection reads the
+        hierarchy's cell-laid cover of the base when
+        :meth:`ImpressionHierarchy.base_cover` says so — resolved
+        before the context opens, so a wall-mode budget bills the scan
+        alone.  Every read of the base — the
         predicate scan when no cover answers, the carried columns'
         gathers — takes warm blocks' raw bytes from the spill
         (``Executor.execute(..., raw=True)``): the answer is exact with
@@ -714,7 +645,6 @@ class SciBorq:
         context = open_context()
         entry_spent = context.spent
         exact = self.executor.execute(query, context=context, cover=cover, raw=True)
-        self._offer_recycled_rows(query, base, cover)
         result = exact_estimated_result(
             query, exact, base, contract.confidence, cover, raw=True
         )
@@ -733,21 +663,6 @@ class SciBorq:
         if contract.strict and not outcome.met_budget:
             raise BudgetExceededError(contract.time_budget, outcome.total_cost)
         return outcome
-
-    def _offer_recycled_rows(
-        self, query: Query, base: Table, cover: Optional[BaseCover]
-    ) -> None:
-        """The ICICLES side effect of a base-data scan (paper §5): the
-        exact selection the scan left in the cache, part by part for a
-        cover."""
-        reservoir = self._self_tuning.get(query.table)
-        if reservoir is None or self.recycler is None:
-            return
-        parts = (base,) if cover is None else cover.parts
-        found = [self.recycler.peek(part, query.predicate, ()) for part in parts]
-        if any(hits is None for hits in found):
-            return
-        reservoir.offer_results(found[0] if cover is None else cover.merge(found))
 
     def _settle(
         self,
@@ -769,7 +684,6 @@ class SciBorq:
         its :class:`~repro.core.monitor.ContractVerdict` — reading
         the outcome, never touching it.
         """
-        self._apply_extrema(handle.query, outcome)
         wall_seconds = time.perf_counter() - submitted
         self.query_log.settle(
             entry.sequence,
@@ -794,32 +708,6 @@ class SciBorq:
                 run_seconds=handle.run_seconds,
             )
         return outcome
-
-    def _apply_extrema(self, query: Query, outcome: BoundedResult) -> None:
-        """Overwrite MIN/MAX estimates with exact extrema when tracked."""
-        estimates = outcome.result.estimates
-        if not estimates or outcome.result.exact:
-            return
-        for spec in query.aggregates:
-            if spec.fn not in ("min", "max") or spec.column is None:
-                continue
-            reservoir = self._extrema.get((query.table, spec.column))
-            if reservoir is None or reservoir.size == 0:
-                continue
-            if not isinstance(query.predicate, TruePredicate):
-                continue  # extrema are exact only for unfiltered queries
-            exact_value = (
-                reservoir.minimum if spec.fn == "min" else reservoir.maximum
-            )
-            old = estimates[spec.output_name]
-            estimates[spec.output_name] = Estimate(
-                value=exact_value,
-                se=0.0,
-                confidence=old.confidence,
-                method=f"extrema-{spec.fn}",
-                sample_size=reservoir.size,
-                population_size=old.population_size,
-            )
 
     # ------------------------------------------------------------------
     # maintenance path

@@ -26,7 +26,7 @@ A handle is driven in one of two ways:
   iterates the handle or calls :meth:`result` — nothing runs until
   someone asks;
 * **on a worker pool** (``Session.submit`` / ``SciBorqServer.
-  submit_many``): the server drains the handle on its thread pool,
+  submit``): the server drains the handle on its thread pool,
   delivering :meth:`on_progress` callbacks off the worker threads,
   while iterators and :meth:`result` callers block on updates as they
   arrive.
@@ -142,7 +142,7 @@ class QueryHandle:
     finalize:
         Optional hook applied to the final :class:`BoundedResult`
         (natural completion *and* cancellation) — the engine uses it
-        to overwrite tracked MIN/MAX estimates with exact extrema.
+        to settle the outcome into its query log and monitor.
     """
 
     def __init__(

@@ -295,7 +295,7 @@ class ImpressionEstimator:
         if spec.fn in ("min", "max"):
             # No unbiased sample estimator exists for extremes: report
             # the sample extreme with an unbounded error so quality
-            # contracts force escalation (or an extrema impression).
+            # contracts force escalation.
             point = (
                 float(values.min() if spec.fn == "min" else values.max())
                 if values.shape[0]

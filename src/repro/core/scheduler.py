@@ -272,10 +272,10 @@ class SharedScanScheduler:
         predicates ride the same pass via
         :func:`~repro.columnstore.operators.select_shared`, and each
         evaluated selection goes into the ``recycler`` before the next
-        pass on this table can start — exact evaluations last, so a twin
-        over quantised values in the same pass never displaces the entry
-        an exact scan's caller reads back (the engine feeds its ICICLES
-        sample from it).  Returns one outcome per request, in batch order.
+        pass on this table can start — exact evaluations last, so when an
+        exact scan and a twin over quantised values share a pass, the
+        cache keeps the exact selection.  Returns one outcome per
+        request, in batch order.
         """
         outcomes: Dict[int, Tuple[np.ndarray, OperatorStats]] = {}
         leaders: Dict[tuple, _Request] = {}

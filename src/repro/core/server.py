@@ -19,10 +19,10 @@ serving layer for the reproduction:
   ``engine.clock.now`` therefore equals the sum of all sessions'
   spending, while each query's ``total_cost`` is exactly its own
   tuples touched — no cross-session leakage, by construction.
-* **Batched submission.**  :meth:`execute_many` (and
-  :meth:`Session.execute_many <repro.core.session.Session.execute_many>`)
-  fan a batch out over a thread pool; NumPy releases the GIL inside
-  the scan kernels, so concurrent sessions overlap on real cores.
+* **Two ways to run a query.**  :meth:`execute` drains the ladder in
+  the calling thread; :meth:`submit` returns a handle at once and a
+  pool worker drains it.  NumPy releases the GIL inside the scan
+  kernels, so concurrent sessions overlap on real cores.
 * **Shared scans.**  Concurrent queries probing the same table convoy
   on one block scan: the server installs a
   :class:`~repro.core.scheduler.SharedScanScheduler` into the engine,
@@ -53,7 +53,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -64,8 +64,7 @@ from repro.core.admission import (
     AdmissionTicket,
     RejectedQuery,
 )
-from repro.columnstore.executor import QueryResult
-from repro.core.bounded import BoundedResult, raw_query_result
+from repro.core.bounded import BoundedResult
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.governor import GovernorStats, MemoryGovernor
@@ -77,10 +76,6 @@ from repro.core.session import Session
 from repro.errors import OverloadedError, SessionError
 from repro.util.clock import ExecutionContext
 from repro.util.concurrency import ReadWriteLock
-
-#: A unit of pool work: (session, query, contract or None for the
-#: session default, hierarchy name).
-_Job = Tuple[Session, Query, Optional[Contract], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,7 @@ class SciBorqServer:
         :class:`~repro.errors.SessionError` before the engine is
         touched (two servers would guard one engine with two locks).
     max_workers:
-        Thread-pool width for :meth:`execute_many`; defaults to the
+        Thread-pool width for :meth:`submit`; defaults to the
         machine's core count (capped at 8 — scans are memory-bound
         well before that).
     shared_scans:
@@ -224,10 +219,10 @@ class SciBorqServer:
         ``AdmissionController(max_inflight=max_workers)`` sizes it to
         the pool, so queueing happens in the controller (aged,
         bounded), never in the executor.  With admission on,
-        ``submit`` may raise
-        :class:`~repro.errors.OverloadedError` and ``submit_many``
-        returns structured :class:`~repro.core.admission.
-        RejectedQuery` slots for shed queries.
+        ``submit`` and ``execute`` may raise
+        :class:`~repro.errors.OverloadedError`, whose ``rejection`` is
+        the structured :class:`~repro.core.admission.RejectedQuery`
+        of the shed query.
     monitor:
         Runtime contract monitoring (default ``True``: a fresh
         :class:`~repro.core.monitor.ContractMonitor` is installed into
@@ -403,10 +398,6 @@ class SciBorqServer:
             self.monitor.note_session(session_id, session.name)
         return session
 
-    def close_session(self, session: Session) -> None:
-        """Close one session (idempotent)."""
-        session.close()
-
     def _forget_session(self, session: Session) -> None:
         with self._admin_lock:
             self._sessions.pop(session.session_id, None)
@@ -537,17 +528,6 @@ class SciBorqServer:
         finally:
             self._finish(session, query, handle, ticket)
 
-    def execute_exact(self, session: Session, query: Query) -> QueryResult:
-        """Run a base-data query for ``session``: :meth:`execute` under
-        ``Contract.exact()``, in the raw executor shape.
-
-        Runs as a reader like every query: the shared state it touches
-        beyond the catalog — the recycler and the ICICLES self-tuning
-        reservoir — is internally locked, so a full base scan must not
-        serialise every other session behind the write lock.
-        """
-        return raw_query_result(self.execute(session, query, Contract.exact()))
-
     def _shutdown_rejection(
         self, session: Session, query: Query
     ) -> RejectedQuery:
@@ -637,35 +617,6 @@ class SciBorqServer:
         with self._admin_lock:
             self._active_handles.discard(handle)
 
-    def submit_many(
-        self,
-        jobs: Sequence[Tuple[Session, Query]],
-        hierarchy: Optional[str] = None,
-    ) -> List[Union[QueryHandle, RejectedQuery]]:
-        """Submit ``(session, query)`` pairs progressively; slots in
-        submission order.
-
-        Each query runs under its session's default contract in its
-        own execution context; the handles stream their ladders
-        concurrently on the pool — one batch may interleave many
-        users' in-flight work, each individually observable and
-        cancellable.
-
-        Admission is *partial*: a batch that overruns the intake queue
-        gets handles for the admitted prefix and a structured
-        :class:`~repro.core.admission.RejectedQuery` (with retry-after
-        advice) in each shed slot — one overloaded slot never voids
-        its batch-mates.  Without admission control every slot is a
-        handle, as before.
-        """
-        results: List[Union[QueryHandle, RejectedQuery]] = []
-        for session, query in jobs:
-            try:
-                results.append(self.submit(session, query, hierarchy=hierarchy))
-            except OverloadedError as exc:
-                results.append(exc.rejection)
-        return results
-
     def _run_next_admitted(self) -> None:
         """Pool worker for admitted submissions: claim the globally
         best waiting ticket, drive its handle, release the slot.
@@ -722,65 +673,6 @@ class SciBorqServer:
             query.table,
             exc,
         )
-
-    def execute_many(
-        self,
-        jobs: Sequence[Tuple[Session, Query]],
-        hierarchy: Optional[str] = None,
-        return_exceptions: bool = False,
-    ) -> List[BoundedResult]:
-        """Run ``(session, query)`` pairs concurrently; results in order.
-
-        Each query runs under its session's default contract in its
-        own execution context, so budgets never bleed across the
-        batch — this is the server's multi-user entry point (one batch
-        may interleave many users' queries).
-        """
-        return self.execute_jobs(
-            [(session, query, None, hierarchy) for session, query in jobs],
-            return_exceptions=return_exceptions,
-        )
-
-    def execute_jobs(
-        self, jobs: Sequence[_Job], return_exceptions: bool = False
-    ) -> List[BoundedResult]:
-        """Submit fully-specified jobs to the pool; gather in order.
-
-        Every job runs to completion before anything is raised — one
-        bad query never aborts its batch-mates.  Each failed job's
-        exception is annotated with the job that caused it (``query``
-        and ``session`` attributes), so a caller catching the
-        re-raised first failure — or sifting a ``return_exceptions``
-        result list, which carries each failure in its slot
-        (strict-contract batches routinely mix successes and
-        :class:`~repro.errors.QualityBoundError`) — can tell *which*
-        submission failed without correlating list positions by hand.
-        """
-        self._require_open()
-        jobs = list(jobs)  # a one-shot iterator must survive the re-walk below
-        futures = [
-            self._pool.submit(self.execute, session, query, contract, hierarchy)
-            for session, query, contract, hierarchy in jobs
-        ]
-        gathered: List[BoundedResult] = []
-        first_error: Optional[BaseException] = None
-        for future, (session, query, _contract, _hierarchy) in zip(futures, jobs):
-            try:
-                gathered.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                # annotate with the originating job; best-effort (an
-                # exception type with __slots__ simply stays bare)
-                try:
-                    exc.query = query
-                    exc.session = session
-                except AttributeError:  # pragma: no cover - exotic type
-                    pass
-                if first_error is None:
-                    first_error = exc
-                gathered.append(exc)  # type: ignore[arg-type]
-        if first_error is not None and not return_exceptions:
-            raise first_error
-        return gathered
 
     # ------------------------------------------------------------------
     # data + maintenance path (writers)

@@ -26,13 +26,13 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Deque, List, Optional, Union
 
 from repro.columnstore.query import Query
 from repro.core.bounded import BoundedResult
 from repro.core.contracts import Contract
 from repro.core.handle import QueryHandle
-from repro.errors import OverloadedError, SessionError
+from repro.errors import SessionError
 from repro.util.clock import CostClock
 from repro.workload.log import QueryLog
 
@@ -192,27 +192,6 @@ class Session:
         self._require_open()
         return self._server.execute(self, query, contract, hierarchy=hierarchy)
 
-    def execute_many(
-        self,
-        queries: Sequence[Query],
-        contract: Optional[Contract] = None,
-        hierarchy: Optional[str] = None,
-        return_exceptions: bool = False,
-    ) -> List[BoundedResult]:
-        """Run a batch concurrently on the server's pool, in order.
-
-        The contract (like every bound) applies *per query* — each
-        submission gets its own execution context, so one slow query
-        cannot eat a sibling's budget.  With ``return_exceptions`` a
-        strict batch returns each failure in its slot instead of
-        re-raising the first after the gather.
-        """
-        self._require_open()
-        jobs = [(self, query, contract, hierarchy) for query in queries]
-        return self._server.execute_jobs(
-            jobs, return_exceptions=return_exceptions
-        )
-
     # ------------------------------------------------------------------
     # progressive execution
     # ------------------------------------------------------------------
@@ -234,36 +213,6 @@ class Session:
         self._require_open()
         return self._server.submit(self, query, contract, hierarchy=hierarchy)
 
-    def submit_many(
-        self,
-        queries: Sequence[Query],
-        contract: Optional[Contract] = None,
-        hierarchy: Optional[str] = None,
-    ) -> List[object]:
-        """Submit a batch of progressive executions, slots in order.
-
-        Under admission control a batch that overruns the intake queue
-        is admitted *partially*: admitted queries get their
-        :class:`~repro.core.handle.QueryHandle`; each shed slot
-        carries the structured
-        :class:`~repro.core.admission.RejectedQuery` (reason,
-        retry-after advice) instead — never an exception that voids
-        the admitted batch-mates.  Without admission every slot is a
-        handle, as always.
-        """
-        self._require_open()
-        results: List[object] = []
-        for query in queries:
-            try:
-                results.append(
-                    self._server.submit(
-                        self, query, contract, hierarchy=hierarchy
-                    )
-                )
-            except OverloadedError as exc:
-                results.append(exc.rejection)
-        return results
-
     def recommend(self, query: Query):
         """Mined ladder advice for ``query``'s sky region, or ``None``.
 
@@ -284,8 +233,8 @@ class Session:
     # ------------------------------------------------------------------
     def _record(self, query: Query, outcome: BoundedResult) -> None:
         # query_log is recorded by the server at *submission* time —
-        # uniformly across execute/submit/execute_exact — so only the
-        # outcome history lands here
+        # uniformly across execute and submit — so only the outcome
+        # history lands here
         with self._history_lock:
             self._history.append(outcome)
             self._quality_misses += not outcome.met_quality

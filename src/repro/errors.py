@@ -98,10 +98,9 @@ class OverloadedError(SciborqError):
     Carries the structured :class:`~repro.core.admission.RejectedQuery`
     as ``rejection``, so callers get the shed reason and a retry-after
     estimate instead of a timeout: back off for
-    ``exc.rejection.retry_after`` seconds and resubmit.  Raised only by
-    the single-query entry points; batch submission
-    (``SciBorqServer.submit_many``) returns the rejection in the
-    query's result slot instead of raising.
+    ``exc.rejection.retry_after`` seconds and resubmit.  Raised by
+    ``SciBorqServer.submit`` and ``execute`` (and the session's
+    spellings of them) before the query runs.
     """
 
     def __init__(self, rejection) -> None:

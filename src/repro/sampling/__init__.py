@@ -8,10 +8,6 @@
 * :mod:`repro.sampling.biased` — the biased reservoir (Figure 6):
   acceptance probability ``f̆(t)·N·n/cnt`` steered by the workload
   interest model.
-* :mod:`repro.sampling.extrema` — keeps one attribute's smallest and
-  largest values, so MIN/MAX are answered exactly.
-* :mod:`repro.sampling.icicles` — the self-tuning reservoir (ICICLES,
-  ref [7]): query results are re-offered to the sample.
 * :mod:`repro.sampling.pps` — fixed-size systematic πps selection for
   rebuilding an impression from already-loaded data.
 
@@ -22,8 +18,6 @@ samplers are validated against are ``tests/reference_samplers.py``.
 from repro.sampling.reservoir import ReservoirR
 from repro.sampling.last_seen import LastSeenReservoir
 from repro.sampling.biased import BiasedReservoir
-from repro.sampling.extrema import ExtremaReservoir
-from repro.sampling.icicles import SelfTuningReservoir
 from repro.sampling.pps import (
     pps_inclusion_probabilities,
     systematic_pps_sample,
@@ -33,8 +27,6 @@ __all__ = [
     "ReservoirR",
     "LastSeenReservoir",
     "BiasedReservoir",
-    "ExtremaReservoir",
-    "SelfTuningReservoir",
     "pps_inclusion_probabilities",
     "systematic_pps_sample",
 ]

@@ -84,8 +84,8 @@ class QueryLog:
         self.max_entries = max_entries
         self._entries: list[QueryLogEntry] = []
         self._next_sequence = 0
-        # execute_many() can log into one session's log from several
-        # pool threads at once; sequence numbers must stay unique.
+        # concurrent submits can log into one session's log from
+        # several pool threads at once; sequence numbers must stay unique.
         self._lock = threading.Lock()
 
     def record(self, query: Query) -> QueryLogEntry:

@@ -364,10 +364,10 @@ class TestServerAdmission:
             assert stats.admitted == len(specs)
             assert stats.shed == 0
 
-    def test_submit_many_partial_admission(self):
-        """Queue-full mid-batch: handles for the admitted, structured
-        rejections in the shed slots — never an exception that voids
-        the batch."""
+    def test_submit_burst_partial_admission(self):
+        """Queue-full mid-burst: handles for the admitted, and a
+        structured rejection on each shed submit's error — the admitted
+        queries still answer."""
         ctrl = AdmissionController(
             max_inflight=1, queue_depth=1, degrade_threshold=None
         )
@@ -375,12 +375,16 @@ class TestServerAdmission:
             make_engine(), max_workers=1, admission=ctrl
         ) as server:
             session = server.open_session("burst")
-            slots = session.submit_many(
-                [cone(150.0, 5.0)] * 6, contract=Contract.within_error(0.1)
-            )
-            handles = [s for s in slots if isinstance(s, QueryHandle)]
-            sheds = [s for s in slots if isinstance(s, RejectedQuery)]
-            assert len(slots) == 6
+            handles, sheds = [], []
+            for _ in range(6):
+                try:
+                    handles.append(
+                        session.submit(cone(150.0, 5.0), Contract.within_error(0.1))
+                    )
+                except OverloadedError as exc:
+                    assert isinstance(exc.rejection, RejectedQuery)
+                    sheds.append(exc.rejection)
+            assert all(isinstance(h, QueryHandle) for h in handles)
             assert len(handles) >= 2  # slot + queue at minimum
             assert sheds, "an overrun batch must shed structurally"
             for rejection in sheds:
@@ -578,7 +582,8 @@ class TestFailureAccounting:
             assert server.admission.stats.failed == 1
 
     def test_execute_exact_is_admitted_and_shed_like_execute(self):
-        """``server.execute_exact`` used to take no ticket at all."""
+        """An exact query through ``server.execute`` takes a ticket like
+        any other (the exact entry once took none)."""
         ctrl = AdmissionController(
             max_inflight=1, queue_depth=0, degrade_threshold=None
         )
@@ -590,14 +595,14 @@ class TestFailureAccounting:
                 session, cone(150.0, 5.0), Contract.exact(), kind="blocking"
             )
             assert ctrl.wait(holder, timeout=5.0)  # the one slot is taken
-            for run in (server.execute, server.execute_exact):
+            for contract in (None, Contract.exact()):
                 with pytest.raises(OverloadedError) as shed:
-                    run(session, cone(170.0, 3.0))
+                    server.execute(session, cone(170.0, 3.0), contract)
                 assert shed.value.rejection.reason == "queue_full"
             assert len(session.query_log) == 0  # shed before anything logs
             ctrl.release(holder)
-            raw = server.execute_exact(session, cone(170.0, 3.0))
-            assert raw.scalar("count(*)") >= 0
+            exact = server.execute(session, cone(170.0, 3.0), Contract.exact())
+            assert exact.result.estimates["count(*)"].value >= 0
             assert ctrl.stats.completed == 2  # the holder and the exact query
             assert [o.result.exact for o in session.history] == [True]
 
@@ -645,7 +650,7 @@ class TestFailureAccounting:
         with SciBorqServer(make_engine(), max_workers=1) as server:
             session = server.open_session("oops")
             with pytest.raises(UnknownColumnError):
-                server.execute_exact(session, bad)
+                server.execute(session, bad, Contract.exact())
             assert server.queries_failed == 1
             assert session.report().failures == 1
             assert session.history == []

@@ -10,7 +10,6 @@ from repro.core.builder import ImpressionBuilder
 from repro.core.impression import Impression
 from repro.core.policy import UniformPolicy, build_hierarchy
 from repro.sampling.biased import BiasedReservoir
-from repro.sampling.extrema import ExtremaReservoir
 from repro.sampling.reservoir import ReservoirR
 
 
@@ -92,14 +91,6 @@ class TestRouting:
         load(loader, 50)  # fills
         load(loader, 50, start=50)  # triggers mass computation
         assert seen_batches and seen_batches[0] == ["id", "x"]
-
-    def test_extrema_reservoirs_fed(self, setting):
-        catalog, loader, builder = setting
-        extrema = ExtremaReservoir(4, "x")
-        builder.attach_extrema("t", extrema)
-        load(loader, 100)
-        assert extrema.minimum == 0.0
-        assert extrema.maximum == 1.0
 
     def test_detach_stops_feeding(self, setting):
         catalog, loader, builder = setting

@@ -31,7 +31,7 @@ from repro.core.monitor import (
     MetricGate,
     SlaBucket,
 )
-from repro.errors import QueryError
+from repro.errors import OverloadedError, QueryError
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 
@@ -426,8 +426,10 @@ class TestShedAccounting:
                 controller.max_inflight + controller.queue_depth
             ):
                 controller.admit(blocker, cone_count(), Contract())
-            slots = session.submit_many([cone_count()] * 5)
-            assert all(isinstance(s, RejectedQuery) for s in slots)
+            for _ in range(5):
+                with pytest.raises(OverloadedError) as shed:
+                    session.submit(cone_count())
+                assert isinstance(shed.value.rejection, RejectedQuery)
             sla = server.report().sla
             assert sla.observed == 5
             assert sla.rejected == 5

@@ -320,8 +320,8 @@ class TestDeprecationShims:
                     strict=True,
                 )
             with pytest.raises(TypeError, match="time_budget"):
-                session.execute_many(
-                    [cone_count()],
+                session.submit(
+                    cone_count(),
                     contract=Contract.within_error(0.05),
                     time_budget=1_000,
                 )
@@ -410,13 +410,14 @@ class TestServerSubmit:
             outcome = handle.result(timeout=60)
             assert errors == [a.relative_error for a in outcome.attempts]
 
-    def test_submit_many_interleaves_sessions(self, fresh_sky_engine):
+    def test_submits_interleave_sessions(self, fresh_sky_engine):
         with SciBorqServer(fresh_sky_engine, max_workers=4) as server:
             alice = server.open_session("alice", contract=Contract.within_error(0.2))
             bob = server.open_session("bob", contract=Contract.within_error(0.2))
-            handles = server.submit_many(
-                [(alice, cone_count(150.0)), (bob, cone_count(170.0, radius=4.0))]
-            )
+            handles = [
+                server.submit(alice, cone_count(150.0)),
+                server.submit(bob, cone_count(170.0, radius=4.0)),
+            ]
             outcomes = [handle.result(timeout=60) for handle in handles]
             assert all(outcome.met_quality for outcome in outcomes)
             # each session's clock saw exactly its own query's spending

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.columnstore import AggregateSpec, Query
-from repro.columnstore.expressions import RadialPredicate, TruePredicate
+from repro.columnstore.expressions import RadialPredicate
 from repro.core.engine import SciBorq
 from repro.errors import ImpressionError, QueryError
 from repro.skyserver.schema import create_skyserver_catalog
@@ -98,40 +98,6 @@ class TestQueryPath:
             Query(table="Star", aggregates=[AggregateSpec("count")])
         )
         assert outcome.result.estimates["count(*)"].value > 0
-
-
-class TestExtremaIntegration:
-    def test_tracked_minmax_become_exact(self, fresh_sky_engine):
-        fresh_sky_engine.track_extrema("PhotoObjAll", "r_mag", capacity=32)
-        # extrema fill on *future* loads: ingest one more day
-        from repro.skyserver.generator import SkyGenerator
-
-        gen = SkyGenerator(rng=5)
-        fresh_sky_engine.ingest("PhotoObjAll", gen.photoobj_batch(5000))
-        q = Query(
-            table="PhotoObjAll",
-            predicate=TruePredicate(),
-            aggregates=[AggregateSpec("min", "r_mag"), AggregateSpec("max", "r_mag")],
-        )
-        outcome = fresh_sky_engine.execute(q)
-        min_est = outcome.result.estimates["min(r_mag)"]
-        assert min_est.method == "extrema-min"
-        assert min_est.se == 0.0
-
-    def test_filtered_minmax_not_overridden(self, fresh_sky_engine):
-        fresh_sky_engine.track_extrema("PhotoObjAll", "r_mag", capacity=32)
-        from repro.skyserver.generator import SkyGenerator
-
-        fresh_sky_engine.ingest(
-            "PhotoObjAll", SkyGenerator(rng=6).photoobj_batch(5000)
-        )
-        q = Query(
-            table="PhotoObjAll",
-            predicate=RadialPredicate("ra", "dec", 150, 10, 5),
-            aggregates=[AggregateSpec("min", "r_mag")],
-        )
-        outcome = fresh_sky_engine.execute(q)
-        assert outcome.result.estimates["min(r_mag)"].method != "extrema-min"
 
 
 class TestMaintenancePath:

@@ -7,6 +7,9 @@ from repro.columnstore.expressions import Between, RadialPredicate
 from repro.errors import ImpressionError
 from repro.skyserver.generator import SkyGenerator
 
+#: the hierarchies the ``engine`` fixture holds
+NAMES = ("uniform", "last-seen")
+
 
 @pytest.fixture
 def engine(fresh_sky_engine):
@@ -22,11 +25,11 @@ def engine(fresh_sky_engine):
 
 
 class TestRegistry:
-    def test_both_hierarchies_listed(self, engine):
-        assert set(engine.hierarchy_names("PhotoObjAll")) == {
-            "uniform",
-            "last-seen",
-        }
+    def test_both_hierarchies_resolve(self, engine):
+        for name in NAMES:
+            assert name in engine.hierarchy("PhotoObjAll", name).name
+            processor = engine.processor("PhotoObjAll", name)
+            assert processor.hierarchy is engine.hierarchy("PhotoObjAll", name)
 
     def test_default_unchanged_when_not_requested(self, engine):
         default = engine.hierarchy("PhotoObjAll")
@@ -49,35 +52,34 @@ class TestRegistry:
         )
         assert "fresh" in engine.hierarchy("PhotoObjAll").name
 
-    def test_drop_hierarchy(self, engine):
-        engine.drop_hierarchy("PhotoObjAll", "last-seen")
-        assert engine.hierarchy_names("PhotoObjAll") == ["uniform"]
-        with pytest.raises(ImpressionError):
-            engine.hierarchy("PhotoObjAll", "last-seen")
-
-    def test_drop_default_falls_back(self, engine):
-        engine.drop_hierarchy("PhotoObjAll", "uniform")
-        assert "last-seen" in engine.hierarchy("PhotoObjAll").name
-
-    def test_drop_unknown_rejected(self, engine):
+    def test_unknown_processor_rejected(self, engine):
         with pytest.raises(ImpressionError, match="no hierarchy named"):
-            engine.drop_hierarchy("PhotoObjAll", "ghost")
+            engine.processor("PhotoObjAll", "ghost")
 
 
 class TestParallelFeeding:
     def test_loads_feed_every_hierarchy(self, engine):
         batch = SkyGenerator(rng=91).photoobj_batch(5_000)
         engine.ingest("PhotoObjAll", batch)
-        for name in engine.hierarchy_names("PhotoObjAll"):
+        for name in NAMES:
             layer0 = engine.hierarchy("PhotoObjAll", name).layer(0)
             assert layer0.sampler.seen >= 5_000
 
-    def test_dropped_hierarchy_stops_receiving(self, engine):
-        dropped = engine.hierarchy("PhotoObjAll", "last-seen")
-        engine.drop_hierarchy("PhotoObjAll", "last-seen")
-        seen_before = dropped.layer(0).sampler.seen
+    def test_replaced_hierarchy_stops_receiving(self, engine):
+        replaced = engine.hierarchy("PhotoObjAll", "last-seen")
+        engine.create_hierarchy(
+            "PhotoObjAll",
+            policy="last-seen",
+            layer_sizes=(3_000, 300),
+            daily_ingest=10_000,
+            make_default=False,
+        )
+        seen_before = replaced.layer(0).sampler.seen
         engine.ingest("PhotoObjAll", SkyGenerator(rng=92).photoobj_batch(1_000))
-        assert dropped.layer(0).sampler.seen == seen_before
+        assert replaced.layer(0).sampler.seen == seen_before
+        successor = engine.hierarchy("PhotoObjAll", "last-seen")
+        assert successor is not replaced
+        assert successor.layer(0).sampler.seen == 1_000
 
 
 class TestQueryRouting:

@@ -12,8 +12,10 @@ reason and the place its verdict falls due.
 The same holds name by name: every public top-level function, class
 or constant of a module must be used somewhere outside ``tests/`` —
 in ``src/repro`` (not counting ``__init__`` re-exports), the
-benchmarks or the examples.  Deliberate public API nothing else calls
-sits on ``ALLOWED`` too, by its dotted name.
+benchmarks or the examples.  So must every public method and property
+of the entry classes (``ENTRY_CLASSES``): a way to run a query that
+only tests call is a second way nobody needs.  Deliberate public API
+nothing else calls sits on ``ALLOWED`` too, by its dotted name.
 """
 
 import ast
@@ -31,6 +33,13 @@ ROOTS = (
     "repro.bench.gates",
     "repro.bench.harness",
     "repro.bench.report",
+)
+
+#: classes whose public methods and properties are held to the name rule
+ENTRY_CLASSES = (
+    ("repro.core.engine", "SciBorq"),
+    ("repro.core.server", "SciBorqServer"),
+    ("repro.core.session", "Session"),
 )
 
 REPO = SRC.parent
@@ -153,6 +162,26 @@ def _used_identifiers():
     return used
 
 
+def _public_members(modules):
+    """``module.Class.member`` of every public method and property of
+    the :data:`ENTRY_CLASSES`."""
+    members = set()
+    for module, class_name in ENTRY_CLASSES:
+        tree = ast.parse(modules[module].read_text())
+        (cls,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == class_name
+        ]
+        members.update(
+            f"{module}.{class_name}.{node.name}"
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+        )
+    return members
+
+
 def _unused_names():
     modules = _modules()
     unreached = _unreached()
@@ -161,6 +190,15 @@ def _unused_names():
         name
         for name in _public_names(modules)
         if name.rsplit(".", 1)[0] not in unreached and name.rsplit(".", 1)[1] not in used
+    }
+
+
+def _unused_members():
+    used = _used_identifiers()
+    return {
+        name
+        for name in _public_members(_modules())
+        if name.rsplit(".", 1)[1] not in used
     }
 
 
@@ -181,9 +219,21 @@ def test_every_public_name_is_used_or_allow_listed():
     )
 
 
+def test_every_entry_class_member_is_used_or_allow_listed():
+    # the walk must see the entry the benchmark drives, or it checks nothing
+    assert "repro.core.server.SciBorqServer.submit" in _public_members(_modules())
+    unlisted = _unused_members() - set(ALLOWED) - DUE
+    assert unlisted == set(), (
+        "entry-class methods and properties nothing outside tests/ uses "
+        "(use them, delete them with their tests, or allow-list with a "
+        f"reason): {sorted(unlisted)}"
+    )
+
+
 def test_allow_list_is_short_and_current():
     assert len(ALLOWED) <= 5
     assert all(reason.strip() for reason in ALLOWED.values())
-    stale = set(ALLOWED) - _unreached() - _unused_names()
+    unused = _unreached() | _unused_names() | _unused_members()
+    stale = set(ALLOWED) - unused
     assert stale == set(), f"allow-listed but reached or gone: {sorted(stale)}"
-    assert DUE <= _unused_names(), f"used or gone: {sorted(DUE - _unused_names())}"
+    assert DUE <= unused, f"used or gone: {sorted(DUE - unused)}"

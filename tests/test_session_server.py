@@ -90,21 +90,20 @@ class TestCrossSessionIsolation:
 
         with SciBorqServer(make_engine(), max_workers=4) as server:
             sessions = {user: server.open_session(user) for user in WORKLOADS}
-            jobs, keys = [], []
+            handles, keys = [], []
             # interleave users round-robin so the pool mixes sessions
             for position in range(3):
                 for user, specs in WORKLOADS.items():
                     ra, radius, error = specs[position]
-                    jobs.append(
-                        (
-                            sessions[user],
+                    session = sessions[user]
+                    handles.append(
+                        session.submit(
                             cone(ra, radius),
-                            sessions[user].contract(max_relative_error=error),
-                            None,
+                            session.contract(max_relative_error=error),
                         )
                     )
                     keys.append((user, ra, radius))
-            outcomes = server.execute_jobs(jobs)
+            outcomes = [handle.result() for handle in handles]
 
             for key, outcome in zip(keys, outcomes):
                 assert outcome.total_cost == serial_costs[key], key
@@ -129,22 +128,24 @@ class TestCrossSessionIsolation:
         with SciBorqServer(make_engine(), max_workers=2) as server:
             alice = server.open_session("alice")
             bob = server.open_session("bob")
-            alice.execute_many([cone(150.0, 5.0), cone(160.0, 5.0)])
+            handles = [alice.submit(cone(150.0, 5.0)), alice.submit(cone(160.0, 5.0))]
             bob.execute(cone(200.0, 3.0))
+            for handle in handles:
+                handle.result()
             assert len(alice.query_log) == 2
             assert len(bob.query_log) == 1
             # the shared engine log feeds the global interest model
             assert len(server.engine.query_log) == 3
 
     def test_every_query_path_records_in_the_session_log(self):
-        """The unification regression: execute, submit, and
-        execute_exact all record into ``session.query_log`` (at
-        submission time), not just the exact path."""
+        """The unification regression: execute, submit, and an exact
+        execute all record into ``session.query_log`` (at submission
+        time), not just the exact path."""
         with SciBorqServer(make_engine(), max_workers=2) as server:
             session = server.open_session("all-paths")
             session.execute(cone(150.0, 5.0), Contract.within_error(0.5))
             session.submit(cone(160.0, 5.0)).result()
-            server.execute_exact(session, cone(170.0, 5.0))
+            server.execute(session, cone(170.0, 5.0), Contract.exact())
             assert len(session.query_log) == 3
             assert len(server.engine.query_log) == 3
 
@@ -155,7 +156,7 @@ class TestCrossSessionIsolation:
             alice = server.open_session("alice")
             outcome = alice.execute(cone(150.0, 5.0), Contract.within_error(0.5))
             alice.submit(cone(160.0, 5.0)).result()
-            server.execute_exact(alice, cone(170.0, 5.0))
+            server.execute(alice, cone(170.0, 5.0), Contract.exact())
             entries = server.engine.query_log.snapshot()
             assert len(entries) == 3
             assert all(e.settled for e in entries)
@@ -274,31 +275,34 @@ class TestSessionLifecycle:
         with SciBorqServer(engine, admission=AdmissionController()) as server:
             assert server.admission.max_inflight == server.max_workers
 
-    def test_strict_batch_with_return_exceptions(self):
-        """A strict batch returns each failure in place, keeping the
-        completed siblings' results."""
+    def test_strict_misses_fail_their_own_handles(self):
+        """Each strict miss re-raises from its own handle and is
+        counted once; a lenient query submitted beside them answers."""
         from repro.errors import QualityBoundError
 
         with SciBorqServer(make_engine(), max_workers=2) as server:
             session = server.open_session("strict", contract=Contract().strictly())
-            results = session.execute_many(
-                [cone(150.0, 5.0), cone(170.0, 3.0)],
-                # only the smallest layer fits the budget: bound missed
-                session.contract(max_relative_error=1e-12, time_budget=600),
-                return_exceptions=True,
+            # only the smallest layer fits the budget: bound missed
+            impossible = session.contract(max_relative_error=1e-12, time_budget=600)
+            missed = [
+                session.submit(cone(150.0, 5.0), impossible),
+                session.submit(cone(170.0, 3.0), impossible),
+            ]
+            ok = session.submit(
+                cone(150.0, 5.0), session.contract(max_relative_error=0.9)
             )
-            assert all(isinstance(r, QualityBoundError) for r in results)
-            ok = session.execute_many(
-                [cone(150.0, 5.0), cone(170.0, 3.0)],
-                session.contract(max_relative_error=0.9),
-            )
-            assert all(o.result is not None for o in ok)
-            # without the flag, the first failure re-raises after the gather
+            for handle in missed:
+                with pytest.raises(QualityBoundError):
+                    handle.result()
+            assert ok.result().result is not None
             with pytest.raises(QualityBoundError):
-                session.execute_many(
-                    [cone(150.0, 5.0)],
-                    session.contract(max_relative_error=1e-12, time_budget=600),
-                )
+                session.execute(cone(150.0, 5.0), impossible)
+            # a pool worker counts its failure after settling the handle
+            deadline = time.monotonic() + 5.0
+            while server.queries_failed < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.queries_failed == 3
+            assert session.report().failures == 3
 
     def test_session_stats_roll_up(self):
         with SciBorqServer(make_engine()) as server:
@@ -372,11 +376,11 @@ class TestWriterPaths:
             writer.start()
             try:
                 for _ in range(3):
-                    jobs = [
-                        (session, cone(150.0 + 10 * i, 5.0))
+                    handles = [
+                        session.submit(cone(150.0 + 10 * i, 5.0))
                         for i, session in enumerate(sessions)
                     ]
-                    outcomes = server.execute_many(jobs)
+                    outcomes = [handle.result() for handle in handles]
                     assert all(o.result is not None for o in outcomes)
             finally:
                 stop.set()

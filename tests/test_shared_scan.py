@@ -7,7 +7,7 @@ tests pin that identity over randomized concurrent workloads, then the
 machinery underneath (the flat-combining ``Combiner``, the
 multi-consumer ``select_shared`` pass), the batching-window edge cases
 (single query, disjoint tables, cancel mid-batch, per-session
-opt-out), and the per-job exception annotation on ``execute_jobs``.
+opt-out), and a failing query beside good ones.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ class TestSchedulerIdentity:
         assert shared_stats is not None and shared_stats.scans > 0
         assert solo_stats is None
 
-    def test_execute_many_matches_serial_engine(self):
+    def test_concurrent_submits_match_serial_engine(self):
         rng = np.random.default_rng(5150)
         queries = random_cones(rng, 8)
         serial_engine = make_engine()
@@ -334,7 +334,8 @@ class TestSchedulerIdentity:
             session = server.open_session(
                 "bulk", contract=Contract.within_error(0.1)
             )
-            batched = session.execute_many(queries)
+            handles = [session.submit(query) for query in queries]
+            batched = [handle.result() for handle in handles]
         for mine, theirs in zip(batched, serial):
             assert mine.total_cost == theirs.total_cost
             assert [a.cost for a in mine.attempts] == [
@@ -423,9 +424,8 @@ class TestSchedulerEdges:
         with SciBorqServer(engine, max_workers=4, batch_window=0.2) as server:
             one = server.open_session("one")
             two = server.open_session("two")
-            outcomes = server.execute_many(
-                [(one, probe("alpha")), (two, probe("beta"))]
-            )
+            handles = [one.submit(probe("alpha")), two.submit(probe("beta"))]
+            outcomes = [handle.result() for handle in handles]
             stats = server.scheduler.stats
         assert all(outcome.result is not None for outcome in outcomes)
         # equal fingerprints, but different tables → no dedup possible
@@ -565,10 +565,8 @@ class TestSchedulerEdges:
         assert after <= calibrated * 10
 
     def test_convoyed_failures_are_distinct_exception_objects(self):
-        """Deduped bad scans must not share one exception instance.
-
-        ``execute_jobs`` annotates failures with their originating
-        query/session; a shared instance would be last-writer-wins.
+        """Deduped bad scans must not share one exception instance:
+        each caller re-raises its own, with its own traceback.
         """
         rng = np.random.default_rng(7)
         table = blocked_table(rng, n=1_000)
@@ -748,55 +746,11 @@ class TestSchedulerEdges:
         with SciBorqServer(engine, max_workers=1, shared_scans=False):
             assert engine.scan_scheduler is scheduler
 
-    def test_execute_jobs_accepts_a_generator(self):
-        with SciBorqServer(make_engine(), max_workers=2) as server:
-            session = server.open_session("gen")
-            queries = [cone(150.0, 8.0, 5.0), cone(200.0, 12.0, 4.0)]
-            jobs = (
-                (session, query, session.defaults, None) for query in queries
-            )
-            results = server.execute_jobs(jobs)
-            assert len(results) == 2
-            assert all(r.result is not None for r in results)
-
-
 # ----------------------------------------------------------------------
-# execute_jobs exception annotation (regression)
+# a failing query beside good ones
 # ----------------------------------------------------------------------
-class TestExecuteManyExceptions:
-    def test_failed_job_carries_its_query_and_session(self):
-        with SciBorqServer(make_engine(), max_workers=2) as server:
-            session = server.open_session("mixed")
-            good = cone(180.0, 10.0, 6.0)
-            bad = Query(
-                table="PhotoObjAll",
-                predicate=Comparison("nope", ">", 1.0),
-                aggregates=[AggregateSpec("count")],
-            )
-            results = session.execute_many(
-                [good, bad, good], return_exceptions=True
-            )
-            assert results[0].result is not None
-            assert results[2].result is not None
-            failure = results[1]
-            assert isinstance(failure, UnknownColumnError)
-            assert failure.query is bad
-            assert failure.session is session
-
-    def test_raised_first_error_is_annotated_too(self):
-        with SciBorqServer(make_engine(), max_workers=2) as server:
-            session = server.open_session("strict")
-            bad = Query(
-                table="PhotoObjAll",
-                predicate=Comparison("nope", ">", 1.0),
-                aggregates=[AggregateSpec("count")],
-            )
-            with pytest.raises(UnknownColumnError) as excinfo:
-                session.execute_many([cone(180.0, 10.0, 6.0), bad])
-            assert excinfo.value.query is bad
-            assert excinfo.value.session is session
-
-    def test_good_jobs_still_complete_around_a_failure(self):
+class TestFailingHandles:
+    def test_siblings_complete_around_a_failure(self):
         with SciBorqServer(make_engine(), max_workers=2) as server:
             session = server.open_session("resilient")
             good = cone(200.0, 12.0, 5.0)
@@ -805,9 +759,9 @@ class TestExecuteManyExceptions:
                 predicate=Comparison("nope", ">", 1.0),
                 aggregates=[AggregateSpec("count")],
             )
-            results = session.execute_many(
-                [bad, good], return_exceptions=True
-            )
-            assert isinstance(results[0], UnknownColumnError)
+            handles = [session.submit(query) for query in (good, bad, good)]
+            with pytest.raises(UnknownColumnError):
+                handles[1].result()
             solo = make_engine().execute(good)
-            assert results[1].total_cost == solo.total_cost
+            for handle in (handles[0], handles[2]):
+                assert handle.result().total_cost == solo.total_cost
