@@ -29,7 +29,13 @@ stripes sequentially, so ``ra`` arrives clustered):
     indices.  ``scan.fanout_wall_ratio`` records what the fan-out costs
     two concurrent sessions scanning a 1 M-row table (fan-out wall time
     ÷ caller-thread wall time; > 1 means the fan-out is slower).  It is
-    a wall time, so it is recorded, not gated.
+    a wall time, so it is recorded, not gated;
+(f) **a cone reads little more than its cells** — over the largest
+    rung of an unsorted base, laid out by interest cell on zones of its
+    share of 1 024 base rows, a fixed set of radius-1.5° cones charges
+    ``cone.kept_share`` of the rung's rows per scan (rows charged ÷
+    rows held) in ``cone.runs_per_scan`` runs.  Both are work counts,
+    deterministic per seed; the kept share is gated.
 
 Run standalone: ``python benchmarks/bench_zone_maps.py [--smoke]``.
 """
@@ -390,6 +396,50 @@ def run_base_cover_claim(n: int, n_queries: int, seed: int = 20261016):
     }
 
 
+def run_cone_work_claim(n: int, n_cones: int, seed: int = 20261018):
+    """Claim (f): rows charged and runs read per cone scan of the
+    largest cell-laid rung of an unsorted ``n``-row base."""
+    engine = _unsorted_engine(n, {"ra": (RA_LO, RA_HI), "dec": (DEC_LO, DEC_HI)}, seed)
+    base = engine.catalog.table("PhotoObjAll")
+    rung = engine.hierarchy("PhotoObjAll").layers[0].materialise(base)
+    rng = np.random.default_rng(seed + 2)
+    radius = 1.5
+    charged = runs = 0
+    print(
+        f"== E14f: {n_cones} cones over the {rung.num_rows}-row rung "
+        f"({rung.block_size}-row zones) of an unsorted {n}-row base =="
+    )
+    for _ in range(n_cones):
+        predicate = RadialPredicate(
+            "ra",
+            "dec",
+            float(rng.uniform(RA_LO + radius, RA_HI - radius)),
+            float(rng.uniform(DEC_LO + radius, DEC_HI - radius)),
+            radius,
+        )
+        plan = operators.scan_plan(rung, predicate)
+        indices, stats = operators.select(rung, predicate)
+        assert stats.tuples_in == plan[1]
+        want = np.flatnonzero(predicate.evaluate(rung))
+        assert indices.tobytes() == want.astype(np.int64).tobytes()
+        charged += stats.tuples_in
+        runs += len(plan[0])
+    kept_share = charged / (n_cones * rung.num_rows)
+    runs_per_scan = runs / n_cones
+    print(
+        f"  rows charged per scan {kept_share:.1%} of the rung, "
+        f"{runs_per_scan:.1f} runs per scan; indices the full scan's ✓"
+    )
+    return {
+        "n": n,
+        "cones": n_cones,
+        "rung_rows": rung.num_rows,
+        "zone_rows": rung.block_size,
+        "kept_share": float(kept_share),
+        "runs_per_scan": float(runs_per_scan),
+    }
+
+
 def fanned_select(table: Table, predicate, pool: MorselPool) -> np.ndarray:
     """:func:`~repro.columnstore.operators.select`'s indices with its
     morsels fanned over ``pool`` and merged in order: the fan-out arm."""
@@ -512,6 +562,7 @@ def main() -> None:
     layout = run_rung_layout_claim(layout_rows, n_queries)
     cover = run_base_cover_claim(layout_rows, n_queries)
     scan = run_fanout_claim(1_000_000, fanout_scans, fanout_rounds)
+    cone_work = run_cone_work_claim(layout_rows, 64)
     write_bench_report(
         "zone_maps",
         {
@@ -522,6 +573,7 @@ def main() -> None:
             "rung_layout": layout,
             "base_cover": cover,
             "scan": scan,
+            "cone": cone_work,
         },
     )
     print("all zone-map claims hold ✓")

@@ -20,8 +20,8 @@ the ``maintenance`` artifact — at most one column gathered per rung
 beyond those the first query after an ingest reads, with
 refresh-from-below at least 10x cheaper than a rebuild, and — from
 the ``zone_maps``, ``recycler`` and ``memory`` artifacts — the base
-cover's and the selection cache's savings, and the cover's under a
-memory budget with no block promoted by an exact query and no demotion
+cover's and the selection cache's savings, the rows a cone charges
+on a cell-laid rung, and the cover's under a memory budget with no block promoted by an exact query and no demotion
 once the working set fits, and — from the ``reservoir`` artifact — the reservoir's
 array-step offer at least 5x its hit-by-hit transcription.  ``--spec``
 points at a JSON file in the mapping shape
@@ -80,6 +80,12 @@ DEFAULT_SPEC = GateSpec(
         MetricGate(
             artifact="zone_maps", metric="base_cover.tuples_ratio", min_value=3
         ),
+        # a cone over the largest cell-laid rung charges about its cells:
+        # zones of the rung's share of 1 024 base rows keep 5.3 % of the
+        # rung per smoke cone (9.3 % on 64 zones of ≥ 1 024 rows; a work
+        # count, not a wall time; not required, like the maintenance
+        # gates)
+        MetricGate(artifact="zone_maps", metric="cone.kept_share", max_value=0.06),
         # repeated bounded climbs: the selection cache serves every rung
         # scan of a repetition, so scans read ≥3x fewer tuples than
         # uncached climbs charged the same (not required, like the

@@ -242,7 +242,12 @@ class Column:
         self._tally = _Tally()
         self._spill = None  # lazily-created ColumnBlockStore
         self._tier_lock = threading.RLock()
-        self._block_ticks: Dict[int, int] = {}
+        #: per block, the tick of the last read that touched it (0 =
+        #: never); writers size it (:meth:`_grow_ticks`), so a read only
+        #: assigns into it — a range read as one slice.  A read racing
+        #: the regrow may stamp the old array: that tick is lost, which
+        #: only ages the block in the governor's LRU order.
+        self._ticks = np.zeros(0, dtype=np.int64)
         #: value-error floor inherited from the source column a
         #: take/filter/gather materialised from: derived hot copies of
         #: dequantised values still carry the quantisation error.
@@ -503,9 +508,9 @@ class Column:
             if block < len(chunks) and not isinstance(chunks[block], np.ndarray):
                 if not raw:
                     worst = max(worst, self.block_value_error(block))
-                last = self._block_ticks.get(block, 0)
+                last = int(self._ticks[block])
                 self._demoted_access_tick = last or next(_TICK)
-            self._block_ticks[block] = next(_TICK)
+            self._ticks[block] = next(_TICK)
         return worst
 
     def lossy_state(self) -> tuple:
@@ -536,7 +541,8 @@ class Column:
 
     def last_scanned(self, block: int) -> int:
         """The access tick of ``block`` (0 = never scanned)."""
-        return self._block_ticks.get(block, 0)
+        ticks = self._ticks
+        return int(ticks[block]) if 0 <= block < ticks.shape[0] else 0
 
     @property
     def last_read(self) -> int:
@@ -730,8 +736,19 @@ class Column:
     # ------------------------------------------------------------------
     def _touch(self, first_block: int, last_block: int) -> None:
         self._read_tick = tick = next(_TICK)
-        blocks = range(first_block, last_block + 1)
-        self._block_ticks.update(dict.fromkeys(blocks, tick))
+        self._ticks[first_block : last_block + 1] = tick
+
+    def _grow_ticks(self, rows: int) -> None:
+        """Make room for a tick per block of ``rows`` rows (doubling, so
+        appends pay amortised O(1)).  Writers call it before they
+        publish the new size, so a reader never meets a block without a
+        slot; readers never resize it."""
+        blocks = -(-rows // self._block_size)
+        held = self._ticks.shape[0]
+        if blocks > held:
+            ticks = np.zeros(max(blocks, 2 * held), dtype=np.int64)
+            ticks[:held] = self._ticks
+            self._ticks = ticks
 
     def _block_values(self, block: int, raw: bool = False) -> np.ndarray:
         """The values of one block (chunked mode), materialised.
@@ -751,7 +768,7 @@ class Column:
         if isinstance(entry, np.ndarray):
             return entry
         self.decompressions += 1
-        self._demoted_access_tick = self._block_ticks.get(block, 0) or next(_TICK)
+        self._demoted_access_tick = int(self._ticks[block]) or next(_TICK)
         if isinstance(entry, _WarmBlock) and not raw:
             return entry.dequantise(self._dtype)
         return self._spill.read(
@@ -891,7 +908,7 @@ class Column:
             out[sel] = values[idx[sel] - block * self._block_size]
             if not raw:
                 worst = max(worst, self.block_value_error(block))
-            self._block_ticks[block] = next(_TICK)
+            self._ticks[block] = next(_TICK)
         return out, worst
 
     # ------------------------------------------------------------------
@@ -932,6 +949,7 @@ class Column:
 
     def append(self, value) -> None:
         """Append a single value, coercing to the column dtype."""
+        self._grow_ticks(self._size + 1)
         if self._chunks is None:
             self._grow_to(self._size + 1)
             self._data[self._size] = value
@@ -960,6 +978,7 @@ class Column:
                 f"cannot load dtype {arr.dtype} into column "
                 f"{self.name!r} of dtype {self._dtype}"
             ) from exc
+        self._grow_ticks(self._size + arr.shape[0])
         if self._chunks is None:
             self._grow_to(self._size + arr.shape[0])
             self._data[self._size : self._size + arr.shape[0]] = arr
@@ -1006,6 +1025,7 @@ class Column:
                 f"external buffer dtype {arr.dtype} does not match "
                 f"column {name!r} dtype {column._dtype}"
             )
+        column._grow_ticks(arr.shape[0])
         column._data = arr
         column._size = int(arr.shape[0])
         return column

@@ -92,6 +92,14 @@ class _BlockView:
         return self._table.column(name).read_range(self._start, self._stop, self._raw)
 
 
+#: Kept runs fewer than this many pruned rows apart are read as one
+#: run: the gap is scanned and charged, and the scan pays one
+#: predicate call where it would pay two.  A gap that holds a whole
+#: 1 024-row zone stays pruned, so a power-of-two grid finer than that
+#: never charges a row the 1 024-row grid pruned.
+COALESCE_GAP_ROWS = 1_024
+
+
 def scan_plan(
     table: Table,
     predicate: Expression,
@@ -99,12 +107,18 @@ def scan_plan(
     """Decide which row ranges a pruned scan must actually read.
 
     Returns ``(runs, rows_to_scan, blocks_scanned, blocks_pruned)``
-    where ``runs`` are maximal contiguous ``(start, stop)`` row ranges
-    of surviving blocks, in order.  The predicate's keep-mask over the
-    zone arrays becomes runs where it changes value (a ``diff``), so
-    planning costs the same few vector operations at 64 zones as at
-    one.  Tables without a common block grid (or predicates reading no
-    columns) degenerate to one full run.
+    where ``runs`` are the contiguous ``(start, stop)`` row ranges a
+    scan reads, in order.  The predicate's keep-mask over the zone
+    arrays becomes runs where it changes value (a ``diff``), so
+    planning costs a few vector operations however many zones there
+    are, plus a step per run.  Kept runs fewer than :data:`COALESCE_GAP_ROWS`
+    rows apart merge into one: a fine zone grid (a derived table's
+    zones are a few hundred rows) would otherwise split a range
+    predicate into many short runs, each paying a predicate call.  The
+    gap's blocks count as scanned and its rows as read, so two runs are
+    always at least that gap apart and ``rows_to_scan`` is what the
+    scan charges.  Tables without a common block grid (or predicates
+    reading no columns) degenerate to one full run.
     """
     num_rows = table.num_rows
     if num_rows == 0:
@@ -117,15 +131,25 @@ def scan_plan(
     keep = predicate.keep_blocks(table.zones(needed), num_blocks)
     if keep.all():
         return [(0, num_rows)], num_rows, num_blocks, 0
-    # a run starts and stops where the padded mask changes value
+    # a run starts and stops where the padded mask changes value; runs
+    # merge as Python ints, cheaper than vector operations on arrays
+    # this short
     padded = np.zeros(num_blocks + 2, dtype=bool)
     padded[1:-1] = keep
-    edges = np.flatnonzero(padded[1:] != padded[:-1]) * block_size
-    starts, stops = edges[::2], np.minimum(edges[1::2], num_rows)
-    scanned = int(np.count_nonzero(keep))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    blocks: List[List[int]] = []
+    for first, stop in zip(edges[::2], edges[1::2]):
+        if blocks and (first - blocks[-1][1]) * block_size < COALESCE_GAP_ROWS:
+            blocks[-1][1] = stop
+        else:
+            blocks.append([first, stop])
+    runs = [
+        (first * block_size, min(stop * block_size, num_rows)) for first, stop in blocks
+    ]
+    scanned = sum(stop - first for first, stop in blocks)
     return (
-        list(zip(starts.tolist(), stops.tolist())),
-        int((stops - starts).sum()),
+        runs,
+        sum(stop - start for start, stop in runs),
         scanned,
         num_blocks - scanned,
     )
@@ -140,7 +164,7 @@ def _morsels(runs: Sequence[Tuple[int, int]]) -> List[Morsel]:
     rows (the last may be short), preserving order.
 
     A unit is sized by rows, not zones: a rung table's zones are a few
-    thousand rows, and one unit per surviving zone would pay numpy's
+    hundred rows, and one unit per surviving zone would pay numpy's
     per-call overhead on work too small to amortise it.  Runs longer
     than a unit are split; short ones share a unit.
     """

@@ -351,17 +351,29 @@ class RowPatch(NamedTuple):
         return out
 
 
-#: Zones a derived table's grid aims for, whatever its size ...
-DERIVED_ZONES = 64
-#: ... unless that would make a zone smaller than this many rows.
-MIN_DERIVED_ZONE_ROWS = 1024
+#: Base rows a derived table's zone spans: a table holding a share
+#: ``f`` of the base gets about ``f`` times this many rows per zone ...
+DERIVED_ZONE_BASE_ROWS = 1024
+#: ... but never fewer than this many.
+MIN_DERIVED_ZONE_ROWS = 64
 
 
-def derived_zone_rows(num_rows: int) -> int:
-    """Rows per zone of a derived table of ``num_rows`` rows:
-    ``max(1024, ceil(num_rows / 64))``, so a rung of any size has enough
-    zones to prune and no zone is too small to be worth a plan entry."""
-    return max(MIN_DERIVED_ZONE_ROWS, -(-int(num_rows) // DERIVED_ZONES))
+def derived_zone_rows(num_rows: int, base_rows: int) -> int:
+    """Rows per zone of a derived table of ``num_rows`` rows out of a
+    ``base_rows``-row base: the largest power of two at most
+    ``ceil(1024 * num_rows / base_rows)``, and at least 64.
+
+    Sized by the share of the base the table holds, not by a zone
+    count, so every derived table's zones span about the same slice of
+    cell space: on a 1 M-row base the 250 k rung gets 256-row zones and
+    the 750 k complement 512-row ones, so a cone reads about as far
+    past its edge in either.  Powers of two nest: each zone lies inside
+    one zone of any coarser power-of-two grid over the same rows, and
+    its min/max inside that zone's, so a finer grid never keeps a row a
+    coarser one pruned.
+    """
+    share = -(-DERIVED_ZONE_BASE_ROWS * int(num_rows) // max(int(base_rows), 1))
+    return max(MIN_DERIVED_ZONE_ROWS, 1 << (max(share, 1).bit_length() - 1))
 
 
 class DerivedTable(Table):
@@ -388,7 +400,8 @@ class DerivedTable(Table):
     zone for every column, not the base table's: a rung a twentieth of
     the base would otherwise be a single block, and the order its owner
     lays its rows out in (interest cells, for an impression) could not
-    prune anything.
+    prune anything.  A zone holds the table's share of 1 024 base rows,
+    so a small rung and the complement prune a cone alike.
     """
 
     def __init__(
@@ -399,7 +412,7 @@ class DerivedTable(Table):
         names: Sequence[str],
         resident: Mapping[str, np.ndarray] | None = None,
     ) -> None:
-        self._zone_rows = derived_zone_rows(row_ids.shape[0])
+        self._zone_rows = derived_zone_rows(row_ids.shape[0], base.num_rows)
         super().__init__(
             name,
             [

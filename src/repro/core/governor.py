@@ -8,7 +8,7 @@ against a byte budget, and when the budget is exceeded it demotes the
 least-recently-scanned full blocks of the *catalog* tables ``hot →
 warm`` (error-bounded int8/int16 quantisation) and then ``warm →
 cold`` (mmap-backed raw spill, exact) until the footprint fits.
-Impression tables stay resident: their zones are a few thousand rows,
+Impression tables stay resident: their zones are a few hundred rows,
 and every rung scan reads them, so a demoted zone would cost a spill
 read per scan for little saved.  The one exception is a column an
 impression table gathered that nothing has read since (a report that

@@ -3,9 +3,13 @@
 Two slivers x delta/scratch x three budgets, run on a nested ladder
 and again after an ingest has made every cached table stale, on hot
 data.  ``tests/data/ladder_dump.json`` holds what this module printed
-once base rungs read the hierarchy's cell-laid cover of the base;
+once derived tables' zones were sized by their share of the base;
 ``tests/test_lazy_impressions.py`` holds the current code to it, float
-for float (``float.hex``).  ``tests/data/ladder_dump_load_order_base.json``
+for float (``float.hex``).  ``tests/data/ladder_dump_64_zones.json`` is
+the dump from when every derived table had 64 zones of at least 1 024
+rows, which ``tests/test_base_cover.py`` holds the current dump to:
+every answer identical, no charge higher.
+``tests/data/ladder_dump_load_order_base.json``
 is the dump from when every base rung scanned the base in load order,
 which ``tests/test_base_cover.py`` holds the cover to: every answer
 identical, no charge higher.  ``tests/data/ladder_dump_id_order.json`` is

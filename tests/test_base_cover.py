@@ -248,6 +248,42 @@ class TestAccessPathRule:
         assert scan_plan(base, predicate)[1] == 1024
         assert engine.hierarchy(TABLE).base_cover(predicate, base) is None
 
+    @pytest.mark.parametrize(
+        "sky, lo, width, path",
+        [
+            (CONE, 2_100.0, 800.0, "base"),
+            (CONE, 2_100.0, 2_000.0, "base"),
+            (CONE, 5_000.0, 3_000.0, "base"),
+            (CONE, 100.0, 10_000.0, "cover"),
+            (Between("ra", 120.0, 200.0), 5_000.0, 3_000.0, "base"),
+            (Between("ra", 120.0, 200.0), 100.0, 10_000.0, "base"),
+            (Between("dec", 3.0, 4.0), 5_000.0, 3_000.0, "base"),
+            (Between("dec", 3.0, 4.0), 0.0, 6_000.0, "cover"),
+        ],
+    )
+    def test_an_mjd_window_reads_the_cheaper_plan_and_is_charged_its_price(
+        self, sky, lo, width, path
+    ):
+        """Sky predicates narrowed to a time window, on a grid of the
+        rung's share of 1 024 base rows per zone: windows of up to four
+        base blocks stay on the base, whose load order prunes time best;
+        a cone over a 10 000-row window and a dec band over 6 000 rows
+        now read the cover (on 64 zones of 1 024 rows both scanned the
+        base).  Whichever path the rule picks, an exact query's select
+        is charged exactly the rows it priced."""
+        engine, _ = make_engine(23, recycler=False)
+        base = engine.catalog.table(TABLE)
+        predicate = And([sky, Between("mjd", lo, lo + width)])
+        cover = engine.hierarchy(TABLE).base_cover(predicate, base)
+        base_rows = scan_plan(base, predicate)[1]
+        assert ("base" if cover is None else "cover") == path
+        priced = base_rows if cover is None else cover.scan_rows
+        assert priced <= base_rows
+        query = Query(TABLE, predicate=predicate, aggregates=[AggregateSpec("count")])
+        outcome = engine.execute(query, Contract.exact())
+        select = outcome.result.stats.operators[0]
+        assert select.operator == "select" and select.tuples_in == priced
+
     def test_a_column_the_largest_layer_lacks_scans_the_base(self):
         engine, _ = make_engine(23, columns=("ra", "dec", "r_mag"))
         base = engine.catalog.table(TABLE)
@@ -491,6 +527,22 @@ def test_the_cover_dump_keeps_the_load_order_dumps_answers():
     scratch base rungs' lower."""
     data = Path(__file__).parent / "data"
     old = json.loads((data / "ladder_dump_load_order_base.json").read_text())
+    new = json.loads((data / "ladder_dump.json").read_text())
+    assert sorted(old) == sorted(new)
+    lower = []
+    for case in old:
+        _compare(old[case], new[case], case, case, lower)
+    assert any(lower)
+
+
+def test_the_share_sized_grid_keeps_the_64_zone_dumps_answers():
+    """Every case of :mod:`ladder_dump` against the dump taken when every
+    derived table had 64 zones of at least 1 024 rows: the same ladders,
+    answers, estimates and verdicts to the bit, every charge no higher —
+    and cone scans lower, because a zone now holds a table's share of
+    1 024 base rows."""
+    data = Path(__file__).parent / "data"
+    old = json.loads((data / "ladder_dump_64_zones.json").read_text())
     new = json.loads((data / "ladder_dump.json").read_text())
     assert sorted(old) == sorted(new)
     lower = []

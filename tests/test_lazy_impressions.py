@@ -160,7 +160,7 @@ class TestDerivedTable:
         table = DerivedTable("d", small_base(), ids, ["x", "y"], {PI_COLUMN: pis})
         assert table.column_names == ["x", "y", PI_COLUMN]
         assert (table.num_rows, len(table)) == (3, 3)
-        assert table.block_size == 1024 and table.num_blocks == 1
+        assert table.block_size == 64 and table.num_blocks == 1
         assert table.has_column("y") and not table.has_column("z")
         assert table.nbytes() == 24 and table.is_fully_hot
         assert table.nbytes_by_tier() == {"hot": 24, "warm": 0, "cold": 0}
@@ -181,9 +181,10 @@ class TestDerivedTable:
         assert table.take(np.array([0]), columns=["y"]).column_names == ["y"]
 
     def test_a_mismatched_block_grid_is_seen_before_any_gather(self):
-        """A derived table's zone grid is its own — max(1024, ⌈n/64⌉) rows
-        per zone for every column, whatever the base's blocks — and is
-        known before any gather."""
+        """A derived table's zone grid is its own — its share of 1 024
+        base rows per zone, rounded down to a power of two (at least 64),
+        for every column, whatever the base's blocks — and is known
+        before any gather."""
         base = Table(
             "b",
             [
@@ -191,15 +192,26 @@ class TestDerivedTable:
                 Column("y", "float64", np.arange(300_000.0), block_size=8),
             ],
         )
-        grids = ((5, 1024, 1), (70_000, 1_094, 64), (200_000, 3_125, 64))
+        grids = ((5, 64, 1), (70_000, 128, 547), (200_000, 512, 391))
         for rows, zone_rows, zones in grids:
             ids = np.arange(rows)
             table = DerivedTable("d", base, ids, ["x", "y"], {PI_COLUMN: np.ones(rows)})
-            assert derived_zone_rows(rows) == zone_rows
+            assert derived_zone_rows(rows, base.num_rows) == zone_rows
             assert (table.block_size, table.num_blocks) == (zone_rows, zones)
             assert [c.name for c in table.resident_columns()] == [PI_COLUMN]
             grid = {table.column(n).block_size for n in table.column_names}
             assert grid == {zone_rows}
+
+    def test_zones_span_the_same_share_of_the_base_whatever_the_table(self):
+        """On a 1 M-row base the 250 k rung gets 256-row zones and the
+        750 k complement 512-row ones (768 rounded down to a power of
+        two): each zone holds about 1 024 base rows' worth of cell
+        space.  Small tables keep a 64-row floor."""
+        assert derived_zone_rows(250_000, 1_000_000) == 256
+        assert derived_zone_rows(750_000, 1_000_000) == 512
+        assert derived_zone_rows(1_000_000, 1_000_000) == 1_024
+        assert derived_zone_rows(50_000, 1_000_000) == 64
+        assert derived_zone_rows(0, 0) == 64
 
     def test_errors(self):
         base = small_base()

@@ -907,3 +907,133 @@ class TestValueErrorAt:
             return [(name, b) for tick, name, b in sorted(ticks) if tick]
 
         assert ranking(answered) == ranking(reference)
+
+
+# ----------------------------------------------------------------------
+# per-block access ticks, held to the rules of the dict they replaced
+# ----------------------------------------------------------------------
+ROW = st.integers(0, 40 * 8)
+TICK_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("read"), st.integers(-5, 40 * 8), ROW, st.booleans()),
+        st.tuples(st.just("gather"), st.lists(ROW, max_size=6), st.booleans()),
+        st.tuples(st.just("error_at"), st.lists(ROW, max_size=6), st.booleans()),
+        st.tuples(st.just("extend"), st.integers(1, 30)),
+        st.tuples(st.just("append")),
+        st.tuples(
+            st.just("demote"), st.integers(0, 40), st.sampled_from(["warm", "cold"])
+        ),
+        st.tuples(st.just("promote"), st.integers(0, 40)),
+    ),
+    max_size=30,
+)
+
+
+class TestBlockTicks:
+    """The per-block tick array answers ``last_scanned`` and
+    ``block_report`` as the per-block dict it replaced did: a range read
+    stamps every block it spans with one tick; a gather or
+    ``value_error_at`` over a chunked column stamps each touched block
+    with its own tick, in block order; a contiguous column's gather
+    stamps none; appends, demotions and promotions stamp nothing."""
+
+    @staticmethod
+    def expect(column: Column, op: tuple, step: int, expected: dict) -> None:
+        """Apply ``op`` to ``column`` and its tick rule to ``expected``
+        (block → (step, order within the step))."""
+        kind, size, bs = op[0], len(column), column.block_size
+        if kind == "read":
+            start, stop = max(op[1], 0), min(op[2], size)
+            column.read_range(op[1], op[2], raw=op[3])
+            if stop > start:
+                for block in range(start // bs, (stop - 1) // bs + 1):
+                    expected[block] = (step, 0)
+        elif kind in ("gather", "error_at"):
+            indices = np.array([i for i in op[1] if i < size], dtype=np.int64)
+            chunked = column._data is None
+            if kind == "gather":
+                column.gather_with_error(indices, raw=op[2])
+            else:
+                column.value_error_at(indices, raw=op[2])
+            if chunked and indices.size:
+                for order, block in enumerate(np.unique(indices // bs).tolist()):
+                    expected[block] = (step, order)
+        elif kind == "extend":
+            column.extend(np.linspace(0.0, 1.0, op[1]))
+        elif kind == "append":
+            column.append(0.5)
+        elif kind == "demote" and op[1] < column.num_blocks:
+            column.demote(op[1], op[2])
+        elif kind == "promote" and op[1] < column.num_blocks:
+            column.promote(op[1])
+
+    @given(n=st.integers(0, 20 * 8), ops=TICK_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_ticks_follow_the_dict_rules(self, n, ops):
+        column = Column(
+            "x", "float64", np.random.default_rng(n).uniform(0.0, 9.0, n), block_size=8
+        )
+        expected: dict = {}
+        for step, op in enumerate(ops, start=1):
+            self.expect(column, op, step, expected)
+            blocks = range(column.num_blocks + 2)
+            ticks = {b: column.last_scanned(b) for b in blocks}
+            assert {b for b, t in ticks.items() if t} == set(expected)
+            # the same order as the rule's keys, ties exactly where it ties
+            ranked = sorted(expected, key=expected.get)
+            for a, b in zip(ranked, ranked[1:]):
+                assert (ticks[a] < ticks[b]) == (expected[a] < expected[b])
+                assert ticks[a] <= ticks[b]
+            report = column.block_report()
+            assert [entry[0] for entry in report] == list(range(len(column) // 8))
+            assert all(entry[2] == ticks[entry[0]] for entry in report)
+
+    def test_a_range_read_past_the_last_append_stamps_the_new_blocks(self):
+        column = Column("x", "float64", np.zeros(10), block_size=4)
+        column.read_range(0, 10)
+        first = column.last_scanned(0)
+        column.extend(np.ones(100))  # 3 → 28 blocks
+        assert column.last_scanned(27) == 0
+        column.read_range(96, 110)
+        assert column.last_scanned(24) == column.last_scanned(27) > first
+        assert column.last_scanned(2) == first and column.last_scanned(23) == 0
+
+    def test_readers_racing_an_append_always_find_a_tick_slot(self):
+        """Writers size the tick array before they publish the new rows,
+        so readers that see the new size never index past it — with
+        more reader threads than cores and a short switch interval."""
+        import sys
+        import threading
+
+        column = Column("x", "float64", np.zeros(64), block_size=8)
+        errors: list = []
+        done = threading.Event()
+
+        def read() -> None:
+            rng = np.random.default_rng(threading.get_ident() % 2**32)
+            try:
+                while not done.is_set():
+                    size = len(column)
+                    column.read_range(max(size - 20, 0), size)
+                    column.gather_with_error(rng.integers(0, size, 5))
+                    column.value_error_at(np.array([size - 1]))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=read) for _ in range(6)]
+        try:
+            for reader in readers:
+                reader.start()
+            column.demote(0, "cold")  # chunked: gathers stamp blocks
+            for _ in range(400):
+                column.extend(np.ones(3))
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        assert column.block_report()[-1][0] == len(column) // 8 - 1

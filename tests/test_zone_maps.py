@@ -8,6 +8,8 @@ possibly match.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -409,6 +411,101 @@ class TestKeepMaskMatchesOracle:
             assert keep[block] == (not zone_oracle.prune(predicate, scalar))
 
 
+# ----------------------------------------------------------------------
+# scan plans over random grids: the pruned, coalesced scan is the full one
+# ----------------------------------------------------------------------
+PLAN_NUMBERS = st.one_of(st.floats(-10.0, 110.0), st.just(np.nan))
+PLAN_LEAVES = st.one_of(
+    st.builds(
+        Comparison,
+        st.sampled_from(["x", "y"]),
+        st.sampled_from(["<", "<=", ">", ">=", "==", "!="]),
+        PLAN_NUMBERS,
+    ),
+    st.builds(
+        lambda column, a, b: Between(column, *sorted([a, b])),
+        st.sampled_from(["x", "y"]),
+        st.floats(-10.0, 110.0),
+        st.floats(-10.0, 110.0),
+    ),
+    st.builds(
+        RadialPredicate,
+        st.just("x"),
+        st.just("y"),
+        st.floats(0.0, 100.0),
+        st.floats(0.0, 100.0),
+        st.floats(0.0, 30.0),
+    ),
+)
+PLAN_PREDICATES = st.recursive(
+    PLAN_LEAVES,
+    lambda inner: st.one_of(
+        st.builds(And, st.lists(inner, min_size=1, max_size=3)),
+        st.builds(Or, st.lists(inner, min_size=1, max_size=3)),
+        st.builds(Not, inner),
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def cell_laid_tables(draw) -> Table:
+    """A table on a random zone grid, its ``x`` laid out the way a
+    derived table's cell order lays out a cell attribute: sorted, in
+    sorted runs of random length, or not at all; some values NaN."""
+    n = draw(st.integers(1, 6_000))
+    block_size = draw(st.sampled_from([1, 7, 64, 100, 256, 512, 1_024, 4_096]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, 100.0, n)
+    layout = draw(st.sampled_from(["sorted", "cells", "random"]))
+    if layout == "sorted":
+        x.sort()
+    elif layout == "cells":
+        cells = min(n - 1, draw(st.integers(1, 80)))
+        cuts = np.sort(rng.choice(n, size=cells, replace=False)) if cells > 0 else []
+        x = np.concatenate([np.sort(part) for part in np.split(x, cuts)])
+    x[rng.random(n) < 0.01] = np.nan
+    y = rng.uniform(0.0, 100.0, n)
+    return Table(
+        "t",
+        [
+            Column("x", "float64", x, block_size=block_size),
+            Column("y", "float64", y, block_size=block_size),
+        ],
+    )
+
+
+class TestScanPlanProperties:
+    @given(
+        table=cell_laid_tables(),
+        predicate=PLAN_PREDICATES,
+        gap=st.sampled_from([0, 1, 300, operators.COALESCE_GAP_ROWS, 2_500]),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_a_pruned_coalesced_scan_is_the_full_scan(self, table, predicate, gap):
+        """On any grid and predicate: the indices are the unpruned whole
+        table's; the runs are block-aligned, sorted, disjoint and at
+        least the coalescing gap apart; and the rows they hold are what
+        the plan prices and the scan charges."""
+        with mock.patch.object(operators, "COALESCE_GAP_ROWS", gap):
+            runs, rows_to_scan, scanned, pruned = operators.scan_plan(table, predicate)
+            indices, stats = operators.select(table, predicate)
+        want = np.flatnonzero(predicate.evaluate(table)).astype(np.int64)
+        assert indices.tobytes() == want.tobytes()
+        bs, n = table.block_size, table.num_rows
+        for start, stop in runs:
+            assert 0 <= start < stop <= n
+            assert start % bs == 0 and (stop % bs == 0 or stop == n)
+        for (_, stop), (start, _) in zip(runs, runs[1:]):
+            assert start - stop >= max(gap, 1)
+        assert rows_to_scan == sum(stop - start for start, stop in runs)
+        assert rows_to_scan == stats.tuples_in
+        assert (scanned, pruned) == (stats.blocks_scanned, stats.blocks_pruned)
+        if table.num_blocks > 1:
+            assert scanned + pruned == table.num_blocks
+            assert scanned == sum(-(-(b - a) // bs) for a, b in runs)
+
+
 def per_block_fold(chunks, block_size: int):
     """The zone fold as it was: a Python loop over each appended chunk's
     blocks, ``None`` bounds for a block with no comparable value yet."""
@@ -479,10 +576,11 @@ class TestVectorisedFold:
 
 
 class TestMorselsAreNotZones:
-    def test_a_64_zone_scan_submits_one_unit_per_65536_rows(self, monkeypatch):
-        """Units are sized in rows, not zones: a scan over a 64-zone table
-        evaluates ⌈rows_to_scan / 65 536⌉ units, whichever zones
-        survived, and the answer is the full scan's."""
+    def test_a_fine_grid_scan_submits_one_unit_per_65536_rows(self, monkeypatch):
+        """Units are sized in rows, not zones: a scan over a table of
+        hundreds of 1 024-row zones evaluates ⌈rows_to_scan / 65 536⌉
+        units, whichever zones survived, and the answer is the full
+        scan's."""
         from repro.columnstore.table import DerivedTable
 
         rng = np.random.default_rng(8)
@@ -490,7 +588,7 @@ class TestMorselsAreNotZones:
         base = Table("b", [Column("x", "float64", rng.uniform(0, 100, n))])
         ids = np.argsort(base["x"], kind="stable")  # x ascending: zones prune
         table = DerivedTable("d", base, ids, ["x"])
-        assert table.num_blocks == 64
+        assert (table.block_size, table.num_blocks) == (1_024, 391)
         assert operators.MORSEL_ROWS == 65_536
         units: list[int] = []
         scan_morsel = operators._scan_morsel
