@@ -75,13 +75,6 @@ class TimedMonitor(ContractMonitor):
         finally:
             self.observe_seconds += time.perf_counter() - started
 
-    def observe_rejection(self, *args, **kwargs):
-        started = time.perf_counter()
-        try:
-            return super().observe_rejection(*args, **kwargs)
-        finally:
-            self.observe_seconds += time.perf_counter() - started
-
 
 def build_engine(n: int, seed: int) -> SciBorq:
     """A deterministic engine; equal seeds produce identical state."""
@@ -168,8 +161,6 @@ def trace(outcome):
 
 def expected_status(outcome) -> str:
     """Ground-truth verdict status, recomputed from the outcome."""
-    if outcome.degraded:
-        return "degraded"
     if outcome.met_quality and outcome.met_budget:
         return "met"
     return "missed"
@@ -219,7 +210,7 @@ def main() -> None:
 
     # (b) exact aggregation: report counts vs per-query ground truth
     truth_by_tier = {}
-    truth_status = {"met": 0, "missed": 0, "degraded": 0, "rejected": 0}
+    truth_status = {"met": 0, "missed": 0}
     for tier, outcome in outcomes.values():
         status = expected_status(outcome)
         truth_status[status] += 1
@@ -261,8 +252,7 @@ def main() -> None:
     print("== E10b: exact aggregation ==")
     print(
         f"  fleet {sla.compliance:.1%} met, "
-        f"missed {sla.missed} / degraded {sla.degraded} / "
-        f"rejected {sla.rejected} — all equal ground truth ✓"
+        f"missed {sla.missed} — all equal ground truth ✓"
     )
     print("== E10c: overhead ==")
     print(
@@ -288,8 +278,6 @@ def main() -> None:
             "observed": total,
             "met": truth_status["met"],
             "missed": truth_status["missed"],
-            "degraded": truth_status["degraded"],
-            "rejected": truth_status["rejected"],
             "tiers": {
                 tier: {
                     "observed": bucket["observed"],

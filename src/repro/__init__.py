@@ -60,7 +60,6 @@ from repro.columnstore import (
     TruePredicate,
 )
 from repro.core import (
-    AdmissionController,
     BiasedPolicy,
     BoundedQueryProcessor,
     BoundedResult,
@@ -74,7 +73,6 @@ from repro.core import (
     LastSeenPolicy,
     ProgressUpdate,
     QueryHandle,
-    RejectedQuery,
     SciBorq,
     SciBorqServer,
     ServerReport,
@@ -85,7 +83,6 @@ from repro.core import (
 )
 from repro.errors import (
     BudgetExceededError,
-    OverloadedError,
     QualityBoundError,
     SciborqError,
 )
@@ -110,7 +107,6 @@ __all__ = [
     "Recycler",
     "Table",
     "TruePredicate",
-    "AdmissionController",
     "BiasedPolicy",
     "BoundedQueryProcessor",
     "BoundedResult",
@@ -124,7 +120,6 @@ __all__ = [
     "LastSeenPolicy",
     "ProgressUpdate",
     "QueryHandle",
-    "RejectedQuery",
     "SciBorq",
     "SciBorqServer",
     "ServerReport",
@@ -133,7 +128,6 @@ __all__ = [
     "UniformPolicy",
     "build_hierarchy",
     "BudgetExceededError",
-    "OverloadedError",
     "QualityBoundError",
     "SciborqError",
     "Estimate",

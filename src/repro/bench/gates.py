@@ -160,13 +160,7 @@ def _tier_buckets(
             continue
         total = int(entry.get("observed", 0))
         met = int(entry.get("met", 0))
-        buckets[str(tier)] = SlaBucket(
-            total=total,
-            met=met,
-            missed=total - met,
-            degraded=0,
-            rejected=0,
-        )
+        buckets[str(tier)] = SlaBucket(total=total, met=met, missed=total - met)
     return buckets
 
 

@@ -29,9 +29,6 @@
   concurrent multi-session layer: one shared engine behind a
   readers-writer lock, per-user sessions with isolated cost
   accounting and default contracts.
-* :mod:`repro.core.admission` — overload management: bounded intake
-  with priority aging, graceful degradation under pressure, and
-  structured sheds with retry-after advice.
 * :mod:`repro.core.intelligence` — collaborative workload
   intelligence: the cross-session query log mined, on demand, into
   a persistable region-popularity model that recommends ladder entry
@@ -42,11 +39,6 @@
   (:class:`SlaReport`) and tiered quality gates (:class:`GateSpec`).
 """
 
-from repro.core.admission import (
-    AdmissionController,
-    AdmissionStats,
-    RejectedQuery,
-)
 from repro.core.impression import Impression
 from repro.core.hierarchy import ImpressionHierarchy
 from repro.core.policy import (
@@ -100,9 +92,6 @@ __all__ = [
     "save_hierarchy",
     "save_intelligence",
     "WorkloadIntelligenceService",
-    "AdmissionController",
-    "AdmissionStats",
-    "RejectedQuery",
     "ShutdownReport",
     "Impression",
     "ImpressionHierarchy",

@@ -113,21 +113,13 @@ class ExecutionAttempt:
 
 @dataclass
 class BoundedResult:
-    """The outcome of a bounded execution.
-
-    ``degraded`` marks an answer produced under server overload with a
-    *coarsened* contract (admission control's graceful-degradation
-    rung, :mod:`repro.core.admission`): the answer is still
-    statistically valid and :attr:`achieved_error` is its honest
-    error — the caller's original bound simply was not what ran.
-    """
+    """The outcome of a bounded execution."""
 
     result: EstimatedResult
     attempts: List[ExecutionAttempt] = field(default_factory=list)
     met_quality: bool = True
     met_budget: bool = True
     total_cost: float = 0.0
-    degraded: bool = False
     #: The contract this execution ran under (None on legacy paths
     #: that never threaded one through).  Carries the SLA tier when
     #: the contract came from a preset, so :meth:`describe` can name
@@ -162,7 +154,6 @@ class BoundedResult:
             f"achieved error {self.achieved_error:.4g}, "
             f"quality={'met' if self.met_quality else 'MISSED'}, "
             f"budget={'met' if self.met_budget else 'EXCEEDED'}"
-            + (", DEGRADED (coarsened under overload)" if self.degraded else "")
         ]
         lines.extend(
             f"  [{i}] {a.source}: rows={a.rows} "

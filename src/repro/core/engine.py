@@ -411,8 +411,7 @@ class SciBorq:
         monitor's fleet aggregates.  Observation only: answers,
         charges, and attempt traces are byte-identical with a monitor
         installed or not.  The server layer installs one by default
-        (``SciBorqServer(monitor=...)``) and also feeds it admission
-        sheds, which never reach the engine.
+        (``SciBorqServer(monitor=...)``).
         """
         self._monitor = monitor
 
@@ -678,8 +677,8 @@ class SciBorq:
         This is what turns the log from a list of predicates into the
         fleet-wide asset the workload miner feeds on: every settled
         entry carries what the query *cost* (tuples charged, rungs
-        climbed, wall seconds) and what it *achieved* (relative error,
-        degraded flag), keyed by the submitting session.  The settle
+        climbed, wall seconds) and what it *achieved* (relative error),
+        keyed by the submitting session.  The settle
         is also where the contract monitor (when installed) records
         its :class:`~repro.core.monitor.ContractVerdict` — reading
         the outcome, never touching it.
@@ -693,7 +692,6 @@ class SciBorq:
                 achieved_error=float(outcome.achieved_error),
                 wall_seconds=wall_seconds,
                 session_id=session_id,
-                degraded=bool(outcome.degraded),
             ),
         )
         monitor = self._monitor

@@ -88,8 +88,8 @@ class ProgressUpdate:
     attempt: "ExecutionAttempt"
     #: Best-so-far outcome if execution stopped here.
     partial: Optional["BoundedResult"]
-    #: Wall seconds this query waited before its drain started —
-    #: admission queue plus pool dispatch (None: not server-queued).
+    #: Wall seconds this query waited for a pool worker before its
+    #: drain started (None: not server-queued).
     #: ``spent`` bills execution only, so this is the other half of
     #: the latency a user actually observes under load.
     queue_seconds: Optional[float] = None
@@ -170,7 +170,6 @@ class QueryHandle:
         self._error: Optional[BaseException] = None
         self._done = threading.Event()
         self._cancel_requested = False
-        self._degraded = False  # True when admission coarsened the contract
         self._driven = False  # True once a worker pool owns the drain
         self._drive_thread: Optional[threading.Thread] = None
         # queue-vs-run split (wall seconds): stamped by the server at
@@ -204,7 +203,7 @@ class QueryHandle:
         """Wall seconds between submission and the start of the drain.
 
         The half of user-observed latency that execution budgets never
-        bill: admission-queue wait plus pool dispatch.  ``None`` until
+        bill: the wait for a pool worker.  ``None`` until
         the drain starts (or always, for lazy handles nobody queued).
         """
         if self._queued_at is None or self._started_at is None:
@@ -272,12 +271,6 @@ class QueryHandle:
     def _finish(self, result: Optional["BoundedResult"]) -> None:
         if self.done:
             return  # first settle wins
-        if result is not None and self._degraded:
-            # stamped before _done is set, so a caller woken by
-            # result() can never observe an unmarked degraded outcome;
-            # and before finalize, so the engine's settle hook logs
-            # the degraded flag the caller will see
-            result.degraded = True
         if result is not None and self._finalize is not None:
             result = self._finalize(result)
         with self._state:
@@ -355,19 +348,10 @@ class QueryHandle:
         """
         self._driven = True
 
-    def mark_degraded(self) -> None:
-        """Declare that admission coarsened this query's contract.
-
-        The final :class:`~repro.core.bounded.BoundedResult` (natural
-        completion *and* cancellation) will carry ``degraded=True`` —
-        graceful degradation is honest or it is lying.
-        """
-        self._degraded = True
-
     def mark_queued(self) -> None:
         """Stamp submission time; starts the queue-time measurement.
 
-        Called by the server when the query enters its intake.  From
+        Called by the server when it hands the query to its pool.  From
         here until :meth:`drain` starts counts as queue time in every
         :class:`ProgressUpdate` this handle publishes.
         """

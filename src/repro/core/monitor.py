@@ -4,16 +4,16 @@ SciBORQ's premise is that every answer comes with *bounds on runtime
 and quality* — but a bound checked only query-by-query at settle time
 proves nothing fleet-wide.  The :class:`ContractMonitor` closes that
 gap: it observes every settled query (engine execute/exact paths,
-server handle settles, admission sheds) and turns each into a
-:class:`ContractVerdict` — met / missed / degraded / rejected, the
-achieved error against the promised bound, queue and run seconds
-against the budget, the contract's SLA tier, and the owning session.
+server handle settles) and turns each into a
+:class:`ContractVerdict` — met or missed, the achieved error against
+the promised bound, queue and run seconds against the budget, the
+contract's SLA tier, and the owning session.
 
 From the verdict stream it maintains **streaming fleet aggregates**:
 
 * per-tier and per-session SLA compliance (% of queries whose verdict
-  is ``met``) — a shed or a degraded answer counts in the
-  denominator: an SLA event, never a statistics gap;
+  is ``met``) — a missed bound counts in the denominator: an SLA
+  event, never a statistics gap;
 * error-margin and latency histograms with deterministic p50/p99
   read-outs — every aggregate is a sum of per-verdict contributions,
   so feeding the same verdicts one at a time or all at once yields
@@ -53,14 +53,13 @@ from repro.core.contracts import Contract
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.columnstore.query import Query
-    from repro.core.admission import RejectedQuery
     from repro.core.bounded import BoundedResult
 
 #: Bucket key for contracts that came from no preset.
 UNTIERED = "untiered"
 
 #: The verdict statuses, in the order reports enumerate them.
-VERDICT_STATUSES = ("met", "missed", "degraded", "rejected")
+VERDICT_STATUSES = ("met", "missed")
 
 #: Upper edges of the error-margin histogram bins (relative error).
 #: Fixed edges make bin counts additive, so incremental and one-shot
@@ -79,14 +78,10 @@ LATENCY_EDGES = (
 
 @dataclass(frozen=True)
 class ContractVerdict:
-    """One settled (or shed) query, judged against its promise.
+    """One settled query, judged against its promise.
 
-    ``status`` is ``"met"`` (every bound kept), ``"missed"`` (a
-    quality or budget bound broken), ``"degraded"`` (admission
-    coarsened the contract — the answer is honest but the original
-    promise was not what ran), or ``"rejected"`` (shed by admission
-    control before running; ``reason`` carries the shed reason and the
-    execution fields are ``None``).
+    ``status`` is ``"met"`` (every bound kept) or ``"missed"`` (a
+    quality or budget bound broken).
     """
 
     status: str
@@ -96,21 +91,19 @@ class ContractVerdict:
     session_name: Optional[str]
     #: The promised quality bound (None: no quality requirement).
     promised_error: Optional[float]
-    #: The answer's honest worst relative error (None for a shed).
+    #: The answer's honest worst relative error.
     achieved_error: Optional[float]
     #: The promised runtime budget, in clock units (None: unbounded).
     promised_budget: Optional[float]
-    #: What the execution actually spent, in clock units (0 for a shed).
+    #: What the execution actually spent, in clock units.
     spent: float
-    #: Wall seconds spent waiting for admission + dispatch (None: not
-    #: server-queued, or shed).
+    #: Wall seconds spent waiting for a pool worker (None: not
+    #: server-queued).
     queue_seconds: Optional[float]
-    #: Wall seconds of actual execution (None: unknown or shed).
+    #: Wall seconds of actual execution (None: unknown).
     run_seconds: Optional[float]
     #: End-to-end wall seconds from submission to settle.
     wall_seconds: Optional[float]
-    #: Shed reason for ``status="rejected"`` (``"queue_full"``, ...).
-    reason: Optional[str] = None
 
     def describe(self) -> str:
         """One-line form used by the violation log and examples."""
@@ -119,11 +112,6 @@ class ContractVerdict:
             else "<direct>"
         )
         tier = self.tier or UNTIERED
-        if self.status == "rejected":
-            return (
-                f"[{self.status}] {who} {self.table} ({tier}): "
-                f"shed ({self.reason})"
-            )
         promised = (
             "-" if self.promised_error is None
             else f"{self.promised_error:g}"
@@ -145,17 +133,12 @@ class SlaBucket:
     total: int = 0
     met: int = 0
     missed: int = 0
-    degraded: int = 0
-    rejected: int = 0
 
     @property
     def compliance(self) -> float:
         """Fraction of observed queries whose verdict is ``met``.
 
-        ``1.0`` for an empty bucket (no promise has been broken), and
-        — the small fix this module ships — sheds and degraded
-        answers count in the denominator: a burst that is 100% shed
-        reports 0% compliance, not 100%.
+        ``1.0`` for an empty bucket (no promise has been broken).
         """
         if self.total == 0:
             return 1.0
@@ -238,8 +221,6 @@ class SlaReport:
     observed: int
     met: int
     missed: int
-    degraded: int
-    rejected: int
     by_tier: Mapping[str, SlaBucket]
     by_session: Mapping[Optional[int], SlaBucket]
     #: Session id -> human name, for sessions the server registered.
@@ -264,8 +245,7 @@ class SlaReport:
         )
         line = (
             f"sla: {self.compliance:.1%} met over {self.observed} "
-            f"query(ies) (missed {self.missed}, degraded "
-            f"{self.degraded}, rejected {self.rejected})"
+            f"query(ies) (missed {self.missed})"
         )
         if tiers:
             line += f"; {tiers}"
@@ -435,14 +415,12 @@ def evaluate_floors(
 class _Bucket:
     """Mutable counter behind one :class:`SlaBucket`."""
 
-    __slots__ = ("total", "met", "missed", "degraded", "rejected")
+    __slots__ = ("total", "met", "missed")
 
     def __init__(self) -> None:
         self.total = 0
         self.met = 0
         self.missed = 0
-        self.degraded = 0
-        self.rejected = 0
 
     def add(self, status: str) -> None:
         self.total += 1
@@ -453,8 +431,6 @@ class _Bucket:
             total=self.total,
             met=self.met,
             missed=self.missed,
-            degraded=self.degraded,
-            rejected=self.rejected,
         )
 
 
@@ -463,8 +439,7 @@ class ContractMonitor:
 
     Installed on the engine via :meth:`~repro.core.engine.SciBorq.
     set_monitor` (the server layer does this by default); every settle
-    path then calls :meth:`observe` / :meth:`observe_exact`, and the
-    server feeds admission sheds through :meth:`observe_rejection`.
+    path then calls :meth:`observe` / :meth:`observe_exact`.
     Thread-safe: pool workers observe concurrently.
 
     Parameters
@@ -513,16 +488,11 @@ class ContractMonitor:
         so answers, charges, and attempt traces are byte-identical
         with or without a monitor installed.
         """
-        if outcome.degraded:
-            status = "degraded"
-        elif outcome.met_quality and outcome.met_budget:
-            status = "met"
-        else:
-            status = "missed"
+        met = outcome.met_quality and outcome.met_budget
         return self.observe_settled(
             table=query.table,
             contract=contract,
-            status=status,
+            status="met" if met else "missed",
             achieved_error=float(outcome.achieved_error),
             spent=float(outcome.total_cost),
             session_id=session_id,
@@ -582,43 +552,6 @@ class ContractMonitor:
             queue_seconds=queue_seconds,
             run_seconds=run_seconds,
             wall_seconds=wall_seconds,
-        )
-        self.record(verdict)
-        return verdict
-
-    def observe_rejection(
-        self,
-        rejection: "RejectedQuery",
-        contract: Optional[Contract] = None,
-    ) -> ContractVerdict:
-        """Record an admission shed — an SLA event, not a gap.
-
-        The promise was broken before anything ran: the verdict is
-        ``rejected`` and counts in every compliance denominator, so a
-        100% shed burst reports 0% compliance, not 100%.  When no
-        contract is passed explicitly the one the rejection itself
-        carries (if any) supplies the tier and bounds.
-        """
-        if contract is None:
-            contract = getattr(rejection, "contract", None)
-        verdict = ContractVerdict(
-            status="rejected",
-            table=rejection.query.table,
-            tier=contract.tier if contract is not None else None,
-            session_id=rejection.session_id,
-            session_name=rejection.session_name,
-            promised_error=(
-                contract.max_relative_error if contract is not None else None
-            ),
-            achieved_error=None,
-            promised_budget=(
-                contract.time_budget if contract is not None else None
-            ),
-            spent=0.0,
-            queue_seconds=None,
-            run_seconds=None,
-            wall_seconds=None,
-            reason=rejection.reason,
         )
         self.record(verdict)
         return verdict
@@ -687,8 +620,6 @@ class ContractMonitor:
                 observed=self._observed,
                 met=self._by_status["met"],
                 missed=self._by_status["missed"],
-                degraded=self._by_status["degraded"],
-                rejected=self._by_status["rejected"],
                 by_tier={
                     tier: bucket.freeze()
                     for tier, bucket in self._by_tier.items()

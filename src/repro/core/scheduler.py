@@ -324,32 +324,6 @@ class SharedScanScheduler:
         ]
 
     # ------------------------------------------------------------------
-    def lane_activity(self) -> Dict[str, int]:
-        """Live lanes per *base* table name — the popularity signal.
-
-        The admission controller (:mod:`repro.core.admission`) orders
-        its intake queue with this: a queued query whose base table
-        has live lanes can ride an in-flight convoy's pass, so
-        dispatching it now buys throughput for free.  Lane
-        keys are table objects (impressions, deltas, complements);
-        each maps back to its base table by stripping the derivation
-        suffix (``base§…``, ``base∖…``, ``base#…``), so the counts
-        line up with ``Query.table``.  Dead lanes are skipped, not
-        swept — sweeping stays with :meth:`_lane_for`.
-        """
-        activity: Dict[str, int] = {}
-        with self._lanes_lock:
-            lanes = list(self._lanes.values())
-        for lane in lanes:
-            table = lane.ref()
-            if table is None:
-                continue
-            base = table.name
-            for separator in ("§", "∖", "#"):
-                base = base.split(separator, 1)[0]
-            activity[base] = activity.get(base, 0) + 1
-        return activity
-
     @property
     def stats(self) -> SchedulerStats:
         """A consistent snapshot of the cumulative counters."""

@@ -2,9 +2,8 @@
 
 SciBORQ's bounds are per-query promises made to *people* — SkyServer
 answers "scientists, students and interested laymen" simultaneously
-(paper §2.1), and systems like LifeRaft explicitly schedule across
-concurrent users' query streams.  :class:`SciBorqServer` is that
-serving layer for the reproduction:
+(paper §2.1).  :class:`SciBorqServer` is that serving layer for the
+reproduction:
 
 * **Shared state, guarded.**  The catalog, impression hierarchies,
   interest model, and recycler live in one :class:`~repro.core.engine.
@@ -33,16 +32,12 @@ serving layer for the reproduction:
   accounting shortcuts.  Sessions may opt out per user
   (``open_session(shared_scans=False)``); ``batch_window`` configures
   how long a lone scan waits for co-runners (default: never).
-* **Bounded intake.**  With ``admission=`` the server installs an
-  :class:`~repro.core.admission.AdmissionController`: submissions
-  beyond the in-flight width wait in a bounded, priority-aged queue
-  (popular-region convoys dispatch first, starved queries
-  monotonically gain ground), pressure past the degrade threshold
-  answers under a coarsened contract marked ``degraded=True``, and a
-  full queue sheds *structurally* — an
-  :class:`~repro.errors.OverloadedError` carrying a
-  :class:`~repro.core.admission.RejectedQuery` with retry-after
-  advice, never an unbounded queue or an opaque timeout.
+
+Bounds stay per query: the bounded processor enforces each query's
+time budget and error bound rung by rung (paper §3.2).  Every query
+takes the same prologue (:meth:`SciBorqServer._open`) and epilogue
+(:meth:`SciBorqServer._finish`); no intake layer queues, coarsens or
+sheds it on the way in.
 """
 
 from __future__ import annotations
@@ -58,12 +53,6 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 import numpy as np
 
 from repro.columnstore.query import Query
-from repro.core.admission import (
-    AdmissionController,
-    AdmissionStats,
-    AdmissionTicket,
-    RejectedQuery,
-)
 from repro.core.bounded import BoundedResult
 from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
@@ -73,7 +62,7 @@ from repro.core.maintenance import RefreshReport
 from repro.core.monitor import ContractMonitor, SlaReport
 from repro.core.scheduler import SchedulerStats, SharedScanScheduler
 from repro.core.session import Session
-from repro.errors import OverloadedError, SessionError
+from repro.errors import SessionError
 from repro.util.clock import ExecutionContext
 from repro.util.concurrency import ReadWriteLock
 
@@ -85,14 +74,12 @@ class ShutdownReport:
     ``drained`` queries completed on their own (outcome or recorded
     failure); ``cancelled`` were force-settled at the shutdown
     deadline (best-so-far kept where a rung boundary allowed, failed
-    otherwise — their callers never block forever); ``evicted`` were
-    still waiting in the admission queue and were failed with a
-    structured shutdown rejection.  A second shutdown reports zeros.
+    otherwise — their callers never block forever).  A second shutdown
+    reports zeros.
     """
 
     drained: int = 0
     cancelled: int = 0
-    evicted: int = 0
 
 
 @dataclass(frozen=True)
@@ -132,7 +119,6 @@ class ServerReport:
     pool_workers: int
     #: Engine clock (all sessions + maintenance), in cost units.
     engine_clock: float
-    admission: Optional[AdmissionStats]
     scheduler: Optional[SchedulerStats]
     #: Full :meth:`~repro.core.engine.SciBorq.memory_report` mapping.
     memory: Mapping[str, object]
@@ -154,8 +140,6 @@ class ServerReport:
             f"  engine clock (all sessions + maintenance): "
             f"{self.engine_clock:g}"
         )
-        if self.admission is not None:
-            lines.append(f"  {self.admission.describe()}")
         if self.scheduler is not None:
             lines.append(f"  {self.scheduler.describe()}")
         tiers = self.memory["tiers"]
@@ -212,23 +196,12 @@ class SciBorqServer:
         copies of base rows, estimates that read warm base blocks carry
         the quantisation bound in their CIs, and exact contracts read
         demoted blocks' raw bytes from the spill.
-    admission:
-        Overload management (default ``None``: off, intake is
-        unbounded).  A ready :class:`~repro.core.admission.
-        AdmissionController` is installed as-is —
-        ``AdmissionController(max_inflight=max_workers)`` sizes it to
-        the pool, so queueing happens in the controller (aged,
-        bounded), never in the executor.  With admission on,
-        ``submit`` and ``execute`` may raise
-        :class:`~repro.errors.OverloadedError`, whose ``rejection`` is
-        the structured :class:`~repro.core.admission.RejectedQuery`
-        of the shed query.
     monitor:
         Runtime contract monitoring (default ``True``: a fresh
         :class:`~repro.core.monitor.ContractMonitor` is installed into
         the engine); a ready monitor is installed as-is; ``False``
         turns it off.  The monitor is pure observation — it watches every
-        settled query and admission shed and aggregates per-tier /
+        settled query and aggregates per-tier /
         per-session SLA compliance, error-margin and latency
         histograms, and a bounded violation log (``server.report().
         sla``) — answers, charges, and attempt traces are byte-
@@ -248,7 +221,6 @@ class SciBorqServer:
         shared_scans: bool = True,
         batch_window: float = 0.0,
         memory_budget: Union[int, MemoryGovernor, None] = None,
-        admission: Optional[AdmissionController] = None,
         monitor: Union[ContractMonitor, bool] = True,
         contract: Union[Contract, str, None] = None,
     ) -> None:
@@ -273,14 +245,6 @@ class SciBorqServer:
             if memory_budget is None or isinstance(memory_budget, MemoryGovernor)
             else MemoryGovernor(int(memory_budget))
         )
-        if admission is not None and not isinstance(
-            admission, AdmissionController
-        ):
-            raise TypeError(
-                f"admission must be an AdmissionController or None, "
-                f"got {admission!r}"
-            )
-        self.admission: Optional[AdmissionController] = admission
         if isinstance(monitor, bool):
             # default ON: monitoring is pure observation, so there is
             # no accuracy or byte-identity cost to paying for it
@@ -333,13 +297,6 @@ class SciBorqServer:
                 "contract monitoring: on, violation retention %d",
                 self.monitor.violation_retention,
             )
-        if self.admission is not None:
-            self.admission.bind_scheduler(self.scheduler)
-            logging.getLogger("repro.admission").info(
-                "admission control: %d in flight, queue depth %d",
-                self.admission.max_inflight,
-                self.admission.queue_depth,
-            )
 
     def _release_engine(self) -> None:
         """Give the engine up, carrying nothing this server installed
@@ -364,7 +321,6 @@ class SciBorqServer:
         name: Optional[str] = None,
         contract: Union[Contract, str, None] = None,
         shared_scans: bool = True,
-        weight: float = 1.0,
     ) -> Session:
         """Open a new session with its own default contract.
 
@@ -376,8 +332,7 @@ class SciBorqServer:
         ``shared_scans=False`` keeps this user's scans out of the
         server's shared-scan convoys (answers and charges are
         identical either way; opting out only forgoes the wall-clock
-        sharing).  ``weight`` is this tenant's admission-priority
-        weight under overload (ignored without admission control).
+        sharing).
         """
         self._require_open()
         if contract is None:
@@ -391,7 +346,6 @@ class SciBorqServer:
                 name=name,
                 contract=contract,
                 shared_scans=shared_scans,
-                weight=weight,
             )
             self._sessions[session_id] = session
         if self.monitor is not None:
@@ -417,45 +371,22 @@ class SciBorqServer:
         query: Query,
         contract: Optional[Contract],
         hierarchy: Optional[str],
-        kind: str,
-    ) -> Tuple[QueryHandle, Optional[AdmissionTicket]]:
-        """The one prologue of every query: admit, log, submit.
+    ) -> QueryHandle:
+        """The one prologue of every query: log, submit.
 
-        Takes an admission ticket of ``kind`` (a ``"blocking"`` ticket
-        waits inline for its slot, in the same aged queue as pool
-        submissions; a shed raises
-        :class:`~repro.errors.OverloadedError` before anything is
-        logged), records the query in the session log, and submits it
-        to the engine.  The execution context — engine clock plus the
-        session clock as observers, so the outcome's ``total_cost`` is
-        exactly this query's own spending — opens at the first rung,
-        inside the read lock the drain holds: wall-mode budgets bill
-        execution time only.  A degraded ticket marks the handle
-        before any drain, so the engine settles the flag with the
-        outcome.
+        Records the query in the session log and submits it to the
+        engine.  The execution context — engine clock plus the session
+        clock as observers, so the outcome's ``total_cost`` is exactly
+        this query's own spending — opens at the first rung, inside the
+        read lock the drain holds: wall-mode budgets bill execution
+        time only.
         """
         self._require_open()
         session._require_open()
         contract = contract if contract is not None else session.defaults
-        ticket: Optional[AdmissionTicket] = None
-        if self.admission is not None:
-            try:
-                ticket, contract = self.admission.admit(
-                    session, query, contract, kind=kind
-                )
-            except OverloadedError as exc:
-                self._observe_rejection(exc.rejection)
-                raise
-            if kind == "blocking" and not self.admission.wait(ticket):
-                # the controller closed while we queued (and evicted
-                # the ticket): structured shutdown rejection, never a
-                # silent hang
-                rejection = self._shutdown_rejection(session, query)
-                self._observe_rejection(rejection, contract)
-                raise OverloadedError(rejection)
         session.query_log.record(query)
         try:
-            handle = self.engine.submit(
+            return self.engine.submit(
                 query,
                 contract,
                 hierarchy=hierarchy,
@@ -469,42 +400,28 @@ class SciBorqServer:
             )
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             self._note_failure(session, query, exc)
-            if ticket is not None:
-                self.admission.release(ticket, failed=True)
             raise
-        if ticket is not None and ticket.degraded:
-            handle.mark_degraded()
-        return handle, ticket
 
     def _finish(
-        self,
-        session: Session,
-        query: Query,
-        handle: QueryHandle,
-        ticket: Optional[AdmissionTicket],
+        self, session: Session, query: Query, handle: QueryHandle
     ) -> None:
         """The one epilogue of every drained query.
 
         A failure (strict bound miss, bad predicate) stays on the
         handle for ``result()`` to re-raise — but it is *counted*
         here, per server and per session, so a background failure is
-        observable without anyone ever calling ``result()``.  Returns
-        the admission slot, then lets the governor run.
+        observable without anyone ever calling ``result()``.  Then
+        lets the governor run.
         """
         try:
             outcome = handle.result(timeout=0)
         except BaseException as exc:  # noqa: BLE001 - stays on the handle
             self._note_failure(session, query, exc)
-            failed = True
-        else:
-            session._record(query, outcome)
-            with self._admin_lock:
-                self._queries_served += 1
-            failed = False
-        if ticket is not None:
-            self.admission.release(ticket, failed=failed)
-        if not failed:
-            self._govern_memory()
+            return
+        session._record(query, outcome)
+        with self._admin_lock:
+            self._queries_served += 1
+        self._govern_memory()
 
     def execute(
         self,
@@ -516,43 +433,14 @@ class SciBorqServer:
         """Run one query for ``session``, blocking until done.
 
         The blocking drain: the calling thread runs the ladder under
-        the shared read lock.  With admission control it first waits
-        inline for its slot, may run under a coarsened contract
-        (``outcome.degraded``), and raises
-        :class:`~repro.errors.OverloadedError` when shed.
+        the shared read lock.
         """
-        handle, ticket = self._open(session, query, contract, hierarchy, "blocking")
+        handle = self._open(session, query, contract, hierarchy)
         try:
             with self._rwlock.read_locked():
                 return handle.result()
         finally:
-            self._finish(session, query, handle, ticket)
-
-    def _shutdown_rejection(
-        self, session: Session, query: Query
-    ) -> RejectedQuery:
-        """A structured shed for queries the shutdown overtook."""
-        return RejectedQuery(
-            session_name=session.name,
-            session_id=session.session_id,
-            query=query,
-            reason="shutdown",
-            retry_after=0.0,
-            queued=0,
-            inflight=0,
-        )
-
-    def _observe_rejection(
-        self, rejection: RejectedQuery, contract: Optional[Contract] = None
-    ) -> None:
-        """Feed one shed to the contract monitor.
-
-        Sheds never reach the engine's settle hook (nothing ran), so
-        the server reports them here — a broken promise counts in the
-        SLA denominator, it is not a gap in it.
-        """
-        if self.monitor is not None:
-            self.monitor.observe_rejection(rejection, contract)
+            self._finish(session, query, handle)
 
     # ------------------------------------------------------------------
     # progressive execution (readers)
@@ -570,78 +458,39 @@ class SciBorqServer:
         immediately; a pool worker drains the ladder under the shared
         read lock, delivering ``on_progress`` callbacks from the
         worker thread.  ``cancel()`` on the returned handle stops the
-        worker between rungs.
-
-        With admission control the submission first passes the intake
-        ladder: it may be queued (the handle's ``queue_seconds`` and
-        every :class:`~repro.core.handle.ProgressUpdate` report the
-        wait), degraded (coarsened contract, outcome marked), or shed
-        — :class:`~repro.errors.OverloadedError` raised here, before
-        any handle exists.
+        worker between rungs.  The handle's ``queue_seconds`` and every
+        :class:`~repro.core.handle.ProgressUpdate` report the wait for
+        a pool worker.
         """
-        handle, ticket = self._open(session, query, contract, hierarchy, "pool")
+        handle = self._open(session, query, contract, hierarchy)
         handle.mark_driven()
         handle.mark_queued()
         with self._admin_lock:
             self._active_handles.add(handle)
-        if ticket is None:
-            submission = (self._drive_handle, handle, session, query, None)
-        else:
-            # a worker claims the *globally best* ticket, not this one:
-            # priority order happens here, on a plain FIFO pool
-            ticket.payload = (handle, session, query)
-            submission = (self._run_next_admitted,)
         try:
-            self._pool.submit(*submission)
+            self._pool.submit(self._drive_handle, handle, session, query)
         except RuntimeError:
             # pool shut down between _require_open and here: settle the
             # handle so its caller never blocks on a drain that will
             # never run
             self._settle_never_run(handle, session, query)
-        else:
-            if ticket is not None and self.admission.closed:
-                # close() may have evicted the ticket before its
-                # payload existed — same guarantee, same settle
-                self._settle_never_run(handle, session, query)
         return handle
 
     def _settle_never_run(
         self, handle: QueryHandle, session: Session, query: Query
     ) -> None:
         """Fail a handle whose drain was overtaken by shutdown."""
-        if handle.done:
-            return
-        rejection = self._shutdown_rejection(session, query)
-        self._observe_rejection(rejection, handle.contract)
-        handle._fail(OverloadedError(rejection))
+        error = SessionError("server is shut down")
+        handle._fail(error)
+        if handle._error is error:
+            # counted only when this settle won: shutdown's own forced
+            # settle may have got there first
+            self._note_failure(session, query, error)
         with self._admin_lock:
             self._active_handles.discard(handle)
 
-    def _run_next_admitted(self) -> None:
-        """Pool worker for admitted submissions: claim the globally
-        best waiting ticket, drive its handle, release the slot.
-
-        One of these is queued per admitted submission, but the ticket
-        a worker claims is whichever ranks best *now* under priority
-        aging — the controller, not pool FIFO order, decides dispatch.
-        """
-        assert self.admission is not None
-        ticket = self.admission.take()
-        if ticket is None:
-            # controller closed: evicted handles are failed by shutdown
-            return
-        try:
-            self._drive_handle(*ticket.payload, ticket)
-        finally:
-            # idempotent: only matters when the drive itself blew up
-            self.admission.release(ticket, failed=True)
-
     def _drive_handle(
-        self,
-        handle: QueryHandle,
-        session: Session,
-        query: Query,
-        ticket: Optional[AdmissionTicket],
+        self, handle: QueryHandle, session: Session, query: Query
     ) -> None:
         """Pool worker core: drain one handle under the shared read
         lock, then run the epilogue."""
@@ -655,7 +504,7 @@ class SciBorqServer:
                 # mid-drain.  Settle the handle (first-settle-wins) so
                 # its caller never blocks on a drain nobody finishes.
                 handle._fail(exc)
-            self._finish(session, query, handle, ticket)
+            self._finish(session, query, handle)
         finally:
             with self._admin_lock:
                 self._active_handles.discard(handle)
@@ -775,10 +624,8 @@ class SciBorqServer:
         deadline is cancelled between rungs (best-so-far kept) and
         wedged or never-started drains are failed outright — either
         way every handle settles, so no caller blocks forever.  The
-        returned :class:`ShutdownReport` says how many drained,
-        how many were cancelled, and how many queued submissions the
-        admission controller evicted (each failed with a structured
-        shutdown rejection).
+        returned :class:`ShutdownReport` says how many drained and how
+        many were cancelled.
 
         Also gives the engine up: the scan scheduler, memory governor
         and contract monitor this server installed are removed, and
@@ -789,46 +636,31 @@ class SciBorqServer:
         self._closed = True
         for session in self.sessions:
             session.close()
-        evicted = 0
-        forced: Set[QueryHandle] = set()
-        if self.admission is not None:
-            for ticket in self.admission.close():
-                evicted += 1
-                if ticket.payload is None:
-                    continue  # a blocking ticket; its own thread sees False
-                evicted_handle = ticket.payload[0]
-                rejection = self._shutdown_rejection(
-                    ticket.session, ticket.query
-                )
-                if not evicted_handle.done:
-                    # an already-settled handle was observed by
-                    # whichever path settled it; counting here too
-                    # would double-book the shed
-                    self._observe_rejection(
-                        rejection, evicted_handle.contract
-                    )
-                evicted_handle._fail(OverloadedError(rejection))
-                forced.add(evicted_handle)
+        if timeout is not None:
+            # stop feeding the pool before the snapshot: queued drains
+            # are cancelled and failed below, and a submit racing this
+            # shutdown is either in the snapshot or finds the pool shut
+            # and settles its own handle
+            self._pool.shutdown(wait=False, cancel_futures=True)
         with self._admin_lock:
             active = list(self._active_handles)
+        forced: Set[QueryHandle] = set()
         cancelled = 0
         if timeout is not None:
             deadline = time.monotonic() + timeout
-            # stop feeding the pool; queued-but-unstarted drains are
-            # cancelled here and failed below so their handles settle
-            self._pool.shutdown(wait=False, cancel_futures=True)
             for handle in active:
                 remaining = deadline - time.monotonic()
                 if remaining > 0:
                     handle._done.wait(remaining)
                 if not handle.done:
                     handle.request_cancel()
+            # one grace period, shared, for the cancels to land at a
+            # rung boundary: shutdown never outlasts timeout + 0.2 s
+            deadline = time.monotonic() + 0.2
             for handle in active:
-                if handle in forced:
-                    continue
-                if not handle.done:
-                    # grace for the cancel to land at a rung boundary
-                    handle._done.wait(0.2)
+                remaining = deadline - time.monotonic()
+                if remaining > 0:
+                    handle._done.wait(remaining)
                 if not handle.done:
                     cancelled += 1
                     handle._fail(
@@ -844,7 +676,7 @@ class SciBorqServer:
             self._pool.shutdown(wait=wait)
             if wait:
                 for handle in active:
-                    if handle in forced or handle.done:
+                    if handle.done:
                         continue
                     # its worker task was cancelled or never dispatched
                     cancelled += 1
@@ -858,15 +690,13 @@ class SciBorqServer:
             1 for handle in active if handle.done and handle not in forced
         )
         self._release_engine()
-        return ShutdownReport(
-            drained=drained, cancelled=cancelled, evicted=evicted
-        )
+        return ShutdownReport(drained=drained, cancelled=cancelled)
 
     def report(self) -> ServerReport:
         """Structured server state (:class:`ServerReport`).
 
-        Every figure is a consistent snapshot — the admission,
-        scheduler, and monitor stats objects each snapshot under their
+        Every figure is a consistent snapshot — the scheduler,
+        governor and monitor stats objects each snapshot under their
         own lock, so concurrent mutation never tears a field.  The
         fleet SLA aggregates (``report().sla``) are present whenever a
         contract monitor is installed (the default).
@@ -891,9 +721,6 @@ class SciBorqServer:
             queries_failed=failed,
             pool_workers=self.max_workers,
             engine_clock=self.engine.clock.now,
-            admission=(
-                self.admission.stats if self.admission is not None else None
-            ),
             scheduler=(
                 self.scheduler.stats if self.scheduler is not None else None
             ),

@@ -89,13 +89,6 @@ class Session:
         convoys (:mod:`repro.core.scheduler`).  On by default —
         sharing changes wall-clock only, never answers or charges;
         opting out pins every scan of this session to the solo path.
-    weight:
-        Admission-priority weight (:mod:`repro.core.admission`): under
-        overload, this tenant's queued queries rank as if ``weight``
-        sessions were asking.  Aging still guarantees every other
-        tenant's queries dispatch eventually — weight buys position,
-        never exclusivity.  Ignored when the server runs without
-        admission control.
     """
 
     def __init__(
@@ -105,10 +98,7 @@ class Session:
         name: Optional[str] = None,
         contract: Union[Contract, str, None] = None,
         shared_scans: bool = True,
-        weight: float = 1.0,
     ) -> None:
-        if weight <= 0:
-            raise SessionError(f"weight must be positive, got {weight}")
         if isinstance(contract, str):
             contract = Contract.preset(contract)
         self._server = server
@@ -117,8 +107,6 @@ class Session:
         #: Enrolment in the server's shared-scan convoys; carried into
         #: every execution context the server opens for this session.
         self.shared_scans = shared_scans
-        #: Admission-priority weight of this tenant's queued queries.
-        self.weight = weight
         self.defaults = contract if contract is not None else Contract()
         #: Aggregate observer: sums the cost of this session's queries.
         self.clock = CostClock()

@@ -90,19 +90,3 @@ class EstimationError(SciborqError):
 
 class SessionError(SciborqError):
     """A server session was used incorrectly (e.g. after close)."""
-
-
-class OverloadedError(SciborqError):
-    """The server shed a query instead of queueing it unboundedly.
-
-    Carries the structured :class:`~repro.core.admission.RejectedQuery`
-    as ``rejection``, so callers get the shed reason and a retry-after
-    estimate instead of a timeout: back off for
-    ``exc.rejection.retry_after`` seconds and resubmit.  Raised by
-    ``SciBorqServer.submit`` and ``execute`` (and the session's
-    spellings of them) before the query runs.
-    """
-
-    def __init__(self, rejection) -> None:
-        super().__init__(rejection.describe())
-        self.rejection = rejection

@@ -100,7 +100,6 @@ class LadderRecommendation:
     mean_rungs: float
     expected_error: float
     expected_cost: float
-    degraded_share: float
     share: float
     suggested_skip: int
 
@@ -153,7 +152,6 @@ class RegionPopularityModel:
         self.tuples_sum = np.zeros(shape, dtype=np.float64)
         self.rungs_sum = np.zeros(shape, dtype=np.float64)
         self.error_sum = np.zeros(shape, dtype=np.float64)
-        self.degraded = np.zeros(shape, dtype=np.int64)
         #: per-table query counts
         self.table_counts: Dict[str, int] = {}
         self.total = 0
@@ -188,8 +186,6 @@ class RegionPopularityModel:
             self.rungs_sum[cell] += float(outcome.rungs_climbed)
             if math.isfinite(outcome.achieved_error):
                 self.error_sum[cell] += float(outcome.achieved_error)
-            if outcome.degraded:
-                self.degraded[cell] += 1
 
     def decay(self, factor: float) -> None:
         """Age the popularity *and* the escalation profile together.
@@ -199,7 +195,6 @@ class RegionPopularityModel:
         """
         self.counts = age_counts(self.counts, factor)
         self.settled = age_counts(self.settled, factor)
-        self.degraded = age_counts(self.degraded, factor)
         self.tuples_sum *= factor
         self.rungs_sum *= factor
         self.error_sum *= factor
@@ -262,7 +257,6 @@ class RegionPopularityModel:
             mean_rungs=mean_rungs,
             expected_error=float(self.error_sum[cell]) / support,
             expected_cost=float(self.tuples_sum[cell]) / support,
-            degraded_share=float(self.degraded[cell]) / support,
             share=(
                 float(self.counts[cell]) / self.total if self.total else 0.0
             ),
@@ -289,7 +283,6 @@ class RegionPopularityModel:
             "tuples_sum": self.tuples_sum,
             "rungs_sum": self.rungs_sum,
             "error_sum": self.error_sum,
-            "degraded": self.degraded,
         }
 
     def state_metadata(self) -> Dict[str, object]:
@@ -329,7 +322,6 @@ class RegionPopularityModel:
         model.tuples_sum = np.asarray(arrays["tuples_sum"], dtype=np.float64)
         model.rungs_sum = np.asarray(arrays["rungs_sum"], dtype=np.float64)
         model.error_sum = np.asarray(arrays["error_sum"], dtype=np.float64)
-        model.degraded = np.asarray(arrays["degraded"], dtype=np.int64)
         model.total = int(metadata["total"])  # type: ignore[call-overload]
         model.table_counts = {
             str(table): int(count)

@@ -10,7 +10,7 @@ number of queries" (§4).
 Entries are recorded at *submission* (the workload model sees intent)
 and — for executions the engine settles — enriched at *completion*
 with a :class:`QueryOutcome`: tuples charged, rungs climbed, achieved
-error, wall seconds, session id, degraded flag.  That settled feed is
+error, wall seconds, session id.  That settled feed is
 what the fleet-wide workload miner
 (:mod:`repro.workload.intelligence`) learns escalation behaviour from.
 """
@@ -39,8 +39,6 @@ class QueryOutcome:
     wall_seconds: float
     #: Owning server session, when the server drove the execution.
     session_id: Optional[int] = None
-    #: Whether admission control coarsened the contract.
-    degraded: bool = False
 
 
 @dataclass(frozen=True)

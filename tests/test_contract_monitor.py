@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro import Contract, SciBorqServer
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
-from repro.core.admission import AdmissionController, RejectedQuery
 from repro.core.engine import SciBorq
 from repro.core.monitor import (
     UNTIERED,
@@ -31,7 +30,7 @@ from repro.core.monitor import (
     MetricGate,
     SlaBucket,
 )
-from repro.errors import OverloadedError, QueryError
+from repro.errors import QueryError
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 
@@ -81,7 +80,6 @@ def make_verdict(
         queue_seconds=None,
         run_seconds=run_seconds,
         wall_seconds=run_seconds,
-        reason="queue_full" if status == "rejected" else None,
     )
 
 
@@ -198,9 +196,11 @@ class TestAggregationExactness:
     def test_unknown_status_rejected(self):
         from dataclasses import replace
 
-        bad = replace(make_verdict("met"), status="mystery")
-        with pytest.raises(ValueError, match="unknown verdict status"):
-            ContractMonitor().record(bad)
+        # a verdict is met or missed: no other status exists
+        for status in ("mystery", "degraded", "rejected"):
+            bad = replace(make_verdict("met"), status=status)
+            with pytest.raises(ValueError, match="unknown verdict status"):
+                ContractMonitor().record(bad)
 
     def test_violation_log_is_bounded(self):
         monitor = ContractMonitor(violation_retention=3)
@@ -384,9 +384,7 @@ class TestTenantIsolation:
         monitor.record(make_verdict("missed", session_id=2))
         monitor.record(make_verdict("met", session_id=2))
         report = monitor.report()
-        assert report.by_session[1] == SlaBucket(
-            total=4, met=4, missed=0, degraded=0, rejected=0
-        )
+        assert report.by_session[1] == SlaBucket(total=4, met=4, missed=0)
         assert report.by_session[2].compliance == 0.5
         assert report.session_names == {1: "alice", 2: "bob"}
         # one tenant's misses never leak into another's compliance
@@ -406,58 +404,6 @@ class TestTenantIsolation:
             assert sla.by_session[bob.session_id].total == 1
             assert sla.by_tier["silver"].total == 1
             assert sla.by_tier["bronze"].total == 1
-
-
-# ======================================================================
-# Sheds count in the denominator (the small fix)
-# ======================================================================
-class TestShedAccounting:
-    def test_fully_shed_burst_reports_zero_compliance(self):
-        engine = tiny_engine(seed=7700, n=4_000)
-        controller = AdmissionController(max_inflight=1, queue_depth=1)
-        with SciBorqServer(
-            engine, max_workers=1, admission=controller
-        ) as server:
-            session = server.open_session("burst", contract="gold")
-            blocker = server.open_session("blocker")
-            # fill every slot and queue position with tickets nobody
-            # drives, so the burst below sheds deterministically
-            for _ in range(
-                controller.max_inflight + controller.queue_depth
-            ):
-                controller.admit(blocker, cone_count(), Contract())
-            for _ in range(5):
-                with pytest.raises(OverloadedError) as shed:
-                    session.submit(cone_count())
-                assert isinstance(shed.value.rejection, RejectedQuery)
-            sla = server.report().sla
-            assert sla.observed == 5
-            assert sla.rejected == 5
-            assert sla.compliance == 0.0  # not 100%: sheds count
-            assert sla.by_tier["gold"].compliance == 0.0
-            assert not server.monitor.check_gates({"gold": 0.99}).passed
-            # the violation log carries the structured reason
-            assert all(
-                v.status == "rejected" and v.reason == "queue_full"
-                for v in sla.violations
-            )
-
-    def test_rejection_carries_contract_tier(self):
-        monitor = ContractMonitor()
-        rejection = RejectedQuery(
-            session_name="burst",
-            session_id=3,
-            query=cone_count(),
-            reason="queue_full",
-            retry_after=0.5,
-            queued=4,
-            inflight=1,
-            contract=Contract.gold(),
-        )
-        verdict = monitor.observe_rejection(rejection)
-        assert verdict.tier == "gold"
-        assert verdict.status == "rejected"
-        assert monitor.report().by_tier["gold"].rejected == 1
 
 
 # ======================================================================

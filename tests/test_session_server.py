@@ -9,6 +9,7 @@ session lifecycle, contract defaults) supports that guarantee.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -17,12 +18,12 @@ import pytest
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
 from repro.core import session as session_module
-from repro.core.admission import AdmissionController
 from repro.core.engine import SciBorq
 from repro.core.governor import MemoryGovernor
 from repro.core.monitor import ContractMonitor
 from repro.core.scheduler import SharedScanScheduler
-from repro.core.server import SciBorqServer
+from repro.core.handle import QueryHandle
+from repro.core.server import SciBorqServer, ShutdownReport
 from repro.errors import QueryError, SessionError
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
@@ -167,7 +168,6 @@ class TestCrossSessionIsolation:
             assert blocking.tuples_charged == outcome.total_cost
             assert blocking.rungs_climbed == len(outcome.attempts)
             assert blocking.wall_seconds >= 0.0
-            assert not blocking.degraded
             exact = entries[2].outcome
             assert exact.rungs_climbed == 1
             assert exact.achieved_error == 0.0
@@ -265,15 +265,6 @@ class TestSessionLifecycle:
         assert engine.memory_governor is None
         assert engine.monitor is None
         assert engine.server is None
-
-    @pytest.mark.parametrize("spelling", [True, False])
-    def test_admission_is_a_controller_or_nothing(self, spelling):
-        engine = make_engine()
-        with pytest.raises(TypeError, match="AdmissionController"):
-            SciBorqServer(engine, admission=spelling)
-        assert engine.server is None and engine.monitor is None
-        with SciBorqServer(engine, admission=AdmissionController()) as server:
-            assert server.admission.max_inflight == server.max_workers
 
     def test_strict_misses_fail_their_own_handles(self):
         """Each strict miss re-raises from its own handle and is
@@ -387,6 +378,310 @@ class TestWriterPaths:
                 writer.join(timeout=30)
             assert not errors
             assert not writer.is_alive()
+
+
+class TestFailureAccounting:
+    """A failure nobody asks about is still counted, per server and
+    per session."""
+
+    def test_strict_miss_on_submit_is_observable_server_side(self):
+        """A background strict miss must be countable without anyone
+        calling ``result()``."""
+        with SciBorqServer(make_engine(), max_workers=1) as server:
+            session = server.open_session(
+                "strict",
+                contract=Contract(
+                    max_relative_error=1e-12,
+                    time_budget=600,  # only the smallest layer fits
+                    strict=True,
+                ),
+            )
+            handle = session.submit(cone(150.0, 5.0))
+            # wait for the background drain — via the handle's done
+            # event, not result(), which would re-raise
+            assert handle._done.wait(10.0)
+            deadline = time.monotonic() + 5.0
+            while server.queries_failed == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.queries_failed == 1
+            assert session.report().failures == 1
+            assert "1 failed" in server.report().render()
+            # the failure still reaches a caller who does ask
+            with pytest.raises(Exception):
+                handle.result()
+
+    def test_blocking_failures_are_counted_too(self):
+        from repro.errors import QualityBoundError
+
+        with SciBorqServer(make_engine()) as server:
+            session = server.open_session(
+                "strict", contract=Contract().strictly()
+            )
+            with pytest.raises(QualityBoundError):
+                session.execute(
+                    cone(150.0, 5.0),
+                    session.contract(max_relative_error=1e-12, time_budget=600),
+                )
+            assert server.queries_failed == 1
+            assert session.report().failures == 1
+
+    def test_execute_exact_failures_are_counted(self):
+        from repro.columnstore.expressions import Comparison
+        from repro.errors import UnknownColumnError
+
+        bad = Query(
+            table="PhotoObjAll",
+            predicate=Comparison("missing", ">", 0.0),
+            aggregates=[AggregateSpec("count")],
+        )
+        with SciBorqServer(make_engine(), max_workers=1) as server:
+            session = server.open_session("oops")
+            with pytest.raises(UnknownColumnError):
+                server.execute(session, bad, Contract.exact())
+            assert server.queries_failed == 1
+            assert session.report().failures == 1
+            assert session.history == []
+
+
+class TestQueueSplit:
+    def test_queue_time_split_in_progress_updates(self):
+        with SciBorqServer(make_engine()) as server:
+            session = server.open_session("timed")
+            handle = session.submit(
+                cone(150.0, 5.0), contract=Contract.within_error(0.1)
+            )
+            handle.result()
+            assert handle.queue_seconds is not None
+            assert handle.queue_seconds >= 0
+            assert handle.run_seconds is not None
+            for update in handle.updates:
+                assert update.queue_seconds is not None
+                assert update.run_seconds is not None
+                assert "queued=" in update.describe()
+
+    def test_lazy_handles_carry_no_queue_split(self):
+        """Engine-level (unqueued) handles carry no timing fields."""
+        engine = make_engine()
+        handle = engine.submit(cone(150.0, 5.0), Contract.within_error(0.1))
+        handle.result()
+        assert handle.queue_seconds is None
+        for update in handle.updates:
+            assert update.queue_seconds is None
+            assert update.run_seconds is None
+            assert "queued=" not in update.describe()
+
+
+class TestFaultInjection:
+    """Threads die, cancels race, shutdown overtakes: every handle
+    still settles, and no caller blocks forever."""
+
+    def test_worker_death_mid_drain_settles_the_handle(self, monkeypatch):
+        """A drain that blows up in the worker must fail the handle
+        (caller unblocked) and count the failure — never hang."""
+
+        def dying_drain(self):
+            raise RuntimeError("worker died mid-drain")
+
+        with SciBorqServer(make_engine(), max_workers=1) as server:
+            session = server.open_session("doomed")
+            monkeypatch.setattr(QueryHandle, "drain", dying_drain)
+            handle = session.submit(cone(150.0, 5.0))
+            with pytest.raises(RuntimeError, match="worker died"):
+                handle.result(timeout=10.0)
+            monkeypatch.undo()
+            deadline = time.monotonic() + 5.0
+            while server.queries_failed == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.queries_failed == 1
+            # the server survives: the next query is unaffected
+            ok = session.submit(cone(150.0, 5.0), Contract.within_error(0.1))
+            assert ok.result(timeout=10.0).result is not None
+
+    def test_cancel_of_a_queued_submit_still_settles(self):
+        """Cancelling a handle still waiting for the one pool worker
+        settles it with a best-so-far answer, not a hang."""
+        with SciBorqServer(make_engine(), max_workers=1) as server:
+            session = server.open_session("racer")
+            ahead = [
+                session.submit(
+                    cone(150.0, 5.0), contract=Contract.within_error(0.2)
+                )
+                for _ in range(3)
+            ]
+            racer = session.submit(
+                cone(170.0, 3.0), contract=Contract.within_error(0.2)
+            )
+            racer.request_cancel()  # likely still queued right now
+            outcome = racer.result(timeout=10.0)
+            assert outcome.result is not None  # first rung, at minimum
+            for handle in ahead:
+                handle.result(timeout=10.0)
+
+    def test_shutdown_timeout_fails_a_wedged_drain(self, monkeypatch):
+        """A drain that never finishes cannot hang ``shutdown(timeout=)``;
+        its handle is settled and the report says so."""
+        release = threading.Event()
+
+        def wedged_drain(self):
+            release.wait(30.0)  # ignores cancel; simulates a wedge
+
+        monkeypatch.setattr(QueryHandle, "drain", wedged_drain)
+        try:
+            server = SciBorqServer(make_engine(), max_workers=1)
+            session = server.open_session("wedged")
+            handle = session.submit(cone(150.0, 5.0))
+            queued = session.submit(cone(170.0, 3.0))  # never dispatched
+            started = time.monotonic()
+            report = server.shutdown(wait=True, timeout=0.3)
+            assert time.monotonic() - started < 10.0
+            assert isinstance(report, ShutdownReport)
+            assert report.cancelled == 2
+            for stuck in (handle, queued):
+                with pytest.raises(SessionError):
+                    stuck.result(timeout=1.0)
+        finally:
+            release.set()
+
+    def test_shutdown_without_timeout_reports_and_is_idempotent(self):
+        server = SciBorqServer(make_engine())
+        session = server.open_session("s")
+        handle = session.submit(cone(150.0, 5.0), Contract.within_error(0.1))
+        report = server.shutdown(wait=True)
+        assert isinstance(report, ShutdownReport)
+        handle.result(timeout=1.0)  # drained before the pool stopped
+        again = server.shutdown()
+        assert again == ShutdownReport()
+
+    def test_a_submit_the_shutdown_overtakes_fails_and_is_counted(
+        self, monkeypatch
+    ):
+        """The pool stopped between ``_require_open`` and dispatch: the
+        handle fails at once with the shut-down error and counts."""
+        server = SciBorqServer(make_engine(), max_workers=1)
+        session = server.open_session("late")
+        server._pool.shutdown(wait=True)
+        handle = session.submit(cone(150.0, 5.0))
+        assert handle.done
+        with pytest.raises(SessionError, match="server is shut down"):
+            handle.result(timeout=0)
+        assert server.queries_failed == 1
+        assert session.report().failures == 1
+        assert server.shutdown(timeout=1.0) == ShutdownReport()
+
+
+#: (center ra, radius, max_relative_error) of one session's 25 queries;
+#: the modular walk repeats cones within and across sessions, so
+#: convoys and selection-cache hits happen alongside fresh scans.
+def liveness_stream(session: int):
+    errors = (0.5, 0.2, 0.1, 0.05)
+    return [
+        (130.0 + (session * 7 + i * 11) % 100, 2.0 + i % 5, errors[(session + i) % 4])
+        for i in range(25)
+    ]
+
+
+def answer(outcome):
+    """What a query returned and what it was charged, rung by rung."""
+    estimates = dict(outcome.result.estimates)
+    attempts = [
+        (a.source, a.rows, a.cost, a.relative_error, a.satisfied)
+        for a in outcome.attempts
+    ]
+    return estimates, outcome.total_cost, attempts
+
+
+class TestLiveness:
+    """Every pool-driven handle settles, whatever the contention."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_eight_sessions_bursting_all_settle_with_serial_answers(
+        self, workers
+    ):
+        serial_engine = make_engine()
+        serial = {
+            (s, i): answer(
+                serial_engine.execute(cone(ra, radius), Contract.within_error(error))
+            )
+            for s in range(8)
+            for i, (ra, radius, error) in enumerate(liveness_stream(s))
+        }
+        server = SciBorqServer(make_engine(), max_workers=workers)
+        sessions = [server.open_session(f"client-{s}") for s in range(8)]
+        handles = {}
+        failures = []
+
+        def client(s: int) -> None:
+            try:
+                session = sessions[s]
+                for i, (ra, radius, error) in enumerate(liveness_stream(s)):
+                    handles[(s, i)] = session.submit(
+                        cone(ra, radius), session.contract(max_relative_error=error)
+                    )
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=client, args=(s,)) for s in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave clients and workers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            assert len(handles) == len(serial)
+            for key, handle in handles.items():
+                assert answer(handle.result(timeout=30.0)) == serial[key], key
+        finally:
+            sys.setswitchinterval(interval)
+            report = server.shutdown(timeout=5.0)
+        assert all(handle.done for handle in handles.values())
+        assert report.cancelled == 0
+        # a worker counts its query just after settling the handle
+        deadline = time.monotonic() + 5.0
+        while server.queries_served < len(serial) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.queries_served == len(serial)
+        assert server.queries_failed == 0
+
+    def test_shutdown_racing_submits_settles_every_handle(self):
+        """Clients keep submitting while a timed shutdown runs: a
+        submit either raises the shut-down error or returns a handle
+        that settles."""
+        server = SciBorqServer(make_engine(), max_workers=2)
+        sessions = [server.open_session(f"client-{s}") for s in range(4)]
+        handles = []
+
+        def client(s: int) -> None:
+            for ra, radius, error in liveness_stream(s) * 4:
+                try:
+                    handles.append(
+                        sessions[s].submit(
+                            cone(ra, radius), Contract.within_error(error)
+                        )
+                    )
+                except SessionError:
+                    return  # the server (and so the session) is shut down
+
+        threads = [threading.Thread(target=client, args=(s,)) for s in range(4)]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.05)
+        started = time.monotonic()
+        server.shutdown(timeout=0.2)
+        # the cancel grace is shared, not paid once per queued handle
+        assert time.monotonic() - started < 5.0
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert handles
+        for handle in handles:
+            assert handle._done.wait(5.0)
+            try:
+                handle.result(timeout=0)
+            except SessionError:
+                pass  # cancelled, never dispatched, or overtaken
 
 
 class TestReadWriteLock:

@@ -11,6 +11,8 @@ exactly like one without.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,28 @@ class TestPersistence:
         )
         with pytest.raises(ImpressionError, match="workload-intelligence"):
             load_intelligence(path)
+
+    def test_a_bundle_with_a_degraded_array_still_loads(self):
+        """``data/intelligence_with_degraded.npz`` was saved when settled
+        outcomes still carried a degraded flag: its model holds a
+        per-cell ``degraded`` count array beside the others.  The array
+        is ignored; everything else loads as mined."""
+        path = Path(__file__).parent / "data" / "intelligence_with_degraded.npz"
+        with np.load(path) as bundle:
+            assert int(bundle["degraded"].sum()) > 0
+        loaded = load_intelligence(path)
+        assert "degraded" not in loaded.state_arrays()
+        model = small_model()
+        WorkloadMiner(model).mine(seeded_log(40))
+        for name, array in model.state_arrays().items():
+            np.testing.assert_array_equal(
+                array, loaded.state_arrays()[name], err_msg=name
+            )
+        assert loaded.total == model.total
+        assert loaded.table_counts == model.table_counts
+        assert loaded.recommendation_at(
+            180.0, 0.0, min_support=1
+        ) == model.recommendation_at(180.0, 0.0, min_support=1)
 
     def test_service_resumes_mining_from_loaded_model(self, tmp_path):
         model = small_model()

@@ -91,7 +91,6 @@ def make_outcome(**overrides) -> QueryOutcome:
         achieved_error=0.03,
         wall_seconds=0.5,
         session_id=7,
-        degraded=False,
     )
     fields.update(overrides)
     return QueryOutcome(**fields)
