@@ -171,7 +171,7 @@ def run_budget_claim(pruned_catalog, flat_catalog, rng, layer_sizes):
     # budget: 80% of what the *unpruned* base scan is predicted to
     # cost — the flat ladder cannot afford its exact rung, the pruned
     # one can
-    budget = 0.8 * estimate_cost(query, flat_catalog).total_cost
+    budget = 0.8 * estimate_cost(query, flat_catalog)
     for label, catalog in (("pruned", pruned_catalog), ("flat", flat_catalog)):
         base = catalog.table("PhotoObjAll")
         hierarchy = build_hierarchy(

@@ -48,7 +48,6 @@ from repro.columnstore import (
     Catalog,
     Comparison,
     Executor,
-    InSet,
     JoinSpec,
     Loader,
     Not,
@@ -97,7 +96,6 @@ __all__ = [
     "Catalog",
     "Comparison",
     "Executor",
-    "InSet",
     "JoinSpec",
     "Loader",
     "Not",

@@ -26,7 +26,6 @@ from repro.columnstore.expressions import (
     TruePredicate,
     Comparison,
     Between,
-    InSet,
     RadialPredicate,
     And,
     Or,
@@ -39,7 +38,6 @@ from repro.columnstore.executor import Executor, QueryResult, ExecutionStats
 from repro.columnstore.recycler import Recycler
 from repro.columnstore.loader import Loader, LoadObserver
 from repro.columnstore.plan import estimate_cost
-from repro.columnstore.statistics import TableStatistics
 
 __all__ = [
     "Column",
@@ -51,7 +49,6 @@ __all__ = [
     "TruePredicate",
     "Comparison",
     "Between",
-    "InSet",
     "RadialPredicate",
     "And",
     "Or",
@@ -68,5 +65,4 @@ __all__ = [
     "Loader",
     "LoadObserver",
     "estimate_cost",
-    "TableStatistics",
 ]

@@ -185,44 +185,6 @@ class Between(Expression):
         return ~((zone.lo > zone.hi) | (zone.hi < self.lo) | (zone.lo > self.hi))
 
 
-class InSet(Expression):
-    """``column IN (values)`` membership test."""
-
-    def __init__(self, column: str, values: Sequence) -> None:
-        if len(values) == 0:
-            raise QueryError("InSet requires at least one value")
-        self.column = column
-        self.values = tuple(values)
-
-    def evaluate(self, table: Table) -> np.ndarray:
-        return np.isin(table[self.column], np.asarray(self.values))
-
-    def columns(self) -> set[str]:
-        return {self.column}
-
-    def requested_values(self) -> Dict[str, List[float]]:
-        numeric = [
-            float(v)
-            for v in self.values
-            if isinstance(v, (int, float, np.integer, np.floating))
-        ]
-        return {self.column: numeric} if numeric else {}
-
-    def fingerprint(self) -> str:
-        return f"({self.column} in {sorted(map(repr, self.values))})"
-
-    def keep_blocks(self, zones: Mapping[str, Zones], num_blocks: int) -> np.ndarray:
-        zone = zones.get(self.column)
-        if zone is None or not all(
-            isinstance(v, _NUMERIC) for v in self.values
-        ):
-            return np.ones(num_blocks, dtype=bool)
-        keep = np.zeros(num_blocks, dtype=bool)
-        for v in self.values:
-            keep |= ~((v < zone.lo) | (v > zone.hi))
-        return keep & ~(zone.lo > zone.hi)
-
-
 class RadialPredicate(Expression):
     """Euclidean cone search: points within ``radius`` of a centre.
 

@@ -11,9 +11,10 @@ This is the paper's §3.2 in executable form:
   holds (the base table being the final, exact rung).
 * **Time bound** — "give me the most representative result you can
   obtain within 5 minutes."  Costs are pre-estimated per rung
-  (tuples-touched model, see :mod:`repro.columnstore.plan`); rungs
-  that do not fit the remaining budget are skipped, and the best
-  answer obtained within budget is returned with its achieved error.
+  (tuples-touched model, see :mod:`repro.columnstore.plan`); the
+  smallest rung always runs, the climb stops at the first rung that
+  does not fit the remaining budget, and the best answer obtained is
+  returned with its achieved error.
 
 The default mode degrades gracefully — it always returns the best
 answer it could afford, flagging ``met_quality``/``met_budget``.
@@ -461,16 +462,11 @@ class BoundedQueryProcessor:
                 fits = affords(self._budget_units(cost, context))
             if attempts and not fits:
                 # We already have an answer and the next rung does not
-                # fit the remaining budget: stop escalating.
+                # fit the remaining budget: stop escalating.  With no
+                # answer yet the rung at hand is the smallest (ladders
+                # run cheapest-first and samplers fill first), so it
+                # runs whatever it costs: the answer of last resort.
                 break
-            if not attempts and not fits and rung is not None:
-                # Nothing answered yet; skip rungs that cannot fit,
-                # but never skip every rung — the smallest impression
-                # is the answer of last resort (handled below).
-                if self._has_smaller_affordable(
-                    query, base, context, affords, rung
-                ):
-                    continue
             update = step(rung, recover=True)
             yield update
             if update.satisfied:
@@ -513,9 +509,9 @@ class BoundedQueryProcessor:
                 query,
                 self.catalog,
                 scan_rows=None if cover is None else cover.scan_rows,
-            ).total_cost
+            )
         fact = rung.materialise(base)
-        return estimate_cost(query, self.catalog, fact_table=fact).total_cost
+        return estimate_cost(query, self.catalog, fact_table=fact)
 
     def _predicted_rung_cost(
         self,
@@ -553,7 +549,7 @@ class BoundedQueryProcessor:
                 self.catalog,
                 selectivity=selectivity,
                 scan_rows=complement_rows,
-            ).total_cost
+            )
         delta_ids = rung.delta_row_ids(consumed)
         if delta_ids is None:
             return self._predicted_cost(query, rung, base)
@@ -803,23 +799,6 @@ class BoundedQueryProcessor:
             estimates=estimates,
             exact=exact,
         )
-
-    def _has_smaller_affordable(
-        self,
-        query: Query,
-        base,
-        context: ExecutionContext,
-        affords,
-        current: Impression,
-    ) -> bool:
-        for impression in self.hierarchy.candidates_for(query, base):
-            if impression.size < current.size and affords(
-                self._budget_units(
-                    self._predicted_cost(query, impression, base), context
-                )
-            ):
-                return True
-        return False
 
     def _run_rung(
         self,

@@ -272,7 +272,14 @@ class QueryHandle:
         if self.done:
             return  # first settle wins
         if result is not None and self._finalize is not None:
-            result = self._finalize(result)
+            try:
+                result = self._finalize(result)
+            except BaseException as exc:
+                # a settle hook that raises fails the handle with its
+                # error, or a driven handle would never settle
+                self._stream.close()
+                self._fail(exc)
+                raise
         with self._state:
             self._result = result
             if self._started_at is not None:

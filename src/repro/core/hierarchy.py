@@ -110,19 +110,6 @@ class ImpressionHierarchy:
             if impression.covers(query, base)
         ]
 
-    def largest_within_cost(self, budget_rows: float) -> Impression | None:
-        """The most detailed layer whose size fits a row budget.
-
-        This is the time-bound entry point: scanning cost is
-        proportional to rows, so the layer chosen is the best quality
-        the budget affords.  Returns None if even the smallest layer
-        is too big.
-        """
-        for impression in self.from_largest():
-            if impression.size <= budget_rows:
-                return impression
-        return None
-
     def base_cover(self, predicate: Expression, base: Table) -> Optional[BaseCover]:
         """What a scan of ``base`` for ``predicate`` reads instead, if
         anything: the access-path rule of every base scan.

@@ -272,9 +272,12 @@ class SciBorqServer:
         self._next_session_id = 0
         self._queries_served = 0
         self._queries_failed = 0
-        #: driven handles not yet settled — what a timed shutdown must
-        #: drain, cancel, or fail so no caller blocks forever
-        self._active_handles: Set[QueryHandle] = set()
+        #: driven handles not yet counted, with their session and query
+        #: — what a timed shutdown must drain, cancel, or fail so no
+        #: caller blocks forever.  Whoever takes a handle out (its
+        #: worker, or the shutdown that fails it) runs its epilogue, so
+        #: every query counts exactly once.
+        self._active_handles: Dict[QueryHandle, Tuple[Session, Query]] = {}
         self._closed = False
 
     def _install(self) -> None:
@@ -466,48 +469,45 @@ class SciBorqServer:
         handle.mark_driven()
         handle.mark_queued()
         with self._admin_lock:
-            self._active_handles.add(handle)
+            self._active_handles[handle] = (session, query)
         try:
-            self._pool.submit(self._drive_handle, handle, session, query)
+            self._pool.submit(self._drive_handle, handle)
         except RuntimeError:
             # pool shut down between _require_open and here: settle the
             # handle so its caller never blocks on a drain that will
             # never run
-            self._settle_never_run(handle, session, query)
+            self._force_fail(handle, SessionError("server is shut down"))
         return handle
 
-    def _settle_never_run(
-        self, handle: QueryHandle, session: Session, query: Query
-    ) -> None:
-        """Fail a handle whose drain was overtaken by shutdown."""
-        error = SessionError("server is shut down")
-        handle._fail(error)
-        if handle._error is error:
-            # counted only when this settle won: shutdown's own forced
-            # settle may have got there first
-            self._note_failure(session, query, error)
+    def _settle_driven(self, handle: QueryHandle) -> None:
+        """Run a driven handle's epilogue, unless another thread
+        already took the handle out and ran it."""
         with self._admin_lock:
-            self._active_handles.discard(handle)
+            owner = self._active_handles.pop(handle, None)
+        if owner is not None:
+            session, query = owner
+            self._finish(session, query, handle)
 
-    def _drive_handle(
-        self, handle: QueryHandle, session: Session, query: Query
-    ) -> None:
+    def _force_fail(self, handle: QueryHandle, error: SessionError) -> None:
+        """Fail a driven handle the shutdown overtook, and count it
+        (first settle wins: a drain that settled first counts as it
+        settled)."""
+        handle._fail(error)
+        self._settle_driven(handle)
+
+    def _drive_handle(self, handle: QueryHandle) -> None:
         """Pool worker core: drain one handle under the shared read
         lock, then run the epilogue."""
         try:
-            try:
-                with self._rwlock.read_locked():
-                    handle.drain()
-            except BaseException as exc:  # noqa: BLE001 - worker died
-                # drain() records *query* failures on the handle and
-                # returns; reaching here means the worker itself died
-                # mid-drain.  Settle the handle (first-settle-wins) so
-                # its caller never blocks on a drain nobody finishes.
-                handle._fail(exc)
-            self._finish(session, query, handle)
-        finally:
-            with self._admin_lock:
-                self._active_handles.discard(handle)
+            with self._rwlock.read_locked():
+                handle.drain()
+        except BaseException as exc:  # noqa: BLE001 - worker died
+            # drain() records *query* failures on the handle and
+            # returns; reaching here means the worker itself died
+            # mid-drain.  Settle the handle (first-settle-wins) so
+            # its caller never blocks on a drain nobody finishes.
+            handle._fail(exc)
+        self._settle_driven(handle)
 
     def _note_failure(
         self, session: Session, query: Query, exc: BaseException
@@ -606,7 +606,8 @@ class SciBorqServer:
 
         Counts strict-bound misses and execution errors on both the
         blocking and the background path — a submit whose handle
-        nobody ever calls ``result()`` on still lands here.
+        nobody ever calls ``result()`` on still lands here, and so
+        does every query a shutdown fails.
         """
         return self._queries_failed
 
@@ -622,8 +623,9 @@ class SciBorqServer:
         With ``timeout`` (seconds, implies ``wait``), in-flight drains
         get that long to complete; whatever is still running at the
         deadline is cancelled between rungs (best-so-far kept) and
-        wedged or never-started drains are failed outright — either
-        way every handle settles, so no caller blocks forever.  The
+        wedged or never-started drains are failed outright and count in
+        :attr:`queries_failed` — either way every handle settles, so no
+        caller blocks forever.  The
         returned :class:`ShutdownReport` says how many drained and how
         many were cancelled.
 
@@ -663,11 +665,9 @@ class SciBorqServer:
                     handle._done.wait(remaining)
                 if not handle.done:
                     cancelled += 1
-                    handle._fail(
-                        SessionError(
-                            "server shut down before this query completed"
-                        )
-                    )
+                    self._force_fail(handle, SessionError(
+                        "server shut down before this query completed"
+                    ))
                     forced.add(handle)
                 elif handle.cancelled:
                     cancelled += 1
@@ -680,11 +680,9 @@ class SciBorqServer:
                         continue
                     # its worker task was cancelled or never dispatched
                     cancelled += 1
-                    handle._fail(
-                        SessionError(
-                            "server shut down before this query completed"
-                        )
-                    )
+                    self._force_fail(handle, SessionError(
+                        "server shut down before this query completed"
+                    ))
                     forced.add(handle)
         drained = sum(
             1 for handle in active if handle.done and handle not in forced

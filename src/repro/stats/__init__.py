@@ -5,7 +5,6 @@ relies on:
 
 * :mod:`repro.stats.histogram` — the Figure-5 streaming equi-width
   histogram (per-bin count and mean over the predicate set),
-* :mod:`repro.stats.equidepth` — equi-depth histograms (ref [18]),
 * :mod:`repro.stats.multidim` — multi-dimensional histograms (the
   paper's footnote-3 future work),
 * :mod:`repro.stats.kde` — exact KDE ``f̂`` and the paper's O(β)
@@ -16,10 +15,13 @@ relies on:
   distribution (Fog 2008, ref [6]); not yet used by the engine,
 * :mod:`repro.stats.estimators` — Horvitz–Thompson and SRS estimators
   with confidence intervals (the "strict error bounds" of §3.2).
+
+No histogram here prices a rung: the planner
+(:mod:`repro.columnstore.plan`) charges a rung's select the rows its
+zone plan keeps, the rows the scan then charges.
 """
 
 from repro.stats.histogram import EquiWidthHistogram, PredicateHistogram
-from repro.stats.equidepth import EquiDepthHistogram
 from repro.stats.multidim import Grid2DHistogram
 from repro.stats.kde import (
     GaussianKernel,
@@ -46,7 +48,6 @@ from repro.stats.estimators import (
 __all__ = [
     "EquiWidthHistogram",
     "PredicateHistogram",
-    "EquiDepthHistogram",
     "Grid2DHistogram",
     "GaussianKernel",
     "EpanechnikovKernel",

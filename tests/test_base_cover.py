@@ -459,7 +459,7 @@ class TestPlannerPricesTheCover:
         cover = hierarchy.base_cover(CONE, base)
         assert cover is not None
         predicted = processor._predicted_cost(self.ROWS, None, base)
-        assert predicted == cover.scan_rows < estimate_cost(self.ROWS, engine.catalog).total_cost
+        assert predicted == cover.scan_rows < estimate_cost(self.ROWS, engine.catalog)
         outcome = processor.execute(self.ROWS, Contract.exact())
         (select,) = outcome.result.stats.operators
         assert select.tuples_in == outcome.total_cost == predicted
@@ -475,7 +475,7 @@ class TestPlannerPricesTheCover:
         assert last.source == TABLE
         below = sum(a.cost for a in rungs)
         cover_rows = hierarchy.base_cover(CONE, base).scan_rows
-        base_rows = estimate_cost(self.ROWS, engine.catalog).total_cost
+        base_rows = estimate_cost(self.ROWS, engine.catalog)
         budget = below + (cover_rows + base_rows) / 2
         assert below + base_rows > budget  # the base's own plan would not fit
         bounded = processor.execute(

@@ -9,7 +9,6 @@ from repro.columnstore.expressions import (
     And,
     Between,
     Comparison,
-    InSet,
     Not,
     Or,
     RadialPredicate,
@@ -63,14 +62,6 @@ class TestEvaluation:
     def test_between_inverted_bounds(self):
         with pytest.raises(QueryError, match="inverted"):
             Between("x", 3.0, 1.0)
-
-    def test_in_set(self, table):
-        mask = InSet("x", [0.0, 4.0]).evaluate(table)
-        np.testing.assert_array_equal(mask, [True, False, False, False, True])
-
-    def test_in_set_requires_values(self):
-        with pytest.raises(QueryError, match="at least one"):
-            InSet("x", [])
 
     def test_radial(self, table):
         mask = RadialPredicate("x", "y", 0.0, 0.0, 1.5).evaluate(table)
@@ -165,9 +156,6 @@ class TestRequestedValues:
 
     def test_negation_expresses_disinterest(self):
         assert Not(col_eq("x", 1)).requested_values() == {}
-
-    def test_in_set_logs_numeric_members(self):
-        assert InSet("x", [1, 2]).requested_values() == {"x": [1.0, 2.0]}
 
 
 class TestFingerprints:

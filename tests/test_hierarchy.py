@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.columnstore.expressions import RadialPredicate
 from repro.columnstore.query import AggregateSpec, Query
 from repro.columnstore.table import Table
+from repro.core.engine import SciBorq
 from repro.core.hierarchy import ImpressionHierarchy
 from repro.core.impression import Impression
+from repro.core.maintenance import refresh_hierarchy
 from repro.errors import ImpressionError
 from repro.sampling.reservoir import ReservoirR
+from repro.skyserver.generator import SkyGenerator, build_skyserver
+from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 
 
 @pytest.fixture
@@ -84,17 +89,53 @@ class TestCandidates:
 
 
 class TestBudgetSelection:
-    def test_largest_within_cost(self, hierarchy):
-        assert hierarchy.largest_within_cost(5000).capacity == 1000
-        assert hierarchy.largest_within_cost(500).capacity == 100
-        assert hierarchy.largest_within_cost(50).capacity == 10
-
-    def test_nothing_fits(self, hierarchy):
-        assert hierarchy.largest_within_cost(5) is None
-
     def test_total_rows(self, hierarchy):
         assert hierarchy.total_rows() == 1110
 
     def test_describe_mentions_layers(self, hierarchy):
         text = hierarchy.describe()
         assert "layer 0" in text and "layer 2" in text
+
+
+class TestLadderSizes:
+    """Sizes never decrease along :meth:`ImpressionHierarchy.
+    candidates_for`: the ladder runs cheapest-first and every sampler
+    fills before it replaces.  The bounded climb relies on it — with no
+    rung answered yet, the rung at hand is the smallest, so it runs
+    whatever it costs."""
+
+    @pytest.mark.parametrize("policy", ["uniform", "biased", "last-seen"])
+    def test_sizes_never_decrease_along_the_ladder(self, policy):
+        engine = SciBorq(
+            create_skyserver_catalog(),
+            interest_attributes={"ra": RA_RANGE, "dec": DEC_RANGE},
+            rng=5,
+        )
+        hierarchy = engine.create_hierarchy(
+            "PhotoObjAll",
+            policy=policy,
+            layer_sizes=(2_000, 500, 100),
+            daily_ingest=300 if policy == "last-seen" else None,
+        )
+        query = Query(
+            table="PhotoObjAll",
+            predicate=RadialPredicate("ra", "dec", 150.0, 10.0, 5.0),
+            aggregates=[AggregateSpec("count")],
+        )
+
+        def ladder():
+            base = engine.catalog.table("PhotoObjAll")
+            return [i.size for i in hierarchy.candidates_for(query, base)]
+
+        # the first load fills the smallest layer and part of the others
+        build_skyserver(300, generator=SkyGenerator(rng=6), loader=engine.loader)
+        seen = [ladder()]
+        generator = SkyGenerator(rng=7)
+        for count in (150, 1_000, 4_000):
+            engine.ingest("PhotoObjAll", generator.photoobj_batch(count))
+            seen.append(ladder())
+        refresh_hierarchy(hierarchy, engine.catalog.table("PhotoObjAll"))
+        seen.append(ladder())
+        assert seen[0][0] == 100 and seen[0][-1] < 2_000, seen
+        for sizes in seen:
+            assert len(sizes) == 3 and sizes == sorted(sizes), seen

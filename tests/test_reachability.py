@@ -3,7 +3,8 @@
 The rule (CONTRIBUTING, "Reachability"): a module earns its place by
 being imported — directly or transitively, by ``import`` statements
 inside module bodies — from ``SciBorq`` / ``SciBorqServer``, the
-SkyServer data set, or the bench tooling CI runs.  A package
+SkyServer data set, or the bench tooling CI runs.  An import under
+``if TYPE_CHECKING:`` never runs, so it reaches nothing.  A package
 ``__init__`` re-exporting a name does not count: that is how an
 unwired module looks wired.  A module only its own tests import is
 deleted together with them, or sits on ``ALLOWED`` below with the
@@ -73,11 +74,27 @@ def _modules():
     return found
 
 
+def _runtime_nodes(tree):
+    """Every node of ``tree`` but those only a type checker reads: the
+    body of an ``if TYPE_CHECKING:`` (bare or ``typing.``-qualified)."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, ast.If) and (
+            getattr(node.test, "id", None) == "TYPE_CHECKING"
+            or getattr(node.test, "attr", None) == "TYPE_CHECKING"
+        ):
+            stack.extend(node.orelse)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _imports(name, path, modules):
-    """Modules of the package that ``name`` imports."""
+    """Modules of the package that ``name`` imports when it runs."""
     is_package = path.name == "__init__.py"
     targets = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in _runtime_nodes(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             targets.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):

@@ -443,6 +443,38 @@ class TestFailureAccounting:
             assert session.history == []
 
 
+    @pytest.mark.parametrize("path", ["submit", "execute"])
+    def test_a_settle_hook_error_fails_the_query_and_counts_once(
+        self, monkeypatch, path
+    ):
+        """The engine's settle hook raising fails the handle with that
+        error: a driven handle does not hang, a lazy one does not turn it
+        into an ``AssertionError``, and the failure counts once."""
+
+        class SettleError(RuntimeError):
+            pass
+
+        def broken_settle(sequence, outcome):
+            raise SettleError("query log unavailable")
+
+        engine = make_engine()
+        server = SciBorqServer(engine, max_workers=1)
+        session = server.open_session("settle")
+        monkeypatch.setattr(engine.query_log, "settle", broken_settle)
+        with pytest.raises(SettleError, match="query log unavailable"):
+            if path == "submit":
+                session.submit(cone(150.0, 5.0), Contract.within_error(0.1)).result(
+                    timeout=5
+                )
+            else:
+                session.execute(cone(150.0, 5.0), Contract.within_error(0.1))
+        # the shutdown joins the worker, which counts after settling
+        assert server.shutdown(wait=True).cancelled == 0
+        assert server.queries_failed == 1
+        assert server.queries_served == 0
+        assert session.report().failures == 1
+
+
 class TestQueueSplit:
     def test_queue_time_split_in_progress_updates(self):
         with SciBorqServer(make_engine()) as server:
@@ -541,6 +573,56 @@ class TestFaultInjection:
                     stuck.result(timeout=1.0)
         finally:
             release.set()
+
+    def test_queries_a_timed_shutdown_fails_count_exactly_once(
+        self, monkeypatch
+    ):
+        """A wedged drain and the submits queued behind it are failed by
+        ``shutdown(timeout=)``, and each counts once — the wedged one too,
+        when its worker finishes after the shutdown failed it."""
+        release = threading.Event()
+        original = QueryHandle.drain
+        wedged = []
+
+        def drain(self):
+            if not wedged:
+                wedged.append(self)
+                release.wait(30.0)  # ignores cancel; simulates a wedge
+            original(self)
+
+        monkeypatch.setattr(QueryHandle, "drain", drain)
+        server = SciBorqServer(make_engine(), max_workers=1)
+        session = server.open_session("wedged")
+        try:
+            handles = [
+                session.submit(cone(150.0 + i, 5.0), Contract.within_error(0.1))
+                for i in range(4)
+            ]
+            report = server.shutdown(timeout=0.2)
+        finally:
+            release.set()
+        server._pool.shutdown(wait=True)  # the wedged worker has finished
+        for handle in handles:
+            with pytest.raises(SessionError):
+                handle.result(timeout=0)
+        assert report.cancelled == 4
+        assert server.queries_served + server.queries_failed == len(handles)
+        assert server.queries_failed == session.report().failures == 4
+
+    def test_queries_a_waiting_shutdown_fails_are_counted(self, monkeypatch):
+        """A drain the pool never ran is failed by ``shutdown(wait=True)``
+        and counts in ``queries_failed`` and the session's failures."""
+        monkeypatch.setattr(
+            SciBorqServer, "_drive_handle", lambda self, handle: None
+        )
+        server = SciBorqServer(make_engine(), max_workers=1)
+        session = server.open_session("dropped")
+        handle = session.submit(cone(150.0, 5.0))
+        report = server.shutdown(wait=True)
+        with pytest.raises(SessionError, match="before this query completed"):
+            handle.result(timeout=0)
+        assert report.cancelled == 1
+        assert server.queries_failed == session.report().failures == 1
 
     def test_shutdown_without_timeout_reports_and_is_idempotent(self):
         server = SciBorqServer(make_engine())

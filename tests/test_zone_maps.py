@@ -23,7 +23,6 @@ from repro.columnstore.expressions import (
     And,
     Between,
     Comparison,
-    InSet,
     Not,
     Or,
     RadialPredicate,
@@ -187,14 +186,11 @@ class TestPrune:
         assert prunes(Comparison("x", "==", 5.0), empty)
         assert not prunes(Comparison("x", "!=", 5.0), empty)
 
-    def test_between_and_inset(self):
+    def test_between(self):
         zones = self.zone(10.0, 20.0)
         assert prunes(Between("x", 21.0, 30.0), zones)
         assert prunes(Between("x", 0.0, 9.0), zones)
         assert not prunes(Between("x", 15.0, 30.0), zones)
-        assert prunes(InSet("x", [1.0, 30.0]), zones)
-        assert not prunes(InSet("x", [1.0, 12.0]), zones)
-        assert not prunes(InSet("x", ["label"]), zones)
 
     def test_radial_uses_bounding_box(self):
         zones = {"x": Zone(0.0, 1.0), "y": Zone(0.0, 1.0)}
@@ -323,8 +319,7 @@ class TestPrunedSelect:
             Query(table="blocked", predicate=predicate), catalog
         )
         _, stats = operators.select(table, predicate)
-        assert estimate.steps[0].estimated_cost == stats.tuples_in
-        assert "pruned" in estimate.steps[0].detail
+        assert estimate == stats.tuples_in < table.num_rows
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +364,6 @@ LEAVES = st.one_of(
     st.builds(
         lambda column, a, b: Between(column, *sorted([a, b])), COLUMNS, BOUNDS, BOUNDS
     ),
-    st.builds(InSet, COLUMNS, st.lists(VALUES, min_size=1, max_size=3)),
     st.builds(
         RadialPredicate,
         st.just("x"),

@@ -20,7 +20,6 @@ from repro.columnstore.expressions import (
     Between,
     Comparison,
     Expression,
-    InSet,
     Or,
     RadialPredicate,
 )
@@ -55,13 +54,6 @@ def prune(expression: Expression, zones: Mapping[str, Zone]) -> bool:
         if zone is None:
             return False
         return bool(zone.empty or zone.hi < expression.lo or zone.lo > expression.hi)
-    if isinstance(expression, InSet):
-        zone = zones.get(expression.column)
-        if zone is None or not all(isinstance(v, _NUMERIC) for v in expression.values):
-            return False
-        if zone.empty:
-            return True
-        return all(v < zone.lo or v > zone.hi for v in expression.values)
     if isinstance(expression, RadialPredicate):
         # the cone's bounding box must intersect both axis zones
         for column, centre in (
