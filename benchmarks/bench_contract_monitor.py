@@ -1,11 +1,10 @@
 """E10 — contract-monitoring claims: observation that never intrudes.
 
 The contract monitor (:mod:`repro.core.monitor`) watches every
-settled query and streams per-tier SLA compliance, error-margin and
-latency histograms, and a violation log out of the server
-(``server.report().sla``).  Monitoring is only trustworthy if it is
-*pure*: it must change nothing it observes, cost next to nothing, and
-report exactly what happened.  This benchmark pins all three on a
+settled query and tallies per-tier SLA compliance and a violation log
+out of the server (``server.report().sla``).  Monitoring is only
+trustworthy if it is *pure*: it must change nothing it observes, cost
+next to nothing, and report exactly what happened.  This benchmark pins all three on a
 mixed-tier burst (bronze / silver / gold sessions plus untiered
 budget-bounded queries that genuinely miss):
 
@@ -18,8 +17,8 @@ budget-bounded queries that genuinely miss):
       the outcomes, query by query — no sampling, no drift;
   (c) **bounded overhead** — time spent inside the monitor's observe
       path is at most 2% of the burst's wall-clock;
-  (d) **gates** — the live ``check_gates`` floors and the offline
-      artifact evaluator (:mod:`repro.bench.gates`) agree and pass.
+  (d) **gates** — the offline artifact evaluator
+      (:mod:`repro.bench.gates`) passes over the artifact written.
 
 Standalone (``python benchmarks/bench_contract_monitor.py [--smoke]``).
 Writes ``BENCH_contract_monitor.json`` (see ``bench/report.py``); CI
@@ -65,13 +64,6 @@ class TimedMonitor(ContractMonitor):
         started = time.perf_counter()
         try:
             return super().observe(*args, **kwargs)
-        finally:
-            self.observe_seconds += time.perf_counter() - started
-
-    def observe_exact(self, *args, **kwargs):
-        started = time.perf_counter()
-        try:
-            return super().observe_exact(*args, **kwargs)
         finally:
             self.observe_seconds += time.perf_counter() - started
 
@@ -239,11 +231,6 @@ def main() -> None:
         f"monitor overhead {overhead_ratio:.2%} exceeds the 2% bound"
     )
 
-    # (d) live gates pass: every tiered session stayed inside its
-    # preset (the misses are all untiered by construction)
-    live = timed.check_gates(DEFAULT_SPEC)
-    assert live.passed, live.describe()
-
     print("== E10a: byte-identity ==")
     print(
         f"  {identical}/{total} queries byte-identical "
@@ -254,14 +241,12 @@ def main() -> None:
         f"  fleet {sla.compliance:.1%} met, "
         f"missed {sla.missed} — all equal ground truth ✓"
     )
+    print(f"  {sla.describe()}")
     print("== E10c: overhead ==")
     print(
         f"  observe path {timed.observe_seconds * 1e3:.2f}ms of "
         f"{elapsed:.3f}s burst = {overhead_ratio:.3%} (bound 2%) ✓"
     )
-    print("== E10d: gates ==")
-    print("  " + live.describe().replace("\n", "\n  "))
-    print(f"  {sla.describe()}")
     print(
         f"  wall-clock: monitored {elapsed:.3f}s vs "
         f"disabled {bare_elapsed:.3f}s"
@@ -290,15 +275,15 @@ def main() -> None:
             "observe_seconds": timed.observe_seconds,
             "burst_wall_seconds": elapsed,
             "bare_wall_seconds": bare_elapsed,
-            "error_p99": sla.error_margin.p99,
-            "latency_p99_seconds": sla.latency.p99,
         },
     )
 
-    # the offline evaluator must agree with the live gates over the
-    # artifact just written
+    # (d) the gates pass over the artifact just written: every tiered
+    # session stayed inside its preset (the misses are all untiered by
+    # construction)
     offline = evaluate_artifacts(DEFAULT_SPEC, os.path.dirname(path) or ".")
-    print(offline.describe())
+    print("== E10d: gates ==")
+    print("  " + offline.describe().replace("\n", "\n  "))
     assert offline.passed, offline.describe()
 
 

@@ -65,8 +65,6 @@ from repro.core import (
     Contract,
     ContractMonitor,
     ContractVerdict,
-    GateReport,
-    GateSpec,
     Impression,
     ImpressionHierarchy,
     LastSeenPolicy,
@@ -111,8 +109,6 @@ __all__ = [
     "Contract",
     "ContractMonitor",
     "ContractVerdict",
-    "GateReport",
-    "GateSpec",
     "Impression",
     "ImpressionHierarchy",
     "LastSeenPolicy",

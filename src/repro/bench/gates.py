@@ -1,12 +1,12 @@
 """Tiered quality gates over CI benchmark artifacts.
 
-The live half of the gate story runs inside the monitor —
-:meth:`~repro.core.monitor.ContractMonitor.check_gates` evaluates a
-:class:`~repro.core.monitor.GateSpec`'s compliance floors against the
-in-process SLA aggregates.  This module is the offline half: the same
-spec evaluated against the ``BENCH_<name>.json`` artifacts the smoke
-benchmarks emit, so CI can fail a build whose measured compliance or
-overhead slipped.
+A :class:`GateSpec` holds per-tier compliance floors and bounds on
+benchmark metrics; :func:`evaluate_artifacts` checks it against the
+``BENCH_<name>.json`` artifacts the smoke benchmarks emit, so CI can
+fail a build whose measured compliance or overhead slipped.  The
+floors check (:func:`evaluate_floors`) takes any per-tier buckets, so
+the same floors read a live monitor too:
+``evaluate_floors(spec.floors, monitor.report().by_tier)``.
 
 Usage (CI runs exactly this)::
 
@@ -35,16 +35,159 @@ import glob
 import json
 import os
 import sys
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.monitor import (
-    GateReport,
-    GateResult,
-    GateSpec,
-    MetricGate,
-    SlaBucket,
-    evaluate_floors,
-)
+from repro.core.monitor import SlaBucket
+
+
+@dataclass(frozen=True)
+class MetricGate:
+    """A bound on one metric of one ``BENCH_<artifact>.json`` report.
+
+    ``metric`` is a dotted path into the artifact's ``metrics``
+    mapping (e.g. ``"overhead_ratio"`` or ``"convoy.scans"``).
+    ``required`` fails the gate when the artifact is absent;
+    otherwise a missing artifact or metric passes vacuously.
+    """
+
+    artifact: str
+    metric: str
+    min_value: Optional[float] = None
+    max_value: Optional[float] = None
+    required: bool = False
+
+
+@dataclass(frozen=True)
+class GateSpec:
+    """A tiered quality-gate specification.
+
+    ``floors`` maps tier name -> minimum compliance fraction (e.g.
+    ``{"gold": 0.99}``); ``metrics`` carries artifact metric bounds.
+    """
+
+    floors: Mapping[str, float] = field(default_factory=dict)
+    metrics: Tuple[MetricGate, ...] = ()
+
+    @classmethod
+    def coerce(cls, spec: "GateSpec | Mapping[str, object]") -> "GateSpec":
+        """Accept a ready spec or the JSON mapping shape.
+
+        The mapping shape (documented in CONTRIBUTING.md) is
+        ``{"floors": {...}, "metrics": [{"artifact": ..., "metric":
+        ..., "min"/"max": ...}, ...]}``; either key may be left out,
+        and any other key raises ``ValueError``.
+        """
+        if isinstance(spec, GateSpec):
+            return spec
+        if not isinstance(spec, Mapping):
+            raise TypeError(
+                f"gate spec must be a GateSpec or a mapping, got {spec!r}"
+            )
+        unknown = sorted(set(spec) - {"floors", "metrics"})
+        if unknown:
+            raise ValueError(
+                f"gate spec keys are 'floors' and 'metrics', got {unknown}"
+            )
+        floors = {
+            str(k): float(v)
+            for k, v in dict(spec.get("floors", {})).items()
+        }
+        metrics = tuple(
+            MetricGate(
+                artifact=str(entry["artifact"]),
+                metric=str(entry["metric"]),
+                min_value=(
+                    float(entry["min"]) if "min" in entry else None
+                ),
+                max_value=(
+                    float(entry["max"]) if "max" in entry else None
+                ),
+                required=bool(entry.get("required", False)),
+            )
+            for entry in spec.get("metrics", ())
+        )
+        return cls(floors=floors, metrics=metrics)
+
+
+@dataclass(frozen=True)
+class GateResult:
+    """One gate's evaluation: what was required, what was measured."""
+
+    gate: str
+    passed: bool
+    #: The measured value the bound was checked against (None when the
+    #: gate passed vacuously — nothing observed).
+    value: Optional[float]
+    detail: str
+
+
+@dataclass(frozen=True)
+class GateReport:
+    """Every gate of one spec, evaluated against one state."""
+
+    results: Tuple[GateResult, ...]
+
+    @property
+    def passed(self) -> bool:
+        """Whether every gate passed."""
+        return all(result.passed for result in self.results)
+
+    @property
+    def failures(self) -> Tuple[GateResult, ...]:
+        """The gates that failed, in spec order."""
+        return tuple(r for r in self.results if not r.passed)
+
+    def describe(self) -> str:
+        """Multi-line pass/fail listing, one gate per line."""
+        lines = [
+            f"quality gates: {'PASS' if self.passed else 'FAIL'} "
+            f"({len(self.results)} gate(s), "
+            f"{len(self.failures)} failed)"
+        ]
+        lines.extend(
+            f"  [{'ok' if r.passed else 'FAIL'}] {r.gate}: {r.detail}"
+            for r in self.results
+        )
+        return "\n".join(lines)
+
+
+def evaluate_floors(
+    floors: Mapping[str, float], by_tier: Mapping[str, SlaBucket]
+) -> List[GateResult]:
+    """Check per-tier compliance floors against tier buckets.
+
+    A tier with no observed queries passes vacuously (no promise has
+    been broken) — the gate exists to catch broken promises, not
+    absent traffic.
+    """
+    results = []
+    for tier in sorted(floors):
+        floor = float(floors[tier])
+        bucket = by_tier.get(tier)
+        if bucket is None or bucket.total == 0:
+            results.append(
+                GateResult(
+                    gate=f"tier:{tier}",
+                    passed=True,
+                    value=None,
+                    detail=f"no {tier} queries observed (floor {floor:.1%})",
+                )
+            )
+            continue
+        compliance = bucket.compliance
+        results.append(
+            GateResult(
+                gate=f"tier:{tier}",
+                passed=compliance >= floor,
+                value=compliance,
+                detail=(
+                    f"compliance {compliance:.2%} vs floor {floor:.1%} "
+                    f"over {bucket.total} query(ies)"
+                ),
+            )
+        )
+    return results
 
 #: The spec CI enforces when none is supplied: the tier floors the
 #: presets promise, plus the monitor-overhead bound the tentpole
@@ -148,8 +291,7 @@ def _tier_buckets(
     """Rebuild per-tier buckets from an artifact's ``tiers`` metric.
 
     The benchmark emits ``{"tiers": {tier: {"observed": n, "met": k,
-    ...}}}``; only the totals matter here — floors compare met/total,
-    the status breakdown stays with the live monitor.
+    ...}}}``; only the totals matter here — floors compare met/total.
     """
     buckets: Dict[str, SlaBucket] = {}
     tiers = metrics.get("tiers")

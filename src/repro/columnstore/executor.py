@@ -113,11 +113,6 @@ class QueryResult:
     rows: Optional[Table] = None
     scalars: Optional[Dict[str, float]] = None
 
-    @property
-    def is_scalar(self) -> bool:
-        """Whether the result is a dict of ungrouped aggregates."""
-        return self.scalars is not None
-
     def scalar(self, name: str) -> float:
         """Look up one ungrouped aggregate by output name."""
         if self.scalars is None:

@@ -60,11 +60,6 @@ from repro.core.engine import EngineReport, SciBorq
 from repro.core.monitor import (
     ContractMonitor,
     ContractVerdict,
-    GateReport,
-    GateResult,
-    GateSpec,
-    HistogramSummary,
-    MetricGate,
     SlaBucket,
     SlaReport,
 )
@@ -73,7 +68,6 @@ from repro.core.session import Session, SessionStats
 from repro.core.server import (
     SciBorqServer,
     ServerReport,
-    SessionInfo,
     ShutdownReport,
 )
 from repro.core.intelligence import WorkloadIntelligenceService
@@ -117,13 +111,7 @@ __all__ = [
     "ContractMonitor",
     "ContractVerdict",
     "EngineReport",
-    "GateReport",
-    "GateResult",
-    "GateSpec",
-    "HistogramSummary",
-    "MetricGate",
     "ServerReport",
-    "SessionInfo",
     "SlaBucket",
     "SlaReport",
 ]

@@ -93,10 +93,6 @@ class ImpressionHierarchy:
         """Iterate layers cheapest-first (the escalation order)."""
         return iter(reversed(self._layers))
 
-    def from_largest(self) -> Iterator[Impression]:
-        """Iterate layers most-detailed-first."""
-        return iter(self._layers)
-
     # ------------------------------------------------------------------
     def candidates_for(self, query: Query, base: Table) -> list[Impression]:
         """Layers able to answer ``query``, cheapest first.

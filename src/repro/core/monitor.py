@@ -3,51 +3,33 @@
 SciBORQ's premise is that every answer comes with *bounds on runtime
 and quality* — but a bound checked only query-by-query at settle time
 proves nothing fleet-wide.  The :class:`ContractMonitor` closes that
-gap: it observes every settled query (engine execute/exact paths,
-server handle settles) and turns each into a
-:class:`ContractVerdict` — met or missed, the achieved error against
-the promised bound, queue and run seconds against the budget, the
-contract's SLA tier, and the owning session.
+gap: it observes every settled query (the engine's one settle path)
+and turns each into a :class:`ContractVerdict` — met or missed, the
+achieved error against the promised bound, queue and run seconds
+against the budget, the contract's SLA tier, and the owning session.
 
-From the verdict stream it maintains **streaming fleet aggregates**:
-
-* per-tier and per-session SLA compliance (% of queries whose verdict
-  is ``met``) — a missed bound counts in the denominator: an SLA
-  event, never a statistics gap;
-* error-margin and latency histograms with deterministic p50/p99
-  read-outs — every aggregate is a sum of per-verdict contributions,
-  so feeding the same verdicts one at a time or all at once yields
-  the identical :class:`SlaReport`;
-* a violation log with bounded retention (the most recent non-``met``
-  verdicts, for postmortems without unbounded memory).
+From the verdict stream it keeps one tally, per SLA tier (% of
+queries whose verdict is ``met`` — a missed bound counts in the
+denominator: an SLA event, never a statistics gap), and a violation
+log with bounded retention (the most recent ``missed`` verdicts, for
+postmortems without unbounded memory).  Every other fact about a
+settled query lives in exactly one other place: its error, cost and
+wall time in the engine's query log (``engine.query_log``), a
+session's misses and failures in ``Session.report()``.
 
 Monitoring is **pure observation**: the monitor never touches a
 result, a charge, or an attempt trace — answers are byte-identical
-with the monitor on or off (pinned by test and benchmark).
-
-**Tiered quality gates** ride on the same aggregates:
-:meth:`ContractMonitor.check_gates` evaluates a :class:`GateSpec` —
-per-tier compliance floors (e.g. gold ≥ 99% met) plus metric bounds —
-against the live report, and :mod:`repro.bench.gates` evaluates the
-same spec shape against the CI ``BENCH_*.json`` trajectory artifacts
-so a perf or quality regression fails CI, not a reader of dashboards.
+with the monitor on or off (pinned by test and benchmark).  The
+tiered quality gates of :mod:`repro.bench.gates` read the same tier
+buckets: ``evaluate_floors(spec.floors, monitor.report().by_tier)``.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from bisect import bisect_left
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from collections import deque
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.core.contracts import Contract
 
@@ -61,19 +43,9 @@ UNTIERED = "untiered"
 #: The verdict statuses, in the order reports enumerate them.
 VERDICT_STATUSES = ("met", "missed")
 
-#: Upper edges of the error-margin histogram bins (relative error).
-#: Fixed edges make bin counts additive, so incremental and one-shot
-#: aggregation produce identical percentiles.
-ERROR_EDGES = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0,
-)
-
-#: Upper edges of the latency histogram bins (seconds).
-LATENCY_EDGES = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
-)
+#: How many ``missed`` verdicts the violation log retains (newest win;
+#: the tier tallies are never truncated).
+VIOLATION_RETENTION = 256
 
 
 @dataclass(frozen=True)
@@ -88,7 +60,6 @@ class ContractVerdict:
     table: str
     tier: Optional[str]
     session_id: Optional[int]
-    session_name: Optional[str]
     #: The promised quality bound (None: no quality requirement).
     promised_error: Optional[float]
     #: The answer's honest worst relative error.
@@ -107,7 +78,7 @@ class ContractVerdict:
 
     def describe(self) -> str:
         """One-line form used by the violation log and examples."""
-        who = self.session_name or (
+        who = (
             f"session-{self.session_id}" if self.session_id is not None
             else "<direct>"
         )
@@ -128,7 +99,7 @@ class ContractVerdict:
 
 @dataclass(frozen=True)
 class SlaBucket:
-    """Verdict counts for one aggregation key (a tier or a session)."""
+    """Verdict counts for one SLA tier."""
 
     total: int = 0
     met: int = 0
@@ -146,88 +117,19 @@ class SlaBucket:
 
 
 @dataclass(frozen=True)
-class HistogramSummary:
-    """Deterministic read-out of one streaming histogram.
-
-    ``p50``/``p99`` are upper edges of the smallest bin whose
-    cumulative count covers the quantile (the recorded exact maximum
-    for the overflow bin) — a deterministic, additive-state estimate,
-    not an exact order statistic.
-    """
-
-    count: int
-    mean: float
-    p50: float
-    p99: float
-    max: float
-
-
-class _StreamingHistogram:
-    """Fixed-edge counting histogram; all state is additive."""
-
-    __slots__ = ("edges", "counts", "total", "sum", "max")
-
-    def __init__(self, edges: Sequence[float]) -> None:
-        self.edges = tuple(edges)
-        self.counts = [0] * (len(self.edges) + 1)  # +1: overflow bin
-        self.total = 0
-        self.sum = 0.0
-        self.max = 0.0
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        if value != value or value == math.inf:  # NaN / unanswerable
-            self.counts[-1] += 1
-        else:
-            self.counts[bisect_left(self.edges, value)] += 1
-            self.sum += value
-            if value > self.max:
-                self.max = value
-        self.total += 1
-
-    def _quantile(self, fraction: float) -> float:
-        if self.total == 0:
-            return 0.0
-        need = fraction * self.total
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= need:
-                if index < len(self.edges):
-                    return self.edges[index]
-                return self.max  # overflow bin: the recorded max
-        return self.max  # pragma: no cover - seen always reaches total
-
-    def summary(self) -> HistogramSummary:
-        finite = self.total - self.counts[-1]
-        return HistogramSummary(
-            count=self.total,
-            mean=self.sum / finite if finite else 0.0,
-            p50=self._quantile(0.50),
-            p99=self._quantile(0.99),
-            max=self.max,
-        )
-
-
-@dataclass(frozen=True)
 class SlaReport:
     """The monitor's typed, point-in-time fleet aggregate.
 
-    Every field is derived from the per-query verdict stream and
-    nothing else, so a report equals the one a fresh monitor would
-    produce from the same verdicts fed in any grouping.
+    Every field is derived from the per-tier tallies of the verdict
+    stream and nothing else, so a report equals the one a fresh
+    monitor would produce from the same verdicts fed in any grouping.
     """
 
     observed: int
     met: int
     missed: int
     by_tier: Mapping[str, SlaBucket]
-    by_session: Mapping[Optional[int], SlaBucket]
-    #: Session id -> human name, for sessions the server registered.
-    session_names: Mapping[int, str]
-    error_margin: HistogramSummary
-    latency: HistogramSummary
-    #: Most recent non-``met`` verdicts, newest last (bounded).
+    #: Most recent ``missed`` verdicts, newest last (bounded).
     violations: Tuple[ContractVerdict, ...]
 
     @property
@@ -239,237 +141,48 @@ class SlaReport:
 
     def describe(self) -> str:
         """The one-line form the engine and server reports render."""
-        tiers = ", ".join(
-            f"{tier} {bucket.compliance:.1%} of {bucket.total}"
-            for tier, bucket in sorted(self.by_tier.items())
-        )
         line = (
             f"sla: {self.compliance:.1%} met over {self.observed} "
             f"query(ies) (missed {self.missed})"
         )
-        if tiers:
-            line += f"; {tiers}"
-        if self.error_margin.count:
-            line += (
-                f"; err p50<={self.error_margin.p50:g} "
-                f"p99<={self.error_margin.p99:g}"
-            )
-        if self.latency.count:
-            line += (
-                f"; lat p50<={self.latency.p50:g}s "
-                f"p99<={self.latency.p99:g}s"
-            )
-        return line
-
-
-@dataclass(frozen=True)
-class MetricGate:
-    """A bound on one metric of one ``BENCH_<artifact>.json`` report.
-
-    ``metric`` is a dotted path into the artifact's ``metrics``
-    mapping (e.g. ``"overhead_ratio"`` or ``"convoy.scans"``).
-    ``required`` fails the gate when the artifact is absent;
-    otherwise a missing artifact or metric passes vacuously.
-    """
-
-    artifact: str
-    metric: str
-    min_value: Optional[float] = None
-    max_value: Optional[float] = None
-    required: bool = False
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    """A tiered quality-gate specification.
-
-    ``floors`` maps tier name -> minimum compliance fraction (e.g.
-    ``{"gold": 0.99}``); ``metrics`` carries artifact metric bounds
-    for the CI evaluator (:mod:`repro.bench.gates`).
-    :meth:`ContractMonitor.check_gates` evaluates the floors against
-    its live aggregates and ignores the artifact metrics.
-    """
-
-    floors: Mapping[str, float] = field(default_factory=dict)
-    metrics: Tuple[MetricGate, ...] = ()
-
-    @classmethod
-    def coerce(cls, spec: "GateSpec | Mapping[str, object]") -> "GateSpec":
-        """Accept a ready spec or the JSON mapping shape.
-
-        The mapping shape (documented in CONTRIBUTING.md) is either a
-        bare floors mapping (``{"gold": 0.99}``) or the full form
-        ``{"floors": {...}, "metrics": [{"artifact": ..., "metric":
-        ..., "min"/"max": ...}, ...]}``.
-        """
-        if isinstance(spec, GateSpec):
-            return spec
-        if not isinstance(spec, Mapping):
-            raise TypeError(
-                f"gate spec must be a GateSpec or a mapping, got {spec!r}"
-            )
-        if "floors" not in spec and "metrics" not in spec:
-            return cls(floors={str(k): float(v) for k, v in spec.items()})
-        floors = {
-            str(k): float(v)
-            for k, v in dict(spec.get("floors", {})).items()
-        }
-        metrics = tuple(
-            MetricGate(
-                artifact=str(entry["artifact"]),
-                metric=str(entry["metric"]),
-                min_value=(
-                    float(entry["min"]) if "min" in entry else None
-                ),
-                max_value=(
-                    float(entry["max"]) if "max" in entry else None
-                ),
-                required=bool(entry.get("required", False)),
-            )
-            for entry in spec.get("metrics", ())
+        tiers = ", ".join(
+            f"{tier} {bucket.compliance:.1%} of {bucket.total}"
+            for tier, bucket in sorted(self.by_tier.items())
         )
-        return cls(floors=floors, metrics=metrics)
-
-
-@dataclass(frozen=True)
-class GateResult:
-    """One gate's evaluation: what was required, what was measured."""
-
-    gate: str
-    passed: bool
-    #: The measured value the bound was checked against (None when the
-    #: gate passed vacuously — nothing observed).
-    value: Optional[float]
-    detail: str
-
-
-@dataclass(frozen=True)
-class GateReport:
-    """Every gate of one spec, evaluated against one state."""
-
-    results: Tuple[GateResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        """Whether every gate passed."""
-        return all(result.passed for result in self.results)
-
-    @property
-    def failures(self) -> Tuple[GateResult, ...]:
-        """The gates that failed, in spec order."""
-        return tuple(r for r in self.results if not r.passed)
-
-    def describe(self) -> str:
-        """Multi-line pass/fail listing, one gate per line."""
-        lines = [
-            f"quality gates: {'PASS' if self.passed else 'FAIL'} "
-            f"({len(self.results)} gate(s), "
-            f"{len(self.failures)} failed)"
-        ]
-        lines.extend(
-            f"  [{'ok' if r.passed else 'FAIL'}] {r.gate}: {r.detail}"
-            for r in self.results
-        )
-        return "\n".join(lines)
-
-
-def evaluate_floors(
-    floors: Mapping[str, float], by_tier: Mapping[str, SlaBucket]
-) -> list[GateResult]:
-    """Check per-tier compliance floors against tier buckets.
-
-    A tier with no observed queries passes vacuously (no promise has
-    been broken) — the gate exists to catch broken promises, not
-    absent traffic.  Shared by :meth:`ContractMonitor.check_gates`
-    and the artifact evaluator in :mod:`repro.bench.gates`.
-    """
-    results = []
-    for tier in sorted(floors):
-        floor = float(floors[tier])
-        bucket = by_tier.get(tier)
-        if bucket is None or bucket.total == 0:
-            results.append(
-                GateResult(
-                    gate=f"tier:{tier}",
-                    passed=True,
-                    value=None,
-                    detail=f"no {tier} queries observed (floor {floor:.1%})",
-                )
-            )
-            continue
-        compliance = bucket.compliance
-        results.append(
-            GateResult(
-                gate=f"tier:{tier}",
-                passed=compliance >= floor,
-                value=compliance,
-                detail=(
-                    f"compliance {compliance:.2%} vs floor {floor:.1%} "
-                    f"over {bucket.total} query(ies)"
-                ),
-            )
-        )
-    return results
+        return f"{line}; {tiers}" if tiers else line
 
 
 class _Bucket:
     """Mutable counter behind one :class:`SlaBucket`."""
 
-    __slots__ = ("total", "met", "missed")
+    __slots__ = ("total", "met")
 
     def __init__(self) -> None:
         self.total = 0
         self.met = 0
-        self.missed = 0
-
-    def add(self, status: str) -> None:
-        self.total += 1
-        setattr(self, status, getattr(self, status) + 1)
 
     def freeze(self) -> SlaBucket:
         return SlaBucket(
-            total=self.total,
-            met=self.met,
-            missed=self.missed,
+            total=self.total, met=self.met, missed=self.total - self.met
         )
 
 
 class ContractMonitor:
-    """Streams per-query contract verdicts into fleet SLA aggregates.
+    """Streams per-query contract verdicts into per-tier SLA tallies.
 
     Installed on the engine via :meth:`~repro.core.engine.SciBorq.
-    set_monitor` (the server layer does this by default); every settle
-    path then calls :meth:`observe` / :meth:`observe_exact`.
-    Thread-safe: pool workers observe concurrently.
-
-    Parameters
-    ----------
-    violation_retention:
-        How many non-``met`` verdicts the violation log retains
-        (newest win; the aggregates are never truncated).
+    set_monitor` (the server layer does this by default); the engine's
+    settle path then calls :meth:`observe` for every outcome, exact
+    ones included.  Thread-safe: pool workers observe concurrently.
     """
 
-    def __init__(self, violation_retention: int = 256) -> None:
-        if violation_retention < 0:
-            raise ValueError(
-                f"violation_retention must be >= 0, "
-                f"got {violation_retention}"
-            )
-        self.violation_retention = violation_retention
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._observed = 0
-        self._by_status: Dict[str, int] = {
-            status: 0 for status in VERDICT_STATUSES
-        }
-        self._by_tier: Dict[str, _Bucket] = defaultdict(_Bucket)
-        self._by_session: Dict[Optional[int], _Bucket] = defaultdict(_Bucket)
-        self._session_names: Dict[int, str] = {}
-        self._errors = _StreamingHistogram(ERROR_EDGES)
-        self._latency = _StreamingHistogram(LATENCY_EDGES)
-        self._violations: deque = deque(maxlen=violation_retention)
+        self._by_tier: Dict[str, _Bucket] = {}
+        self._violations: deque = deque(maxlen=VIOLATION_RETENTION)
 
     # ------------------------------------------------------------------
-    # observation (the settle paths call these)
+    # observation (the settle path calls these)
     # ------------------------------------------------------------------
     def observe(
         self,
@@ -509,7 +222,7 @@ class ContractMonitor:
         session_id: Optional[int] = None,
         wall_seconds: Optional[float] = None,
     ) -> ContractVerdict:
-        """Record a raw base-data execution (the legacy exact path).
+        """Record a raw base-data execution.
 
         An exact answer has zero error and no ladder, so it is always
         ``met``; it still belongs in the denominator — a tenant's
@@ -544,7 +257,6 @@ class ContractMonitor:
             table=table,
             tier=contract.tier,
             session_id=session_id,
-            session_name=self._name_of(session_id),
             promised_error=contract.max_relative_error,
             achieved_error=achieved_error,
             promised_budget=contract.time_budget,
@@ -557,52 +269,27 @@ class ContractMonitor:
         return verdict
 
     def record(self, verdict: ContractVerdict) -> None:
-        """Fold one verdict into the aggregates.
+        """Fold one verdict into its tier's tally.
 
         The public seam the aggregation-exactness property tests use:
-        every aggregate is a pure fold over the verdict stream, so
-        replaying verdicts into a fresh monitor reproduces the report.
+        the report is a pure fold over the verdict stream, so
+        replaying verdicts into a fresh monitor reproduces it.
         """
         if verdict.status not in VERDICT_STATUSES:
             raise ValueError(
                 f"unknown verdict status {verdict.status!r}; expected "
                 f"one of {VERDICT_STATUSES}"
             )
+        tier = verdict.tier or UNTIERED
         with self._lock:
-            self._observed += 1
-            self._by_status[verdict.status] += 1
-            tier_key = verdict.tier or UNTIERED
-            self._by_tier[tier_key].add(verdict.status)
-            self._by_session[verdict.session_id].add(verdict.status)
-            if (
-                verdict.session_id is not None
-                and verdict.session_name is not None
-            ):
-                self._session_names.setdefault(
-                    verdict.session_id, verdict.session_name
-                )
-            if verdict.achieved_error is not None:
-                self._errors.add(verdict.achieved_error)
-            seconds = (
-                verdict.run_seconds
-                if verdict.run_seconds is not None
-                else verdict.wall_seconds
-            )
-            if seconds is not None:
-                self._latency.add(seconds)
-            if verdict.status != "met":
+            bucket = self._by_tier.get(tier)
+            if bucket is None:
+                bucket = self._by_tier[tier] = _Bucket()
+            bucket.total += 1
+            if verdict.status == "met":
+                bucket.met += 1
+            else:
                 self._violations.append(verdict)
-
-    def note_session(self, session_id: int, name: str) -> None:
-        """Register a session's human name for reporting."""
-        with self._lock:
-            self._session_names[session_id] = name
-
-    def _name_of(self, session_id: Optional[int]) -> Optional[str]:
-        if session_id is None:
-            return None
-        with self._lock:
-            return self._session_names.get(session_id)
 
     # ------------------------------------------------------------------
     # the structured observability read-out
@@ -611,52 +298,28 @@ class ContractMonitor:
     def observed(self) -> int:
         """Total verdicts recorded so far."""
         with self._lock:
-            return self._observed
+            return sum(bucket.total for bucket in self._by_tier.values())
 
     def report(self) -> SlaReport:
-        """A consistent snapshot of every fleet aggregate."""
+        """A consistent snapshot of the tier tallies."""
         with self._lock:
-            return SlaReport(
-                observed=self._observed,
-                met=self._by_status["met"],
-                missed=self._by_status["missed"],
-                by_tier={
-                    tier: bucket.freeze()
-                    for tier, bucket in self._by_tier.items()
-                },
-                by_session={
-                    key: bucket.freeze()
-                    for key, bucket in self._by_session.items()
-                },
-                session_names=dict(self._session_names),
-                error_margin=self._errors.summary(),
-                latency=self._latency.summary(),
-                violations=tuple(self._violations),
-            )
+            by_tier = {
+                tier: bucket.freeze() for tier, bucket in self._by_tier.items()
+            }
+            violations = tuple(self._violations)
+        observed = sum(bucket.total for bucket in by_tier.values())
+        met = sum(bucket.met for bucket in by_tier.values())
+        return SlaReport(
+            observed=observed,
+            met=met,
+            missed=observed - met,
+            by_tier=by_tier,
+            violations=violations,
+        )
 
     def describe(self) -> str:
         """One-line summary; the ``sla:`` line of ``report().render()``."""
         return self.report().describe()
-
-    # ------------------------------------------------------------------
-    # tiered quality gates
-    # ------------------------------------------------------------------
-    def check_gates(
-        self, spec: "GateSpec | Mapping[str, object]"
-    ) -> GateReport:
-        """Evaluate a gate spec's compliance floors against the live
-        aggregates.
-
-        ``spec`` is a :class:`GateSpec` or its mapping shape (a bare
-        ``{"gold": 0.99}`` floors mapping works).  Artifact metric
-        bounds in the spec are for the CI evaluator
-        (:mod:`repro.bench.gates`) and are ignored here.
-        """
-        resolved = GateSpec.coerce(spec)
-        report = self.report()
-        return GateReport(
-            results=tuple(evaluate_floors(resolved.floors, report.by_tier))
-        )
 
     def __repr__(self) -> str:
         report = self.report()

@@ -61,7 +61,7 @@ from repro.core.handle import QueryHandle
 from repro.core.maintenance import RefreshReport
 from repro.core.monitor import ContractMonitor, SlaReport
 from repro.core.scheduler import SchedulerStats, SharedScanScheduler
-from repro.core.session import Session
+from repro.core.session import Session, SessionStats
 from repro.errors import SessionError
 from repro.util.clock import ExecutionContext
 from repro.util.concurrency import ReadWriteLock
@@ -83,25 +83,6 @@ class ShutdownReport:
 
 
 @dataclass(frozen=True)
-class SessionInfo:
-    """One session's line in a :class:`ServerReport` snapshot."""
-
-    session_id: int
-    name: str
-    closed: bool
-    queries: int
-    cost: float
-
-    def render(self) -> str:
-        """Exactly the session's ``repr`` at snapshot time."""
-        state = "closed" if self.closed else "open"
-        return (
-            f"Session({self.name!r}, id={self.session_id}, {state}, "
-            f"queries={self.queries}, cost={self.cost:g})"
-        )
-
-
-@dataclass(frozen=True)
 class ServerReport:
     """Structured server state (:meth:`SciBorqServer.report`).
 
@@ -112,8 +93,8 @@ class ServerReport:
     for examples and debugging.
     """
 
-    #: Open sessions at snapshot time, one :class:`SessionInfo` each.
-    open_sessions: Tuple[SessionInfo, ...]
+    #: Open sessions at snapshot time, one ``session.report()`` each.
+    open_sessions: Tuple[SessionStats, ...]
     queries_served: int
     queries_failed: int
     pool_workers: int
@@ -135,7 +116,11 @@ class ServerReport:
             f"{self.queries_failed} failed, "
             f"pool={self.pool_workers} workers",
         ]
-        lines.extend(f"  {info.render()}" for info in self.open_sessions)
+        lines.extend(
+            f"  session {stats.name!r} (id={stats.session_id}): "
+            f"{stats.queries} queries, cost {stats.total_cost:g}"
+            for stats in self.open_sessions
+        )
         lines.append(
             f"  engine clock (all sessions + maintenance): "
             f"{self.engine_clock:g}"
@@ -201,11 +186,9 @@ class SciBorqServer:
         :class:`~repro.core.monitor.ContractMonitor` is installed into
         the engine); a ready monitor is installed as-is; ``False``
         turns it off.  The monitor is pure observation — it watches every
-        settled query and aggregates per-tier /
-        per-session SLA compliance, error-margin and latency
-        histograms, and a bounded violation log (``server.report().
-        sla``) — answers, charges, and attempt traces are byte-
-        identical with it on or off.
+        settled query and tallies per-tier SLA compliance and a bounded
+        violation log (``server.report().sla``) — answers, charges, and
+        attempt traces are byte-identical with it on or off.
     contract:
         Server-wide default :class:`Contract` for new sessions
         (default: none — sessions open unconstrained as before).  A
@@ -296,10 +279,7 @@ class SciBorqServer:
             engine.set_scan_scheduler(self.scheduler)
         if self.monitor is not None:
             engine.set_monitor(self.monitor)
-            logging.getLogger("repro.monitor").info(
-                "contract monitoring: on, violation retention %d",
-                self.monitor.violation_retention,
-            )
+            logging.getLogger("repro.monitor").info("contract monitoring: on")
 
     def _release_engine(self) -> None:
         """Give the engine up, carrying nothing this server installed
@@ -351,8 +331,6 @@ class SciBorqServer:
                 shared_scans=shared_scans,
             )
             self._sessions[session_id] = session
-        if self.monitor is not None:
-            self.monitor.note_session(session_id, session.name)
         return session
 
     def _forget_session(self, session: Session) -> None:
@@ -375,9 +353,9 @@ class SciBorqServer:
         contract: Optional[Contract],
         hierarchy: Optional[str],
     ) -> QueryHandle:
-        """The one prologue of every query: log, submit.
+        """The one prologue of every query: count, submit.
 
-        Records the query in the session log and submits it to the
+        Counts the query in the session's report and submits it to the
         engine.  The execution context — engine clock plus the session
         clock as observers, so the outcome's ``total_cost`` is exactly
         this query's own spending — opens at the first rung, inside the
@@ -387,7 +365,7 @@ class SciBorqServer:
         self._require_open()
         session._require_open()
         contract = contract if contract is not None else session.defaults
-        session.query_log.record(query)
+        session._record_submission()
         try:
             return self.engine.submit(
                 query,
@@ -421,7 +399,7 @@ class SciBorqServer:
         except BaseException as exc:  # noqa: BLE001 - stays on the handle
             self._note_failure(session, query, exc)
             return
-        session._record(query, outcome)
+        session._record(outcome)
         with self._admin_lock:
             self._queries_served += 1
         self._govern_memory()
@@ -513,7 +491,7 @@ class SciBorqServer:
         self, session: Session, query: Query, exc: BaseException
     ) -> None:
         """Failure accounting: per server, per session, and logged."""
-        session._record_failure(query, exc)
+        session._record_failure()
         with self._admin_lock:
             self._queries_failed += 1
         logging.getLogger("repro.server").debug(
@@ -699,22 +677,13 @@ class SciBorqServer:
         fleet SLA aggregates (``report().sla``) are present whenever a
         contract monitor is installed (the default).
         """
-        sessions = self.sessions
+        sessions = tuple(session.report() for session in self.sessions)
         with self._admin_lock:
             served = self._queries_served
             failed = self._queries_failed
         governor = self.memory_governor
         return ServerReport(
-            open_sessions=tuple(
-                SessionInfo(
-                    session_id=session.session_id,
-                    name=session.name,
-                    closed=session.closed,
-                    queries=len(session.query_log),
-                    cost=session.clock.now,
-                )
-                for session in sessions
-            ),
+            open_sessions=sessions,
             queries_served=served,
             queries_failed=failed,
             pool_workers=self.max_workers,

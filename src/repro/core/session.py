@@ -5,9 +5,10 @@ SkyServer serves "scientists, students and interested laymen" at once
 own runtime/quality demands.  A :class:`Session` is the per-user
 facade over one shared :class:`~repro.core.server.SciBorqServer`:
 
-* its **query log** records only this user's queries, so per-user
-  workload windows stay separable (the shared engine log still sees
-  everything, feeding the global interest model);
+* its **report** counts only this user's queries, misses and
+  failures (the shared engine log holds every query with what it
+  cost and achieved, keyed by session id, feeding the global
+  interest model);
 * its **clock** aggregates only this user's spending — every query
   runs in its own :class:`~repro.util.clock.ExecutionContext` whose
   charges are forwarded here, so two sessions can run queries at the
@@ -24,9 +25,8 @@ readers-writer lock.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, List, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.columnstore.query import Query
 from repro.core.bounded import BoundedResult
@@ -34,14 +34,9 @@ from repro.core.contracts import Contract
 from repro.core.handle import QueryHandle
 from repro.errors import SessionError
 from repro.util.clock import CostClock
-from repro.workload.log import QueryLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.server import SciBorqServer
-
-#: How many recent outcomes :attr:`Session.history` keeps; older ones
-#: (result tables included) are dropped, the miss counters stay exact.
-HISTORY_WINDOW = 256
 
 #: Sentinel for "use the session default" in per-query overrides, so
 #: an explicit ``None`` can still mean "unbounded for this query".
@@ -53,8 +48,8 @@ class SessionStats:
     """A point-in-time summary of one session's activity.
 
     ``failures`` counts submissions that errored server-side (strict
-    bound misses, bad predicates) — outcomes that never reach
-    ``history`` but must stay observable per tenant.
+    bound misses, bad predicates) — queries with no outcome to count
+    a miss on, which must still stay observable per tenant.
     """
 
     session_id: int
@@ -110,10 +105,8 @@ class Session:
         self.defaults = contract if contract is not None else Contract()
         #: Aggregate observer: sums the cost of this session's queries.
         self.clock = CostClock()
-        #: This user's queries only.
-        self.query_log = QueryLog()
-        self._history: Deque[BoundedResult] = deque(maxlen=HISTORY_WINDOW)
-        self._history_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._queries = 0
         self._quality_misses = 0
         self._budget_misses = 0
         self._failures = 0
@@ -219,23 +212,25 @@ class Session:
     # ------------------------------------------------------------------
     # bookkeeping (called by the server)
     # ------------------------------------------------------------------
-    def _record(self, query: Query, outcome: BoundedResult) -> None:
-        # query_log is recorded by the server at *submission* time —
-        # uniformly across execute and submit — so only the outcome
-        # history lands here
-        with self._history_lock:
-            self._history.append(outcome)
+    def _record_submission(self) -> None:
+        # counted by the server at *submission* time — uniformly across
+        # execute and submit — so a query in flight already counts
+        with self._lock:
+            self._queries += 1
+
+    def _record(self, outcome: BoundedResult) -> None:
+        with self._lock:
             self._quality_misses += not outcome.met_quality
             self._budget_misses += not outcome.met_budget
 
-    def _record_failure(self, query: Query, exc: BaseException) -> None:
+    def _record_failure(self) -> None:
         """Count a server-side failure of one of this session's queries.
 
-        Failed submissions never reach :attr:`history` (there is no
-        outcome to store), so without this counter a strict-miss on a
-        background handle would be invisible to the tenant's stats.
+        A failed submission has no outcome to count a miss on, so
+        without this counter a strict-miss on a background handle
+        would be invisible to the tenant's stats.
         """
-        with self._history_lock:
+        with self._lock:
             self._failures += 1
 
     def _require_open(self) -> None:
@@ -248,42 +243,27 @@ class Session:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called."""
-        return self._closed
-
-    @property
     def total_cost(self) -> float:
         """Cost units spent by this session's queries alone."""
         return self.clock.now
 
-    @property
-    def history(self) -> List[BoundedResult]:
-        """The last :data:`HISTORY_WINDOW` outcomes of this session's
-        queries, in completion order."""
-        with self._history_lock:
-            return list(self._history)
-
     def report(self) -> SessionStats:
         """Current activity summary.
 
-        ``queries`` counts everything logged (bounded and exact);
-        the miss counters cover bounded outcomes, the only kind that
-        carries met/missed flags.
+        ``queries`` counts every submission (bounded and exact, in
+        flight, settled or failed); the miss counters cover settled
+        outcomes, ``failures`` the submissions that errored.
         """
-        with self._history_lock:
-            quality_misses = self._quality_misses
-            budget_misses = self._budget_misses
-            failures = self._failures
-        return SessionStats(
-            session_id=self.session_id,
-            name=self.name,
-            queries=len(self.query_log),
-            total_cost=self.clock.now,
-            quality_misses=quality_misses,
-            budget_misses=budget_misses,
-            failures=failures,
-        )
+        with self._lock:
+            return SessionStats(
+                session_id=self.session_id,
+                name=self.name,
+                queries=self._queries,
+                total_cost=self.clock.now,
+                quality_misses=self._quality_misses,
+                budget_misses=self._budget_misses,
+                failures=self._failures,
+            )
 
     def close(self) -> None:
         """Detach from the server; further execution raises."""
@@ -302,5 +282,5 @@ class Session:
         state = "closed" if self._closed else "open"
         return (
             f"Session({self.name!r}, id={self.session_id}, {state}, "
-            f"queries={len(self.query_log)}, cost={self.clock.now:g})"
+            f"queries={self._queries}, cost={self.clock.now:g})"
         )

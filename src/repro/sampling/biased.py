@@ -69,8 +69,6 @@ class BiasedReservoir(ReservoirBase):
             )
         self.mass_fn = mass_fn
         self.uniform_floor = float(uniform_floor)
-        self._mass_sum = 0.0
-        self._mass_count = 0
 
     def acceptance_probabilities(
         self,
@@ -93,18 +91,5 @@ class BiasedReservoir(ReservoirBase):
             raise SamplingError("interest mass must be non-negative")
         if self.uniform_floor > 0.0:
             mass = np.maximum(mass, self.uniform_floor)
-        self._mass_sum += float(mass.sum())
-        self._mass_count += int(mass.shape[0])
         return mass * self.capacity / counts_after.astype(np.float64)
 
-    @property
-    def mean_mass(self) -> float:
-        """Average interest mass over all tuples offered so far (m̄).
-
-        Diagnostic: masses are reported relative to this mean by the
-        engine examples.  Inclusion probabilities come from the base
-        class's expected-churn integral, which needs no mass summary.
-        """
-        if self._mass_count == 0:
-            return 1.0
-        return self._mass_sum / self._mass_count

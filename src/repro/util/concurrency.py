@@ -111,11 +111,6 @@ class ReadWriteLock:
         """Readers currently inside (diagnostic)."""
         return self._active_readers
 
-    @property
-    def writing(self) -> bool:
-        """Whether a writer currently holds the lock (diagnostic)."""
-        return self._writer_active
-
 
 class MorselPool:
     """A lazily started thread pool that maps work in input order.

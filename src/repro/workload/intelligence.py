@@ -71,14 +71,6 @@ class HotRegion:
     count: int
     share: float
 
-    @property
-    def x_center(self) -> float:
-        return 0.5 * (self.x_lo + self.x_hi)
-
-    @property
-    def y_center(self) -> float:
-        return 0.5 * (self.y_lo + self.y_hi)
-
     def contains(self, x: float, y: float) -> bool:
         return self.x_lo <= x < self.x_hi and self.y_lo <= y < self.y_hi
 

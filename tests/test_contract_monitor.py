@@ -5,13 +5,14 @@ through modifiers and session overrides, the pure-fold aggregation
 property (one-shot equals incremental, fleet compliance equals
 per-query ground truth — as a hypothesis property over synthetic
 verdict streams), byte-identity of monitored vs monitor-disabled
-execution, gate floor boundary cases, per-tenant isolation, the
-100%-shed regression (sheds count in the denominator), the typed
-``report()`` objects rendering the legacy ``summary()`` strings
-byte-for-byte, and the ``stats()`` deprecation shim.
+execution, gate floor boundary cases, the agreement of session,
+server and tier tallies under the pool, and the typed ``report()``
+objects and their rendered text.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,17 +21,17 @@ from hypothesis import strategies as st
 from repro import Contract, SciBorqServer
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
+from repro.bench.gates import GateSpec, MetricGate, evaluate_floors
 from repro.core.engine import SciBorq
+from repro.core.handle import QueryHandle
 from repro.core.monitor import (
     UNTIERED,
     VERDICT_STATUSES,
+    VIOLATION_RETENTION,
     ContractMonitor,
     ContractVerdict,
-    GateSpec,
-    MetricGate,
-    SlaBucket,
 )
-from repro.errors import QueryError
+from repro.errors import BudgetExceededError, QueryError
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 
@@ -72,7 +73,6 @@ def make_verdict(
         table="PhotoObjAll",
         tier=tier,
         session_id=session_id,
-        session_name=None,
         promised_error=0.05,
         achieved_error=achieved_error,
         promised_budget=None,
@@ -203,12 +203,17 @@ class TestAggregationExactness:
                 ContractMonitor().record(bad)
 
     def test_violation_log_is_bounded(self):
-        monitor = ContractMonitor(violation_retention=3)
-        for index in range(10):
+        monitor = ContractMonitor()
+        extra = 7
+        for index in range(VIOLATION_RETENTION + extra):
             monitor.record(make_verdict("missed", session_id=index))
-        violations = monitor.report().violations
-        assert len(violations) == 3
-        assert [v.session_id for v in violations] == [7, 8, 9]
+        report = monitor.report()
+        assert len(report.violations) == VIOLATION_RETENTION
+        assert [v.session_id for v in report.violations] == list(
+            range(extra, VIOLATION_RETENTION + extra)
+        )
+        # the tally is never truncated
+        assert report.missed == VIOLATION_RETENTION + extra
 
 
 # ======================================================================
@@ -276,23 +281,27 @@ class TestQualityGates:
     def test_floor_boundary_pass_and_fail(self):
         # exactly at the floor passes (>=), one miss more fails
         at_floor = self.seeded("gold", met=99, missed=1)
-        assert at_floor.check_gates({"gold": 0.99}).passed
+        assert all(
+            r.passed
+            for r in evaluate_floors({"gold": 0.99}, at_floor.report().by_tier)
+        )
         below = self.seeded("gold", met=98, missed=2)
-        report = below.check_gates({"gold": 0.99})
-        assert not report.passed
-        assert report.failures[0].gate == "tier:gold"
-        assert report.failures[0].value == pytest.approx(0.98)
+        results = evaluate_floors({"gold": 0.99}, below.report().by_tier)
+        failures = [r for r in results if not r.passed]
+        assert failures
+        assert failures[0].gate == "tier:gold"
+        assert failures[0].value == pytest.approx(0.98)
 
     def test_unobserved_tier_passes_vacuously(self):
         monitor = self.seeded("silver", met=5, missed=0)
-        report = monitor.check_gates({"gold": 0.99, "silver": 0.95})
-        assert report.passed
-        gold = next(r for r in report.results if r.gate == "tier:gold")
+        results = evaluate_floors(
+            {"gold": 0.99, "silver": 0.95}, monitor.report().by_tier
+        )
+        assert all(r.passed for r in results)
+        gold = next(r for r in results if r.gate == "tier:gold")
         assert gold.value is None and "no gold queries" in gold.detail
 
     def test_spec_coercion_shapes(self):
-        bare = GateSpec.coerce({"gold": 0.99})
-        assert bare.floors == {"gold": 0.99} and bare.metrics == ()
         full = GateSpec.coerce(
             {
                 "floors": {"silver": 0.95},
@@ -316,6 +325,9 @@ class TestQualityGates:
         )
         with pytest.raises(TypeError, match="gate spec"):
             GateSpec.coerce("gold>=0.99")
+        # a bare floors mapping is not a spec: it would gate nothing
+        with pytest.raises(ValueError, match="gate spec keys"):
+            GateSpec.coerce({"gold": 0.99})
 
     def test_artifact_evaluator_matches_live(self, tmp_path):
         import json
@@ -323,7 +335,7 @@ class TestQualityGates:
         from repro.bench.gates import evaluate_artifacts
 
         monitor = self.seeded("gold", met=98, missed=2)
-        live = monitor.check_gates({"gold": 0.99})
+        live = evaluate_floors({"gold": 0.99}, monitor.report().by_tier)
         bucket = monitor.report().by_tier["gold"]
         (tmp_path / "BENCH_contract_monitor.json").write_text(
             json.dumps(
@@ -357,7 +369,7 @@ class TestQualityGates:
         )
         # the floor verdicts agree gate for gate
         assert [r.passed for r in offline.results[:1]] == [
-            r.passed for r in live.results
+            r.passed for r in live
         ]
         assert not offline.passed  # the floor fails in both
         metric = offline.results[-1]
@@ -372,38 +384,98 @@ class TestQualityGates:
 
 
 # ======================================================================
-# Per-tenant isolation
+# One tally per fact: the tallies agree under the pool
 # ======================================================================
-class TestTenantIsolation:
-    def test_sessions_aggregate_independently(self):
-        monitor = ContractMonitor()
-        monitor.note_session(1, "alice")
-        monitor.note_session(2, "bob")
-        for _ in range(4):
-            monitor.record(make_verdict("met", session_id=1))
-        monitor.record(make_verdict("missed", session_id=2))
-        monitor.record(make_verdict("met", session_id=2))
-        report = monitor.report()
-        assert report.by_session[1] == SlaBucket(total=4, met=4, missed=0)
-        assert report.by_session[2].compliance == 0.5
-        assert report.session_names == {1: "alice", 2: "bob"}
-        # one tenant's misses never leak into another's compliance
-        assert report.by_session[1].compliance == 1.0
+class TestTallyAgreement:
+    def test_tallies_agree_under_the_pool(self):
+        """Session reports, server counters and the monitor's tier
+        buckets each count one fact; over a mixed submit/execute burst
+        on two workers — with genuine misses and strict failures —
+        every one of them equals what the outcomes themselves say."""
+        engine = tiny_engine(seed=7700)
+        starved = Contract.within_budget(1.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the counters' updates
+        try:
+            self.run_burst(engine, starved)
+        finally:
+            sys.setswitchinterval(interval)
 
-    def test_server_registers_session_names(self):
-        engine = tiny_engine(seed=7500, n=4_000)
-        with SciBorqServer(engine, max_workers=1) as server:
-            alice = server.open_session("alice", contract="silver")
-            bob = server.open_session("bob", contract="bronze")
-            alice.execute(cone_count())
-            bob.execute(cone_count(200.0))
-            sla = server.report().sla
-            assert sla.session_names[alice.session_id] == "alice"
-            assert sla.session_names[bob.session_id] == "bob"
-            assert sla.by_session[alice.session_id].total == 1
-            assert sla.by_session[bob.session_id].total == 1
-            assert sla.by_tier["silver"].total == 1
-            assert sla.by_tier["bronze"].total == 1
+    def run_burst(self, engine, starved):
+        server = SciBorqServer(engine, max_workers=2)
+        sessions = [
+            server.open_session("bronze-user", contract="bronze"),
+            server.open_session("silver-user", contract="silver"),
+            server.open_session("untiered-user"),
+            server.open_session("strict-user"),
+        ]
+        pending = {session.session_id: [] for session in sessions}
+        submitted = 0
+        for index in range(12):
+            for session in sessions:
+                if session.name == "untiered-user":
+                    contract = starved
+                elif session.name == "strict-user":
+                    contract = starved.strictly() if index % 3 == 0 else starved
+                else:
+                    contract = None
+                query = cone_count(150.0 + 7.0 * (index % 6))
+                submitted += 1
+                if index % 2:
+                    pending[session.session_id].append(
+                        session.submit(query, contract)
+                    )
+                    continue
+                try:
+                    outcome = session.execute(query, contract)
+                except BudgetExceededError as exc:
+                    pending[session.session_id].append(exc)
+                else:
+                    pending[session.session_id].append(outcome)
+        outcomes = {session.session_id: [] for session in sessions}
+        failures = {session.session_id: 0 for session in sessions}
+        for session_id, settled in pending.items():
+            for item in settled:
+                if isinstance(item, QueryHandle):
+                    try:
+                        item = item.result(timeout=60)
+                    except BudgetExceededError as exc:
+                        item = exc
+                if isinstance(item, BaseException):
+                    failures[session_id] += 1
+                else:
+                    outcomes[session_id].append(item)
+        sla = server.monitor.report()
+        server.shutdown()  # waits for every worker's epilogue
+        assert sum(failures.values()) > 0
+        assert any(
+            not o.met_budget for settled in outcomes.values() for o in settled
+        )
+
+        stats = [session.report() for session in sessions]
+        assert sum(s.queries for s in stats) == submitted
+        assert submitted == server.queries_served + server.queries_failed
+        assert server.queries_failed == sum(failures.values())
+        for session, report in zip(sessions, stats):
+            own = outcomes[session.session_id]
+            assert report.queries == len(own) + failures[session.session_id]
+            assert report.failures == failures[session.session_id]
+            assert report.quality_misses == sum(not o.met_quality for o in own)
+            assert report.budget_misses == sum(not o.met_budget for o in own)
+
+        truth = {}
+        for settled in outcomes.values():
+            for outcome in settled:
+                bucket = truth.setdefault(
+                    outcome.contract.tier or UNTIERED, [0, 0]
+                )
+                bucket[0] += 1
+                bucket[1] += outcome.met_quality and outcome.met_budget
+        assert {
+            tier: [bucket.total, bucket.met]
+            for tier, bucket in sla.by_tier.items()
+        } == truth
+        assert sla.observed == sum(total for total, _ in truth.values())
 
 
 # ======================================================================
@@ -420,8 +492,8 @@ class TestReportRendering:
             assert report.sla.observed == 1
             assert report.queries_served == 1
             assert report.pool_workers == 1
-            info = report.open_sessions[0]
-            assert info.render() == repr(session)
+            assert report.open_sessions == (session.report(),)
+            assert "'render'" in report.render()
 
     def test_engine_summary_is_report_render(self):
         engine = tiny_engine(seed=8100, n=4_000)

@@ -398,8 +398,8 @@ class TestServerSubmit:
                 name.startswith("sciborq") for name in worker_names
             )
             # the session recorded the progressive outcome like any other
-            assert session.history[-1] is outcome
-            assert len(session.query_log) == 1
+            assert session.report().queries == 1
+            assert session.report().quality_misses == (not outcome.met_quality)
             assert server.queries_served == 1
 
     def test_driven_iteration_follows_worker(self, fresh_sky_engine):

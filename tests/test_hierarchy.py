@@ -62,8 +62,9 @@ class TestIteration:
         assert sizes == [10, 100, 1000]
 
     def test_from_largest(self, hierarchy):
-        sizes = [l.capacity for l in hierarchy.from_largest()]
+        sizes = [l.capacity for l in hierarchy.layers]
         assert sizes == [1000, 100, 10]
+        assert list(reversed(hierarchy.layers)) == list(hierarchy.from_smallest())
 
     def test_layer_lookup(self, hierarchy):
         assert hierarchy.layer(0).capacity == 1000

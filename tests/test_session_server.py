@@ -17,7 +17,6 @@ import pytest
 
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import RadialPredicate
-from repro.core import session as session_module
 from repro.core.engine import SciBorq
 from repro.core.governor import MemoryGovernor
 from repro.core.monitor import ContractMonitor
@@ -133,21 +132,21 @@ class TestCrossSessionIsolation:
             bob.execute(cone(200.0, 3.0))
             for handle in handles:
                 handle.result()
-            assert len(alice.query_log) == 2
-            assert len(bob.query_log) == 1
+            assert alice.report().queries == 2
+            assert bob.report().queries == 1
             # the shared engine log feeds the global interest model
             assert len(server.engine.query_log) == 3
 
     def test_every_query_path_records_in_the_session_log(self):
         """The unification regression: execute, submit, and an exact
-        execute all record into ``session.query_log`` (at submission
-        time), not just the exact path."""
+        execute all count in ``session.report().queries`` (at
+        submission time), not just the exact path."""
         with SciBorqServer(make_engine(), max_workers=2) as server:
             session = server.open_session("all-paths")
             session.execute(cone(150.0, 5.0), Contract.within_error(0.5))
             session.submit(cone(160.0, 5.0)).result()
             server.execute(session, cone(170.0, 5.0), Contract.exact())
-            assert len(session.query_log) == 3
+            assert session.report().queries == 3
             assert len(server.engine.query_log) == 3
 
     def test_engine_log_settles_with_session_outcomes(self):
@@ -198,7 +197,7 @@ class TestSessionLifecycle:
         with SciBorqServer(make_engine()) as server:
             session = server.open_session()
             session.close()
-            assert session.closed
+            assert "closed" in repr(session)
             with pytest.raises(SessionError, match="closed"):
                 session.execute(cone(150.0, 5.0))
             assert session not in server.sessions
@@ -207,7 +206,7 @@ class TestSessionLifecycle:
         server = SciBorqServer(make_engine())
         session = server.open_session()
         server.shutdown()
-        assert session.closed
+        assert "closed" in repr(session)
         with pytest.raises(SessionError, match="shut down"):
             server.open_session()
         server.shutdown()  # idempotent
@@ -304,12 +303,8 @@ class TestSessionLifecycle:
             assert stats.total_cost == session.total_cost > 0
             assert server.queries_served == 1
 
-    def test_history_is_a_window_and_the_miss_counters_stay_exact(
-        self, monkeypatch
-    ):
-        """Twice the window of queries: ``history`` holds the last
-        window of outcomes, the counters cover all of them."""
-        monkeypatch.setattr(session_module, "HISTORY_WINDOW", 3)
+    def test_the_miss_counters_stay_exact(self):
+        """The session's counters cover every outcome it settled."""
         contracts = [Contract.within_budget(1.0), Contract.within_error(0.5)]
         with SciBorqServer(make_engine()) as server:
             session = server.open_session("long-lived")
@@ -317,8 +312,6 @@ class TestSessionLifecycle:
                 session.execute(cone(150.0, 5.0), contract)
                 for contract in contracts * 3
             ]
-            assert len(outcomes) == 2 * session_module.HISTORY_WINDOW
-            assert session.history == outcomes[-3:]
             stats = session.report()
             assert stats.queries == len(outcomes)
             assert stats.quality_misses == sum(
@@ -440,7 +433,7 @@ class TestFailureAccounting:
                 server.execute(session, bad, Contract.exact())
             assert server.queries_failed == 1
             assert session.report().failures == 1
-            assert session.history == []
+            assert session.report().quality_misses == 0
 
 
     @pytest.mark.parametrize("path", ["submit", "execute"])
