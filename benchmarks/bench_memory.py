@@ -1,10 +1,10 @@
 """E16 — tiered column blocks shrink the footprint, honestly.
 
 SciBORQ's contracts trade accuracy for runtime; the tiered block store
-(ROADMAP "Error-bounded compressed column blocks") applies the same
-formalism to memory.  Blocks live hot (raw), warm (error-bounded int8
-quantisation), or cold (mmap-backed raw spill), and a governor demotes
-the least-recently-scanned blocks to fit a byte budget.  Five claims:
+(ROADMAP item 11) applies the same formalism to memory.  Blocks live
+hot (raw), warm (error-bounded int8 quantisation), or cold (mmap-backed
+raw spill), and a governor demotes the least-recently-scanned blocks
+to fit a byte budget.  Five claims:
 
 (a) **footprint** — demoted blocks occupy ≥4x less RAM than their raw
     bytes (int8 codes are 8x smaller than float64; cold is free);

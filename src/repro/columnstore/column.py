@@ -33,7 +33,7 @@ Each *full* block lives in one of three tiers:
   :class:`~repro.stats.estimators.Estimate` so reported CIs stay
   honest (ISSUE 7 / Liu et al., arXiv:2310.14133).
 * **cold** — the raw bytes live only in an mmap-backed spill file
-  (:class:`repro.core.persistence.ColumnBlockStore`); reads map them
+  (:class:`repro.columnstore.spill.ColumnBlockStore`); reads map them
   back lazily.  Cold is *exact* — demotion always spills the original
   raw bytes first, so promoting any block back to hot restores it
   byte-identically, and any reader may ask for the raw bytes of a
@@ -67,6 +67,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.columnstore.spill import ColumnBlockStore
 from repro.errors import SchemaError
 
 _MIN_CAPACITY = 16
@@ -240,7 +241,7 @@ class Column:
         #: the sealed blocks' bytes per tier (chunked mode; the tail's
         #: are ``_tail_size`` rows)
         self._tally = _Tally()
-        self._spill = None  # lazily-created ColumnBlockStore
+        self._spill: Optional[ColumnBlockStore] = None  # created at first demote
         self._tier_lock = threading.RLock()
         #: per block, the tick of the last read that touched it (0 =
         #: never); writers size it (:meth:`_grow_ticks`), so a read only
@@ -571,24 +572,10 @@ class Column:
     def _sealed_rows(self) -> int:
         return len(self._chunks) * self._block_size if self._chunks else 0
 
-    def _ensure_spill(self):
+    def _ensure_spill(self) -> ColumnBlockStore:
         if self._spill is None:
-            from repro.core.persistence import ColumnBlockStore
-
             self._spill = ColumnBlockStore()
         return self._spill
-
-    def attach_spill(self, store) -> None:
-        """Use ``store`` for this column's spilled raw blocks.
-
-        Must be called before the first demotion; the governor wires a
-        shared (optionally on-disk, sidecar-described) store this way.
-        """
-        if self._spill is not None and self._spill is not store:
-            raise SchemaError(
-                f"column {self.name!r} already spilled blocks to another store"
-            )
-        self._spill = store
 
     def _spill_key(self, block: int) -> str:
         return f"{self.name}@{id(self):x}#{block}"

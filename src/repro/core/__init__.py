@@ -29,14 +29,10 @@
   concurrent multi-session layer: one shared engine behind a
   readers-writer lock, per-user sessions with isolated cost
   accounting and default contracts.
-* :mod:`repro.core.intelligence` — collaborative workload
-  intelligence: the cross-session query log mined, on demand, into
-  a persistable region-popularity model that recommends ladder entry
-  points and seeds the next engine's interest model.
 * :mod:`repro.core.monitor` — runtime contract monitoring: every
   settled query scored against its contract
   (:class:`ContractVerdict`), streamed into fleet SLA aggregates
-  (:class:`SlaReport`) and tiered quality gates (:class:`GateSpec`).
+  (:class:`SlaReport`).
 """
 
 from repro.core.impression import Impression
@@ -70,22 +66,8 @@ from repro.core.server import (
     ServerReport,
     ShutdownReport,
 )
-from repro.core.intelligence import WorkloadIntelligenceService
-from repro.core.persistence import (
-    load_hierarchy,
-    load_intelligence,
-    read_snapshot_metadata,
-    save_hierarchy,
-    save_intelligence,
-)
 
 __all__ = [
-    "load_hierarchy",
-    "load_intelligence",
-    "read_snapshot_metadata",
-    "save_hierarchy",
-    "save_intelligence",
-    "WorkloadIntelligenceService",
     "ShutdownReport",
     "Impression",
     "ImpressionHierarchy",

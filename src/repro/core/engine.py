@@ -94,8 +94,6 @@ class EngineReport:
     interest: str
     #: Workload drift events seen by the maintenance planner.
     drift_events: int
-    #: ``intelligence.describe()`` when a service is attached.
-    intelligence: Optional[str]
     #: Engine clock reading, in cost units.
     clock_now: float
     #: Full :meth:`SciBorq.memory_report` mapping.
@@ -111,8 +109,6 @@ class EngineReport:
             f"query log: {self.query_log_entries} entries; interest: "
             f"{self.interest}; drift events: {self.drift_events}"
         )
-        if self.intelligence is not None:
-            lines.append(self.intelligence)
         lines.append(f"clock: {self.clock_now:g} cost units")
         tiers = self.memory["tiers"]
         memory_line = (
@@ -204,11 +200,6 @@ class SciBorq:
         # demotes least-recently-scanned blocks hot→warm→cold to keep
         # the engine-wide footprint inside a byte budget (core/governor).
         self._memory_governor = None
-        # workload-intelligence service (set_intelligence): mines the
-        # query log, on demand, into a region-popularity model that
-        # answers session.recommend() and persists across engines
-        # (core/intelligence).
-        self._intelligence = None
         # contract monitor (installed by the server layer or directly):
         # turns every settled query into a ContractVerdict and streams
         # fleet SLA aggregates — pure observation, never a mutation
@@ -378,29 +369,6 @@ class SciBorq:
     def memory_governor(self):
         """The installed memory governor, or ``None``."""
         return self._memory_governor
-
-    def set_intelligence(self, service) -> None:
-        """Install (or remove, with ``None``) a workload-intelligence
-        service (:class:`~repro.core.intelligence.
-        WorkloadIntelligenceService`).
-
-        The one way a service is installed: it binds to this engine's
-        interest domains and query log, and from then on mines that
-        log on demand — whenever :meth:`Session.recommend
-        <repro.core.session.Session.recommend>`, :meth:`report` or
-        :func:`~repro.core.persistence.save_intelligence` reads it.
-        The service is advice only; no query, cache, tier or refresh
-        depends on it, so a server in front neither installs nor
-        removes one.
-        """
-        if service is not None:
-            service.bind(self)
-        self._intelligence = service
-
-    @property
-    def intelligence(self):
-        """The installed workload-intelligence service, or ``None``."""
-        return self._intelligence
 
     def set_monitor(self, monitor: Optional[ContractMonitor]) -> None:
         """Install (or remove, with ``None``) a contract monitor.
@@ -768,11 +736,6 @@ class SciBorq:
             query_log_entries=len(self.query_log),
             interest=repr(self.interest),
             drift_events=self.planner.drift_events,
-            intelligence=(
-                self._intelligence.describe()
-                if self._intelligence is not None
-                else None
-            ),
             clock_now=self.clock.now,
             memory=self.memory_report(),
             sla=self._monitor.report() if self._monitor is not None else None,

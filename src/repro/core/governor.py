@@ -1,13 +1,13 @@
 """Engine-wide memory governance over tiered column blocks.
 
 SciBORQ's contracts trade accuracy for *runtime*; the governor applies
-the same formalism to *memory* (ROADMAP "Error-bounded compressed
-column blocks").  It tracks the engine's RAM-resident footprint —
-catalog tables, materialised impression payloads, and the recycler —
-against a byte budget, and when the budget is exceeded it demotes the
-least-recently-scanned full blocks of the *catalog* tables ``hot →
-warm`` (error-bounded int8/int16 quantisation) and then ``warm →
-cold`` (mmap-backed raw spill, exact) until the footprint fits.
+the same formalism to *memory* (ROADMAP item 11).  It tracks the
+engine's RAM-resident footprint — catalog tables, materialised
+impression payloads, and the recycler — against a byte budget, and
+when the budget is exceeded it demotes the least-recently-scanned full
+blocks of the *catalog* tables ``hot → warm`` (error-bounded
+int8/int16 quantisation) and then ``warm → cold`` (mmap-backed raw
+spill, exact) until the footprint fits.
 Impression tables stay resident: their zones are a few hundred rows,
 and every rung scan reads them, so a demoted zone would cost a spill
 read per scan for little saved.  The one exception is a column an
@@ -90,24 +90,17 @@ class MemoryGovernor:
         cold blocks cannot shrink further).
     warm_bits:
         Quantisation width for the warm tier (8 or 16).
-    spill:
-        Optional shared :class:`~repro.core.persistence.ColumnBlockStore`
-        every governed column spills to (a named store gives restart
-        persistence via its sidecar); by default each column lazily
-        creates its own anonymous store.
     """
 
     def __init__(
         self,
         budget_bytes: int,
         warm_bits: int = 8,
-        spill=None,
     ) -> None:
         require(budget_bytes > 0, "memory budget must be positive")
         require(warm_bits in (8, 16), "warm_bits must be 8 or 16")
         self.budget_bytes = int(budget_bytes)
         self.warm_bits = warm_bits
-        self.spill = spill
         self.stats = GovernorStats()
         self._lock = threading.Lock()
 
@@ -182,13 +175,7 @@ class MemoryGovernor:
 
     def _columns(self, tables: List[Table]) -> Iterable[Column]:
         for table in tables:
-            for column in table.resident_columns():
-                if self.spill is not None and column.is_fully_hot:
-                    try:
-                        column.attach_spill(self.spill)
-                    except Exception:
-                        pass  # column already spilled elsewhere
-                yield column
+            yield from table.resident_columns()
 
     def _demote_until_fits(
         self,

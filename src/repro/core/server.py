@@ -554,22 +554,6 @@ class SciBorqServer:
         with self._rwlock.write_locked():
             self.engine.enforce_memory()
 
-    def recommend(self, session: Session, query: Query):
-        """Mined ladder advice for ``query``'s sky region, or ``None``.
-
-        Surfaces the collaborative escalation profile — how many
-        settled queries the region has, how far they climbed, what
-        error and cost they achieved — without running anything.
-        Reads the service installed on the engine
-        (``engine.set_intelligence``), which first mines whatever the
-        query log gained since its last read; ``None`` without a
-        service or below its ``min_support``.
-        """
-        self._require_open()
-        session._require_open()
-        service = self.engine.intelligence
-        return None if service is None else service.recommend(query)
-
     # ------------------------------------------------------------------
     # lifecycle + introspection
     # ------------------------------------------------------------------

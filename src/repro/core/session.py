@@ -194,21 +194,6 @@ class Session:
         self._require_open()
         return self._server.submit(self, query, contract, hierarchy=hierarchy)
 
-    def recommend(self, query: Query):
-        """Mined ladder advice for ``query``'s sky region, or ``None``.
-
-        The collaborative read-out of the engine's workload
-        intelligence: how many settled queries this region of the sky
-        has, how far up the ladder they climbed, and what error/cost
-        they achieved — a preview before committing to a contract.
-        Requires a service installed with ``engine.set_intelligence``;
-        returns ``None`` otherwise (or below the mined support
-        threshold).  Queries settled before the call are reflected:
-        the service mines the log on demand.
-        """
-        self._require_open()
-        return self._server.recommend(self, query)
-
     # ------------------------------------------------------------------
     # bookkeeping (called by the server)
     # ------------------------------------------------------------------

@@ -22,12 +22,6 @@ from repro.workload.interest import (
     InterestModel,
 )
 from repro.workload.drift import DriftDetector
-from repro.workload.intelligence import (
-    HotRegion,
-    LadderRecommendation,
-    RegionPopularityModel,
-    WorkloadMiner,
-)
 
 __all__ = [
     "QueryLog",
@@ -38,8 +32,4 @@ __all__ = [
     "CoupledInterest",
     "InterestModel",
     "DriftDetector",
-    "HotRegion",
-    "LadderRecommendation",
-    "RegionPopularityModel",
-    "WorkloadMiner",
 ]

@@ -10,9 +10,8 @@ number of queries" (§4).
 Entries are recorded at *submission* (the workload model sees intent)
 and — for executions the engine settles — enriched at *completion*
 with a :class:`QueryOutcome`: tuples charged, rungs climbed, achieved
-error, wall seconds, session id.  That settled feed is
-what the fleet-wide workload miner
-(:mod:`repro.workload.intelligence`) learns escalation behaviour from.
+error, wall seconds, session id — the one record of what each query
+did.
 """
 
 from __future__ import annotations
@@ -130,35 +129,12 @@ class QueryLog:
     def snapshot(self) -> Sequence[QueryLogEntry]:
         """A consistent copy of the current window (lock-protected).
 
-        Plain iteration reads the live list; concurrent miners must
+        Plain iteration reads the live list; concurrent readers must
         use this so a racing ``record``/``settle`` never tears the
         walk.
         """
         with self._lock:
             return tuple(self._entries)
-
-    @property
-    def total_recorded(self) -> int:
-        """Queries ever recorded (ignoring window truncation)."""
-        return self._next_sequence
-
-    def tail(self, count: int) -> Sequence[QueryLogEntry]:
-        """The most recent ``count`` entries."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return tuple(self._entries[-count:]) if count else ()
-
-    def since(self, sequence: int) -> Sequence[QueryLogEntry]:
-        """Entries with sequence number ≥ ``sequence``.
-
-        Sequences are dense, so the answer is a slice from
-        ``sequence``'s offset in the retained window (clamped to its
-        start when the window already evicted it) — O(returned), not a
-        walk of the whole log.
-        """
-        with self._lock:
-            offset = sequence - (self._next_sequence - len(self._entries))
-            return tuple(self._entries[max(offset, 0):])
 
     def most_common_fingerprints(self, count: int = 10) -> list[tuple[str, int]]:
         """The most repeated query shapes (workload hot spots)."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.columnstore.table import Table
+from repro.core.engine import SciBorq
 from repro.core.hierarchy import ImpressionHierarchy
 from repro.core.maintenance import (
     MaintenancePlanner,
@@ -13,6 +14,8 @@ from repro.core.maintenance import (
 )
 from repro.core.policy import UniformPolicy, build_hierarchy
 from repro.errors import ImpressionError
+from repro.skyserver.generator import SkyGenerator, build_skyserver
+from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 from repro.util.clock import CostClock
 from repro.workload.drift import DriftDetector
 from repro.workload.interest import InterestModel
@@ -126,3 +129,72 @@ class TestMaintenancePlanner:
         planner = self.make_planner()
         planner.observe("y", rng.normal(0, 1, 100))  # no detector: no-op
         assert planner.drifted_attributes() == []
+
+
+# ----------------------------------------------------------------------
+# Drift reaction: every hierarchy refreshes in full, decay is scoped
+# ----------------------------------------------------------------------
+def make_engine(seed: int = 701) -> SciBorq:
+    engine = SciBorq(
+        create_skyserver_catalog(),
+        interest_attributes={"ra": RA_RANGE, "dec": DEC_RANGE},
+        rng=seed,
+    )
+    engine.create_hierarchy(
+        "PhotoObjAll", policy="uniform", layer_sizes=(5_000, 500)
+    )
+    build_skyserver(
+        30_000, generator=SkyGenerator(rng=seed + 1), loader=engine.loader
+    )
+    return engine
+
+
+def two_table_engine() -> SciBorq:
+    """PhotoObjAll (5 000-row reflex layer) plus Photoz (400-row)."""
+    engine = SciBorq(
+        create_skyserver_catalog(),
+        interest_attributes={"ra": RA_RANGE, "dec": DEC_RANGE},
+        rng=701,
+    )
+    engine.create_hierarchy(
+        "PhotoObjAll", policy="uniform", layer_sizes=(5_000, 500)
+    )
+    engine.create_hierarchy("Photoz", policy="uniform", layer_sizes=(400, 50))
+    build_skyserver(
+        30_000, generator=SkyGenerator(rng=702), loader=engine.loader
+    )
+    return engine
+
+
+def force_ra_drift(engine: SciBorq) -> None:
+    """Push the ra detector's recent window far from its history."""
+    detector = engine.planner.detectors["ra"]
+    rng = np.random.default_rng(3)
+    detector.observe(rng.uniform(100.0, 110.0, 400))
+    detector.observe(rng.uniform(300.0, 310.0, 200))
+    assert detector.drifted
+
+
+class TestBudgetedMaintenance:
+    def test_everything_refreshes_in_full(self):
+        engine = two_table_engine()
+        force_ra_drift(engine)
+        reports = engine.maintain()
+        assert len(reports["PhotoObjAll"]) == 1
+        assert len(reports["Photoz"]) == 1
+        assert reports["Photoz"][0].tuples_streamed == 400
+
+    def test_scoped_decay_spares_stable_attributes(self):
+        engine = make_engine()
+        rng = np.random.default_rng(4)
+        # both attributes accumulate interest
+        engine.interest.observe_values("ra", rng.uniform(100, 200, 300))
+        engine.interest.observe_values("dec", rng.uniform(-30, 30, 300))
+        ra_before = engine.interest.interest_for("ra").histogram.total
+        dec_before = engine.interest.interest_for("dec").histogram.total
+        force_ra_drift(engine)  # only ra drifts
+        engine.maintain()
+        ra_total = engine.interest.interest_for("ra").histogram.total
+        dec_total = engine.interest.interest_for("dec").histogram.total
+        assert ra_total < ra_before  # decayed
+        assert dec_total == dec_before  # untouched

@@ -1,12 +1,12 @@
 """Tests for tiered block storage and the memory governor.
 
-The contract under test (ROADMAP "Error-bounded compressed column
-blocks"): a column's blocks may live hot (raw ndarray), warm
-(error-bounded int8/int16 quantisation), or cold (mmap-backed raw
-spill) — and the engine stays *honest* about it.  All-hot answers are
-byte-identical to the pre-tiering engine; impression tables gathered
-after a demotion still hold the raw base values; answers reading warm
-base blocks carry the recorded pointwise bound in
+The contract under test (ROADMAP item 11): a column's blocks may live
+hot (raw ndarray), warm (error-bounded int8/int16 quantisation), or
+cold (mmap-backed raw spill) — and the engine stays *honest* about
+it.  All-hot answers are byte-identical to the pre-tiering engine;
+impression tables gathered after a demotion still hold the raw base
+values; answers reading warm base blocks carry the recorded pointwise
+bound in
 ``Estimate.value_error``; exact contracts read demoted blocks' raw
 bytes from the spill, changing no tier, so their answers are
 byte-identical again; and
@@ -32,7 +32,6 @@ from repro.core.contracts import Contract
 from repro.core.engine import SciBorq
 from repro.core.impression import PI_COLUMN
 from repro.core.governor import PROMOTE_HEADROOM, MemoryGovernor
-from repro.core.persistence import ColumnBlockStore
 from repro.core.server import SciBorqServer
 from repro.errors import SchemaError
 from repro.util.concurrency import ReadWriteLock
@@ -209,15 +208,6 @@ class TestDemotePromote:
         assert taken.max_value_error() == bound
         kept = col.filter(np.arange(len(col)) < 10)
         assert kept.max_value_error() == bound
-
-    def test_attach_spill_conflicts_are_rejected(self):
-        col = float_column()
-        store = ColumnBlockStore()
-        col.attach_spill(store)
-        col.attach_spill(store)  # same store: fine
-        col.demote(0, "cold")
-        with pytest.raises(SchemaError, match="another store"):
-            col.attach_spill(ColumnBlockStore())
 
 
 class TestFootprint:
@@ -641,12 +631,6 @@ class TestGovernor:
         engine.set_memory_governor(MemoryGovernor(1))
         assert col.block_tiers()["warm"] == 0
         assert col.block_tiers()["cold"] > 0
-
-    def test_shared_spill_store_is_attached(self, tmp_path):
-        store = ColumnBlockStore(tmp_path / "blocks.bin")
-        engine = tiered_engine()
-        engine.set_memory_governor(MemoryGovernor(1, spill=store))
-        assert store.size_bytes > 0  # raw blocks landed in the shared store
 
 
 # ----------------------------------------------------------------------
