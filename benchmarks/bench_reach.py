@@ -14,8 +14,11 @@ defs count in their parent too, so the figures are approximate; they
 are a work count, not a wall time.
 
 Standalone (``python benchmarks/bench_reach.py [--smoke]``).  Writes
-``BENCH_reach.json``: the totals under ``reach`` and the executed and
-never-entered lines of every module under ``modules``.  Thread
+``BENCH_reach.json``: the totals under ``reach`` and, under
+``modules``, the executed and never-entered lines of every module
+with its never-entered defs (``never_entered``: qualified name, line
+of the ``def``, line count), so an earn-or-delete verdict reads its
+candidates off the report.  Thread
 interleaving moves the figure by a few lines between runs, so it is
 recorded, not gated.
 """
@@ -38,17 +41,28 @@ SEED = 5
 
 
 def function_lines(path: Path) -> dict:
-    """``{first line of the def's code object: its lines}`` for every
-    def of one source file, nested ones included.
+    """``{first line of the def's code object: (qualified name, def
+    line, lines)}`` for every def of one source file, nested ones
+    included (``Class.method``, ``outer.inner``).
 
     A decorated function's code object starts at its first decorator,
     so that is the key the profiler's call events are matched on.
     """
     spans = {}
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            spans[first] = node.end_lineno - node.lineno + 1
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                name = prefix + child.name
+                spans[first] = (name, child.lineno, child.end_lineno - child.lineno + 1)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
     return spans
 
 
@@ -88,7 +102,8 @@ def record_calls(seconds: float) -> tuple:
 
 
 def reach(entered: set) -> dict:
-    """Executed and never-entered function lines, per module."""
+    """Executed and never-entered function lines, per module, with
+    the defs never entered."""
     starts = {}
     for code in entered:
         path = os.path.realpath(code.co_filename)
@@ -99,12 +114,18 @@ def reach(entered: set) -> dict:
         if not spans:
             continue
         hit = starts.get(os.path.realpath(path), set())
-        total = sum(spans.values())
-        executed = sum(lines for first, lines in spans.items() if first in hit)
+        total = sum(lines for _, _, lines in spans.values())
+        never = [
+            {"name": name, "line": line, "lines": lines}
+            for first, (name, line, lines) in sorted(spans.items())
+            if first not in hit
+        ]
+        never_lines = sum(entry["lines"] for entry in never)
         modules[path.relative_to(PACKAGE).as_posix()] = {
             "function_lines": total,
-            "executed_lines": executed,
-            "never_entered_lines": total - executed,
+            "executed_lines": total - never_lines,
+            "never_entered_lines": never_lines,
+            "never_entered": never,
         }
     return modules
 

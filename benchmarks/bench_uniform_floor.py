@@ -1,6 +1,6 @@
 """E15 (ablation) — the uniform floor under the biased acceptance.
 
-DESIGN.md §5: the paper's Figure-6 probability can starve regions the
+The paper's Figure-6 probability (§4) can starve regions the
 workload never visited, leaving out-of-focus queries with *unbounded*
 error.  Our ``uniform_floor`` keeps a residual uniform component.
 Sweep the floor and measure the inside/outside focal error trade —

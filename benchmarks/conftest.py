@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
-Each benchmark regenerates one paper artefact (see DESIGN.md §3) and
-*prints* the corresponding rows/series — run with ``-s`` to see them.
+Each benchmark regenerates one paper artefact (see the README's
+"Layout of claims to evidence") and *prints* the corresponding
+rows/series — run with ``-s`` to see them.
 Shape assertions inside the benchmarks encode the qualitative claims
 ("who wins, by roughly what factor"), so a green benchmark run is
 itself the reproduction check.

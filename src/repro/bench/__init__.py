@@ -1,12 +1,12 @@
 """Benchmark harness: experiment records, fixtures, shape checks.
 
 Every benchmark in ``benchmarks/`` regenerates one of the paper's
-evaluation artefacts (DESIGN.md §3).  This subpackage supplies the
-shared machinery: a deterministic experiment context (seeded engine +
-populated SkyServer), result records that print as the paper's
-rows/series, and the *shape assertions* that encode "who wins, by
-roughly what factor, where crossovers fall" without pinning absolute
-numbers.
+evaluation artefacts (README, "Layout of claims to evidence").  This
+subpackage supplies the shared machinery: a deterministic experiment
+context (seeded engine + populated SkyServer), result records that
+print as the paper's rows/series, and the *shape assertions* that
+encode "who wins, by roughly what factor, where crossovers fall"
+without pinning absolute numbers.
 """
 
 # NOTE: repro.bench.gates is deliberately not re-exported here — the

@@ -57,21 +57,6 @@ class Catalog:
         except KeyError:
             raise UnknownTableError(name) from None
 
-    def has_table(self, name: str) -> bool:
-        """Whether a base table called ``name`` exists."""
-        return name in self._tables
-
-    def drop_table(self, name: str) -> None:
-        """Remove a base table (dependent FKs are removed too)."""
-        if name not in self._tables:
-            raise UnknownTableError(name)
-        del self._tables[name]
-        self._foreign_keys = [
-            fk
-            for fk in self._foreign_keys
-            if fk.fact_table != name and fk.dimension_table != name
-        ]
-
     @property
     def table_names(self) -> list[str]:
         """Names of all registered base tables."""
@@ -99,11 +84,6 @@ class Catalog:
         """Whether a view called ``name`` exists."""
         return name in self._views
 
-    @property
-    def view_names(self) -> list[str]:
-        """Names of all registered views."""
-        return list(self._views)
-
     # ------------------------------------------------------------------
     # foreign keys
     # ------------------------------------------------------------------
@@ -120,15 +100,6 @@ class Catalog:
                     f"{table_name}.{column}"
                 )
         self._foreign_keys.append(fk)
-
-    def foreign_keys_of(self, fact_table: str) -> list[ForeignKey]:
-        """All FK edges whose fact side is ``fact_table``."""
-        return [fk for fk in self._foreign_keys if fk.fact_table == fact_table]
-
-    @property
-    def foreign_keys(self) -> list[ForeignKey]:
-        """All declared FK edges."""
-        return list(self._foreign_keys)
 
     # ------------------------------------------------------------------
     def summary(self) -> str:

@@ -13,7 +13,7 @@ flag — kept as arrays (:class:`Zones`).  Maintenance is lazy *and*
 incremental: nothing is computed until the first :meth:`Column.zones`
 call, and each call folds in only the rows appended since the last
 one, so long-lived base tables pay O(appended values) per refresh while
-throwaway intermediates (``take``/``filter`` outputs that nobody
+throwaway intermediates (``take`` outputs that nobody
 prunes) pay nothing at all.  Zone maps let selections skip whole blocks
 a predicate cannot match (see
 :meth:`repro.columnstore.expressions.Expression.keep_blocks`), which is
@@ -250,7 +250,7 @@ class Column:
         #: only ages the block in the governor's LRU order.
         self._ticks = np.zeros(0, dtype=np.int64)
         #: value-error floor inherited from the source column a
-        #: take/filter/gather materialised from: derived hot copies of
+        #: take/gather materialised from: derived hot copies of
         #: dequantised values still carry the quantisation error.
         self._value_error_floor = 0.0
         #: real block materialisations of non-hot blocks (zone-map
@@ -302,13 +302,6 @@ class Column:
         out.flags.writeable = False
         return out
 
-    def to_numpy(self) -> np.ndarray:
-        """An owned copy of the column contents."""
-        data = self._data
-        if data is not None:
-            return data[: self._size].copy()
-        return self._materialise_range(0, self._size, touch=False)
-
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
             if not -self._size <= index < self._size:
@@ -339,11 +332,6 @@ class Column:
     def num_blocks(self) -> int:
         """Number of (full or partial) blocks currently live."""
         return -(-self._size // self._block_size) if self._size else 0
-
-    @property
-    def tracks_zones(self) -> bool:
-        """Whether this column maintains per-block zone maps."""
-        return self._tracks_zones
 
     def zone(self, block: int) -> Optional[Zone]:
         """The zone map of ``block``, or None when zones are not kept.
@@ -533,7 +521,7 @@ class Column:
     def declare_value_error(self, bound: float) -> None:
         """Raise the column's inherited value-error floor to ``bound``.
 
-        Used when materialising from a lossy source (take/filter over
+        Used when materialising from a lossy source (a take over
         a column with warm blocks): the copied values are raw ndarrays
         again, but they were dequantised, so the bound must travel.
         """
@@ -934,21 +922,6 @@ class Column:
                 self._tail[:remaining] = self._tail[bs : self._tail_size].copy()
             self._tail_size = remaining
 
-    def append(self, value) -> None:
-        """Append a single value, coercing to the column dtype."""
-        self._grow_ticks(self._size + 1)
-        if self._chunks is None:
-            self._grow_to(self._size + 1)
-            self._data[self._size] = value
-            self._size += 1
-            return
-        with self._tier_lock:
-            self._grow_tail_to(self._tail_size + 1)
-            self._tail[self._tail_size] = value
-            self._tail_size += 1
-            self._size += 1
-            self._seal_full_tail_blocks()
-
     def extend(self, values: Iterable) -> None:
         """Append many values at once (the vectorised load path)."""
         arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
@@ -997,8 +970,8 @@ class Column:
         regrow copies out of the external buffer.  Zone maps are
         computed lazily from the adopted values like any other
         column's.  Adopted columns start (and, absent demotions, stay)
-        on the contiguous fast path.  :meth:`take` and :meth:`filter`
-        hand their freshly gathered arrays over this way: nobody else
+        on the contiguous fast path.  :meth:`take` hands its freshly
+        gathered arrays over this way: nobody else
         holds them, so copying them into a new buffer buys nothing.
         """
         arr = np.asarray(values)
@@ -1032,20 +1005,6 @@ class Column:
             self.name, self._dtype, gathered, block_size=self._block_size
         )
         column.declare_value_error(error)
-        return column
-
-    def filter(self, mask: np.ndarray) -> "Column":
-        """A new column holding rows where ``mask`` is True."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != self._size:
-            raise SchemaError(
-                f"mask of length {mask.shape[0]} does not match column "
-                f"{self.name!r} of length {self._size}"
-            )
-        column = Column.from_external(
-            self.name, self._dtype, self.values[mask], block_size=self._block_size
-        )
-        column.declare_value_error(self.max_value_error())
         return column
 
     def nbytes(self) -> int:

@@ -12,12 +12,11 @@ and are handed every batch as it streams through.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
 from repro.columnstore.catalog import Catalog
-from repro.errors import LoadError
 
 
 class LoadObserver:
@@ -45,7 +44,6 @@ class Loader:
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
         self._observers: Dict[str, List[LoadObserver]] = defaultdict(list)
-        self._rows_loaded: Dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     # observer registry
@@ -57,15 +55,6 @@ class Loader:
                 f"observer must be a LoadObserver, got {type(observer).__name__}"
             )
         self._observers[table_name].append(observer)
-
-    def unregister(self, table_name: str, observer: LoadObserver) -> None:
-        """Detach a previously registered observer."""
-        try:
-            self._observers[table_name].remove(observer)
-        except ValueError:
-            raise LoadError(
-                f"observer not registered for table {table_name!r}"
-            ) from None
 
     def observers_of(self, table_name: str) -> list[LoadObserver]:
         """Observers currently attached to ``table_name``."""
@@ -84,41 +73,4 @@ class Loader:
         count = table.append_batch(arrays)
         for observer in self._observers.get(table_name, ()):
             observer.on_batch(table_name, start_row, arrays)
-        self._rows_loaded[table_name] += count
         return count
-
-    def load_rows(
-        self,
-        table_name: str,
-        rows: Iterable[Mapping[str, object]],
-        batch_size: int = 4096,
-    ) -> int:
-        """Append an iterable of row dicts, batching for efficiency.
-
-        This is the "much like a stream" tuple-at-a-time entry point;
-        rows are buffered into column-wise batches of ``batch_size``
-        before hitting :meth:`load_batch`.
-        """
-        if batch_size <= 0:
-            raise LoadError(f"batch_size must be positive, got {batch_size}")
-        total = 0
-        buffer: list[Mapping[str, object]] = []
-        for row in rows:
-            buffer.append(row)
-            if len(buffer) >= batch_size:
-                total += self._flush_rows(table_name, buffer)
-                buffer = []
-        if buffer:
-            total += self._flush_rows(table_name, buffer)
-        return total
-
-    def _flush_rows(
-        self, table_name: str, rows: list[Mapping[str, object]]
-    ) -> int:
-        columns = {key: [row[key] for row in rows] for key in rows[0]}
-        return self.load_batch(table_name, columns)
-
-    # ------------------------------------------------------------------
-    def rows_loaded(self, table_name: str) -> int:
-        """Total rows this loader has appended to ``table_name``."""
-        return self._rows_loaded.get(table_name, 0)

@@ -184,24 +184,6 @@ class Recycler:
                 self.stats.hits += 1
             return hit
 
-    def peek(
-        self, table: Table, predicate: Expression, lossy: Optional[tuple] = None
-    ) -> Optional[np.ndarray]:
-        """Read a cached selection without touching stats or LRU order —
-        with ``lossy``, only one evaluated over reads with that tag.
-
-        No scan calls this: it is the stats-neutral probe tests use to
-        look into the cache, so the counters they assert on reflect
-        only the scans they drive.
-        """
-        with self._lock:
-            entry = self._entries.get(self._key(table, predicate))
-            if entry is None or entry.ref() is not table:
-                return None
-            if lossy is not None and entry.lossy != lossy:
-                return None
-            return entry.indices
-
     def store(
         self,
         table: Table,
@@ -252,9 +234,3 @@ class Recycler:
                 self._sweep()
             return len(self._entries)
 
-    def clear(self) -> None:
-        """Drop all entries (counters are preserved)."""
-        with self._lock:
-            self._entries.clear()
-            self._versions.clear()
-            self._bytes = 0

@@ -26,9 +26,8 @@ need rises, more columns can be added").  **Accounting never gathers**:
 :meth:`Table.promote_all` and :meth:`Table.resident_columns` walk the
 columns that are in RAM — every column of a plain table, the gathered
 ones of a derived table — so sizing, reporting and the memory governor
-never force a column into existence.  Whole-row operations (``take``
-with no column list, ``filter``, ``row``) go through ``column()`` and
-gather what they read.
+never force a column into existence.  A whole-row ``take`` (no column
+list) goes through ``column()`` and gathers what it reads.
 """
 
 from __future__ import annotations
@@ -172,20 +171,6 @@ class Table:
         """Shorthand for ``table.column(name).values``."""
         return self.column(name).values
 
-    def row(self, index: int) -> dict:
-        """Row ``index`` as a plain dict (for tests and examples)."""
-        if not -self.num_rows <= index < self.num_rows:
-            raise IndexError(
-                f"row {index} out of range for table {self.name!r} "
-                f"with {self.num_rows} rows"
-            )
-        return {name: self.column(name)[index] for name in self.column_names}
-
-    def iter_rows(self) -> Iterable[dict]:
-        """Iterate rows as dicts.  Slow; meant for tests and examples."""
-        for i in range(self.num_rows):
-            yield self.row(i)
-
     def resident_columns(self) -> List[Column]:
         """The columns held in RAM — what accounting and the memory
         governor walk (see "The column-lazy rule" above)."""
@@ -259,10 +244,6 @@ class Table:
         self._version += 1
         return int(count)
 
-    def append_row(self, row: Mapping[str, object]) -> None:
-        """Append a single tuple given as a dict (tuple-at-a-time path)."""
-        self.append_batch({name: [value] for name, value in row.items()})
-
     # ------------------------------------------------------------------
     # derivation (materialised intermediates)
     # ------------------------------------------------------------------
@@ -295,23 +276,6 @@ class Table:
             [self.column(n).take(indices, raw) for n in names],
         )
 
-    def filter(self, mask: np.ndarray, name: str | None = None) -> "Table":
-        """Materialise the rows where ``mask`` holds into a new table."""
-        return Table(
-            name or f"{self.name}#filter",
-            [self.column(n).filter(mask) for n in self.column_names],
-        )
-
-    @classmethod
-    def from_arrays(
-        cls, name: str, arrays: Mapping[str, np.ndarray | Sequence]
-    ) -> "Table":
-        """Build a table directly from column arrays (test/generator path)."""
-        columns = []
-        for col_name, values in arrays.items():
-            arr = np.asarray(values)
-            columns.append(Column(col_name, arr.dtype, arr))
-        return cls(name, columns)
 
 
 class RowPatch(NamedTuple):

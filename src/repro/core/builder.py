@@ -71,10 +71,6 @@ class ImpressionBuilder(LoadObserver):
         except ValueError:
             pass
 
-    def impressions_of(self, table_name: str) -> list[Impression]:
-        """Impressions currently fed by ``table_name`` loads."""
-        return list(self._impressions.get(table_name, ()))
-
     # ------------------------------------------------------------------
     # the load hook
     # ------------------------------------------------------------------

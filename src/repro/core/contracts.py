@@ -42,8 +42,10 @@ class Contract:
     """An immutable demand on a query's answer.
 
     Prefer the named constructors (:meth:`within_error`,
-    :meth:`within_budget`, :meth:`exact`, :meth:`unconstrained`) and
-    the ``&`` combinator over direct field construction.
+    :meth:`within_budget`, :meth:`exact`, the tier presets) and the
+    ``&`` combinator over direct field construction; ``Contract()``
+    demands nothing, and ``Contract(hierarchy="last-seen")`` is the one
+    way to answer from a named hierarchy.
 
     Parameters
     ----------
@@ -127,11 +129,6 @@ class Contract:
         """
         return cls(max_relative_error=0.0, is_exact=True)
 
-    @classmethod
-    def unconstrained(cls) -> "Contract":
-        """No demands: answer from the cheapest layer available."""
-        return cls()
-
     # ------------------------------------------------------------------
     # tiered SLA presets
     # ------------------------------------------------------------------
@@ -174,14 +171,6 @@ class Contract:
         """Raise on a missed bound instead of degrading gracefully."""
         return replace(self, strict=True)
 
-    def with_confidence(self, confidence: float) -> "Contract":
-        """Assess relative errors at ``confidence`` instead."""
-        return replace(self, confidence=confidence)
-
-    def on_hierarchy(self, name: str) -> "Contract":
-        """Answer from the named impression hierarchy."""
-        return replace(self, hierarchy=name)
-
     # ------------------------------------------------------------------
     # combinator
     # ------------------------------------------------------------------
@@ -196,9 +185,8 @@ class Contract:
         unset); ``strict`` and ``exact`` are sticky; differing
         explicit hierarchies conflict.  A combined contract carries no
         tier label: once a preset is altered by combination it is no
-        longer the preset's promise (the field-preserving modifiers —
-        :meth:`strictly`, :meth:`with_confidence`,
-        :meth:`on_hierarchy` — keep it, the quality bound is intact).
+        longer the preset's promise (:meth:`strictly` keeps it, the
+        quality bound is intact).
         """
         if not isinstance(other, Contract):
             return NotImplemented

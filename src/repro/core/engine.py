@@ -466,7 +466,6 @@ class SciBorq:
         query: Query,
         contract: Optional[Contract] = None,
         *,
-        hierarchy: Optional[str] = None,
         context: Optional[ExecutionContext] = None,
         context_factory: Optional[Callable[[], ExecutionContext]] = None,
         session_id: Optional[int] = None,
@@ -484,15 +483,15 @@ class SciBorq:
         predicate sets, drift detectors) — the workload model sees
         intent, not completion.  An exact contract routes straight to
         the executor's base path (works on tables with no hierarchy at
-        all); any other contract requires a hierarchy.  ``hierarchy``
-        overrides the contract's own selection.  ``context`` carries a
-        caller-owned cost meter; ``context_factory`` defers its creation
-        to the first rung (the server layer uses this so wall-mode
-        budgets bill execution time, not queueing time).
+        all); any other contract requires a hierarchy, and
+        ``contract.hierarchy`` names it (None: the table's default).
+        ``context`` carries a caller-owned cost meter;
+        ``context_factory`` defers its creation to the first rung (the
+        server layer uses this so wall-mode budgets bill execution
+        time, not queueing time).
         """
         query = expand_view(self.catalog, query)
         contract = contract if contract is not None else Contract()
-        hierarchy = hierarchy if hierarchy is not None else contract.hierarchy
         with self._workload_lock:
             entry = self.query_log.record(query)
             self.collector.observe(query)
@@ -507,7 +506,7 @@ class SciBorq:
             return ExecutionContext(clock=self.clock, limit=contract.time_budget)
 
         if contract.is_exact:
-            stream = self._run_exact(query, contract, open_context, hierarchy)
+            stream = self._run_exact(query, contract, open_context)
         elif not self._processors.get(query.table):
             raise QueryError(
                 f"no hierarchy for table {query.table!r}; create one or "
@@ -515,7 +514,10 @@ class SciBorq:
             )
         else:
             stream = self._run_bounded(
-                self.processor(query.table, hierarchy), query, contract, open_context
+                self.processor(query.table, contract.hierarchy),
+                query,
+                contract,
+                open_context,
             )
         handle = QueryHandle(query, contract, stream)
         # the settle hook wants the handle's own queue/run split, so
@@ -529,7 +531,6 @@ class SciBorq:
         self,
         query: Query,
         contract: Optional[Contract] = None,
-        hierarchy: Optional[str] = None,
         context: Optional[ExecutionContext] = None,
     ) -> BoundedResult:
         """Answer a query under a contract, blocking until done.
@@ -543,9 +544,7 @@ class SciBorq:
                 f"expected a Contract as second argument, got "
                 f"{contract!r}; use Contract.within_error(...)"
             )
-        return self.submit(
-            query, contract, hierarchy=hierarchy, context=context
-        ).result()
+        return self.submit(query, contract, context=context).result()
 
     def execute_exact(
         self,
@@ -587,7 +586,6 @@ class SciBorq:
         query: Query,
         contract: Contract,
         open_context: Callable[[], ExecutionContext],
-        hierarchy: Optional[str],
     ) -> Iterator[ProgressUpdate]:
         """Exact stream: one base-data attempt, no ladder.
 
@@ -607,7 +605,9 @@ class SciBorq:
         """
         base = self.catalog.table(query.table)
         named = self._hierarchies.get(query.table, {})
-        target = named.get(hierarchy or self._default_hierarchy.get(query.table))
+        target = named.get(
+            contract.hierarchy or self._default_hierarchy.get(query.table)
+        )
         cover = None if target is None else target.base_cover(query.predicate, base)
         context = open_context()
         entry_spent = context.spent

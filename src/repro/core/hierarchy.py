@@ -146,10 +146,6 @@ class ImpressionHierarchy:
             return None
         return BaseCover(parts, scan_rows)
 
-    def total_rows(self) -> int:
-        """Sum of layer sizes (the hierarchy's storage footprint)."""
-        return sum(impression.size for impression in self._layers)
-
     # ------------------------------------------------------------------
     def escalation_deltas(self) -> list[int | None]:
         """Rows each escalation step *adds*, smallest layer upward.

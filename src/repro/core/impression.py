@@ -273,22 +273,6 @@ class Impression:
         self._pi_override = pis
         self._invalidate()
 
-    def add_columns(self, names: Sequence[str]) -> None:
-        """Widen a column-subset impression ("If the need rises, more
-        columns can be added", paper §3.1).
-
-        No-op for full-column impressions and for already-present
-        names; the cached materialisation is invalidated so the next
-        query sees the wider table.
-        """
-        if self.columns is None:
-            return
-        additions = [n for n in names if n not in self.columns]
-        if not additions:
-            return
-        self.columns = tuple(self.columns) + tuple(additions)
-        self._invalidate()
-
     # ------------------------------------------------------------------
     # query support
     # ------------------------------------------------------------------
@@ -520,11 +504,6 @@ class Impression:
         with self._materialise_lock:
             self._cache_put(cache, key, table)
         return table
-
-    def complement_row_ids(self, base: Table) -> np.ndarray:
-        """Base rows this impression has *not* sampled, in (cell, row
-        id) order — the rows of :meth:`materialise_complement`."""
-        return self.materialise_complement(base).row_ids
 
     def materialise_complement(self, base: Table) -> Table:
         """The unsampled base rows as a table (no ``_pi``).

@@ -271,16 +271,3 @@ class MaintenancePlanner:
             self.detectors[name].reset_reference()
         return drifted
 
-    def react(
-        self,
-        hierarchy: ImpressionHierarchy,
-        base: Table,
-        clock: Optional[ChargeTarget] = None,
-    ) -> Optional[List[RefreshReport]]:
-        """If drift fired, absorb it and refresh the hierarchy.
-
-        Returns the refresh reports, or None when no drift was seen.
-        """
-        if not self.absorb_drift():
-            return None
-        return refresh_hierarchy(hierarchy, base, clock)

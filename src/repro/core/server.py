@@ -351,7 +351,6 @@ class SciBorqServer:
         session: Session,
         query: Query,
         contract: Optional[Contract],
-        hierarchy: Optional[str],
     ) -> QueryHandle:
         """The one prologue of every query: count, submit.
 
@@ -370,7 +369,6 @@ class SciBorqServer:
             return self.engine.submit(
                 query,
                 contract,
-                hierarchy=hierarchy,
                 context_factory=lambda: ExecutionContext(
                     clock=self.engine.clock,
                     limit=contract.time_budget,
@@ -409,14 +407,13 @@ class SciBorqServer:
         session: Session,
         query: Query,
         contract: Optional[Contract] = None,
-        hierarchy: Optional[str] = None,
     ) -> BoundedResult:
         """Run one query for ``session``, blocking until done.
 
         The blocking drain: the calling thread runs the ladder under
         the shared read lock.
         """
-        handle = self._open(session, query, contract, hierarchy)
+        handle = self._open(session, query, contract)
         try:
             with self._rwlock.read_locked():
                 return handle.result()
@@ -431,7 +428,6 @@ class SciBorqServer:
         session: Session,
         query: Query,
         contract: Optional[Contract] = None,
-        hierarchy: Optional[str] = None,
     ) -> QueryHandle:
         """Submit one progressive query for ``session`` on the pool.
 
@@ -443,7 +439,7 @@ class SciBorqServer:
         :class:`~repro.core.handle.ProgressUpdate` report the wait for
         a pool worker.
         """
-        handle = self._open(session, query, contract, hierarchy)
+        handle = self._open(session, query, contract)
         handle.mark_driven()
         handle.mark_queued()
         with self._admin_lock:

@@ -38,11 +38,6 @@ from repro.util.clock import CostClock
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.server import SciBorqServer
 
-#: Sentinel for "use the session default" in per-query overrides, so
-#: an explicit ``None`` can still mean "unbounded for this query".
-INHERIT = object()
-
-
 @dataclass(frozen=True)
 class SessionStats:
     """A point-in-time summary of one session's activity.
@@ -113,65 +108,18 @@ class Session:
         self._closed = False
 
     # ------------------------------------------------------------------
-    # contract plumbing
-    # ------------------------------------------------------------------
-    def contract(
-        self,
-        max_relative_error=INHERIT,
-        time_budget=INHERIT,
-        confidence=INHERIT,
-        strict=INHERIT,
-    ) -> Contract:
-        """The session defaults with per-query overrides applied.
-
-        Omitted fields inherit the session default; an explicit
-        ``None`` lifts a bound for this query only (e.g.
-        ``time_budget=None`` runs unbounded despite a budgeted
-        session).  Overriding the error bound on an exact-default
-        session drops the exact routing — the caller asked for an
-        approximate answer, so the ladder must actually run.  The SLA
-        tier label survives any override that leaves the quality bound
-        intact (a budgeted gold query is still a gold query); changing
-        the error bound drops it — the promise is no longer the
-        preset's.
-        """
-        return Contract(
-            max_relative_error=(
-                self.defaults.max_relative_error
-                if max_relative_error is INHERIT
-                else max_relative_error
-            ),
-            time_budget=(
-                self.defaults.time_budget
-                if time_budget is INHERIT
-                else time_budget
-            ),
-            confidence=(
-                self.defaults.confidence if confidence is INHERIT else confidence
-            ),
-            strict=self.defaults.strict if strict is INHERIT else strict,
-            hierarchy=self.defaults.hierarchy,
-            is_exact=self.defaults.is_exact and max_relative_error is INHERIT,
-            tier=(
-                self.defaults.tier if max_relative_error is INHERIT else None
-            ),
-        )
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def execute(
         self,
         query: Query,
         contract: Optional[Contract] = None,
-        hierarchy: Optional[str] = None,
     ) -> BoundedResult:
         """Run one query, blocking; the session default contract
-        applies unless ``contract`` replaces it for this query
-        (:meth:`contract` builds per-field overrides of the default).
+        applies unless ``contract`` replaces it for this query.
         """
         self._require_open()
-        return self._server.execute(self, query, contract, hierarchy=hierarchy)
+        return self._server.execute(self, query, contract)
 
     # ------------------------------------------------------------------
     # progressive execution
@@ -180,7 +128,6 @@ class Session:
         self,
         query: Query,
         contract: Optional[Contract] = None,
-        hierarchy: Optional[str] = None,
     ) -> QueryHandle:
         """Submit one query for progressive execution on the server.
 
@@ -192,7 +139,7 @@ class Session:
         to stop between rungs and keep the best answer so far.
         """
         self._require_open()
-        return self._server.submit(self, query, contract, hierarchy=hierarchy)
+        return self._server.submit(self, query, contract)
 
     # ------------------------------------------------------------------
     # bookkeeping (called by the server)

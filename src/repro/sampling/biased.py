@@ -11,8 +11,8 @@ about values like ``t``'s, so frequently requested regions are
 over-represented and the impression concentrates around the focal
 points — the purple panels of Figure 7.
 
-The product can exceed one for sharply peaked interest; we cap at 1
-(DESIGN.md §5).  Capping only saturates the bias: the focal tuples are
+The product can exceed one for sharply peaked interest; we cap at 1.
+Capping only saturates the bias: the focal tuples are
 then all but guaranteed admission, which is the intent.
 """
 

@@ -7,7 +7,7 @@ the ``Galaxy`` view, and the ``fGetNearbyObjEq`` cone-search function
 that dominates the public query logs.
 
 We cannot ship the 4 TB SkyServer database, so this subpackage builds
-a synthetic equivalent (DESIGN.md, substitutions): object positions
+a synthetic equivalent: object positions
 drawn from a mixture of sky clusters plus uniform background, with
 magnitudes, types, and observation times; a workload generator issuing
 cone searches concentrated around configurable focal points.  The

@@ -23,7 +23,7 @@ the user's bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -62,6 +62,14 @@ class Estimate:
     ``half_width`` additively, so CIs, ``relative_error``, and
     contract checks all absorb it with no further plumbing; at 0.0
     (every touched block hot) everything collapses to today's widths.
+
+    ``one_sided_bound`` takes the sampling term's place where ``se`` is
+    0 only because a sample smaller than the population shows no
+    spread (no match, or all matching): an exact one-sided bound on
+    how far the truth lies from ``value`` — ≈ 3N/n for a uniform count
+    with no match (the rule of three), ``inf`` where nothing bounds it
+    (a sum or a biased sample over no match).  A zero estimate then
+    has an infinite relative error, so the ladder climbs.
     """
 
     value: float
@@ -71,6 +79,7 @@ class Estimate:
     sample_size: int
     population_size: int | None = None
     value_error: float = 0.0
+    one_sided_bound: float = 0.0
 
     @property
     def z(self) -> float:
@@ -79,8 +88,9 @@ class Estimate:
 
     @property
     def half_width(self) -> float:
-        """Half the interval width: sampling term plus value-error bound."""
-        return self.z * self.se + self.value_error
+        """Half the interval width: sampling term (or one-sided bound)
+        plus value-error bound."""
+        return self.z * self.se + self.one_sided_bound + self.value_error
 
     @property
     def ci(self) -> tuple[float, float]:
@@ -146,6 +156,20 @@ def propagated_value_error(
     return delta  # unknown aggregate: at least the pointwise bound
 
 
+def _no_spread_bound(
+    sample_size: int, population_size: int, confidence: float
+) -> float:
+    """The exact one-sided bound on a count whose uniform sample of
+    ``sample_size`` shows no spread: ``N·(1 − α^(1/n))`` with
+    α = 1 − ``confidence``, the Clopper–Pearson end for 0 (or all) of
+    n — ≈ 3N/n at 95 %, the rule of three.  0 when the sample is the
+    whole population: the count is then exact."""
+    if sample_size >= population_size:
+        return 0.0
+    alpha = 1.0 - confidence
+    return population_size * -math.expm1(math.log(alpha) / sample_size)
+
+
 def _fpc(sample_size: int, population_size: int | None) -> float:
     """Finite-population correction factor sqrt(1 − n/N)."""
     if population_size is None or population_size <= 0:
@@ -167,7 +191,9 @@ def srs_count(
 
     ``matches`` of the ``sample_size`` sampled tuples satisfy the
     predicate; the estimate scales the sample proportion to the
-    population with binomial standard error and FPC.
+    population with binomial standard error and FPC.  With no match,
+    or every sampled tuple matching, that error is 0 and the exact
+    one-sided bound takes its place.
     """
     require(sample_size > 0, "sample_size must be positive")
     require(0 <= matches <= sample_size, "matches must be within the sample")
@@ -183,6 +209,11 @@ def srs_count(
         method="srs-count",
         sample_size=sample_size,
         population_size=population_size,
+        one_sided_bound=(
+            _no_spread_bound(sample_size, population_size, confidence)
+            if matches in (0, sample_size)
+            else 0.0
+        ),
     )
 
 
@@ -196,7 +227,8 @@ def srs_sum(
 
     Each sampled tuple contributes ``value`` if it matches, else 0;
     the population sum is ``N`` times the sample mean of that
-    zero-extended variable.
+    zero-extended variable.  With no match nothing bounds the values
+    the unsampled matches could hold, so the bound is infinite.
     """
     require(sample_size > 0, "sample_size must be positive")
     values = np.asarray(matching_values, dtype=float)
@@ -213,6 +245,7 @@ def srs_sum(
     else:
         var = 0.0
     se_mean = math.sqrt(var / sample_size) * _fpc(sample_size, population_size)
+    unbounded = values.shape[0] == 0 and sample_size < population_size
     return Estimate(
         value=population_size * mean,
         se=population_size * se_mean,
@@ -220,6 +253,7 @@ def srs_sum(
         method="srs-sum",
         sample_size=sample_size,
         population_size=population_size,
+        one_sided_bound=math.inf if unbounded else 0.0,
     )
 
 
@@ -270,7 +304,9 @@ def ht_sum(
     weighted by the inverse of its inclusion probability π.  The
     variance uses the Poisson-sampling approximation
     ``Σ v²·(1−π)/π²`` — standard for adaptive reservoir designs where
-    joint inclusion probabilities are not tracked.
+    joint inclusion probabilities are not tracked.  Over no match the
+    variance is 0, and nothing bounds what the unsampled matches hold
+    (their πs are unknown), so the bound is infinite.
     """
     values = np.asarray(values, dtype=float)
     pis = np.asarray(inclusion_probs, dtype=float)
@@ -288,6 +324,7 @@ def ht_sum(
         method="horvitz-thompson-sum",
         sample_size=int(values.shape[0]),
         population_size=population_size,
+        one_sided_bound=math.inf if values.shape[0] == 0 else 0.0,
     )
 
 
@@ -304,14 +341,7 @@ def ht_count(
     est = ht_sum(
         np.ones_like(pis), pis, confidence=confidence, population_size=population_size
     )
-    return Estimate(
-        value=est.value,
-        se=est.se,
-        confidence=est.confidence,
-        method="horvitz-thompson-count",
-        sample_size=est.sample_size,
-        population_size=population_size,
-    )
+    return replace(est, method="horvitz-thompson-count")
 
 
 def hajek_mean(

@@ -178,26 +178,6 @@ class EquiWidthHistogram:
         self.counts = np.zeros(self.bins, dtype=np.int64)
         self.total = 0
 
-    @classmethod
-    def from_values(
-        cls,
-        values: np.ndarray,
-        bins: int,
-        minimum: float | None = None,
-        maximum: float | None = None,
-    ) -> "EquiWidthHistogram":
-        """Build a histogram from an array, inferring the range if absent."""
-        values = np.asarray(values, dtype=float)
-        if minimum is None:
-            minimum = float(values.min()) if values.size else 0.0
-        if maximum is None:
-            maximum = float(values.max()) if values.size else 1.0
-        if maximum <= minimum:
-            maximum = minimum + 1.0
-        hist = cls(minimum, maximum, bins)
-        hist.observe_batch(values)
-        return hist
-
     def observe_batch(self, values: np.ndarray) -> None:
         """Fold an array of values (out-of-range clamps to edge bins)."""
         values = np.asarray(values, dtype=float)

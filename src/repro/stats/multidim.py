@@ -117,10 +117,6 @@ class Grid2DHistogram:
         weighted = kernel(ux) * kernel(uy) * counts
         return weighted.sum(axis=1) / (self.total * self.x_width * self.y_width)
 
-    def live_cells(self) -> int:
-        """Number of non-empty cells (the per-point evaluation cost)."""
-        return int((self.counts > 0).sum())
-
     def decay(self, factor: float) -> None:
         """Exponentially age cell counts, as the 1-D histogram does."""
         decayed = age_counts(self.counts, factor)

@@ -193,11 +193,6 @@ class ExecutionContext:
         return max(0.0, self.limit - self.spent)
 
     @property
-    def exhausted(self) -> bool:
-        """True once spending has reached or passed the limit."""
-        return self.remaining <= 0.0
-
-    @property
     def deadline(self) -> Optional[float]:
         """The meter reading at which the budget expires (None: never).
 

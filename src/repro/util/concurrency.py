@@ -105,12 +105,6 @@ class ReadWriteLock:
         finally:
             self.release_write()
 
-    # ------------------------------------------------------------------
-    @property
-    def readers(self) -> int:
-        """Readers currently inside (diagnostic)."""
-        return self._active_readers
-
 
 class MorselPool:
     """A lazily started thread pool that maps work in input order.

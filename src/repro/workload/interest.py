@@ -138,10 +138,6 @@ class InterestModel:
             if values and attribute in self._attributes:
                 self.observe_values(attribute, np.asarray(values, dtype=float))
 
-    def total_observations(self) -> int:
-        """Sum of predicate-set sizes across attributes."""
-        return sum(a.predicate_set_size for a in self._attributes.values())
-
     def decay(self, factor: float) -> None:
         """Age every attribute histogram (drift adaptation)."""
         for attribute in self._attributes.values():

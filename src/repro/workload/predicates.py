@@ -12,7 +12,7 @@ drift detectors, figure harnesses).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -62,11 +62,6 @@ class PredicateSetCollector:
                 consumer(attribute, arr)
         return extracted
 
-    def observe_all(self, queries: Iterable[Query]) -> None:
-        """Observe a whole workload."""
-        for query in queries:
-            self.observe(query)
-
     # ------------------------------------------------------------------
     def values(self, attribute: str) -> np.ndarray:
         """All collected values for one attribute."""
@@ -82,8 +77,3 @@ class PredicateSetCollector:
         """N for one attribute — the paper's predicate-set size."""
         return len(self._values[attribute])
 
-    def clear(self) -> None:
-        """Forget all collected values (workload window reset)."""
-        for key in self._values:
-            self._values[key] = []
-        self.queries_observed = 0

@@ -8,6 +8,7 @@ from repro.sampling.base import ReservoirBase
 from repro.sampling.biased import BiasedReservoir
 from repro.sampling.last_seen import LastSeenReservoir
 from repro.sampling.reservoir import ReservoirR
+from table_helpers import table_from_arrays
 
 
 class FixedProbReservoir(ReservoirBase):
@@ -108,13 +109,12 @@ class TestPPSRebuildIntegration:
     def test_biased_rebuild_uses_exact_pps_pis(self, rng):
         """After rebuild_from_base on a static table, a biased layer's
         πs equal the exact πps probabilities of its (floored) masses."""
-        from repro.columnstore.table import Table
         from repro.core.hierarchy import ImpressionHierarchy
         from repro.core.impression import Impression
         from repro.core.maintenance import rebuild_from_base
         from repro.sampling.pps import pps_inclusion_probabilities
 
-        base = Table.from_arrays(
+        base = table_from_arrays(
             "base",
             {"id": np.arange(20_000), "x": rng.uniform(0, 100, 20_000)},
         )

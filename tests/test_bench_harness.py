@@ -21,7 +21,8 @@ class TestExperimentContext:
         )
         assert ctx.catalog.table("PhotoObjAll").num_rows == 5_000
         assert ctx.engine.hierarchy("PhotoObjAll").depth == 2
-        assert ctx.engine.interest.total_observations() > 0
+        interest = ctx.engine.interest
+        assert all(interest.interest_for(a).predicate_set_size > 0 for a in interest.attributes)
 
     def test_deterministic_under_seed(self):
         a = build_experiment_context(n_objects=2_000, layer_sizes=(200, 20), rng=9)

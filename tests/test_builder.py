@@ -107,10 +107,3 @@ class TestRouting:
         builder.attach(imp)
         loader.load_batch("u", {"id": np.arange(10)})
         assert imp.sampler.seen == 0
-
-    def test_impressions_of_lists_registrations(self, setting):
-        catalog, loader, builder = setting
-        imp = Impression("t/u/L0", "t", ReservoirR(10, rng=6))
-        builder.attach(imp)
-        assert builder.impressions_of("t") == [imp]
-        assert builder.impressions_of("u") == []

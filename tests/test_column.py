@@ -31,7 +31,7 @@ class TestConstruction:
 class TestAppend:
     def test_append_scalar(self):
         col = Column("x", "float64")
-        col.append(1.5)
+        col.extend(np.array(1.5))  # a 0-d array is a one-row batch
         assert len(col) == 1 and col[0] == 1.5
 
     def test_extend_array(self):
@@ -42,7 +42,7 @@ class TestAppend:
     def test_growth_across_capacity_boundary(self):
         col = Column("x", "int64")
         for i in range(100):  # forces several regrows past _MIN_CAPACITY
-            col.append(i)
+            col.extend([i])
         np.testing.assert_array_equal(col.values, np.arange(100))
 
     def test_extend_casts_int_to_float(self):
@@ -74,12 +74,6 @@ class TestAccess:
         with pytest.raises(IndexError, match="out of range"):
             col[5]
 
-    def test_to_numpy_is_a_copy(self):
-        col = Column("x", "float64", [1.0, 2.0])
-        copy = col.to_numpy()
-        copy[0] = 99.0
-        assert col[0] == 1.0
-
     def test_slice_access(self):
         col = Column("x", "int64", [0, 1, 2, 3])
         np.testing.assert_array_equal(col[1:3], [1, 2])
@@ -91,36 +85,25 @@ class TestDerivation:
         taken = col.take(np.array([2, 0]))
         np.testing.assert_array_equal(taken.values, [30, 10])
 
-    def test_filter(self):
-        col = Column("x", "int64", [1, 2, 3, 4])
-        kept = col.filter(np.array([True, False, True, False]))
-        np.testing.assert_array_equal(kept.values, [1, 3])
-
-    def test_filter_length_mismatch(self):
-        with pytest.raises(SchemaError, match="mask"):
-            Column("x", "int64", [1, 2]).filter(np.array([True]))
-
     @pytest.mark.parametrize("demoted", [False, True])
     def test_derived_columns_own_their_values_and_still_append(self, demoted):
-        # take/filter adopt the gathered array instead of copying it a
-        # second time: the result must neither alias the source nor
-        # lose the append path
+        # take adopts the gathered array instead of copying it a second
+        # time: the result must neither alias the source nor lose the
+        # append path
         source = Column("x", "float64", np.arange(40.0), block_size=16)
         if demoted:
             source.demote(0, "warm")
-        expected = source.to_numpy()
-        taken = source.take(np.array([30, 2, 2]))
-        kept = source.filter(np.arange(40) % 2 == 0)
-        for derived, head in ((taken, expected[[30, 2, 2]]), (kept, expected[::2])):
-            assert not np.shares_memory(derived.values, source.values)
-            assert derived.block_size == 16
-            derived.append(-1.0)
-            derived.extend(np.array([-2.0, -3.0]))
-            np.testing.assert_array_equal(
-                derived.values, np.concatenate([head, [-1.0, -2.0, -3.0]])
-            )
-            assert derived.max_value_error() == source.max_value_error()
-        np.testing.assert_array_equal(source.to_numpy(), expected)
+        expected = source.values.copy()
+        derived = source.take(np.array([30, 2, 2]))
+        assert not np.shares_memory(derived.values, source.values)
+        assert derived.block_size == 16
+        derived.extend(np.array([-1.0]))
+        derived.extend(np.array([-2.0, -3.0]))
+        np.testing.assert_array_equal(
+            derived.values, np.concatenate([expected[[30, 2, 2]], [-1.0, -2.0, -3.0]])
+        )
+        assert derived.max_value_error() == source.max_value_error()
+        np.testing.assert_array_equal(source.values.copy(), expected)
         assert len(source) == 40
 
     def test_nbytes_tracks_live_size_not_capacity(self):

@@ -8,14 +8,15 @@ from repro.columnstore.expressions import Between
 from repro.columnstore.table import Table
 from repro.core.bounded import BoundedQueryProcessor
 from repro.core.hierarchy import ImpressionHierarchy
-from repro.core.impression import PI_COLUMN, Impression
+from repro.core.impression import Impression
 from repro.sampling.reservoir import ReservoirR
+from table_helpers import table_from_arrays
 
 
 @pytest.fixture
 def base() -> Table:
     rng = np.random.default_rng(44)
-    return Table.from_arrays(
+    return table_from_arrays(
         "base",
         {
             "id": np.arange(20_000),
@@ -29,36 +30,6 @@ def subset_impression(base, columns, capacity=2_000, seed=0) -> Impression:
     sampler = ReservoirR(capacity, rng=seed)
     sampler.offer_batch(np.arange(base.num_rows))
     return Impression("base/sub", "base", sampler, columns=columns)
-
-
-class TestWidening:
-    def test_add_columns_extends_materialisation(self, base):
-        impression = subset_impression(base, ("x",))
-        narrow = impression.materialise(base)
-        assert narrow.column_names == ["x", PI_COLUMN]
-        impression.add_columns(["y"])
-        wide = impression.materialise(base)
-        assert wide.column_names == ["x", "y", PI_COLUMN]
-        # the sampled rows are unchanged — only the width grew
-        np.testing.assert_array_equal(narrow["x"], wide["x"])
-
-    def test_add_existing_column_is_noop(self, base):
-        impression = subset_impression(base, ("x",))
-        table = impression.materialise(base)
-        impression.add_columns(["x"])
-        assert impression.materialise(base) is table  # cache intact
-
-    def test_add_columns_on_full_impression_is_noop(self, base):
-        impression = subset_impression(base, None)
-        impression.add_columns(["x"])
-        assert impression.columns is None
-
-    def test_coverage_grows_with_widening(self, base):
-        impression = subset_impression(base, ("x",))
-        query_y = Query(table="base", aggregates=[AggregateSpec("avg", "y")])
-        assert not impression.covers(query_y, base)
-        impression.add_columns(["y"])
-        assert impression.covers(query_y, base)
 
 
 class TestBoundedFallback:

@@ -115,20 +115,9 @@ class TestTierPresets:
 
     def test_modifiers_keep_tier_combination_drops_it(self):
         assert Contract.gold().strictly().tier == "gold"
-        assert Contract.silver().with_confidence(0.9).tier == "silver"
         combined = Contract.gold() & Contract.within_budget(1_000)
         assert combined.tier is None
         assert combined.max_relative_error == 0.01
-
-    def test_session_override_keeps_tier_unless_error_changes(self, rng):
-        engine = tiny_engine()
-        with SciBorqServer(engine, max_workers=1) as server:
-            session = server.open_session("tiered", contract="gold")
-            assert session.defaults.tier == "gold"
-            # a budget override keeps the quality promise -> keeps tier
-            assert session.contract(time_budget=50_000).tier == "gold"
-            # changing the error bound is no longer the preset's promise
-            assert session.contract(max_relative_error=0.2).tier is None
 
 
 # ======================================================================

@@ -62,9 +62,9 @@ class TestContractConstruction:
         assert c.max_relative_error == 0.0
 
     def test_unconstrained(self):
-        c = Contract.unconstrained()
-        assert c == Contract()
+        c = Contract()
         assert c.max_relative_error is None and c.time_budget is None
+        assert not c.is_exact and c.hierarchy is None
 
     def test_negative_error_bound_rejected(self):
         with pytest.raises(QueryError, match="non-negative"):
@@ -80,16 +80,12 @@ class TestContractConstruction:
         with pytest.raises(QueryError, match="confidence"):
             Contract.within_error(0.05, confidence=0.0)
         with pytest.raises(QueryError, match="confidence"):
-            Contract().with_confidence(1.5)
+            Contract(confidence=1.5)
 
     def test_modifiers_return_new_values(self):
         base = Contract.within_error(0.05)
         strict = base.strictly()
         assert strict.strict and not base.strict
-        named = base.on_hierarchy("biased")
-        assert named.hierarchy == "biased" and base.hierarchy is None
-        conf = base.with_confidence(0.99)
-        assert conf.confidence == 0.99 and base.confidence == 0.95
 
 
 class TestContractCombinator:
@@ -118,7 +114,7 @@ class TestContractCombinator:
         with pytest.raises(QueryError, match="confidence"):
             (
                 Contract.within_error(0.05, confidence=0.9)
-                & Contract.within_budget(1_000).with_confidence(0.99)
+                & Contract(time_budget=1_000, confidence=0.99)
             )
 
     def test_one_sided_confidence_wins(self):
@@ -132,8 +128,8 @@ class TestContractCombinator:
     def test_conflicting_hierarchies_rejected(self):
         with pytest.raises(QueryError, match="hierarch"):
             (
-                Contract.within_error(0.05).on_hierarchy("a")
-                & Contract.within_budget(1).on_hierarchy("b")
+                Contract(max_relative_error=0.05, hierarchy="a")
+                & Contract(time_budget=1, hierarchy="b")
             )
 
 
@@ -309,8 +305,7 @@ class TestDeprecationShims:
         self, fresh_sky_engine
     ):
         """Per-field overrides beside ``contract=`` are rejected, not
-        silently dropped: ``Session.contract(...)`` is the one place
-        that builds them."""
+        silently dropped: a query's demands are one ``Contract``."""
         with SciBorqServer(fresh_sky_engine, max_workers=1) as server:
             session = server.open_session("mixer")
             with pytest.raises(TypeError, match="strict"):
@@ -337,9 +332,7 @@ class TestDeprecationShims:
         drop the exact routing, not silently full-scan."""
         with SciBorqServer(fresh_sky_engine, max_workers=1) as server:
             session = server.open_session("exact", contract=Contract.exact())
-            override = session.contract(max_relative_error=0.5)
-            assert not override.is_exact
-            assert override.max_relative_error == 0.5
+            override = Contract.within_error(0.5)
             outcome = session.execute(cone_count(), override)
             base_rows = fresh_sky_engine.catalog.table("PhotoObjAll").num_rows
             assert outcome.attempts[0].rows < base_rows  # ladder, not scan
@@ -347,8 +340,8 @@ class TestDeprecationShims:
             exact = session.execute(cone_count())
             assert exact.result.exact
             assert exact.attempts[0].rows == base_rows
-            # a budget override keeps exact routing (exact & budget is legal)
-            budgeted = session.contract(time_budget=10.0)
+            # a budgeted exact contract keeps exact routing
+            budgeted = session.defaults & Contract.within_budget(10.0)
             assert budgeted.is_exact and budgeted.time_budget == 10.0
 
     def test_session_contract_first_defaults(self, fresh_sky_engine):
@@ -358,10 +351,6 @@ class TestDeprecationShims:
             )
             assert session.defaults.max_relative_error == 0.1
             assert session.defaults.time_budget == 50_000
-            # per-query INHERIT overrides still work on top
-            override = session.contract(max_relative_error=0.9)
-            assert override.max_relative_error == 0.9
-            assert override.time_budget == 50_000
 
 
 # ======================================================================

@@ -69,10 +69,12 @@ class TestHierarchyManagement:
 class TestQueryPath:
     def test_execute_logs_and_feeds_interest(self, fresh_sky_engine):
         n_logged = len(fresh_sky_engine.query_log)
-        n_interest = fresh_sky_engine.interest.total_observations()
+        interest = fresh_sky_engine.interest
+        before = {a: interest.interest_for(a).predicate_set_size for a in ("ra", "dec")}
         fresh_sky_engine.execute(cone_count())
         assert len(fresh_sky_engine.query_log) == n_logged + 1
-        assert fresh_sky_engine.interest.total_observations() == n_interest + 2
+        for attribute, n in before.items():
+            assert interest.interest_for(attribute).predicate_set_size == n + 1
 
     def test_execute_without_hierarchy_rejected(self, fresh_sky_engine):
         with pytest.raises(QueryError, match="no hierarchy"):

@@ -54,10 +54,9 @@ class TestExecutionContext:
         assert not context.affords(11)
         context.charge(4)
         assert context.remaining == 6
-        assert not context.exhausted
         context.charge(6)
-        assert context.exhausted
         assert context.remaining == 0.0
+        assert not context.affords(1)
 
     def test_unbounded_context(self):
         context = ExecutionContext(clock=CostClock())
@@ -133,8 +132,8 @@ class TestContextIsolationUnderContention:
             pool.submit(spend, tight, 1.0).result()
             pool.submit(spend, roomy, 100.0).result()
 
-        assert tight.exhausted and tight.spent == 10
-        assert not roomy.exhausted and roomy.spent == 1_000
+        assert tight.remaining == 0.0 and tight.spent == 10
+        assert roomy.remaining == 9_000 and roomy.spent == 1_000
         assert shared.now == 1_010
 
 

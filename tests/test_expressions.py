@@ -18,11 +18,12 @@ from repro.columnstore.expressions import (
 from repro.columnstore.operators import _BlockView, select
 from repro.columnstore.table import Table
 from repro.errors import QueryError
+from table_helpers import table_from_arrays
 
 
 @pytest.fixture
 def table() -> Table:
-    return Table.from_arrays(
+    return table_from_arrays(
         "t",
         {
             "x": np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
@@ -103,7 +104,7 @@ class TestEvaluation:
                     # finite blocks quantise; blocks holding NaN / inf
                     # fall through to cold — both decode on read
                     assert table.column(name).demote(b, "warm")
-        before = {name: table.column(name).to_numpy() for name in ("x", "y")}
+        before = {name: table.column(name).values.copy() for name in ("x", "y")}
         predicate = RadialPredicate("x", "y", cx, cy, radius)
 
         def textbook(view) -> np.ndarray:
@@ -119,7 +120,7 @@ class TestEvaluation:
         indices, _ = select(table, predicate)
         np.testing.assert_array_equal(indices, np.flatnonzero(textbook(table)))
         for name, values in before.items():
-            assert table.column(name).to_numpy().tobytes() == values.tobytes()
+            assert table.column(name).values.copy().tobytes() == values.tobytes()
 
     def test_and_or_not(self, table):
         expr = (Between("x", 1, 3) & col_eq("tag", 1)) | Not(

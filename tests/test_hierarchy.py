@@ -14,11 +14,12 @@ from repro.errors import ImpressionError
 from repro.sampling.reservoir import ReservoirR
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
+from table_helpers import table_from_arrays
 
 
 @pytest.fixture
 def base() -> Table:
-    return Table.from_arrays(
+    return table_from_arrays(
         "base", {"id": np.arange(10_000), "x": np.zeros(10_000)}
     )
 
@@ -90,9 +91,6 @@ class TestCandidates:
 
 
 class TestBudgetSelection:
-    def test_total_rows(self, hierarchy):
-        assert hierarchy.total_rows() == 1110
-
     def test_describe_mentions_layers(self, hierarchy):
         text = hierarchy.describe()
         assert "layer 0" in text and "layer 2" in text

@@ -121,19 +121,9 @@ class TestPredicateHistogram:
 
 
 class TestEquiWidthHistogram:
-    def test_from_values_infers_range(self, rng):
-        values = rng.uniform(3, 7, 100)
-        hist = EquiWidthHistogram.from_values(values, bins=10)
-        assert hist.total == 100
-        assert hist.minimum == pytest.approx(values.min())
-        assert hist.maximum == pytest.approx(values.max())
-
-    def test_from_constant_values(self):
-        hist = EquiWidthHistogram.from_values(np.full(5, 2.0), bins=4)
-        assert hist.total == 5  # degenerate range handled
-
     def test_proportions_sum_to_one(self, rng):
-        hist = EquiWidthHistogram.from_values(rng.normal(0, 1, 200), bins=8)
+        hist = EquiWidthHistogram(-5, 5, 8)
+        hist.observe_batch(rng.normal(0, 1, 200))
         assert hist.proportions().sum() == pytest.approx(1.0)
 
     def test_tv_distance_identical_is_zero(self, rng):

@@ -8,11 +8,12 @@ from repro.columnstore.table import Table
 from repro.core.impression import PI_COLUMN, Impression
 from repro.errors import ImpressionError
 from repro.sampling.reservoir import ReservoirR
+from table_helpers import table_from_arrays
 
 
 @pytest.fixture
 def base() -> Table:
-    return Table.from_arrays(
+    return table_from_arrays(
         "base",
         {
             "id": np.arange(1000),

@@ -1,7 +1,8 @@
 """Integration tests: full paper scenarios end to end.
 
 These exercise the same pipelines the benchmarks print, and pin the
-*shape* claims of the paper's evaluation (DESIGN.md §3): Figure 4's
+*shape* claims of the paper's evaluation (README, "Layout of claims
+to evidence"): Figure 4's
 curve relationships and Figure 7's focal-representation win.
 """
 

@@ -109,14 +109,16 @@ CASES = {
 def build_engine(warm: bool) -> SciBorq:
     """A SkyServer engine whose fact table has small blocks; ``warm``
     quantises most blocks of the base table and of the impression."""
-    catalog = create_skyserver_catalog()
-    catalog.drop_table("PhotoObjAll")
+    catalog = Catalog()
     catalog.add_table(
         Table(
             "PhotoObjAll",
             [Column(n, d, block_size=BS) for n, d in photoobj_schema().items()],
         )
     )
+    dimensions = create_skyserver_catalog()
+    for name in ("Field", "Frame", "Photoz"):
+        catalog.add_table(dimensions.table(name))
     register_skyserver_views(catalog)
     engine = SciBorq(
         catalog, interest_attributes={"ra": RA_RANGE, "dec": DEC_RANGE}, rng=41
@@ -156,7 +158,7 @@ def whole_rows(catalog: Catalog, query: Query, source: Table):
     columns = {}
     for name in source.column_names:
         col = source.column(name)
-        out = Column(name, col.dtype, col.to_numpy()[idx])
+        out = Column(name, col.dtype, col.values.copy()[idx])
         touched = np.unique(idx // col.block_size)
         out.declare_value_error(
             max((col.block_value_error(int(b)) for b in touched), default=0.0)

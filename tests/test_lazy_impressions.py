@@ -176,7 +176,7 @@ class TestDerivedTable:
         np.testing.assert_array_equal(table["y"], ids)
         np.testing.assert_array_equal(table["x"], base["x"][ids])
         assert table.column("x") is table.column("x")
-        assert table.row(2) == {"x": base["x"][900], "y": 900}
+        assert (table["x"][2], table["y"][2]) == (base["x"][900], 900)
         np.testing.assert_array_equal(table.take(np.array([1, 2]))["y"], [3, 900])
         assert table.take(np.array([0]), columns=["y"]).column_names == ["y"]
 

@@ -1,12 +1,10 @@
 """Tests for the load pipeline and its observer hooks."""
 
-import numpy as np
 import pytest
 
 from repro.columnstore.catalog import Catalog
 from repro.columnstore.loader import Loader, LoadObserver
 from repro.columnstore.table import Table
-from repro.errors import LoadError
 
 
 class RecordingObserver(LoadObserver):
@@ -32,7 +30,6 @@ class TestLoadBatch:
         count = loader.load_batch("t", {"a": [1, 2], "b": [0.1, 0.2]})
         assert count == 2
         assert loader.catalog.table("t").num_rows == 2
-        assert loader.rows_loaded("t") == 2
 
     def test_observer_sees_start_row(self, loader):
         observer = RecordingObserver()
@@ -56,41 +53,10 @@ class TestLoadBatch:
         assert first.calls == second.calls == [("t", 0, 1)]
 
 
-class TestLoadRows:
-    def test_row_stream_batches(self, loader):
-        observer = RecordingObserver()
-        loader.register("t", observer)
-        rows = ({"a": i, "b": float(i)} for i in range(10))
-        total = loader.load_rows("t", rows, batch_size=4)
-        assert total == 10
-        assert [c[2] for c in observer.calls] == [4, 4, 2]
-        np.testing.assert_array_equal(
-            loader.catalog.table("t")["a"], np.arange(10)
-        )
-
-    def test_empty_stream(self, loader):
-        assert loader.load_rows("t", iter(())) == 0
-
-    def test_invalid_batch_size(self, loader):
-        with pytest.raises(LoadError, match="positive"):
-            loader.load_rows("t", [{"a": 1, "b": 1.0}], batch_size=0)
-
-
 class TestRegistry:
     def test_register_rejects_non_observer(self, loader):
         with pytest.raises(TypeError, match="LoadObserver"):
             loader.register("t", object())
-
-    def test_unregister(self, loader):
-        observer = RecordingObserver()
-        loader.register("t", observer)
-        loader.unregister("t", observer)
-        loader.load_batch("t", {"a": [1], "b": [0.1]})
-        assert observer.calls == []
-
-    def test_unregister_unknown_raises(self, loader):
-        with pytest.raises(LoadError, match="not registered"):
-            loader.unregister("t", RecordingObserver())
 
     def test_observers_of_returns_copy(self, loader):
         observer = RecordingObserver()

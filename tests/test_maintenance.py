@@ -19,11 +19,12 @@ from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 from repro.util.clock import CostClock
 from repro.workload.drift import DriftDetector
 from repro.workload.interest import InterestModel
+from table_helpers import table_from_arrays
 
 
 @pytest.fixture
 def base() -> Table:
-    return Table.from_arrays(
+    return table_from_arrays(
         "base",
         {"id": np.arange(50_000), "x": np.linspace(0, 100, 50_000)},
     )
@@ -104,26 +105,27 @@ class TestMaintenancePlanner:
     def test_no_drift_no_action(self, base, hierarchy, rng):
         planner = self.make_planner()
         planner.observe("x", rng.normal(20, 2, 200))
-        assert planner.react(hierarchy, base) is None
+        assert planner.absorb_drift() == []
         assert planner.drift_events == 0
 
     def test_drift_triggers_decay_and_refresh(self, base, hierarchy, rng):
         planner = self.make_planner()
         planner.observe("x", rng.normal(20, 2, 200))
-        n_before = planner.interest.total_observations()
+        n_before = planner.interest.interest_for("x").predicate_set_size
         planner.observe("x", rng.normal(80, 2, 200))  # focus moves
-        reports = planner.react(hierarchy, base)
-        assert reports is not None and len(reports) == 2
+        assert planner.absorb_drift() == ["x"]
+        reports = refresh_hierarchy(hierarchy, base)
+        assert len(reports) == 2
         assert planner.drift_events == 1
-        assert planner.interest.total_observations() < n_before
+        assert planner.interest.interest_for("x").predicate_set_size < n_before
 
     def test_reaction_resets_detector(self, base, hierarchy, rng):
         planner = self.make_planner()
         planner.observe("x", rng.normal(20, 2, 200))
         planner.observe("x", rng.normal(80, 2, 200))
-        planner.react(hierarchy, base)
+        assert planner.absorb_drift() == ["x"]
         # same (already handled) shift does not re-fire
-        assert planner.react(hierarchy, base) is None
+        assert planner.absorb_drift() == []
 
     def test_observe_unknown_attribute_ignored(self, rng):
         planner = self.make_planner()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.columnstore import AggregateSpec, Query
 from repro.columnstore.expressions import Between, RadialPredicate
+from repro.core.contracts import Contract
 from repro.errors import ImpressionError
 from repro.skyserver.generator import SkyGenerator
 
@@ -91,7 +92,7 @@ class TestQueryRouting:
         )
 
     def test_execute_routes_to_named_hierarchy(self, engine):
-        outcome = engine.execute(self.cone(), hierarchy="last-seen")
+        outcome = engine.execute(self.cone(), Contract(hierarchy="last-seen"))
         assert "last-seen" in outcome.attempts[0].source
 
     def test_execute_defaults_to_default(self, engine):
@@ -112,7 +113,7 @@ class TestQueryRouting:
         )
         uniform_rows = engine.execute(recency_query).result.rows
         last_seen_rows = engine.execute(
-            recency_query, hierarchy="last-seen"
+            recency_query, Contract(hierarchy="last-seen")
         ).result.rows
         # the last-seen hierarchy simply holds more recent tuples
         assert last_seen_rows.num_rows >= uniform_rows.num_rows

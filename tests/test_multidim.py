@@ -83,10 +83,6 @@ class TestDensity:
 
 
 class TestMaintenance:
-    def test_live_cells_bounded_by_bins_squared(self, grid, rng):
-        grid.observe_batch(rng.uniform(0, 100, 1000), rng.uniform(0, 50, 1000))
-        assert grid.live_cells() <= 400
-
     def test_decay(self, grid, rng):
         grid.observe_batch(rng.uniform(0, 100, 100), rng.uniform(0, 50, 100))
         grid.decay(0.5)

@@ -8,11 +8,12 @@ from repro.columnstore.expressions import Between
 from repro.columnstore.query import AggregateSpec
 from repro.columnstore.table import Table
 from repro.errors import QueryError
+from table_helpers import table_from_arrays
 
 
 @pytest.fixture
 def fact() -> Table:
-    return Table.from_arrays(
+    return table_from_arrays(
         "fact",
         {
             "id": np.arange(6),
@@ -24,7 +25,7 @@ def fact() -> Table:
 
 @pytest.fixture
 def dim() -> Table:
-    return Table.from_arrays(
+    return table_from_arrays(
         "dim", {"g": np.array([0, 1, 2]), "w": np.array([10.0, 20.0, 30.0])}
     )
 
@@ -45,15 +46,15 @@ class TestJoin:
         assert stats.tuples_in == 9
 
     def test_many_to_many(self):
-        left = Table.from_arrays("l", {"k": np.array([1, 1])})
-        right = Table.from_arrays("r", {"k": np.array([1, 1, 2])})
+        left = table_from_arrays("l", {"k": np.array([1, 1])})
+        right = table_from_arrays("r", {"k": np.array([1, 1, 2])})
         li, ri, stats = operators.equi_join(left, right, "k", "k")
         assert li.shape[0] == 4  # 2 x 2 matches
         assert stats.tuples_out == 4
 
     def test_no_matches(self):
-        left = Table.from_arrays("l", {"k": np.array([5])})
-        right = Table.from_arrays("r", {"k": np.array([1])})
+        left = table_from_arrays("l", {"k": np.array([5])})
+        right = table_from_arrays("r", {"k": np.array([1])})
         li, ri, _ = operators.equi_join(left, right, "k", "k")
         assert li.shape[0] == 0 and ri.shape[0] == 0
 
@@ -91,7 +92,7 @@ class TestAggregate:
         assert stats.tuples_in == 6
 
     def test_empty_input_gives_nan(self, fact):
-        empty = fact.filter(np.zeros(6, dtype=bool))
+        empty = fact.take(np.zeros(0, dtype=np.int64))
         result, _ = operators.aggregate(empty, [AggregateSpec("avg", "v")])
         assert np.isnan(result["avg(v)"])
         result, _ = operators.aggregate(empty, [AggregateSpec("count")])
@@ -101,7 +102,7 @@ class TestAggregate:
         """Regression: MIN/MAX slipped past the numeric gate and died
         with a numpy coercion error inside the kernel; they must raise
         a clean QueryError while COUNT keeps working."""
-        t = Table.from_arrays(
+        t = table_from_arrays(
             "t", {"label": np.array(["b", "a", "c"], dtype="<U1")}
         )
         for fn in ("min", "max"):
@@ -113,7 +114,7 @@ class TestAggregate:
     def test_boolean_columns_still_aggregate(self):
         """Booleans coerce to floats losslessly and must keep working
         through the tightened non-numeric gate."""
-        t = Table.from_arrays(
+        t = table_from_arrays(
             "t",
             {
                 "g": np.array([0, 0, 1, 1]),
@@ -171,7 +172,7 @@ class TestGroupAggregate:
         rng = np.random.default_rng(9)
         v = 1e8 + rng.normal(0.0, 1.0, 10_000)
         g = rng.integers(0, 3, v.shape[0])
-        t = Table.from_arrays("t", {"g": g, "v": v})
+        t = table_from_arrays("t", {"g": g, "v": v})
         result, _ = operators.group_aggregate(
             t, ["g"], [AggregateSpec("var", "v"), AggregateSpec("std", "v")]
         )
@@ -183,7 +184,7 @@ class TestGroupAggregate:
             )
 
     def test_multi_key_grouping(self):
-        t = Table.from_arrays(
+        t = table_from_arrays(
             "t",
             {
                 "a": np.array([0, 0, 1, 1]),
@@ -199,7 +200,7 @@ class TestGroupAggregate:
             operators.group_aggregate(fact, [], [AggregateSpec("count")])
 
     def test_singleton_groups_have_zero_variance(self):
-        t = Table.from_arrays(
+        t = table_from_arrays(
             "t", {"g": np.array([0, 1]), "v": np.array([5.0, 7.0])}
         )
         result, _ = operators.group_aggregate(t, ["g"], [AggregateSpec("var", "v")])
@@ -233,7 +234,7 @@ class TestGroupAggregate:
             )
 
     def test_non_numeric_group_values_raise_cleanly(self):
-        t = Table.from_arrays(
+        t = table_from_arrays(
             "t",
             {
                 "g": np.array([0, 0, 1]),
@@ -254,7 +255,7 @@ class TestSortLimit:
     def test_descending_sort_keeps_ties_in_input_order(self):
         """Regression: reversing the ascending stable order flipped
         tie runs back-to-front."""
-        t = Table.from_arrays(
+        t = table_from_arrays(
             "t",
             {
                 "key": np.array([1.0, 2.0, 1.0, 2.0, 1.0]),
@@ -267,7 +268,7 @@ class TestSortLimit:
         np.testing.assert_array_equal(out["pos"], [1, 3, 0, 2, 4])
 
     def test_descending_sort_stable_for_strings(self):
-        t = Table.from_arrays(
+        t = table_from_arrays(
             "t",
             {
                 "key": np.array(["b", "a", "b", "a"]),

@@ -47,7 +47,8 @@ class TestCollection:
 
     def test_observe_all(self, workload):
         collector = PredicateSetCollector(("ra", "dec"))
-        collector.observe_all(workload.queries(50))
+        for query in workload.queries(50):
+            collector.observe(query)
         assert collector.queries_observed == 50
         assert collector.predicate_set_size("ra") > 0
 
@@ -63,13 +64,3 @@ class TestConsumers:
         collector.subscribe(lambda attr, values: seen.append((attr, values.tolist())))
         collector.observe(cone(185.0, 0.0))
         assert seen == [("ra", [185.0])]
-
-    def test_clear_resets_values_not_consumers(self):
-        collector = PredicateSetCollector(("ra",))
-        seen = []
-        collector.subscribe(lambda attr, values: seen.append(attr))
-        collector.observe(cone(1.0, 0.0))
-        collector.clear()
-        assert collector.predicate_set_size("ra") == 0
-        collector.observe(cone(2.0, 0.0))
-        assert seen == ["ra", "ra"]

@@ -150,10 +150,8 @@ class TestGroupedEstimates:
         est_by_type = dict(
             zip(result.groups["obj_type"], result.groups["avg(r_mag)"])
         )
-        for row in exact.rows.iter_rows():
-            assert est_by_type[row["obj_type"]] == pytest.approx(
-                row["avg(r_mag)"], rel=0.03
-            )
+        for obj_type, avg in zip(exact.rows["obj_type"], exact.rows["avg(r_mag)"]):
+            assert est_by_type[obj_type] == pytest.approx(avg, rel=0.03)
 
     def test_order_and_limit_applied_to_groups(self, estimator, layer0):
         q = Query(

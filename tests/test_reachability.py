@@ -14,12 +14,17 @@ The same holds name by name: every public top-level function, class
 or constant of a module must be used somewhere outside ``tests/`` —
 in ``src/repro`` (not counting ``__init__`` re-exports), the
 benchmarks or the examples.  So must every public method and property
-of the entry classes (``ENTRY_CLASSES``): a way to run a query that
-only tests call is a second way nobody needs.  Deliberate public API
-nothing else calls sits on ``ALLOWED`` too, by its dotted name.
+of every class of a reached module: a second spelling only tests call
+is a second way nobody needs.  Uses inside a definition the rule
+rejects do not count, iterated to a fixed point, so a method only
+another unused method calls goes with it.  A name
+``benchmarks/e2e/trace.py`` wraps by string in ``TARGETS`` counts as
+used: the benchmark's tracer needs it to resolve.  Deliberate public
+API nothing else calls sits on ``ALLOWED`` too, by its dotted name.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -34,16 +39,11 @@ ROOTS = (
     "repro.bench.report",
 )
 
-#: classes whose public methods and properties are held to the name rule
-ENTRY_CLASSES = (
-    ("repro.core.engine", "SciBorq"),
-    ("repro.core.server", "SciBorqServer"),
-    ("repro.core.session", "Session"),
-)
-
 REPO = SRC.parent
 #: where a use of a public name counts, besides ``src/repro`` itself
 USERS = ("benchmarks", "examples")
+#: the benchmark's tracer, whose ``TARGETS`` name what it wraps by string
+TRACE = REPO / "benchmarks" / "e2e" / "trace.py"
 
 # module or module.name -> one line: why it stays unreached, and where
 # its verdict is due
@@ -137,82 +137,122 @@ def _unreached():
     return leaves - _reached(modules)
 
 
-def _public_names(modules):
-    """``module.name`` of every public top-level function, class and
-    assigned name of the package's modules."""
-    names = set()
+def _public_definitions(modules, unreached):
+    """``(names, members)``: ``{dotted name: node}`` of every public
+    top-level function, class and assigned name of the package's
+    modules (node None for an assignment), and of every public method
+    and property of the classes of the reached ones."""
+    names, members = {}, {}
     for module, path in modules.items():
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text()).body:
+        for node in _parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined = [node.name]
+                defined = [(node.name, node)]
             elif isinstance(node, ast.Assign):
-                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                defined = [(t.id, None) for t in node.targets if isinstance(t, ast.Name)]
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                defined = [node.target.id]
+                defined = [(node.target.id, None)]
             else:
                 continue
-            names.update(f"{module}.{n}" for n in defined if not n.startswith("_"))
-    return names
+            names.update(
+                (f"{module}.{name}", found)
+                for name, found in defined
+                if not name.startswith("_")
+            )
+            if isinstance(node, ast.ClassDef) and module not in unreached:
+                members.update(
+                    (f"{module}.{node.name}.{member.name}", member)
+                    for member in node.body
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not member.name.startswith("_")
+                )
+    return names, members
 
 
-def _used_identifiers():
-    """Every identifier code outside ``tests/`` names: variables,
-    attributes and imported names."""
+@functools.cache
+def _parse(path):
+    """One tree per file, so a node found by one walk is the node the
+    other walks meet."""
+    return ast.parse(path.read_text())
+
+
+def _user_trees():
+    """The parsed modules whose uses count: ``src/repro`` but its
+    ``__init__`` files, the benchmarks and the examples."""
     paths = [p for p in (SRC / PACKAGE).rglob("*.py") if p.name != "__init__.py"]
     for user in USERS:
         paths.extend((REPO / user).rglob("*.py"))
+    return [_parse(path) for path in paths]
+
+
+def _trace_targets():
+    """Every string in the value of ``trace.py``'s ``TARGETS``."""
+    for node in ast.parse(TRACE.read_text()).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(getattr(target, "id", None) == "TARGETS" for target in targets):
+            return {
+                leaf.value
+                for leaf in ast.walk(node.value)
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+            }
+    raise AssertionError(f"no TARGETS in {TRACE}")
+
+
+def _used_identifiers(trees, skipped):
+    """Every identifier ``trees`` name — variables, attributes and
+    imported names — outside the definitions in ``skipped`` (ids)."""
     used = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
     return used
 
 
-def _public_members(modules):
-    """``module.Class.member`` of every public method and property of
-    the :data:`ENTRY_CLASSES`."""
-    members = set()
-    for module, class_name in ENTRY_CLASSES:
-        tree = ast.parse(modules[module].read_text())
-        (cls,) = [
-            node
-            for node in tree.body
-            if isinstance(node, ast.ClassDef) and node.name == class_name
-        ]
-        members.update(
-            f"{module}.{class_name}.{node.name}"
-            for node in cls.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not node.name.startswith("_")
-        )
-    return members
+@functools.cache
+def _unused():
+    """``(names, members)`` nothing outside ``tests/`` uses.
 
-
-def _unused_names():
+    A use inside an unused definition does not count (an allow-listed
+    one's uses do), so the sets are grown to a fixed point: each round
+    can only add to them."""
     modules = _modules()
     unreached = _unreached()
-    used = _used_identifiers()
-    return {
-        name
-        for name in _public_names(modules)
-        if name.rsplit(".", 1)[0] not in unreached and name.rsplit(".", 1)[1] not in used
-    }
-
-
-def _unused_members():
-    used = _used_identifiers()
-    return {
-        name
-        for name in _public_members(_modules())
-        if name.rsplit(".", 1)[1] not in used
-    }
+    names, members = _public_definitions(modules, unreached)
+    trees = _user_trees()
+    exempt = _trace_targets()
+    kept = set(ALLOWED) | DUE
+    unused = set()
+    while True:
+        skipped = {
+            id(node)
+            for name, node in (*names.items(), *members.items())
+            if name in unused and name not in kept and node is not None
+        }
+        used = _used_identifiers(trees, skipped) | exempt
+        found = {
+            name
+            for name in names
+            if name.rsplit(".", 1)[0] not in unreached
+            and name.rsplit(".", 1)[1] not in used
+        } | {name for name in members if name.rsplit(".", 1)[1] not in used}
+        if found == unused:
+            return found & set(names), found & set(members)
+        unused = found
 
 
 def test_every_module_is_reached_or_allow_listed():
@@ -225,28 +265,39 @@ def test_every_module_is_reached_or_allow_listed():
 
 
 def test_every_public_name_is_used_or_allow_listed():
-    unlisted = _unused_names() - set(ALLOWED) - DUE
+    unlisted = _unused()[0] - set(ALLOWED) - DUE
     assert unlisted == set(), (
         "public names nothing outside tests/ uses (use them, delete them "
         f"with their tests, or allow-list with a reason): {sorted(unlisted)}"
     )
 
 
-def test_every_entry_class_member_is_used_or_allow_listed():
-    # the walk must see the entry the benchmark drives, or it checks nothing
-    assert "repro.core.server.SciBorqServer.submit" in _public_members(_modules())
-    unlisted = _unused_members() - set(ALLOWED) - DUE
+def test_every_class_member_is_used_or_allow_listed():
+    modules = _modules()
+    _, members = _public_definitions(modules, _unreached())
+    # the walk must see the entry the benchmark drives and the methods
+    # of classes below it, or it checks nothing
+    assert "repro.core.server.SciBorqServer.submit" in members
+    assert "repro.columnstore.table.Table.append_batch" in members
+    unlisted = _unused()[1] - set(ALLOWED) - DUE
     assert unlisted == set(), (
-        "entry-class methods and properties nothing outside tests/ uses "
-        "(use them, delete them with their tests, or allow-list with a "
-        f"reason): {sorted(unlisted)}"
+        "methods and properties nothing outside tests/ uses (use them, "
+        "delete them with their tests, or allow-list with a reason): "
+        f"{sorted(unlisted)}"
     )
+
+
+def test_a_trace_target_counts_as_used():
+    # only the benchmark's tracer names the monitor's exact hook, and it
+    # stays until the tracer stops wrapping it
+    assert "observe_exact" in _trace_targets()
+    assert "repro.core.monitor.ContractMonitor.observe_exact" not in _unused()[1]
 
 
 def test_allow_list_is_short_and_current():
     assert len(ALLOWED) <= 3
     assert all(reason.strip() for reason in ALLOWED.values())
-    unused = _unreached() | _unused_names() | _unused_members()
+    unused = _unreached().union(*_unused())
     stale = set(ALLOWED) - unused
     assert stale == set(), f"allow-listed but reached or gone: {sorted(stale)}"
     assert DUE <= unused, f"used or gone: {sorted(DUE - unused)}"

@@ -24,13 +24,14 @@ from repro.core.scheduler import SharedScanScheduler
 from repro.skyserver.generator import SkyGenerator, build_skyserver
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE, create_skyserver_catalog
 from repro.util.clock import ExecutionContext
+from table_helpers import table_from_arrays
 
 EXACT = ()
 
 
 @pytest.fixture
 def table() -> Table:
-    return Table.from_arrays("t", {"x": np.arange(100, dtype=float)})
+    return table_from_arrays("t", {"x": np.arange(100, dtype=float)})
 
 
 def op(rows: int = 100, out: int = 0) -> OperatorStats:
@@ -85,7 +86,7 @@ class TestTableIdentity:
 
     def test_an_equal_twin_never_hits(self, table):
         recycler = Recycler()
-        twin = Table.from_arrays("t", {"x": np.arange(100, dtype=float)})
+        twin = table_from_arrays("t", {"x": np.arange(100, dtype=float)})
         assert (twin.name, twin.version) == (table.name, table.version)
         store(recycler, table, Between("x", 0, 5), np.arange(6))
         assert lookup(recycler, twin, Between("x", 0, 5)) is None
@@ -93,16 +94,15 @@ class TestTableIdentity:
     def test_a_reused_id_never_hits(self):
         recycler = Recycler()
         predicate = Between("x", 0, 5)
-        store(recycler, Table.from_arrays("t", {"x": np.arange(10.0)}), predicate, [9])
+        store(recycler, table_from_arrays("t", {"x": np.arange(10.0)}), predicate, [9])
         gc.collect()  # the table dies; its entry goes at the next call
-        reused = Table.from_arrays("t", {"x": np.arange(10.0)})
+        reused = table_from_arrays("t", {"x": np.arange(10.0)})
         # file the dead table's entry under the new table's id, as if
         # the allocator had handed the new table the same address
         ((_, version, fingerprint), entry), = recycler._entries.items()
         recycler._entries = OrderedDict({(id(reused), version, fingerprint): entry})
         assert entry.ref() is None
         assert lookup(recycler, reused, predicate) is None
-        assert recycler.peek(reused, predicate) is None
 
 
 class TestDeadGenerations:
@@ -110,7 +110,7 @@ class TestDeadGenerations:
 
     def test_a_moved_on_version_leaves_at_the_next_store(self, table):
         recycler = Recycler()
-        other = Table.from_arrays("u", {"x": np.arange(10.0)})
+        other = table_from_arrays("u", {"x": np.arange(10.0)})
         store(recycler, table, Between("x", 0, 5), np.arange(6))
         store(recycler, other, Between("x", 0, 5), np.arange(6))
         table.append_batch({"x": [3.0]})
@@ -123,7 +123,7 @@ class TestDeadGenerations:
 
     def test_a_collected_table_s_entries_leave(self, table):
         recycler = Recycler()
-        doomed = Table.from_arrays("t", {"x": np.arange(10.0)})
+        doomed = table_from_arrays("t", {"x": np.arange(10.0)})
         store(recycler, doomed, Between("x", 0, 5), np.arange(6))
         store(recycler, doomed, Between("x", 1, 5), np.arange(1, 6))
         store(recycler, table, Between("x", 0, 5), np.arange(6))
@@ -227,7 +227,7 @@ class TestLossyEntries:
         # promoted: same object, version and fingerprint — still refused
         assert lossy_reads(table, predicate) == EXACT
         assert lookup(recycler, table, predicate) is None
-        assert recycler.peek(table, predicate) is not None
+        assert len(recycler) == 1  # refused, not dropped
         store(recycler, table, predicate, np.arange(7))  # the exact rescan
         assert lookup(recycler, table, predicate).shape == (7,)
         assert len(recycler) == 1
@@ -339,7 +339,7 @@ class TestRawReads:
         )
         assert recycler.stats.hits == hits  # a miss: rescanned raw
         np.testing.assert_array_equal(got, self.solo(table, raw=True))
-        assert recycler.peek(table, self.PREDICATE, EXACT) is not None
+        assert recycler.lookup(table, self.PREDICATE, EXACT) is not None
 
     def test_in_one_convoy_each_gets_its_solo_selection(self):
         scheduler = SharedScanScheduler(window=0.5)
@@ -400,14 +400,6 @@ class TestEviction:
         with pytest.raises(ValueError, match="positive"):
             Recycler(capacity_bytes=0)
 
-    def test_clear_keeps_counters(self, table):
-        recycler = Recycler()
-        store(recycler, table, Between("x", 0, 1), [0])
-        lookup(recycler, table, Between("x", 0, 1))
-        recycler.clear()
-        assert len(recycler) == 0 and recycler.size_bytes == 0
-        assert recycler.stats.hits == 1
-
     def test_hit_rate(self, table):
         recycler = Recycler()
         predicate = Between("x", 0, 1)
@@ -443,7 +435,7 @@ def test_concurrent_readers_and_writers_keep_the_books():
     import sys
     import threading
 
-    table = Table.from_arrays("t", {"x": np.arange(100, dtype=float)})
+    table = table_from_arrays("t", {"x": np.arange(100, dtype=float)})
     recycler = Recycler(capacity_bytes=40 * 80)  # forty 10-int entries
     predicates = [Between("x", i, i + 9) for i in range(64)]
     lookups_per_thread = 400

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from reference_samplers import sequential_offer_batch
 from repro import SciBorq
-from repro.columnstore.table import Table
 from repro.core.impression import CellKeys, _index
 from repro.core.maintenance import refresh_from_below, refresh_hierarchy
 from repro.core.policy import BiasedPolicy, UniformPolicy, build_hierarchy
@@ -31,6 +30,7 @@ from repro.sampling.reservoir import ReservoirR
 from repro.skyserver import SkyGenerator, build_skyserver, create_skyserver_catalog
 from repro.skyserver.schema import DEC_RANGE, RA_RANGE
 from repro.workload.interest import InterestModel
+from table_helpers import table_from_arrays
 
 STATE = ("_row_ids", "_accept_prob", "_accept_seq", "_offer_cnt", "_churn_at")
 SCHEDULES = ("algorithm_r", "last_seen", "biased", "biased_floor")
@@ -162,7 +162,7 @@ class TestRefreshLookup:
     def test_composed_pis_equal_the_dict_composition(self, kind):
         rows = 30_000
         x = np.random.default_rng(8).uniform(0, 1, rows)
-        base = Table.from_arrays("base", {"x": x})
+        base = table_from_arrays("base", {"x": x})
         sizes = (3_000, 600, 60)
         if kind == "uniform":
             policy = UniformPolicy(layer_sizes=sizes)

@@ -99,7 +99,7 @@ class TestCrossSessionIsolation:
                     handles.append(
                         session.submit(
                             cone(ra, radius),
-                            session.contract(max_relative_error=error),
+                            Contract.within_error(error),
                         )
                     )
                     keys.append((user, ra, radius))
@@ -179,12 +179,11 @@ class TestSessionLifecycle:
                 "strict-user",
                 contract=Contract.within_error(0.1) & Contract.within_budget(50_000),
             )
-            contract = session.contract()
-            assert contract.max_relative_error == 0.1
-            assert contract.time_budget == 50_000
-            override = session.contract(max_relative_error=0.9)
-            assert override.max_relative_error == 0.9
-            assert override.time_budget == 50_000  # default survives
+            assert session.defaults.max_relative_error == 0.1
+            assert session.defaults.time_budget == 50_000
+            # a per-query contract replaces the default whole
+            outcome = session.execute(cone(150.0, 5.0), Contract.within_error(0.9))
+            assert outcome.contract == Contract.within_error(0.9)
 
     def test_budgeted_session_reports_spend_within_budget(self):
         with SciBorqServer(make_engine()) as server:
@@ -273,13 +272,13 @@ class TestSessionLifecycle:
         with SciBorqServer(make_engine(), max_workers=2) as server:
             session = server.open_session("strict", contract=Contract().strictly())
             # only the smallest layer fits the budget: bound missed
-            impossible = session.contract(max_relative_error=1e-12, time_budget=600)
+            impossible = Contract(max_relative_error=1e-12, time_budget=600, strict=True)
             missed = [
                 session.submit(cone(150.0, 5.0), impossible),
                 session.submit(cone(170.0, 3.0), impossible),
             ]
             ok = session.submit(
-                cone(150.0, 5.0), session.contract(max_relative_error=0.9)
+                cone(150.0, 5.0), Contract(max_relative_error=0.9, strict=True)
             )
             for handle in missed:
                 with pytest.raises(QualityBoundError):
@@ -413,7 +412,7 @@ class TestFailureAccounting:
             with pytest.raises(QualityBoundError):
                 session.execute(
                     cone(150.0, 5.0),
-                    session.contract(max_relative_error=1e-12, time_budget=600),
+                    Contract(max_relative_error=1e-12, time_budget=600, strict=True),
                 )
             assert server.queries_failed == 1
             assert session.report().failures == 1
@@ -690,7 +689,7 @@ class TestLiveness:
                 session = sessions[s]
                 for i, (ra, radius, error) in enumerate(liveness_stream(s)):
                     handles[(s, i)] = session.submit(
-                        cone(ra, radius), session.contract(max_relative_error=error)
+                        cone(ra, radius), Contract.within_error(error)
                     )
             except BaseException as exc:  # noqa: BLE001 - asserted below
                 failures.append(exc)
@@ -762,9 +761,17 @@ class TestLiveness:
 class TestReadWriteLock:
     def test_many_readers_coexist(self):
         lock = ReadWriteLock()
-        with lock.read_locked():
+        both_inside = threading.Barrier(2, timeout=5)
+
+        def reader() -> None:
             with lock.read_locked():
-                assert lock.readers == 2
+                both_inside.wait()  # breaks unless both hold the lock at once
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        reader()
+        thread.join(timeout=5)
+        assert not both_inside.broken
 
     def test_writer_excludes_readers(self):
         lock = ReadWriteLock()

@@ -305,10 +305,8 @@ class TestSchedulerIdentity:
                     handles.append(
                         session.submit(
                             query,
-                            session.contract(
-                                max_relative_error=float(
-                                    contract_errors[position]
-                                )
+                            Contract.within_error(
+                                float(contract_errors[position])
                             ),
                         )
                     )
@@ -355,7 +353,7 @@ class TestSchedulerIdentity:
             query = cone(180.0, 10.0, 6.0)
             handles = [
                 session.submit(
-                    query, session.contract(max_relative_error=0.05)
+                    query, Contract.within_error(0.05)
                 )
                 for session in sessions
             ]
@@ -442,7 +440,7 @@ class TestSchedulerEdges:
             sessions = [server.open_session(f"u{i}") for i in range(3)]
             handles = [
                 session.submit(
-                    query, session.contract(max_relative_error=0.0)
+                    query, Contract.within_error(0.0)
                 )
                 for session in sessions
             ]

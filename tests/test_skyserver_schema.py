@@ -48,8 +48,13 @@ class TestCatalogFactory:
 
     def test_foreign_keys_declared(self):
         catalog = create_skyserver_catalog()
-        fks = catalog.foreign_keys_of("PhotoObjAll")
-        targets = {fk.dimension_table for fk in fks}
+        edges = [
+            line.split()[1:]
+            for line in catalog.summary().splitlines()
+            if line.startswith("  fk ")
+        ]
+        assert all(fact.startswith("PhotoObjAll.") for fact, _, _ in edges)
+        targets = {dim.split(".")[0] for _, _, dim in edges}
         assert targets == {"Field", "Frame", "Photoz"}
 
     def test_tables_start_empty(self):

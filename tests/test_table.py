@@ -6,11 +6,12 @@ import pytest
 from repro.columnstore.column import Column
 from repro.columnstore.table import Table
 from repro.errors import LoadError, SchemaError, UnknownColumnError
+from table_helpers import table_from_arrays
 
 
 @pytest.fixture
 def table() -> Table:
-    return Table.from_arrays(
+    return table_from_arrays(
         "t", {"a": np.arange(4), "b": np.array([1.0, 2.0, 3.0, 4.0])}
     )
 
@@ -46,17 +47,6 @@ class TestAccess:
         with pytest.raises(UnknownColumnError, match="nope"):
             table.column("nope")
 
-    def test_row_as_dict(self, table):
-        assert table.row(1) == {"a": 1, "b": 2.0}
-
-    def test_row_out_of_range(self, table):
-        with pytest.raises(IndexError, match="out of range"):
-            table.row(10)
-
-    def test_iter_rows(self, table):
-        rows = list(table.iter_rows())
-        assert len(rows) == 4 and rows[0]["a"] == 0
-
     def test_nbytes_positive(self, table):
         assert table.nbytes() == 4 * 8 * 2
 
@@ -68,10 +58,6 @@ class TestAppend:
         assert count == 2
         assert table.num_rows == 6
         assert table.version == v0 + 1
-
-    def test_append_row(self, table):
-        table.append_row({"a": 9, "b": 9.5})
-        assert table.row(4) == {"a": 9, "b": 9.5}
 
     def test_missing_column_rejected_atomically(self, table):
         with pytest.raises(LoadError, match="missing"):
@@ -93,10 +79,6 @@ class TestDerivation:
         np.testing.assert_array_equal(sub["a"], [3, 0])
         table.append_batch({"a": [10], "b": [1.0]})
         assert sub.num_rows == 2  # unaffected by later appends
-
-    def test_filter(self, table):
-        sub = table.filter(table["a"] >= 2)
-        assert sub.num_rows == 2
 
     def test_take_column_subset_in_the_order_given(self, table):
         sub = table.take(np.array([3, 0]), "sub", columns=["b"])

@@ -200,14 +200,12 @@ class TestDemotePromote:
         assert got.tobytes() == original[idx].tobytes() and err == 0.0
         assert col.tier_of(0) == "warm" and col.tier_of(1) == "cold"  # nothing promoted
 
-    def test_take_and_filter_carry_value_error_floor(self):
+    def test_take_carries_value_error_floor(self):
         col = float_column()
         col.demote(0, "warm")
         bound = col.block_value_error(0)
         taken = col.take(np.array([1, 2, 3]))
         assert taken.max_value_error() == bound
-        kept = col.filter(np.arange(len(col)) < 10)
-        assert kept.max_value_error() == bound
 
 
 class TestFootprint:
@@ -271,7 +269,7 @@ class TestFootprint:
                 col.extend(rng.uniform(-50, 150, operation[1]).astype(dtype))
             elif kind == "append":
                 for value in rng.uniform(-50, 150, operation[1]).astype(dtype):
-                    col.append(value)
+                    col.extend(np.array([value]))
             elif kind == "demote":
                 col.demote(operation[1], operation[2], operation[3])
             elif kind == "promote":
@@ -356,7 +354,7 @@ class TestContractHonesty:
 
     def test_all_hot_estimates_carry_zero_value_error(self):
         engine = tiered_engine()
-        outcome = engine.execute(self.cone(), contract=Contract.unconstrained())
+        outcome = engine.execute(self.cone(), contract=Contract())
         for estimate in outcome.result.estimates.values():
             assert estimate.value_error == 0.0
 
@@ -490,7 +488,7 @@ class TestContractHonesty:
         the late column still holds the raw base values — the spill
         keeps every demoted block's raw bytes — and declares no error,
         so the estimate built on it is the never-demoted engine's."""
-        want = tiered_engine().execute(self.cone(), Contract.unconstrained())
+        want = tiered_engine().execute(self.cone(), Contract())
         engine = tiered_engine()
         table = engine.catalog.table("fact")
         impression = engine.hierarchy("fact").layer(0)
@@ -504,7 +502,7 @@ class TestContractHonesty:
         assert late.max_value_error() == early.max_value_error() == 0.0
         assert late.is_fully_hot and not table.column("y").is_fully_hot
         assert late.values.tobytes() == tiered_table()["y"][sample.row_ids].tobytes()
-        outcome = engine.execute(self.cone(), contract=Contract.unconstrained())
+        outcome = engine.execute(self.cone(), contract=Contract())
         assert outcome.attempts[0].source == impression.name
         assert outcome.result.estimates == want.result.estimates
 
@@ -614,7 +612,7 @@ class TestGovernor:
         engine = tiered_engine()
         base = engine.catalog.table("fact")
         rung = engine.hierarchy("fact").layer(0).materialise(base)
-        want = {name: rung.column(name).to_numpy() for name in ("id", "x", "y")}
+        want = {name: rung.column(name).values.copy() for name in ("id", "x", "y")}
         rung.column("y").gather(np.arange(4))  # only y is read
         engine.set_memory_governor(MemoryGovernor(1))
         assert [c.name for c in rung.resident_columns()] == [PI_COLUMN, "y"]
@@ -691,7 +689,7 @@ class TestServerWiring:
                     predicate=Between("x", 100.0, 420.0),
                     aggregates=[AggregateSpec("sum", "y")],
                 ),
-                contract=Contract.unconstrained(),
+                contract=Contract(),
             )
             assert "governor" in server.report().render()
         assert engine.memory_governor is None  # removed on shutdown
@@ -777,7 +775,7 @@ class TestChunkedReadPaths:
         col.demote(0, "cold")
         assert col[3] == original[3]
         np.testing.assert_array_equal(col[5:70], original[5:70])
-        np.testing.assert_array_equal(col.to_numpy(), original)
+        np.testing.assert_array_equal(col.values.copy(), original)
         mask = np.zeros(len(col), dtype=bool)
         mask[:4] = True
         np.testing.assert_array_equal(col[mask], original[:4])
@@ -945,7 +943,7 @@ class TestBlockTicks:
         elif kind == "extend":
             column.extend(np.linspace(0.0, 1.0, op[1]))
         elif kind == "append":
-            column.append(0.5)
+            column.extend(np.array([0.5]))
         elif kind == "demote" and op[1] < column.num_blocks:
             column.demote(op[1], op[2])
         elif kind == "promote" and op[1] < column.num_blocks:

@@ -58,7 +58,7 @@ class TestColumnZones:
     def test_zones_track_single_appends(self):
         col = Column("v", "int64", block_size=2)
         for v in (4, -1, 9):
-            col.append(v)
+            col.extend([v])
         assert col.zone(0) == Zone(-1, 4)
         assert col.zone(1) == Zone(9, 9)
 
@@ -83,7 +83,7 @@ class TestColumnZones:
 
     def test_string_columns_keep_no_zones(self):
         col = Column("s", "U8", ["a", "b"], block_size=2)
-        assert not col.tracks_zones
+        assert col.zones() is None
         assert col.zone(0) is None
 
     def test_block_index_out_of_range(self):
@@ -103,10 +103,9 @@ class TestColumnZones:
         assert col.zone(1) == Zone(2.0, 2.0)
         assert col._zone_rows == 5
 
-    def test_take_and_filter_preserve_block_size(self):
+    def test_take_preserves_block_size(self):
         col = Column("v", "float64", np.arange(10.0), block_size=4)
         assert col.take(np.array([1, 2])).block_size == 4
-        assert col.filter(np.arange(10) % 2 == 0).block_size == 4
 
 
 class TestTableBlocks:
